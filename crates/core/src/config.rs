@@ -322,8 +322,8 @@ pub struct ExperimentConfig {
     /// Dispatch at most this many events before declaring the run
     /// livelocked. Exhaustion is reported as a structured
     /// [`RunError`](crate::driver::RunError) from
-    /// [`try_run_experiment`](crate::try_run_experiment) (and a panic from
-    /// the infallible [`run_experiment`](crate::run_experiment)).
+    /// [`Testbed::try_run_traced`](crate::Testbed::try_run_traced) (and a
+    /// panic from the infallible [`run_experiment`](crate::run_experiment)).
     pub event_budget: u64,
 }
 

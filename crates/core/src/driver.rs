@@ -111,19 +111,14 @@ impl Testbed {
     }
 
     /// Execute the run to completion, panicking if the event budget is
-    /// exhausted (see [`Testbed::try_run`] for the structured form).
+    /// exhausted (see [`Testbed::try_run_traced`] for the structured form).
     pub fn run(self) -> RunResult {
-        self.try_run().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Execute the run to completion, or report a structured error if the
-    /// configured event budget runs out first.
-    pub fn try_run(self) -> Result<RunResult, RunError> {
-        self.try_run_traced().map(|(result, _)| result)
+        self.try_run_traced().unwrap_or_else(|e| panic!("{e}")).0
     }
 
     /// Execute the run to completion, returning both the results and the
-    /// flight recorder's log. With tracing off the log is empty.
+    /// flight recorder's log, or a structured error if the configured
+    /// event budget runs out first. With tracing off the log is empty.
     pub fn try_run_traced(mut self) -> Result<(RunResult, FlightLog), RunError> {
         self.start();
         let mut events: u64 = 0;
@@ -671,25 +666,12 @@ pub fn run_experiment(cfg: ExperimentConfig) -> RunResult {
     Testbed::new(cfg).run()
 }
 
-/// Run one experiment configuration, reporting a structured error if the
-/// event budget is exhausted.
-pub fn try_run_experiment(cfg: ExperimentConfig) -> Result<RunResult, RunError> {
-    Testbed::new(cfg).try_run()
-}
-
 /// Run one experiment configuration and return the flight recorder's log
 /// alongside the results (empty when `cfg.trace_level` is `Off`).
 pub fn run_experiment_traced(cfg: ExperimentConfig) -> (RunResult, FlightLog) {
     Testbed::new(cfg)
         .try_run_traced()
         .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`run_experiment_traced`].
-pub fn try_run_experiment_traced(
-    cfg: ExperimentConfig,
-) -> Result<(RunResult, FlightLog), RunError> {
-    Testbed::new(cfg).try_run_traced()
 }
 
 #[cfg(test)]

@@ -39,10 +39,7 @@ pub use contract::{
     junit_xml, paired_meta_file, stall_manifest_file, AssertionVerdict, ScenarioExit,
     VerdictStatus, PAIRED_DUMP_SCHEMA_VERSION, RESULT_SCHEMA_VERSION, STALL_TABLE_SCHEMA_VERSION,
 };
-pub use driver::{
-    run_experiment, run_experiment_traced, try_run_experiment, try_run_experiment_traced, RunError,
-    Testbed,
-};
+pub use driver::{run_experiment, run_experiment_traced, RunError, Testbed};
 pub use export::{export_run, metrics_file, write_to_dir, DataFile, METRICS_SCHEMA_VERSION};
 pub use results::{ConnTraceResult, RunResult, VisitResult};
 pub use spdyier_trace::{FlightLog, TraceLevel};

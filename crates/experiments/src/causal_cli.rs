@@ -4,9 +4,14 @@
 //! one-line summary, and an `Err(String)` the binary reports as a config
 //! error (exit 3). Inputs are either raw `trace_*.jsonl` dumps (as
 //! written by `experiments trace` / scenario trace artifacts) or a
-//! scenario manifest, which is re-run at `Full` trace level on the
-//! deterministic executor — so `explain`/`diff` outputs are
-//! byte-identical at any `SPDYIER_JOBS` width.
+//! scenario manifest. For a manifest, cell filters are resolved against
+//! the expanded cell list *first* — a filter that matches nothing (or,
+//! for `diff`, more than one cell) is reported without simulating
+//! anything — and only the selected cells are re-run at `Full` trace
+//! level on the deterministic executor, each reduced to its critical
+//! paths on the worker that ran it (the flight log is dropped there).
+//! So `explain`/`diff` outputs are byte-identical at any `SPDYIER_JOBS`
+//! width, and memory does not grow with the number of cells.
 //!
 //! Lossy traces are refused outright: if the recorder's ring dropped
 //! events (`trace.sink_dropped > 0`), the causal engine's conservation
@@ -15,7 +20,7 @@
 //! the `metrics_<label>.json` sidecar next to the trace, when present.
 
 use crate::exec::Executor;
-use crate::scenario_run::{execute_on, ScenarioRun};
+use crate::scenario_run::{limit_diagnostic, run_cell};
 use spdyier_causal::CriticalPath;
 use spdyier_causal::{critical_paths_from_records, diff_paths, explain_json, explain_text};
 use spdyier_core::{DataFile, TraceLevel};
@@ -98,58 +103,56 @@ fn cell_matches(cell: &Cell, filter: &str) -> bool {
     })
 }
 
-/// Decode `manifest_path` and execute every cell at `Full` trace level
-/// (critical paths need per-segment records) on the deterministic
-/// executor.
-fn run_manifest_traced(manifest_path: &Path) -> Result<(Manifest, ScenarioRun), String> {
+/// Decode `manifest_path` with the trace level forced to `Full`
+/// (critical paths need per-segment records).
+fn load_manifest(manifest_path: &Path) -> Result<Manifest, String> {
     let mut manifest = Manifest::from_file(manifest_path)
         .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
     manifest.trace = TraceLevel::Full;
-    let run = execute_on(&Executor::from_env(), &manifest);
-    if let Some((i, e)) = &run.limit_error {
-        let cell = &run.cells[*i];
-        return Err(format!(
-            "cell {i} ({} seed {}): {e}",
-            cell.protocol.compact(),
-            cell.seed
-        ));
-    }
-    Ok((manifest, run))
+    Ok(manifest)
 }
 
-/// Critical paths for every cell of an executed manifest that matches
-/// `filter` (all cells when absent), labeled by artifact label.
-fn manifest_paths(
-    manifest: &Manifest,
-    run: &ScenarioRun,
-    filter: Option<&str>,
-) -> Result<Vec<(String, Vec<CriticalPath>)>, String> {
-    let mut labeled = Vec::new();
-    for (cell, result) in run.cells.iter().zip(&run.results) {
-        if let Some(f) = filter {
-            if !cell_matches(cell, f) {
-                continue;
-            }
-        }
-        let Some((_, Some(log))) = result.as_ref() else {
-            continue;
-        };
-        let label = cell.artifact_label(manifest);
-        refuse_lossy_log(&label, log)?;
-        labeled.push((label, critical_paths_from_records(&log.events)));
-    }
-    if labeled.is_empty() {
+/// The cells of `manifest` that match `filter` (all cells when absent).
+/// Nothing has run yet, so an empty selection costs no simulation.
+fn select_cells(manifest: &Manifest, filter: Option<&str>) -> Result<Vec<Cell>, String> {
+    let mut cells = manifest.cells();
+    let all = labels(manifest, &cells);
+    cells.retain(|c| filter.is_none_or(|f| cell_matches(c, f)));
+    if cells.is_empty() {
         return Err(format!(
-            "no cells match filter {:?} (cells: {})",
-            filter.unwrap_or("<none>"),
-            run.cells
-                .iter()
-                .map(|c| c.artifact_label(manifest))
-                .collect::<Vec<_>>()
-                .join(", ")
+            "no cells match filter {:?} (cells: {all})",
+            filter.unwrap_or("<none>")
         ));
     }
-    Ok(labeled)
+    Ok(cells)
+}
+
+/// The comma-joined artifact labels of `cells`, for diagnostics.
+fn labels(manifest: &Manifest, cells: &[Cell]) -> String {
+    let labels: Vec<String> = cells.iter().map(|c| c.artifact_label(manifest)).collect();
+    labels.join(", ")
+}
+
+/// Run the selected `cells` of `manifest` (whose trace level must be
+/// `Full`) on `exec` and reduce each to its artifact label and critical
+/// paths on the worker that ran it; the flight log is dropped there.
+/// The first cell (in order) that exceeds a limit or sheds trace
+/// records is the error.
+pub fn critical_paths_on(
+    exec: &Executor,
+    manifest: &Manifest,
+    cells: &[Cell],
+) -> Result<Vec<(String, Vec<CriticalPath>)>, String> {
+    exec.run(cells.len(), |i, _worker| {
+        let cell = &cells[i];
+        let (_, log) = run_cell(manifest, cell).map_err(|e| limit_diagnostic(cell, &e))?;
+        let log = log.expect("trace level is Full");
+        let label = cell.artifact_label(manifest);
+        refuse_lossy_log(&label, &log)?;
+        Ok((label, critical_paths_from_records(&log.events)))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// `experiments explain <trace.jsonl|MANIFEST> [--cell FILTER]`:
@@ -159,8 +162,9 @@ pub fn explain(input: &Path, cell_filter: Option<&str>) -> Result<CausalOutcome,
     let labeled = if is_trace_file(input) {
         vec![load_trace_paths(input)?]
     } else {
-        let (manifest, run) = run_manifest_traced(input)?;
-        manifest_paths(&manifest, &run, cell_filter)?
+        let manifest = load_manifest(input)?;
+        let cells = select_cells(&manifest, cell_filter)?;
+        critical_paths_on(&Executor::from_env(), &manifest, &cells)?
     };
     let mut files = Vec::new();
     let mut visits = 0usize;
@@ -183,38 +187,20 @@ pub fn explain(input: &Path, cell_filter: Option<&str>) -> Result<CausalOutcome,
     Ok(CausalOutcome { files, summary })
 }
 
-/// One side of a diff: either a raw dump path, or a manifest cell
-/// filter resolved against a shared manifest run.
-enum Side<'a> {
-    File(&'a Path),
-    Cell(&'a str),
-}
-
-fn side_paths(
-    side: &Side<'_>,
-    shared: Option<&(Manifest, ScenarioRun)>,
-) -> Result<(String, Vec<CriticalPath>), String> {
-    match side {
-        Side::File(path) => load_trace_paths(path),
-        Side::Cell(filter) => {
-            let (manifest, run) = shared.expect("manifest run resolved before sides");
-            let mut matched = manifest_paths(manifest, run, Some(filter))?;
-            if matched.len() > 1 {
-                return Err(format!(
-                    "filter {:?} matches {} cells ({}); add a seed<N> or variant term so \
-                     exactly one run is diffed",
-                    filter,
-                    matched.len(),
-                    matched
-                        .iter()
-                        .map(|(l, _)| l.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
-            Ok(matched.remove(0))
-        }
+/// The one cell of `manifest` that `filter` selects; matching several
+/// is an error (a diff compares exactly two runs).
+fn select_one_cell(manifest: &Manifest, filter: &str) -> Result<Cell, String> {
+    let mut matched = select_cells(manifest, Some(filter))?;
+    if matched.len() > 1 {
+        return Err(format!(
+            "filter {:?} matches {} cells ({}); add a seed<N> or variant term so \
+             exactly one run is diffed",
+            filter,
+            matched.len(),
+            labels(manifest, &matched)
+        ));
     }
+    Ok(matched.remove(0))
 }
 
 /// `experiments diff <a.jsonl> <b.jsonl>` or
@@ -228,21 +214,25 @@ pub fn diff(
     a_filter: Option<&str>,
     b_filter: Option<&str>,
 ) -> Result<CausalOutcome, String> {
-    let (a_side, b_side) = match (a_file, b_file, manifest_path, a_filter, b_filter) {
-        (Some(a), Some(b), None, None, None) => (Side::File(a), Side::File(b)),
-        (None, None, Some(_), Some(a), Some(b)) => (Side::Cell(a), Side::Cell(b)),
-        _ => {
-            return Err("usage: experiments diff <a.jsonl> <b.jsonl> [--out DIR]\n\
-                 |      experiments diff <MANIFEST> --a FILTER --b FILTER [--out DIR]"
-                .into())
-        }
-    };
-    let shared = match manifest_path {
-        Some(p) => Some(run_manifest_traced(p)?),
-        None => None,
-    };
-    let (a_label, a_paths) = side_paths(&a_side, shared.as_ref())?;
-    let (b_label, b_paths) = side_paths(&b_side, shared.as_ref())?;
+    let [(a_label, a_paths), (b_label, b_paths)] =
+        match (a_file, b_file, manifest_path, a_filter, b_filter) {
+            (Some(a), Some(b), None, None, None) => [load_trace_paths(a)?, load_trace_paths(b)?],
+            (None, None, Some(path), Some(a), Some(b)) => {
+                let manifest = load_manifest(path)?;
+                let pair = [
+                    select_one_cell(&manifest, a)?,
+                    select_one_cell(&manifest, b)?,
+                ];
+                critical_paths_on(&Executor::from_env(), &manifest, &pair)?
+                    .try_into()
+                    .expect("two cells in, two out")
+            }
+            _ => {
+                return Err("usage: experiments diff <a.jsonl> <b.jsonl> [--out DIR]\n\
+                     |      experiments diff <MANIFEST> --a FILTER --b FILTER [--out DIR]"
+                    .into())
+            }
+        };
     let report = diff_paths(&a_label, &a_paths, &b_label, &b_paths);
     let summary = format!(
         "diff {} -> {}: {} aligned visit(s), total delta {:+.1} ms, dominant edge {}",
@@ -275,6 +265,36 @@ mod tests {
         assert_eq!(trace_label(Path::new("dump.jsonl")), "dump");
         assert!(is_trace_file(Path::new("a/trace_http.jsonl")));
         assert!(!is_trace_file(Path::new("scenarios/paired_3g.json")));
+    }
+
+    #[test]
+    fn filters_are_resolved_before_anything_runs() {
+        // One event is every cell's whole budget, so any run ends in the
+        // limit error: a filter diagnostic proves nothing was simulated.
+        let path = std::env::temp_dir().join(format!("spdyier_select_{}.json", std::process::id()));
+        let manifest = r#"{
+            "schema_version": 1,
+            "name": "select",
+            "network": { "kind": "wifi" },
+            "protocols": ["http", "spdy"],
+            "seeds": { "base": 0, "count": 2 },
+            "limits": { "event_budget": 1 }
+        }"#;
+        std::fs::write(&path, manifest).unwrap();
+        let e = explain(&path, Some("nosuch")).unwrap_err();
+        assert!(
+            e.starts_with("no cells match filter \"nosuch\" (cells: http_s0, spdy_s0,"),
+            "{e}"
+        );
+        let e = diff(None, None, Some(&path), Some("spdy.seed1"), Some("http")).unwrap_err();
+        assert!(
+            e.starts_with("filter \"http\" matches 2 cells (http_s0, http_s1)"),
+            "{e}"
+        );
+        // A selection that resolves does run, and only then hits the limit.
+        let e = explain(&path, Some("spdy.seed1")).unwrap_err();
+        assert!(e.starts_with("cell 3 (spdy seed 1): event budget"), "{e}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

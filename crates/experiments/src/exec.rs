@@ -50,70 +50,31 @@ impl Executor {
         self.jobs
     }
 
-    /// Evaluate `f(0..n)` and return the outputs in index order.
+    /// Evaluate `f(job, worker)` for every job in `0..n` and return the
+    /// outputs in job order.
     ///
-    /// With one worker (or one job) this runs serially on the calling
-    /// thread. Otherwise workers race on an atomic counter for the next
-    /// index; outputs land in index-addressed slots, so ordering — and
-    /// therefore any serialization of the result — matches the serial
-    /// path byte for byte.
-    pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// `f` is the *whole* job: it runs on the worker that claimed the
+    /// index, so whatever it reduces, checkpoints or heartbeats happens
+    /// there, in completion order, and anything it does not return is
+    /// dropped before that worker's next job starts — a sweep retains
+    /// O(workers) raw results at any instant and O(n) only of what `f`
+    /// returns. With one worker (or one job) this runs serially on the
+    /// calling thread as worker 0. Otherwise workers race on an atomic
+    /// counter for the next index; outputs land in index-addressed
+    /// slots, so ordering — and therefore any serialization of the
+    /// result — matches the serial path byte for byte.
+    pub fn run<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_observed(n, f, |_, _, _| {})
-    }
-
-    /// [`Executor::run`] plus a completion observer: after each job
-    /// finishes, `observe(job, worker, &output)` runs **on the worker
-    /// thread that produced it**, before the output lands in its slot.
-    ///
-    /// This is the hook sweep telemetry rides on — the observer sees
-    /// completion order (not job order) and the worker index, which is
-    /// exactly what a heartbeat line reports. The observer must not
-    /// affect the outputs (it gets a shared reference), so the ordering
-    /// guarantee of [`Executor::run`] is undisturbed.
-    pub fn run_observed<T, F, O>(&self, n: usize, f: F, observe: O) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        O: Fn(usize, usize, &T) + Sync,
-    {
-        self.run_folded(n, f, |job, worker, out| {
-            observe(job, worker, &out);
-            out
-        })
-    }
-
-    /// Map-then-reduce per job: evaluate `f(i)` and immediately reduce
-    /// its output with `fold(job, worker, raw)` **on the worker thread
-    /// that produced it**, storing only the reduced value.
-    ///
-    /// This is the streaming primitive population-scale sweeps fold
-    /// through: the raw output (a full `RunResult`, O(visits) big) is
-    /// consumed by value and dropped before the next job starts, so the
-    /// sweep retains O(jobs) raw results at any instant and O(n) only
-    /// of the *reduced* accumulators. Reduced outputs land in
-    /// index-addressed slots, so — exactly like [`Executor::run`] — the
-    /// returned `Vec` is in job order and byte-identical at any pool
-    /// width. `fold` observes completion order and the worker index,
-    /// which makes it the natural place to checkpoint and heartbeat.
-    pub fn run_folded<T, R, F, G>(&self, n: usize, f: F, fold: G) -> Vec<R>
-    where
-        T: Send,
         R: Send,
-        F: Fn(usize) -> T + Sync,
-        G: Fn(usize, usize, T) -> R + Sync,
+        F: Fn(usize, usize) -> R + Sync,
     {
         if self.jobs == 1 || n <= 1 {
-            return (0..n).map(|i| fold(i, 0, f(i))).collect();
+            return (0..n).map(|i| f(i, 0)).collect();
         }
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for worker in 0..self.jobs.min(n) {
-                let fold = &fold;
                 let f = &f;
                 let slots = &slots;
                 let next = &next;
@@ -122,7 +83,7 @@ impl Executor {
                     if i >= n {
                         break;
                     }
-                    let out = fold(i, worker, f(i));
+                    let out = f(i, worker);
                     *slots[i].lock().expect("result slot poisoned") = Some(out);
                 });
             }
@@ -143,72 +104,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serial_and_parallel_agree() {
-        let serial = Executor::new(1).run(17, |i| i * i);
-        let parallel = Executor::new(4).run(17, |i| i * i);
+    fn serial_and_parallel_agree_in_job_order() {
+        let serial = Executor::new(1).run(100, |i, _| i * i);
+        let parallel = Executor::new(8).run(100, |i, _| i * i);
+        assert_eq!(serial, (0..100).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn output_is_in_job_order() {
-        let out = Executor::new(8).run(100, |i| i);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn zero_jobs_clamps_to_one() {
         assert_eq!(Executor::new(0).jobs(), 1);
-        assert_eq!(Executor::new(0).run(3, |i| i), vec![0, 1, 2]);
+        assert_eq!(Executor::new(0).run(3, |i, _| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn more_workers_than_jobs_is_fine() {
-        assert_eq!(Executor::new(16).run(2, |i| i + 1), vec![1, 2]);
+        assert_eq!(Executor::new(16).run(2, |i, _| i + 1), vec![1, 2]);
     }
 
     #[test]
-    fn run_folded_reduces_worker_side_in_job_order() {
-        // The raw value is moved into the reducer (ownership proves the
-        // executor cannot retain it), and only the reduction survives.
+    fn each_job_runs_once_on_a_pool_worker_and_keeps_only_its_reduction() {
         for workers in [1, 4] {
-            let out = Executor::new(workers).run_folded(
-                40,
-                |i| vec![i; 1000], // the "big" per-job output
-                |job, worker, raw: Vec<usize>| {
-                    assert!(worker < 4);
-                    assert_eq!(raw.len(), 1000);
-                    assert_eq!(raw[0], job);
-                    raw.len() * job // the small reduced value
-                },
-            );
+            let seen = Mutex::new(vec![0u32; 40]);
+            let out = Executor::new(workers).run(40, |job, worker| {
+                assert!(worker < workers);
+                seen.lock().unwrap()[job] += 1;
+                // The "big" per-job output is owned by the job, so the
+                // executor cannot retain it: only the reduction survives.
+                let raw = vec![job; 1000];
+                raw.len() * raw[0]
+            });
             assert_eq!(out, (0..40).map(|i| i * 1000).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn run_folded_serial_and_parallel_are_identical() {
-        let serial =
-            Executor::new(1).run_folded(23, |i| i as u64 * 3, |job, _, raw| raw + job as u64);
-        let parallel =
-            Executor::new(6).run_folded(23, |i| i as u64 * 3, |job, _, raw| raw + job as u64);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn observer_sees_every_job_exactly_once() {
-        use std::sync::Mutex;
-        for workers in [1, 4] {
-            let seen = Mutex::new(vec![0u32; 50]);
-            let out = Executor::new(workers).run_observed(
-                50,
-                |i| i * 2,
-                |job, worker, &out| {
-                    assert_eq!(out, job * 2, "observer gets the job's own output");
-                    assert!(worker < 4);
-                    seen.lock().unwrap()[job] += 1;
-                },
-            );
-            assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>());
             assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
         }
     }

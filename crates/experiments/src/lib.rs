@@ -24,18 +24,15 @@ pub mod table1;
 pub mod tcp_dynamics;
 
 use serde_json::Value;
-use spdyier_core::{
-    run_experiment, run_experiment_traced, ExperimentConfig, FlightLog, NetworkKind, ProtocolMode,
-    RunResult, TraceLevel,
-};
+use spdyier_core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode, RunResult};
 use spdyier_workload::VisitSchedule;
 
 pub use causal_cli::{diff as causal_diff, explain as causal_explain, CausalOutcome};
 pub use exec::Executor;
-pub use profiling::{paired_cells, profiled_cells_on, ProfiledSweep};
+pub use profiling::{profile_manifest_on, ProfiledSweep};
 pub use scenario_run::{
-    execute_folded_on, fold_cell, run_manifest, run_manifest_on, FoldedCell, FoldedRun,
-    ScenarioOutcome, ScenarioRun,
+    execute_folded_on, fold_cell, run_cell, run_manifest, run_manifest_on, FoldedCell,
+    ScenarioOutcome,
 };
 pub use sweep::{run_sweep, run_sweep_on, SweepOptions, SweepOutcome};
 
@@ -105,50 +102,6 @@ pub fn run_schedule(
     run_experiment(cfg)
 }
 
-/// [`run_schedule`] with the flight recorder on at `level`, returning
-/// the run and its [`FlightLog`].
-pub fn run_schedule_traced(
-    protocol: ProtocolMode,
-    network: NetworkKind,
-    seed: u64,
-    level: TraceLevel,
-) -> (RunResult, FlightLog) {
-    let cfg = ExperimentConfig::paper_3g(protocol, seed)
-        .with_network(network)
-        .with_schedule(schedule_for_seed(seed))
-        .with_trace_level(level);
-    run_experiment_traced(cfg)
-}
-
-/// Paired traced HTTP/SPDY runs on an explicit executor: one (run, log)
-/// pair per seed, HTTP first. Fan-out matches [`paired_runs_on`], so
-/// the flight logs are byte-identical at any pool width.
-pub fn paired_runs_traced_on(
-    exec: &Executor,
-    network: NetworkKind,
-    opts: ExpOpts,
-    level: TraceLevel,
-) -> Vec<((RunResult, FlightLog), (RunResult, FlightLog))> {
-    let n = (opts.seeds as usize) * 2;
-    let mut flat = exec.run(n, |i| {
-        let s = (i / 2) as u64;
-        let protocol = if i % 2 == 0 {
-            ProtocolMode::Http
-        } else {
-            ProtocolMode::spdy()
-        };
-        run_schedule_traced(protocol, network, s, level)
-    });
-    let mut pairs = Vec::with_capacity(opts.seeds as usize);
-    while flat.len() >= 2 {
-        let spdy = flat.pop().expect("even job count");
-        let http = flat.pop().expect("even job count");
-        pairs.push((http, spdy));
-    }
-    pairs.reverse();
-    pairs
-}
-
 /// Paired HTTP/SPDY runs over identical schedules, one pair per seed.
 ///
 /// Runs fan out across an [`Executor`] sized by `SPDYIER_JOBS` (or the
@@ -171,7 +124,7 @@ pub fn paired_runs_on(
 ) -> Vec<(RunResult, RunResult)> {
     // Flatten to 2 jobs per seed: even indices HTTP, odd indices SPDY.
     let n = (opts.seeds as usize) * 2;
-    let mut flat = exec.run(n, |i| {
+    let mut flat = exec.run(n, |i, _worker| {
         let s = (i / 2) as u64;
         let protocol = if i % 2 == 0 {
             ProtocolMode::Http

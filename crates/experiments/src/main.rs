@@ -1,14 +1,9 @@
 //! The `experiments` binary: regenerate the paper's tables and figures.
 //!
-//! ```text
-//! experiments <id|all> [--seeds N] [--json DIR]
-//! experiments run <MANIFEST.(json|yaml)> [--out DIR] [--seeds N]
-//! experiments export <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]
-//! experiments trace <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]
-//! experiments explain <trace.jsonl|MANIFEST> [--cell FILTER] [--out DIR]
-//! experiments diff <a.jsonl> <b.jsonl> [--out DIR]
-//! experiments diff <MANIFEST> --a FILTER --b FILTER [--out DIR]
-//! ```
+//! Run it with no arguments for every invocation form (the `USAGE`
+//! table below): the per-figure runners by id, and the `run`, `sweep`,
+//! `export`, `trace`, `paired`, `explain`, `diff` and `profile`
+//! subcommands.
 //!
 //! The `run` form executes a declarative scenario manifest (JSON, or the
 //! strict YAML subset) end to end: expand cells, fan them across
@@ -53,11 +48,11 @@ use spdyier_core::{
     TraceLevel,
 };
 use spdyier_experiments::{
-    profiled_cells_on, run_by_id, run_schedule, scenario_run, Executor, ExpOpts, ALL_EXPERIMENTS,
+    profile_manifest_on, run_by_id, run_schedule, scenario_run, Executor, ExpOpts, ALL_EXPERIMENTS,
 };
 use spdyier_scenario::{Manifest, ProtocolSpec, Seeds};
-use spdyier_trace::MetricsRegistry;
 use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// Count every allocation the binary makes, so `profile` runs can report
 /// allocations per visit and per subsystem (near-zero cost otherwise:
@@ -65,27 +60,144 @@ use std::io::Write;
 #[global_allocator]
 static GLOBAL: spdyier_prof::CountingAlloc = spdyier_prof::CountingAlloc;
 
+/// Every invocation form, leading with its subcommand (or the figure-id
+/// placeholder). The one table all usage text is printed from.
+const USAGE: &[&str] = &[
+    "<id|all> [--seeds N] [--json DIR]",
+    "run <MANIFEST.(json|yaml)> [--out DIR] [--seeds N]",
+    "sweep <MANIFEST.(json|yaml)> --out DIR [--seeds N] [--stop-after K]",
+    "export <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]",
+    "trace <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]",
+    "paired <3g|lte|wifi|3g-pinned> <FILE> [--seeds N]",
+    "explain <trace.jsonl|MANIFEST> [--cell FILTER] [--out DIR]",
+    "diff <a.jsonl> <b.jsonl> [--out DIR]",
+    "diff <MANIFEST> --a FILTER --b FILTER [--out DIR]",
+    "profile <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N] [--seeds N]",
+];
+
 /// One-line config diagnostic, then the standardized config-error exit.
 fn config_error(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(ScenarioExit::ConfigError.code());
 }
 
-/// Parse the value following `--flag N` as an unsigned integer; absent
-/// flag yields `default`, present-but-malformed names the flag and
-/// exits 3.
-fn parse_flag_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return default;
-    };
-    let Some(raw) = args.get(i + 1) else {
-        config_error(&format!("{flag}: expected a number after the flag"));
-    };
+/// Print the usage of `cmd` (every form when `None`) and exit 3.
+fn usage_error(cmd: Option<&str>) -> ! {
+    let forms = USAGE
+        .iter()
+        .filter(|form| cmd.is_none_or(|cmd| form.split(' ').next() == Some(cmd)));
+    for (i, form) in forms.enumerate() {
+        let lead = if i == 0 { "usage:" } else { "      " };
+        eprintln!("{lead} experiments {form}");
+    }
+    if cmd.is_none() {
+        eprintln!("ids: {}", ALL_EXPERIMENTS.join(" "));
+    }
+    std::process::exit(ScenarioExit::ConfigError.code());
+}
+
+/// The arguments that are not flags (or flag values) from `flags`.
+fn positional_args<'a>(args: &'a [String], flags: &[&str]) -> Vec<&'a str> {
+    let mut positional = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        if flags.contains(&args[i].as_str()) {
+            i += 2;
+            continue;
+        }
+        positional.push(args[i].as_str());
+        i += 1;
+    }
+    positional
+}
+
+/// The value following `--flag VALUE`; absent flag yields `None`,
+/// present-but-valueless names the flag and exits 3.
+fn parse_flag_str(args: &[String], flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(v) => Some(v.clone()),
+        None => config_error(&format!("{flag}: expected a value after the flag")),
+    }
+}
+
+/// [`parse_flag_str`] as an unsigned integer; malformed names the flag
+/// and exits 3.
+fn parse_flag_u64(args: &[String], flag: &str) -> Option<u64> {
+    let raw = parse_flag_str(args, flag)?;
     match raw.parse() {
-        Ok(v) => v,
+        Ok(v) => Some(v),
         Err(_) => config_error(&format!(
             "{flag}: expected an unsigned integer, got {raw:?}"
         )),
+    }
+}
+
+/// `--seeds N`, the seed count of every subcommand that takes one: zero
+/// seeds is a config error, never an empty run.
+fn parse_seeds(args: &[String]) -> Option<u64> {
+    let n = parse_flag_u64(args, "--seeds")?;
+    if n == 0 {
+        config_error("--seeds: must be at least 1");
+    }
+    Some(n)
+}
+
+/// A cell of `cmd`'s manifest exceeded a limit: report it and exit 2.
+fn limit_exit(cmd: &str, e: &spdyier_core::RunError) -> ! {
+    eprintln!("experiments {cmd}: {e}");
+    std::process::exit(ScenarioExit::LimitExceeded.code());
+}
+
+/// Print the paths a subcommand wrote.
+fn print_written(paths: &[PathBuf]) {
+    for p in paths {
+        println!("wrote {}", p.display());
+    }
+}
+
+/// Parse the shared `<http|spdy> <network> <DIR> [--seed N]` tail.
+fn parse_run_args(args: &[String], cmd: &str) -> (ProtocolSpec, NetworkSpec, PathBuf, u64) {
+    let [protocol, network, dir] = positional_args(args, &["--seed", "--seeds"])[..] else {
+        usage_error(Some(cmd));
+    };
+    let protocol = ProtocolSpec::parse(protocol)
+        .unwrap_or_else(|e| config_error(&format!("experiments {cmd}: protocol: {e}")));
+    let network: NetworkSpec = network
+        .parse()
+        .unwrap_or_else(|e| config_error(&format!("experiments {cmd}: network: {e}")));
+    let seed = parse_flag_u64(args, "--seed").unwrap_or(0);
+    (protocol, network, PathBuf::from(dir), seed)
+}
+
+/// The paper-baseline manifest the legacy single-protocol subcommands
+/// (`trace`, `profile`) are re-expressed as.
+fn single_protocol_manifest(
+    cmd: &str,
+    protocol: ProtocolSpec,
+    network: NetworkSpec,
+    seeds: Seeds,
+    level: TraceLevel,
+) -> Manifest {
+    let mut manifest = Manifest::paper_baseline(cmd);
+    manifest.name = format!(
+        "{cmd}_{}_{}",
+        protocol.compact().replace(':', "-"),
+        network.cli_name()
+    );
+    manifest.network.kind = network;
+    manifest.protocols = vec![protocol];
+    manifest.seeds = seeds;
+    manifest.trace = level;
+    manifest
+}
+
+/// `SPDYIER_TRACE`, or `default` when it is unset or `off` (these
+/// subcommands exist to record).
+fn trace_level_or(default: TraceLevel) -> TraceLevel {
+    match TraceLevel::from_env() {
+        TraceLevel::Off => default,
+        explicit => explicit,
     }
 }
 
@@ -93,95 +205,57 @@ fn run_export(args: &[String]) -> ! {
     let (protocol, network, dir, seed) = parse_run_args(args, "export");
     let result = run_schedule(protocol.mode, network, seed, true);
     let files = export_run(&result);
-    let paths = write_to_dir(&files, &dir).expect("write export dir");
-    for p in &paths {
-        println!("wrote {}", p.display());
-    }
+    print_written(&write_to_dir(&files, &dir).expect("write export dir"));
     std::process::exit(0);
-}
-
-/// Parse the shared `<http|spdy> <network> <DIR> [--seed N]` tail.
-fn parse_run_args(
-    args: &[String],
-    cmd: &str,
-) -> (ProtocolSpec, NetworkSpec, std::path::PathBuf, u64) {
-    if args.len() < 3 {
-        config_error(&format!(
-            "usage: experiments {cmd} <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]"
-        ));
-    }
-    let protocol = ProtocolSpec::parse(&args[0])
-        .unwrap_or_else(|e| config_error(&format!("experiments {cmd}: protocol: {e}")));
-    let network: NetworkSpec = args[1]
-        .parse()
-        .unwrap_or_else(|e| config_error(&format!("experiments {cmd}: network: {e}")));
-    let dir = std::path::PathBuf::from(&args[2]);
-    let seed = parse_flag_u64(args, "--seed", 0);
-    (protocol, network, dir, seed)
 }
 
 fn run_trace(args: &[String]) -> ! {
     let (protocol, network, dir, seed) = parse_run_args(args, "trace");
-    let level = match TraceLevel::from_env() {
-        TraceLevel::Off => TraceLevel::Full,
-        explicit => explicit,
-    };
-    // The legacy trace run, re-expressed as a scenario manifest.
-    let mut manifest = Manifest::paper_baseline("trace");
-    manifest.name = format!(
-        "trace_{}_{}",
-        protocol.compact().replace(':', "-"),
-        network.cli_name()
-    );
-    manifest.network.kind = network;
-    manifest.protocols = vec![protocol];
-    manifest.seeds = Seeds {
+    let level = trace_level_or(TraceLevel::Full);
+    let seeds = Seeds {
         base: seed,
         count: 1,
     };
-    manifest.trace = level;
+    let mut manifest = single_protocol_manifest("trace", protocol, network, seeds, level);
     manifest.outputs.trace_artifacts = true;
 
-    let run = scenario_run::execute_on(&Executor::from_env(), &manifest);
-    if let Some((_, e)) = &run.limit_error {
-        eprintln!("experiments trace: {e}");
-        std::process::exit(ScenarioExit::LimitExceeded.code());
-    }
-    let (result, log) = run.results[0].as_ref().expect("cell completed");
-    let log = log.as_ref().expect("trace level is on");
+    let outputs = scenario_run::execute_folded_on(&Executor::from_env(), &manifest);
+    let counters = match &outputs[0] {
+        Ok(cell) => &cell.metrics.counters,
+        Err(e) => limit_exit("trace", e),
+    };
+    let dropped = counters["trace.sink_dropped"];
     println!(
         "traced {} on {:?} at {:?}: {} events ({} dropped)",
-        result.protocol,
+        protocol.mode.label(),
         network,
         level,
-        log.events.len(),
-        log.dropped
+        counters["trace.emitted"] - dropped,
+        dropped
     );
-    let outcome = scenario_run::finish(&manifest, &run, &dir).expect("write trace dir");
-    for p in &outcome.written {
-        println!("wrote {}", p.display());
-    }
+    let outcome = scenario_run::finish_folded(&manifest, &outputs, &dir).expect("write trace dir");
+    print_written(&outcome.written);
     std::process::exit(0);
 }
 
 /// Run one or more profiled schedules and write the self-observability
 /// artifacts: `profile_<proto>.json` (the span/subsystem self-report),
 /// `heartbeat_<proto>.jsonl` (one line per completed cell), and
-/// `metrics_<proto>.json` (the merged trace metrics registry, which now
+/// `metrics_<proto>.json` (the merged trace metrics registry, which
 /// includes `trace.emitted` / `trace.sink_dropped`).
 fn run_profile(args: &[String]) -> ! {
     let (protocol, network, dir, seed) = parse_run_args(args, "profile");
-    let protocol = protocol.mode;
-    let seeds = parse_flag_u64(args, "--seeds", 1);
-    let level = match TraceLevel::from_env() {
-        TraceLevel::Off => TraceLevel::Lifecycle,
-        explicit => explicit,
-    };
-    let proto = match protocol {
+    let seeds = parse_seeds(args).unwrap_or(1);
+    let level = trace_level_or(TraceLevel::Lifecycle);
+    let proto = match protocol.mode {
         ProtocolMode::Http => "http",
         ProtocolMode::Spdy { .. } => "spdy",
     };
-    let cells: Vec<(ProtocolMode, u64)> = (seed..seed + seeds).map(|s| (protocol, s)).collect();
+    let seed_range = Seeds {
+        base: seed,
+        count: seeds,
+    };
+    let manifest = single_protocol_manifest("profile", protocol, network, seed_range, level);
 
     std::fs::create_dir_all(&dir).expect("create profile dir");
     let hb_path = dir.join(format!("heartbeat_{proto}.jsonl"));
@@ -190,24 +264,13 @@ fn run_profile(args: &[String]) -> ! {
 
     spdyier_prof::set_enabled(true);
     let alloc_before = spdyier_prof::global_counts();
-    let sweep = profiled_cells_on(
-        &Executor::from_env(),
-        &cells,
-        network,
-        level,
-        Some(heartbeat),
-    );
+    let sweep = profile_manifest_on(&Executor::from_env(), &manifest, Some(heartbeat))
+        .unwrap_or_else(|e| limit_exit("profile", &e));
     let alloc_delta = spdyier_prof::global_counts().since(alloc_before);
 
-    let mut metrics = MetricsRegistry::new();
-    let mut retained = 0u64;
-    for (_, log) in &sweep.runs {
-        metrics.merge(&log.metrics);
-        retained += log.events.len() as u64;
-    }
     let secs = sweep.wall_ms / 1e3;
     let report = spdyier_prof::SelfReport::assemble(
-        format!("{proto} {} seeds={seeds}", args[1]),
+        format!("{proto} {} seeds={seeds}", network.cli_name()),
         &sweep.profile,
         sweep.wall_ms,
         sweep.telemetry.visits,
@@ -215,7 +278,7 @@ fn run_profile(args: &[String]) -> ! {
         sweep.telemetry.events,
         spdyier_prof::SinkReport {
             emitted: sweep.telemetry.events,
-            retained,
+            retained: sweep.retained,
             dropped: sweep.telemetry.trace_dropped,
             events_per_sec: if secs > 0.0 {
                 sweep.telemetry.events as f64 / secs
@@ -230,12 +293,11 @@ fn run_profile(args: &[String]) -> ! {
             name: format!("profile_{proto}.json"),
             contents: report.to_json(),
         },
-        metrics_file(proto, &metrics),
+        metrics_file(proto, &sweep.metrics),
     ];
     let paths = write_to_dir(&files, &dir).expect("write profile dir");
     println!(
-        "profiled {} cell(s) of {} on {:?} at {:?}: {:.0} ms, {} events ({:.0}/s), {:.0} allocs/visit",
-        cells.len(),
+        "profiled {seeds} cell(s) of {} on {:?} at {:?}: {:.0} ms, {} events ({:.0}/s), {:.0} allocs/visit",
         proto,
         network,
         level,
@@ -244,20 +306,16 @@ fn run_profile(args: &[String]) -> ! {
         report.events_per_sec,
         report.allocs_per_visit,
     );
-    for row in report.subsystems.iter().map(|(name, s)| {
-        format!(
+    for (name, s) in &report.subsystems {
+        println!(
             "  {name:<10} {:>10.1} ms self  {:>12} allocs  {:>8} calls",
             s.self_ns as f64 / 1e6,
             s.allocs,
             s.calls
-        )
-    }) {
-        println!("{row}");
+        );
     }
     println!("wrote {}", hb_path.display());
-    for p in &paths {
-        println!("wrote {}", p.display());
-    }
+    print_written(&paths);
     std::process::exit(0);
 }
 
@@ -265,22 +323,17 @@ fn run_profile(args: &[String]) -> ! {
 /// JSON line (HTTP then SPDY per seed). The output is byte-stable for a
 /// given build, which makes it the reference artifact for the CI
 /// byte-identity guard: dump before and after a data-plane change and
-/// `cmp` the files. Routed through the scenario runner (a pre-baked
-/// paired manifest), with a `.meta.json` schema sidecar next to the
-/// dump.
+/// `cmp` the files. A pre-baked paired manifest through the scenario
+/// runner's fold, with a `.meta.json` schema sidecar next to the dump.
 fn run_paired(args: &[String]) -> ! {
-    if args.len() < 2 {
-        config_error("usage: experiments paired <3g|lte|wifi|3g-pinned> <FILE> [--seeds N]");
-    }
-    let network: NetworkSpec = args[0]
+    let [network, file] = positional_args(args, &["--seeds"])[..] else {
+        usage_error(Some("paired"));
+    };
+    let network: NetworkSpec = network
         .parse()
         .unwrap_or_else(|e| config_error(&format!("experiments paired: network: {e}")));
-    let seeds = parse_flag_u64(args, "--seeds", ExpOpts::default().seeds);
-    if seeds == 0 {
-        config_error("experiments paired: --seeds: must be at least 1");
-    }
+    let seeds = parse_seeds(args).unwrap_or(ExpOpts::default().seeds);
 
-    // The legacy paired sweep, re-expressed as a scenario manifest.
     let mut manifest = Manifest::paper_baseline("paired");
     manifest.name = format!("paired_{}", network.cli_name());
     manifest.network.kind = network;
@@ -291,14 +344,18 @@ fn run_paired(args: &[String]) -> ! {
     manifest.tcp_traces = true;
     manifest.outputs.paired_dump = true;
 
-    let run = scenario_run::execute_on(&Executor::from_env(), &manifest);
-    if let Some((_, e)) = &run.limit_error {
-        eprintln!("experiments paired: {e}");
-        std::process::exit(ScenarioExit::LimitExceeded.code());
+    let mut out = String::new();
+    for cell in scenario_run::execute_folded_on(&Executor::from_env(), &manifest) {
+        match cell {
+            Ok(cell) => {
+                out.push_str(&cell.dump_line.expect("manifest requests the paired dump"));
+                out.push('\n');
+            }
+            Err(e) => limit_exit("paired", &e),
+        }
     }
-    let out = scenario_run::paired_dump_string(&run);
 
-    let path = std::path::PathBuf::from(&args[1]);
+    let path = PathBuf::from(file);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).expect("create dump dir");
@@ -318,23 +375,11 @@ fn run_paired(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// Parse the value following `--flag NAME` as a string; absent flag
-/// yields `None`, present-but-valueless names the flag and exits 3.
-fn parse_flag_str(args: &[String], flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v.clone()),
-        None => config_error(&format!("{flag}: expected a value after the flag")),
-    }
-}
-
 /// Write a causal outcome's artifacts and print the summary.
 fn write_causal_outcome(outcome: spdyier_experiments::CausalOutcome, out_dir: &str) -> ! {
-    match write_to_dir(&outcome.files, std::path::Path::new(out_dir)) {
+    match write_to_dir(&outcome.files, Path::new(out_dir)) {
         Ok(paths) => {
-            for p in &paths {
-                println!("wrote {}", p.display());
-            }
+            print_written(&paths);
             println!("{}", outcome.summary);
             std::process::exit(0);
         }
@@ -344,15 +389,12 @@ fn write_causal_outcome(outcome: spdyier_experiments::CausalOutcome, out_dir: &s
 
 /// `experiments explain <trace.jsonl|MANIFEST> [--cell FILTER] [--out DIR]`.
 fn run_explain(args: &[String]) -> ! {
-    let positional: Vec<&String> = positional_args(args, &["--cell", "--out"]);
-    let [input] = positional[..] else {
-        config_error(
-            "usage: experiments explain <trace.jsonl|MANIFEST> [--cell FILTER] [--out DIR]",
-        );
+    let [input] = positional_args(args, &["--cell", "--out"])[..] else {
+        usage_error(Some("explain"));
     };
     let cell = parse_flag_str(args, "--cell");
     let out = parse_flag_str(args, "--out").unwrap_or_else(|| "results/explain".into());
-    match spdyier_experiments::causal_explain(std::path::Path::new(input), cell.as_deref()) {
+    match spdyier_experiments::causal_explain(Path::new(input), cell.as_deref()) {
         Ok(outcome) => write_causal_outcome(outcome, &out),
         Err(e) => config_error(&format!("experiments explain: {e}")),
     }
@@ -366,8 +408,8 @@ fn run_diff(args: &[String]) -> ! {
     let out = parse_flag_str(args, "--out").unwrap_or_else(|| "results/diff".into());
     let result = match (&positional[..], &a_filter, &b_filter) {
         ([a, b], None, None) => spdyier_experiments::causal_diff(
-            Some(std::path::Path::new(a.as_str())),
-            Some(std::path::Path::new(b.as_str())),
+            Some(Path::new(a)),
+            Some(Path::new(b)),
             None,
             None,
             None,
@@ -375,14 +417,11 @@ fn run_diff(args: &[String]) -> ! {
         ([manifest], Some(a), Some(b)) => spdyier_experiments::causal_diff(
             None,
             None,
-            Some(std::path::Path::new(manifest.as_str())),
+            Some(Path::new(manifest)),
             Some(a),
             Some(b),
         ),
-        _ => config_error(
-            "usage: experiments diff <a.jsonl> <b.jsonl> [--out DIR]\n\
-             |      experiments diff <MANIFEST> --a FILTER --b FILTER [--out DIR]",
-        ),
+        _ => usage_error(Some("diff")),
     };
     match result {
         Ok(outcome) => write_causal_outcome(outcome, &out),
@@ -390,75 +429,34 @@ fn run_diff(args: &[String]) -> ! {
     }
 }
 
-/// The arguments that are not flags (or flag values) from `flags`.
-fn positional_args<'a>(args: &'a [String], flags: &[&str]) -> Vec<&'a String> {
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if flags.contains(&args[i].as_str()) {
-            i += 2;
-            continue;
-        }
-        positional.push(&args[i]);
-        i += 1;
+/// Decode the manifest at `path`, applying a `--seeds N` override.
+fn load_manifest(path: &str, args: &[String]) -> Manifest {
+    let mut manifest = Manifest::from_file(Path::new(path))
+        .unwrap_or_else(|e| config_error(&format!("{path}: {e}")));
+    if let Some(n) = parse_seeds(args) {
+        manifest.seeds.count = n;
     }
-    positional
+    manifest
+}
+
+/// Print a finished scenario's artifacts and summary; exit with its code.
+fn exit_with_outcome(outcome: &spdyier_experiments::ScenarioOutcome) -> ! {
+    print_written(&outcome.written);
+    println!("{}", outcome.summary);
+    std::process::exit(outcome.exit.code());
 }
 
 /// `experiments run <MANIFEST> [--out DIR] [--seeds N]`: the scenario
 /// runner front-end.
 fn run_scenario(args: &[String]) -> ! {
-    let usage = "usage: experiments run <MANIFEST.(json|yaml)> [--out DIR] [--seeds N]";
-    let mut manifest_path: Option<String> = None;
-    let mut out_dir: Option<String> = None;
-    let mut seeds_override: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out_dir = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    config_error("experiments run: --out: expected a directory after the flag")
-                }));
-            }
-            "--seeds" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_else(|| {
-                    config_error("experiments run: --seeds: expected a number after the flag")
-                });
-                seeds_override = Some(raw.parse().unwrap_or_else(|_| {
-                    config_error(&format!(
-                        "experiments run: --seeds: expected an unsigned integer, got {raw:?}"
-                    ))
-                }));
-            }
-            other if manifest_path.is_none() => manifest_path = Some(other.to_string()),
-            other => config_error(&format!(
-                "experiments run: unexpected argument {other:?}\n{usage}"
-            )),
-        }
-        i += 1;
-    }
-    let Some(manifest_path) = manifest_path else {
-        config_error(usage);
+    let [manifest_path] = positional_args(args, &["--out", "--seeds"])[..] else {
+        usage_error(Some("run"));
     };
-    let mut manifest = Manifest::from_file(std::path::Path::new(&manifest_path))
-        .unwrap_or_else(|e| config_error(&format!("{manifest_path}: {e}")));
-    if let Some(n) = seeds_override {
-        if n == 0 {
-            config_error("experiments run: --seeds: must be at least 1");
-        }
-        manifest.seeds.count = n;
-    }
-    let out_dir = out_dir.unwrap_or_else(|| format!("results/{}", manifest.name));
-    match spdyier_experiments::run_manifest(&manifest, std::path::Path::new(&out_dir)) {
-        Ok(outcome) => {
-            for p in &outcome.written {
-                println!("wrote {}", p.display());
-            }
-            println!("{}", outcome.summary);
-            std::process::exit(outcome.exit.code());
-        }
+    let manifest = load_manifest(manifest_path, args);
+    let out_dir =
+        parse_flag_str(args, "--out").unwrap_or_else(|| format!("results/{}", manifest.name));
+    match spdyier_experiments::run_manifest(&manifest, Path::new(&out_dir)) {
+        Ok(outcome) => exit_with_outcome(&outcome),
         Err(e) => config_error(&format!("experiments run: --out {out_dir:?}: {e}")),
     }
 }
@@ -468,47 +466,19 @@ fn run_scenario(args: &[String]) -> ! {
 /// same command against the same `--out` directory resumes from the
 /// checkpoint store.
 fn run_sweep_cmd(args: &[String]) -> ! {
-    let usage =
-        "usage: experiments sweep <MANIFEST.(json|yaml)> --out DIR [--seeds N] [--stop-after K]";
-    let positional = positional_args(args, &["--out", "--seeds", "--stop-after"]);
-    let [manifest_path] = positional[..] else {
-        config_error(usage);
+    let [manifest_path] = positional_args(args, &["--out", "--seeds", "--stop-after"])[..] else {
+        usage_error(Some("sweep"));
     };
     let Some(out_dir) = parse_flag_str(args, "--out") else {
-        config_error(&format!(
-            "experiments sweep: --out is required (the checkpoint store lives there)\n{usage}"
-        ));
+        eprintln!("experiments sweep: --out is required (the checkpoint store lives there)");
+        usage_error(Some("sweep"));
     };
-    let mut manifest = Manifest::from_file(std::path::Path::new(manifest_path))
-        .unwrap_or_else(|e| config_error(&format!("{manifest_path}: {e}")));
-    if let Some(n) = parse_flag_str(args, "--seeds") {
-        let n: u64 = n.parse().unwrap_or_else(|_| {
-            config_error(&format!(
-                "experiments sweep: --seeds: expected an unsigned integer, got {n:?}"
-            ))
-        });
-        if n == 0 {
-            config_error("experiments sweep: --seeds: must be at least 1");
-        }
-        manifest.seeds.count = n;
-    }
-    let stop_after = parse_flag_str(args, "--stop-after").map(|k| {
-        k.parse().unwrap_or_else(|_| {
-            config_error(&format!(
-                "experiments sweep: --stop-after: expected an unsigned integer, got {k:?}"
-            ))
-        })
-    });
-    let opts = spdyier_experiments::SweepOptions { stop_after };
-    let out_path = std::path::PathBuf::from(&out_dir);
-    match spdyier_experiments::run_sweep(&manifest, &out_path, opts) {
-        Ok(spdyier_experiments::SweepOutcome::Completed(outcome)) => {
-            for p in &outcome.written {
-                println!("wrote {}", p.display());
-            }
-            println!("{}", outcome.summary);
-            std::process::exit(outcome.exit.code());
-        }
+    let manifest = load_manifest(manifest_path, args);
+    let opts = spdyier_experiments::SweepOptions {
+        stop_after: parse_flag_u64(args, "--stop-after").map(|k| k as usize),
+    };
+    match spdyier_experiments::run_sweep(&manifest, Path::new(&out_dir), opts) {
+        Ok(spdyier_experiments::SweepOutcome::Completed(outcome)) => exit_with_outcome(&outcome),
         Ok(spdyier_experiments::SweepOutcome::Interrupted {
             checkpointed,
             total,
@@ -524,106 +494,62 @@ fn run_sweep_cmd(args: &[String]) -> ! {
     }
 }
 
+/// `experiments <id|all> [--seeds N] [--json DIR]`: the per-figure
+/// runners.
+fn run_figures(args: &[String]) {
+    let opts = ExpOpts {
+        seeds: parse_seeds(args).unwrap_or(ExpOpts::default().seeds),
+    };
+    let json_dir = parse_flag_str(args, "--json");
+    let mut ids = positional_args(args, &["--seeds", "--json"]);
+    if ids.contains(&"all") {
+        ids = ALL_EXPERIMENTS.to_vec();
+    }
+    for id in ids {
+        let started = std::time::Instant::now();
+        let Some(report) = run_by_id(id, opts) else {
+            config_error(&format!(
+                "unknown experiment id: {id}\nids: {}",
+                ALL_EXPERIMENTS.join(" ")
+            ));
+        };
+        println!("{}", report.render());
+        println!("[{} completed in {:.1?}]\n", id, started.elapsed());
+        if let Some(dir) = &json_dir {
+            std::fs::create_dir_all(dir).expect("create json dir");
+            let path = format!("{dir}/{id}.json");
+            let mut f = std::fs::File::create(&path).expect("create json file");
+            let blob = serde_json::json!({
+                "id": report.id,
+                "title": report.title,
+                "paper_claim": report.paper_claim,
+                "data": report.data,
+            });
+            writeln!(
+                f,
+                "{}",
+                serde_json::to_string_pretty(&blob).expect("serialize")
+            )
+            .expect("write json");
+            eprintln!("wrote {path}");
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: experiments <id|all> [--seeds N] [--json DIR]");
-        eprintln!("       experiments run <MANIFEST.(json|yaml)> [--out DIR] [--seeds N]");
-        eprintln!(
-            "       experiments sweep <MANIFEST.(json|yaml)> --out DIR [--seeds N] [--stop-after K]"
-        );
-        eprintln!("       experiments export <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]");
-        eprintln!("       experiments trace <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]");
-        eprintln!("       experiments paired <3g|lte|wifi|3g-pinned> <FILE> [--seeds N]");
-        eprintln!("       experiments explain <trace.jsonl|MANIFEST> [--cell FILTER] [--out DIR]");
-        eprintln!("       experiments diff <a.jsonl> <b.jsonl> [--out DIR]");
-        eprintln!("       experiments diff <MANIFEST> --a FILTER --b FILTER [--out DIR]");
-        eprintln!(
-            "       experiments profile <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N] [--seeds N]"
-        );
-        eprintln!("ids: {}", ALL_EXPERIMENTS.join(" "));
-        std::process::exit(ScenarioExit::ConfigError.code());
-    }
-    if args[0] == "run" {
-        run_scenario(&args[1..]);
-    }
-    if args[0] == "sweep" {
-        run_sweep_cmd(&args[1..]);
-    }
-    if args[0] == "export" {
-        run_export(&args[1..]);
-    }
-    if args[0] == "trace" {
-        run_trace(&args[1..]);
-    }
-    if args[0] == "profile" {
-        run_profile(&args[1..]);
-    }
-    if args[0] == "paired" {
-        run_paired(&args[1..]);
-    }
-    if args[0] == "explain" {
-        run_explain(&args[1..]);
-    }
-    if args[0] == "diff" {
-        run_diff(&args[1..]);
-    }
-    let mut opts = ExpOpts::default();
-    let mut json_dir: Option<String> = None;
-    let mut ids: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                opts.seeds = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    config_error("--seeds: expected an unsigned integer after the flag")
-                });
-            }
-            "--json" => {
-                i += 1;
-                json_dir = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    config_error("--json: expected a directory after the flag")
-                }));
-            }
-            other => ids.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if ids.iter().any(|x| x == "all") {
-        ids = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
-    for id in &ids {
-        let started = std::time::Instant::now();
-        match run_by_id(id, opts) {
-            Some(report) => {
-                println!("{}", report.render());
-                println!("[{} completed in {:.1?}]\n", id, started.elapsed());
-                if let Some(dir) = &json_dir {
-                    std::fs::create_dir_all(dir).expect("create json dir");
-                    let path = format!("{dir}/{id}.json");
-                    let mut f = std::fs::File::create(&path).expect("create json file");
-                    let blob = serde_json::json!({
-                        "id": report.id,
-                        "title": report.title,
-                        "paper_claim": report.paper_claim,
-                        "data": report.data,
-                    });
-                    writeln!(
-                        f,
-                        "{}",
-                        serde_json::to_string_pretty(&blob).expect("serialize")
-                    )
-                    .expect("write json");
-                    eprintln!("wrote {path}");
-                }
-            }
-            None => {
-                config_error(&format!(
-                    "unknown experiment id: {id}\nids: {}",
-                    ALL_EXPERIMENTS.join(" ")
-                ));
-            }
-        }
+    let Some(cmd) = args.first() else {
+        usage_error(None);
+    };
+    match cmd.as_str() {
+        "run" => run_scenario(&args[1..]),
+        "sweep" => run_sweep_cmd(&args[1..]),
+        "export" => run_export(&args[1..]),
+        "trace" => run_trace(&args[1..]),
+        "profile" => run_profile(&args[1..]),
+        "paired" => run_paired(&args[1..]),
+        "explain" => run_explain(&args[1..]),
+        "diff" => run_diff(&args[1..]),
+        _ => run_figures(&args),
     }
 }

@@ -1,34 +1,40 @@
-//! Profiled sweeps: run experiment cells under the self-profiler with
+//! Profiled sweeps: run a manifest's cells under the self-profiler with
 //! per-shard heartbeats and a merged end-of-run span table.
 //!
-//! A *cell* is one `(protocol, seed)` run of the full 20-site schedule.
-//! [`profiled_cells_on`] fans cells across an [`Executor`], and on the
-//! worker thread that finishes each cell it:
+//! [`profile_manifest_on`] is one more closure over
+//! [`run_cell`](crate::scenario_run::run_cell): on the worker thread
+//! that runs each cell it
 //!
 //! 1. samples the thread-local allocation counters around the run (so
 //!    the cell's allocations are attributed to the cell, not the pool),
 //! 2. drains that worker's span table into one shared merged
-//!    [`ProfileReport`], and
-//! 3. emits a heartbeat line through [`SweepTelemetry`].
+//!    [`ProfileReport`],
+//! 3. emits a heartbeat line through [`SweepTelemetry`], and
+//! 4. keeps only the cell's trace metrics registry and retained-record
+//!    count — the run and its flight log are dropped on the spot.
 //!
-//! The profiler never touches simulated state, so the returned
-//! [`RunResult`]s are byte-identical whether the profiler is enabled,
+//! The profiler never touches simulated state, so every artifact the
+//! runner writes is byte-identical whether the profiler is enabled,
 //! disabled, or absent — the determinism suite pins this.
 
 use std::io::Write;
 use std::sync::Mutex;
 
-use spdyier_core::{FlightLog, NetworkKind, ProtocolMode, RunResult, TraceLevel};
+use spdyier_core::RunError;
 use spdyier_prof::{CellReport, ProfileReport, SweepTelemetry, TelemetryTotals};
+use spdyier_scenario::Manifest;
+use spdyier_trace::MetricsRegistry;
 
 use crate::exec::Executor;
-use crate::run_schedule_traced;
+use crate::scenario_run::run_cell;
 
 /// Everything a profiled sweep produced.
 #[derive(Debug)]
 pub struct ProfiledSweep {
-    /// One `(RunResult, FlightLog)` per cell, in cell order.
-    pub runs: Vec<(RunResult, FlightLog)>,
+    /// The cells' trace metrics registries, merged in cell order.
+    pub metrics: MetricsRegistry,
+    /// Trace records the cells' sinks retained.
+    pub retained: u64,
     /// The span tables of every worker thread, merged.
     pub profile: ProfileReport,
     /// Heartbeat totals (events, visits, allocs, trace drops).
@@ -37,111 +43,106 @@ pub struct ProfiledSweep {
     pub wall_ms: f64,
 }
 
-/// The cell list for a paired HTTP/SPDY sweep over `seeds` seeds
-/// (HTTP before SPDY per seed, matching [`crate::paired_runs_on`]).
-pub fn paired_cells(seeds: u64) -> Vec<(ProtocolMode, u64)> {
-    (0..seeds)
-        .flat_map(|s| [(ProtocolMode::Http, s), (ProtocolMode::spdy(), s)])
-        .collect()
-}
-
-/// Run `cells` on `exec` with per-cell attribution and heartbeats.
+/// Run `manifest`'s cells on `exec` with per-cell attribution and
+/// heartbeats.
 ///
 /// `heartbeat` receives one JSONL line per completed cell (`None`
-/// keeps the totals without emitting). The flight recorder runs at
-/// `level` inside every cell; `TraceLevel::Off` profiles the untraced
-/// configuration. Whether the *profiler* records anything is governed
-/// by the global [`spdyier_prof::set_enabled`] switch, which this
-/// function deliberately does not touch — callers own that decision so
-/// benchmarks can measure both sides.
-pub fn profiled_cells_on(
+/// keeps the totals without emitting). Whether the *profiler* records
+/// anything is governed by the global [`spdyier_prof::set_enabled`]
+/// switch, which this function deliberately does not touch — callers
+/// own that decision so both sides can be compared.
+pub fn profile_manifest_on(
     exec: &Executor,
-    cells: &[(ProtocolMode, u64)],
-    network: NetworkKind,
-    level: TraceLevel,
+    manifest: &Manifest,
     heartbeat: Option<Box<dyn Write + Send>>,
-) -> ProfiledSweep {
+) -> Result<ProfiledSweep, RunError> {
+    let cells = manifest.cells();
     let telemetry = SweepTelemetry::new(cells.len(), heartbeat);
     let merged: Mutex<ProfileReport> = Mutex::new(ProfileReport::new());
-    let runs = exec.run_observed(
-        cells.len(),
-        |i| {
-            let (protocol, seed) = cells[i];
-            let before = spdyier_prof::thread_counts();
-            let out = run_schedule_traced(protocol, network, seed, level);
-            let d = spdyier_prof::thread_counts().since(before);
-            // Drain this worker's span table while we're still on the
-            // worker thread; merging under the mutex is cheap (span
-            // count, not event count).
-            let spans = spdyier_prof::take_thread_profile();
-            if !spans.is_empty() {
-                merged
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .merge(&spans);
-            }
-            (out, d)
-        },
-        |job, worker, ((run, log), d)| {
-            telemetry.cell_done(&CellReport {
-                shard: worker,
-                cell: job,
-                visits: run.visits.len() as u64,
-                events: log.emitted,
-                trace_dropped: log.dropped,
-                allocs: d.allocs,
-                alloc_bytes: d.bytes,
-            });
-        },
-    );
+    let folded = exec.run(cells.len(), |job, worker| {
+        let before = spdyier_prof::thread_counts();
+        let out = run_cell(manifest, &cells[job]);
+        let d = spdyier_prof::thread_counts().since(before);
+        // Drain this worker's span table while we're still on the
+        // worker thread; merging under the mutex is cheap (span
+        // count, not event count).
+        let spans = spdyier_prof::take_thread_profile();
+        if !spans.is_empty() {
+            merged
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .merge(&spans);
+        }
+        let (run, log) = out?;
+        telemetry.cell_done(&CellReport {
+            shard: worker,
+            cell: job,
+            visits: run.visits.len() as u64,
+            events: log.as_ref().map_or(0, |l| l.emitted),
+            trace_dropped: log.as_ref().map_or(0, |l| l.dropped),
+            allocs: d.allocs,
+            alloc_bytes: d.bytes,
+        });
+        Ok(log.map(|l| (l.events.len() as u64, l.metrics)))
+    });
     let wall_ms = telemetry.elapsed_ms();
-    let totals = telemetry.finish();
-    ProfiledSweep {
-        runs: runs.into_iter().map(|(out, _)| out).collect(),
+    let mut metrics = MetricsRegistry::new();
+    let mut retained = 0;
+    for cell in folded {
+        if let Some((records, registry)) = cell? {
+            retained += records;
+            metrics.merge(&registry);
+        }
+    }
+    Ok(ProfiledSweep {
+        metrics,
+        retained,
         profile: merged
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner),
-        telemetry: totals,
+        telemetry: telemetry.finish(),
         wall_ms,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spdyier_core::{NetworkKind, TraceLevel};
 
     #[test]
-    fn paired_cells_alternate_http_spdy() {
-        let cells = paired_cells(2);
-        assert_eq!(cells.len(), 4);
-        assert!(matches!(cells[0], (ProtocolMode::Http, 0)));
-        assert!(matches!(cells[1], (ProtocolMode::Spdy { .. }, 0)));
-        assert!(matches!(cells[2], (ProtocolMode::Http, 1)));
-        assert!(matches!(cells[3], (ProtocolMode::Spdy { .. }, 1)));
-    }
+    fn profiled_sweep_matches_plain_cells() {
+        // Two paired seeds on WiFi (the fastest network). What the sweep
+        // keeps of each cell must be what `run_cell` gives directly,
+        // regardless of the telemetry riding along.
+        let mut manifest = Manifest::paper_baseline("profiled_wifi");
+        manifest.network.kind = NetworkKind::Wifi;
+        manifest.seeds.count = 2;
+        manifest.trace = TraceLevel::Lifecycle;
+        let sweep = profile_manifest_on(&Executor::new(2), &manifest, None).expect("within budget");
+        assert_eq!(sweep.telemetry.completed, 4);
 
-    #[test]
-    fn profiled_sweep_matches_plain_sweep() {
-        // One seed on WiFi (the fastest network) — the sweep must return
-        // the same runs `run_schedule_traced` gives directly, regardless
-        // of the telemetry riding along.
-        let cells = paired_cells(1);
-        let sweep = profiled_cells_on(
-            &Executor::new(2),
-            &cells,
-            NetworkKind::Wifi,
-            TraceLevel::Off,
-            None,
-        );
-        assert_eq!(sweep.runs.len(), 2);
-        assert_eq!(sweep.telemetry.completed, 2);
-        let direct = crate::run_schedule(ProtocolMode::Http, NetworkKind::Wifi, 0, false);
+        // HTTP before SPDY per seed, like the paired figure helpers.
+        let cells = manifest.cells();
+        let order: Vec<(String, u64)> = cells
+            .iter()
+            .map(|c| (c.protocol.compact(), c.seed))
+            .collect();
+        let expected = [("http", 0), ("spdy", 0), ("http", 1), ("spdy", 1)];
+        assert_eq!(order, expected.map(|(p, s)| (p.to_string(), s)));
+        let (mut metrics, mut retained, mut visits) = (MetricsRegistry::new(), 0, 0);
+        for cell in &cells {
+            let (run, log) = run_cell(&manifest, cell).expect("within budget");
+            let log = log.expect("lifecycle trace");
+            metrics.merge(&log.metrics);
+            retained += log.events.len() as u64;
+            visits += run.visits.len() as u64;
+        }
         assert_eq!(
-            serde_json::to_string(&sweep.runs[0].0).unwrap(),
-            serde_json::to_string(&direct).unwrap(),
+            sweep.metrics, metrics,
             "telemetry must not perturb the runs"
         );
-        let visits: u64 = sweep.runs.iter().map(|(r, _)| r.visits.len() as u64).sum();
+        assert_eq!(sweep.retained, retained);
         assert_eq!(sweep.telemetry.visits, visits);
     }
 }

@@ -10,23 +10,21 @@
 //! exit code (0 pass / 1 assertion failure / 2 limit exceeded — config
 //! errors never reach the runner; they fail at manifest decode, exit 3).
 //!
-//! Since the streaming-sweep refactor the runner folds as it goes:
-//! [`execute_folded_on`] reduces each cell to a [`FoldedCell`] (metrics
-//! accumulator + pre-rendered artifacts) **on the worker thread that
-//! ran it** and drops the O(visits) [`RunResult`] immediately, so a
-//! manifest run holds O(cells) state instead of O(total visits). The
-//! collect-everything [`execute_on`] path remains for callers that need
-//! raw results (the legacy `trace` subcommand, equivalence tests); its
-//! [`finish`] converts into the folded representation and shares the
-//! exact same artifact assembly, so both paths are byte-identical by
-//! construction.
+//! There is one way to run a cell: [`run_cell`] builds the cell's
+//! config and drives a [`Testbed`] to completion, and every consumer is
+//! a closure handed to [`Executor::run`] that calls it and reduces the
+//! result **on the worker thread that ran it**. The runner's reduction
+//! is [`fold_cell`] (metrics accumulator + pre-rendered artifacts); the
+//! O(visits) [`RunResult`] and its [`FlightLog`] are dropped before the
+//! worker's next cell starts, so a manifest run holds O(cells) state
+//! instead of O(total visits).
 
 use crate::exec::Executor;
 use serde::{Serialize, Value};
 use spdyier_core::{
     attribute_stalls, junit_xml, metrics_file, paired_meta_file, stall_file, stall_manifest_file,
     waterfall_traced_json, AssertionVerdict, DataFile, FlightLog, RunError, RunResult,
-    ScenarioExit, TraceLevel, VerdictStatus,
+    ScenarioExit, Testbed, TraceLevel, VerdictStatus,
 };
 use spdyier_scenario::{evaluate, Cell, CellMetrics, Manifest};
 use std::path::{Path, PathBuf};
@@ -44,17 +42,6 @@ pub struct ScenarioOutcome {
     pub written: Vec<PathBuf>,
 }
 
-/// The raw per-cell results of executing a manifest, in cell order.
-pub struct ScenarioRun {
-    /// The expanded cells.
-    pub cells: Vec<Cell>,
-    /// One `(result, flight log)` per completed cell; the log is `None`
-    /// when the effective trace level is `Off`.
-    pub results: Vec<Option<(RunResult, Option<FlightLog>)>>,
-    /// The first cell that exceeded a limit, with its error.
-    pub limit_error: Option<(usize, RunError)>,
-}
-
 /// One cell's worker-side reduction: everything the results contract
 /// needs from the cell, with the raw `RunResult`/`FlightLog` dropped.
 #[derive(Debug, Clone)]
@@ -69,21 +56,32 @@ pub struct FoldedCell {
     pub trace_files: Vec<DataFile>,
 }
 
-/// The folded per-cell outputs of executing a manifest, in cell order.
-#[derive(Debug)]
-pub struct FoldedRun {
-    /// The expanded cells.
-    pub cells: Vec<Cell>,
-    /// One folded output per completed cell.
-    pub outputs: Vec<Option<FoldedCell>>,
-    /// The first cell that exceeded a limit, with its error.
-    pub limit_error: Option<(usize, RunError)>,
+/// Run one cell of `manifest` to completion: the only place outside
+/// tests that turns a [`Cell`] into a config and starts a [`Testbed`].
+/// The flight log is `None` when the effective trace level is `Off`.
+pub fn run_cell(
+    manifest: &Manifest,
+    cell: &Cell,
+) -> Result<(RunResult, Option<FlightLog>), RunError> {
+    let cfg = cell.build_config(manifest);
+    let traced = cfg.trace_level != TraceLevel::Off;
+    let (result, log) = Testbed::new(cfg).try_run_traced()?;
+    Ok((result, traced.then_some(log)))
+}
+
+/// The one-line diagnostic for a `cell` that exceeded a limit.
+pub(crate) fn limit_diagnostic(cell: &Cell, e: &RunError) -> String {
+    format!(
+        "cell {} ({} seed {}): {e}",
+        cell.index,
+        cell.protocol.compact(),
+        cell.seed
+    )
 }
 
 /// Reduce one executed cell to its [`FoldedCell`] under `manifest`'s
-/// output options. Both execution paths (and the sweep runner's
-/// checkpoint replay) route through this one reducer, so what lands in
-/// the artifacts cannot depend on which path produced it.
+/// output options. The runner and the sweep runner both reduce through
+/// this, so what lands in the artifacts cannot depend on which ran it.
 pub fn fold_cell(
     manifest: &Manifest,
     cell: &Cell,
@@ -109,92 +107,19 @@ pub fn fold_cell(
 }
 
 /// Execute every cell of `manifest` on `exec`, reducing each cell to a
-/// [`FoldedCell`] on the worker that ran it. Peak memory holds at most
-/// one raw [`RunResult`] per worker; reduced outputs land in cell
-/// order, so artifacts stay byte-identical at any pool width.
-pub fn execute_folded_on(exec: &Executor, manifest: &Manifest) -> FoldedRun {
+/// [`FoldedCell`] on the worker that ran it. Outputs land in cell
+/// order, so artifacts stay byte-identical at any pool width; an `Err`
+/// is a cell that exceeded a limit.
+pub fn execute_folded_on(
+    exec: &Executor,
+    manifest: &Manifest,
+) -> Vec<Result<FoldedCell, RunError>> {
     let cells = manifest.cells();
-    let level = manifest.effective_trace();
-    let raw = exec.run_folded(
-        cells.len(),
-        |i| {
-            let cfg = cells[i].build_config(manifest);
-            if level == TraceLevel::Off {
-                spdyier_core::try_run_experiment(cfg).map(|r| (r, None))
-            } else {
-                spdyier_core::try_run_experiment_traced(cfg).map(|(r, log)| (r, Some(log)))
-            }
-        },
-        |i, _worker, out| {
-            out.map(|(result, log)| fold_cell(manifest, &cells[i], &result, log.as_ref()))
-        },
-    );
-    let mut limit_error = None;
-    let outputs = raw
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| match r {
-            Ok(folded) => Some(folded),
-            Err(e) => {
-                if limit_error.is_none() {
-                    limit_error = Some((i, e));
-                }
-                None
-            }
-        })
-        .collect();
-    FoldedRun {
-        cells,
-        outputs,
-        limit_error,
-    }
-}
-
-/// Execute every cell of `manifest` on `exec`. Cell outputs are collected
-/// in cell order regardless of worker interleaving.
-pub fn execute_on(exec: &Executor, manifest: &Manifest) -> ScenarioRun {
-    let cells = manifest.cells();
-    let level = manifest.effective_trace();
-    let raw = exec.run(cells.len(), |i| {
-        let cfg = cells[i].build_config(manifest);
-        if level == TraceLevel::Off {
-            spdyier_core::try_run_experiment(cfg).map(|r| (r, None))
-        } else {
-            spdyier_core::try_run_experiment_traced(cfg).map(|(r, log)| (r, Some(log)))
-        }
-    });
-    let mut limit_error = None;
-    let results = raw
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| match r {
-            Ok(pair) => Some(pair),
-            Err(e) => {
-                if limit_error.is_none() {
-                    limit_error = Some((i, e));
-                }
-                None
-            }
-        })
-        .collect();
-    ScenarioRun {
-        cells,
-        results,
-        limit_error,
-    }
-}
-
-/// The legacy paired-sweep JSONL dump for a paired manifest's run: one
-/// serialized [`RunResult`] line per cell, in cell order — for a paired
-/// manifest that is HTTP then SPDY per seed, byte-identical to the
-/// historical `experiments paired` output.
-pub fn paired_dump_string(run: &ScenarioRun) -> String {
-    let mut out = String::new();
-    for result in run.results.iter().flatten() {
-        out.push_str(&serde_json::to_string(&result.0).expect("serialize run"));
-        out.push('\n');
-    }
-    out
+    exec.run(cells.len(), |i, _worker| {
+        let cell = &cells[i];
+        run_cell(manifest, cell)
+            .map(|(result, log)| fold_cell(manifest, cell, &result, log.as_ref()))
+    })
 }
 
 fn status_str(exit: ScenarioExit) -> &'static str {
@@ -303,69 +228,37 @@ pub fn run_manifest(manifest: &Manifest, out_dir: &Path) -> std::io::Result<Scen
 }
 
 /// [`run_manifest`] on an explicit executor (tests pin the pool width).
-/// Routed through the fold path: cells reduce worker-side and the raw
-/// results never accumulate.
 pub fn run_manifest_on(
     exec: &Executor,
     manifest: &Manifest,
     out_dir: &Path,
 ) -> std::io::Result<ScenarioOutcome> {
-    let run = execute_folded_on(exec, manifest);
-    finish_folded(manifest, &run, out_dir)
+    finish_folded(manifest, &execute_folded_on(exec, manifest), out_dir)
 }
 
-/// Evaluate assertions over an executed [`ScenarioRun`] and write the
-/// results-contract artifacts. Split from [`run_manifest_on`] so callers
-/// that need the raw run (the legacy `trace` subcommand prints event
-/// counts) can execute first and finish after. Internally this folds
-/// the retained results and delegates to [`finish_folded`] — one
-/// assembly routine, so the two paths cannot drift apart.
-pub fn finish(
-    manifest: &Manifest,
-    run: &ScenarioRun,
-    out_dir: &Path,
-) -> std::io::Result<ScenarioOutcome> {
-    let folded = FoldedRun {
-        cells: run.cells.clone(),
-        outputs: run
-            .cells
-            .iter()
-            .zip(&run.results)
-            .map(|(cell, result)| {
-                result
-                    .as_ref()
-                    .map(|(r, log)| fold_cell(manifest, cell, r, log.as_ref()))
-            })
-            .collect(),
-        limit_error: run.limit_error.clone(),
-    };
-    finish_folded(manifest, &folded, out_dir)
-}
-
-/// Evaluate assertions over a [`FoldedRun`] and write the
-/// results-contract artifacts.
+/// Evaluate assertions over a manifest's folded cells (one output per
+/// cell, in cell order) and write the results-contract artifacts. Split
+/// from [`run_manifest_on`] so the sweep runner can interleave replayed
+/// checkpoints, and the `trace` subcommand can print event counts,
+/// before finishing.
 pub fn finish_folded(
     manifest: &Manifest,
-    run: &FoldedRun,
+    outputs: &[Result<FoldedCell, RunError>],
     out_dir: &Path,
 ) -> std::io::Result<ScenarioOutcome> {
-    let cell_metrics: Vec<CellMetrics> = run
-        .outputs
+    let cell_metrics: Vec<CellMetrics> = outputs
         .iter()
         .flatten()
         .map(|f| f.metrics.clone())
         .collect();
+    let limit_error = outputs
+        .iter()
+        .enumerate()
+        .find_map(|(i, out)| out.as_ref().err().map(|e| (i, e)));
 
     let (verdicts, limit_detail, exit);
-    if let Some((index, e)) = &run.limit_error {
-        let cell = &run.cells[*index];
-        limit_detail = Some(format!(
-            "cell {} ({} seed {}): {}",
-            index,
-            cell.protocol.compact(),
-            cell.seed,
-            e
-        ));
+    if let Some((index, e)) = limit_error {
+        limit_detail = Some(limit_diagnostic(&manifest.cells()[index], e));
         verdicts = Vec::new();
         exit = ScenarioExit::LimitExceeded;
     } else {
@@ -383,11 +276,10 @@ pub fn finish_folded(
         name: "junit.xml".into(),
         contents: junit_xml(&manifest.name, &verdicts),
     }];
-    if manifest.outputs.paired_dump && run.limit_error.is_none() {
+    if manifest.outputs.paired_dump && limit_error.is_none() {
         let dump_name = format!("paired_{}.jsonl", manifest.network.kind.cli_name());
         let mut dump = String::new();
-        for line in run
-            .outputs
+        for line in outputs
             .iter()
             .flatten()
             .filter_map(|f| f.dump_line.as_deref())
@@ -408,7 +300,7 @@ pub fn finish_folded(
         });
     }
     files.extend(
-        run.outputs
+        outputs
             .iter()
             .flatten()
             .flat_map(|f| f.trace_files.iter().cloned()),
@@ -451,7 +343,7 @@ pub fn finish_folded(
         None => format!(
             "scenario {}: {} cell(s), {passed} passed / {failed} failed / {skipped} skipped — exit {}",
             manifest.name,
-            run.cells.len(),
+            outputs.len(),
             exit.code()
         ),
     };

@@ -9,7 +9,9 @@
 //!   directory — an append-only, schema-versioned store whose every
 //!   line is guarded by a CRC-32 of its payload. A sweep killed at any
 //!   point loses at most the cells in flight; the store survives a torn
-//!   final line (the tail is dropped on replay).
+//!   final line: replay drops the tail, and the resuming invocation
+//!   truncates the store back to its verified prefix before appending,
+//!   so a fresh checkpoint can never fuse with the fragment.
 //! * **Resume.** Re-running the same command against the same output
 //!   directory replays the store (after verifying the schema version,
 //!   the manifest digest, and the cell count), runs only the missing
@@ -31,9 +33,9 @@
 //! population-scale sweep could not afford to retain them anyway.
 
 use crate::exec::Executor;
-use crate::scenario_run::{finish_folded, fold_cell, FoldedCell, FoldedRun, ScenarioOutcome};
+use crate::scenario_run::{finish_folded, fold_cell, run_cell, FoldedCell, ScenarioOutcome};
 use serde::{Serialize, Value};
-use spdyier_core::{RunError, TraceLevel};
+use spdyier_core::RunError;
 use spdyier_prof::{CellReport, SweepTelemetry};
 use spdyier_scenario::{CellMetrics, Manifest};
 use std::io::Write;
@@ -165,9 +167,13 @@ pub struct Replay {
     pub done: Vec<Option<CellMetrics>>,
     /// How many distinct cells were recovered.
     pub recovered: usize,
-    /// Whether a torn (CRC-failing or unparsable) tail line was
-    /// dropped.
+    /// Whether a torn (CRC-failing, unparsable, or newline-less) tail
+    /// was dropped.
     pub dropped_tail: bool,
+    /// Byte length of the store's verified prefix: the header plus
+    /// every whole line before the torn tail. A resume truncates the
+    /// store to this before its first append.
+    pub verified_len: u64,
 }
 
 fn u64_field(obj: &Value, field: &str, ctx: &str) -> Result<u64, String> {
@@ -186,22 +192,28 @@ fn str_field<'a>(obj: &'a Value, field: &str, ctx: &str) -> Result<&'a str, Stri
 /// has `cells` cells). A missing file is an empty replay; a header that
 /// disagrees on schema version, manifest digest, or cell count is an
 /// error (the store belongs to a different sweep). Any line that fails
-/// its CRC or does not parse truncates the replay at that point — with
-/// append-only writes only the tail can be torn, and re-running the
-/// lost cells is always safe.
+/// its CRC, does not parse, or lacks its newline truncates the replay
+/// at that point — with append-only writes only the tail can be torn,
+/// and re-running the lost cells is always safe.
 pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Replay, String> {
     let mut replay = Replay {
         done: (0..cells).map(|_| None).collect(),
         recovered: 0,
         dropped_tail: false,
+        verified_len: 0,
     };
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(replay),
         Err(e) => return Err(format!("{}: {e}", path.display())),
     };
-    let mut lines = text.lines();
+    let mut lines = text.split_inclusive('\n');
     let Some(first) = lines.next() else {
+        return Ok(replay);
+    };
+    let Some(first) = first.strip_suffix('\n') else {
+        // The header itself was torn: nothing is recoverable.
+        replay.dropped_tail = true;
         return Ok(replay);
     };
     let ctx = format!("{}: header", path.display());
@@ -228,17 +240,15 @@ pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Re
             "{ctx}: store covers {header_cells} cells, this sweep has {cells}"
         ));
     }
-    for (lineno, line) in lines.enumerate() {
+    replay.verified_len = first.len() as u64 + 1;
+    for (lineno, raw) in lines.enumerate() {
         let ctx = format!("{}: line {}", path.display(), lineno + 2);
-        let json = match check_line(line) {
-            Ok(json) => json,
-            Err(_) => {
-                // Torn tail: drop this and everything after it.
-                replay.dropped_tail = true;
-                break;
-            }
-        };
-        let Ok(v) = serde_json::from_str(json) else {
+        let parsed = raw
+            .strip_suffix('\n')
+            .and_then(|line| check_line(line).ok())
+            .and_then(|json| serde_json::from_str(json).ok());
+        let Some(v) = parsed else {
+            // Torn tail: drop this and everything after it.
             replay.dropped_tail = true;
             break;
         };
@@ -254,6 +264,7 @@ pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Re
             replay.recovered += 1;
         }
         replay.done[index] = Some(metrics);
+        replay.verified_len += raw.len() as u64;
     }
     Ok(replay)
 }
@@ -325,20 +336,20 @@ pub fn run_sweep_on(
         .filter(|&i| replay.done[i].is_none())
         .collect();
 
+    let store_err = |e| SweepError(format!("{}: {e}", store_path.display()));
     let mut store = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(&store_path)
-        .map_err(|e| SweepError(format!("{}: {e}", store_path.display())))?;
-    if replay.recovered == 0 && !replay.dropped_tail {
+        .map_err(store_err)?;
+    if replay.dropped_tail {
+        // Cut the torn fragment off before the first append, or the next
+        // checkpoint fuses with it and takes every later line down too.
+        store.set_len(replay.verified_len).map_err(store_err)?;
+    }
+    if replay.verified_len == 0 {
         let header = store_line(&header_json(manifest, cells.len()));
-        // An empty (or missing) store gets its header now; a store that
-        // already replayed cells already has one.
-        if store.metadata().map(|m| m.len() == 0).unwrap_or(false) {
-            store
-                .write_all(header.as_bytes())
-                .map_err(|e| SweepError(format!("{}: {e}", store_path.display())))?;
-        }
+        store.write_all(header.as_bytes()).map_err(store_err)?;
     }
     let store = Mutex::new(store);
 
@@ -350,66 +361,51 @@ pub fn run_sweep_on(
         .map(|f| Box::new(f) as Box<dyn Write + Send>);
     let telemetry = SweepTelemetry::new(pending.len(), heartbeat);
 
-    let level = manifest.effective_trace();
     let fresh = AtomicUsize::new(0);
     let stopped = AtomicBool::new(false);
     let budget = opts.stop_after.unwrap_or(usize::MAX);
 
-    type RawCell =
-        Option<Result<(spdyier_core::RunResult, Option<spdyier_core::FlightLog>), RunError>>;
-    let folded: Vec<Option<Result<FoldedCell, RunError>>> = exec.run_folded(
-        pending.len(),
-        |j| -> RawCell {
-            if stopped.load(Ordering::Relaxed) {
-                return None;
+    let folded: Vec<Option<Result<FoldedCell, RunError>>> = exec.run(pending.len(), |j, worker| {
+        if stopped.load(Ordering::Relaxed) {
+            return None;
+        }
+        let index = pending[j];
+        Some(run_cell(manifest, &cells[index]).map(|(result, log)| {
+            let out = fold_cell(manifest, &cells[index], &result, log.as_ref());
+            let line = store_line(&cell_json(index, &out.metrics));
+            {
+                let mut store = store
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                // One write_all per checkpoint: a crash can tear at
+                // most the final line, which replay drops.
+                let _ = store.write_all(line.as_bytes());
             }
-            let cfg = cells[pending[j]].build_config(manifest);
-            Some(if level == TraceLevel::Off {
-                spdyier_core::try_run_experiment(cfg).map(|r| (r, None))
-            } else {
-                spdyier_core::try_run_experiment_traced(cfg).map(|(r, log)| (r, Some(log)))
-            })
-        },
-        |j, worker, raw| {
-            let raw = raw?;
-            let index = pending[j];
-            Some(raw.map(|(result, log)| {
-                let out = fold_cell(manifest, &cells[index], &result, log.as_ref());
-                let line = store_line(&cell_json(index, &out.metrics));
-                {
-                    let mut store = store
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    // One write_all per checkpoint: a crash can tear at
-                    // most the final line, which replay drops.
-                    let _ = store.write_all(line.as_bytes());
-                }
-                if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= budget {
-                    stopped.store(true, Ordering::Relaxed);
-                }
-                telemetry.cell_done(&CellReport {
-                    shard: worker,
-                    cell: index,
-                    visits: out.metrics.visits,
-                    events: out
-                        .metrics
-                        .counters
-                        .get("trace.emitted")
-                        .copied()
-                        .unwrap_or(0),
-                    trace_dropped: out
-                        .metrics
-                        .counters
-                        .get("trace.sink_dropped")
-                        .copied()
-                        .unwrap_or(0),
-                    allocs: 0,
-                    alloc_bytes: 0,
-                });
-                out
-            }))
-        },
-    );
+            if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= budget {
+                stopped.store(true, Ordering::Relaxed);
+            }
+            telemetry.cell_done(&CellReport {
+                shard: worker,
+                cell: index,
+                visits: out.metrics.visits,
+                events: out
+                    .metrics
+                    .counters
+                    .get("trace.emitted")
+                    .copied()
+                    .unwrap_or(0),
+                trace_dropped: out
+                    .metrics
+                    .counters
+                    .get("trace.sink_dropped")
+                    .copied()
+                    .unwrap_or(0),
+                allocs: 0,
+                alloc_bytes: 0,
+            });
+            out
+        }))
+    });
     telemetry.finish();
 
     if folded.iter().any(Option::is_none) {
@@ -419,39 +415,28 @@ pub fn run_sweep_on(
         });
     }
 
-    // Assemble the folded run in cell order: replayed checkpoints and
+    // Assemble the outputs in cell order: replayed checkpoints and
     // fresh cells interleave by index, and both kinds carry metrics
     // from the same fold — the store codec round-trips exactly, so the
     // artifacts are byte-identical to an uninterrupted sweep.
-    let mut outputs: Vec<Option<FoldedCell>> = replay
-        .done
-        .into_iter()
-        .map(|m| {
-            m.map(|metrics| FoldedCell {
-                metrics,
-                dump_line: None,
-                trace_files: Vec::new(),
+    let outputs: Vec<Result<FoldedCell, RunError>> = {
+        let mut fresh_cells = folded.into_iter().flatten();
+        replay
+            .done
+            .into_iter()
+            .map(|replayed| match replayed {
+                Some(metrics) => Ok(FoldedCell {
+                    metrics,
+                    dump_line: None,
+                    trace_files: Vec::new(),
+                }),
+                None => fresh_cells
+                    .next()
+                    .expect("every pending cell ran; interrupted sweeps returned above"),
             })
-        })
-        .collect();
-    let mut limit_error: Option<(usize, RunError)> = None;
-    for (j, out) in folded.into_iter().enumerate() {
-        let index = pending[j];
-        match out.expect("interrupted sweeps returned above") {
-            Ok(cell) => outputs[index] = Some(cell),
-            Err(e) => {
-                if limit_error.is_none() {
-                    limit_error = Some((index, e));
-                }
-            }
-        }
-    }
-    let run = FoldedRun {
-        cells,
-        outputs,
-        limit_error,
+            .collect()
     };
-    let outcome = finish_folded(manifest, &run, out_dir)
+    let outcome = finish_folded(manifest, &outputs, out_dir)
         .map_err(|e| SweepError(format!("--out {}: {e}", out_dir.display())))?;
     Ok(SweepOutcome::Completed(Box::new(outcome)))
 }
@@ -534,16 +519,20 @@ mod tests {
             ..CellMetrics::default()
         };
         metrics.visits = 3;
-        let mut text = store_line(&header_json(&m, 4));
-        text.push_str(&store_line(&cell_json(1, &metrics)));
+        let mut whole = store_line(&header_json(&m, 4));
+        whole.push_str(&store_line(&cell_json(1, &metrics)));
         let torn = store_line(&cell_json(2, &metrics));
-        text.push_str(&torn[..torn.len() / 2]); // crash mid-write
-        std::fs::write(&path, text).unwrap();
-        let replay = replay_store(&path, &m, 4).expect("replay tolerates torn tail");
-        assert_eq!(replay.recovered, 1);
-        assert!(replay.dropped_tail);
-        assert_eq!(replay.done[1].as_ref().unwrap().visits, 3);
-        assert!(replay.done[2].is_none());
+        // A crash mid-write — or after everything but the newline: a
+        // later append would fuse with either fragment.
+        for cut in [torn.len() / 2, torn.len() - 1] {
+            std::fs::write(&path, format!("{whole}{}", &torn[..cut])).unwrap();
+            let replay = replay_store(&path, &m, 4).expect("replay tolerates torn tail");
+            assert_eq!(replay.recovered, 1);
+            assert!(replay.dropped_tail);
+            assert_eq!(replay.verified_len, whole.len() as u64);
+            assert_eq!(replay.done[1].as_ref().unwrap().visits, 3);
+            assert!(replay.done[2].is_none());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

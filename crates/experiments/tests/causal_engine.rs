@@ -184,18 +184,11 @@ fn diff_and_explain_are_byte_identical_at_any_pool_width() {
     manifest.trace = TraceLevel::Full;
 
     let artifacts = |exec: &Executor| {
-        let run = spdyier_experiments::scenario_run::execute_on(exec, &manifest);
-        assert!(run.limit_error.is_none());
-        let mut per_cell: Vec<(String, Vec<CriticalPath>)> = Vec::new();
-        for (cell, result) in run.cells.iter().zip(&run.results) {
-            let (_, log) = result.as_ref().expect("cell completed");
-            let log = log.as_ref().expect("full trace");
-            assert_eq!(log.dropped, 0);
-            per_cell.push((
-                cell.artifact_label(&manifest),
-                spdyier_causal::critical_paths_from_records(&log.events),
-            ));
-        }
+        // The per-cell fold `explain`/`diff` run on: a limit or a lossy
+        // trace would be its error.
+        let per_cell =
+            spdyier_experiments::causal_cli::critical_paths_on(exec, &manifest, &manifest.cells())
+                .expect("every cell completes losslessly");
         let [(a_label, a), (b_label, b)] = &per_cell[..] else {
             panic!("paired baseline expands to two cells");
         };

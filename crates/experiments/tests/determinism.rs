@@ -2,8 +2,11 @@
 //! executor only reorders *when* runs execute, never what they compute
 //! or where their outputs land.
 
+mod common;
+
 use spdyier_core::{NetworkKind, TraceLevel};
-use spdyier_experiments::{paired_runs_on, paired_runs_traced_on, Executor, ExpOpts};
+use spdyier_experiments::{paired_runs_on, Executor, ExpOpts};
+use spdyier_scenario::Manifest;
 
 /// A paired 3G sweep run serially and on a 4-worker pool serializes to
 /// byte-identical JSON, pair by pair.
@@ -27,29 +30,30 @@ fn parallel_paired_3g_sweep_is_byte_identical_to_serial() {
         .all(|(h, s)| !h.visits.is_empty() && !s.visits.is_empty()));
 }
 
-/// The flight recorder inherits the same guarantee: the JSONL trace
-/// stream of a traced paired sweep is byte-identical whether the sweep
-/// ran on one worker (`SPDYIER_JOBS=1`) or four.
+/// The manifest runner and the flight recorder inherit the same
+/// guarantee: a paired 3G manifest with every bulk artifact on — the
+/// paired dump and the per-cell trace bundle (JSONL event stream,
+/// waterfall, stall table, metrics registry) — writes byte-identical
+/// files whether it ran on one worker (`SPDYIER_JOBS=1`) or four.
 #[test]
 fn parallel_traced_sweep_has_byte_identical_jsonl() {
-    let opts = ExpOpts { seeds: 1 };
-    let level = TraceLevel::Transport;
-    let serial = paired_runs_traced_on(&Executor::new(1), NetworkKind::Umts3G, opts, level);
-    let parallel = paired_runs_traced_on(&Executor::new(4), NetworkKind::Umts3G, opts, level);
-    assert_eq!(serial.len(), parallel.len());
-    for (i, (((_, sh), (_, ss)), ((_, ph), (_, ps)))) in
-        serial.iter().zip(parallel.iter()).enumerate()
-    {
-        assert!(sh.emitted > 0 && ss.emitted > 0, "seed {i} traced nothing");
-        assert_eq!(
-            sh.to_jsonl(),
-            ph.to_jsonl(),
-            "HTTP trace for seed {i} diverged under parallelism"
-        );
-        assert_eq!(
-            ss.to_jsonl(),
-            ps.to_jsonl(),
-            "SPDY trace for seed {i} diverged under parallelism"
-        );
-    }
+    let mut manifest = Manifest::paper_baseline("determinism");
+    manifest.trace = TraceLevel::Transport;
+    manifest.outputs.paired_dump = true;
+    manifest.outputs.trace_artifacts = true;
+
+    let serial = common::artifacts(&manifest, 1);
+    let parallel = common::artifacts(&manifest, 4);
+    common::assert_same_artifacts(&serial, &parallel, "serial vs 4 workers");
+
+    // The sweep actually measured and traced something.
+    let lines = |name: &str| {
+        let (_, bytes) = serial
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("missing {name}"));
+        bytes.iter().filter(|&&b| b == b'\n').count()
+    };
+    assert_eq!(lines("paired_3g.jsonl"), 2);
+    assert!(lines("trace_http.jsonl") > 1000 && lines("trace_spdy.jsonl") > 1000);
 }

@@ -3,10 +3,7 @@
 //! manifest re-expression.
 
 use spdyier_core::ScenarioExit;
-use spdyier_experiments::scenario_run::{
-    execute_folded_on, execute_on, finish, finish_folded, paired_dump_string, run_manifest_on,
-};
-use spdyier_experiments::{paired_runs_on, Executor, ExpOpts};
+use spdyier_experiments::{paired_runs_on, run_manifest_on, Executor, ExpOpts};
 use spdyier_scenario::{Manifest, Seeds};
 use std::path::PathBuf;
 
@@ -130,9 +127,15 @@ fn paired_manifest_matches_legacy_paired_sweep_bytes() {
     m.seeds = Seeds { base: 0, count: 1 };
     m.tcp_traces = true;
     m.outputs.paired_dump = true;
-    let run = execute_on(&exec, &m);
-    assert!(run.limit_error.is_none());
-    assert_eq!(paired_dump_string(&run), legacy);
+    let dir = out_dir("paired");
+    let outcome = run_manifest_on(&exec, &m, &dir).expect("runner writes");
+    assert_eq!(outcome.exit, ScenarioExit::Pass);
+    let dump = std::fs::read_to_string(dir.join("paired_wifi.jsonl")).expect("dump exists");
+    assert!(
+        dump == legacy,
+        "manifest dump differs from the figure helper's"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -167,53 +170,6 @@ fn committed_scenario_pack_decodes() {
 }
 
 #[test]
-fn folded_path_writes_byte_identical_artifacts_to_collect_path() {
-    // The heaviest artifact surface the runner has: paired dump on,
-    // full traces on, both protocols. Collect-then-finish and
-    // fold-as-you-go must produce the same bytes in every file.
-    let mut m = quick_manifest("fold_equiv");
-    m.trace = spdyier_core::TraceLevel::Full;
-    m.outputs.paired_dump = true;
-    m.outputs.trace_artifacts = true;
-    m.tcp_traces = true;
-
-    let collect_dir = out_dir("fold_equiv_collect");
-    let run = execute_on(&Executor::new(2), &m);
-    let collected = finish(&m, &run, &collect_dir).expect("collect path writes");
-
-    let fold_dir = out_dir("fold_equiv_folded");
-    let folded_run = execute_folded_on(&Executor::new(2), &m);
-    let folded = finish_folded(&m, &folded_run, &fold_dir).expect("fold path writes");
-
-    assert_eq!(collected.exit, folded.exit);
-    assert_eq!(collected.summary, folded.summary);
-    let names = |written: &[PathBuf]| -> Vec<String> {
-        written
-            .iter()
-            .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
-            .collect()
-    };
-    assert_eq!(names(&collected.written), names(&folded.written));
-    assert!(
-        collected.written.len() >= 10,
-        "expected the full two-cell trace bundle, got {:?}",
-        collected.written
-    );
-    for (a, b) in collected.written.iter().zip(&folded.written) {
-        let left = std::fs::read(a).expect("collect artifact readable");
-        let right = std::fs::read(b).expect("folded artifact readable");
-        assert_eq!(
-            left,
-            right,
-            "artifact {} differs between collect and fold paths",
-            a.file_name().unwrap().to_str().unwrap()
-        );
-    }
-    let _ = std::fs::remove_dir_all(&collect_dir);
-    let _ = std::fs::remove_dir_all(&fold_dir);
-}
-
-#[test]
 fn skipped_network_clause_is_reported_not_failed() {
     let mut m = quick_manifest("skipper");
     m.assertions =
@@ -238,8 +194,7 @@ fn trace_manifest_writes_the_legacy_artifact_set_plus_contract() {
     m.trace = spdyier_core::TraceLevel::Full;
     m.outputs.trace_artifacts = true;
     let dir = out_dir("trace");
-    let run = execute_on(&Executor::new(1), &m);
-    let outcome = finish(&m, &run, &dir).expect("runner writes");
+    let outcome = run_manifest_on(&Executor::new(1), &m, &dir).expect("runner writes");
     assert_eq!(outcome.exit, ScenarioExit::Pass);
     for name in [
         "result.json",

@@ -5,13 +5,14 @@
 //! The profiler switch is process-global, so every test that toggles it
 //! (or depends on its state) serializes on one mutex.
 
+mod common;
+
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use spdyier_core::{metrics_file, NetworkKind, ProtocolMode, TraceLevel, METRICS_SCHEMA_VERSION};
-use spdyier_experiments::{
-    paired_cells, profiled_cells_on, run_schedule_traced, Executor, ProfiledSweep,
-};
+use spdyier_core::{metrics_file, NetworkKind, TraceLevel, METRICS_SCHEMA_VERSION};
+use spdyier_experiments::{profile_manifest_on, run_cell, Executor, ProfiledSweep};
 use spdyier_prof::{SelfReport, SinkReport};
+use spdyier_scenario::Manifest;
 
 static PROF_LOCK: Mutex<()> = Mutex::new(());
 
@@ -19,50 +20,53 @@ fn lock() -> MutexGuard<'static, ()> {
     PROF_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn wifi_sweep(seeds: u64, jobs: usize) -> ProfiledSweep {
-    profiled_cells_on(
-        &Executor::new(jobs),
-        &paired_cells(seeds),
-        NetworkKind::Wifi,
-        TraceLevel::Lifecycle,
-        None,
-    )
+/// The paired WiFi manifest (HTTP then SPDY per seed) at `Lifecycle`.
+fn wifi_manifest(name: &str, seeds: u64) -> Manifest {
+    let mut manifest = Manifest::paper_baseline(name);
+    manifest.network.kind = NetworkKind::Wifi;
+    manifest.seeds.count = seeds;
+    manifest.trace = TraceLevel::Lifecycle;
+    manifest
 }
 
-/// The acceptance bar: a sweep with the profiler enabled produces
-/// byte-identical `RunResult` JSON — and a byte-identical trace stream —
-/// to the same sweep with the profiler disabled.
+fn wifi_sweep(seeds: u64, jobs: usize) -> ProfiledSweep {
+    let manifest = wifi_manifest("profiled", seeds);
+    profile_manifest_on(&Executor::new(jobs), &manifest, None).expect("within budget")
+}
+
+/// The acceptance bar: a sweep with the profiler enabled writes a
+/// byte-identical paired dump (every `RunResult`) — and byte-identical
+/// trace streams — to the same sweep with the profiler disabled, through
+/// the one path every subcommand runs cells on.
 #[test]
 fn profiler_on_and_off_sweeps_are_byte_identical() {
     let _g = lock();
+    let mut manifest = wifi_manifest("profiler_identity", 1);
+    manifest.outputs.paired_dump = true;
+    manifest.outputs.trace_artifacts = true;
+
+    // One worker runs the cells on this thread, so this thread's span
+    // table is the sweep's.
+    spdyier_prof::take_thread_profile();
     spdyier_prof::set_enabled(false);
-    let off = wifi_sweep(1, 1);
+    let off = common::artifacts(&manifest, 1);
+    let off_profile = spdyier_prof::take_thread_profile();
     spdyier_prof::set_enabled(true);
-    let on = wifi_sweep(1, 1);
+    let on = common::artifacts(&manifest, 1);
+    let on_profile = spdyier_prof::take_thread_profile();
     spdyier_prof::set_enabled(false);
 
-    assert_eq!(off.runs.len(), on.runs.len());
-    for (i, ((run_off, log_off), (run_on, log_on))) in
-        off.runs.iter().zip(on.runs.iter()).enumerate()
-    {
-        assert_eq!(
-            serde_json::to_string(run_off).unwrap(),
-            serde_json::to_string(run_on).unwrap(),
-            "cell {i}: run results diverge under the profiler"
-        );
-        assert_eq!(
-            log_off.to_jsonl(),
-            log_on.to_jsonl(),
-            "cell {i}: trace streams diverge under the profiler"
-        );
+    common::assert_same_artifacts(&off, &on, "profiler off vs on");
+    for name in ["paired_wifi.jsonl", "trace_http.jsonl", "trace_spdy.jsonl"] {
+        assert!(off.iter().any(|(n, _)| n == name), "missing {name}");
     }
     // And the profiler actually observed the enabled sweep.
     assert!(
-        off.profile.is_empty(),
+        off_profile.is_empty(),
         "disabled profiler must record no spans"
     );
-    assert!(!on.profile.is_empty(), "enabled profiler must record spans");
-    let spans: Vec<&str> = on.profile.spans.keys().map(String::as_str).collect();
+    assert!(!on_profile.is_empty(), "enabled profiler must record spans");
+    let spans: Vec<&str> = on_profile.spans.keys().map(String::as_str).collect();
     assert!(
         spans.contains(&"driver.deliver") && spans.contains(&"world.service"),
         "expected driver/world spans, got {spans:?}"
@@ -124,12 +128,9 @@ fn profile_report_schema_is_pinned() {
 /// registry's two sections, and the new trace-loss counters.
 #[test]
 fn metrics_file_schema_is_pinned() {
-    let (_run, log) = run_schedule_traced(
-        ProtocolMode::Http,
-        NetworkKind::Wifi,
-        0,
-        TraceLevel::Lifecycle,
-    );
+    let manifest = wifi_manifest("metrics_schema", 1);
+    let (_run, log) = run_cell(&manifest, &manifest.cells()[0]).expect("within budget");
+    let log = log.expect("lifecycle trace");
     assert_eq!(METRICS_SCHEMA_VERSION, 1);
     let file = metrics_file("http", &log.metrics);
     assert_eq!(file.name, "metrics_http.json");
@@ -168,13 +169,12 @@ fn heartbeats_cover_every_cell_of_a_parallel_sweep() {
 
     spdyier_prof::set_enabled(false);
     let buf = SharedBuf::default();
-    let sweep = profiled_cells_on(
+    let sweep = profile_manifest_on(
         &Executor::new(4),
-        &paired_cells(2),
-        NetworkKind::Wifi,
-        TraceLevel::Lifecycle,
+        &wifi_manifest("heartbeats", 2),
         Some(Box::new(buf.clone())),
-    );
+    )
+    .expect("within budget");
     assert_eq!(sweep.telemetry.completed, 4);
     assert_eq!(sweep.telemetry.lines, 4);
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();

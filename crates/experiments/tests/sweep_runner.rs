@@ -4,10 +4,11 @@
 //! byte-identical `result.json`.
 
 use spdyier_experiments::sweep::{
-    run_sweep_on, SweepOptions, SWEEP_HEARTBEAT_NAME, SWEEP_STORE_NAME,
+    replay_store, run_sweep_on, SweepOptions, SWEEP_HEARTBEAT_NAME, SWEEP_STORE_NAME,
 };
 use spdyier_experiments::{Executor, SweepOutcome};
 use spdyier_scenario::{Manifest, Seeds};
+use std::io::Write;
 use std::path::PathBuf;
 
 fn out_dir(tag: &str) -> PathBuf {
@@ -123,51 +124,88 @@ fn serial_wide_and_resumed_sweeps_write_byte_identical_results() {
 #[test]
 fn checkpoint_store_replays_only_missing_cells() {
     let m = sweep_manifest("sweep_replay");
+    let reference_dir = out_dir("replay_ref");
+    completed(
+        run_sweep_on(
+            &Executor::new(1),
+            &m,
+            &reference_dir,
+            SweepOptions::default(),
+        )
+        .expect("uninterrupted sweep runs"),
+    );
+
     let dir = out_dir("replay");
-    let first = run_sweep_on(
-        &Executor::new(2),
-        &m,
-        &dir,
-        SweepOptions {
-            stop_after: Some(3),
-        },
-    )
-    .expect("interrupted sweep runs");
-    let SweepOutcome::Interrupted { checkpointed, .. } = first else {
-        panic!("stop_after must interrupt");
+    let store_path = dir.join(SWEEP_STORE_NAME);
+    let recovered = || {
+        replay_store(&store_path, &m, 6)
+            .expect("store replays")
+            .recovered
     };
-    let store_after_stop = std::fs::read_to_string(dir.join(SWEEP_STORE_NAME)).expect("store");
+    // Serial, so `stop_after` checkpoints exactly two cells.
+    let stop_after_two = || {
+        let opts = SweepOptions {
+            stop_after: Some(2),
+        };
+        match run_sweep_on(&Executor::new(1), &m, &dir, opts).expect("interrupted sweep runs") {
+            SweepOutcome::Interrupted { checkpointed, .. } => checkpointed,
+            SweepOutcome::Completed(_) => panic!("stop_after must interrupt"),
+        }
+    };
+
+    assert_eq!(stop_after_two(), 2);
+    let store_after_stop = std::fs::read_to_string(&store_path).expect("store");
     // Header + one line per checkpointed cell.
-    assert_eq!(store_after_stop.lines().count(), 1 + checkpointed);
+    assert_eq!(store_after_stop.lines().count(), 1 + 2);
+    assert_eq!(recovered(), 2);
+
+    // A crash mid-checkpoint leaves half a line and no newline. The
+    // first resume must cut it off, not append onto it — or its first
+    // checkpoint fuses with the fragment and the *next* replay drops
+    // that line and every one after it.
+    let mut store = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&store_path)
+        .expect("store opens");
+    store
+        .write_all(b"230cf2a4 {\"cell\":4,\"metrics\":{\"proto")
+        .expect("torn write");
+    drop(store);
+    assert_eq!(recovered(), 2);
+    assert_eq!(stop_after_two(), 4);
+    assert_eq!(recovered(), 4, "a resume after a torn tail went backwards");
 
     completed(
         run_sweep_on(&Executor::new(2), &m, &dir, SweepOptions::default())
-            .expect("resume completes"),
+            .expect("second resume completes"),
     );
-    let store_final = std::fs::read_to_string(dir.join(SWEEP_STORE_NAME)).expect("store");
+    let store_final = std::fs::read_to_string(&store_path).expect("store");
     assert!(
         store_final.starts_with(&store_after_stop),
-        "resume must append, never rewrite"
+        "resume must append, never rewrite a whole line"
     );
     assert_eq!(store_final.lines().count(), 1 + 6, "one line per cell");
+    assert_eq!(recovered(), 6);
 
     // Resuming a *finished* sweep replays everything and runs nothing,
-    // still rewriting an identical results contract.
-    let before = std::fs::read(dir.join("result.json")).expect("result.json");
+    // still rewriting an identical results contract — the uninterrupted
+    // sweep's.
     completed(
         run_sweep_on(&Executor::new(2), &m, &dir, SweepOptions::default())
             .expect("no-op resume completes"),
     );
     assert_eq!(
-        std::fs::read(dir.join(SWEEP_STORE_NAME)).expect("store"),
+        std::fs::read(&store_path).expect("store"),
         store_final.as_bytes(),
         "a fully-replayed resume appends nothing"
     );
     assert_eq!(
         std::fs::read(dir.join("result.json")).expect("result.json"),
-        before
+        std::fs::read(reference_dir.join("result.json")).expect("reference result.json")
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    for dir in [&reference_dir, &dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! The counting global allocator and its attribution counters.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
-//! allocation (count and requested bytes) into process-wide atomics —
-//! the same measurement `payload_bench` pioneered, now reusable by any
-//! binary via `#[global_allocator]`. Deallocations are deliberately not
-//! tracked: the interesting number is how much the workload *asks for*;
-//! peak RSS covers the high-water mark.
+//! allocation (count and requested bytes) into process-wide atomics;
+//! any binary installs it via `#[global_allocator]`. Deallocations are
+//! deliberately not tracked: the interesting number is how much the
+//! workload *asks for*; peak RSS covers the high-water mark.
 //!
 //! While the profiler is enabled ([`crate::enabled`]), each allocation
 //! is additionally charged to thread-local counters. The span profiler

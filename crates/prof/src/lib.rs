@@ -7,9 +7,9 @@
 //!
 //! Three pieces:
 //!
-//! - [`CountingAlloc`] — a pass-through global allocator (lifted out of
-//!   `payload_bench` so every binary can install it) that counts every
-//!   allocation process-wide and, while profiling is enabled, also into
+//! - [`CountingAlloc`] — a pass-through global allocator (every binary
+//!   can install it) that counts every allocation process-wide and,
+//!   while profiling is enabled, also into
 //!   thread-local counters the span profiler attributes per scope.
 //! - [`scope`] — a scoped span profiler: `let _p = prof::scope("tcp.deliver")`
 //!   records host-nanosecond power-of-two histograms plus the
