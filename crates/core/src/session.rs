@@ -170,6 +170,22 @@ pub(crate) struct HttpSide {
     pub pool: ConnectionPool,
     /// Proxy-side HTTP core (request parsing, fetch bookkeeping).
     pub proxy: HttpProxyCore,
+    /// Everything the last assignment sweep read, kept only when that
+    /// sweep assigned and evicted nothing (empty otherwise): while the
+    /// next call's inputs are equal the sweep cannot do anything either.
+    memo_key: Vec<u64>,
+    /// Pool ids the remembered sweep burned on throttled opens.
+    memo_burned: u64,
+    /// Scratch the current call's inputs are written into.
+    key_buf: Vec<u64>,
+}
+
+/// What one assignment sweep did.
+struct Sweep {
+    /// An object was assigned or a connection evicted.
+    changed: bool,
+    /// Pool ids consumed by throttled connection attempts.
+    burned: u64,
 }
 
 impl HttpSide {
@@ -178,6 +194,9 @@ impl HttpSide {
         HttpSide {
             pool: ConnectionPool::new(PoolConfig::default()),
             proxy: HttpProxyCore::new(),
+            memo_key: Vec::new(),
+            memo_burned: 0,
+            key_buf: Vec::new(),
         }
     }
 
@@ -330,26 +349,92 @@ impl HttpSide {
     /// Assign ready page objects to pooled connections (Chrome-style
     /// per-domain reuse, an 8-handshake concurrency throttle, optional
     /// pipelining).
+    ///
+    /// Edge-triggered: the driver calls this after every read, but while
+    /// the handshake throttle or a connection cap holds a sweep assigns
+    /// nothing, and it keeps assigning nothing until one of its inputs
+    /// changes. Such a sweep's inputs are remembered and an identical
+    /// call returns at once, burning the pool ids the sweep would have.
     pub fn assign_ready(&mut self, ctx: &mut SessionCtx<'_>, ready: &[ObjectId]) {
         // Chrome throttles concurrent connection attempts; without this a
         // discovery wave would fire 30+ simultaneous handshakes and
         // synchronized slow-starts into the access queue.
-        let mut connecting = ctx
+        let connecting = ctx
             .world
-            .live
+            .live_access
             .iter()
             .map(|&i| &ctx.world.pipes[i])
-            .filter(|p| {
-                p.over_access
-                    && matches!(p.role, PipeRole::HttpClient { .. })
-                    && !p.a.is_established()
-            })
+            .filter(|p| matches!(p.role, PipeRole::HttpClient { .. }) && !p.a.is_established())
             .count();
+        let mut key = std::mem::take(&mut self.key_buf);
+        key.clear();
+        key.extend([
+            self.pool.version(),
+            connecting as u64,
+            ctx.visits.visit_gen,
+            ready.len() as u64,
+        ]);
+        key.extend(ready.iter().map(|o| u64::from(o.0)));
+        if ctx.cfg.http_pipelining > 1 {
+            // Pipelined sweeps also read each connection's queue depth.
+            for &i in &ctx.world.live_access {
+                if let PipeRole::HttpClient {
+                    outstanding,
+                    pending,
+                    retired: false,
+                    ..
+                } = &ctx.world.pipes[i].role
+                {
+                    key.extend([i as u64, (outstanding.len() + pending.len()) as u64]);
+                }
+            }
+        }
+        if key == self.memo_key {
+            if cfg!(debug_assertions) {
+                // Shadow check: the real sweep, on the real state, must
+                // be the no-op the memo says it is.
+                let sweep = self.sweep(ctx, ready, connecting);
+                assert!(
+                    !sweep.changed && sweep.burned == self.memo_burned,
+                    "memoized assignment sweep was not a no-op \
+                     (changed {}, burned {} vs {})",
+                    sweep.changed,
+                    sweep.burned,
+                    self.memo_burned
+                );
+            } else {
+                self.pool.skip_ids(self.memo_burned);
+            }
+        } else {
+            let sweep = self.sweep(ctx, ready, connecting);
+            if sweep.changed {
+                // The sweep's own effects (an assignment, or an eviction
+                // at the global cap that freed another domain's slot) are
+                // inputs to the next one: remember nothing.
+                key.clear();
+            }
+            self.memo_burned = sweep.burned;
+            std::mem::swap(&mut self.memo_key, &mut key);
+        }
+        self.key_buf = key;
+    }
+
+    /// One pass over `ready`, assigning what the pool and the throttle
+    /// allow. `connecting` is the number of handshakes in progress.
+    fn sweep(
+        &mut self,
+        ctx: &mut SessionCtx<'_>,
+        ready: &[ObjectId],
+        mut connecting: usize,
+    ) -> Sweep {
+        let mut sweep = Sweep {
+            changed: false,
+            burned: 0,
+        };
         // Shared handle so each object borrows its domain instead of
-        // cloning it — this sweep re-runs on every unblocking event and
-        // most passes assign nothing.
+        // cloning it.
         let Some(page) = ctx.visits.current_page.clone() else {
-            return;
+            return sweep;
         };
         for &obj in ready {
             let domain = page.object(obj).domain.as_str();
@@ -357,18 +442,15 @@ impl HttpSide {
             // connection to this domain that still has pipeline slots.
             if ctx.cfg.http_pipelining > 1 {
                 let depth = ctx.cfg.http_pipelining;
-                let slot = ctx.world.live.iter().copied().find(|&i| {
-                    let p = &ctx.world.pipes[i];
-                    matches!(&p.role,
-                            PipeRole::HttpClient { outstanding, pending, retired: false, .. }
-                                if outstanding.len() + pending.len() < depth
-                                    && (!outstanding.is_empty() || !pending.is_empty()))
-                        && self.pool.domain_of(match &p.role {
-                            PipeRole::HttpClient { pool_id, .. } => *pool_id,
-                            _ => unreachable!(),
-                        }) == Some(domain)
+                let slot = ctx.world.live_access.iter().copied().find(|&i| {
+                    matches!(&ctx.world.pipes[i].role,
+                        PipeRole::HttpClient { outstanding, pending, pool_id, retired: false, .. }
+                            if outstanding.len() + pending.len() < depth
+                                && (!outstanding.is_empty() || !pending.is_empty())
+                                && self.pool.domain_of(*pool_id) == Some(domain))
                 });
                 if let Some(pipe) = slot {
+                    sweep.changed = true;
                     if let Some(load) = ctx.visits.load.as_mut() {
                         load.take_ready(obj);
                     }
@@ -381,8 +463,17 @@ impl HttpSide {
                 }
             }
             loop {
+                if connecting >= 8 && self.pool.would_open(domain) {
+                    // Throttled: retry when a handshake completes. The
+                    // attempt still consumes a pool id (see DESIGN.md on
+                    // the `http-<n>` labels).
+                    self.pool.skip_ids(1);
+                    sweep.burned += 1;
+                    break;
+                }
                 match self.pool.acquire(domain) {
                     Acquire::Reuse(pid) => {
+                        sweep.changed = true;
                         let Some(pipe) = self.pipe_for_pool(ctx.world, pid) else {
                             self.pool.remove(pid);
                             continue;
@@ -400,12 +491,7 @@ impl HttpSide {
                         break;
                     }
                     Acquire::Open(pid) => {
-                        if connecting >= 8 {
-                            // Throttled: release the slot and retry when a
-                            // handshake completes.
-                            self.pool.remove(pid);
-                            break;
-                        }
+                        sweep.changed = true;
                         connecting += 1;
                         if let Some(load) = ctx.visits.load.as_mut() {
                             load.take_ready(obj);
@@ -432,6 +518,7 @@ impl HttpSide {
                     Acquire::Blocked => {
                         if self.pool.at_global_cap() {
                             if let Some(evicted) = self.pool.evict_idle() {
+                                sweep.changed = true;
                                 if let Some(pipe) = self.pipe_for_pool(ctx.world, evicted) {
                                     self.retire_http_pipe(ctx.world, pipe);
                                 }
@@ -443,10 +530,11 @@ impl HttpSide {
                 }
             }
         }
+        sweep
     }
 
     fn pipe_for_pool(&self, world: &World, pid: PoolConnId) -> Option<usize> {
-        world.live.iter().copied().find(|&i| {
+        world.live_access.iter().copied().find(|&i| {
             matches!(&world.pipes[i].role, PipeRole::HttpClient { pool_id, retired, .. }
                     if *pool_id == pid && !retired)
         })
@@ -518,7 +606,7 @@ impl HttpSide {
         let Some(size) = ctx.cfg.beacon.map(|b| b.size) else {
             return;
         };
-        let target = ctx.world.live.iter().copied().find(|&i| {
+        let target = ctx.world.live_access.iter().copied().find(|&i| {
             let p = &ctx.world.pipes[i];
             p.b.is_established()
                 && matches!(
@@ -551,7 +639,7 @@ impl HttpSide {
     /// `max_idle`.
     pub fn idle_sweep(&mut self, world: &mut World, max_idle: SimDuration) {
         let stale: Vec<usize> = world
-            .live
+            .live_access
             .iter()
             .copied()
             .filter(|&i| {
@@ -606,22 +694,17 @@ impl AppSession for HttpSide {
     fn next_timeout(&self, ctx: &SessionCtx<'_>) -> Option<SimTime> {
         let max_idle = ctx.cfg.http_idle_close?;
         ctx.world
-            .pipes
+            .live_access
             .iter()
-            .filter_map(|p| {
-                if p.closed {
-                    return None;
-                }
-                match &p.role {
-                    PipeRole::HttpClient {
-                        outstanding,
-                        pending,
-                        retired: false,
-                        last_use,
-                        ..
-                    } if outstanding.is_empty() && pending.is_empty() => Some(*last_use + max_idle),
-                    _ => None,
-                }
+            .filter_map(|&i| match &ctx.world.pipes[i].role {
+                PipeRole::HttpClient {
+                    outstanding,
+                    pending,
+                    retired: false,
+                    last_use,
+                    ..
+                } if outstanding.is_empty() && pending.is_empty() => Some(*last_use + max_idle),
+                _ => None,
             })
             .min()
     }

@@ -129,11 +129,16 @@ pub(crate) struct World {
     pub wired: DuplexPath,
     /// All pipes ever opened this run (index-stable).
     pub pipes: Vec<Pipe>,
-    /// Indices of not-yet-closed pipes, ascending. Maintained by
-    /// [`World::new_pipe`]/[`World::harvest_pipe`] so per-event sweeps
-    /// (handshake throttle counts, pool scans) skip the ever-growing
-    /// tail of closed pipes.
-    pub live: Vec<usize>,
+    /// Indices of not-yet-closed device↔proxy pipes, ascending.
+    /// Maintained by [`World::new_pipe`]/[`World::harvest_pipe`] so the
+    /// per-event sweeps (in-flight sampling, handshake throttle counts,
+    /// pool scans, idle deadlines) touch the few dozen open access pipes
+    /// and neither the tail of closed ones nor the origin pipes.
+    pub live_access: Vec<usize>,
+    /// Indices of not-yet-closed proxy↔origin pipes, ascending. Origin
+    /// pipes are never closed, so this grows to hundreds over a run; only
+    /// fetch dispatch walks it.
+    pub live_origin: Vec<usize>,
     /// Pipes with pending service work, in discovery order.
     pub dirty: VecDeque<usize>,
     /// Cross-connection ssthresh/RTT cache (§6.2.4).
@@ -173,7 +178,8 @@ impl World {
             access,
             wired: net_presets::cloud_wired(2),
             pipes: Vec::new(),
-            live: Vec::new(),
+            live_access: Vec::new(),
+            live_origin: Vec::new(),
             dirty: VecDeque::new(),
             metrics_cache: TcpMetricsCache::new(),
             tracer: Tracer::for_level(cfg.trace_level),
@@ -253,7 +259,11 @@ impl World {
         if over_access {
             result.connections_opened += 1;
         }
-        self.live.push(idx);
+        if over_access {
+            self.live_access.push(idx);
+        } else {
+            self.live_origin.push(idx);
+        }
         self.mark_dirty(idx);
         idx
     }
@@ -548,10 +558,15 @@ impl World {
             return;
         }
         self.pipes[idx].closed = true;
-        // Ordered remove keeps `live` ascending so position-based scans
-        // over it find the same first match as a scan over `pipes`.
-        if let Ok(i) = self.live.binary_search(&idx) {
-            self.live.remove(i);
+        // Ordered remove keeps the index ascending so position-based
+        // scans over it find the same first match as a scan over `pipes`.
+        let live = if self.pipes[idx].over_access {
+            &mut self.live_access
+        } else {
+            &mut self.live_origin
+        };
+        if let Ok(i) = live.binary_search(&idx) {
+            live.remove(i);
         }
         self.tracer
             .emit(self.now, TraceEvent::ConnClosed { conn: idx });
@@ -575,11 +590,9 @@ impl World {
 
     /// Total unacknowledged proxy→device bytes across open access pipes.
     pub fn inflight_total(&self) -> u64 {
-        self.live
+        self.live_access
             .iter()
-            .map(|&i| &self.pipes[i])
-            .filter(|p| p.over_access)
-            .map(|p| p.b.bytes_in_flight())
+            .map(|&i| self.pipes[i].b.bytes_in_flight())
             .sum()
     }
 
@@ -591,11 +604,11 @@ impl World {
     /// pipe if one exists, a fresh pipe while under the per-domain cap,
     /// else the least-loaded existing one.
     pub fn dispatch_fetch(&mut self, result: &mut RunResult, fetch: FetchId, request: Request) {
-        let domain = request.host.clone();
+        let domain = request.host.as_str();
         let mut idle: Option<usize> = None;
         let mut count = 0usize;
         let mut least_loaded: Option<(usize, usize)> = None;
-        for &i in &self.live {
+        for &i in &self.live_origin {
             let p = &self.pipes[i];
             if let PipeRole::Origin {
                 domain: d,
@@ -604,7 +617,7 @@ impl World {
                 ..
             } = &p.role
             {
-                if *d == domain {
+                if d == domain {
                     count += 1;
                     let backlog = pending.len() + usize::from(current.is_some());
                     if backlog == 0 && idle.is_none() {
@@ -625,7 +638,7 @@ impl World {
                 result,
                 false,
                 PipeRole::Origin {
-                    domain: domain.clone(),
+                    domain: request.host.clone(),
                     http: HttpClientConn::new(),
                     server: HttpServerConn::new(),
                     current: None,
@@ -646,7 +659,7 @@ impl World {
                     fetch: fetch.0,
                     conn: target,
                     fresh_pipe,
-                    domain: domain.clone(),
+                    domain: request.host.clone(),
                 },
             );
             self.tracer.count("proxy.fetches", 1);

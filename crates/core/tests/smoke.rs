@@ -80,3 +80,25 @@ fn deterministic_across_runs() {
     let plts_b: Vec<f64> = b.visits.iter().map(|v| v.plt_ms).collect();
     assert_eq!(plts_a, plts_b, "same seed ⇒ identical results");
 }
+
+/// With `http_pipelining > 1` the assignment sweep also reads every
+/// connection's queue depth, so its skip-when-unchanged memo keys on
+/// that too. Test builds re-run the sweep on every memo hit and assert
+/// it was a no-op, so completing a throttled 3G load here is the check
+/// that the pipelined key is complete.
+#[test]
+fn pipelined_http_stacks_requests_on_fewer_connections() {
+    let run = |depth: usize| {
+        let mut cfg = quick_cfg(ProtocolMode::Http, NetworkKind::Umts3G, vec![5, 1]);
+        cfg.http_pipelining = depth;
+        run_experiment(cfg)
+    };
+    let (plain, pipelined) = (run(1), run(4));
+    assert!(pipelined.visits.iter().all(|v| v.completed));
+    assert!(
+        pipelined.connections_opened < plain.connections_opened,
+        "depth 4 opened {} connections, depth 1 {}",
+        pipelined.connections_opened,
+        plain.connections_opened
+    );
+}

@@ -74,6 +74,11 @@ pub struct ConnectionPool {
     domain_counts: Vec<usize>,
     next_id: u64,
     use_counter: u64,
+    /// Bumped by every call that can change what a later
+    /// [`ConnectionPool::acquire`] answers (acquire, release, remove,
+    /// evict). A caller whose last sweep assigned nothing may skip
+    /// re-running it while this is unchanged.
+    version: u64,
 }
 
 impl ConnectionPool {
@@ -86,7 +91,36 @@ impl ConnectionPool {
             domain_counts: Vec::new(),
             next_id: 0,
             use_counter: 0,
+            version: 0,
         }
+    }
+
+    /// Changes whenever the pool's answer to `acquire` may have changed.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Would [`ConnectionPool::acquire`] answer `Open` for `domain` right
+    /// now — no idle connection to reuse, and both limits have room?
+    /// Mutates nothing, so a caller that would only hand the slot straight
+    /// back (a throttled connection attempt) can ask first and account for
+    /// the id with [`ConnectionPool::skip_ids`] instead.
+    pub fn would_open(&self, domain: &str) -> bool {
+        let ix = self.domains.iter().position(|d| d == domain);
+        ix.map_or(0, |ix| self.domain_counts[ix]) < self.cfg.per_domain
+            && self.conns.len() < self.cfg.total
+            && !self
+                .conns
+                .iter()
+                .any(|(_, c)| Some(c.domain_ix as usize) == ix && !c.busy)
+    }
+
+    /// Advance the id counter past `n` ids without opening anything: the
+    /// ids an `acquire` → `Open` → `remove` cycle would have consumed.
+    /// Connection labels are derived from ids, so a caller that declines
+    /// `n` opens up front must still burn them to keep later ids the same.
+    pub fn skip_ids(&mut self, n: u64) {
+        self.next_id += n;
     }
 
     fn intern(&mut self, domain: &str) -> u32 {
@@ -120,6 +154,7 @@ impl ConnectionPool {
             let (id, info) = &mut self.conns[i];
             info.busy = true;
             info.last_used = self.use_counter;
+            self.version += 1;
             return Acquire::Reuse(*id);
         }
         if self.domain_counts[ix as usize] >= self.cfg.per_domain
@@ -129,6 +164,7 @@ impl ConnectionPool {
         }
         let id = PoolConnId(self.next_id);
         self.next_id += 1;
+        self.version += 1;
         self.domain_counts[ix as usize] += 1;
         self.conns.push((
             id,
@@ -143,6 +179,7 @@ impl ConnectionPool {
 
     /// A request on `id` completed; the connection is idle and reusable.
     pub fn release(&mut self, id: PoolConnId) {
+        self.version += 1;
         if let Some((_, c)) = self.conns.iter_mut().find(|(cid, _)| *cid == id) {
             c.busy = false;
         }
@@ -150,6 +187,7 @@ impl ConnectionPool {
 
     /// The connection was closed (by either side); forget it.
     pub fn remove(&mut self, id: PoolConnId) {
+        self.version += 1;
         if let Some(i) = self.conns.iter().position(|(cid, _)| *cid == id) {
             let (_, c) = self.conns.remove(i);
             self.domain_counts[c.domain_ix as usize] -= 1;
@@ -168,6 +206,7 @@ impl ConnectionPool {
             }
         }
         let i = best?;
+        self.version += 1;
         let (id, c) = self.conns.remove(i);
         self.domain_counts[c.domain_ix as usize] -= 1;
         Some(id)
@@ -321,5 +360,82 @@ mod tests {
         };
         assert_eq!(p.domain_of(id), Some("a.com"));
         assert_eq!(p.busy(), 1);
+    }
+
+    fn open(p: &mut ConnectionPool, domain: &str) -> PoolConnId {
+        match p.acquire(domain) {
+            Acquire::Open(id) => id,
+            other => panic!("expected Open, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn would_open_predicts_acquire_without_touching_the_pool() {
+        let mut p = pool();
+        assert!(p.would_open("a.com"), "unknown domain, empty pool");
+        let ids: Vec<_> = (0..6).map(|_| open(&mut p, "a.com")).collect();
+        let version = p.version();
+        assert!(!p.would_open("a.com"), "per-domain cap");
+        assert!(p.would_open("b.com"));
+        p.release(ids[2]);
+        assert!(!p.would_open("a.com"), "an idle connection is reused");
+        assert_eq!(p.acquire("a.com"), Acquire::Reuse(ids[2]));
+        for d in 0..26 {
+            open(&mut p, &format!("d{d}.com"));
+        }
+        assert!(!p.would_open("late.com"), "global cap");
+        assert_eq!(p.acquire("late.com"), Acquire::Blocked);
+        assert!(p.version() > version, "real changes move the version");
+        let version = p.version();
+        p.would_open("late.com");
+        p.skip_ids(3);
+        assert_eq!(p.acquire("late.com"), Acquire::Blocked);
+        assert_eq!(p.version(), version, "queries, skips and Blocked do not");
+    }
+
+    /// `skip_ids` after `would_open` stands in for the acquire → `Open` →
+    /// `remove` cycle of a throttled connection attempt: the ids handed
+    /// out afterwards, and which connection is reused or evicted, must
+    /// not depend on which of the two a caller used.
+    #[test]
+    fn skipping_ids_equals_the_acquire_remove_cycle() {
+        fn throttle(cycled: &mut ConnectionPool, skipped: &mut ConnectionPool, domain: &str) {
+            let id = open(cycled, domain);
+            cycled.remove(id);
+            assert!(skipped.would_open(domain));
+            skipped.skip_ids(1);
+        }
+        let mut cycled = pool();
+        let mut skipped = pool();
+        for domain in ["a.com", "b.com", "a.com"] {
+            throttle(&mut cycled, &mut skipped, domain);
+        }
+        let a0 = open(&mut cycled, "a.com");
+        assert_eq!(open(&mut skipped, "a.com"), a0);
+        assert_eq!(a0, PoolConnId(3), "three attempts burned ids 0..3");
+        throttle(&mut cycled, &mut skipped, "b.com");
+        let a1 = open(&mut cycled, "a.com");
+        assert_eq!(open(&mut skipped, "a.com"), a1);
+        let b0 = open(&mut cycled, "b.com");
+        assert_eq!(open(&mut skipped, "b.com"), b0);
+        // Use order: a0 released last, so it is the warmest for reuse
+        // and b0 the least recently used for eviction — whatever number
+        // of `use_counter` ticks the throttled attempts in between cost.
+        for p in [&mut cycled, &mut skipped] {
+            p.release(a1);
+            p.release(b0);
+        }
+        throttle(&mut cycled, &mut skipped, "c.com");
+        throttle(&mut cycled, &mut skipped, "c.com");
+        for p in [&mut cycled, &mut skipped] {
+            assert_eq!(p.acquire("a.com"), Acquire::Reuse(a1));
+            p.release(a0);
+            p.release(a1);
+            assert_eq!(p.acquire("a.com"), Acquire::Reuse(a1));
+            assert_eq!(p.evict_idle(), Some(a0));
+            assert_eq!(p.evict_idle(), Some(b0));
+            assert_eq!(p.evict_idle(), None);
+        }
+        assert_eq!(open(&mut cycled, "c.com"), open(&mut skipped, "c.com"));
     }
 }

@@ -1,0 +1,50 @@
+//! "Byte-identical to the parent" as a test instead of a manual `cmp`.
+//!
+//! Two artifacts stand for everything the simulator computes: the
+//! paired-3G dump at one seed (every `RunResult` field of an HTTP and a
+//! SPDY Table-1 run, connection labels included) and the `result.json`
+//! of `scenarios/quick_wifi.yaml` (the pooled-metrics contract). Their
+//! FNV-1a digests are pinned here. A change that is meant to alter
+//! behaviour updates the constants in the same commit and says why; a
+//! refactor or a performance change may not touch them.
+//!
+//! CI's `scenario-matrix` job checks the same constants against the
+//! files the released binary writes (`experiments paired 3g --seeds 1`,
+//! which that job already `cmp`s equal to the `scenarios/paired_3g.json`
+//! dump digested here), so the two builds cannot drift apart either.
+
+use spdyier::experiments::{run_manifest_on, Executor};
+use spdyier_scenario::Manifest;
+use std::path::Path;
+
+const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x0a12_b4ac_1bb4_8059;
+const QUICK_WIFI_RESULT_JSON: u64 = 0x0031_f90b_a9a0_46c4;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Run a committed scenario serially and digest one of its artifacts.
+fn artifact_digest(scenario: &str, artifact: &str) -> u64 {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("scenarios")
+        .join(scenario);
+    let manifest = Manifest::from_file(&path).expect("committed scenario decodes");
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden_{}", manifest.name));
+    run_manifest_on(&Executor::new(1), &manifest, &out).expect("artifacts written");
+    fnv1a(&std::fs::read(out.join(artifact)).expect("artifact exists"))
+}
+
+#[test]
+fn golden_artifact_digests_are_pinned() {
+    let dump = artifact_digest("paired_3g.json", "paired_3g.jsonl");
+    let result = artifact_digest("quick_wifi.yaml", "result.json");
+    assert_eq!(
+        (dump, result),
+        (PAIRED_3G_ONE_SEED_DUMP, QUICK_WIFI_RESULT_JSON),
+        "simulator output changed: paired_3g.jsonl {dump:#018x}, \
+         quick_wifi result.json {result:#018x}"
+    );
+}
