@@ -131,10 +131,10 @@ impl AccessPath {
     }
 
     /// Promotions taken so far (empty on plain paths).
-    pub fn promotions(&self) -> Vec<spdyier_cellular::PromotionEvent> {
+    pub fn promotions(&self) -> &[spdyier_cellular::PromotionEvent] {
         match self {
-            AccessPath::Cellular(p) => p.radio().promotions().to_vec(),
-            AccessPath::Plain(_) => Vec::new(),
+            AccessPath::Cellular(p) => p.radio().promotions(),
+            AccessPath::Plain(_) => &[],
         }
     }
 

@@ -120,6 +120,23 @@ impl Testbed {
     /// flight recorder's log, or a structured error if the configured
     /// event budget runs out first. With tracing off the log is empty.
     pub fn try_run_traced(mut self) -> Result<(RunResult, FlightLog), RunError> {
+        self.run_events()?;
+        Ok(self.finalize())
+    }
+
+    /// Execute the run and report how many segment deliveries missed their
+    /// link's FIFO lane and went through the event heap instead (see
+    /// `EventQueue::schedule_fifo`). Links deliver in order, so this is
+    /// zero unless a link was reset or reconfigured mid-run; a test holds
+    /// it at zero over the committed scenario pack.
+    #[doc(hidden)]
+    pub fn run_counting_lane_fallbacks(mut self) -> Result<u64, RunError> {
+        self.run_events()?;
+        Ok(self.world.queue.fifo_fallbacks())
+    }
+
+    /// Dispatch events until the run ends or the budget runs out.
+    fn run_events(&mut self) -> Result<(), RunError> {
         self.start();
         let mut events: u64 = 0;
         while let Some((t, ev)) = self.world.queue.pop() {
@@ -134,7 +151,7 @@ impl Testbed {
                 return Err(RunError::EventBudgetExhausted { events });
             }
         }
-        Ok(self.finalize())
+        Ok(())
     }
 
     fn start(&mut self) {
@@ -644,7 +661,7 @@ impl Testbed {
             });
         }
         self.result.total_retransmissions = self.result.retransmissions.count() as u64;
-        self.result.promotions = self.world.access.promotions();
+        self.result.promotions = self.world.access.promotions().to_vec();
         self.result.downlink_drops = self.world.access.down_drops();
         self.result.energy_mj = self.world.access.energy_mj(self.world.now);
         self.result.proxy_records = self.side.proxy_records();

@@ -24,6 +24,15 @@ use std::collections::VecDeque;
 /// Origin pipes per domain before fetches queue on the least-loaded one.
 const MAX_ORIGIN_PIPES_PER_DOMAIN: usize = 6;
 
+/// The event-queue lane a link's deliveries are scheduled on: one per
+/// link, because `Link::send` never returns an arrival earlier than its
+/// previous one, so each lane stays sorted. (If a fault drill resets or
+/// reconfigures a link mid-run, the queue routes the out-of-order pushes
+/// through its heap; nothing here needs to know.)
+fn link_lane(over_access: bool, dir: Direction) -> usize {
+    2 * usize::from(!over_access) + usize::from(dir == Direction::Down)
+}
+
 /// A discrete event in the run.
 #[derive(Debug)]
 pub(crate) enum Event {
@@ -419,7 +428,10 @@ impl World {
                                 },
                             );
                         }
-                        self.queue.schedule(
+                        // Each link delivers FIFO, so its arrivals are
+                        // already in queue order: one lane per link.
+                        self.queue.schedule_fifo(
+                            link_lane(over_access, dir),
                             at,
                             Event::Deliver {
                                 pipe: idx,
@@ -519,19 +531,27 @@ impl World {
             } else {
                 self.pipes[idx].a.next_timer()
             };
+            let next = next.map(|at| at.max(self.now));
             let slot = if b_side {
                 &mut self.pipes[idx].b_timer
             } else {
                 &mut self.pipes[idx].a_timer
             };
-            if let Some(old) = slot.take() {
-                self.queue.cancel(old);
-            }
-            if let Some(at) = next {
-                let id = self
-                    .queue
-                    .schedule(at.max(self.now), Event::Timer { pipe: idx, b_side });
-                *slot = Some(id);
+            // An unchanged deadline is still re-armed: the fresh rank
+            // decides same-instant ties against deliveries scheduled since.
+            match (*slot, next) {
+                (Some(armed), Some(at)) => {
+                    let moved = self.queue.reschedule(armed, at);
+                    debug_assert!(moved, "armed timer handle went stale");
+                }
+                (Some(armed), None) => {
+                    self.queue.cancel(armed);
+                    *slot = None;
+                }
+                (None, Some(at)) => {
+                    *slot = Some(self.queue.schedule(at, Event::Timer { pipe: idx, b_side }));
+                }
+                (None, None) => {}
             }
         }
     }

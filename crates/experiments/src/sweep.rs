@@ -11,7 +11,11 @@
 //!   point loses at most the cells in flight; the store survives a torn
 //!   final line: replay drops the tail, and the resuming invocation
 //!   truncates the store back to its verified prefix before appending,
-//!   so a fresh checkpoint can never fuse with the fragment.
+//!   so a fresh checkpoint can never fuse with the fragment. An append
+//!   that fails (a full disk) ends the sweep the same recoverable way:
+//!   the first error is kept, no worker claims another cell or writes
+//!   another line, and the invocation exits 3 naming the store; the
+//!   lines already written replay on the next run.
 //! * **Resume.** Re-running the same command against the same output
 //!   directory replays the store (after verifying the schema version,
 //!   the manifest digest, and the cell count), runs only the missing
@@ -298,8 +302,10 @@ pub enum SweepOutcome {
     },
 }
 
-/// A sweep-level configuration error (bad manifest/store combination);
-/// maps to the standardized config-error exit.
+/// A sweep-level error — a bad manifest/store combination, or a
+/// checkpoint store that cannot be opened or appended to; maps to the
+/// standardized config-error exit (3) with the message as the one-line
+/// diagnostic.
 #[derive(Debug)]
 pub struct SweepError(pub String);
 
@@ -307,6 +313,14 @@ impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.0.fmt(f)
     }
+}
+
+/// The open checkpoint store: where cell lines are appended, and the
+/// first append that failed. Nothing is written after a failure — the
+/// failed line may be torn, and a later append would fuse with it.
+struct StoreSink {
+    out: Box<dyn Write + Send>,
+    failed: Option<std::io::Error>,
 }
 
 /// Run (or resume) `manifest`'s sweep on `exec`, checkpointing into and
@@ -317,6 +331,18 @@ pub fn run_sweep_on(
     manifest: &Manifest,
     out_dir: &Path,
     opts: SweepOptions,
+) -> Result<SweepOutcome, SweepError> {
+    run_sweep_through(exec, manifest, out_dir, opts, |store| Box::new(store))
+}
+
+/// [`run_sweep_on`] with cell checkpoints appended through
+/// `sink(store file)` — the seam the failing-writer drill injects at.
+fn run_sweep_through(
+    exec: &Executor,
+    manifest: &Manifest,
+    out_dir: &Path,
+    opts: SweepOptions,
+    sink: impl FnOnce(std::fs::File) -> Box<dyn Write + Send>,
 ) -> Result<SweepOutcome, SweepError> {
     if manifest.outputs.paired_dump || manifest.outputs.trace_artifacts {
         return Err(SweepError(
@@ -351,7 +377,10 @@ pub fn run_sweep_on(
         let header = store_line(&header_json(manifest, cells.len()));
         store.write_all(header.as_bytes()).map_err(store_err)?;
     }
-    let store = Mutex::new(store);
+    let store = Mutex::new(StoreSink {
+        out: sink(store),
+        failed: None,
+    });
 
     let heartbeat = std::fs::OpenOptions::new()
         .create(true)
@@ -373,13 +402,21 @@ pub fn run_sweep_on(
         Some(run_cell(manifest, &cells[index]).map(|(result, log)| {
             let out = fold_cell(manifest, &cells[index], &result, log.as_ref());
             let line = store_line(&cell_json(index, &out.metrics));
-            {
+            let checkpointed = {
                 let mut store = store
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                // One write_all per checkpoint: a crash can tear at
-                // most the final line, which replay drops.
-                let _ = store.write_all(line.as_bytes());
+                if store.failed.is_none() {
+                    // One write_all per checkpoint: a crash can tear at
+                    // most the final line, which replay drops.
+                    store.failed = store.out.write_all(line.as_bytes()).err();
+                }
+                store.failed.is_none()
+            };
+            if !checkpointed {
+                // The cell is lost to this invocation; stop claiming more.
+                stopped.store(true, Ordering::Relaxed);
+                return out;
             }
             if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= budget {
                 stopped.store(true, Ordering::Relaxed);
@@ -408,9 +445,21 @@ pub fn run_sweep_on(
     });
     telemetry.finish();
 
+    let checkpointed = replay.recovered + fresh.load(Ordering::Relaxed);
+    let store = store
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let Some(e) = store.failed {
+        return Err(SweepError(format!(
+            "{}: checkpoint append failed ({e}); {checkpointed}/{} cell(s) are checkpointed, \
+             re-run the same command to resume",
+            store_path.display(),
+            cells.len()
+        )));
+    }
     if folded.iter().any(Option::is_none) {
         return Ok(SweepOutcome::Interrupted {
-            checkpointed: replay.recovered + fresh.load(Ordering::Relaxed),
+            checkpointed,
             total: cells.len(),
         });
     }
@@ -532,6 +581,92 @@ mod tests {
             assert_eq!(replay.verified_len, whole.len() as u64);
             assert_eq!(replay.done[1].as_ref().unwrap().visits, 3);
             assert!(replay.done[2].is_none());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store writer that accepts `whole` appends, then writes half of
+    /// the next line and fails — a disk filling up mid-checkpoint.
+    struct FullDisk {
+        file: std::fs::File,
+        whole: usize,
+    }
+
+    impl Write for FullDisk {
+        fn write(&mut self, line: &[u8]) -> std::io::Result<usize> {
+            if self.whole == 0 {
+                self.file.write_all(&line[..line.len() / 2])?;
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            self.whole -= 1;
+            self.file.write_all(line)?;
+            Ok(line.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    #[test]
+    fn failed_checkpoint_append_ends_the_sweep_and_the_prefix_resumes() {
+        let mut m = Manifest::from_json(
+            r#"{
+                "schema_version": 1,
+                "name": "sweep_full_disk",
+                "network": { "kind": "wifi" },
+                "workload": { "kind": "synthetic", "objects": 4, "object_bytes": 1500,
+                              "same_domain": true, "visits": 1, "interval_s": 30 },
+                "protocols": ["http", "spdy"],
+                "assertions": ["completion_rate >= 1.0"]
+            }"#,
+        )
+        .expect("manifest decodes");
+        m.seeds.count = 3;
+        let dir =
+            std::env::temp_dir().join(format!("spdyier_sweep_full_disk_{}", std::process::id()));
+        let reference = dir.join("reference");
+        let drilled = dir.join("drilled");
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = SweepOptions::default();
+        let exec = Executor::new(2);
+        run_sweep_on(&exec, &m, &reference, opts).expect("reference sweep runs");
+
+        // Two checkpoints land, the third tears and fails.
+        let err = run_sweep_through(&exec, &m, &drilled, opts, |file| {
+            Box::new(FullDisk { file, whole: 2 })
+        })
+        .expect_err("a failed append must not look like success");
+        let store_path = drilled.join(SWEEP_STORE_NAME);
+        assert!(
+            err.0.starts_with(&format!(
+                "{}: checkpoint append failed (no space left on device); 2/6 cell(s)",
+                store_path.display()
+            )) && !err.0.contains('\n'),
+            "{err}"
+        );
+        assert!(!drilled.join("result.json").exists());
+
+        // Exactly the two whole lines replay; nothing was appended after
+        // the torn one.
+        let replay = replay_store(&store_path, &m, 6).expect("store replays");
+        assert_eq!(replay.recovered, 2);
+        assert!(replay.dropped_tail);
+        let text = std::fs::read_to_string(&store_path).unwrap();
+        assert_eq!(text.lines().count(), 4, "header, two cells, one fragment");
+
+        // The same command resumes the other four and matches a sweep
+        // that never failed.
+        match run_sweep_on(&exec, &m, &drilled, opts).expect("resume runs") {
+            SweepOutcome::Completed(_) => {}
+            SweepOutcome::Interrupted { .. } => panic!("resume must complete"),
+        }
+        for artifact in ["result.json", "junit.xml"] {
+            assert_eq!(
+                std::fs::read(drilled.join(artifact)).unwrap(),
+                std::fs::read(reference.join(artifact)).unwrap(),
+                "{artifact} differs after the drill"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -138,10 +138,10 @@ fn paired_manifest_matches_legacy_paired_sweep_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn committed_scenario_pack_decodes() {
+/// Every manifest under `scenarios/`, decoded.
+fn committed_pack() -> Vec<(PathBuf, Manifest)> {
     let pack = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
-    let mut seen = 0;
+    let mut manifests = Vec::new();
     for entry in std::fs::read_dir(&pack).expect("scenarios/ exists") {
         let path = entry.expect("read entry").path();
         let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
@@ -150,6 +150,15 @@ fn committed_scenario_pack_decodes() {
         }
         let m = Manifest::from_file(&path)
             .unwrap_or_else(|e| panic!("{} fails to decode: {e}", path.display()));
+        manifests.push((path, m));
+    }
+    manifests
+}
+
+#[test]
+fn committed_scenario_pack_decodes() {
+    let pack = committed_pack();
+    for (path, m) in &pack {
         let stem = path
             .file_stem()
             .and_then(|s| s.to_str())
@@ -161,12 +170,34 @@ fn committed_scenario_pack_decodes() {
             path.display()
         );
         assert!(!m.cells().is_empty());
-        seen += 1;
     }
     assert!(
-        seen >= 6,
-        "expected the starter pack, found {seen} manifests"
+        pack.len() >= 6,
+        "expected the starter pack, found {} manifests",
+        pack.len()
     );
+}
+
+/// Links deliver FIFO, so every segment delivery rides its link's lane
+/// in the event queue and none takes the out-of-order route through the
+/// heap: across the pack (every protocol and variant, first seed) the
+/// fallback count is zero.
+#[test]
+fn no_delivery_leaves_its_lane_on_the_committed_pack() {
+    for (path, m) in committed_pack() {
+        for cell in m.cells().iter().filter(|c| c.seed == m.seeds.base) {
+            let fallbacks = spdyier_core::Testbed::new(cell.build_config(&m))
+                .run_counting_lane_fallbacks()
+                .unwrap_or_else(|e| panic!("{} cell {}: {e}", path.display(), cell.index));
+            assert_eq!(
+                fallbacks,
+                0,
+                "{} cell {}: deliveries scheduled out of link order",
+                path.display(),
+                cell.index
+            );
+        }
+    }
 }
 
 #[test]

@@ -36,7 +36,7 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use queue::{EventId, EventQueue};
+pub use queue::{EventId, EventQueue, LANES};
 pub use rng::DetRng;
 pub use series::{EventMarks, OptionSeries, TimeSeries};
 pub use stats::{BoxStats, Cdf, Histogram, MeanCi, MergeError, QuantileSketch};

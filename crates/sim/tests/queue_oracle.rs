@@ -1,13 +1,15 @@
 //! Property test pitting the slab-backed [`EventQueue`] against the
 //! original `BinaryHeap + HashMap` lazy-cancellation implementation as
 //! an oracle: any interleaving of schedule/cancel/pop must produce the
-//! identical `(time, event)` sequence. Same-instant FIFO order — part
+//! identical `(time, event)` sequence — including pushes onto the FIFO
+//! lanes (a plain `schedule` to the oracle) and in-place `reschedule`
+//! (`cancel` + `schedule` to the oracle). Same-instant FIFO order — part
 //! of the determinism contract every golden artifact depends on — is
 //! pinned by generating many same-time schedules (delta is drawn from
 //! 0..4 ms so collisions are the common case, not the corner case).
 
 use proptest::prelude::*;
-use spdyier_sim::{EventQueue, SimDuration, SimTime};
+use spdyier_sim::{EventQueue, SimDuration, SimTime, LANES};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -72,32 +74,64 @@ impl<E> OracleQueue<E> {
 }
 
 // Ops are drawn as `(kind, delta, nth)` tuples (the vendored proptest
-// stub has no `prop_oneof`): kind 0..4 = schedule at `now + delta` ms,
-// 4..6 = cancel the `nth` issued handle, 6..9 = pop, 9 = peek_time.
+// stub has no `prop_oneof`):
+//   0..4   schedule at `now + delta` ms
+//   4..7   schedule_fifo on lane `nth % LANES`, no earlier than that
+//          lane's newest (the monotone stream a link produces)
+//   7      schedule_fifo at `now + delta` whatever the lane holds
+//          (deliberately non-monotone: exercises the heap fallback)
+//   8..10  cancel the `nth` issued handle
+//   10..12 reschedule the `nth` issued handle to `now + delta` — pending,
+//          fired, cancelled and recycled-slot handles alike, since the
+//          book keeps every handle ever issued
+//   12..15 pop
+//   15     peek_time
+// The oracle knows neither lanes nor in-place moves: a lane push is a
+// plain `schedule`, a reschedule is `cancel` + `schedule`.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn slab_queue_matches_heap_map_oracle(
-        ops in prop::collection::vec((0u8..10, 0u64..4, 0usize..64), 1..200)
+        ops in prop::collection::vec((0u8..16, 0u64..4, 0usize..64), 1..200)
     ) {
         let mut slab: EventQueue<u32> = EventQueue::new();
         let mut oracle: OracleQueue<u32> = OracleQueue::new();
         // Parallel id books: the nth schedule's handle in each world.
         let mut slab_ids = Vec::new();
         let mut oracle_ids = Vec::new();
+        let mut lane_newest = [SimTime::ZERO; LANES];
+        // Most handles ever pending at once: with the fallbacks, the only
+        // events that may occupy a slab slot.
+        let mut peak_pending = 0;
         let mut now = SimTime::ZERO;
         let mut payload = 0u32;
 
         for (kind, delta_ms, nth) in ops {
+            let at = now + SimDuration::from_millis(delta_ms);
             match kind {
                 0..=3 => {
-                    let at = now + SimDuration::from_millis(delta_ms);
                     slab_ids.push(slab.schedule(at, payload));
                     oracle_ids.push(oracle.schedule(at, payload));
                     payload += 1;
                 }
-                4..=5 => {
+                4..=7 => {
+                    let lane = nth % LANES;
+                    let at = if kind == 7 { at } else { at.max(lane_newest[lane]) };
+                    let fallbacks = slab.fifo_fallbacks();
+                    slab.schedule_fifo(lane, at, payload);
+                    oracle.schedule(at, payload);
+                    payload += 1;
+                    prop_assert_eq!(
+                        slab.fifo_fallbacks() - fallbacks,
+                        u64::from(at < lane_newest[lane]),
+                        "fallback taken iff the push is earlier than the lane's newest"
+                    );
+                    if at >= lane_newest[lane] {
+                        lane_newest[lane] = at;
+                    }
+                }
+                8..=9 => {
                     if slab_ids.is_empty() {
                         continue;
                     }
@@ -106,7 +140,19 @@ proptest! {
                     let b = oracle.cancel(oracle_ids[nth]);
                     prop_assert_eq!(a, b, "cancel({}) diverged", nth);
                 }
-                6..=8 => {
+                10..=11 => {
+                    if slab_ids.is_empty() {
+                        continue;
+                    }
+                    let nth = nth % slab_ids.len();
+                    let moved = slab.reschedule(slab_ids[nth], at);
+                    let event = oracle.cancel(oracle_ids[nth]);
+                    prop_assert_eq!(moved, event.is_some(), "reschedule({}) diverged", nth);
+                    if let Some(event) = event {
+                        oracle_ids[nth] = oracle.schedule(at, event);
+                    }
+                }
+                12..=14 => {
                     let a = slab.pop();
                     let b = oracle.pop();
                     prop_assert_eq!(a, b, "pop diverged");
@@ -119,9 +165,18 @@ proptest! {
                 }
             }
             prop_assert_eq!(slab.len(), oracle.len());
+            prop_assert_eq!(slab.is_empty(), oracle.len() == 0);
+            let mut pending = 0;
             for (s, o) in slab_ids.iter().zip(&oracle_ids) {
                 prop_assert_eq!(slab.is_pending(*s), oracle.is_pending(*o));
+                pending += usize::from(slab.is_pending(*s));
             }
+            peak_pending = peak_pending.max(pending);
+            prop_assert!(
+                slab.slot_capacity() as u64 <= peak_pending as u64 + slab.fifo_fallbacks(),
+                "slab holds {} slots for at most {} handles + {} fallbacks",
+                slab.slot_capacity(), peak_pending, slab.fifo_fallbacks()
+            );
         }
 
         // Drain both queues to the end: the tails must agree too.
@@ -137,13 +192,19 @@ proptest! {
 
     /// Under churn the slab never outgrows peak liveness, while the
     /// oracle's heap retains every cancelled entry below the head.
+    /// Re-arming in place and cancel-then-schedule are interchangeable.
     #[test]
     fn slab_capacity_tracks_liveness_not_churn(rounds in 100usize..2000) {
         let mut q: EventQueue<u8> = EventQueue::new();
         let mut id = q.schedule(SimTime::from_millis(10), 0);
         for r in 0..rounds {
-            prop_assert!(q.cancel(id).is_some());
-            id = q.schedule(SimTime::from_millis(10 + (r as u64 % 5)), 0);
+            let at = SimTime::from_millis(10 + (r as u64 % 5));
+            if r % 3 == 0 {
+                prop_assert!(q.reschedule(id, at));
+            } else {
+                prop_assert!(q.cancel(id).is_some());
+                id = q.schedule(at, 0);
+            }
         }
         prop_assert_eq!(q.len(), 1);
         prop_assert_eq!(q.slot_capacity(), 1);

@@ -14,9 +14,9 @@
 //! * `0x01, dist, len` — copy `len` bytes from `dist` bytes back in the
 //!   window (which includes previously processed blocks).
 
+use crate::hash::U32Map;
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// Static dictionary: common header names/values, as in the SPDY/3 spec's
@@ -97,29 +97,8 @@ fn gram(b: &[u8]) -> Gram {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
-/// One multiply and a fold for [`Gram`] keys. The index is probed for
-/// every input byte, and header text is not adversarial, so SipHash's
-/// flood resistance buys nothing here. The fold carries the well-mixed
-/// high half into the low bits the table indexes with.
-#[derive(Default)]
-struct GramHasher(u64);
-
-impl Hasher for GramHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("gram keys hash through write_u32");
-    }
-
-    fn write_u32(&mut self, key: u32) {
-        let h = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type GramMap<V> = HashMap<Gram, V, BuildHasherDefault<GramHasher>>;
+/// Maps keyed by [`Gram`], under the crate's integer hasher.
+type GramMap<V> = U32Map<V>;
 
 /// Positions of every 4-gram fully inside the static dictionary,
 /// ascending, capped at [`MAX_CANDIDATES`] per key. The dictionary is a

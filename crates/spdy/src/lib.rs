@@ -24,6 +24,7 @@
 
 pub mod compress;
 pub mod frame;
+mod hash;
 pub mod session;
 
 pub use compress::{Compressor, DecompressError, Decompressor};

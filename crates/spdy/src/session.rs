@@ -11,9 +11,10 @@
 
 use crate::compress::{Compressor, Decompressor};
 use crate::frame::{Frame, FrameError, FrameParser};
+use crate::hash::U32Map;
 use serde::Serialize;
 use spdyier_bytes::Payload;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Session tunables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -128,7 +129,10 @@ pub struct SpdySession {
     cfg: SpdyConfig,
     role: Role,
     next_stream_id: u32,
-    streams: HashMap<u32, StreamState>,
+    /// Open streams by id. Iterated only by `pending_bytes` (a sum) and
+    /// `has_queued_data` (an `any`), so the hasher's iteration order
+    /// cannot reach any output.
+    streams: U32Map<StreamState>,
     comp: Compressor,
     decomp: Decompressor,
     parser: FrameParser,
@@ -150,7 +154,7 @@ impl SpdySession {
                 Role::Client => 1,
                 Role::Server => 2,
             },
-            streams: HashMap::new(),
+            streams: U32Map::default(),
             comp: Compressor::new(),
             decomp: Decompressor::new(),
             parser: FrameParser::new(),

@@ -117,6 +117,14 @@ impl RecvBuffer {
             payload.advance(trim);
             seq = self.rcv_nxt;
         }
+        // The common case by far: the next in-order segment with nothing
+        // parked. What follows would insert it into `ooo` and take it
+        // straight back out.
+        if self.ooo.is_empty() && seq == self.rcv_nxt {
+            self.rcv_nxt += payload.len();
+            self.assembled.append(payload);
+            return true;
+        }
         // Trim against overlapping out-of-order holdings (exact duplicates
         // of retransmitted segments are the common case).
         if let Some((&exist_seq, exist)) = self.ooo.range(..=seq).next_back() {

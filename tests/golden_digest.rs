@@ -1,10 +1,13 @@
 //! "Byte-identical to the parent" as a test instead of a manual `cmp`.
 //!
-//! Two artifacts stand for everything the simulator computes: the
+//! Three artifacts stand for everything the simulator computes: the
 //! paired-3G dump at one seed (every `RunResult` field of an HTTP and a
-//! SPDY Table-1 run, connection labels included) and the `result.json`
-//! of `scenarios/quick_wifi.yaml` (the pooled-metrics contract). Their
-//! FNV-1a digests are pinned here. A change that is meant to alter
+//! SPDY Table-1 run, connection labels included), the `result.json`
+//! of `scenarios/quick_wifi.yaml` (the pooled-metrics contract), and the
+//! `result.json` of `scenarios/bulk_lte_small.json` (the data plane: 16
+//! one-MiB objects per protocol, where per-segment delivery, timer
+//! re-arm and reassembly order decide every tie). Their FNV-1a digests
+//! are pinned here. A change that is meant to alter
 //! behaviour updates the constants in the same commit and says why; a
 //! refactor or a performance change may not touch them.
 //!
@@ -19,6 +22,7 @@ use std::path::Path;
 
 const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x0a12_b4ac_1bb4_8059;
 const QUICK_WIFI_RESULT_JSON: u64 = 0x0031_f90b_a9a0_46c4;
+const BULK_LTE_SMALL_RESULT_JSON: u64 = 0x609e_cdde_8a79_48dc;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
@@ -41,10 +45,16 @@ fn artifact_digest(scenario: &str, artifact: &str) -> u64 {
 fn golden_artifact_digests_are_pinned() {
     let dump = artifact_digest("paired_3g.json", "paired_3g.jsonl");
     let result = artifact_digest("quick_wifi.yaml", "result.json");
+    let bulk = artifact_digest("bulk_lte_small.json", "result.json");
     assert_eq!(
-        (dump, result),
-        (PAIRED_3G_ONE_SEED_DUMP, QUICK_WIFI_RESULT_JSON),
+        (dump, result, bulk),
+        (
+            PAIRED_3G_ONE_SEED_DUMP,
+            QUICK_WIFI_RESULT_JSON,
+            BULK_LTE_SMALL_RESULT_JSON
+        ),
         "simulator output changed: paired_3g.jsonl {dump:#018x}, \
-         quick_wifi result.json {result:#018x}"
+         quick_wifi result.json {result:#018x}, \
+         bulk_lte_small result.json {bulk:#018x}"
     );
 }
