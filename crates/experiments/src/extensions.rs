@@ -2,25 +2,12 @@
 //! paper could not enable, a promotion-delay sensitivity sweep, and the
 //! radio-energy cost of the Fig. 14 pinning workaround.
 
-use crate::{schedule_for_seed, ExpOpts, Report};
+use crate::{baseline, protocols, run_cells, runs_where, ExpOpts, Report};
 use serde_json::json;
-use spdyier_core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode, RunResult};
-use spdyier_sim::SimDuration;
+use spdyier_core::{NetworkKind, ProtocolMode, RunResult};
+use spdyier_scenario::KnobValue::{Null, Number};
 
-fn run_with<F: Fn(&mut ExperimentConfig)>(
-    protocol: ProtocolMode,
-    network: NetworkKind,
-    seed: u64,
-    tweak: F,
-) -> RunResult {
-    let mut cfg = ExperimentConfig::paper_3g(protocol, seed)
-        .with_network(network)
-        .with_schedule(schedule_for_seed(seed));
-    tweak(&mut cfg);
-    run_experiment(cfg)
-}
-
-fn mean_plt(runs: &[RunResult]) -> f64 {
+fn mean_plt(runs: &[&RunResult]) -> f64 {
     let v: Vec<f64> = runs.iter().flat_map(|r| r.plts_ms()).collect();
     spdyier_sim::stats::mean(&v)
 }
@@ -31,15 +18,15 @@ fn mean_plt(runs: &[RunResult]) -> f64 {
 pub fn pipelining(opts: ExpOpts) -> Report {
     let mut text = String::from("network  depth   mean PLT (ms)   connections/run   rtx/run\n");
     let mut rows = Vec::new();
+    let depths = [1u64, 2, 4, 8];
     for network in [NetworkKind::Umts3G, NetworkKind::Wifi] {
-        for depth in [1usize, 2, 4, 8] {
-            let runs: Vec<RunResult> = (0..opts.seeds)
-                .map(|s| {
-                    run_with(ProtocolMode::Http, network, s, |cfg| {
-                        cfg.http_pipelining = depth;
-                    })
-                })
-                .collect();
+        let mut manifest = baseline("pipelining", network, opts.seeds);
+        manifest.protocols = protocols(&["http"]);
+        let values = depths.map(|d| Number(d as f64)).to_vec();
+        manifest.matrix = vec![("http_pipelining".into(), values)];
+        let all = run_cells(&manifest);
+        for depth in depths {
+            let runs = runs_where(&all, |c| c.settings.http_pipelining == depth);
             let plt = mean_plt(&runs);
             let conns = runs.iter().map(|r| r.connections_opened).sum::<u64>() / opts.seeds;
             let rtx = runs.iter().map(|r| r.total_retransmissions).sum::<u64>() / opts.seeds;
@@ -78,25 +65,22 @@ pub fn pipelining(opts: ExpOpts) -> Report {
 pub fn promo_sweep(opts: ExpOpts) -> Report {
     let mut text = String::from("promotion (ms)   HTTP PLT (ms)   SPDY PLT (ms)   SPDY rtx/run\n");
     let mut rows = Vec::new();
-    for promo_ms in [0u64, 500, 1000, 2000, 3000, 4000] {
-        let mut cells = Vec::new();
-        for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
-            let runs: Vec<RunResult> = (0..opts.seeds)
-                .map(|s| {
-                    run_with(protocol, NetworkKind::Umts3G, s, |cfg| {
-                        cfg.rrc_promotion_override = Some(SimDuration::from_millis(promo_ms));
-                    })
-                })
-                .collect();
-            cells.push(runs);
-        }
-        let h = mean_plt(&cells[0]);
-        let s = mean_plt(&cells[1]);
-        let s_rtx = cells[1]
-            .iter()
-            .map(|r| r.total_retransmissions)
-            .sum::<u64>()
-            / opts.seeds;
+    let promotions = [0u64, 500, 1000, 2000, 3000, 4000];
+    let mut manifest = baseline("promosweep", NetworkKind::Umts3G, opts.seeds);
+    let values = promotions.map(|ms| Number(ms as f64)).to_vec();
+    manifest.matrix = vec![("rrc_promotion_ms".into(), values)];
+    let all = run_cells(&manifest);
+    for promo_ms in promotions {
+        let side = |http: bool| {
+            runs_where(&all, |c| {
+                c.rrc_promotion_ms == Some(promo_ms)
+                    && (c.protocol.mode == ProtocolMode::Http) == http
+            })
+        };
+        let (http, spdy) = (side(true), side(false));
+        let h = mean_plt(&http);
+        let s = mean_plt(&spdy);
+        let s_rtx = spdy.iter().map(|r| r.total_retransmissions).sum::<u64>() / opts.seeds;
         text.push_str(&format!(
             "{:>13}   {:>13.0}   {:>13.0}   {:>12}\n",
             promo_ms, h, s, s_rtx
@@ -127,14 +111,12 @@ pub fn promo_sweep(opts: ExpOpts) -> Report {
 pub fn energy(opts: ExpOpts) -> Report {
     let mut text = String::from("condition            mean PLT (ms)   radio energy (J/run)\n");
     let mut rows = Vec::new();
+    let mut manifest = baseline("energy", NetworkKind::Umts3G, opts.seeds);
+    manifest.protocols = protocols(&["spdy"]);
+    manifest.matrix = vec![("keepalive_ping_s".into(), vec![Null, Number(3.0)])];
+    let all = run_cells(&manifest);
     for (label, ping) in [("3G baseline", false), ("3G + pinning ping", true)] {
-        let runs: Vec<RunResult> = (0..opts.seeds)
-            .map(|s| {
-                run_with(ProtocolMode::spdy(), NetworkKind::Umts3G, s, |cfg| {
-                    cfg.keepalive_ping = ping.then(|| SimDuration::from_secs(3));
-                })
-            })
-            .collect();
+        let runs = runs_where(&all, |c| c.settings.keepalive_ping_s.is_some() == ping);
         let plt = mean_plt(&runs);
         let energy_j = runs.iter().map(|r| r.energy_mj).sum::<f64>() / opts.seeds as f64 / 1e3;
         text.push_str(&format!(

@@ -1,10 +1,11 @@
 //! # spdyier-experiments
 //!
 //! One runner per table/figure of *"Towards a SPDY'ier Mobile Web?"*.
-//! Each runner executes the testbed at the paper's operating point and
-//! prints the same rows/series the paper reports, plus a JSON blob for
-//! downstream plotting. The `experiments` binary dispatches by id
-//! (`fig3`, `table2`, `rttreset`, … or `all`).
+//! Each runner is a scenario [`Manifest`] at the paper's operating point
+//! plus a renderer: [`run_cells`] runs the manifest's cells and the
+//! runner prints the same rows/series the paper reports, plus a JSON
+//! blob for downstream plotting. The `experiments` binary dispatches by
+//! id (`fig3`, `table2`, `rttreset`, … or `all`).
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
@@ -24,8 +25,8 @@ pub mod table1;
 pub mod tcp_dynamics;
 
 use serde_json::Value;
-use spdyier_core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode, RunResult};
-use spdyier_workload::VisitSchedule;
+use spdyier_core::{NetworkSpec, ProtocolMode, RunResult};
+use spdyier_scenario::{Cell, Manifest, ProtocolSpec};
 
 pub use causal_cli::{diff as causal_diff, explain as causal_explain, CausalOutcome};
 pub use exec::Executor;
@@ -81,66 +82,53 @@ impl ExpOpts {
     }
 }
 
-/// The shared schedule for seed `s` (HTTP and SPDY see the same order, as
-/// in the paper's alternating methodology). Delegates to the scenario
-/// crate so manifests and legacy runners share one formula.
-pub fn schedule_for_seed(s: u64) -> VisitSchedule {
-    spdyier_scenario::table1_schedule_for_seed(s)
+/// The manifest every figure starts from: the paper baseline (Table 1
+/// workload, HTTP then SPDY per seed, no mitigation) on `network` with
+/// `seeds` seeds. A figure sets its knobs on the returned value.
+pub(crate) fn baseline(id: &str, network: NetworkSpec, seeds: u64) -> Manifest {
+    let mut manifest = Manifest::paper_baseline(id);
+    manifest.network.kind = network;
+    manifest.seeds.count = seeds;
+    manifest
 }
 
-/// Run the full 20-site schedule for one protocol on one network.
-pub fn run_schedule(
-    protocol: ProtocolMode,
-    network: NetworkKind,
-    seed: u64,
-    traces: bool,
-) -> RunResult {
-    let mut cfg = ExperimentConfig::paper_3g(protocol, seed)
-        .with_network(network)
-        .with_schedule(schedule_for_seed(seed));
-    cfg.record_traces = traces;
-    run_experiment(cfg)
+/// A manifest's `protocols` from their compact forms (`"http"`,
+/// `"spdy:20:late"`).
+pub(crate) fn protocols(specs: &[&str]) -> Vec<ProtocolSpec> {
+    let parse = |spec: &&str| ProtocolSpec::parse(spec).expect("figure protocol parses");
+    specs.iter().map(parse).collect()
 }
 
-/// Paired HTTP/SPDY runs over identical schedules, one pair per seed.
-///
-/// Runs fan out across an [`Executor`] sized by `SPDYIER_JOBS` (or the
-/// machine's parallelism); each (seed, protocol) run is independent and
-/// deterministic, so the output is byte-identical to a serial sweep.
-pub fn paired_runs(
-    network: NetworkKind,
-    opts: ExpOpts,
-    traces: bool,
-) -> Vec<(RunResult, RunResult)> {
-    paired_runs_on(&Executor::from_env(), network, opts, traces)
-}
-
-/// [`paired_runs`] on an explicit executor (tests pin the pool width).
-pub fn paired_runs_on(
-    exec: &Executor,
-    network: NetworkKind,
-    opts: ExpOpts,
-    traces: bool,
-) -> Vec<(RunResult, RunResult)> {
-    // Flatten to 2 jobs per seed: even indices HTTP, odd indices SPDY.
-    let n = (opts.seeds as usize) * 2;
-    let mut flat = exec.run(n, |i, _worker| {
-        let s = (i / 2) as u64;
-        let protocol = if i % 2 == 0 {
-            ProtocolMode::Http
-        } else {
-            ProtocolMode::spdy()
-        };
-        run_schedule(protocol, network, s, traces)
+/// Run every cell of `manifest` through [`run_cell`] on the
+/// `SPDYIER_JOBS`-sized [`Executor`] and return the runs in cell order
+/// (variant, then seed, then protocol), so what a figure renders is
+/// byte-identical at any pool width. A cell that exceeds a limit panics
+/// naming the cell.
+pub fn run_cells(manifest: &Manifest) -> Vec<(Cell, RunResult)> {
+    let cells = manifest.cells();
+    let runs = Executor::from_env().run(cells.len(), |i, _worker| {
+        match run_cell(manifest, &cells[i]) {
+            Ok((result, _log)) => result,
+            Err(e) => panic!("{}", scenario_run::limit_diagnostic(&cells[i], &e)),
+        }
     });
-    let mut pairs = Vec::with_capacity(opts.seeds as usize);
-    while flat.len() >= 2 {
-        let spdy = flat.pop().expect("even job count");
-        let http = flat.pop().expect("even job count");
-        pairs.push((http, spdy));
-    }
-    pairs.reverse();
-    pairs
+    cells.into_iter().zip(runs).collect()
+}
+
+/// The runs whose cell satisfies `pick`, in cell order.
+pub(crate) fn runs_where(
+    runs: &[(Cell, RunResult)],
+    pick: impl Fn(&Cell) -> bool,
+) -> Vec<&RunResult> {
+    let picked = runs.iter().filter(|(cell, _)| pick(cell));
+    picked.map(|(_, run)| run).collect()
+}
+
+/// A baseline pairing's runs split by protocol: (HTTP, SPDY), each in
+/// seed order.
+pub(crate) fn by_protocol(runs: &[(Cell, RunResult)]) -> (Vec<&RunResult>, Vec<&RunResult>) {
+    let http = |cell: &Cell| cell.protocol.mode == ProtocolMode::Http;
+    (runs_where(runs, http), runs_where(runs, |cell| !http(cell)))
 }
 
 /// Per-site PLT samples (ms) pooled across runs.
@@ -215,12 +203,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedules_are_reproducible() {
-        assert_eq!(schedule_for_seed(1).order, schedule_for_seed(1).order);
-        assert_ne!(schedule_for_seed(1).order, schedule_for_seed(2).order);
-    }
-
-    #[test]
     fn all_ids_dispatch() {
         // Only check that ids are known; running them is the bench suite's
         // job. The unknown id must return None.
@@ -237,15 +219,5 @@ mod tests {
             assert!(report.render().contains(report.title));
             assert!(report.data.is_object() || report.data.is_array());
         }
-    }
-
-    #[test]
-    fn paired_runs_share_schedules() {
-        let pairs = paired_runs(NetworkKind::Wifi, ExpOpts::quick(), false);
-        assert_eq!(pairs.len(), 1);
-        let (h, s) = &pairs[0];
-        let h_sites: Vec<u32> = h.visits.iter().map(|v| v.site).collect();
-        let s_sites: Vec<u32> = s.visits.iter().map(|v| v.site).collect();
-        assert_eq!(h_sites, s_sites, "both protocols visit the same order");
     }
 }

@@ -48,7 +48,7 @@ use spdyier_core::{
     TraceLevel,
 };
 use spdyier_experiments::{
-    profile_manifest_on, run_by_id, run_schedule, scenario_run, Executor, ExpOpts, ALL_EXPERIMENTS,
+    profile_manifest_on, run_by_id, scenario_run, Executor, ExpOpts, ALL_EXPERIMENTS,
 };
 use spdyier_scenario::{Manifest, ProtocolSpec, Seeds};
 use std::io::Write;
@@ -156,6 +156,20 @@ fn print_written(paths: &[PathBuf]) {
     }
 }
 
+/// `cmd` could not create or write `path`: name it and the cause on one
+/// line and exit 3.
+fn write_error(cmd: &str, path: &Path, e: &std::io::Error) -> ! {
+    config_error(&format!("experiments {cmd}: {path:?}: {e}"))
+}
+
+/// Create `cmd`'s output directory before anything is simulated, so an
+/// unwritable location costs nothing.
+fn create_out_dir(cmd: &str, dir: &Path) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        write_error(cmd, dir, &e);
+    }
+}
+
 /// Parse the shared `<http|spdy> <network> <DIR> [--seed N]` tail.
 fn parse_run_args(args: &[String], cmd: &str) -> (ProtocolSpec, NetworkSpec, PathBuf, u64) {
     let [protocol, network, dir] = positional_args(args, &["--seed", "--seeds"])[..] else {
@@ -171,7 +185,7 @@ fn parse_run_args(args: &[String], cmd: &str) -> (ProtocolSpec, NetworkSpec, Pat
 }
 
 /// The paper-baseline manifest the legacy single-protocol subcommands
-/// (`trace`, `profile`) are re-expressed as.
+/// (`export`, `trace`, `profile`) are re-expressed as.
 fn single_protocol_manifest(
     cmd: &str,
     protocol: ProtocolSpec,
@@ -203,14 +217,28 @@ fn trace_level_or(default: TraceLevel) -> TraceLevel {
 
 fn run_export(args: &[String]) -> ! {
     let (protocol, network, dir, seed) = parse_run_args(args, "export");
-    let result = run_schedule(protocol.mode, network, seed, true);
-    let files = export_run(&result);
-    print_written(&write_to_dir(&files, &dir).expect("write export dir"));
+    create_out_dir("export", &dir);
+    let seeds = Seeds {
+        base: seed,
+        count: 1,
+    };
+    let mut manifest =
+        single_protocol_manifest("export", protocol, network, seeds, TraceLevel::Off);
+    manifest.tcp_traces = true;
+    let result = match scenario_run::run_cell(&manifest, &manifest.cells()[0]) {
+        Ok((result, _log)) => result,
+        Err(e) => limit_exit("export", &e),
+    };
+    match write_to_dir(&export_run(&result), &dir) {
+        Ok(paths) => print_written(&paths),
+        Err(e) => write_error("export", &dir, &e),
+    }
     std::process::exit(0);
 }
 
 fn run_trace(args: &[String]) -> ! {
     let (protocol, network, dir, seed) = parse_run_args(args, "trace");
+    create_out_dir("trace", &dir);
     let level = trace_level_or(TraceLevel::Full);
     let seeds = Seeds {
         base: seed,
@@ -233,8 +261,10 @@ fn run_trace(args: &[String]) -> ! {
         counters["trace.emitted"] - dropped,
         dropped
     );
-    let outcome = scenario_run::finish_folded(&manifest, &outputs, &dir).expect("write trace dir");
-    print_written(&outcome.written);
+    match scenario_run::finish_folded(&manifest, &outputs, &dir) {
+        Ok(outcome) => print_written(&outcome.written),
+        Err(e) => write_error("trace", &dir, &e),
+    }
     std::process::exit(0);
 }
 
@@ -257,10 +287,12 @@ fn run_profile(args: &[String]) -> ! {
     };
     let manifest = single_protocol_manifest("profile", protocol, network, seed_range, level);
 
-    std::fs::create_dir_all(&dir).expect("create profile dir");
+    create_out_dir("profile", &dir);
     let hb_path = dir.join(format!("heartbeat_{proto}.jsonl"));
-    let heartbeat: Box<dyn Write + Send> =
-        Box::new(std::fs::File::create(&hb_path).expect("create heartbeat file"));
+    let heartbeat: Box<dyn Write + Send> = match std::fs::File::create(&hb_path) {
+        Ok(file) => Box::new(file),
+        Err(e) => write_error("profile", &hb_path, &e),
+    };
 
     spdyier_prof::set_enabled(true);
     let alloc_before = spdyier_prof::global_counts();
@@ -295,7 +327,7 @@ fn run_profile(args: &[String]) -> ! {
         },
         metrics_file(proto, &sweep.metrics),
     ];
-    let paths = write_to_dir(&files, &dir).expect("write profile dir");
+    let paths = write_to_dir(&files, &dir).unwrap_or_else(|e| write_error("profile", &dir, &e));
     println!(
         "profiled {seeds} cell(s) of {} on {:?} at {:?}: {:.0} ms, {} events ({:.0}/s), {:.0} allocs/visit",
         proto,
@@ -500,38 +532,38 @@ fn run_figures(args: &[String]) {
     let opts = ExpOpts {
         seeds: parse_seeds(args).unwrap_or(ExpOpts::default().seeds),
     };
-    let json_dir = parse_flag_str(args, "--json");
+    let json_dir = parse_flag_str(args, "--json").map(PathBuf::from);
     let mut ids = positional_args(args, &["--seeds", "--json"]);
     if ids.contains(&"all") {
         ids = ALL_EXPERIMENTS.to_vec();
     }
+    if let Some(id) = ids.iter().find(|id| !ALL_EXPERIMENTS.contains(id)) {
+        config_error(&format!(
+            "unknown experiment id: {id}\nids: {}",
+            ALL_EXPERIMENTS.join(" ")
+        ));
+    }
+    if let Some(dir) = &json_dir {
+        create_out_dir("--json", dir);
+    }
     for id in ids {
         let started = std::time::Instant::now();
-        let Some(report) = run_by_id(id, opts) else {
-            config_error(&format!(
-                "unknown experiment id: {id}\nids: {}",
-                ALL_EXPERIMENTS.join(" ")
-            ));
-        };
-        println!("{}", report.render());
-        println!("[{} completed in {:.1?}]\n", id, started.elapsed());
+        let report = run_by_id(id, opts).expect("id was resolved above");
+        println!("{}\n", report.render());
+        eprintln!("[{} completed in {:.1?}]", id, started.elapsed());
         if let Some(dir) = &json_dir {
-            std::fs::create_dir_all(dir).expect("create json dir");
-            let path = format!("{dir}/{id}.json");
-            let mut f = std::fs::File::create(&path).expect("create json file");
+            let path = dir.join(format!("{id}.json"));
             let blob = serde_json::json!({
                 "id": report.id,
                 "title": report.title,
                 "paper_claim": report.paper_claim,
                 "data": report.data,
             });
-            writeln!(
-                f,
-                "{}",
-                serde_json::to_string_pretty(&blob).expect("serialize")
-            )
-            .expect("write json");
-            eprintln!("wrote {path}");
+            let blob = serde_json::to_string_pretty(&blob).expect("serialize");
+            if let Err(e) = std::fs::write(&path, blob + "\n") {
+                write_error("--json", &path, &e);
+            }
+            eprintln!("wrote {}", path.display());
         }
     }
 }

@@ -3,30 +3,18 @@
 //! proposals (multiple connections / late binding, RTT reset after idle,
 //! metrics-cache disabling).
 
-use crate::{schedule_for_seed, ExpOpts, Report};
+use crate::{baseline, protocols, run_cells, runs_where, ExpOpts, Report};
 use serde_json::json;
-use spdyier_core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode, RunResult};
+use spdyier_core::{NetworkKind, ProtocolMode, RunResult};
+use spdyier_scenario::KnobValue::{Bool, Null, Number, Str};
 use spdyier_sim::{Cdf, SimDuration};
 use spdyier_tcp::CcAlgorithm;
 
-fn run_with<F: Fn(&mut ExperimentConfig)>(
-    protocol: ProtocolMode,
-    network: NetworkKind,
-    seed: u64,
-    tweak: F,
-) -> RunResult {
-    let mut cfg = ExperimentConfig::paper_3g(protocol, seed)
-        .with_network(network)
-        .with_schedule(schedule_for_seed(seed));
-    tweak(&mut cfg);
-    run_experiment(cfg)
-}
-
-fn pooled_plts(runs: &[RunResult]) -> Vec<f64> {
+fn pooled_plts(runs: &[&RunResult]) -> Vec<f64> {
     runs.iter().flat_map(|r| r.plts_ms()).collect()
 }
 
-fn mean_rtx(runs: &[RunResult]) -> f64 {
+fn mean_rtx(runs: &[&RunResult]) -> f64 {
     runs.iter()
         .map(|r| r.total_retransmissions as f64)
         .sum::<f64>()
@@ -40,18 +28,17 @@ pub fn fig14(opts: ExpOpts) -> Report {
     let mut data = Vec::new();
     let mut rtx_no_ping = [0.0f64; 2];
     let mut rtx_ping = [0.0f64; 2];
+    let mut manifest = baseline("fig14", NetworkKind::Umts3G, opts.seeds);
+    manifest.matrix = vec![("keepalive_ping_s".into(), vec![Null, Number(3.0)])];
+    let all = run_cells(&manifest);
     for (pi, protocol) in [ProtocolMode::Http, ProtocolMode::spdy()]
         .into_iter()
         .enumerate()
     {
         for ping in [false, true] {
-            let runs: Vec<RunResult> = (0..opts.seeds)
-                .map(|s| {
-                    run_with(protocol, NetworkKind::Umts3G, s, |cfg| {
-                        cfg.keepalive_ping = ping.then(|| SimDuration::from_secs(3));
-                    })
-                })
-                .collect();
+            let runs = runs_where(&all, |c| {
+                c.protocol.mode == protocol && c.settings.keepalive_ping_s.is_some() == ping
+            });
             let plts = pooled_plts(&runs);
             let cdf = Cdf::from_samples(&plts);
             let under8 = cdf.fraction_at(8_000.0);
@@ -103,20 +90,22 @@ pub fn fig14(opts: ExpOpts) -> Report {
 pub fn fig15(opts: ExpOpts) -> Report {
     let mut text = String::from("site   HTTP Δms (off−on)   SPDY Δms (off−on)\n");
     let mut per_proto = Vec::new();
+    let mut manifest = baseline("fig15", NetworkKind::Umts3G, opts.seeds);
+    manifest.matrix = vec![(
+        "slow_start_after_idle".into(),
+        vec![Bool(true), Bool(false)],
+    )];
+    let all = run_cells(&manifest);
     for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
-        let on: Vec<RunResult> = (0..opts.seeds)
-            .map(|s| run_with(protocol, NetworkKind::Umts3G, s, |_| {}))
-            .collect();
-        let off: Vec<RunResult> = (0..opts.seeds)
-            .map(|s| {
-                run_with(protocol, NetworkKind::Umts3G, s, |cfg| {
-                    cfg.tcp.slow_start_after_idle = false;
-                })
+        let with = |idle_restart: bool| {
+            runs_where(&all, |c| {
+                c.protocol.mode == protocol && c.settings.slow_start_after_idle == idle_restart
             })
-            .collect();
+        };
+        let (on, off) = (with(true), with(false));
         let mut deltas = Vec::new();
         for site in 1..=20u32 {
-            let mean = |runs: &[RunResult]| {
+            let mean = |runs: &[&RunResult]| {
                 let v: Vec<f64> = runs.iter().flat_map(|r| r.plts_for_site(site)).collect();
                 spdyier_sim::stats::mean(&v)
             };
@@ -152,16 +141,13 @@ pub fn table2(opts: ExpOpts) -> Report {
         "metric                     Reno/HTTP   Reno/SPDY   Cubic/HTTP   Cubic/SPDY\n",
     );
     let mut cells = Vec::new();
+    let mut manifest = baseline("table2", NetworkKind::Umts3G, opts.seeds);
+    manifest.matrix = vec![("cc".into(), vec![Str("reno".into()), Str("cubic".into())])];
+    manifest.tcp_traces = true;
+    let all = run_cells(&manifest);
     for cc in [CcAlgorithm::Reno, CcAlgorithm::Cubic] {
         for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
-            let runs: Vec<RunResult> = (0..opts.seeds)
-                .map(|s| {
-                    run_with(protocol, NetworkKind::Umts3G, s, |cfg| {
-                        cfg.tcp.cc = cc;
-                        cfg.record_traces = true;
-                    })
-                })
-                .collect();
+            let runs = runs_where(&all, |c| c.protocol.mode == protocol && c.settings.cc == cc);
             let plts = pooled_plts(&runs);
             let plt = spdyier_sim::stats::mean(&plts);
             let thr = runs.iter().map(|r| r.mean_load_throughput()).sum::<f64>()
@@ -237,30 +223,19 @@ pub fn table2(opts: ExpOpts) -> Report {
 
 /// §6.1: multiple SPDY connections and late binding.
 pub fn multiconn(opts: ExpOpts) -> Report {
-    let variants: [(&str, ProtocolMode); 4] = [
-        ("HTTP", ProtocolMode::Http),
-        ("SPDY-1", ProtocolMode::spdy()),
-        (
-            "SPDY-20",
-            ProtocolMode::Spdy {
-                connections: 20,
-                late_binding: false,
-            },
-        ),
-        (
-            "SPDY-20-late",
-            ProtocolMode::Spdy {
-                connections: 20,
-                late_binding: true,
-            },
-        ),
+    let variants = [
+        ("HTTP", "http"),
+        ("SPDY-1", "spdy"),
+        ("SPDY-20", "spdy:20"),
+        ("SPDY-20-late", "spdy:20:late"),
     ];
+    let mut manifest = baseline("multiconn", NetworkKind::Umts3G, opts.seeds);
+    manifest.protocols = protocols(&variants.map(|(_, spec)| spec));
+    let all = run_cells(&manifest);
     let mut text = String::from("variant         mean PLT (ms)   rtx/run   completed\n");
     let mut rows = Vec::new();
-    for (name, protocol) in variants {
-        let runs: Vec<RunResult> = (0..opts.seeds)
-            .map(|s| run_with(protocol, NetworkKind::Umts3G, s, |_| {}))
-            .collect();
+    for (name, spec) in variants {
+        let runs = runs_where(&all, |c| c.protocol.compact() == spec);
         let plts: Vec<f64> = runs
             .iter()
             .flat_map(|r| r.visits.iter().map(|v| v.plt_ms))
@@ -296,15 +271,14 @@ pub fn rttreset(opts: ExpOpts) -> Report {
     let mut text =
         String::from("protocol  rtt-reset  mean PLT (ms)   rtx/run   promotions-correlated rtx\n");
     let mut rows = Vec::new();
+    let mut manifest = baseline("rttreset", NetworkKind::Umts3G, opts.seeds);
+    manifest.matrix = vec![("rtt_reset_after_idle".into(), vec![Bool(false), Bool(true)])];
+    let all = run_cells(&manifest);
     for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
         for reset in [false, true] {
-            let runs: Vec<RunResult> = (0..opts.seeds)
-                .map(|s| {
-                    run_with(protocol, NetworkKind::Umts3G, s, |cfg| {
-                        cfg.tcp.reset_rtt_after_idle = reset;
-                    })
-                })
-                .collect();
+            let runs = runs_where(&all, |c| {
+                c.protocol.mode == protocol && c.settings.rtt_reset_after_idle == reset
+            });
             let plts = pooled_plts(&runs);
             let plt = spdyier_sim::stats::mean(&plts);
             let rtx = mean_rtx(&runs);
@@ -347,18 +321,17 @@ pub fn metricscache(opts: ExpOpts) -> Report {
     let mut text = String::from("protocol  cache   mean PLT (ms)   median PLT (ms)\n");
     let mut rows = Vec::new();
     let mut medians = [[0.0f64; 2]; 2];
+    let mut manifest = baseline("metricscache", NetworkKind::Umts3G, opts.seeds);
+    manifest.matrix = vec![("metrics_cache".into(), vec![Bool(true), Bool(false)])];
+    let all = run_cells(&manifest);
     for (pi, protocol) in [ProtocolMode::Http, ProtocolMode::spdy()]
         .into_iter()
         .enumerate()
     {
         for (ci, cache) in [true, false].into_iter().enumerate() {
-            let runs: Vec<RunResult> = (0..opts.seeds)
-                .map(|s| {
-                    run_with(protocol, NetworkKind::Umts3G, s, |cfg| {
-                        cfg.cache_metrics = cache;
-                    })
-                })
-                .collect();
+            let runs = runs_where(&all, |c| {
+                c.protocol.mode == protocol && c.settings.metrics_cache == cache
+            });
             let plts = pooled_plts(&runs);
             let mean = spdyier_sim::stats::mean(&plts);
             let median = spdyier_sim::stats::percentile(&plts, 50.0);

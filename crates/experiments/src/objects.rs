@@ -1,14 +1,11 @@
 //! Object-level analyses: Fig. 5 (download-time breakdown), Fig. 6
 //! (request patterns), Fig. 7 (synthetic test pages).
 
-use crate::{paired_runs, ExpOpts, Report};
+use crate::{baseline, by_protocol, run_cells, ExpOpts, Report};
 use serde_json::json;
 use spdyier_browser::StepAverages;
-use spdyier_core::{
-    run_experiment, ExperimentConfig, NetworkKind, ProtocolMode, RunResult, VisitResult,
-};
-use spdyier_sim::SimDuration;
-use spdyier_workload::{test_page, VisitSchedule};
+use spdyier_core::{NetworkKind, RunResult, VisitResult};
+use spdyier_scenario::Workload;
 
 fn visits_for_site<'a>(runs: &[&'a RunResult], site: u32) -> Vec<&'a VisitResult> {
     runs.iter()
@@ -19,9 +16,8 @@ fn visits_for_site<'a>(runs: &[&'a RunResult], site: u32) -> Vec<&'a VisitResult
 
 /// Fig. 5: average object download time split into init/send/wait/receive.
 pub fn fig5(opts: ExpOpts) -> Report {
-    let pairs = paired_runs(NetworkKind::Umts3G, opts, false);
-    let http: Vec<&RunResult> = pairs.iter().map(|(h, _)| h).collect();
-    let spdy: Vec<&RunResult> = pairs.iter().map(|(_, s)| s).collect();
+    let runs = run_cells(&baseline("fig5", NetworkKind::Umts3G, opts.seeds));
+    let (http, spdy) = by_protocol(&runs);
     let mut text =
         String::from("site   HTTP init/send/wait/recv (ms)      SPDY init/send/wait/recv (ms)\n");
     let mut rows = Vec::new();
@@ -78,8 +74,9 @@ pub fn fig5(opts: ExpOpts) -> Report {
 /// photo-heavy), as cumulative requests over time since visit start.
 pub fn fig6(opts: ExpOpts) -> Report {
     let _ = opts;
-    let pairs = paired_runs(NetworkKind::Umts3G, ExpOpts { seeds: 1 }, false);
-    let (http, spdy) = &pairs[0];
+    let runs = run_cells(&baseline("fig6", NetworkKind::Umts3G, 1));
+    let (http, spdy) = by_protocol(&runs);
+    let (http, spdy) = (http[0], spdy[0]);
     let sites = [7u32, 15, 12, 18];
     let mut text = String::new();
     let mut data = Vec::new();
@@ -130,20 +127,21 @@ pub fn fig7(opts: ExpOpts) -> Report {
         "page                protocol   PLT (s)   requests issued within (ms of root parse)\n",
     );
     let mut rows = Vec::new();
-    for (variant, same) in [("same-domain", true), ("diff-domains", false)] {
-        for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
+    for (variant, same_domain) in [("same-domain", true), ("diff-domains", false)] {
+        let mut manifest = baseline("fig7", NetworkKind::Umts3G, opts.seeds);
+        manifest.workload = Workload::Synthetic {
+            objects: 50,
+            object_bytes: 40_000,
+            same_domain,
+            visits: 1,
+            interval_s: 60,
+        };
+        let runs = run_cells(&manifest);
+        let (http, spdy) = by_protocol(&runs);
+        for (label, runs) in [("HTTP", http), ("SPDY", spdy)] {
             let mut plts = Vec::new();
             let mut req_span = Vec::new();
-            for seed in 0..opts.seeds {
-                let page = test_page(50, 40_000, same);
-                let cfg = ExperimentConfig::paper_3g(protocol, seed)
-                    .with_network(NetworkKind::Umts3G)
-                    .with_schedule(VisitSchedule::sequential(
-                        vec![1],
-                        SimDuration::from_secs(60),
-                    ))
-                    .with_custom_pages(vec![page]);
-                let r = run_experiment(cfg);
+            for r in runs {
                 let v = &r.visits[0];
                 plts.push(v.plt_ms / 1e3);
                 // Span between first and last image request.
@@ -163,14 +161,11 @@ pub fn fig7(opts: ExpOpts) -> Report {
             let span = spdyier_sim::stats::mean(&req_span);
             text.push_str(&format!(
                 "{:<18}  {:<8}  {:>6.2}    {:>6.0}\n",
-                variant,
-                protocol.label(),
-                plt,
-                span
+                variant, label, plt, span
             ));
             rows.push(json!({
                 "variant": variant,
-                "protocol": protocol.label(),
+                "protocol": label,
                 "plt_s": plt,
                 "request_span_ms": span,
             }));

@@ -1,7 +1,7 @@
 //! Page-load-time comparisons: Fig. 3 (3G box plots), Fig. 4 (WiFi means),
 //! Fig. 16 (LTE box plots).
 
-use crate::{paired_runs, plts_by_site, ExpOpts, Report};
+use crate::{baseline, by_protocol, plts_by_site, run_cells, ExpOpts, Report};
 use serde_json::json;
 use spdyier_core::NetworkKind;
 use spdyier_sim::{BoxStats, MeanCi};
@@ -32,9 +32,8 @@ fn boxplot_text(
 
 /// Fig. 3: page load times over 3G, HTTP vs SPDY.
 pub fn fig3(opts: ExpOpts) -> Report {
-    let pairs = paired_runs(NetworkKind::Umts3G, opts, false);
-    let http: Vec<&spdyier_core::RunResult> = pairs.iter().map(|(h, _)| h).collect();
-    let spdy: Vec<_> = pairs.iter().map(|(_, s)| s).collect();
+    let runs = run_cells(&baseline("fig3", NetworkKind::Umts3G, opts.seeds));
+    let (http, spdy) = by_protocol(&runs);
     let hs = plts_by_site(&http);
     let ss = plts_by_site(&spdy);
     let (mut text, rows) = boxplot_text(&hs, &ss);
@@ -82,9 +81,8 @@ pub fn fig3(opts: ExpOpts) -> Report {
 
 /// Fig. 4: page load times over 802.11g/broadband — SPDY wins everywhere.
 pub fn fig4(opts: ExpOpts) -> Report {
-    let pairs = paired_runs(NetworkKind::Wifi, opts, false);
-    let http: Vec<&spdyier_core::RunResult> = pairs.iter().map(|(h, _)| h).collect();
-    let spdy: Vec<_> = pairs.iter().map(|(_, s)| s).collect();
+    let runs = run_cells(&baseline("fig4", NetworkKind::Wifi, opts.seeds));
+    let (http, spdy) = by_protocol(&runs);
     let hs = plts_by_site(&http);
     let ss = plts_by_site(&spdy);
     let mut text =
@@ -123,9 +121,8 @@ pub fn fig4(opts: ExpOpts) -> Report {
 
 /// Fig. 16: page load times over LTE.
 pub fn fig16(opts: ExpOpts) -> Report {
-    let pairs = paired_runs(NetworkKind::Lte, opts, false);
-    let http: Vec<&spdyier_core::RunResult> = pairs.iter().map(|(h, _)| h).collect();
-    let spdy: Vec<_> = pairs.iter().map(|(_, s)| s).collect();
+    let runs = run_cells(&baseline("fig16", NetworkKind::Lte, opts.seeds));
+    let (http, spdy) = by_protocol(&runs);
     let hs = plts_by_site(&http);
     let ss = plts_by_site(&spdy);
     let (mut text, rows) = boxplot_text(&hs, &ss);

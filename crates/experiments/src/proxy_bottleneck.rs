@@ -1,16 +1,18 @@
 //! The proxy-bottleneck analyses: Fig. 8 (proxy object timelines), Fig. 9
 //! (per-second transfer), Fig. 10 (bytes in flight).
 
-use crate::{paired_runs, run_schedule, ExpOpts, Report};
+use crate::{baseline, by_protocol, protocols, run_cells, ExpOpts, Report};
 use serde_json::json;
-use spdyier_core::{NetworkKind, ProtocolMode};
+use spdyier_core::NetworkKind;
 use spdyier_sim::{SimDuration, SimTime};
 
 /// Fig. 8: the sequence of steps at the proxy for a SPDY run — origin wait
 /// (black), origin download (cyan), transfer to client (red).
 pub fn fig8(opts: ExpOpts) -> Report {
     let _ = opts;
-    let run = run_schedule(ProtocolMode::spdy(), NetworkKind::Umts3G, 0, false);
+    let mut manifest = baseline("fig8", NetworkKind::Umts3G, 1);
+    manifest.protocols = protocols(&["spdy"]);
+    let run = &run_cells(&manifest)[0].1;
     let mut waits = Vec::new();
     let mut downloads = Vec::new();
     let mut transfers = Vec::new();
@@ -62,7 +64,8 @@ pub fn fig8(opts: ExpOpts) -> Report {
 /// Fig. 9: average bytes delivered to the device per second, aligned on
 /// visit starts and averaged across the run.
 pub fn fig9(opts: ExpOpts) -> Report {
-    let pairs = paired_runs(NetworkKind::Umts3G, opts, false);
+    let runs = run_cells(&baseline("fig9", NetworkKind::Umts3G, opts.seeds));
+    let (http, spdy) = by_protocol(&runs);
     let horizon = SimTime::from_secs(20 * 60);
     let bin = SimDuration::from_secs(1);
     let avg_bins = |runs: Vec<&spdyier_core::RunResult>| -> Vec<f64> {
@@ -79,8 +82,8 @@ pub fn fig9(opts: ExpOpts) -> Report {
         }
         acc
     };
-    let h_bins = avg_bins(pairs.iter().map(|(h, _)| h).collect());
-    let s_bins = avg_bins(pairs.iter().map(|(_, s)| s).collect());
+    let h_bins = avg_bins(http);
+    let s_bins = avg_bins(spdy);
     // Align on visit starts: fold the 20 minutes into one 60 s window.
     let fold = |bins: &[f64]| -> Vec<f64> {
         let mut window = vec![0.0; 60];
@@ -125,8 +128,9 @@ pub fn fig9(opts: ExpOpts) -> Report {
 /// zooms showing that whoever holds more bytes in flight loads faster.
 pub fn fig10(opts: ExpOpts) -> Report {
     let _ = opts;
-    let http = run_schedule(ProtocolMode::Http, NetworkKind::Umts3G, 0, false);
-    let spdy = run_schedule(ProtocolMode::spdy(), NetworkKind::Umts3G, 0, false);
+    let runs = run_cells(&baseline("fig10", NetworkKind::Umts3G, 1));
+    let (http, spdy) = by_protocol(&runs);
+    let (http, spdy) = (http[0], spdy[0]);
     let horizon = SimTime::from_secs(20 * 60);
     let bin = SimDuration::from_millis(500);
     let h_series = http.inflight_bytes.bin_last(bin, horizon, 0.0);

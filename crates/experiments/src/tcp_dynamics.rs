@@ -2,10 +2,19 @@
 //! (the 40–190 s zoom), Fig. 13 (retransmission bursts per connection),
 //! Fig. 17 (LTE cwnd trace).
 
-use crate::{run_schedule, ExpOpts, Report};
+use crate::{baseline, protocols, run_cells, ExpOpts, Report};
 use serde_json::json;
-use spdyier_core::{NetworkKind, ProtocolMode, RunResult};
+use spdyier_core::{NetworkKind, RunResult};
 use spdyier_sim::{SimDuration, SimTime};
+
+/// Seed 0's full schedule for one `protocol` on `network`, with
+/// per-connection TCP traces recorded.
+fn traced_run(id: &str, protocol: &str, network: NetworkKind) -> RunResult {
+    let mut manifest = baseline(id, network, 1);
+    manifest.protocols = protocols(&[protocol]);
+    manifest.tcp_traces = true;
+    run_cells(&manifest).remove(0).1
+}
 
 fn spdy_trace_report(
     id: &'static str,
@@ -14,7 +23,7 @@ fn spdy_trace_report(
     network: NetworkKind,
     window: Option<(u64, u64)>,
 ) -> Report {
-    let run = run_schedule(ProtocolMode::spdy(), network, 0, true);
+    let run = traced_run(id, "spdy", network);
     let ct = run
         .conn_traces
         .iter()
@@ -122,7 +131,7 @@ pub fn fig12(_opts: ExpOpts) -> Report {
 
 /// Fig. 13: retransmission bursts affect individual connections (HTTP).
 pub fn fig13(_opts: ExpOpts) -> Report {
-    let run: RunResult = run_schedule(ProtocolMode::Http, NetworkKind::Umts3G, 0, true);
+    let run = traced_run("fig13", "http", NetworkKind::Umts3G);
     // Rank connections by retransmissions.
     let mut per_conn: Vec<(&str, u64, Vec<u64>)> = run
         .conn_traces

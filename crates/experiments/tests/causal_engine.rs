@@ -160,7 +160,7 @@ fn conservation_holds_on_the_full_3g_schedule() {
         let cfg = ExperimentConfig::paper_3g(protocol, 0)
             .with_network(NetworkKind::Umts3G)
             .with_trace_level(TraceLevel::Full)
-            .with_schedule(spdyier_experiments::schedule_for_seed(0));
+            .with_schedule(spdyier_scenario::table1_schedule_for_seed(0));
         let (result, log) = run_experiment_traced(cfg);
         assert_eq!(log.dropped, 0);
         let model = EventModel::from_records(&log.events);

@@ -1,8 +1,15 @@
-//! The `experiments` binary's argument handling, driven as a child
-//! process. Nothing here simulates anything: every case is rejected
-//! while the command line is still being parsed.
+//! The `experiments` binary driven as a child process: argument
+//! handling (every rejected case fails before anything is simulated)
+//! and the figure runners' pool-width identity.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("experiments spawns")
+}
 
 /// `--seeds 0` is a config error on every subcommand that takes a seed
 /// count: exit 3 and a one-line diagnostic, never a panic or an empty
@@ -23,10 +30,7 @@ fn zero_seeds_is_a_config_error_on_every_subcommand() {
         &["paired", "wifi", out, "--seeds", "0"],
     ];
     for args in cases {
-        let child = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .args(args)
-            .output()
-            .expect("experiments spawns");
+        let child = experiments(args);
         assert_eq!(child.status.code(), Some(3), "{args:?}: {child:?}");
         assert_eq!(
             String::from_utf8_lossy(&child.stderr),
@@ -39,4 +43,67 @@ fn zero_seeds_is_a_config_error_on_every_subcommand() {
         !std::path::Path::new(out).exists(),
         "a rejected invocation must not create its output"
     );
+}
+
+/// An output location that cannot be created is a config error naming
+/// the path — exit 3 before the figure or schedule is simulated, never
+/// a panic after it.
+#[test]
+fn unwritable_output_is_a_config_error_not_a_panic() {
+    let cases: [&[&str]; 4] = [
+        &["table1", "--seeds", "1", "--json", "/dev/null/x"],
+        &["export", "spdy", "wifi", "/dev/null/x"],
+        &["trace", "spdy", "wifi", "/dev/null/x"],
+        &["profile", "spdy", "wifi", "/dev/null/x"],
+    ];
+    for args in cases {
+        let child = experiments(args);
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert_eq!(child.status.code(), Some(3), "{args:?}: {child:?}");
+        assert!(stderr.contains("\"/dev/null/x\""), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(child.stdout.is_empty(), "{args:?}: {child:?}");
+    }
+}
+
+/// Every figure id is resolved before the first one runs: a typo after
+/// `fig3` costs nothing and prints nothing on stdout.
+#[test]
+fn figure_ids_are_resolved_before_any_figure_runs() {
+    let child = experiments(&["fig3", "nosuch", "--seeds", "1"]);
+    assert_eq!(child.status.code(), Some(3), "{child:?}");
+    assert!(child.stdout.is_empty(), "{child:?}");
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert!(
+        stderr.starts_with("unknown experiment id: nosuch\nids: table1 fig3 "),
+        "{stderr}"
+    );
+}
+
+/// A hand-configured figure (a synthetic-workload manifest) prints the
+/// same stdout and writes the same JSON on one worker and on four, and
+/// keeps the wall-clock line off stdout.
+#[test]
+fn fig7_is_byte_identical_across_pool_widths() {
+    let run = |jobs: &str| {
+        let dir = std::env::temp_dir().join(format!("spdyier_fig7_{}_{jobs}", std::process::id()));
+        let child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["fig7", "--seeds", "1", "--json"])
+            .arg(&dir)
+            .env("SPDYIER_JOBS", jobs)
+            .output()
+            .expect("experiments spawns");
+        assert_eq!(child.status.code(), Some(0), "{child:?}");
+        let json = std::fs::read(dir.join("fig7.json")).expect("fig7.json written");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(String::from_utf8_lossy(&child.stderr).contains("[fig7 completed in "));
+        (child.stdout, json)
+    };
+    let (serial, parallel) = (run("1"), run("4"));
+    assert!(serial == parallel, "fig7 differs between 1 and 4 workers");
+    let stdout = String::from_utf8_lossy(&serial.0);
+    assert!(stdout.starts_with("== fig7 "), "{stdout}");
+    assert!(!stdout.contains("completed in"), "{stdout}");
+    assert!(serial.1.len() > 100);
 }

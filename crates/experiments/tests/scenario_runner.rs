@@ -1,10 +1,9 @@
-//! End-to-end tests of the manifest runner: exit codes, the result.json
-//! contract, and byte-identity between the legacy paired sweep and its
-//! manifest re-expression.
+//! End-to-end tests of the manifest runner: exit codes and the
+//! result.json contract.
 
 use spdyier_core::ScenarioExit;
-use spdyier_experiments::{paired_runs_on, run_manifest_on, Executor, ExpOpts};
-use spdyier_scenario::{Manifest, Seeds};
+use spdyier_experiments::{run_manifest_on, Executor};
+use spdyier_scenario::Manifest;
 use std::path::PathBuf;
 
 fn out_dir(tag: &str) -> PathBuf {
@@ -99,41 +98,6 @@ fn exhausted_event_budget_yields_exit_2_and_limit_status() {
     assert!(
         matches!(&v["limit"], serde_json::Value::Str(s) if s.contains("event budget")),
         "{result}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn paired_manifest_matches_legacy_paired_sweep_bytes() {
-    // The legacy dump, exactly as `experiments paired wifi` built it.
-    let exec = Executor::new(2);
-    let pairs = paired_runs_on(
-        &exec,
-        spdyier_core::NetworkKind::Wifi,
-        ExpOpts::quick(),
-        true,
-    );
-    let mut legacy = String::new();
-    for (http, spdy) in &pairs {
-        legacy.push_str(&serde_json::to_string(http).expect("serialize http run"));
-        legacy.push('\n');
-        legacy.push_str(&serde_json::to_string(spdy).expect("serialize spdy run"));
-        legacy.push('\n');
-    }
-
-    // The same sweep through the manifest path.
-    let mut m = Manifest::paper_baseline("paired_wifi");
-    m.network.kind = spdyier_core::NetworkKind::Wifi;
-    m.seeds = Seeds { base: 0, count: 1 };
-    m.tcp_traces = true;
-    m.outputs.paired_dump = true;
-    let dir = out_dir("paired");
-    let outcome = run_manifest_on(&exec, &m, &dir).expect("runner writes");
-    assert_eq!(outcome.exit, ScenarioExit::Pass);
-    let dump = std::fs::read_to_string(dir.join("paired_wifi.jsonl")).expect("dump exists");
-    assert!(
-        dump == legacy,
-        "manifest dump differs from the figure helper's"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -427,7 +427,7 @@ pub struct Cell {
 
 /// The shared Table 1 schedule for seed `s` — the single source of truth
 /// for the paper's alternating methodology (HTTP and SPDY see the same
-/// order). `spdyier-experiments` delegates its `schedule_for_seed` here.
+/// order): every manifest cell, figure and test takes its schedule here.
 pub fn table1_schedule_for_seed(s: u64) -> VisitSchedule {
     let mut rng = DetRng::new(0x5C_u64 ^ (s.wrapping_mul(0x9E37_79B9))).fork("schedule");
     VisitSchedule::paper_default(&mut rng)
@@ -974,7 +974,7 @@ impl Manifest {
     }
 
     /// Whether this is a strict legacy pairing: exactly `[http, spdy]`
-    /// with no matrix (the shape `paired_runs` and the dump format assume).
+    /// with no matrix (the shape the paired dump format assumes).
     pub fn is_paired(&self) -> bool {
         self.matrix.is_empty()
             && self.protocols.len() == 2
@@ -1373,6 +1373,26 @@ mod tests {
         assert_eq!(cfg.http_pipelining, reference.http_pipelining);
         assert_eq!(cfg.rrc_promotion_override, reference.rrc_promotion_override);
         assert_eq!(cfg.event_budget, reference.event_budget);
+    }
+
+    #[test]
+    fn table1_schedules_are_reproducible_and_shared_by_both_protocols() {
+        assert_eq!(
+            table1_schedule_for_seed(1).order,
+            table1_schedule_for_seed(1).order
+        );
+        assert_ne!(
+            table1_schedule_for_seed(1).order,
+            table1_schedule_for_seed(2).order
+        );
+        let m = Manifest::paper_baseline("x");
+        let [http, spdy] = &m.cells()[..] else {
+            panic!("the baseline is one HTTP/SPDY pair");
+        };
+        assert_eq!(
+            http.build_config(&m).schedule.order,
+            spdy.build_config(&m).schedule.order
+        );
     }
 
     #[test]

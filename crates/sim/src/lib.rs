@@ -39,5 +39,5 @@ pub mod time;
 pub use queue::{EventId, EventQueue, LANES};
 pub use rng::DetRng;
 pub use series::{EventMarks, OptionSeries, TimeSeries};
-pub use stats::{BoxStats, Cdf, Histogram, MeanCi, MergeError, QuantileSketch};
+pub use stats::{BoxStats, Cdf, MeanCi, MergeError, QuantileSketch};
 pub use time::{SimDuration, SimTime};

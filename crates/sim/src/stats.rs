@@ -1,7 +1,6 @@
 //! Statistical summaries used by the experiment harness: five-number
 //! box-plot summaries (the paper's Figures 3 and 16), CDFs (Figure 14),
-//! means with confidence intervals (Figure 4), histograms, and the
-//! mergeable [`QuantileSketch`] population-scale sweeps fold into.
+//! means with confidence intervals (Figure 4), and the mergeable [`QuantileSketch`] population-scale sweeps fold into.
 
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -164,107 +163,9 @@ impl Cdf {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with out-of-range clamping.
-#[derive(Debug, Clone, Serialize)]
-pub struct Histogram {
-    /// Inclusive lower bound of the range.
-    pub lo: f64,
-    /// Exclusive upper bound of the range.
-    pub hi: f64,
-    /// Per-bucket observation counts.
-    pub counts: Vec<u64>,
-    /// Total observations recorded (including clamped ones).
-    pub total: u64,
-    /// NaN observations rejected by [`Histogram::record`]. NaN fails
-    /// both range comparisons and `as usize` saturates it to 0, so the
-    /// old behaviour silently inflated bucket 0; rejected samples are
-    /// counted here instead of disappearing.
-    pub rejected_nan: u64,
-}
-
-impl Histogram {
-    /// Create with `bins` equal-width buckets. Panics if `bins == 0` or the
-    /// range is empty.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(bins > 0 && hi > lo, "histogram needs a non-empty range");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-            rejected_nan: 0,
-        }
-    }
-
-    /// Record one observation; values outside `[lo, hi)` clamp to the
-    /// boundary buckets. NaN is rejected (counted in
-    /// [`Histogram::rejected_nan`], not in any bucket or `total`).
-    pub fn record(&mut self, x: f64) {
-        self.record_n(x, 1);
-    }
-
-    /// Record `n` identical observations (the bulk form sketches use
-    /// when they expand bucket counts into a fixed-width histogram).
-    pub fn record_n(&mut self, x: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if x.is_nan() {
-            self.rejected_nan += n;
-            return;
-        }
-        let bins = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += n;
-        self.total += n;
-    }
-
-    /// Merge `other`'s counts into `self`. Both histograms must share
-    /// the exact same layout; any disagreement returns a [`MergeError`]
-    /// naming the mismatching field instead of silently adding counts
-    /// into the wrong buckets (or panicking on a length mismatch).
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), MergeError> {
-        if self.lo.to_bits() != other.lo.to_bits() {
-            return Err(MergeError::mismatch("histogram.lo", self.lo, other.lo));
-        }
-        if self.hi.to_bits() != other.hi.to_bits() {
-            return Err(MergeError::mismatch("histogram.hi", self.hi, other.hi));
-        }
-        if self.counts.len() != other.counts.len() {
-            return Err(MergeError::mismatch(
-                "histogram.counts.len",
-                self.counts.len(),
-                other.counts.len(),
-            ));
-        }
-        for (sum, add) in self.counts.iter_mut().zip(&other.counts) {
-            *sum += add;
-        }
-        self.total += other.total;
-        self.rejected_nan += other.rejected_nan;
-        Ok(())
-    }
-
-    /// `(bucket_midpoint, count)` pairs.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + (i as f64 + 0.5) * w, c))
-            .collect()
-    }
-}
-
 /// Diagnostic error from merging two incompatible summaries. Carries
-/// the dotted path of the field that disagreed (`histogram.lo`,
-/// `quantile_sketch.sub_bits`, `cell.protocol`, …) so a failed shard
+/// the dotted path of the field that disagreed
+/// (`quantile_sketch.sub_bits`, `cell.protocol`, …) so a failed shard
 /// merge names the exact layout parameter at fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeError {
@@ -552,17 +453,6 @@ impl QuantileSketch {
         Cdf { points }
     }
 
-    /// Expand into a fixed-width [`Histogram`] over `[lo, hi)` (bucket
-    /// representatives, clamped like any other recorded value).
-    pub fn to_histogram(&self, lo: f64, hi: f64, bins: usize) -> Histogram {
-        let mut h = Histogram::new(lo, hi, bins);
-        h.record_n(0.0, self.zeros);
-        for (&key, &n) in &self.buckets {
-            h.record_n(self.bucket_mid(key).clamp(self.min, self.max), n);
-        }
-        h
-    }
-
     /// Decode a sketch from the JSON value produced by its `Serialize`
     /// impl (the checkpoint-store codec; the vendored serde has no
     /// typed deserializer).
@@ -713,69 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_clamps_and_counts() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record(-1.0); // clamps to first bucket
-        h.record(0.5);
-        h.record(9.9);
-        h.record(100.0); // clamps to last bucket
-        assert_eq!(h.total, 4);
-        assert_eq!(h.counts[0], 2);
-        assert_eq!(h.counts[4], 2);
-        let b = h.buckets();
-        assert_eq!(b.len(), 5);
-        assert!((b[0].0 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_rejects_nan_with_counter() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record(f64::NAN);
-        h.record(-f64::NAN);
-        h.record(0.5);
-        assert_eq!(h.rejected_nan, 2, "NaN must be counted as rejected");
-        assert_eq!(h.total, 1, "NaN must not count as an observation");
-        assert_eq!(h.counts[0], 1, "NaN must not inflate bucket 0");
-        assert_eq!(h.counts.iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(5.0, 5.0, 3);
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let mut b = Histogram::new(0.0, 10.0, 5);
-        a.record(1.0);
-        b.record(1.5);
-        b.record(9.0);
-        b.record(f64::NAN);
-        a.merge(&b).unwrap();
-        assert_eq!(a.total, 3);
-        assert_eq!(a.counts[0], 2);
-        assert_eq!(a.counts[4], 1);
-        assert_eq!(a.rejected_nan, 1);
-    }
-
-    #[test]
-    fn histogram_merge_rejects_layout_mismatch_with_field_path() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let e = a.merge(&Histogram::new(1.0, 10.0, 5)).unwrap_err();
-        assert_eq!(e.path, "histogram.lo");
-        assert!(e.detail.contains("0.0") && e.detail.contains("1.0"), "{e}");
-        let e = a.merge(&Histogram::new(0.0, 20.0, 5)).unwrap_err();
-        assert_eq!(e.path, "histogram.hi");
-        let e = a.merge(&Histogram::new(0.0, 10.0, 6)).unwrap_err();
-        assert_eq!(e.path, "histogram.counts.len");
-        assert!(e.to_string().contains("histogram.counts.len"), "{e}");
-        // A failed merge must leave the target untouched.
-        assert_eq!(a.total, 0);
-    }
-
-    #[test]
     fn sketch_tracks_exact_min_max_mean_count() {
         let mut s = QuantileSketch::new();
         for x in [120.5, 3000.0, 45.25, 0.0, 777.0] {
@@ -864,7 +691,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_reductions_build_cdf_and_histogram() {
+    fn sketch_reduction_builds_cdf() {
         let mut s = QuantileSketch::new();
         for x in [0.0, 1.0, 2.0, 4.0] {
             s.record(x);
@@ -873,9 +700,6 @@ mod tests {
         assert_eq!(cdf.points.first().unwrap(), &(0.0, 0.25));
         assert_eq!(cdf.points.last().unwrap().1, 1.0);
         assert_eq!(cdf.fraction_at(0.0), 0.25);
-        let h = s.to_histogram(0.0, 8.0, 4);
-        assert_eq!(h.total, 4);
-        assert_eq!(h.counts[0], 2, "0.0 and ~1.0 land in the first bin");
     }
 
     #[test]

@@ -22,6 +22,17 @@ fn paired(network: NetworkKind, seed: u64) -> (RunResult, RunResult) {
     (http, spdy)
 }
 
+/// One protocol over the seed's shared Table 1 schedule — the schedule
+/// the figure runners and scenario manifests use for that seed, so these
+/// thresholds assert exactly what EXPERIMENTS.md reports.
+fn table1_run(protocol: ProtocolMode, network: NetworkKind, seed: u64) -> RunResult {
+    run_experiment(
+        ExperimentConfig::paper_3g(protocol, seed)
+            .with_network(network)
+            .with_schedule(spdyier_scenario::table1_schedule_for_seed(seed)),
+    )
+}
+
 #[test]
 fn wifi_spdy_clearly_outperforms_http() {
     // Paper Fig. 4: SPDY beats HTTP on (almost) every site over WiFi.
@@ -52,18 +63,8 @@ fn cellular_erases_spdys_advantage() {
     let mut spdy_wins = 0usize;
     let mut visits = 0usize;
     for seed in 0..3u64 {
-        let http = spdyier::experiments::run_schedule(
-            ProtocolMode::Http,
-            NetworkKind::Umts3G,
-            seed,
-            false,
-        );
-        let spdy = spdyier::experiments::run_schedule(
-            ProtocolMode::spdy(),
-            NetworkKind::Umts3G,
-            seed,
-            false,
-        );
+        let http = table1_run(ProtocolMode::Http, NetworkKind::Umts3G, seed);
+        let spdy = table1_run(ProtocolMode::spdy(), NetworkKind::Umts3G, seed);
         h_sum += http.visits.iter().map(|v| v.plt_ms).sum::<f64>();
         s_sum += spdy.visits.iter().map(|v| v.plt_ms).sum::<f64>();
         spdy_wins += http
@@ -101,26 +102,10 @@ fn spdys_wifi_advantage_shrinks_on_3g() {
     let mut wifi_adv = 0.0;
     let mut g3_adv = 0.0;
     for seed in [0, 1, 2] {
-        let http_w =
-            spdyier::experiments::run_schedule(ProtocolMode::Http, NetworkKind::Wifi, seed, false);
-        let spdy_w = spdyier::experiments::run_schedule(
-            ProtocolMode::spdy(),
-            NetworkKind::Wifi,
-            seed,
-            false,
-        );
-        let http_g = spdyier::experiments::run_schedule(
-            ProtocolMode::Http,
-            NetworkKind::Umts3G,
-            seed,
-            false,
-        );
-        let spdy_g = spdyier::experiments::run_schedule(
-            ProtocolMode::spdy(),
-            NetworkKind::Umts3G,
-            seed,
-            false,
-        );
+        let http_w = table1_run(ProtocolMode::Http, NetworkKind::Wifi, seed);
+        let spdy_w = table1_run(ProtocolMode::spdy(), NetworkKind::Wifi, seed);
+        let http_g = table1_run(ProtocolMode::Http, NetworkKind::Umts3G, seed);
+        let spdy_g = table1_run(ProtocolMode::spdy(), NetworkKind::Umts3G, seed);
         wifi_adv += adv(&http_w, &spdy_w) / 3.0;
         g3_adv += adv(&http_g, &spdy_g) / 3.0;
     }
