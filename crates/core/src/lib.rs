@@ -22,6 +22,7 @@ pub mod analyzer;
 pub mod attribution;
 pub mod config;
 pub mod contract;
+mod domains;
 pub mod driver;
 pub mod export;
 pub mod results;

@@ -10,6 +10,7 @@
 //! for the driver to execute.
 
 use crate::config::{ExperimentConfig, ProtocolMode};
+use crate::domains::{DomainId, DomainTable};
 use crate::results::RunResult;
 use crate::visits::{Visits, BEACON_TAG};
 use crate::world::{Event, World};
@@ -59,7 +60,7 @@ pub(crate) enum PipeRole {
     /// One HTTP persistent connection, proxy↔origin.
     Origin {
         /// Origin domain this pipe serves.
-        domain: String,
+        domain: DomainId,
         /// Proxy-side HTTP/1.1 client state machine.
         http: HttpClientConn,
         /// Origin-side HTTP/1.1 server state machine.
@@ -78,11 +79,14 @@ pub(crate) enum PipeRole {
 impl PipeRole {
     /// Metrics-cache keys for the (a, b) sides of a pipe with this role
     /// (§6.2.4 cross-connection ssthresh/RTT sharing).
-    pub fn cache_keys(&self, over_access: bool) -> (String, String) {
+    pub fn cache_keys(&self, over_access: bool, domains: &DomainTable) -> (String, String) {
         if over_access {
             ("proxy".to_string(), "device".to_string())
         } else if let PipeRole::Origin { domain, .. } = self {
-            (format!("origin:{domain}"), "proxy".to_string())
+            (
+                format!("origin:{}", domains.name(*domain)),
+                "proxy".to_string(),
+            )
         } else {
             ("wired".to_string(), "wired".to_string())
         }
@@ -167,7 +171,7 @@ pub(crate) trait AppSession {
 /// proxy's HTTP core.
 pub(crate) struct HttpSide {
     /// Browser connection pool (per-domain and global caps).
-    pub pool: ConnectionPool,
+    pub pool: ConnectionPool<DomainId>,
     /// Proxy-side HTTP core (request parsing, fetch bookkeeping).
     pub proxy: HttpProxyCore,
     /// Everything the last assignment sweep read, kept only when that
@@ -286,7 +290,7 @@ impl HttpSide {
             let Some((generation, tag)) = issue else {
                 break;
             };
-            let request = ctx.visits.request_for(generation, tag);
+            let request = ctx.visits.request_for(&ctx.world.domains, generation, tag);
             if let Some(request) = request {
                 let tagged = (generation << 32) | (tag & 0xFFFF_FFFF);
                 let mut wire = None;
@@ -431,13 +435,11 @@ impl HttpSide {
             changed: false,
             burned: 0,
         };
-        // Shared handle so each object borrows its domain instead of
-        // cloning it.
-        let Some(page) = ctx.visits.current_page.clone() else {
+        if ctx.visits.current_page.is_none() {
             return sweep;
-        };
+        }
         for &obj in ready {
-            let domain = page.object(obj).domain.as_str();
+            let domain = ctx.visits.domain_of(obj);
             // With pipelining enabled, stack further requests onto a
             // connection to this domain that still has pipeline slots.
             if ctx.cfg.http_pipelining > 1 {
@@ -559,10 +561,10 @@ impl HttpSide {
     /// Fire a §5.7 beacon request on a pooled (or fresh) connection.
     /// Returns whether a request was issued immediately.
     pub fn issue_beacon(&mut self, ctx: &mut SessionCtx<'_>) -> bool {
-        let Some(domain) = ctx.visits.beacon_domain.clone() else {
+        let Some(domain) = ctx.visits.beacon_domain else {
             return false;
         };
-        match self.pool.acquire(&domain) {
+        match self.pool.acquire(domain) {
             Acquire::Reuse(pid) => {
                 if let Some(pipe) = self.pipe_for_pool(ctx.world, pid) {
                     if let PipeRole::HttpClient { pending, .. } = &mut ctx.world.pipes[pipe].role {
@@ -971,7 +973,7 @@ impl SpdySide {
                 return; // no session ready yet (SSL still setting up)
             };
             self.rr = (sidx + 1) % n;
-            let (domain, path, priority) = {
+            let (host, path, priority) = {
                 let Some(page) = ctx.visits.current_page.as_ref() else {
                     return;
                 };
@@ -980,11 +982,17 @@ impl SpdySide {
             };
             let mut headers = vec![
                 (":method".to_string(), "GET".to_string()),
-                (":host".to_string(), domain.clone()),
+                (":host".to_string(), host),
                 (":path".to_string(), path),
                 (":scheme".to_string(), "https".to_string()),
             ];
-            headers.extend(ctx.visits.cached_headers(&domain).iter().cloned());
+            let domain = ctx.visits.domain_of(obj);
+            headers.extend(
+                ctx.visits
+                    .cached_headers(&ctx.world.domains, domain)
+                    .iter()
+                    .cloned(),
+            );
             let stream = {
                 self.clients[sidx]
                     .session
@@ -1010,16 +1018,24 @@ impl SpdySide {
 
     /// Fire a §5.7 beacon request on the first usable session.
     pub fn issue_beacon(&mut self, ctx: &mut SessionCtx<'_>) -> bool {
-        let Some(domain) = ctx.visits.beacon_domain.clone() else {
+        let Some(domain) = ctx.visits.beacon_domain else {
             return false;
         };
         if let Some(sidx) = (0..self.clients.len()).find(|&s| self.clients[s].usable) {
             let mut headers = vec![
                 (":method".to_string(), "GET".to_string()),
-                (":host".to_string(), domain.clone()),
+                (
+                    ":host".to_string(),
+                    ctx.world.domains.name(domain).to_string(),
+                ),
                 (":path".to_string(), "/beacon.gif".to_string()),
             ];
-            headers.extend(ctx.visits.cached_headers(&domain).iter().cloned());
+            headers.extend(
+                ctx.visits
+                    .cached_headers(&ctx.world.domains, domain)
+                    .iter()
+                    .cloned(),
+            );
             let stream = self.clients[sidx].session.open_stream(headers, 4, true);
             self.clients[sidx]
                 .streams

@@ -9,6 +9,7 @@
 //! beacon responses never perturb page metrics.
 
 use crate::config::{ExperimentConfig, PageSource};
+use crate::domains::{DomainId, DomainTable};
 use crate::results::{RunResult, VisitResult};
 use crate::world::{Event, World};
 use spdyier_browser::PageLoad;
@@ -44,17 +45,21 @@ pub(crate) struct Visits {
     spare_load: Option<PageLoad>,
     /// The page being loaded (shared with [`Visits::load`], not cloned).
     pub current_page: Option<Arc<WebPage>>,
-    /// Per-host rendered browser header sets; the handful of domains a
-    /// run touches makes a linear scan cheaper than rebuilding the
-    /// cookie and header strings on every request.
-    header_cache: Vec<(String, Vec<(String, String)>)>,
+    /// The current page's domains, by `ObjectId`: interned once when
+    /// the visit starts so the request path compares ids, not names.
+    /// (A side table because `WebPage` is a serialized, string-typed
+    /// input format.)
+    object_domains: Vec<DomainId>,
+    /// Rendered browser header sets by [`DomainId::index`]; empty until
+    /// a domain's first request.
+    header_cache: Vec<Vec<(String, String)>>,
     /// Armed browser parse/execute timer.
     pub browser_timer: Option<EventId>,
     /// When the next scheduled visit begins (beacons must not outlive the
     /// gap).
     pub next_visit_start: SimTime,
     /// Root domain of the last finished page (beacon destination).
-    pub beacon_domain: Option<String>,
+    pub beacon_domain: Option<DomainId>,
     /// Beacons already fired in the current inter-visit gap.
     pub beacons_fired: u32,
 }
@@ -68,6 +73,7 @@ impl Visits {
             load: None,
             spare_load: None,
             current_page: None,
+            object_domains: Vec::new(),
             header_cache: Vec::new(),
             browser_timer: None,
             next_visit_start: SimTime::MAX,
@@ -138,34 +144,53 @@ impl Visits {
     // Requests
     // ------------------------------------------------------------------
 
+    /// The interned domain of an object of the current page.
+    pub fn domain_of(&self, obj: ObjectId) -> DomainId {
+        self.object_domains[obj.0 as usize]
+    }
+
     /// Build the on-the-wire request for a tagged object (or beacon).
     /// `None` for stale generations — the caller drops the request.
-    pub fn request_for(&mut self, generation: u64, tag: u64) -> Option<Request> {
-        let (host, path) = if tag == BEACON_TAG {
-            (self.beacon_domain.clone()?, "/beacon.gif".to_string())
+    pub fn request_for(
+        &mut self,
+        domains: &DomainTable,
+        generation: u64,
+        tag: u64,
+    ) -> Option<Request> {
+        let (domain, host, path) = if tag == BEACON_TAG {
+            let domain = self.beacon_domain?;
+            let host = domains.name(domain).to_string();
+            (domain, host, "/beacon.gif".to_string())
         } else {
             if generation != self.visit_gen {
                 return None;
             }
             let page = self.current_page.as_ref()?;
             let obj = page.objects.get(tag as usize)?;
-            (obj.domain.clone(), obj.path.clone())
+            let domain = self.object_domains[tag as usize];
+            (domain, obj.domain.clone(), obj.path.clone())
         };
-        let headers = self.cached_headers(&host).to_vec();
+        let headers = self.cached_headers(domains, domain).to_vec();
         let mut req = Request::get(host, path);
         req.headers = headers;
         Some(req)
     }
 
-    /// The standard browser header set for `host`, rendered once per host
-    /// and served from a per-run cache thereafter.
-    pub fn cached_headers(&mut self, host: &str) -> &[(String, String)] {
-        if let Some(i) = self.header_cache.iter().position(|(h, _)| h == host) {
-            return &self.header_cache[i].1;
+    /// The standard browser header set for `domain`, rendered once per
+    /// domain and served from a per-run cache thereafter.
+    pub fn cached_headers(
+        &mut self,
+        domains: &DomainTable,
+        domain: DomainId,
+    ) -> &[(String, String)] {
+        if self.header_cache.len() <= domain.index() {
+            self.header_cache.resize_with(domain.index() + 1, Vec::new);
         }
-        self.header_cache
-            .push((host.to_string(), browser_headers(host)));
-        &self.header_cache.last().expect("just pushed").1
+        let headers = &mut self.header_cache[domain.index()];
+        if headers.is_empty() {
+            *headers = browser_headers(domains.name(domain));
+        }
+        headers
     }
 
     // ------------------------------------------------------------------
@@ -229,6 +254,9 @@ impl Visits {
                 .clone(),
         };
         origin.register_page(&page);
+        self.object_domains.clear();
+        self.object_domains
+            .extend(page.objects.iter().map(|o| world.domains.intern(&o.domain)));
         world.tracer.emit(
             world.now,
             TraceEvent::VisitStart {
@@ -309,7 +337,8 @@ impl Visits {
             object_count: page.object_count(),
             total_bytes: page.total_bytes(),
         });
-        self.beacon_domain = Some(page.root().domain.clone());
+        // `objects[0]` is the root document.
+        self.beacon_domain = self.object_domains.first().copied();
         self.spare_load = Some(load);
         self.beacons_fired = 0;
         if let Some(beacon) = cfg.beacon {

@@ -10,6 +10,7 @@
 //! interprets.
 
 use crate::config::{AccessPath, ExperimentConfig};
+use crate::domains::DomainTable;
 use crate::results::RunResult;
 use crate::session::PipeRole;
 use spdyier_bytes::Payload;
@@ -144,10 +145,12 @@ pub(crate) struct World {
     /// pool scans, idle deadlines) touch the few dozen open access pipes
     /// and neither the tail of closed ones nor the origin pipes.
     pub live_access: Vec<usize>,
-    /// Indices of not-yet-closed proxy↔origin pipes, ascending. Origin
-    /// pipes are never closed, so this grows to hundreds over a run; only
-    /// fetch dispatch walks it.
-    pub live_origin: Vec<usize>,
+    /// Every domain name the run has seen, interned.
+    pub domains: DomainTable,
+    /// Proxy↔origin pipes by [`DomainId::index`], each list ascending.
+    /// Origin pipes are never closed, so a run accumulates hundreds of
+    /// them; fetch dispatch walks only its own domain's handful.
+    origin_pipes: Vec<Vec<usize>>,
     /// Pipes with pending service work, in discovery order.
     pub dirty: VecDeque<usize>,
     /// Cross-connection ssthresh/RTT cache (§6.2.4).
@@ -188,7 +191,8 @@ impl World {
             wired: net_presets::cloud_wired(2),
             pipes: Vec::new(),
             live_access: Vec::new(),
-            live_origin: Vec::new(),
+            domains: DomainTable::default(),
+            origin_pipes: Vec::new(),
             dirty: VecDeque::new(),
             metrics_cache: TcpMetricsCache::new(),
             tracer: Tracer::for_level(cfg.trace_level),
@@ -229,7 +233,7 @@ impl World {
         let mut a = TcpConnection::client(tcp_cfg);
         let mut b = TcpConnection::server(tcp_cfg);
         if self.cache_metrics {
-            let (a_key, b_key) = role.cache_keys(over_access);
+            let (a_key, b_key) = role.cache_keys(over_access, &self.domains);
             if let Some(m) = self.metrics_cache.lookup(&a_key) {
                 a.apply_cached_metrics(m);
             }
@@ -270,8 +274,6 @@ impl World {
         }
         if over_access {
             self.live_access.push(idx);
-        } else {
-            self.live_origin.push(idx);
         }
         self.mark_dirty(idx);
         idx
@@ -580,13 +582,8 @@ impl World {
         self.pipes[idx].closed = true;
         // Ordered remove keeps the index ascending so position-based
         // scans over it find the same first match as a scan over `pipes`.
-        let live = if self.pipes[idx].over_access {
-            &mut self.live_access
-        } else {
-            &mut self.live_origin
-        };
-        if let Ok(i) = live.binary_search(&idx) {
-            live.remove(i);
+        if let Ok(i) = self.live_access.binary_search(&idx) {
+            self.live_access.remove(i);
         }
         self.tracer
             .emit(self.now, TraceEvent::ConnClosed { conn: idx });
@@ -598,7 +595,7 @@ impl World {
         }
         if self.cache_metrics {
             let over = self.pipes[idx].over_access;
-            let role_keys = self.pipes[idx].role.cache_keys(over);
+            let role_keys = self.pipes[idx].role.cache_keys(over, &self.domains);
             if let Some(m) = self.pipes[idx].a.snapshot_metrics() {
                 self.metrics_cache.store(&role_keys.0, m);
             }
@@ -624,29 +621,33 @@ impl World {
     /// pipe if one exists, a fresh pipe while under the per-domain cap,
     /// else the least-loaded existing one.
     pub fn dispatch_fetch(&mut self, result: &mut RunResult, fetch: FetchId, request: Request) {
-        let domain = request.host.as_str();
+        let domain = self.domains.intern(&request.host);
+        if self.origin_pipes.len() <= domain.index() {
+            self.origin_pipes.resize_with(domain.index() + 1, Vec::new);
+        }
         let mut idle: Option<usize> = None;
         let mut count = 0usize;
         let mut least_loaded: Option<(usize, usize)> = None;
-        for &i in &self.live_origin {
+        for &i in &self.origin_pipes[domain.index()] {
             let p = &self.pipes[i];
-            if let PipeRole::Origin {
-                domain: d,
-                current,
-                pending,
-                ..
+            // A pipe whose role is detached — its completion is being
+            // routed right now — is invisible here.
+            let PipeRole::Origin {
+                current, pending, ..
             } = &p.role
-            {
-                if d == domain {
-                    count += 1;
-                    let backlog = pending.len() + usize::from(current.is_some());
-                    if backlog == 0 && idle.is_none() {
-                        idle = Some(i);
-                    }
-                    if least_loaded.is_none_or(|(_, b)| backlog < b) {
-                        least_loaded = Some((i, backlog));
-                    }
-                }
+            else {
+                continue;
+            };
+            if p.closed {
+                continue;
+            }
+            count += 1;
+            let backlog = pending.len() + usize::from(current.is_some());
+            if backlog == 0 && idle.is_none() {
+                idle = Some(i);
+            }
+            if least_loaded.is_none_or(|(_, b)| backlog < b) {
+                least_loaded = Some((i, backlog));
             }
         }
         let mut fresh_pipe = false;
@@ -654,19 +655,21 @@ impl World {
             i
         } else if count < MAX_ORIGIN_PIPES_PER_DOMAIN {
             fresh_pipe = true;
-            self.new_pipe(
+            let pipe = self.new_pipe(
                 result,
                 false,
                 PipeRole::Origin {
-                    domain: request.host.clone(),
+                    domain,
                     http: HttpClientConn::new(),
                     server: HttpServerConn::new(),
                     current: None,
                     pending: VecDeque::new(),
                     got_first_byte: false,
                 },
-                format!("origin-{domain}"),
-            )
+                format!("origin-{}", request.host),
+            );
+            self.origin_pipes[domain.index()].push(pipe);
+            pipe
         } else {
             least_loaded
                 .expect("at the cap implies at least one pipe")

@@ -47,10 +47,12 @@ pub struct ProfiledSweep {
 /// heartbeats.
 ///
 /// `heartbeat` receives one JSONL line per completed cell (`None`
-/// keeps the totals without emitting). Whether the *profiler* records
-/// anything is governed by the global [`spdyier_prof::set_enabled`]
-/// switch, which this function deliberately does not touch — callers
-/// own that decision so both sides can be compared.
+/// keeps the totals without emitting). Whether the *span profiler*
+/// records anything is governed by the global
+/// [`spdyier_prof::set_enabled`] switch, which this function
+/// deliberately does not touch — callers own that decision so both
+/// sides can be compared. The per-cell allocation deltas do not depend
+/// on it: each worker reads its own always-on counter slot.
 pub fn profile_manifest_on(
     exec: &Executor,
     manifest: &Manifest,

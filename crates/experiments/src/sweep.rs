@@ -382,13 +382,18 @@ fn run_sweep_through(
         failed: None,
     });
 
+    let heartbeat_path = out_dir.join(SWEEP_HEARTBEAT_NAME);
     let heartbeat = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(out_dir.join(SWEEP_HEARTBEAT_NAME))
-        .ok()
-        .map(|f| Box::new(f) as Box<dyn Write + Send>);
-    let telemetry = SweepTelemetry::new(pending.len(), heartbeat);
+        .open(&heartbeat_path)
+        .map_err(|e| {
+            SweepError(format!(
+                "{}: cannot open heartbeat file ({e})",
+                heartbeat_path.display()
+            ))
+        })?;
+    let telemetry = SweepTelemetry::new(pending.len(), Some(Box::new(heartbeat)));
 
     let fresh = AtomicUsize::new(0);
     let stopped = AtomicBool::new(false);
@@ -399,6 +404,9 @@ fn run_sweep_through(
             return None;
         }
         let index = pending[j];
+        // A cell runs start to finish on the worker that claimed it, so
+        // the worker's own counters bracket exactly its allocations.
+        let allocs_before = spdyier_prof::thread_counts();
         Some(run_cell(manifest, &cells[index]).map(|(result, log)| {
             let out = fold_cell(manifest, &cells[index], &result, log.as_ref());
             let line = store_line(&cell_json(index, &out.metrics));
@@ -421,6 +429,7 @@ fn run_sweep_through(
             if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= budget {
                 stopped.store(true, Ordering::Relaxed);
             }
+            let cell_allocs = spdyier_prof::thread_counts().since(allocs_before);
             telemetry.cell_done(&CellReport {
                 shard: worker,
                 cell: index,
@@ -437,8 +446,8 @@ fn run_sweep_through(
                     .get("trace.sink_dropped")
                     .copied()
                     .unwrap_or(0),
-                allocs: 0,
-                alloc_bytes: 0,
+                allocs: cell_allocs.allocs,
+                alloc_bytes: cell_allocs.bytes,
             });
             out
         }))

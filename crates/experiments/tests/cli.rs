@@ -67,6 +67,61 @@ fn unwritable_output_is_a_config_error_not_a_panic() {
     }
 }
 
+/// A sweep whose heartbeat file cannot be opened (here: the name is
+/// taken by a directory) fails with exit 3 naming the path before the
+/// first cell runs, instead of sweeping silently without heartbeats.
+#[test]
+fn unopenable_heartbeat_file_fails_the_sweep_before_any_cell_runs() {
+    let out = std::env::temp_dir().join(format!("spdyier_cli_hb_{}", std::process::id()));
+    let heartbeat = out.join("heartbeat_sweep.jsonl");
+    std::fs::create_dir_all(&heartbeat).expect("temp dir");
+    let manifest = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/quick_wifi.yaml"
+    );
+    let child = experiments(&["sweep", manifest, "--out", out.to_str().expect("utf-8")]);
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert_eq!(child.status.code(), Some(3), "{child:?}");
+    assert!(
+        stderr.starts_with(&format!(
+            "{}: cannot open heartbeat file (",
+            heartbeat.display()
+        )),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(child.stdout.is_empty(), "{child:?}");
+    // No cell was checkpointed: the store holds its header line only.
+    let store = std::fs::read_to_string(out.join("sweep_store.jsonl")).expect("store");
+    assert_eq!(store.lines().count(), 1, "{store}");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// The binary installs the counting allocator, so sweep heartbeats carry
+/// real allocation totals (cumulative, hence growing line to line).
+#[test]
+fn sweep_heartbeats_report_allocations() {
+    let out = std::env::temp_dir().join(format!("spdyier_cli_allocs_{}", std::process::id()));
+    let manifest = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/quick_wifi.yaml"
+    );
+    let child = experiments(&["sweep", manifest, "--out", out.to_str().expect("utf-8")]);
+    assert_eq!(child.status.code(), Some(0), "{child:?}");
+    let text = std::fs::read_to_string(out.join("heartbeat_sweep.jsonl")).expect("heartbeats");
+    let allocs: Vec<u64> = text
+        .lines()
+        .map(|line| {
+            let rest = line.split("\"allocs\":").nth(1).expect("allocs field");
+            let digits = rest.split(',').next().expect("a value");
+            digits.parse().expect("an integer")
+        })
+        .collect();
+    assert_eq!(allocs.len(), 2, "{text}");
+    assert!(allocs[0] > 0 && allocs[1] > allocs[0], "{allocs:?}");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 /// Every figure id is resolved before the first one runs: a typo after
 /// `fig3` costs nothing and prints nothing on stdout.
 #[test]

@@ -42,15 +42,19 @@ pub enum Acquire {
 }
 
 #[derive(Debug)]
-struct ConnInfo {
-    /// Index into [`ConnectionPool::domains`].
-    domain_ix: u32,
+struct ConnInfo<K> {
+    domain: K,
     busy: bool,
     /// Monotone counter value at last use (for LRU eviction).
     last_used: u64,
 }
 
-/// Connection pool bookkeeping.
+/// Connection pool bookkeeping, keyed by whatever the caller names a
+/// domain with.
+///
+/// The pool compares keys and nothing else, so the testbed interns each
+/// domain string once per run and hands the pool the resulting integer
+/// id: no call here looks at a name. Any `Copy + Eq` key works.
 ///
 /// Storage is a flat `Vec` rather than a map: the pool holds at most
 /// [`PoolConfig::total`] (32) entries and the browser re-runs
@@ -60,18 +64,9 @@ struct ConnInfo {
 /// monotone (no ties), so scan order cannot change which connection is
 /// reused or evicted.
 #[derive(Debug)]
-pub struct ConnectionPool {
+pub struct ConnectionPool<K> {
     cfg: PoolConfig,
-    conns: Vec<(PoolConnId, ConnInfo)>,
-    /// Interned domain names. Connections store an index so the hot
-    /// acquire/remove cycle (every throttled connection attempt) never
-    /// copies the domain string; the workload only has a handful of
-    /// distinct domains, so the linear intern scan is cheap.
-    domains: Vec<String>,
-    /// Open-connection count per interned domain (index-aligned with
-    /// `domains`), maintained on insert/remove so `acquire` need not
-    /// rescan.
-    domain_counts: Vec<usize>,
+    conns: Vec<(PoolConnId, ConnInfo<K>)>,
     next_id: u64,
     use_counter: u64,
     /// Bumped by every call that can change what a later
@@ -81,14 +76,12 @@ pub struct ConnectionPool {
     version: u64,
 }
 
-impl ConnectionPool {
+impl<K: Copy + Eq> ConnectionPool<K> {
     /// An empty pool.
-    pub fn new(cfg: PoolConfig) -> ConnectionPool {
+    pub fn new(cfg: PoolConfig) -> ConnectionPool<K> {
         ConnectionPool {
             cfg,
             conns: Vec::new(),
-            domains: Vec::new(),
-            domain_counts: Vec::new(),
             next_id: 0,
             use_counter: 0,
             version: 0,
@@ -105,14 +98,20 @@ impl ConnectionPool {
     /// Mutates nothing, so a caller that would only hand the slot straight
     /// back (a throttled connection attempt) can ask first and account for
     /// the id with [`ConnectionPool::skip_ids`] instead.
-    pub fn would_open(&self, domain: &str) -> bool {
-        let ix = self.domains.iter().position(|d| d == domain);
-        ix.map_or(0, |ix| self.domain_counts[ix]) < self.cfg.per_domain
-            && self.conns.len() < self.cfg.total
-            && !self
-                .conns
-                .iter()
-                .any(|(_, c)| Some(c.domain_ix as usize) == ix && !c.busy)
+    pub fn would_open(&self, domain: K) -> bool {
+        if self.conns.len() >= self.cfg.total {
+            return false;
+        }
+        let mut open = 0;
+        for (_, c) in &self.conns {
+            if c.domain == domain {
+                if !c.busy {
+                    return false;
+                }
+                open += 1;
+            }
+        }
+        open < self.cfg.per_domain
     }
 
     /// Advance the id counter past `n` ids without opening anything: the
@@ -123,29 +122,22 @@ impl ConnectionPool {
         self.next_id += n;
     }
 
-    fn intern(&mut self, domain: &str) -> u32 {
-        match self.domains.iter().position(|d| d == domain) {
-            Some(i) => i as u32,
-            None => {
-                self.domains.push(domain.to_owned());
-                self.domain_counts.push(0);
-                (self.domains.len() - 1) as u32
-            }
-        }
-    }
-
     /// Ask for a slot to `domain`. Prefers an idle persistent connection;
     /// opens a new one within limits; otherwise reports `Blocked` (the
     /// caller may [`ConnectionPool::evict_idle`] to make room globally).
-    pub fn acquire(&mut self, domain: &str) -> Acquire {
+    pub fn acquire(&mut self, domain: K) -> Acquire {
         self.use_counter += 1;
-        let ix = self.intern(domain);
         // Reuse the most-recently-used idle connection to this domain
         // (warm cwnd beats cold).
+        let mut open = 0;
         let mut best = None;
         let mut best_used = 0;
         for (i, (_, c)) in self.conns.iter().enumerate() {
-            if c.domain_ix == ix && !c.busy && (best.is_none() || c.last_used > best_used) {
+            if c.domain != domain {
+                continue;
+            }
+            open += 1;
+            if !c.busy && (best.is_none() || c.last_used > best_used) {
                 best = Some(i);
                 best_used = c.last_used;
             }
@@ -157,19 +149,16 @@ impl ConnectionPool {
             self.version += 1;
             return Acquire::Reuse(*id);
         }
-        if self.domain_counts[ix as usize] >= self.cfg.per_domain
-            || self.conns.len() >= self.cfg.total
-        {
+        if open >= self.cfg.per_domain || self.conns.len() >= self.cfg.total {
             return Acquire::Blocked;
         }
         let id = PoolConnId(self.next_id);
         self.next_id += 1;
         self.version += 1;
-        self.domain_counts[ix as usize] += 1;
         self.conns.push((
             id,
             ConnInfo {
-                domain_ix: ix,
+                domain,
                 busy: true,
                 last_used: self.use_counter,
             },
@@ -189,8 +178,7 @@ impl ConnectionPool {
     pub fn remove(&mut self, id: PoolConnId) {
         self.version += 1;
         if let Some(i) = self.conns.iter().position(|(cid, _)| *cid == id) {
-            let (_, c) = self.conns.remove(i);
-            self.domain_counts[c.domain_ix as usize] -= 1;
+            self.conns.remove(i);
         }
     }
 
@@ -207,9 +195,7 @@ impl ConnectionPool {
         }
         let i = best?;
         self.version += 1;
-        let (id, c) = self.conns.remove(i);
-        self.domain_counts[c.domain_ix as usize] -= 1;
-        Some(id)
+        Some(self.conns.remove(i).0)
     }
 
     /// True when the global cap is reached.
@@ -217,12 +203,12 @@ impl ConnectionPool {
         self.conns.len() >= self.cfg.total
     }
 
-    /// Open + busy connections to `domain`.
-    pub fn count_for_domain(&self, domain: &str) -> usize {
-        match self.domains.iter().position(|d| d == domain) {
-            Some(ix) => self.domain_counts[ix],
-            None => 0,
-        }
+    /// Open (busy or idle) connections to `domain`.
+    pub fn count_for_domain(&self, domain: K) -> usize {
+        self.conns
+            .iter()
+            .filter(|(_, c)| c.domain == domain)
+            .count()
     }
 
     /// All connections currently open.
@@ -236,11 +222,11 @@ impl ConnectionPool {
     }
 
     /// The domain a connection serves.
-    pub fn domain_of(&self, id: PoolConnId) -> Option<&str> {
+    pub fn domain_of(&self, id: PoolConnId) -> Option<K> {
         self.conns
             .iter()
             .find(|(cid, _)| *cid == id)
-            .map(|(_, c)| self.domains[c.domain_ix as usize].as_str())
+            .map(|(_, c)| c.domain)
     }
 }
 
@@ -248,7 +234,13 @@ impl ConnectionPool {
 mod tests {
     use super::*;
 
-    fn pool() -> ConnectionPool {
+    /// Keys are whatever the caller interned its domains to.
+    const A: u32 = 100;
+    const B: u32 = 101;
+    const C: u32 = 102;
+    const LATE: u32 = 103;
+
+    fn pool() -> ConnectionPool<u32> {
         ConnectionPool::new(PoolConfig::default())
     }
 
@@ -256,24 +248,24 @@ mod tests {
     fn opens_up_to_six_per_domain() {
         let mut p = pool();
         for i in 0..6 {
-            match p.acquire("a.com") {
+            match p.acquire(A) {
                 Acquire::Open(id) => assert_eq!(id.0, i),
                 other => panic!("expected Open, got {other:?}"),
             }
         }
-        assert_eq!(p.acquire("a.com"), Acquire::Blocked);
-        assert_eq!(p.count_for_domain("a.com"), 6);
+        assert_eq!(p.acquire(A), Acquire::Blocked);
+        assert_eq!(p.count_for_domain(A), 6);
     }
 
     #[test]
     fn release_enables_reuse() {
         let mut p = pool();
-        let id = match p.acquire("a.com") {
+        let id = match p.acquire(A) {
             Acquire::Open(id) => id,
             _ => unreachable!(),
         };
         p.release(id);
-        assert_eq!(p.acquire("a.com"), Acquire::Reuse(id));
+        assert_eq!(p.acquire(A), Acquire::Reuse(id));
     }
 
     #[test]
@@ -282,14 +274,14 @@ mod tests {
         // 6 domains × 5 connections = 30, then 2 more on a 7th domain.
         for d in 0..6 {
             for _ in 0..5 {
-                assert!(matches!(p.acquire(&format!("d{d}.com")), Acquire::Open(_)));
+                assert!(matches!(p.acquire(d), Acquire::Open(_)));
             }
         }
-        assert!(matches!(p.acquire("late.com"), Acquire::Open(_)));
-        assert!(matches!(p.acquire("late.com"), Acquire::Open(_)));
+        assert!(matches!(p.acquire(LATE), Acquire::Open(_)));
+        assert!(matches!(p.acquire(LATE), Acquire::Open(_)));
         assert_eq!(p.total(), 32);
         assert!(p.at_global_cap());
-        assert_eq!(p.acquire("another.com"), Acquire::Blocked);
+        assert_eq!(p.acquire(LATE + 1), Acquire::Blocked);
     }
 
     #[test]
@@ -297,7 +289,7 @@ mod tests {
         let mut p = pool();
         let mut first = None;
         for d in 0..32 {
-            match p.acquire(&format!("d{d}.com")) {
+            match p.acquire(d) {
                 Acquire::Open(id) => {
                     if first.is_none() {
                         first = Some(id);
@@ -306,63 +298,64 @@ mod tests {
                 _ => unreachable!(),
             }
         }
-        assert_eq!(p.acquire("x.com"), Acquire::Blocked);
+        assert_eq!(p.acquire(LATE), Acquire::Blocked);
         // Nothing idle yet → no eviction possible.
         assert_eq!(p.evict_idle(), None);
         p.release(first.unwrap());
         assert_eq!(p.evict_idle(), Some(first.unwrap()));
-        assert!(matches!(p.acquire("x.com"), Acquire::Open(_)));
+        assert!(matches!(p.acquire(LATE), Acquire::Open(_)));
     }
 
     #[test]
     fn removal_forgets_connection() {
         let mut p = pool();
-        let id = match p.acquire("a.com") {
+        let id = match p.acquire(A) {
             Acquire::Open(id) => id,
             _ => unreachable!(),
         };
         p.remove(id);
         assert_eq!(p.total(), 0);
-        assert!(matches!(p.acquire("a.com"), Acquire::Open(_)));
+        assert!(matches!(p.acquire(A), Acquire::Open(_)));
     }
 
     #[test]
     fn reuse_prefers_most_recently_used() {
         let mut p = pool();
-        let a = match p.acquire("a.com") {
+        let a = match p.acquire(A) {
             Acquire::Open(id) => id,
             _ => unreachable!(),
         };
-        let b = match p.acquire("a.com") {
+        let b = match p.acquire(A) {
             Acquire::Open(id) => id,
             _ => unreachable!(),
         };
         p.release(a);
         p.release(b); // b used more recently
-        assert_eq!(p.acquire("a.com"), Acquire::Reuse(b));
+        assert_eq!(p.acquire(A), Acquire::Reuse(b));
     }
 
     #[test]
     fn domains_do_not_interfere_below_cap() {
         let mut p = pool();
         for _ in 0..6 {
-            p.acquire("a.com");
+            p.acquire(A);
         }
-        assert!(matches!(p.acquire("b.com"), Acquire::Open(_)));
+        assert!(matches!(p.acquire(B), Acquire::Open(_)));
     }
 
     #[test]
     fn domain_of_reports() {
         let mut p = pool();
-        let id = match p.acquire("a.com") {
+        let id = match p.acquire(A) {
             Acquire::Open(id) => id,
             _ => unreachable!(),
         };
-        assert_eq!(p.domain_of(id), Some("a.com"));
+        assert_eq!(p.domain_of(id), Some(A));
+        assert_eq!(p.domain_of(PoolConnId(id.0 + 1)), None);
         assert_eq!(p.busy(), 1);
     }
 
-    fn open(p: &mut ConnectionPool, domain: &str) -> PoolConnId {
+    fn open(p: &mut ConnectionPool<u32>, domain: u32) -> PoolConnId {
         match p.acquire(domain) {
             Acquire::Open(id) => id,
             other => panic!("expected Open, got {other:?}"),
@@ -372,24 +365,24 @@ mod tests {
     #[test]
     fn would_open_predicts_acquire_without_touching_the_pool() {
         let mut p = pool();
-        assert!(p.would_open("a.com"), "unknown domain, empty pool");
-        let ids: Vec<_> = (0..6).map(|_| open(&mut p, "a.com")).collect();
+        assert!(p.would_open(A), "unknown domain, empty pool");
+        let ids: Vec<_> = (0..6).map(|_| open(&mut p, A)).collect();
         let version = p.version();
-        assert!(!p.would_open("a.com"), "per-domain cap");
-        assert!(p.would_open("b.com"));
+        assert!(!p.would_open(A), "per-domain cap");
+        assert!(p.would_open(B));
         p.release(ids[2]);
-        assert!(!p.would_open("a.com"), "an idle connection is reused");
-        assert_eq!(p.acquire("a.com"), Acquire::Reuse(ids[2]));
+        assert!(!p.would_open(A), "an idle connection is reused");
+        assert_eq!(p.acquire(A), Acquire::Reuse(ids[2]));
         for d in 0..26 {
-            open(&mut p, &format!("d{d}.com"));
+            open(&mut p, d);
         }
-        assert!(!p.would_open("late.com"), "global cap");
-        assert_eq!(p.acquire("late.com"), Acquire::Blocked);
+        assert!(!p.would_open(LATE), "global cap");
+        assert_eq!(p.acquire(LATE), Acquire::Blocked);
         assert!(p.version() > version, "real changes move the version");
         let version = p.version();
-        p.would_open("late.com");
+        p.would_open(LATE);
         p.skip_ids(3);
-        assert_eq!(p.acquire("late.com"), Acquire::Blocked);
+        assert_eq!(p.acquire(LATE), Acquire::Blocked);
         assert_eq!(p.version(), version, "queries, skips and Blocked do not");
     }
 
@@ -399,7 +392,11 @@ mod tests {
     /// not depend on which of the two a caller used.
     #[test]
     fn skipping_ids_equals_the_acquire_remove_cycle() {
-        fn throttle(cycled: &mut ConnectionPool, skipped: &mut ConnectionPool, domain: &str) {
+        fn throttle(
+            cycled: &mut ConnectionPool<u32>,
+            skipped: &mut ConnectionPool<u32>,
+            domain: u32,
+        ) {
             let id = open(cycled, domain);
             cycled.remove(id);
             assert!(skipped.would_open(domain));
@@ -407,17 +404,17 @@ mod tests {
         }
         let mut cycled = pool();
         let mut skipped = pool();
-        for domain in ["a.com", "b.com", "a.com"] {
+        for domain in [A, B, A] {
             throttle(&mut cycled, &mut skipped, domain);
         }
-        let a0 = open(&mut cycled, "a.com");
-        assert_eq!(open(&mut skipped, "a.com"), a0);
+        let a0 = open(&mut cycled, A);
+        assert_eq!(open(&mut skipped, A), a0);
         assert_eq!(a0, PoolConnId(3), "three attempts burned ids 0..3");
-        throttle(&mut cycled, &mut skipped, "b.com");
-        let a1 = open(&mut cycled, "a.com");
-        assert_eq!(open(&mut skipped, "a.com"), a1);
-        let b0 = open(&mut cycled, "b.com");
-        assert_eq!(open(&mut skipped, "b.com"), b0);
+        throttle(&mut cycled, &mut skipped, B);
+        let a1 = open(&mut cycled, A);
+        assert_eq!(open(&mut skipped, A), a1);
+        let b0 = open(&mut cycled, B);
+        assert_eq!(open(&mut skipped, B), b0);
         // Use order: a0 released last, so it is the warmest for reuse
         // and b0 the least recently used for eviction — whatever number
         // of `use_counter` ticks the throttled attempts in between cost.
@@ -425,17 +422,17 @@ mod tests {
             p.release(a1);
             p.release(b0);
         }
-        throttle(&mut cycled, &mut skipped, "c.com");
-        throttle(&mut cycled, &mut skipped, "c.com");
+        throttle(&mut cycled, &mut skipped, C);
+        throttle(&mut cycled, &mut skipped, C);
         for p in [&mut cycled, &mut skipped] {
-            assert_eq!(p.acquire("a.com"), Acquire::Reuse(a1));
+            assert_eq!(p.acquire(A), Acquire::Reuse(a1));
             p.release(a0);
             p.release(a1);
-            assert_eq!(p.acquire("a.com"), Acquire::Reuse(a1));
+            assert_eq!(p.acquire(A), Acquire::Reuse(a1));
             assert_eq!(p.evict_idle(), Some(a0));
             assert_eq!(p.evict_idle(), Some(b0));
             assert_eq!(p.evict_idle(), None);
         }
-        assert_eq!(open(&mut cycled, "c.com"), open(&mut skipped, "c.com"));
+        assert_eq!(open(&mut cycled, C), open(&mut skipped, C));
     }
 }

@@ -1,40 +1,87 @@
 //! The counting global allocator and its attribution counters.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
-//! allocation (count and requested bytes) into process-wide atomics;
-//! any binary installs it via `#[global_allocator]`. Deallocations are
-//! deliberately not tracked: the interesting number is how much the
-//! workload *asks for*; peak RSS covers the high-water mark.
+//! allocation (count and requested bytes); any binary installs it via
+//! `#[global_allocator]`. Deallocations are deliberately not tracked:
+//! the interesting number is how much the workload *asks for*; peak RSS
+//! covers the high-water mark.
 //!
-//! While the profiler is enabled ([`crate::enabled`]), each allocation
-//! is additionally charged to thread-local counters. The span profiler
-//! samples those at scope entry/exit, which is what turns "59 M
-//! allocations per sweep" into "which layer asked for them". The
-//! thread-locals are const-initialized `Cell`s — no lazy init, no
-//! destructor — so bumping them from inside the allocator can never
-//! recurse into the allocator itself.
+//! Counts go into per-thread slots: a fixed static array of
+//! cache-line-padded counter pairs, one claimed by each thread on its
+//! first allocation and never handed back. A slot has a single writer,
+//! so the hot path is a plain load and store per counter — no locked
+//! read-modify-write, no line bouncing between workers.
+//! [`thread_counts`] reads the caller's slot (what the span profiler
+//! samples at scope entry/exit, and what a sweep worker brackets a cell
+//! with); [`global_counts`] sums every slot. Threads past the slot count
+//! — and allocations made while a thread's locals are being torn down —
+//! share one overflow slot that keeps `fetch_add`.
+//!
+//! The slot index lives in a const-initialized thread-local `Cell` — no
+//! lazy init, no destructor — so reading it from inside the allocator
+//! can never recurse into the allocator itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-static GLOBAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// One thread-local block (not two) so the per-allocation hot path pays
-// a single TLS address computation.
-struct TlCounts {
-    allocs: Cell<u64>,
-    bytes: Cell<u64>,
+/// One writer's counters, alone on their cache line.
+#[repr(align(64))]
+struct Slot {
+    allocs: AtomicU64,
+    bytes: AtomicU64,
 }
 
-thread_local! {
-    static TL_COUNTS: TlCounts = const {
-        TlCounts {
-            allocs: Cell::new(0),
-            bytes: Cell::new(0),
+impl Slot {
+    const fn new() -> Slot {
+        Slot {
+            allocs: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
         }
-    };
+    }
+
+    fn counts(&self) -> AllocCounts {
+        AllocCounts {
+            allocs: self.allocs.load(Ordering::Relaxed),
+            bytes: self.bytes.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Private slots: sweep workers plus the main thread on any host this
+/// runs on, and the first 64 test threads of a `cargo test` binary.
+const SLOTS: usize = 64;
+
+static PRIVATE: [Slot; SLOTS] = [const { Slot::new() }; SLOTS];
+/// Shared by every thread that found [`PRIVATE`] fully claimed.
+static OVERFLOW: Slot = Slot::new();
+/// Threads that have claimed (or tried to claim) a slot.
+static CLAIMED: AtomicUsize = AtomicUsize::new(0);
+
+/// This thread has not claimed a slot yet.
+const UNCLAIMED: usize = usize::MAX;
+
+thread_local! {
+    static MY_SLOT: Cell<usize> = const { Cell::new(UNCLAIMED) };
+}
+
+/// The calling thread's slot and whether it is the only writer. Claims
+/// a slot on first use; `try_with` + const init make this safe during
+/// thread teardown, where it answers the overflow slot.
+#[inline]
+fn my_slot() -> (&'static Slot, bool) {
+    let index = MY_SLOT
+        .try_with(|mine| {
+            if mine.get() == UNCLAIMED {
+                mine.set(CLAIMED.fetch_add(1, Ordering::Relaxed).min(SLOTS));
+            }
+            mine.get()
+        })
+        .unwrap_or(SLOTS);
+    match PRIVATE.get(index) {
+        Some(slot) => (slot, true),
+        None => (&OVERFLOW, false),
+    }
 }
 
 /// A snapshot of allocation counters (count and requested bytes).
@@ -56,37 +103,40 @@ impl AllocCounts {
     }
 }
 
-/// Process-wide allocation counters (always counted while
-/// [`CountingAlloc`] is installed, independent of the profiler switch).
+/// Process-wide allocation counters: the sum over every thread's slot,
+/// counted whenever [`CountingAlloc`] is installed.
 pub fn global_counts() -> AllocCounts {
-    AllocCounts {
-        allocs: GLOBAL_ALLOCS.load(Ordering::Relaxed),
-        bytes: GLOBAL_BYTES.load(Ordering::Relaxed),
-    }
+    PRIVATE
+        .iter()
+        .chain([&OVERFLOW])
+        .map(Slot::counts)
+        .fold(AllocCounts::default(), |sum, slot| AllocCounts {
+            allocs: sum.allocs.wrapping_add(slot.allocs),
+            bytes: sum.bytes.wrapping_add(slot.bytes),
+        })
 }
 
-/// This thread's attribution counters (bumped only while the profiler
-/// is enabled; reads 0 deltas otherwise).
+/// The calling thread's allocation counters, counted whenever
+/// [`CountingAlloc`] is installed. Exact for a thread with a private
+/// slot; a thread on the overflow slot reads the total of all such
+/// threads.
 pub fn thread_counts() -> AllocCounts {
-    TL_COUNTS
-        .try_with(|c| AllocCounts {
-            allocs: c.allocs.get(),
-            bytes: c.bytes.get(),
-        })
-        .unwrap_or_default()
+    my_slot().0.counts()
 }
 
 #[inline]
 fn count(bytes: usize) {
-    GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    GLOBAL_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    if crate::enabled() {
-        // `try_with` + const init: safe even during thread teardown, and
-        // never allocates (which would recurse into `alloc`).
-        let _ = TL_COUNTS.try_with(|c| {
-            c.allocs.set(c.allocs.get().wrapping_add(1));
-            c.bytes.set(c.bytes.get().wrapping_add(bytes as u64));
-        });
+    let (slot, sole_writer) = my_slot();
+    if sole_writer {
+        // Nobody else stores to this slot, so load + store loses nothing.
+        let allocs = slot.allocs.load(Ordering::Relaxed);
+        slot.allocs.store(allocs.wrapping_add(1), Ordering::Relaxed);
+        let total = slot.bytes.load(Ordering::Relaxed);
+        slot.bytes
+            .store(total.wrapping_add(bytes as u64), Ordering::Relaxed);
+    } else {
+        slot.allocs.fetch_add(1, Ordering::Relaxed);
+        slot.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -135,20 +185,14 @@ mod tests {
     }
 
     #[test]
-    fn thread_counters_gate_on_the_profiler_switch() {
+    fn thread_counters_count_without_the_profiler() {
         let _guard = crate::test_guard();
         crate::set_enabled(false);
         let before = thread_counts();
-        let _v: Vec<u8> = Vec::with_capacity(1024);
-        assert_eq!(thread_counts().since(before).allocs, 0);
-
-        crate::set_enabled(true);
-        let before = thread_counts();
         let v: Vec<u8> = Vec::with_capacity(1024);
         let d = thread_counts().since(before);
-        crate::set_enabled(false);
-        assert!(d.allocs >= 1);
-        assert!(d.bytes >= 1024);
+        assert_eq!(d.allocs, 1);
+        assert_eq!(d.bytes, 1024);
         drop(v);
     }
 }

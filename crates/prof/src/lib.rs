@@ -8,9 +8,9 @@
 //! Three pieces:
 //!
 //! - [`CountingAlloc`] — a pass-through global allocator (every binary
-//!   can install it) that counts every allocation process-wide and,
-//!   while profiling is enabled, also into
-//!   thread-local counters the span profiler attributes per scope.
+//!   can install it) that counts every allocation into its thread's own
+//!   counter slot: [`thread_counts`] is what the span profiler
+//!   attributes per scope, [`global_counts`] the sum over all threads.
 //! - [`scope`] — a scoped span profiler: `let _p = prof::scope("tcp.deliver")`
 //!   records host-nanosecond power-of-two histograms plus the
 //!   allocations/bytes performed inside the scope, keyed by a
@@ -20,11 +20,11 @@
 //!   sweep executor (cells completed, events/s, allocs/visit, trace-drop
 //!   counts, ETA) plus the [`SelfReport`] end-of-run `profile_*.json`.
 //!
-//! The whole crate is gated on one global switch: with
+//! The span profiler is gated on one global switch: with
 //! [`set_enabled`]`(false)` (the default), [`scope`] returns an inert
-//! guard after a single relaxed atomic load and the allocator skips the
-//! thread-local bump — the simulation's output is byte-identical either
-//! way, because nothing here ever touches simulated state.
+//! guard after a single relaxed atomic load. The allocation counters are
+//! always on. The simulation's output is byte-identical either way,
+//! because nothing here ever touches simulated state.
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]

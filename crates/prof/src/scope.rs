@@ -3,7 +3,7 @@
 //! `let _p = prof::scope("driver.deliver");` opens a span; dropping the
 //! guard records the span's host-nanosecond duration (into a
 //! power-of-two histogram) and the allocations performed inside it
-//! (from the [`crate::alloc`] thread-local counters). Spans nest: a
+//! (from the [`crate::alloc`] per-thread counter slots). Spans nest: a
 //! span's *self* time and *self* allocations exclude everything charged
 //! to spans opened inside it, so summing self-columns across all spans
 //! partitions the profiled wall-time exactly — no double counting in

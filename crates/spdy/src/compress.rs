@@ -16,7 +16,6 @@
 
 use crate::hash::U32Map;
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// Static dictionary: common header names/values, as in the SPDY/3 spec's
@@ -85,7 +84,7 @@ impl Window {
     }
 }
 
-/// Per-key candidate cap: the 4-gram index keeps at most this many
+/// Per-key candidate cap: the 4-gram index offers at most this many
 /// positions per key, oldest first (matching the original per-call
 /// rebuild, which stopped inserting once a slot was full).
 const MAX_CANDIDATES: usize = 32;
@@ -97,17 +96,14 @@ fn gram(b: &[u8]) -> Gram {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
-/// Maps keyed by [`Gram`], under the crate's integer hasher.
-type GramMap<V> = U32Map<V>;
-
 /// Positions of every 4-gram fully inside the static dictionary,
 /// ascending, capped at [`MAX_CANDIDATES`] per key. The dictionary is a
 /// constant, so this is computed once per process and shared.
-fn static_index() -> &'static GramMap<Vec<u32>> {
-    static INDEX: OnceLock<GramMap<Vec<u32>>> = OnceLock::new();
+fn static_index() -> &'static U32Map<Vec<u32>> {
+    static INDEX: OnceLock<U32Map<Vec<u32>>> = OnceLock::new();
     INDEX.get_or_init(|| {
         let d = STATIC_DICTIONARY;
-        let mut index: GramMap<Vec<u32>> = GramMap::default();
+        let mut index: U32Map<Vec<u32>> = U32Map::default();
         for i in 0..d.len().saturating_sub(MIN_MATCH - 1) {
             let slot = index.entry(gram(&d[i..])).or_default();
             if slot.len() < MAX_CANDIDATES {
@@ -118,30 +114,116 @@ fn static_index() -> &'static GramMap<Vec<u32>> {
     })
 }
 
+/// An empty chain's `oldest`.
+const NO_SLOT: u32 = u32::MAX;
+/// Smallest ring: a session of a few short blocks pays for this much.
+const MIN_RING: usize = 1024;
+
+/// The history half of the candidate index: every indexed history
+/// position, chained oldest to newest with the positions whose gram
+/// hashes to the same bucket.
+///
+/// Two flat arrays, no allocation per gram and no sweep. `ends[bucket]`
+/// holds a chain's oldest and newest position, `next[slot]` a position's
+/// successor. A position is named by its slot in the `next` ring — its
+/// *stream* position (stable as the window drains) modulo the ring
+/// length — which is unambiguous because the ring is kept at least as
+/// long as the span of live positions. A position is unlinked the moment
+/// its byte leaves the window, when it is necessarily the oldest of its
+/// chain, so chains hold live positions only.
+///
+/// A chain mixes the grams that share its bucket; the walk checks each
+/// position's bytes against the key. Oldest-first order is load-bearing:
+/// the candidate list is cut at [`MAX_CANDIDATES`], and the cut must
+/// fall where the original per-call rebuild — which inserted positions
+/// in window order and stopped once a key was full — let it fall, or the
+/// token stream changes, and with it every wire time downstream.
+#[derive(Debug, Default)]
+struct Chains {
+    /// `(oldest, newest)` slot per bucket; as many buckets as slots.
+    ends: Vec<(u32, u32)>,
+    /// Forward links; the length is zero or a power of two.
+    next: Vec<u32>,
+}
+
+impl Chains {
+    fn bucket(&self, key: Gram) -> usize {
+        // The high bits of one multiply: as many as there are buckets.
+        let h = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> (64 - self.ends.len().trailing_zeros())) as usize
+    }
+
+    fn slot(&self, s: u64) -> u32 {
+        (s & (self.next.len() as u64 - 1)) as u32
+    }
+
+    /// The stream position in `hist_start..hist_start + ring length`
+    /// that `slot` names.
+    fn position(&self, slot: u32, hist_start: u64) -> u64 {
+        hist_start + (u64::from(slot).wrapping_sub(hist_start) & (self.next.len() as u64 - 1))
+    }
+
+    /// Link stream position `s` in as the newest of `key`'s chain.
+    fn push(&mut self, key: Gram, s: u64) {
+        let slot = self.slot(s);
+        let bucket = self.bucket(key);
+        let (oldest, newest) = &mut self.ends[bucket];
+        if *oldest == NO_SLOT {
+            *oldest = slot;
+        } else {
+            self.next[*newest as usize] = slot;
+        }
+        *newest = slot;
+    }
+
+    /// Unlink stream position `s`, the oldest of `key`'s chain.
+    fn pop_oldest(&mut self, key: Gram, s: u64) {
+        let slot = self.slot(s);
+        let bucket = self.bucket(key);
+        let (oldest, newest) = &mut self.ends[bucket];
+        debug_assert_eq!(*oldest, slot, "positions leave in the order they came");
+        *oldest = if slot == *newest {
+            NO_SLOT
+        } else {
+            self.next[slot as usize]
+        };
+    }
+
+    /// Make room for `span` live positions. Outgrowing the ring rebuilds
+    /// the index from `history` (the window past the static dictionary,
+    /// starting at stream position `hist_start`): exactly the grams that
+    /// lie wholly inside it have been indexed so far.
+    fn reserve(&mut self, span: usize, history: &[u8], hist_start: u64) {
+        if span <= self.next.len() {
+            return;
+        }
+        let slots = span.next_power_of_two().max(MIN_RING);
+        self.next = vec![0; slots];
+        self.ends = vec![(NO_SLOT, NO_SLOT); slots];
+        for (i, bytes) in history.windows(MIN_MATCH).enumerate() {
+            self.push(gram(bytes), hist_start + i as u64);
+        }
+    }
+}
+
 /// The compressing half of a session's header codec.
 ///
 /// The candidate index is persistent and incremental: static-dictionary
-/// grams are computed once per process, history grams live in per-key
-/// deques of *stream* positions (stable as the window drains), and the
-/// three grams spanning the static/history boundary — whose bytes change
-/// every time the history head shifts — are recomputed per call. A gram
-/// joins its deque the moment the encoder has passed it, so the block
-/// being compressed and the blocks before it share one index. The
-/// assembled candidate list for a key is byte-for-byte the list the
-/// original per-call index rebuild produced, so compressed output is
-/// unchanged.
+/// grams are computed once per process, history grams live in
+/// [`Chains`], and the three grams spanning the static/history boundary
+/// — whose bytes change every time the history head shifts — are
+/// recomputed per call. A gram joins its chain the moment the encoder
+/// has passed it, so the block being compressed and the blocks before
+/// it share one index. The assembled candidate list for a key is
+/// byte-for-byte the list the original per-call index rebuild produced,
+/// so compressed output is unchanged.
 #[derive(Debug)]
 pub struct Compressor {
     window: Window,
     /// History bytes dropped from the window so far; stream position `s`
     /// of a retained history byte maps to window position `s - drained`.
     drained: u64,
-    /// Per-key stream positions of history grams, ascending. Entries
-    /// below the current history start are pruned lazily on access and
-    /// in a periodic full sweep.
-    history: GramMap<VecDeque<u64>>,
-    /// `drained` at the last full prune of `history`.
-    pruned_at: u64,
+    history: Chains,
     /// Reusable candidate-assembly buffer.
     scratch: Vec<usize>,
     stats_in: u64,
@@ -175,8 +257,9 @@ fn assemble_candidates(
     scratch: &mut Vec<usize>,
     key: Gram,
     win: &[u8],
+    input: &[u8],
     at: &StreamCoords,
-    history: &mut GramMap<VecDeque<u64>>,
+    history: &Chains,
 ) {
     scratch.clear();
     let s_len = STATIC_DICTIONARY.len();
@@ -193,26 +276,36 @@ fn assemble_candidates(
             scratch.push(i);
         }
     }
-    if scratch.len() < MAX_CANDIDATES {
-        if let Some(dq) = history.get_mut(&key) {
-            while dq.front().is_some_and(|&s| s < at.hist_start) {
-                dq.pop_front();
-            }
-            for &s in dq.iter() {
+    if scratch.len() >= MAX_CANDIDATES || history.ends.is_empty() {
+        return;
+    }
+    let (oldest, newest) = history.ends[history.bucket(key)];
+    if oldest == NO_SLOT {
+        return;
+    }
+    let mut slot = oldest;
+    loop {
+        let s = history.position(slot, at.hist_start);
+        if s < at.hidden_from || s >= at.stream_len {
+            // Visible positions have their whole gram on one side of
+            // the window/block seam.
+            let p = (s - at.drained) as usize;
+            let bytes = match p.checked_sub(win.len()) {
+                None => &win[p..],
+                Some(in_block) => &input[in_block..],
+            };
+            if gram(bytes) == key {
+                scratch.push(p);
                 if scratch.len() >= MAX_CANDIDATES {
-                    break;
-                }
-                if s < at.hidden_from || s >= at.stream_len {
-                    scratch.push((s - at.drained) as usize);
+                    return;
                 }
             }
         }
+        if slot == newest {
+            return;
+        }
+        slot = history.next[slot as usize];
     }
-}
-
-/// Append stream position `s` to its gram's deque.
-fn index_gram(history: &mut GramMap<VecDeque<u64>>, key: Gram, s: u64) {
-    history.entry(key).or_default().push_back(s);
 }
 
 /// Length of the common prefix of `a` and `b`, eight bytes at a time.
@@ -256,8 +349,7 @@ impl Compressor {
         Compressor {
             window: Window::new(),
             drained: 0,
-            history: GramMap::default(),
-            pruned_at: 0,
+            history: Chains::default(),
             scratch: Vec::new(),
             stats_in: 0,
             stats_out: 0,
@@ -285,8 +377,8 @@ impl Compressor {
                 .max(s_len as u64),
         };
 
-        // Split borrows so candidate assembly can prune `history` while
-        // the window stays readable.
+        // Split borrows so the index can grow while the window stays
+        // readable.
         let Compressor {
             window,
             history,
@@ -294,6 +386,7 @@ impl Compressor {
             ..
         } = &mut *self;
         let win: &[u8] = &window.buf;
+        history.reserve(base - s_len + input.len(), &win[s_len..], at.hist_start);
         // Search space = window ++ input, addressed without materializing.
         let byte = |p: usize| -> u8 {
             if p < base {
@@ -315,7 +408,7 @@ impl Compressor {
             let mut g = [0u8; MIN_MATCH];
             g[..tail.len()].copy_from_slice(tail);
             g[tail.len()..].copy_from_slice(&input[..MIN_MATCH - tail.len()]);
-            index_gram(history, gram(&g), s);
+            history.push(gram(&g), s);
         }
         // Positions below this start a whole gram inside the block; each
         // is indexed as the encoder passes it.
@@ -329,7 +422,7 @@ impl Compressor {
             // A match must beat MIN_MATCH - 1 to count.
             let (mut best_src, mut best_len) = (0usize, MIN_MATCH - 1);
             if pos < grams_end {
-                assemble_candidates(scratch, gram(&input[pos..]), win, &at, history);
+                assemble_candidates(scratch, gram(&input[pos..]), win, input, &at, history);
                 let longest = MAX_MATCH.min(input.len() - pos);
                 for &src in scratch.iter().rev() {
                     // Matches may run into the current input but the
@@ -363,13 +456,13 @@ impl Compressor {
                 put_varint(&mut out, best_len as u64);
                 // Newly emitted input becomes searchable.
                 for i in pos..(pos + best_len).min(grams_end) {
-                    index_gram(history, gram(&input[i..]), stream_len + i as u64);
+                    history.push(gram(&input[i..]), stream_len + i as u64);
                 }
                 pos += best_len;
                 literal_start = pos;
             } else {
                 if pos < grams_end {
-                    index_gram(history, gram(&input[pos..]), stream_len + pos as u64);
+                    history.push(gram(&input[pos..]), stream_len + pos as u64);
                 }
                 pos += 1;
             }
@@ -381,20 +474,20 @@ impl Compressor {
             out.put_slice(lit);
         }
 
-        self.window.extend(input);
-        self.drained = stream_end - self.window.buf.len() as u64;
-        // Amortized memory bound: whenever another full window's worth of
-        // history has drained, sweep the stale positions everywhere.
-        if self.drained - self.pruned_at >= MAX_HISTORY as u64 {
-            let live_from = s_len as u64 + self.drained;
-            self.history.retain(|_, dq| {
-                while dq.front().is_some_and(|&s| s < live_from) {
-                    dq.pop_front();
-                }
-                !dq.is_empty()
-            });
-            self.pruned_at = self.drained;
+        // Bytes about to leave the window take their index entries with
+        // them. Every one of them is indexed by now: at least
+        // `MAX_HISTORY` bytes of stream lie past it.
+        let leaving = (base + input.len()).saturating_sub(s_len + MAX_HISTORY);
+        for p in s_len..s_len + leaving {
+            let key = match p.checked_sub(base) {
+                Some(in_block) => gram(&input[in_block..]),
+                None if p + MIN_MATCH <= base => gram(&win[p..]),
+                None => gram(&[byte(p), byte(p + 1), byte(p + 2), byte(p + 3)]),
+            };
+            history.pop_oldest(key, drained + p as u64);
         }
+        self.window.extend(input);
+        self.drained += leaving as u64;
 
         self.stats_in += input.len() as u64;
         self.stats_out += out.len() as u64;

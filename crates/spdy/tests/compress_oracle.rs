@@ -44,12 +44,19 @@ fn put_literals(out: &mut Vec<u8>, lit: &[u8]) {
 struct OracleCompressor {
     /// Static dictionary followed by up to `MAX_HISTORY` session bytes.
     window: Vec<u8>,
+    /// Positions kept per gram ([`MAX_CANDIDATES`] in production).
+    cap: usize,
 }
 
 impl OracleCompressor {
     fn new() -> Self {
+        Self::with_cap(MAX_CANDIDATES)
+    }
+
+    fn with_cap(cap: usize) -> Self {
         OracleCompressor {
             window: STATIC_DICTIONARY.to_vec(),
+            cap,
         }
     }
 
@@ -58,11 +65,12 @@ impl OracleCompressor {
         let base = space.len();
         space.extend_from_slice(input);
 
+        let cap = self.cap;
         let mut index: HashMap<[u8; MIN_MATCH], Vec<usize>> = HashMap::new();
         let insert = |index: &mut HashMap<[u8; MIN_MATCH], Vec<usize>>, at: usize| {
             if let Some(key) = space.get(at..at + MIN_MATCH) {
                 let slot = index.entry(key.try_into().expect("4 bytes")).or_default();
-                if slot.len() < MAX_CANDIDATES {
+                if slot.len() < cap {
                     slot.push(at);
                 }
             }
@@ -220,8 +228,8 @@ fn assert_session_agrees(blocks: &[Vec<u8>]) -> Result<(), String> {
 
 // Shapes are drawn as `(kind, a, b)` tuples (the vendored proptest stub
 // has no `prop_oneof`) and cycled until the session has overflowed the
-// window twice over, so both the lazy per-key prune and the periodic
-// full prune have run.
+// window twice over, so positions have left the index from every kind
+// of chain.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -260,4 +268,107 @@ fn fixed_churn_session_matches_oracle() {
     let total: usize = blocks.iter().map(Vec::len).sum();
     assert!(total > 3 * MAX_HISTORY, "session too short: {total}");
     assert_session_agrees(&blocks).unwrap();
+}
+
+/// The index names a position by its slot in a ring of forward links,
+/// at most 32 Ki slots while blocks stay small. A session several rings
+/// long reuses every slot several times over, with the window's live
+/// span straddling the wrap point again and again.
+#[test]
+fn a_session_wrapping_the_link_ring_three_times_matches_oracle() {
+    const RING: usize = 2 * MAX_HISTORY;
+    let mut blocks: Vec<Vec<u8>> = Vec::new();
+    let mut total = 0usize;
+    for i in 0u64.. {
+        if total > 3 * RING + MAX_HISTORY {
+            break;
+        }
+        let next = block((i % 7) as u8, i * 37, (i * 11 % 2000) as usize, i, &blocks);
+        assert!(next.len() < MAX_HISTORY, "a block this long grows the ring");
+        total += next.len();
+        blocks.push(next);
+    }
+    assert_session_agrees(&blocks).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The same, over generated sessions (few cases: the oracle rebuilds
+    /// a full window's index for every block).
+    #[test]
+    fn generated_sessions_wrapping_the_link_ring_match_oracle(
+        shapes in prop::collection::vec((0u8..7, any::<u64>(), 200usize..2000), 16..64)
+    ) {
+        let mut blocks: Vec<Vec<u8>> = Vec::new();
+        let mut total = 0usize;
+        for (i, &(kind, a, b)) in shapes.iter().cycle().enumerate() {
+            if total > 7 * MAX_HISTORY {
+                break;
+            }
+            let next = block(kind, a.wrapping_add(i as u64 / 5), b, i as u64, &blocks);
+            total += next.len().max(64);
+            blocks.push(next);
+        }
+        if let Err(e) = assert_session_agrees(&blocks) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
+/// A block longer than the ring outgrows it mid-session: the index is
+/// rebuilt from the window, and must come back holding what it held.
+#[test]
+fn a_block_that_outgrows_the_ring_matches_oracle() {
+    let small = |i: u64| block((i % 3) as u8, i * 31, (i * 13 % 2000) as usize, i, &[]);
+    let mut blocks: Vec<Vec<u8>> = (0..40).map(small).collect();
+    // Compressible (it quotes the blocks before it) and 70 KB long.
+    let long: Vec<u8> = blocks
+        .iter()
+        .flatten()
+        .copied()
+        .cycle()
+        .take(70_000)
+        .collect();
+    blocks.push(long);
+    blocks.extend((40..120).map(small));
+    assert_session_agrees(&blocks).unwrap();
+}
+
+/// One gram with more live positions than [`MAX_CANDIDATES`]: the
+/// candidate list is the *oldest* 32, so a later, longer match goes
+/// unseen — as it did when the index was rebuilt per call. An index that
+/// offered the newest positions, or all of them, would compress better
+/// and emit different bytes (the uncapped oracle shows the session does
+/// tell the two apart).
+#[test]
+fn a_gram_with_more_live_positions_than_the_cap_keeps_the_oldest() {
+    let value = |i: u64| -> String {
+        (0..24)
+            .map(|j| char::from(b'A' + mix(i * 64 + j) % 26))
+            .collect()
+    };
+    let mut blocks: Vec<Vec<u8>> = (0..3 * MAX_CANDIDATES as u64)
+        .map(|i| format!("|x-session-key={}|", value(i)).into_bytes())
+        .collect();
+    // Quote recent blocks: findable whole only past the cap.
+    for i in [40, 70, 95] {
+        blocks.push(blocks[i].clone());
+    }
+    assert_session_agrees(&blocks).unwrap();
+
+    let mut capped = OracleCompressor::new();
+    let mut uncapped = OracleCompressor::with_cap(usize::MAX);
+    let differs = blocks
+        .iter()
+        .filter(|block| capped.compress(block) != uncapped.compress(block))
+        .count();
+    assert!(differs >= 3, "the cap never bound: {differs}");
+
+    // The same once the window has turned over and the oldest positions
+    // of the chain have left it.
+    let filler = (0..400u64).map(|i| block(5, i, 399, i, &[]));
+    let mut late: Vec<Vec<u8>> = blocks.iter().cloned().chain(filler).collect();
+    late.extend(blocks.iter().cloned());
+    assert_session_agrees(&late).unwrap();
 }
