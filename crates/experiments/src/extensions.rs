@@ -73,7 +73,7 @@ pub fn promo_sweep(opts: ExpOpts) -> Report {
     for promo_ms in promotions {
         let side = |http: bool| {
             runs_where(&all, |c| {
-                c.rrc_promotion_ms == Some(promo_ms)
+                c.settings.rrc_promotion_ms == Some(promo_ms)
                     && (c.protocol.mode == ProtocolMode::Http) == http
             })
         };

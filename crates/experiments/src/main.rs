@@ -5,8 +5,8 @@
 //! `export`, `trace`, `paired`, `explain`, `diff` and `profile`
 //! subcommands.
 //!
-//! The `run` form executes a declarative scenario manifest (JSON, or the
-//! strict YAML subset) end to end: expand cells, fan them across
+//! The `run` form executes a declarative scenario manifest (a JSON
+//! document) end to end: expand cells, fan them across
 //! `SPDYIER_JOBS` workers, evaluate assertions, and write the versioned
 //! results contract (`result.json`, `junit.xml`, optional paired dump
 //! and trace artifacts) to the output directory. Exit codes are
@@ -64,8 +64,8 @@ static GLOBAL: spdyier_prof::CountingAlloc = spdyier_prof::CountingAlloc;
 /// placeholder). The one table all usage text is printed from.
 const USAGE: &[&str] = &[
     "<id|all> [--seeds N] [--json DIR]",
-    "run <MANIFEST.(json|yaml)> [--out DIR] [--seeds N]",
-    "sweep <MANIFEST.(json|yaml)> --out DIR [--seeds N] [--stop-after K]",
+    "run <MANIFEST.json> [--out DIR] [--seeds N]",
+    "sweep <MANIFEST.json> --out DIR [--seeds N] [--stop-after K]",
     "export <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]",
     "trace <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]",
     "paired <3g|lte|wifi|3g-pinned> <FILE> [--seeds N]",
@@ -466,6 +466,9 @@ fn load_manifest(path: &str, args: &[String]) -> Manifest {
     let mut manifest = Manifest::from_file(Path::new(path))
         .unwrap_or_else(|e| config_error(&format!("{path}: {e}")));
     if let Some(n) = parse_seeds(args) {
+        if manifest.seeds.base.checked_add(n).is_none() {
+            config_error("--seeds: seeds.base + N overflows a 64-bit seed");
+        }
         manifest.seeds.count = n;
     }
     manifest

@@ -20,7 +20,7 @@ fn zero_seeds_is_a_config_error_on_every_subcommand() {
     let out = out.to_str().expect("utf-8 temp dir");
     let manifest = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../scenarios/quick_wifi.yaml"
+        "/../../scenarios/quick_wifi.json"
     );
     let cases: [&[&str]; 5] = [
         &["fig3", "--seeds", "0"],
@@ -43,6 +43,84 @@ fn zero_seeds_is_a_config_error_on_every_subcommand() {
         !std::path::Path::new(out).exists(),
         "a rejected invocation must not create its output"
     );
+}
+
+/// Manifest values that used to wrap, truncate or saturate on their way
+/// into the testbed — `visits` cast to `u32` (2^32 ran zero visits and
+/// passed), a seed range past `u64::MAX` (zero cells, passed), a visit
+/// interval past `SimTime`'s microseconds (never finished), a 1e300 s
+/// ping interval — are config errors naming the field: exit 3, one
+/// line, nothing simulated or written.
+#[test]
+fn out_of_range_manifest_values_are_config_errors_naming_the_field() {
+    let dir = std::env::temp_dir().join(format!("spdyier_cli_range_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("bad.json");
+    let out = dir.join("out");
+    let site = r#""workload":{"kind":"site","site":3"#;
+    let cases = [
+        (
+            "scenario error at manifest.workload.visits: ",
+            format!("{site},\"visits\":4294967296}}"),
+            &[][..],
+        ),
+        (
+            "scenario error at manifest.seeds: ",
+            r#""seeds":{"base":18446744073709551615,"count":2}"#.into(),
+            &[],
+        ),
+        (
+            "--seeds: ",
+            r#""seeds":{"base":18446744073709551614}"#.into(),
+            &["--seeds", "5"],
+        ),
+        (
+            "scenario error at manifest.workload.interval_s: ",
+            format!("{site},\"visits\":2,\"interval_s\":18446744073709551615}}"),
+            &[],
+        ),
+        (
+            "scenario error at manifest.mitigations.keepalive_ping_s: ",
+            r#""mitigations":{"keepalive_ping_s":1e300}"#.into(),
+            &[],
+        ),
+    ];
+    for (diagnostic, section, flags) in cases {
+        let text = format!(
+            r#"{{"schema_version":1,"name":"bad","network":{{"kind":"wifi"}},"protocols":["http"],{section}}}"#
+        );
+        std::fs::write(&manifest, text).expect("manifest written");
+        let mut args = vec!["run", manifest.to_str().expect("utf-8"), "--out"];
+        args.push(out.to_str().expect("utf-8"));
+        args.extend(flags);
+        let child = experiments(&args);
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert_eq!(child.status.code(), Some(3), "{section}: {child:?}");
+        assert!(stderr.contains(diagnostic), "{section}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{section}: {stderr}");
+        assert!(child.stdout.is_empty(), "{section}: {child:?}");
+        assert!(!out.exists(), "{section}: a rejected manifest must not run");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Manifests are JSON: a `.yaml` path is refused by its extension, before
+/// the file is looked for.
+#[test]
+fn a_yaml_manifest_path_is_a_config_error_saying_manifests_are_json() {
+    let cases: [&[&str]; 3] = [
+        &["run", "scenarios/quick_wifi.yaml"],
+        &["sweep", "scenarios/quick_wifi.yml", "--out", "/dev/null/x"],
+        &["explain", "scenarios/quick_wifi.yaml"],
+    ];
+    for args in cases {
+        let child = experiments(args);
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert_eq!(child.status.code(), Some(3), "{args:?}: {child:?}");
+        assert!(stderr.contains("manifests are JSON"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(child.stdout.is_empty(), "{args:?}: {child:?}");
+    }
 }
 
 /// An output location that cannot be created is a config error naming
@@ -77,7 +155,7 @@ fn unopenable_heartbeat_file_fails_the_sweep_before_any_cell_runs() {
     std::fs::create_dir_all(&heartbeat).expect("temp dir");
     let manifest = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../scenarios/quick_wifi.yaml"
+        "/../../scenarios/quick_wifi.json"
     );
     let child = experiments(&["sweep", manifest, "--out", out.to_str().expect("utf-8")]);
     let stderr = String::from_utf8_lossy(&child.stderr);
@@ -104,7 +182,7 @@ fn sweep_heartbeats_report_allocations() {
     let out = std::env::temp_dir().join(format!("spdyier_cli_allocs_{}", std::process::id()));
     let manifest = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../scenarios/quick_wifi.yaml"
+        "/../../scenarios/quick_wifi.json"
     );
     let child = experiments(&["sweep", manifest, "--out", out.to_str().expect("utf-8")]);
     assert_eq!(child.status.code(), Some(0), "{child:?}");

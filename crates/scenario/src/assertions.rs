@@ -19,6 +19,7 @@
 //! network other than the manifest's, the verdict is `skipped` — letting
 //! one assertion list serve a family of per-network manifests.
 
+use crate::metrics::{required_trace, COUNTER, METRICS};
 use spdyier_core::{NetworkSpec, TraceLevel};
 
 /// Comparison operators.
@@ -61,7 +62,7 @@ impl CmpOp {
 pub struct MetricRef {
     /// Cell filters, all of which must match (empty = every cell).
     pub filters: Vec<String>,
-    /// Metric name (one of [`KNOWN_METRICS`] or `counter.<name>`).
+    /// Metric name (one of [`METRICS`] or `counter.<name>`).
     pub metric: String,
 }
 
@@ -89,73 +90,6 @@ pub struct Assertion {
     pub on: Option<NetworkSpec>,
 }
 
-/// Every metric name the evaluator computes from pooled cells, besides
-/// the `counter.<name>` passthrough.
-pub const KNOWN_METRICS: [&str; 34] = [
-    "plt_p50_ms",
-    "plt_p90_ms",
-    "plt_p95_ms",
-    "plt_mean_ms",
-    "plt_min_ms",
-    "plt_max_ms",
-    "completion_rate",
-    "visits",
-    "completed_visits",
-    "promotion_stall_ms",
-    "serialization_stall_ms",
-    "queueing_stall_ms",
-    "rto_stall_ms",
-    "rto_stall_per_event_ms",
-    "think_stall_ms",
-    "other_stall_ms",
-    "retransmissions",
-    "timeouts",
-    "idle_restarts",
-    "connections_opened",
-    "promotions",
-    "energy_mj",
-    "total_bytes",
-    "critical_parse_ms",
-    "critical_conn_setup_ms",
-    "critical_promotion_ms",
-    "critical_rto_stall_ms",
-    "critical_rto_per_event_ms",
-    "critical_serialization_ms",
-    "critical_queueing_ms",
-    "critical_think_ms",
-    "critical_wait_ms",
-    "critical_receive_ms",
-    "trace_dropped",
-];
-
-/// The metrics that need per-visit stall attribution (and therefore at
-/// least `Transport`-level flight recording).
-pub const STALL_METRICS: [&str; 7] = [
-    "promotion_stall_ms",
-    "serialization_stall_ms",
-    "queueing_stall_ms",
-    "rto_stall_ms",
-    "rto_stall_per_event_ms",
-    "think_stall_ms",
-    "other_stall_ms",
-];
-
-/// The per-critical-path-edge pooled metrics (mean ms per visit over the
-/// visits on the pooled cells' critical paths), in the causal engine's
-/// canonical edge order. They need `Full`-level flight recording: the
-/// serialization / queueing edges come from per-segment records.
-pub const CRITICAL_METRICS: [&str; 9] = [
-    "critical_parse_ms",
-    "critical_conn_setup_ms",
-    "critical_promotion_ms",
-    "critical_rto_stall_ms",
-    "critical_serialization_ms",
-    "critical_queueing_ms",
-    "critical_think_ms",
-    "critical_wait_ms",
-    "critical_receive_ms",
-];
-
 impl MetricRef {
     fn parse(token: &str) -> Result<MetricRef, String> {
         let segments: Vec<&str> = token.split('.').collect();
@@ -165,7 +99,7 @@ impl MetricRef {
         // `counter.<name>` may itself contain dots (registry names like
         // `tcp.rto_fired`), so everything from the `counter` segment on
         // is the metric; filters are the segments before it.
-        if let Some(pos) = segments.iter().position(|&s| s == "counter") {
+        if let Some(pos) = segments.iter().position(|&s| s == COUNTER) {
             if pos + 1 == segments.len() {
                 return Err(format!(
                     "metric reference {token:?} is missing a counter name"
@@ -177,10 +111,11 @@ impl MetricRef {
             });
         }
         let (metric, filters) = segments.split_last().expect("split never empty");
-        if !KNOWN_METRICS.contains(metric) {
+        if required_trace(metric).is_none() {
+            let known: Vec<&str> = METRICS.iter().map(|&(name, ..)| name).collect();
             return Err(format!(
                 "unknown metric {metric:?} (expected one of: {}, or counter.<name>)",
-                KNOWN_METRICS.join(", ")
+                known.join(", ")
             ));
         }
         Ok(MetricRef {
@@ -189,26 +124,12 @@ impl MetricRef {
         })
     }
 
-    /// Whether this reference needs stall attribution.
-    pub fn needs_stall_metrics(&self) -> bool {
-        STALL_METRICS.contains(&self.metric.as_str())
-    }
-
     /// The minimum flight-recorder level this reference needs to be
-    /// computable: critical-path metrics need `Full` (per-segment
-    /// records), stall metrics need `Transport`, `trace_dropped` and
-    /// `counter.*` need the recorder merely on (`Lifecycle`).
+    /// computable: its [`METRICS`] row's, or `Lifecycle` for `counter.*`
+    /// (a hand-built reference to an unknown metric needs none: it fails
+    /// evaluation at any level).
     pub fn required_trace(&self) -> TraceLevel {
-        let m = self.metric.as_str();
-        if CRITICAL_METRICS.contains(&m) || m == "critical_rto_per_event_ms" {
-            TraceLevel::Full
-        } else if STALL_METRICS.contains(&m) {
-            TraceLevel::Transport
-        } else if m == "trace_dropped" || m.starts_with("counter.") {
-            TraceLevel::Lifecycle
-        } else {
-            TraceLevel::Off
-        }
+        required_trace(&self.metric).unwrap_or(TraceLevel::Off)
     }
 }
 
@@ -280,14 +201,6 @@ impl Assertion {
         })
     }
 
-    /// Whether either side references a stall-attribution metric.
-    pub fn needs_stall_metrics(&self) -> bool {
-        [&self.lhs, &self.rhs]
-            .into_iter()
-            .filter_map(Operand::metric)
-            .any(MetricRef::needs_stall_metrics)
-    }
-
     /// The minimum flight-recorder level either side needs.
     pub fn required_trace(&self) -> TraceLevel {
         [&self.lhs, &self.rhs]
@@ -302,13 +215,13 @@ impl Assertion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::CellMetrics;
 
     #[test]
     fn parses_the_paper_headline() {
         let a = Assertion::parse("spdy.rto_stall_ms > http.rto_stall_ms on 3g").unwrap();
         assert_eq!(a.op, CmpOp::Gt);
         assert_eq!(a.on, Some(NetworkSpec::Umts3G));
-        assert!(a.needs_stall_metrics());
         let lhs = a.lhs.metric().unwrap();
         assert_eq!(lhs.filters, ["spdy"]);
         assert_eq!(lhs.metric, "rto_stall_ms");
@@ -318,9 +231,9 @@ mod tests {
     fn parses_literals_and_counters() {
         let a = Assertion::parse("plt_p50_ms < 9000").unwrap();
         assert_eq!(a.rhs, Operand::Number(9000.0));
-        assert!(!a.needs_stall_metrics());
 
         let a = Assertion::parse("http.counter.tcp.rto_fired >= 1").unwrap();
+        assert_eq!(a.required_trace(), TraceLevel::Lifecycle);
         let lhs = a.lhs.metric().unwrap();
         assert_eq!(lhs.filters, ["http"]);
         assert_eq!(lhs.metric, "counter.tcp.rto_fired");
@@ -350,21 +263,36 @@ mod tests {
         }
     }
 
+    /// Every row of the table parses under its own name, demands its own
+    /// level (the higher of the two when a comparison mixes levels), and
+    /// evaluates to a value or a reason — never a panic — with and
+    /// without samples.
     #[test]
-    fn critical_metrics_demand_full_tracing() {
-        let a = Assertion::parse("spdy.critical_rto_stall_ms > http.critical_rto_stall_ms on 3g")
-            .unwrap();
-        assert_eq!(a.required_trace(), TraceLevel::Full);
-        assert!(!a.needs_stall_metrics());
-
-        let a = Assertion::parse("spdy.rto_stall_ms > 1").unwrap();
-        assert_eq!(a.required_trace(), TraceLevel::Transport);
-
-        let a = Assertion::parse("trace_dropped <= 0").unwrap();
-        assert_eq!(a.required_trace(), TraceLevel::Lifecycle);
-
-        let a = Assertion::parse("plt_p50_ms < 9000").unwrap();
-        assert_eq!(a.required_trace(), TraceLevel::Off);
+    fn every_metric_row_parses_demands_its_level_and_evaluates() {
+        let mut populated = CellMetrics {
+            visits: 3,
+            completed: 2,
+            stall_sums_us: [1, 2, 3, 4, 5, 6],
+            stall_visits: 2,
+            critical_sums_us: [1, 2, 3, 4, 5, 6, 7, 8, 9],
+            critical_visits: 2,
+            timeouts: 1,
+            ..CellMetrics::default()
+        };
+        populated.plt.record(120.0);
+        for &(name, level, _) in METRICS {
+            let a = Assertion::parse(&format!("spdy.{name} >= 0")).unwrap();
+            assert_eq!(a.lhs.metric().unwrap().metric, name);
+            assert_eq!(a.required_trace(), level, "{name}");
+            let mixed = Assertion::parse(&format!("{name} > critical_wait_ms")).unwrap();
+            assert_eq!(mixed.required_trace(), TraceLevel::Full, "{name}");
+            let empty = CellMetrics::default().metric(name);
+            assert_eq!(empty.is_err(), level >= TraceLevel::Transport, "{name}");
+            let value = populated
+                .metric(name)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(value.is_finite(), "{name}: {value}");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! # spdyier-scenario
 //!
 //! Declarative scenario manifests: an experiment as *data* instead of a
-//! Rust function. A manifest (JSON, or the strict YAML subset in
-//! [`yaml`]) declares the network, workload, protocol sides, §6
-//! mitigation knobs, an optional knob matrix, seeds, trace level,
-//! limits, and assertions; [`Manifest::cells`] expands it into the
+//! Rust function. A JSON manifest declares the network, workload,
+//! protocol sides, §6 mitigation knobs (the [`KNOBS`] table), an optional
+//! knob matrix, seeds, trace level, limits, and assertions over the
+//! [`METRICS`] table; [`Manifest::cells`] expands it into the
 //! deterministic run cells and [`Cell::build_config`] produces the exact
 //! [`spdyier_core::ExperimentConfig`] each cell runs — with defaults
 //! that reproduce the paper baseline byte-for-byte.
@@ -32,11 +32,11 @@
 pub mod assertions;
 pub mod manifest;
 pub mod metrics;
-pub mod yaml;
 
-pub use assertions::{Assertion, CmpOp, MetricRef, Operand, KNOWN_METRICS, STALL_METRICS};
+pub use assertions::{Assertion, CmpOp, MetricRef, Operand};
 pub use manifest::{
-    table1_schedule_for_seed, Cell, KnobValue, Limits, Manifest, ManifestError, Mitigations,
-    NetworkSection, Outputs, ProtocolSpec, Seeds, Workload, MANIFEST_SCHEMA_VERSION,
+    table1_schedule_for_seed, Cell, Home, Knob, KnobValue, Limits, Manifest, ManifestError,
+    NetworkSection, Outputs, ProtocolSpec, Seeds, Settings, Workload, KNOBS,
+    MANIFEST_SCHEMA_VERSION,
 };
-pub use metrics::{eval_metric, evaluate, CellMetrics};
+pub use metrics::{eval_metric, evaluate, CellMetrics, METRICS};

@@ -1,13 +1,20 @@
 //! The scenario manifest: one experiment, declared as data.
 //!
-//! A manifest is a JSON (or strict-subset YAML, see [`crate::yaml`])
-//! document that names everything a run of the testbed depends on: the
-//! access network, the workload, the protocol side(s), the §6 mitigation
-//! knobs, an optional knob matrix, seeds, trace level, limits, and the
-//! assertions the run must satisfy. Decoding is *strict*: unknown keys,
-//! wrong types, and out-of-range values are one-line
-//! [`ManifestError`]s naming the offending field — they map to the
-//! scenario exit code 3 (config error), never to a half-configured run.
+//! A manifest is a JSON document that names everything a run of the
+//! testbed depends on: the access network, the workload, the protocol
+//! side(s), the §6 mitigation knobs, an optional knob matrix, seeds,
+//! trace level, limits, and the assertions the run must satisfy.
+//! Decoding is *strict*: unknown keys, wrong types, and out-of-range
+//! values are one-line [`ManifestError`]s naming the offending field —
+//! they map to the scenario exit code 3 (config error), never to a
+//! half-configured run.
+//!
+//! Every name is declared once. A knob is one row of [`KNOBS`] (setter,
+//! getter, home section) plus one [`Settings`] field; every other key is
+//! spelled where [`Manifest::decode`] reads it — through a section
+//! reader that builds the `manifest.<section>.<key>` path, checks the
+//! declared range and rejects the keys nobody asked for — and once more
+//! where [`Manifest::to_value`] writes it.
 //!
 //! The defaults of every optional section reproduce
 //! [`ExperimentConfig::paper_3g`] exactly; a manifest that only names a
@@ -22,17 +29,28 @@ use spdyier_sim::{DetRng, SimDuration};
 use spdyier_tcp::CcAlgorithm;
 use spdyier_trace::TraceLevel;
 use spdyier_workload::{test_page, VisitSchedule};
+use std::fmt::Display;
+use std::ops::RangeInclusive;
 
 /// Current manifest schema version; decoding rejects any other.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
 
+/// Longest duration a single field may name, seconds (~31 years). With
+/// [`MAX_HORIZON_S`] it keeps every simulated instant — the last visit's
+/// start, plus its timeout, plus any timer armed behind it — inside
+/// `SimTime`'s `u64` microseconds (1.8e13 s) with a decade to spare.
+const MAX_DURATION_S: u64 = 1_000_000_000;
+
+/// Longest schedule (`visits × interval_s`) a workload may span, seconds.
+const MAX_HORIZON_S: u64 = 1_000_000_000_000;
+
 /// A one-line manifest decoding/validation error. The message always
-/// names the offending field path (`scenario error at workload.objects:
-/// expected an unsigned integer`).
+/// names the offending field path (`scenario error at
+/// manifest.workload.objects: expected an unsigned integer, got a string`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestError(pub String);
 
-impl std::fmt::Display for ManifestError {
+impl Display for ManifestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
     }
@@ -40,25 +58,15 @@ impl std::fmt::Display for ManifestError {
 
 impl std::error::Error for ManifestError {}
 
-fn err(path: &str, msg: impl std::fmt::Display) -> ManifestError {
+fn err(path: &str, msg: impl Display) -> ManifestError {
     ManifestError(format!("scenario error at {path}: {msg}"))
 }
 
 type DResult<T> = Result<T, ManifestError>;
 
 // ---------------------------------------------------------------------
-// Decode helpers over the serde `Value` tree
+// The section reader
 // ---------------------------------------------------------------------
-
-fn as_object<'a>(v: &'a Value, path: &str) -> DResult<&'a [(String, Value)]> {
-    match v {
-        Value::Object(entries) => Ok(entries),
-        other => Err(err(
-            path,
-            format!("expected an object, got {}", kind_of(other)),
-        )),
-    }
-}
 
 fn kind_of(v: &Value) -> &'static str {
     match v {
@@ -71,54 +79,167 @@ fn kind_of(v: &Value) -> &'static str {
     }
 }
 
-/// Reject unknown and duplicate keys — the strictness that turns typos
-/// into exit-code-3 diagnostics instead of silently-defaulted runs.
-fn check_keys(entries: &[(String, Value)], allowed: &[&str], path: &str) -> DResult<()> {
-    for (i, (key, _)) in entries.iter().enumerate() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(err(
-                &format!("{path}.{key}"),
-                format!("unknown field (expected one of: {})", allowed.join(", ")),
-            ));
+fn typed<T>(want: &str, v: &Value, got: Option<T>) -> Result<T, String> {
+    got.ok_or_else(|| format!("expected {want}, got {}", kind_of(v)))
+}
+
+fn as_str(v: &Value) -> Result<&str, String> {
+    typed("a string", v, v.as_str())
+}
+
+/// One object-valued manifest section being decoded. An accessor looks
+/// its key up, builds the `manifest.<section>.<key>` path, checks the
+/// type and the declared range, and remembers that the key was asked
+/// for, so [`Fields::finish`] can reject every key nobody asked for —
+/// the strictness that turns typos into exit-code-3 diagnostics instead
+/// of silently-defaulted runs.
+///
+/// Errors are sticky, not returned on the spot: a failing accessor
+/// records its diagnostic (the first one wins) and hands back a
+/// placeholder, and `finish` reports unknown and duplicate keys ahead of
+/// it, so a typo'd required key reads as the typo it is rather than as a
+/// missing field. Nothing read through a `Fields` may be used until its
+/// `finish` (or the parent's, after [`Fields::absorb`]) returned `Ok`.
+struct Fields<'a> {
+    entries: &'a [(String, Value)],
+    path: String,
+    /// What a key is called in diagnostics (`field`, or `knob` in `matrix`).
+    noun: &'static str,
+    asked: Vec<&'static str>,
+    error: Option<ManifestError>,
+}
+
+impl<'a> Fields<'a> {
+    /// The section at `path`. An absent section reads as an empty one:
+    /// every field takes its default and a required field is missing.
+    fn new(v: Option<&'a Value>, path: String) -> Fields<'a> {
+        let (entries, error) = match v {
+            None => (&[][..], None),
+            Some(Value::Object(entries)) => (&entries[..], None),
+            Some(other) => {
+                let msg = format!("expected an object, got {}", kind_of(other));
+                (&[][..], Some(err(&path, msg)))
+            }
+        };
+        Fields {
+            entries,
+            path,
+            noun: "field",
+            asked: Vec::new(),
+            error,
         }
-        if entries[..i].iter().any(|(prev, _)| prev == key) {
-            return Err(err(&format!("{path}.{key}"), "duplicate field"));
+    }
+
+    fn at(&self, key: &str) -> String {
+        format!("{}.{key}", self.path)
+    }
+
+    /// Record a diagnostic about `key` (or `key[i]`).
+    fn fail(&mut self, key: &str, msg: impl Display) {
+        let e = err(&self.at(key), msg);
+        self.error.get_or_insert(e);
+    }
+
+    /// Record a diagnostic about the section as a whole.
+    fn reject(&mut self, msg: impl Display) {
+        let e = err(&self.path, msg);
+        self.error.get_or_insert(e);
+    }
+
+    fn get(&mut self, key: &'static str) -> Option<&'a Value> {
+        self.asked.push(key);
+        let entry = self.entries.iter().find(|(k, _)| k == key);
+        entry.map(|(_, v)| v)
+    }
+
+    /// The nested section under `key`.
+    fn child(&mut self, key: &'static str) -> Fields<'a> {
+        Fields::new(self.get(key), self.at(key))
+    }
+
+    /// Finish a nested section and take over its diagnostic.
+    fn absorb(&mut self, child: Fields<'_>) {
+        if let Err(e) = child.finish() {
+            self.error.get_or_insert(e);
         }
     }
-    Ok(())
-}
 
-fn get<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_u64(v: &Value, path: &str) -> DResult<u64> {
-    match v {
-        Value::U64(n) => Ok(*n),
-        other => Err(err(
-            path,
-            format!("expected an unsigned integer, got {}", kind_of(other)),
-        )),
+    /// The value under `key` as `pick` reads it: `default` when the key
+    /// is absent (a missing required field when there is none), `None`
+    /// behind a recorded diagnostic.
+    fn read<T>(
+        &mut self,
+        key: &'static str,
+        default: Option<T>,
+        pick: impl FnOnce(&'a Value) -> Result<T, String>,
+    ) -> Option<T> {
+        let Some(v) = self.get(key) else {
+            if default.is_none() {
+                self.fail(key, "missing required field");
+            }
+            return default;
+        };
+        pick(v).map_err(|msg| self.fail(key, msg)).ok()
     }
-}
 
-fn as_bool(v: &Value, path: &str) -> DResult<bool> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        other => Err(err(
-            path,
-            format!("expected a boolean, got {}", kind_of(other)),
-        )),
+    /// An unsigned integer within `range`; required when `default` is `None`.
+    fn int<T>(&mut self, key: &'static str, range: RangeInclusive<T>, default: Option<T>) -> T
+    where
+        T: Copy + Display + PartialOrd + TryFrom<u64>,
+    {
+        let (lo, hi) = (*range.start(), *range.end());
+        let pick = |v: &Value| {
+            let n = typed("an unsigned integer", v, v.as_u64())?;
+            let fits = T::try_from(n).ok().filter(|t| range.contains(t));
+            fits.ok_or_else(|| format!("{n} is outside {lo}..={hi}"))
+        };
+        self.read(key, default, pick).unwrap_or(lo)
     }
-}
 
-fn as_str<'a>(v: &'a Value, path: &str) -> DResult<&'a str> {
-    match v {
-        Value::Str(s) => Ok(s),
-        other => Err(err(
-            path,
-            format!("expected a string, got {}", kind_of(other)),
-        )),
+    fn flag(&mut self, key: &'static str, default: bool) -> bool {
+        let pick = |v: &Value| typed("a boolean", v, v.as_bool());
+        self.read(key, Some(default), pick).unwrap_or(default)
+    }
+
+    /// The array of strings under `key`, each parsed by `parse` (an
+    /// element's diagnostic names `key[i]`); absent means empty unless
+    /// the array is `required`, which also rules out an empty one.
+    fn strings<T>(
+        &mut self,
+        key: &'static str,
+        required: bool,
+        parse: fn(&str) -> Result<T, String>,
+    ) -> Vec<T> {
+        let pick = |v: &'a Value| match v.as_array() {
+            Some(items) if required && items.is_empty() => Err("needs at least one entry".into()),
+            items => typed("an array", v, items.map(Vec::as_slice)),
+        };
+        let absent = (!required).then_some(&[][..]);
+        let items = self.read(key, absent, pick).unwrap_or_default();
+        let mut parsed = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            match as_str(item).and_then(parse) {
+                Ok(t) => parsed.push(t),
+                Err(msg) => self.fail(&format!("{key}[{i}]"), msg),
+            }
+        }
+        parsed
+    }
+
+    /// Reject unknown and duplicate keys, then report the first recorded
+    /// diagnostic.
+    fn finish(self) -> DResult<()> {
+        for (i, (key, _)) in self.entries.iter().enumerate() {
+            if !self.asked.contains(&key.as_str()) {
+                let known = self.asked.join(", ");
+                let msg = format!("unknown {} (expected one of: {known})", self.noun);
+                return Err(err(&self.at(key), msg));
+            }
+            if self.entries[..i].iter().any(|(prev, _)| prev == key) {
+                return Err(err(&self.at(key), format!("duplicate {}", self.noun)));
+            }
+        }
+        self.error.map_or(Ok(()), Err)
     }
 }
 
@@ -196,13 +317,12 @@ impl ProtocolSpec {
 // Sections
 // ---------------------------------------------------------------------
 
-/// The `network` section.
+/// The `network` section (its `rrc_promotion_ms` key is a knob, so it
+/// decodes into [`Settings`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkSection {
     /// Which access network (`"3g"`, `"3g-pinned"`, `"lte"`, `"wifi"`).
     pub kind: NetworkSpec,
-    /// Override the radio's idle→active promotion delay, ms.
-    pub rrc_promotion_ms: Option<u64>,
 }
 
 /// The `workload` section: what pages the schedule visits.
@@ -235,42 +355,50 @@ pub enum Workload {
     },
 }
 
-/// The `mitigations` section: every §6 knob, defaulted to the paper's
-/// baseline (i.e. [`ExperimentConfig::paper_3g`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Mitigations {
-    /// §6.2.1: reset the RTT estimate across idle periods.
-    pub rtt_reset_after_idle: bool,
-    /// RFC 2861 `tcp_slow_start_after_idle` (§6.2.2).
-    pub slow_start_after_idle: bool,
-    /// Destination metrics cache (§6.2.4).
-    pub metrics_cache: bool,
-    /// Fig. 14 keepalive ping interval, seconds (absent = off).
-    pub keepalive_ping_s: Option<f64>,
-    /// Outstanding requests per HTTP connection (1 = paper).
-    pub http_pipelining: u64,
-    /// Close idle HTTP connections after this many seconds
-    /// (JSON `null` disables the reaper; absent = the 10 s default).
-    pub http_idle_close_s: Option<f64>,
-    /// Congestion control: `"cubic"` (paper testbed) or `"reno"`.
-    pub cc: CcAlgorithm,
-}
-
-impl Default for Mitigations {
-    fn default() -> Self {
-        Mitigations {
-            rtt_reset_after_idle: false,
-            slow_start_after_idle: true,
-            metrics_cache: true,
-            keepalive_ping_s: None,
-            http_pipelining: 1,
-            http_idle_close_s: Some(10.0),
-            cc: CcAlgorithm::Cubic,
+/// Declares [`Settings`] with each knob's paper-baseline default beside
+/// its field, so a knob's storage is one line.
+macro_rules! settings {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty = $default:expr,)*) => {
+        /// What one cell runs with: every §6 mitigation knob plus the
+        /// radio override, typed. The manifest's `mitigations` and
+        /// `network` sections set the baseline, `matrix` overrides it per
+        /// variant, and [`Cell::build_config`] maps it onto the testbed.
+        /// The default is the paper's baseline
+        /// ([`ExperimentConfig::paper_3g`]).
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Settings {
+            $($(#[$doc])* pub $field: $ty,)*
         }
-    }
+
+        impl Default for Settings {
+            fn default() -> Self {
+                Settings { $($field: $default,)* }
+            }
+        }
+    };
 }
 
-/// One matrix knob value: a JSON scalar.
+settings! {
+    /// §6.2.1: reset the RTT estimate across idle periods.
+    rtt_reset_after_idle: bool = false,
+    /// RFC 2861 `tcp_slow_start_after_idle` (§6.2.2).
+    slow_start_after_idle: bool = true,
+    /// Destination metrics cache (§6.2.4).
+    metrics_cache: bool = true,
+    /// Fig. 14 keepalive ping interval, seconds (absent = off).
+    keepalive_ping_s: Option<f64> = None,
+    /// Outstanding requests per HTTP connection (1 = paper).
+    http_pipelining: u64 = 1,
+    /// Close idle HTTP connections after this many seconds (JSON `null`
+    /// disables the reaper; absent = the 10 s default).
+    http_idle_close_s: Option<f64> = Some(10.0),
+    /// Congestion control: `"cubic"` (paper testbed) or `"reno"`.
+    cc: CcAlgorithm = CcAlgorithm::Cubic,
+    /// Override the radio's idle→active promotion delay, ms.
+    rrc_promotion_ms: Option<u64> = None,
+}
+
+/// One knob value: a JSON scalar.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KnobValue {
     /// Boolean knob setting.
@@ -305,7 +433,7 @@ impl KnobValue {
         }
     }
 
-    fn decode(v: &Value, path: &str) -> DResult<KnobValue> {
+    fn decode(v: &Value) -> Result<KnobValue, String> {
         Ok(match v {
             Value::Null => KnobValue::Null,
             Value::Bool(b) => KnobValue::Bool(*b),
@@ -313,13 +441,153 @@ impl KnobValue {
             Value::I64(n) => KnobValue::Number(*n as f64),
             Value::F64(x) => KnobValue::Number(*x),
             Value::Str(s) => KnobValue::Str(s.clone()),
-            other => {
-                return Err(err(
-                    path,
-                    format!("expected a scalar, got {}", kind_of(other)),
-                ))
-            }
+            other => return Err(format!("expected a scalar, got {}", kind_of(other))),
         })
+    }
+}
+
+// ---------------------------------------------------------------------
+// The knob table
+// ---------------------------------------------------------------------
+
+/// The manifest section that may carry a knob as a plain key. Every knob
+/// is also a `matrix` axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Home {
+    /// The `network` section.
+    Network,
+    /// The `mitigations` section.
+    Mitigations,
+}
+
+impl Home {
+    /// The section's manifest key.
+    pub fn key(self) -> &'static str {
+        match self {
+            Home::Network => "network",
+            Home::Mitigations => "mitigations",
+        }
+    }
+}
+
+/// Where a knob lives in [`Settings`], which is also what values it
+/// takes. One projection serves both directions: [`Knob::set`] writes
+/// through it, [`Knob::get`] reads through it on a copy.
+enum Slot {
+    Flag(fn(&mut Settings) -> &mut bool),
+    /// A whole number within the range.
+    Count(fn(&mut Settings) -> &mut u64, RangeInclusive<u64>),
+    /// A positive number of seconds up to [`MAX_DURATION_S`]; null is off.
+    Seconds(fn(&mut Settings) -> &mut Option<f64>),
+    /// Whole milliseconds up to [`MAX_DURATION_S`]; null is "as preset".
+    Millis(fn(&mut Settings) -> &mut Option<u64>),
+    Cc(fn(&mut Settings) -> &mut CcAlgorithm),
+}
+
+const CC_NAMES: [(&str, CcAlgorithm); 2] =
+    [("cubic", CcAlgorithm::Cubic), ("reno", CcAlgorithm::Reno)];
+
+/// One knob: a manifest key, a matrix axis, and a typed [`Settings`] field.
+pub struct Knob {
+    /// Manifest key, and matrix axis name.
+    pub name: &'static str,
+    /// The section that may set it outside `matrix`.
+    pub home: Home,
+    slot: Slot,
+}
+
+const fn knob(name: &'static str, home: Home, slot: Slot) -> Knob {
+    Knob { name, home, slot }
+}
+
+/// Every knob, in the order `mitigations` renders them. Adding one is a
+/// row here, a [`Settings`] field, and a line in [`Cell::build_config`].
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = {
+    use {Home::*, Slot::*};
+    &[
+        knob("rtt_reset_after_idle", Mitigations, Flag(|s| &mut s.rtt_reset_after_idle)),
+        knob("slow_start_after_idle", Mitigations, Flag(|s| &mut s.slow_start_after_idle)),
+        knob("metrics_cache", Mitigations, Flag(|s| &mut s.metrics_cache)),
+        knob("keepalive_ping_s", Mitigations, Seconds(|s| &mut s.keepalive_ping_s)),
+        knob("http_pipelining", Mitigations, Count(|s| &mut s.http_pipelining, 1..=65_535)),
+        knob("http_idle_close_s", Mitigations, Seconds(|s| &mut s.http_idle_close_s)),
+        knob("cc", Mitigations, Cc(|s| &mut s.cc)),
+        knob("rrc_promotion_ms", Network, Millis(|s| &mut s.rrc_promotion_ms)),
+    ]
+};
+
+/// `x` as a whole number within `range`.
+fn whole(x: f64, range: &RangeInclusive<u64>) -> Option<u64> {
+    Some(x as u64).filter(|n| x >= 0.0 && x.fract() == 0.0 && range.contains(n))
+}
+
+impl Knob {
+    fn named(name: &str) -> Option<&'static Knob> {
+        KNOBS.iter().find(|k| k.name == name)
+    }
+
+    /// What a value of the wrong type or range is told the knob takes.
+    pub fn takes(&self) -> String {
+        match &self.slot {
+            Slot::Flag(_) => "a boolean".into(),
+            Slot::Count(_, range) => {
+                format!("an integer from {} to {}", range.start(), range.end())
+            }
+            Slot::Seconds(_) => "a positive number of seconds (at most 1e9) or null".into(),
+            Slot::Millis(_) => "a whole number of milliseconds (at most 1e12) or null".into(),
+            Slot::Cc(_) => CC_NAMES.map(|(name, _)| format!("{name:?}")).join(" or "),
+        }
+    }
+
+    /// Store `value`; `false` when it is not one the knob takes.
+    pub fn set(&self, s: &mut Settings, value: &KnobValue) -> bool {
+        use KnobValue::{Bool, Null, Number, Str};
+        match (&self.slot, value) {
+            (Slot::Flag(at), Bool(b)) => *at(s) = *b,
+            (Slot::Count(at, range), Number(x)) => match whole(*x, range) {
+                Some(n) => *at(s) = n,
+                None => return false,
+            },
+            (Slot::Seconds(at), Null) => *at(s) = None,
+            (Slot::Seconds(at), Number(x)) if *x > 0.0 && *x <= MAX_DURATION_S as f64 => {
+                *at(s) = Some(*x);
+            }
+            (Slot::Millis(at), Null) => *at(s) = None,
+            (Slot::Millis(at), Number(x)) => match whole(*x, &(0..=MAX_DURATION_S * 1_000)) {
+                Some(ms) => *at(s) = Some(ms),
+                None => return false,
+            },
+            (Slot::Cc(at), Str(name)) => match CC_NAMES.iter().find(|(n, _)| n == name) {
+                Some(&(_, cc)) => *at(s) = cc,
+                None => return false,
+            },
+            _ => return false,
+        }
+        true
+    }
+
+    /// The stored value, as the manifest spells it.
+    pub fn get(&self, s: &Settings) -> KnobValue {
+        let s = &mut s.clone();
+        match &self.slot {
+            Slot::Flag(at) => KnobValue::Bool(*at(s)),
+            Slot::Count(at, _) => KnobValue::Number(*at(s) as f64),
+            Slot::Seconds(at) => at(s).map_or(KnobValue::Null, KnobValue::Number),
+            Slot::Millis(at) => at(s).map_or(KnobValue::Null, |ms| KnobValue::Number(ms as f64)),
+            Slot::Cc(at) => {
+                let named = CC_NAMES.iter().find(|(_, cc)| cc == at(s));
+                KnobValue::Str(named.expect("every CcAlgorithm is named").0.to_string())
+            }
+        }
+    }
+
+    fn apply(&self, settings: &mut Settings, value: &KnobValue) -> Result<(), String> {
+        if self.set(settings, value) {
+            Ok(())
+        } else {
+            Err(format!("knob {:?} takes {}", self.name, self.takes()))
+        }
     }
 }
 
@@ -387,8 +655,8 @@ pub struct Manifest {
     pub workload: Workload,
     /// Protocol sides, in run order within a seed.
     pub protocols: Vec<ProtocolSpec>,
-    /// §6 mitigation knobs (baseline defaults).
-    pub mitigations: Mitigations,
+    /// Knob settings every cell starts from (baseline defaults).
+    pub settings: Settings,
     /// Knob matrix: each entry is a knob name and its value list; the
     /// cross product (insertion order) defines the variants.
     pub matrix: Vec<(String, Vec<KnobValue>)>,
@@ -419,10 +687,8 @@ pub struct Cell {
     pub protocol: ProtocolSpec,
     /// Root seed for this cell.
     pub seed: u64,
-    /// Mitigation knobs after applying the variant's overrides.
-    pub settings: Mitigations,
-    /// RRC promotion override after variant overrides, ms.
-    pub rrc_promotion_ms: Option<u64>,
+    /// Knob settings after applying the variant's overrides.
+    pub settings: Settings,
 }
 
 /// The shared Table 1 schedule for seed `s` — the single source of truth
@@ -433,81 +699,117 @@ pub fn table1_schedule_for_seed(s: u64) -> VisitSchedule {
     VisitSchedule::paper_default(&mut rng)
 }
 
-/// Matrix knobs and the type each accepts.
-const MATRIX_KNOBS: [&str; 8] = [
-    "rtt_reset_after_idle",
-    "slow_start_after_idle",
-    "metrics_cache",
-    "keepalive_ping_s",
-    "http_pipelining",
-    "http_idle_close_s",
-    "cc",
-    "rrc_promotion_ms",
-];
+fn check_name(name: &str) -> Result<String, String> {
+    let legal = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    if name.is_empty() || !name.chars().all(legal) {
+        return Err(
+            "must be a non-empty [A-Za-z0-9_-]+ identifier (it names artifact files)".into(),
+        );
+    }
+    Ok(name.to_string())
+}
 
-fn apply_knob(
-    settings: &mut Mitigations,
-    rrc_promotion_ms: &mut Option<u64>,
-    knob: &str,
-    value: &KnobValue,
-    path: &str,
-) -> DResult<()> {
-    let type_err = |want: &str| err(path, format!("knob {knob:?} takes {want}"));
-    match knob {
-        "rtt_reset_after_idle" | "slow_start_after_idle" | "metrics_cache" => {
-            let KnobValue::Bool(b) = value else {
-                return Err(type_err("a boolean"));
-            };
-            match knob {
-                "rtt_reset_after_idle" => settings.rtt_reset_after_idle = *b,
-                "slow_start_after_idle" => settings.slow_start_after_idle = *b,
-                _ => settings.metrics_cache = *b,
+/// Read every knob whose home is `f`'s section.
+fn decode_knobs(f: &mut Fields<'_>, home: Home, settings: &mut Settings) {
+    for knob in KNOBS.iter().filter(|k| k.home == home) {
+        if let Some(v) = f.get(knob.name) {
+            if let Err(msg) = KnobValue::decode(v).and_then(|v| knob.apply(settings, &v)) {
+                f.fail(knob.name, msg);
             }
-        }
-        "keepalive_ping_s" => match value {
-            KnobValue::Null => settings.keepalive_ping_s = None,
-            KnobValue::Number(x) if *x > 0.0 => settings.keepalive_ping_s = Some(*x),
-            _ => return Err(type_err("a positive number of seconds or null")),
-        },
-        "http_pipelining" => match value {
-            KnobValue::Number(x) if *x >= 1.0 && x.fract() == 0.0 => {
-                settings.http_pipelining = *x as u64;
-            }
-            _ => return Err(type_err("an integer >= 1")),
-        },
-        "http_idle_close_s" => match value {
-            KnobValue::Null => settings.http_idle_close_s = None,
-            KnobValue::Number(x) if *x > 0.0 => settings.http_idle_close_s = Some(*x),
-            _ => return Err(type_err("a positive number of seconds or null")),
-        },
-        "cc" => match value {
-            KnobValue::Str(s) if s == "cubic" => settings.cc = CcAlgorithm::Cubic,
-            KnobValue::Str(s) if s == "reno" => settings.cc = CcAlgorithm::Reno,
-            _ => return Err(type_err("\"cubic\" or \"reno\"")),
-        },
-        "rrc_promotion_ms" => match value {
-            KnobValue::Null => *rrc_promotion_ms = None,
-            KnobValue::Number(x) if *x >= 0.0 && x.fract() == 0.0 => {
-                *rrc_promotion_ms = Some(*x as u64);
-            }
-            _ => return Err(type_err("a non-negative integer of milliseconds or null")),
-        },
-        _ => {
-            return Err(err(
-                path,
-                format!(
-                    "unknown knob {knob:?} (expected one of: {})",
-                    MATRIX_KNOBS.join(", ")
-                ),
-            ))
         }
     }
-    Ok(())
+}
+
+/// How often and how far apart a `site` / `synthetic` page is visited.
+fn decode_pacing(f: &mut Fields<'_>) -> (u32, u64) {
+    let visits: u32 = f.int("visits", 1..=u32::MAX, Some(1));
+    let interval_s = f.int("interval_s", 0..=MAX_DURATION_S, Some(60));
+    if u64::from(visits) * interval_s > MAX_HORIZON_S {
+        f.reject(format!(
+            "{visits} visits {interval_s} s apart span more than {MAX_HORIZON_S} s"
+        ));
+    }
+    (visits, interval_s)
+}
+
+fn decode_workload(top: &mut Fields<'_>) -> Workload {
+    let mut f = top.child("workload");
+    let kind = f.read("kind", Some("table1"), |v| match as_str(v)? {
+        known @ ("table1" | "site" | "synthetic") => Ok(known),
+        other => Err(format!(
+            "unknown workload {other:?} (expected table1, site, or synthetic)"
+        )),
+    });
+    let workload = match kind {
+        Some("site") => {
+            let site = f.int("site", 1..=20, None);
+            let (visits, interval_s) = decode_pacing(&mut f);
+            Workload::Site {
+                site,
+                visits,
+                interval_s,
+            }
+        }
+        Some("synthetic") => {
+            let objects = f.int("objects", 1..=u32::MAX, None);
+            let object_bytes = f.int("object_bytes", 0..=u64::MAX, Some(2_500));
+            let same_domain = f.flag("same_domain", false);
+            let (visits, interval_s) = decode_pacing(&mut f);
+            Workload::Synthetic {
+                objects,
+                object_bytes,
+                same_domain,
+                visits,
+                interval_s,
+            }
+        }
+        _ => Workload::Table1,
+    };
+    if kind.is_none() {
+        // Which keys are legal depends on the kind: behind a bad one the
+        // others are not judged.
+        f.entries = &[];
+    }
+    top.absorb(f);
+    workload
+}
+
+fn decode_matrix(top: &mut Fields<'_>) -> Vec<(String, Vec<KnobValue>)> {
+    let mut f = top.child("matrix");
+    f.noun = "knob";
+    f.asked.extend(KNOBS.iter().map(|k| k.name));
+    // Type-check eagerly on a scratch copy so bad matrix values are
+    // exit-3 config errors, not mid-run failures.
+    let mut scratch = Settings::default();
+    let mut matrix = Vec::with_capacity(f.entries.len());
+    for (name, values) in f.entries {
+        let Some(knob) = Knob::named(name) else {
+            continue; // `finish` names it
+        };
+        let mut decoded = Vec::new();
+        match typed("an array of knob values", values, values.as_array()) {
+            Err(msg) => f.fail(name, msg),
+            Ok(items) if items.is_empty() => f.fail(name, "needs at least one value"),
+            Ok(items) => {
+                for (j, item) in items.iter().enumerate() {
+                    let checked = KnobValue::decode(item)
+                        .and_then(|v| knob.apply(&mut scratch, &v).map(|()| v));
+                    match checked {
+                        Ok(v) => decoded.push(v),
+                        Err(msg) => f.fail(&format!("{name}[{j}]"), msg),
+                    }
+                }
+            }
+        }
+        matrix.push((name.clone(), decoded));
+    }
+    top.absorb(f);
+    matrix
 }
 
 impl Manifest {
     /// A minimal manifest at the paper's 3G operating point: Table 1
-    /// workload, paired HTTP/SPDY, baseline mitigations, one seed.
+    /// workload, paired HTTP/SPDY, baseline settings, one seed.
     pub fn paper_baseline(name: &str) -> Manifest {
         Manifest {
             schema_version: MANIFEST_SCHEMA_VERSION,
@@ -515,14 +817,13 @@ impl Manifest {
             description: String::new(),
             network: NetworkSection {
                 kind: NetworkSpec::Umts3G,
-                rrc_promotion_ms: None,
             },
             workload: Workload::Table1,
             protocols: vec![
                 ProtocolSpec::parse("http").expect("http parses"),
                 ProtocolSpec::parse("spdy").expect("spdy parses"),
             ],
-            mitigations: Mitigations::default(),
+            settings: Settings::default(),
             matrix: Vec::new(),
             seeds: Seeds::default(),
             trace: TraceLevel::Off,
@@ -540,437 +841,114 @@ impl Manifest {
         Manifest::decode(&value)
     }
 
-    /// Decode a manifest from strict-subset YAML text (see [`crate::yaml`]).
-    pub fn from_yaml(text: &str) -> DResult<Manifest> {
-        let value = crate::yaml::parse(text)
-            .map_err(|e| ManifestError(format!("scenario error: invalid YAML: {e}")))?;
-        Manifest::decode(&value)
-    }
-
-    /// Decode a manifest from a file, dispatching on the `.yaml`/`.yml`
-    /// extension (anything else is treated as JSON).
+    /// Decode a manifest from a JSON file.
     pub fn from_file(path: &std::path::Path) -> DResult<Manifest> {
+        if let Some("yaml" | "yml") = path.extension().and_then(|e| e.to_str()) {
+            return Err(ManifestError(
+                "scenario error: manifests are JSON (.yaml and .yml files are not accepted)".into(),
+            ));
+        }
         let text = std::fs::read_to_string(path).map_err(|e| {
             ManifestError(format!(
                 "scenario error: cannot read {}: {e}",
                 path.display()
             ))
         })?;
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("yaml") | Some("yml") => Manifest::from_yaml(&text),
-            _ => Manifest::from_json(&text),
-        }
+        Manifest::from_json(&text)
     }
 
     /// Decode a manifest from a parsed `Value` tree.
     pub fn decode(v: &Value) -> DResult<Manifest> {
-        let top = as_object(v, "manifest")?;
-        check_keys(
-            top,
-            &[
-                "schema_version",
-                "name",
-                "description",
-                "network",
-                "workload",
-                "protocols",
-                "mitigations",
-                "matrix",
-                "seeds",
-                "trace",
-                "tcp_traces",
-                "limits",
-                "assertions",
-                "outputs",
-            ],
-            "manifest",
-        )?;
+        let mut top = Fields::new(Some(v), "manifest".into());
+        let version = |v: &Value| match typed("an unsigned integer", v, v.as_u64())? {
+            MANIFEST_SCHEMA_VERSION => Ok(MANIFEST_SCHEMA_VERSION),
+            other => Err(format!(
+                "unsupported version {other} (this build speaks {MANIFEST_SCHEMA_VERSION})"
+            )),
+        };
+        let schema_version = top.read("schema_version", None, version);
+        let name = top.read("name", None, |v| as_str(v).and_then(check_name));
+        let description = top.read("description", Some(""), as_str);
 
-        let schema_version = as_u64(
-            get(top, "schema_version")
-                .ok_or_else(|| err("manifest.schema_version", "missing required field"))?,
-            "manifest.schema_version",
-        )?;
-        if schema_version != MANIFEST_SCHEMA_VERSION {
-            return Err(err(
-                "manifest.schema_version",
-                format!("unsupported version {schema_version} (this build speaks {MANIFEST_SCHEMA_VERSION})"),
-            ));
+        let mut settings = Settings::default();
+        let mut f = top.child(Home::Network.key());
+        let kind = f.read("kind", None, |v| as_str(v)?.parse::<NetworkSpec>());
+        decode_knobs(&mut f, Home::Network, &mut settings);
+        top.absorb(f);
+
+        let workload = decode_workload(&mut top);
+
+        let protocols = top.strings("protocols", true, ProtocolSpec::parse);
+
+        let mut f = top.child(Home::Mitigations.key());
+        decode_knobs(&mut f, Home::Mitigations, &mut settings);
+        top.absorb(f);
+
+        let matrix = decode_matrix(&mut top);
+
+        let (mut f, d) = (top.child("seeds"), Seeds::default());
+        let seeds = Seeds {
+            base: f.int("base", 0..=u64::MAX, Some(d.base)),
+            count: f.int("count", 1..=u64::MAX, Some(d.count)),
+        };
+        if seeds.base.checked_add(seeds.count).is_none() {
+            f.reject("base + count overflows a 64-bit seed");
         }
+        top.absorb(f);
 
-        let name = as_str(
-            get(top, "name").ok_or_else(|| err("manifest.name", "missing required field"))?,
-            "manifest.name",
-        )?
-        .to_string();
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
-            return Err(err(
-                "manifest.name",
-                "must be a non-empty [A-Za-z0-9_-]+ identifier (it names artifact files)",
-            ));
-        }
+        let trace = top.read("trace", Some(TraceLevel::Off), |v| {
+            let s = as_str(v)?;
+            TraceLevel::parse(s).ok_or_else(|| {
+                format!("unknown level {s:?} (expected off, lifecycle, transport, or full)")
+            })
+        });
+        let tcp_traces = top.flag("tcp_traces", false);
 
-        let description = match get(top, "description") {
-            Some(v) => as_str(v, "manifest.description")?.to_string(),
-            None => String::new(),
+        let (mut f, d) = (top.child("limits"), Limits::default());
+        let limits = Limits {
+            event_budget: f.int("event_budget", 1..=u64::MAX, Some(d.event_budget)),
+            visit_timeout_s: f.int(
+                "visit_timeout_s",
+                1..=MAX_DURATION_S,
+                Some(d.visit_timeout_s),
+            ),
         };
+        top.absorb(f);
 
-        let network = Self::decode_network(
-            get(top, "network").ok_or_else(|| err("manifest.network", "missing required field"))?,
-        )?;
+        let assertions = top.strings("assertions", false, Assertion::parse);
 
-        let workload = match get(top, "workload") {
-            Some(v) => Self::decode_workload(v)?,
-            None => Workload::Table1,
+        let mut f = top.child("outputs");
+        let outputs = Outputs {
+            paired_dump: f.flag("paired_dump", false),
+            trace_artifacts: f.flag("trace_artifacts", false),
         };
-
-        let protocols_v = get(top, "protocols")
-            .ok_or_else(|| err("manifest.protocols", "missing required field"))?;
-        let Value::Array(items) = protocols_v else {
-            return Err(err(
-                "manifest.protocols",
-                "expected an array of protocol strings",
-            ));
-        };
-        if items.is_empty() {
-            return Err(err(
-                "manifest.protocols",
-                "at least one protocol is required",
-            ));
-        }
-        let mut protocols = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let path = format!("manifest.protocols[{i}]");
-            let s = as_str(item, &path)?;
-            protocols.push(ProtocolSpec::parse(s).map_err(|e| err(&path, e))?);
-        }
-
-        let mitigations = match get(top, "mitigations") {
-            Some(v) => Self::decode_mitigations(v)?,
-            None => Mitigations::default(),
-        };
-
-        let matrix = match get(top, "matrix") {
-            Some(v) => Self::decode_matrix(v, &mitigations, &network)?,
-            None => Vec::new(),
-        };
-
-        let seeds = match get(top, "seeds") {
-            Some(v) => {
-                let entries = as_object(v, "manifest.seeds")?;
-                check_keys(entries, &["base", "count"], "manifest.seeds")?;
-                let base = match get(entries, "base") {
-                    Some(v) => as_u64(v, "manifest.seeds.base")?,
-                    None => 0,
-                };
-                let count = match get(entries, "count") {
-                    Some(v) => as_u64(v, "manifest.seeds.count")?,
-                    None => 1,
-                };
-                if count == 0 {
-                    return Err(err("manifest.seeds.count", "must be at least 1"));
-                }
-                Seeds { base, count }
-            }
-            None => Seeds::default(),
-        };
-
-        let trace = match get(top, "trace") {
-            Some(v) => {
-                let s = as_str(v, "manifest.trace")?;
-                TraceLevel::parse(s).ok_or_else(|| {
-                    err(
-                        "manifest.trace",
-                        format!(
-                            "unknown level {s:?} (expected off, lifecycle, transport, or full)"
-                        ),
-                    )
-                })?
-            }
-            None => TraceLevel::Off,
-        };
-
-        let tcp_traces = match get(top, "tcp_traces") {
-            Some(v) => as_bool(v, "manifest.tcp_traces")?,
-            None => false,
-        };
-
-        let limits = match get(top, "limits") {
-            Some(v) => {
-                let entries = as_object(v, "manifest.limits")?;
-                check_keys(
-                    entries,
-                    &["event_budget", "visit_timeout_s"],
-                    "manifest.limits",
-                )?;
-                let mut limits = Limits::default();
-                if let Some(v) = get(entries, "event_budget") {
-                    limits.event_budget = as_u64(v, "manifest.limits.event_budget")?;
-                    if limits.event_budget == 0 {
-                        return Err(err("manifest.limits.event_budget", "must be positive"));
-                    }
-                }
-                if let Some(v) = get(entries, "visit_timeout_s") {
-                    limits.visit_timeout_s = as_u64(v, "manifest.limits.visit_timeout_s")?;
-                    if limits.visit_timeout_s == 0 {
-                        return Err(err("manifest.limits.visit_timeout_s", "must be positive"));
-                    }
-                }
-                limits
-            }
-            None => Limits::default(),
-        };
-
-        let assertions = match get(top, "assertions") {
-            Some(v) => {
-                let Value::Array(items) = v else {
-                    return Err(err(
-                        "manifest.assertions",
-                        "expected an array of assertion strings",
-                    ));
-                };
-                let mut assertions = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let path = format!("manifest.assertions[{i}]");
-                    let s = as_str(item, &path)?;
-                    assertions.push(Assertion::parse(s).map_err(|e| err(&path, e))?);
-                }
-                assertions
-            }
-            None => Vec::new(),
-        };
-
-        let outputs = match get(top, "outputs") {
-            Some(v) => {
-                let entries = as_object(v, "manifest.outputs")?;
-                check_keys(
-                    entries,
-                    &["paired_dump", "trace_artifacts"],
-                    "manifest.outputs",
-                )?;
-                Outputs {
-                    paired_dump: match get(entries, "paired_dump") {
-                        Some(v) => as_bool(v, "manifest.outputs.paired_dump")?,
-                        None => false,
-                    },
-                    trace_artifacts: match get(entries, "trace_artifacts") {
-                        Some(v) => as_bool(v, "manifest.outputs.trace_artifacts")?,
-                        None => false,
-                    },
-                }
-            }
-            None => Outputs::default(),
-        };
-
         let manifest = Manifest {
-            schema_version,
-            name,
-            description,
-            network,
+            schema_version: schema_version.unwrap_or_default(),
+            name: name.unwrap_or_default(),
+            description: description.unwrap_or_default().to_string(),
+            network: NetworkSection {
+                kind: kind.unwrap_or(NetworkSpec::Umts3G),
+            },
             workload,
             protocols,
-            mitigations,
+            settings,
             matrix,
             seeds,
-            trace,
+            trace: trace.unwrap_or(TraceLevel::Off),
             tcp_traces,
             limits,
             assertions,
             outputs,
         };
-        if manifest.outputs.paired_dump && !manifest.is_paired() {
-            return Err(err(
-                "manifest.outputs.paired_dump",
-                "requires protocols [\"http\", \"spdy\"] and an empty matrix (the legacy dump format is strictly paired)",
-            ));
+        if outputs.paired_dump && !manifest.is_paired() {
+            f.reject(
+                "paired_dump requires protocols [\"http\", \"spdy\"] and an empty matrix (the legacy dump format is strictly paired)",
+            );
         }
+        top.absorb(f);
+        // Every placeholder above sits behind a recorded diagnostic.
+        top.finish()?;
         Ok(manifest)
-    }
-
-    fn decode_network(v: &Value) -> DResult<NetworkSection> {
-        let entries = as_object(v, "manifest.network")?;
-        check_keys(entries, &["kind", "rrc_promotion_ms"], "manifest.network")?;
-        let kind_s = as_str(
-            get(entries, "kind")
-                .ok_or_else(|| err("manifest.network.kind", "missing required field"))?,
-            "manifest.network.kind",
-        )?;
-        let kind: NetworkSpec = kind_s
-            .parse()
-            .map_err(|e| err("manifest.network.kind", e))?;
-        let rrc_promotion_ms = match get(entries, "rrc_promotion_ms") {
-            Some(Value::Null) | None => None,
-            Some(v) => Some(as_u64(v, "manifest.network.rrc_promotion_ms")?),
-        };
-        Ok(NetworkSection {
-            kind,
-            rrc_promotion_ms,
-        })
-    }
-
-    fn decode_workload(v: &Value) -> DResult<Workload> {
-        let entries = as_object(v, "manifest.workload")?;
-        let kind = as_str(
-            get(entries, "kind")
-                .ok_or_else(|| err("manifest.workload.kind", "missing required field"))?,
-            "manifest.workload.kind",
-        )?;
-        match kind {
-            "table1" => {
-                check_keys(entries, &["kind"], "manifest.workload")?;
-                Ok(Workload::Table1)
-            }
-            "site" => {
-                check_keys(
-                    entries,
-                    &["kind", "site", "visits", "interval_s"],
-                    "manifest.workload",
-                )?;
-                let site = as_u64(
-                    get(entries, "site")
-                        .ok_or_else(|| err("manifest.workload.site", "missing required field"))?,
-                    "manifest.workload.site",
-                )?;
-                if !(1..=20).contains(&site) {
-                    return Err(err(
-                        "manifest.workload.site",
-                        "must be a 1-based Table 1 row (1..=20)",
-                    ));
-                }
-                let visits = match get(entries, "visits") {
-                    Some(v) => as_u64(v, "manifest.workload.visits")?,
-                    None => 1,
-                };
-                if visits == 0 {
-                    return Err(err("manifest.workload.visits", "must be at least 1"));
-                }
-                let interval_s = match get(entries, "interval_s") {
-                    Some(v) => as_u64(v, "manifest.workload.interval_s")?,
-                    None => 60,
-                };
-                Ok(Workload::Site {
-                    site: site as u32,
-                    visits: visits as u32,
-                    interval_s,
-                })
-            }
-            "synthetic" => {
-                check_keys(
-                    entries,
-                    &[
-                        "kind",
-                        "objects",
-                        "object_bytes",
-                        "same_domain",
-                        "visits",
-                        "interval_s",
-                    ],
-                    "manifest.workload",
-                )?;
-                let objects = as_u64(
-                    get(entries, "objects").ok_or_else(|| {
-                        err("manifest.workload.objects", "missing required field")
-                    })?,
-                    "manifest.workload.objects",
-                )?;
-                if objects == 0 {
-                    return Err(err("manifest.workload.objects", "must be at least 1"));
-                }
-                let object_bytes = match get(entries, "object_bytes") {
-                    Some(v) => as_u64(v, "manifest.workload.object_bytes")?,
-                    None => 2_500,
-                };
-                let same_domain = match get(entries, "same_domain") {
-                    Some(v) => as_bool(v, "manifest.workload.same_domain")?,
-                    None => false,
-                };
-                let visits = match get(entries, "visits") {
-                    Some(v) => as_u64(v, "manifest.workload.visits")?,
-                    None => 1,
-                };
-                if visits == 0 {
-                    return Err(err("manifest.workload.visits", "must be at least 1"));
-                }
-                let interval_s = match get(entries, "interval_s") {
-                    Some(v) => as_u64(v, "manifest.workload.interval_s")?,
-                    None => 60,
-                };
-                Ok(Workload::Synthetic {
-                    objects: objects as u32,
-                    object_bytes,
-                    same_domain,
-                    visits: visits as u32,
-                    interval_s,
-                })
-            }
-            other => Err(err(
-                "manifest.workload.kind",
-                format!("unknown workload {other:?} (expected table1, site, or synthetic)"),
-            )),
-        }
-    }
-
-    fn decode_mitigations(v: &Value) -> DResult<Mitigations> {
-        let entries = as_object(v, "manifest.mitigations")?;
-        check_keys(
-            entries,
-            &[
-                "rtt_reset_after_idle",
-                "slow_start_after_idle",
-                "metrics_cache",
-                "keepalive_ping_s",
-                "http_pipelining",
-                "http_idle_close_s",
-                "cc",
-            ],
-            "manifest.mitigations",
-        )?;
-        let mut m = Mitigations::default();
-        let mut unused_rrc = None;
-        for (key, value) in entries {
-            let path = format!("manifest.mitigations.{key}");
-            let knob = KnobValue::decode(value, &path)?;
-            apply_knob(&mut m, &mut unused_rrc, key, &knob, &path)?;
-        }
-        Ok(m)
-    }
-
-    fn decode_matrix(
-        v: &Value,
-        base: &Mitigations,
-        network: &NetworkSection,
-    ) -> DResult<Vec<(String, Vec<KnobValue>)>> {
-        let entries = as_object(v, "manifest.matrix")?;
-        let mut matrix = Vec::with_capacity(entries.len());
-        for (i, (knob, values)) in entries.iter().enumerate() {
-            let path = format!("manifest.matrix.{knob}");
-            if entries[..i].iter().any(|(prev, _)| prev == knob) {
-                return Err(err(&path, "duplicate knob"));
-            }
-            let Value::Array(items) = values else {
-                return Err(err(&path, "expected an array of knob values"));
-            };
-            if items.is_empty() {
-                return Err(err(&path, "needs at least one value"));
-            }
-            let mut decoded = Vec::with_capacity(items.len());
-            for (j, item) in items.iter().enumerate() {
-                let vpath = format!("{path}[{j}]");
-                let value = KnobValue::decode(item, &vpath)?;
-                // Type-check eagerly on a scratch copy so bad matrix
-                // values are exit-3 config errors, not mid-run failures.
-                let mut scratch = base.clone();
-                let mut scratch_rrc = network.rrc_promotion_ms;
-                apply_knob(&mut scratch, &mut scratch_rrc, knob, &value, &vpath)?;
-                decoded.push(value);
-            }
-            matrix.push((knob.clone(), decoded));
-        }
-        Ok(matrix)
     }
 
     /// Whether this is a strict legacy pairing: exactly `[http, spdy]`
@@ -1013,11 +991,12 @@ impl Manifest {
     pub fn cells(&self) -> Vec<Cell> {
         let mut cells = Vec::new();
         for (variant, overrides) in self.variants() {
-            let mut settings = self.mitigations.clone();
-            let mut rrc = self.network.rrc_promotion_ms;
-            for (knob, value) in &overrides {
-                apply_knob(&mut settings, &mut rrc, knob, value, "manifest.matrix")
-                    .expect("matrix values were type-checked at decode");
+            let mut settings = self.settings.clone();
+            for (name, value) in &overrides {
+                Knob::named(name)
+                    .ok_or_else(|| format!("unknown knob {name:?}"))
+                    .and_then(|knob| knob.apply(&mut settings, value))
+                    .expect("decode checks matrix knobs; a hand-built matrix must name real ones");
             }
             for seed in self.seeds.base..self.seeds.base + self.seeds.count {
                 for &protocol in &self.protocols {
@@ -1027,7 +1006,6 @@ impl Manifest {
                         protocol,
                         seed,
                         settings: settings.clone(),
-                        rrc_promotion_ms: rrc,
                     });
                 }
             }
@@ -1053,137 +1031,83 @@ impl Manifest {
 
     /// Render the manifest back to its canonical `Value` tree
     /// ([`Manifest::decode`] inverts it — the round-trip property the
-    /// proptest suite pins).
+    /// proptest suite pins). Optional keys at their defaults are omitted.
     pub fn to_value(&self) -> Value {
-        let mut top: Vec<(String, Value)> = Vec::new();
-        top.push(("schema_version".into(), Value::U64(self.schema_version)));
-        top.push(("name".into(), Value::Str(self.name.clone())));
+        let baseline = Settings::default();
+        let knobs = |home: Home| {
+            let differs = |k: &&Knob| k.get(&self.settings) != k.get(&baseline);
+            KNOBS
+                .iter()
+                .filter(move |k| k.home == home)
+                .filter(differs)
+                .map(|k| (k.name, k.get(&self.settings).to_value()))
+        };
+        let text = |s: &str| Value::Str(s.to_string());
+
+        let mut top = vec![
+            ("schema_version", Value::U64(self.schema_version)),
+            ("name", text(&self.name)),
+        ];
         if !self.description.is_empty() {
-            top.push(("description".into(), Value::Str(self.description.clone())));
+            top.push(("description", text(&self.description)));
         }
-        let mut network: Vec<(String, Value)> = Vec::new();
-        network.push((
-            "kind".into(),
-            Value::Str(self.network.kind.cli_name().into()),
+        let kind = ("kind", text(self.network.kind.cli_name()));
+        top.push((
+            Home::Network.key(),
+            object(std::iter::once(kind).chain(knobs(Home::Network))),
         ));
-        if let Some(ms) = self.network.rrc_promotion_ms {
-            network.push(("rrc_promotion_ms".into(), Value::U64(ms)));
-        }
-        top.push(("network".into(), Value::Object(network)));
-        match &self.workload {
-            Workload::Table1 => {
-                top.push((
-                    "workload".into(),
-                    Value::Object(vec![("kind".into(), Value::Str("table1".into()))]),
-                ));
-            }
+        let (kind, fields, pacing) = match &self.workload {
+            Workload::Table1 => ("table1", Vec::new(), None),
             Workload::Site {
                 site,
                 visits,
                 interval_s,
-            } => {
-                top.push((
-                    "workload".into(),
-                    Value::Object(vec![
-                        ("kind".into(), Value::Str("site".into())),
-                        ("site".into(), Value::U64(u64::from(*site))),
-                        ("visits".into(), Value::U64(u64::from(*visits))),
-                        ("interval_s".into(), Value::U64(*interval_s)),
-                    ]),
-                ));
-            }
+            } => (
+                "site",
+                vec![("site", Value::U64(u64::from(*site)))],
+                Some((*visits, *interval_s)),
+            ),
             Workload::Synthetic {
                 objects,
                 object_bytes,
                 same_domain,
                 visits,
                 interval_s,
-            } => {
-                top.push((
-                    "workload".into(),
-                    Value::Object(vec![
-                        ("kind".into(), Value::Str("synthetic".into())),
-                        ("objects".into(), Value::U64(u64::from(*objects))),
-                        ("object_bytes".into(), Value::U64(*object_bytes)),
-                        ("same_domain".into(), Value::Bool(*same_domain)),
-                        ("visits".into(), Value::U64(u64::from(*visits))),
-                        ("interval_s".into(), Value::U64(*interval_s)),
-                    ]),
-                ));
-            }
-        }
-        top.push((
-            "protocols".into(),
-            Value::Array(
-                self.protocols
-                    .iter()
-                    .map(|p| Value::Str(p.compact()))
-                    .collect(),
+            } => (
+                "synthetic",
+                vec![
+                    ("objects", Value::U64(u64::from(*objects))),
+                    ("object_bytes", Value::U64(*object_bytes)),
+                    ("same_domain", Value::Bool(*same_domain)),
+                ],
+                Some((*visits, *interval_s)),
             ),
-        ));
-        let m = &self.mitigations;
-        let d = Mitigations::default();
-        let mut mit: Vec<(String, Value)> = Vec::new();
-        if m.rtt_reset_after_idle != d.rtt_reset_after_idle {
-            mit.push((
-                "rtt_reset_after_idle".into(),
-                Value::Bool(m.rtt_reset_after_idle),
-            ));
+        };
+        let mut workload = vec![("kind", text(kind))];
+        workload.extend(fields);
+        if let Some((visits, interval_s)) = pacing {
+            workload.push(("visits", Value::U64(u64::from(visits))));
+            workload.push(("interval_s", Value::U64(interval_s)));
         }
-        if m.slow_start_after_idle != d.slow_start_after_idle {
-            mit.push((
-                "slow_start_after_idle".into(),
-                Value::Bool(m.slow_start_after_idle),
-            ));
-        }
-        if m.metrics_cache != d.metrics_cache {
-            mit.push(("metrics_cache".into(), Value::Bool(m.metrics_cache)));
-        }
-        if let Some(s) = m.keepalive_ping_s {
-            mit.push(("keepalive_ping_s".into(), KnobValue::Number(s).to_value()));
-        }
-        if m.http_pipelining != d.http_pipelining {
-            mit.push(("http_pipelining".into(), Value::U64(m.http_pipelining)));
-        }
-        if m.http_idle_close_s != d.http_idle_close_s {
-            mit.push((
-                "http_idle_close_s".into(),
-                match m.http_idle_close_s {
-                    Some(s) => KnobValue::Number(s).to_value(),
-                    None => Value::Null,
-                },
-            ));
-        }
-        if m.cc != d.cc {
-            mit.push(("cc".into(), Value::Str("reno".into())));
-        }
-        if !mit.is_empty() {
-            top.push(("mitigations".into(), Value::Object(mit)));
+        top.push(("workload", object(workload)));
+        let protocols = self.protocols.iter().map(|p| Value::Str(p.compact()));
+        top.push(("protocols", Value::Array(protocols.collect())));
+        if knobs(Home::Mitigations).next().is_some() {
+            top.push((Home::Mitigations.key(), object(knobs(Home::Mitigations))));
         }
         if !self.matrix.is_empty() {
-            top.push((
-                "matrix".into(),
-                Value::Object(
-                    self.matrix
-                        .iter()
-                        .map(|(knob, values)| {
-                            (
-                                knob.clone(),
-                                Value::Array(values.iter().map(KnobValue::to_value).collect()),
-                            )
-                        })
-                        .collect(),
-                ),
-            ));
+            let axes = self.matrix.iter().map(|(knob, values)| {
+                let values = values.iter().map(KnobValue::to_value).collect();
+                (knob.as_str(), Value::Array(values))
+            });
+            top.push(("matrix", object(axes)));
         }
         if self.seeds != Seeds::default() {
-            top.push((
-                "seeds".into(),
-                Value::Object(vec![
-                    ("base".into(), Value::U64(self.seeds.base)),
-                    ("count".into(), Value::U64(self.seeds.count)),
-                ]),
-            ));
+            let seeds = [
+                ("base", Value::U64(self.seeds.base)),
+                ("count", Value::U64(self.seeds.count)),
+            ];
+            top.push(("seeds", object(seeds)));
         }
         if self.trace != TraceLevel::Off {
             let name = match self.trace {
@@ -1192,45 +1116,31 @@ impl Manifest {
                 TraceLevel::Transport => "transport",
                 TraceLevel::Full => "full",
             };
-            top.push(("trace".into(), Value::Str(name.into())));
+            top.push(("trace", text(name)));
         }
         if self.tcp_traces {
-            top.push(("tcp_traces".into(), Value::Bool(true)));
+            top.push(("tcp_traces", Value::Bool(true)));
         }
         if self.limits != Limits::default() {
-            top.push((
-                "limits".into(),
-                Value::Object(vec![
-                    ("event_budget".into(), Value::U64(self.limits.event_budget)),
-                    (
-                        "visit_timeout_s".into(),
-                        Value::U64(self.limits.visit_timeout_s),
-                    ),
-                ]),
-            ));
+            let limits = [
+                ("event_budget", Value::U64(self.limits.event_budget)),
+                ("visit_timeout_s", Value::U64(self.limits.visit_timeout_s)),
+            ];
+            top.push(("limits", object(limits)));
         }
         if !self.assertions.is_empty() {
-            top.push((
-                "assertions".into(),
-                Value::Array(
-                    self.assertions
-                        .iter()
-                        .map(|a| Value::Str(a.expr.clone()))
-                        .collect(),
-                ),
-            ));
+            let exprs = self.assertions.iter().map(|a| text(&a.expr));
+            top.push(("assertions", Value::Array(exprs.collect())));
         }
         if self.outputs != Outputs::default() {
-            let mut out: Vec<(String, Value)> = Vec::new();
-            if self.outputs.paired_dump {
-                out.push(("paired_dump".into(), Value::Bool(true)));
-            }
-            if self.outputs.trace_artifacts {
-                out.push(("trace_artifacts".into(), Value::Bool(true)));
-            }
-            top.push(("outputs".into(), Value::Object(out)));
+            let set = [
+                ("paired_dump", self.outputs.paired_dump),
+                ("trace_artifacts", self.outputs.trace_artifacts),
+            ];
+            let set = set.into_iter().filter(|&(_, on)| on);
+            top.push(("outputs", object(set.map(|(k, on)| (k, Value::Bool(on))))));
         }
-        Value::Object(top)
+        object(top)
     }
 
     /// Render as pretty JSON (the committed `scenarios/*.json` format).
@@ -1240,6 +1150,15 @@ impl Manifest {
         s.push('\n');
         s
     }
+}
+
+fn object<'k>(entries: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+    Value::Object(
+        entries
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
 /// Newtype bridging an already-built `Value` into the serialize-only
@@ -1300,7 +1219,7 @@ impl Cell {
         cfg.keepalive_ping = s.keepalive_ping_s.map(secs_f64);
         cfg.http_pipelining = s.http_pipelining as usize;
         cfg.http_idle_close = s.http_idle_close_s.map(secs_f64);
-        cfg.rrc_promotion_override = self.rrc_promotion_ms.map(SimDuration::from_millis);
+        cfg.rrc_promotion_override = s.rrc_promotion_ms.map(SimDuration::from_millis);
         cfg.trace_level = manifest.effective_trace();
         cfg.record_traces = manifest.tcp_traces;
         cfg.event_budget = manifest.limits.event_budget;
@@ -1498,6 +1417,143 @@ mod tests {
         assert!(e.0.contains("unknown knob"), "{e}");
     }
 
+    /// `v` with `key: value` appended to its `section` object (created
+    /// when absent); `None` is the top level.
+    fn with_key(v: &Value, section: Option<&str>, key: &str, value: Value) -> Value {
+        let Value::Object(mut top) = v.clone() else {
+            panic!("a manifest is an object");
+        };
+        let entries = match section {
+            None => &mut top,
+            Some(section) => {
+                if !top.iter().any(|(k, _)| k == section) {
+                    top.push((section.into(), Value::Object(Vec::new())));
+                }
+                let slot = top.iter_mut().find(|(k, _)| k == section);
+                match slot {
+                    Some((_, Value::Object(entries))) => entries,
+                    _ => panic!("{section} is an object"),
+                }
+            }
+        };
+        entries.push((key.into(), value));
+        Value::Object(top)
+    }
+
+    /// Every row of [`KNOBS`]: set under its home section it decodes and
+    /// round-trips, as a matrix axis it reaches the cell, a value of the
+    /// wrong type is refused with the knob's own phrase at its own path,
+    /// and either way the testbed config changes — a knob cannot be
+    /// declared without reaching [`Cell::build_config`].
+    #[test]
+    fn every_knob_decodes_round_trips_sweeps_and_reaches_the_testbed() {
+        use KnobValue::{Bool, Null, Number, Str};
+        let pool = [
+            Bool(true),
+            Bool(false),
+            Number(2.0),
+            Str("reno".into()),
+            Null,
+        ];
+        let baseline = Manifest::paper_baseline("knobs");
+        let config_of = |m: &Manifest| format!("{:?}", m.cells()[0].build_config(m));
+        for knob in KNOBS {
+            let name = knob.name;
+            let home = knob.home.key();
+            let takes = |v: &&KnobValue| knob.set(&mut Settings::default(), v);
+            let default = knob.get(&Settings::default());
+            let good = pool.iter().find(|v| takes(v) && **v != default);
+            let good = good.unwrap_or_else(|| panic!("no pool value suits {name}"));
+            let bad = pool
+                .iter()
+                .find(|v| !takes(v))
+                .expect("no knob takes everything");
+
+            let plain = with_key(&baseline.to_value(), Some(home), name, good.to_value());
+            let m = Manifest::decode(&plain).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(knob.get(&m.settings), *good, "{name}");
+            assert_eq!(Manifest::decode(&m.to_value()).as_ref(), Ok(&m), "{name}");
+            assert_ne!(
+                config_of(&m),
+                config_of(&baseline),
+                "{name} never reaches the testbed"
+            );
+
+            let axis = Value::Array(vec![good.to_value()]);
+            let swept = with_key(&baseline.to_value(), Some("matrix"), name, axis);
+            let m = Manifest::decode(&swept).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(knob.get(&m.cells()[0].settings), *good, "{name}");
+            assert_ne!(
+                config_of(&m),
+                config_of(&baseline),
+                "{name} never reaches the testbed"
+            );
+
+            let axis = Value::Array(vec![bad.to_value()]);
+            for (section, value, path) in [
+                (home, bad.to_value(), format!("manifest.{home}.{name}: ")),
+                ("matrix", axis, format!("manifest.matrix.{name}[0]: ")),
+            ] {
+                let refused = with_key(&baseline.to_value(), Some(section), name, value);
+                let e = Manifest::decode(&refused).unwrap_err();
+                assert!(e.0.contains(&path), "{e}");
+                assert!(e.0.contains(&format!("takes {}", knob.takes())), "{e}");
+            }
+        }
+    }
+
+    /// Every section rejects a key nobody reads, and a key given twice,
+    /// naming `manifest.<section>.<key>` — for all three workload shapes.
+    #[test]
+    fn every_section_names_its_unknown_and_duplicate_keys() {
+        let mut full = Manifest::paper_baseline("full");
+        full.settings.rtt_reset_after_idle = true;
+        full.settings.rrc_promotion_ms = Some(500);
+        full.matrix = vec![("cc".into(), vec![KnobValue::Str("reno".into())])];
+        full.seeds.count = 3;
+        full.limits.visit_timeout_s = 45;
+        full.outputs.trace_artifacts = true;
+        let site = Workload::Site {
+            site: 9,
+            visits: 2,
+            interval_s: 30,
+        };
+        let synthetic = Workload::Synthetic {
+            objects: 5,
+            object_bytes: 100,
+            same_domain: true,
+            visits: 2,
+            interval_s: 30,
+        };
+        for workload in [Workload::Table1, site, synthetic] {
+            full.workload = workload;
+            let v = full.to_value();
+            assert_eq!(Manifest::decode(&v).as_ref(), Ok(&full));
+            let Value::Object(top) = &v else {
+                panic!("a manifest is an object");
+            };
+            let sections = top.iter().filter_map(|(key, v)| match v {
+                Value::Object(entries) => Some((Some(key.as_str()), entries)),
+                _ => None,
+            });
+            let mut walked = 0;
+            for (section, entries) in sections.chain([(None, top)]) {
+                let at = section.map_or("manifest".into(), |s| format!("manifest.{s}"));
+                let e =
+                    Manifest::decode(&with_key(&v, section, "bogus", Value::U64(1))).unwrap_err();
+                assert!(e.0.contains(&format!("{at}.bogus: unknown ")), "{e}");
+                let (first, value) = &entries[0];
+                let e = Manifest::decode(&with_key(&v, section, first, value.clone())).unwrap_err();
+                assert!(e.0.contains(&format!("{at}.{first}: duplicate ")), "{e}");
+                walked += 1;
+            }
+            assert_eq!(
+                walked, 8,
+                "network, workload, mitigations, matrix, seeds, limits, outputs, top"
+            );
+        }
+    }
+
     #[test]
     fn synthetic_workload_builds_custom_pages() {
         let text = r#"{
@@ -1593,8 +1649,8 @@ mod tests {
             "outputs": { "trace_artifacts": true }
         }"#;
         let m = Manifest::from_json(text).unwrap();
-        assert_eq!(m.mitigations.http_idle_close_s, None);
-        assert_eq!(m.mitigations.cc, CcAlgorithm::Reno);
+        assert_eq!(m.settings.http_idle_close_s, None);
+        assert_eq!(m.settings.cc, CcAlgorithm::Reno);
         let rendered = m.to_json();
         let reparsed = Manifest::from_json(&rendered).unwrap();
         assert_eq!(m, reparsed);

@@ -15,12 +15,13 @@
 //! pooled metrics. [`CellMetrics::to_value`]/[`CellMetrics::from_value`]
 //! are the checkpoint-store codec resumable sweeps persist cells with.
 
-use crate::assertions::{Assertion, Operand, CRITICAL_METRICS};
+use crate::assertions::{Assertion, Operand};
 use crate::manifest::{Cell, Manifest};
 use serde::{Serialize, Value};
 use spdyier_causal::critical_paths_from_records;
 use spdyier_core::{
-    attribute_stalls, AssertionVerdict, FlightLog, RunResult, VerdictStatus, VisitResult,
+    attribute_stalls, AssertionVerdict, FlightLog, RunResult, TraceLevel, VerdictStatus,
+    VisitResult,
 };
 use spdyier_sim::stats::{MergeError, QuantileSketch};
 use std::collections::BTreeMap;
@@ -72,6 +73,95 @@ pub struct CellMetrics {
     pub energy_mj: f64,
     /// Trace metrics registry counters.
     pub counters: BTreeMap<String, u64>,
+}
+
+/// A metric's row: its name, the least flight-recorder level that makes
+/// it computable, and how to compute it over a (pooled) accumulator.
+pub type Metric = (
+    &'static str,
+    TraceLevel,
+    fn(&CellMetrics) -> Result<f64, String>,
+);
+
+const NO_STALL_SAMPLES: &str =
+    "no stall-attribution samples (stall metrics need transport-level tracing)";
+const NO_CRITICAL_SAMPLES: &str =
+    "no critical-path samples (critical metrics need full-level tracing)";
+
+/// Every metric an assertion may name, besides the `counter.<name>`
+/// passthrough into the trace metrics registry (which needs the recorder
+/// merely on: [`TraceLevel::Lifecycle`]).
+#[rustfmt::skip]
+pub const METRICS: &[Metric] = {
+    use TraceLevel::{Full, Lifecycle, Off, Transport};
+    &[
+        ("plt_p50_ms", Off, |m| Ok(m.plt.percentile(50.0))),
+        ("plt_p90_ms", Off, |m| Ok(m.plt.percentile(90.0))),
+        ("plt_p95_ms", Off, |m| Ok(m.plt.percentile(95.0))),
+        ("plt_mean_ms", Off, |m| Ok(m.plt.mean())),
+        ("plt_min_ms", Off, |m| Ok(m.plt.min())),
+        ("plt_max_ms", Off, |m| Ok(m.plt.max())),
+        ("completion_rate", Off,
+            |m| Ok(if m.visits == 0 { 0.0 } else { m.completed as f64 / m.visits as f64 })),
+        ("visits", Off, |m| Ok(m.visits as f64)),
+        ("completed_visits", Off, |m| Ok(m.completed as f64)),
+        // STALL_ROWS: the six stall categories, in `stall_sums_us` order.
+        ("promotion_stall_ms", Transport, |m| m.stall_mean_ms(0)),
+        ("serialization_stall_ms", Transport, |m| m.stall_mean_ms(1)),
+        ("queueing_stall_ms", Transport, |m| m.stall_mean_ms(2)),
+        ("rto_stall_ms", Transport, |m| m.stall_mean_ms(3)),
+        ("think_stall_ms", Transport, |m| m.stall_mean_ms(4)),
+        ("other_stall_ms", Transport, |m| m.stall_mean_ms(5)),
+        ("rto_stall_per_event_ms", Transport,
+            |m| m.per_rto_firing(m.stall_sums_us[3], m.stall_visits, NO_STALL_SAMPLES)),
+        ("retransmissions", Off, |m| Ok(m.retransmissions as f64)),
+        ("timeouts", Off, |m| Ok(m.timeouts as f64)),
+        ("idle_restarts", Off, |m| Ok(m.idle_restarts as f64)),
+        ("connections_opened", Off, |m| Ok(m.connections_opened as f64)),
+        ("promotions", Off, |m| Ok(m.promotions as f64)),
+        ("energy_mj", Off, |m| Ok(m.energy_mj)),
+        ("total_bytes", Off, |m| Ok(m.total_bytes as f64)),
+        // CRITICAL_ROWS: the nine critical-path edges (mean ms per visit
+        // on the pooled cells' critical paths), in `critical_sums_us`
+        // order. `Full`: the serialization / queueing edges come from
+        // per-segment records.
+        ("critical_parse_ms", Full, |m| m.critical_mean_ms(0)),
+        ("critical_conn_setup_ms", Full, |m| m.critical_mean_ms(1)),
+        ("critical_promotion_ms", Full, |m| m.critical_mean_ms(2)),
+        ("critical_rto_stall_ms", Full, |m| m.critical_mean_ms(3)),
+        ("critical_serialization_ms", Full, |m| m.critical_mean_ms(4)),
+        ("critical_queueing_ms", Full, |m| m.critical_mean_ms(5)),
+        ("critical_think_ms", Full, |m| m.critical_mean_ms(6)),
+        ("critical_wait_ms", Full, |m| m.critical_mean_ms(7)),
+        ("critical_receive_ms", Full, |m| m.critical_mean_ms(8)),
+        ("critical_rto_per_event_ms", Full,
+            |m| m.per_rto_firing(m.critical_sums_us[3], m.critical_visits, NO_CRITICAL_SAMPLES)),
+        // Trace-sink losses: any drop voids conservation guarantees, so
+        // scenarios can pin this to zero.
+        ("trace_dropped", Lifecycle, |m| Ok(m.counter("trace.sink_dropped"))),
+    ]
+};
+
+/// The rows `summary_value` renders by position.
+const STALL_ROWS: std::ops::Range<usize> = 9..15;
+const CRITICAL_ROWS: std::ops::Range<usize> = 23..32;
+
+/// The segment that turns the rest of a reference into a registry
+/// counter name: `counter.tcp.rto_fired`.
+pub(crate) const COUNTER: &str = "counter";
+
+fn counter_name(metric: &str) -> Option<&str> {
+    metric.strip_prefix(COUNTER)?.strip_prefix('.')
+}
+
+/// The least flight-recorder level at which `metric` is computable;
+/// `None` for a name that is neither in [`METRICS`] nor a counter.
+pub(crate) fn required_trace(metric: &str) -> Option<TraceLevel> {
+    if counter_name(metric).is_some() {
+        return Some(TraceLevel::Lifecycle);
+    }
+    let row = METRICS.iter().find(|(name, ..)| *name == metric);
+    row.map(|&(_, level, _)| level)
 }
 
 impl CellMetrics {
@@ -170,98 +260,45 @@ impl CellMetrics {
 
     fn stall_mean_ms(&self, category: usize) -> Result<f64, String> {
         if self.stall_visits == 0 {
-            return Err(
-                "no stall-attribution samples (stall metrics need transport-level tracing)".into(),
-            );
+            return Err(NO_STALL_SAMPLES.into());
         }
         Ok(self.stall_sums_us[category] as f64 / 1_000.0 / self.stall_visits as f64)
     }
 
     fn critical_mean_ms(&self, edge: usize) -> Result<f64, String> {
         if self.critical_visits == 0 {
-            return Err(
-                "no critical-path samples (critical metrics need full-level tracing)".into(),
-            );
+            return Err(NO_CRITICAL_SAMPLES.into());
         }
         Ok(self.critical_sums_us[edge] as f64 / 1_000.0 / self.critical_visits as f64)
     }
 
+    /// The paper's headline normalization: RTO recovery (entry 3 of either
+    /// attribution's sums) per RTO firing instead of per visit. One RTO on
+    /// SPDY's single connection stalls the whole page; HTTP's pool hides
+    /// most of its (more numerous) firings behind parallel transfers.
+    fn per_rto_firing(&self, sum_us: u64, visits: u64, no_samples: &str) -> Result<f64, String> {
+        if visits == 0 {
+            return Err(no_samples.into());
+        }
+        if self.timeouts == 0 {
+            return Err("no RTO firings in the selected cells".into());
+        }
+        Ok(sum_us as f64 / 1_000.0 / self.timeouts as f64)
+    }
+
+    fn counter(&self, name: &str) -> f64 {
+        self.counters.get(name).copied().unwrap_or(0) as f64
+    }
+
     /// Compute a named metric over this (possibly pooled) accumulator.
     pub fn metric(&self, name: &str) -> Result<f64, String> {
-        if let Some(counter) = name.strip_prefix("counter.") {
-            return Ok(self.counters.get(counter).copied().unwrap_or(0) as f64);
+        if let Some(counter) = counter_name(name) {
+            return Ok(self.counter(counter));
         }
-        if let Some(edge) = CRITICAL_METRICS.iter().position(|m| *m == name) {
-            return self.critical_mean_ms(edge);
+        match METRICS.iter().find(|(known, ..)| *known == name) {
+            Some((_, _, eval)) => eval(self),
+            None => Err(format!("unknown metric {name:?}")),
         }
-        Ok(match name {
-            "plt_p50_ms" => self.plt.percentile(50.0),
-            "plt_p90_ms" => self.plt.percentile(90.0),
-            "plt_p95_ms" => self.plt.percentile(95.0),
-            "plt_mean_ms" => self.plt.mean(),
-            "plt_min_ms" => self.plt.min(),
-            "plt_max_ms" => self.plt.max(),
-            "completion_rate" => {
-                if self.visits == 0 {
-                    0.0
-                } else {
-                    self.completed as f64 / self.visits as f64
-                }
-            }
-            "visits" => self.visits as f64,
-            "completed_visits" => self.completed as f64,
-            "promotion_stall_ms" => self.stall_mean_ms(0)?,
-            "serialization_stall_ms" => self.stall_mean_ms(1)?,
-            "queueing_stall_ms" => self.stall_mean_ms(2)?,
-            "rto_stall_ms" => self.stall_mean_ms(3)?,
-            // The paper's headline normalization: attributed RTO stall
-            // per RTO firing. One RTO on SPDY's single connection stalls
-            // the whole page; HTTP's pool hides most of its (more
-            // numerous) firings behind parallel transfers.
-            "rto_stall_per_event_ms" => {
-                if self.stall_visits == 0 {
-                    return Err(
-                        "no stall-attribution samples (stall metrics need transport-level tracing)"
-                            .into(),
-                    );
-                }
-                if self.timeouts == 0 {
-                    return Err("no RTO firings in the selected cells".into());
-                }
-                self.stall_sums_us[3] as f64 / 1_000.0 / self.timeouts as f64
-            }
-            "think_stall_ms" => self.stall_mean_ms(4)?,
-            "other_stall_ms" => self.stall_mean_ms(5)?,
-            // The same normalization on the causal engine's critical
-            // path: RTO recovery that actually delayed PLT, per firing.
-            "critical_rto_per_event_ms" => {
-                if self.critical_visits == 0 {
-                    return Err(
-                        "no critical-path samples (critical metrics need full-level tracing)"
-                            .into(),
-                    );
-                }
-                if self.timeouts == 0 {
-                    return Err("no RTO firings in the selected cells".into());
-                }
-                self.critical_sums_us[3] as f64 / 1_000.0 / self.timeouts as f64
-            }
-            "retransmissions" => self.retransmissions as f64,
-            "timeouts" => self.timeouts as f64,
-            "idle_restarts" => self.idle_restarts as f64,
-            "connections_opened" => self.connections_opened as f64,
-            "promotions" => self.promotions as f64,
-            "energy_mj" => self.energy_mj,
-            "total_bytes" => self.total_bytes as f64,
-            // Trace-sink losses: any drop voids conservation guarantees,
-            // so scenarios can pin this to zero.
-            "trace_dropped" => self
-                .counters
-                .get("trace.sink_dropped")
-                .copied()
-                .unwrap_or(0) as f64,
-            other => return Err(format!("unknown metric {other:?}")),
-        })
     }
 
     /// The per-cell summary object recorded in `result.json` (fixed key
@@ -286,24 +323,10 @@ impl CellMetrics {
             ("total_bytes".into(), Value::U64(self.total_bytes)),
             ("energy_mj".into(), Value::F64(self.energy_mj)),
         ];
-        if self.stall_visits > 0 {
-            for (name, category) in [
-                ("promotion_stall_ms", 0),
-                ("serialization_stall_ms", 1),
-                ("queueing_stall_ms", 2),
-                ("rto_stall_ms", 3),
-                ("think_stall_ms", 4),
-                ("other_stall_ms", 5),
-            ] {
-                let value =
-                    self.stall_sums_us[category] as f64 / 1_000.0 / self.stall_visits as f64;
-                entries.push((name.into(), Value::F64(value)));
-            }
-        }
-        if self.critical_visits > 0 {
-            for (edge, name) in CRITICAL_METRICS.iter().enumerate() {
-                let value =
-                    self.critical_sums_us[edge] as f64 / 1_000.0 / self.critical_visits as f64;
+        for (name, _, eval) in METRICS[STALL_ROWS].iter().chain(&METRICS[CRITICAL_ROWS]) {
+            // Absent without samples, so lifecycle-level runs keep the
+            // legacy schema.
+            if let Ok(value) = eval(self) {
                 entries.push(((*name).into(), Value::F64(value)));
             }
         }

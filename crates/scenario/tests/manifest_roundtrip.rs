@@ -3,10 +3,10 @@
 //! a fixed point (render → parse → render is byte-identical).
 
 use proptest::prelude::*;
+use spdyier_scenario::KnobValue::{Bool, Null, Number, Str};
 use spdyier_scenario::{
-    Assertion, KnobValue, Manifest, Mitigations, ProtocolSpec, Seeds, Workload,
+    Assertion, Knob, KnobValue, Manifest, ProtocolSpec, Seeds, Settings, Workload, KNOBS,
 };
-use spdyier_tcp::CcAlgorithm;
 use spdyier_trace::TraceLevel;
 
 /// SplitMix-style picks derived from one drawn seed: the stub proptest
@@ -44,6 +44,24 @@ const ASSERTION_POOL: [&str; 6] = [
     "spdy.retransmissions >= 0",
 ];
 
+/// One or two values `knob` takes, drawn from a pool that covers every
+/// value type — so a knob added to the table is generated without an
+/// edit here.
+fn knob_values(knob: &Knob, s: &mut u64) -> Vec<KnobValue> {
+    let n = (pick(s, 240) + 1) as f64;
+    let reno = Str("reno".into());
+    let pool = [Bool(chance(s)), Null, Number(n), Number(n / 2.0), reno];
+    let mut taken: Vec<KnobValue> = pool
+        .into_iter()
+        .filter(|v| knob.set(&mut Settings::default(), v))
+        .collect();
+    assert!(!taken.is_empty(), "no pool value suits {}", knob.name);
+    let first = pick(s, taken.len() as u64) as usize;
+    taken.rotate_left(first);
+    taken.truncate(2);
+    taken
+}
+
 fn gen_manifest(mut s: u64) -> Manifest {
     let mut m = Manifest::paper_baseline("generated");
     if chance(&mut s) {
@@ -52,9 +70,6 @@ fn gen_manifest(mut s: u64) -> Manifest {
     m.network.kind = ["3g", "3g-pinned", "lte", "wifi"][pick(&mut s, 4) as usize]
         .parse()
         .expect("pool entries parse");
-    if chance(&mut s) {
-        m.network.rrc_promotion_ms = Some(pick(&mut s, 4_000));
-    }
     m.workload = match pick(&mut s, 3) {
         0 => Workload::Table1,
         1 => Workload::Site {
@@ -76,46 +91,16 @@ fn gen_manifest(mut s: u64) -> Manifest {
                 .expect("pool entries parse")
         })
         .collect();
-    m.mitigations = Mitigations {
-        rtt_reset_after_idle: chance(&mut s),
-        slow_start_after_idle: chance(&mut s),
-        metrics_cache: chance(&mut s),
-        keepalive_ping_s: chance(&mut s).then(|| (pick(&mut s, 240) + 1) as f64 / 2.0),
-        http_pipelining: pick(&mut s, 4) + 1,
-        http_idle_close_s: chance(&mut s).then(|| (pick(&mut s, 60) + 1) as f64),
-        cc: if chance(&mut s) {
-            CcAlgorithm::Cubic
-        } else {
-            CcAlgorithm::Reno
-        },
-    };
+    for knob in KNOBS {
+        if chance(&mut s) {
+            knob.set(&mut m.settings, &knob_values(knob, &mut s)[0]);
+        }
+    }
     for _ in 0..pick(&mut s, 3) {
-        let (knob, values) = match pick(&mut s, 4) {
-            0 => (
-                "rtt_reset_after_idle",
-                vec![KnobValue::Bool(false), KnobValue::Bool(true)],
-            ),
-            1 => (
-                "slow_start_after_idle",
-                vec![KnobValue::Bool(true), KnobValue::Bool(false)],
-            ),
-            2 => (
-                "http_pipelining",
-                vec![
-                    KnobValue::Number((pick(&mut s, 4) + 1) as f64),
-                    KnobValue::Number((pick(&mut s, 4) + 1) as f64),
-                ],
-            ),
-            _ => (
-                "keepalive_ping_s",
-                vec![
-                    KnobValue::Null,
-                    KnobValue::Number((pick(&mut s, 30) + 1) as f64),
-                ],
-            ),
-        };
-        if !m.matrix.iter().any(|(k, _)| k == knob) {
-            m.matrix.push((knob.to_string(), values));
+        let knob = &KNOBS[pick(&mut s, KNOBS.len() as u64) as usize];
+        if !m.matrix.iter().any(|(k, _)| k == knob.name) {
+            m.matrix
+                .push((knob.name.to_string(), knob_values(knob, &mut s)));
         }
     }
     m.seeds = Seeds {

@@ -1,0 +1,41 @@
+//! DESIGN.md's knob and metric tables are rendered from the code's
+//! tables: this fails, printing the text to paste, when the "Scenario
+//! protocol" section no longer carries them verbatim.
+
+use spdyier_scenario::{KNOBS, METRICS};
+use spdyier_trace::TraceLevel;
+
+fn knob_table() -> String {
+    let mut table = String::from("| knob | takes | section |\n|---|---|---|\n");
+    for knob in KNOBS {
+        let (name, takes, home) = (knob.name, knob.takes(), knob.home.key());
+        table.push_str(&format!("| `{name}` | {takes} | `{home}` |\n"));
+    }
+    table
+}
+
+fn metric_table() -> String {
+    let mut table = String::from("| trace level needed | metrics |\n|---|---|\n");
+    for (level, label) in [
+        (TraceLevel::Off, "off"),
+        (TraceLevel::Lifecycle, "lifecycle"),
+        (TraceLevel::Transport, "transport"),
+        (TraceLevel::Full, "full"),
+    ] {
+        let rows = METRICS.iter().filter(|&&(_, needs, _)| needs == level);
+        let names: Vec<String> = rows.map(|(name, ..)| format!("`{name}`")).collect();
+        table.push_str(&format!("| `{label}` | {} |\n", names.join(", ")));
+    }
+    table
+}
+
+#[test]
+fn design_md_carries_the_rendered_knob_and_metric_tables() {
+    let design = include_str!("../../../DESIGN.md");
+    for table in [knob_table(), metric_table()] {
+        assert!(
+            design.contains(&table),
+            "DESIGN.md \"Scenario protocol\" is stale; paste:\n\n{table}"
+        );
+    }
+}

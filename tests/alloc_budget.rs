@@ -28,8 +28,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const CEILINGS: [(&str, &str, u64); 4] = [
     ("paired_3g.json", "http", 17_185),
     ("paired_3g.json", "spdy", 26_812),
-    ("quick_wifi.yaml", "http", 2_661),
-    ("quick_wifi.yaml", "spdy", 4_355),
+    ("quick_wifi.json", "http", 2_661),
+    ("quick_wifi.json", "spdy", 4_355),
 ];
 
 /// Allocator calls per visit of every cell of `scenario` under

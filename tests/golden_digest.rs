@@ -3,7 +3,7 @@
 //! Three artifacts stand for everything the simulator computes: the
 //! paired-3G dump at one seed (every `RunResult` field of an HTTP and a
 //! SPDY Table-1 run, connection labels included), the `result.json`
-//! of `scenarios/quick_wifi.yaml` (the pooled-metrics contract), and the
+//! of `scenarios/quick_wifi.json` (the pooled-metrics contract), and the
 //! `result.json` of `scenarios/bulk_lte_small.json` (the data plane: 16
 //! one-MiB objects per protocol, where per-segment delivery, timer
 //! re-arm and reassembly order decide every tie). Their FNV-1a digests
@@ -44,7 +44,7 @@ fn artifact_digest(scenario: &str, artifact: &str) -> u64 {
 #[test]
 fn golden_artifact_digests_are_pinned() {
     let dump = artifact_digest("paired_3g.json", "paired_3g.jsonl");
-    let result = artifact_digest("quick_wifi.yaml", "result.json");
+    let result = artifact_digest("quick_wifi.json", "result.json");
     let bulk = artifact_digest("bulk_lte_small.json", "result.json");
     assert_eq!(
         (dump, result, bulk),
