@@ -6,7 +6,12 @@
 //! of `scenarios/quick_wifi.json` (the pooled-metrics contract), and the
 //! `result.json` of `scenarios/bulk_lte_small.json` (the data plane: 16
 //! one-MiB objects per protocol, where per-segment delivery, timer
-//! re-arm and reassembly order decide every tie). Their FNV-1a digests
+//! re-arm and reassembly order decide every tie). Three more stand for
+//! everything read back out of a flight log, all from the fully-traced
+//! `scenarios/trace_spdy_3g.json`: the per-visit stall table
+//! (`stalls_spdy.dat`), the `result.json` whose cell carries the six
+//! `*_stall_ms` and nine `critical_*_ms` keys, and the HAR waterfall with
+//! its conn/stream bindings. Their FNV-1a digests
 //! are pinned here. A change that is meant to alter
 //! behaviour updates the constants in the same commit and says why; a
 //! refactor or a performance change may not touch them.
@@ -23,6 +28,9 @@ use std::path::Path;
 const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x0a12_b4ac_1bb4_8059;
 const QUICK_WIFI_RESULT_JSON: u64 = 0x0031_f90b_a9a0_46c4;
 const BULK_LTE_SMALL_RESULT_JSON: u64 = 0x609e_cdde_8a79_48dc;
+const TRACE_SPDY_3G_STALLS_DAT: u64 = 0x3020_680f_f0aa_78ed;
+const TRACE_SPDY_3G_RESULT_JSON: u64 = 0x7f2c_936c_59ad_81cb;
+const TRACE_SPDY_3G_WATERFALL_HAR: u64 = 0x1b78_cfdd_b1e7_eee3;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
@@ -30,22 +38,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Run a committed scenario serially and digest one of its artifacts.
-fn artifact_digest(scenario: &str, artifact: &str) -> u64 {
+/// Run a committed scenario serially and digest some of its artifacts.
+fn artifact_digests<const N: usize>(scenario: &str, artifacts: [&str; N]) -> [u64; N] {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("scenarios")
         .join(scenario);
     let manifest = Manifest::from_file(&path).expect("committed scenario decodes");
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden_{}", manifest.name));
     run_manifest_on(&Executor::new(1), &manifest, &out).expect("artifacts written");
-    fnv1a(&std::fs::read(out.join(artifact)).expect("artifact exists"))
+    artifacts.map(|a| fnv1a(&std::fs::read(out.join(a)).expect("artifact exists")))
 }
 
 #[test]
 fn golden_artifact_digests_are_pinned() {
-    let dump = artifact_digest("paired_3g.json", "paired_3g.jsonl");
-    let result = artifact_digest("quick_wifi.json", "result.json");
-    let bulk = artifact_digest("bulk_lte_small.json", "result.json");
+    let [dump] = artifact_digests("paired_3g.json", ["paired_3g.jsonl"]);
+    let [result] = artifact_digests("quick_wifi.json", ["result.json"]);
+    let [bulk] = artifact_digests("bulk_lte_small.json", ["result.json"]);
     assert_eq!(
         (dump, result, bulk),
         (
@@ -56,5 +64,24 @@ fn golden_artifact_digests_are_pinned() {
         "simulator output changed: paired_3g.jsonl {dump:#018x}, \
          quick_wifi result.json {result:#018x}, \
          bulk_lte_small result.json {bulk:#018x}"
+    );
+}
+
+#[test]
+fn golden_traced_artifact_digests_are_pinned() {
+    let [stalls, result, waterfall] = artifact_digests(
+        "trace_spdy_3g.json",
+        ["stalls_spdy.dat", "result.json", "waterfall_spdy.har.json"],
+    );
+    assert_eq!(
+        (stalls, result, waterfall),
+        (
+            TRACE_SPDY_3G_STALLS_DAT,
+            TRACE_SPDY_3G_RESULT_JSON,
+            TRACE_SPDY_3G_WATERFALL_HAR
+        ),
+        "trace reader output changed: stalls_spdy.dat {stalls:#018x}, \
+         trace_spdy_3g result.json {result:#018x}, \
+         waterfall_spdy.har.json {waterfall:#018x}"
     );
 }
