@@ -221,7 +221,7 @@ impl DiffReport {
             ("unaligned_a".into(), pair_list(&self.unaligned_a)),
             ("unaligned_b".into(), pair_list(&self.unaligned_b)),
         ]);
-        let mut s = serde_json::to_string_pretty(&ValueDoc(doc)).expect("diff serializes");
+        let mut s = serde_json::to_string_pretty(&doc).expect("diff serializes");
         s.push('\n');
         s
     }
@@ -280,15 +280,6 @@ impl DiffReport {
             );
         }
         s
-    }
-}
-
-/// Newtype so a pre-built `Value` tree can ride the `Serialize` trait.
-struct ValueDoc(Value);
-
-impl serde::Serialize for ValueDoc {
-    fn to_value(&self) -> Value {
-        self.0.clone()
     }
 }
 

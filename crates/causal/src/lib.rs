@@ -1,20 +1,23 @@
 //! # spdyier-causal
 //!
-//! The causal explanation layer over the flight recorder: a dependency
-//! model of each page load (HTML parse → fetch issue → connection
-//! grant → TCP send → link serialization → RRC promotion wait → RTO
-//! recovery → response → dependent fetch), exact per-visit
-//! **critical-path extraction** whose typed edge durations sum to the
-//! PLT by construction, and a **diff engine** that aligns two runs of
-//! the same workload and attributes their PLT delta edge by edge.
+//! The only reader of a flight-recorder stream: one scan builds the
+//! [`EventModel`] of each page load (HTML parse → fetch issue →
+//! connection grant → TCP send → link serialization → RRC promotion wait
+//! → RTO recovery → response → dependent fetch), and one boundary
+//! [`sweep`] projects it two ways — the per-visit **stall table**
+//! ([`stall_sums_us`]: how much wall time each layer consumed) and exact
+//! per-visit **critical-path extraction** (which of it gated the load) —
+//! both conserving the PLT by construction. A **diff engine** aligns two
+//! runs of the same workload and attributes their PLT delta edge by
+//! edge.
 //!
 //! The paper's headline — SPDY's single connection magnifies TCP RTO
 //! stalls under 3G RRC transitions — is a critical-path statement: a
 //! stall only hurts PLT when it sits on the load's dependency chain.
-//! The stall attributor (`spdyier-core`) decomposes wall time into
-//! layer buckets; this crate answers the sharper question of *which*
-//! stalls gated the load, and, across two cells (HTTP vs SPDY,
-//! mitigation on vs off), *which edges the PLT delta came from*.
+//! The stall table decomposes wall time into layer buckets; the critical
+//! path answers the sharper question of *which* stalls gated the load,
+//! and, across two cells (HTTP vs SPDY, mitigation on vs off), *which
+//! edges the PLT delta came from*.
 //!
 //! ```
 //! use spdyier_causal::{critical_paths_from_records, diff_paths};
@@ -34,6 +37,7 @@ pub mod diff;
 pub mod model;
 pub mod parse;
 pub mod path;
+pub mod sweep;
 
 pub use diff::{diff_paths, DiffReport, VisitDiff, DIFF_SCHEMA_VERSION};
 pub use model::{ConnBinding, EventModel, Interval, ObjectInstants, VisitWindow};
@@ -42,3 +46,4 @@ pub use path::{
     critical_paths, critical_paths_from_records, explain_json, explain_text, rollup_us,
     CriticalPath, EdgeKind, PathEdge, EDGE_KINDS, EXPLAIN_SCHEMA_VERSION,
 };
+pub use sweep::stall_sums_us;

@@ -1,5 +1,7 @@
 //! The event model: one linear scan of a trace's records into the typed
-//! lookup tables the critical-path extractor walks.
+//! lookup tables every reader of a trace works from — the stall table,
+//! the critical-path extractor, and the waterfall's conn/stream binding.
+//! This is the only place a record stream's events are interpreted.
 //!
 //! Everything is keyed the way the flight recorder already keys it —
 //! visit index, object tag, connection (pipe) index — and every time is
@@ -24,6 +26,9 @@ pub struct VisitWindow {
     pub site: usize,
     /// Whether the visit reached onload before its deadline.
     pub completed: bool,
+    /// Whether a `VisitEnd` closed the window. A stream cut mid-visit
+    /// leaves its last window open and zero-length.
+    pub closed: bool,
     /// Window start, µs (the `VisitStart` instant).
     pub start_us: u64,
     /// Window end, µs (`start + plt_us` from the `VisitEnd` record).
@@ -69,7 +74,7 @@ impl Interval {
     }
 }
 
-/// Every table the critical-path extractor needs, built in one pass.
+/// Every table a trace reader needs, built in one pass.
 #[derive(Debug, Clone, Default)]
 pub struct EventModel {
     /// Visit windows, in stream order.
@@ -92,9 +97,18 @@ pub struct EventModel {
     pub setup: Vec<Interval>,
 }
 
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Record streams scanned on this thread so far. Debug builds only:
+    /// the runner's tests pin "one scan per traced cell" with it.
+    pub static SCANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl EventModel {
     /// Build the model from a record stream (one linear scan).
     pub fn from_records(records: &[TraceRecord]) -> EventModel {
+        #[cfg(debug_assertions)]
+        SCANS.with(|scans| scans.set(scans.get() + 1));
         let mut m = EventModel::default();
         // The visit whose window is currently open, for binding the
         // visit-less HttpRequestSent / SpdyStreamOpen records.
@@ -110,6 +124,7 @@ impl EventModel {
                         visit: *visit,
                         site: *site,
                         completed: false,
+                        closed: false,
                         start_us: t,
                         end_us: t,
                     });
@@ -124,62 +139,25 @@ impl EventModel {
                     }
                     if let Some(w) = m.windows.iter_mut().rev().find(|w| w.visit == *visit) {
                         w.completed = *completed;
+                        w.closed = true;
                         w.end_us = w.start_us + plt_us;
                     }
                 }
                 TraceEvent::ObjectRequested { visit, object } => {
-                    let o = m
-                        .objects
-                        .entry(*visit)
-                        .or_default()
-                        .entry(*object)
-                        .or_default();
-                    o.requested_us.get_or_insert(t);
+                    m.object(*visit, *object).requested_us.get_or_insert(t);
                 }
                 TraceEvent::ObjectFirstByte { visit, object } => {
-                    let o = m
-                        .objects
-                        .entry(*visit)
-                        .or_default()
-                        .entry(*object)
-                        .or_default();
-                    o.first_byte_us.get_or_insert(t);
+                    m.object(*visit, *object).first_byte_us.get_or_insert(t);
                 }
                 TraceEvent::ObjectComplete { visit, object } => {
-                    let o = m
-                        .objects
-                        .entry(*visit)
-                        .or_default()
-                        .entry(*object)
-                        .or_default();
-                    o.complete_us.get_or_insert(t);
+                    m.object(*visit, *object).complete_us.get_or_insert(t);
                 }
                 TraceEvent::HttpRequestSent { conn, tag, .. } => {
-                    if let Some(visit) = open_visit {
-                        if *tag < CONTROL_TAG_FLOOR {
-                            m.bindings
-                                .entry((visit, *tag as u32))
-                                .or_insert(ConnBinding {
-                                    conn: *conn,
-                                    stream: None,
-                                });
-                        }
-                    }
+                    m.bind(open_visit, *tag, *conn, None);
                 }
                 TraceEvent::SpdyStreamOpen {
                     conn, stream, tag, ..
-                } => {
-                    if let Some(visit) = open_visit {
-                        if *tag < CONTROL_TAG_FLOOR {
-                            m.bindings
-                                .entry((visit, *tag as u32))
-                                .or_insert(ConnBinding {
-                                    conn: *conn,
-                                    stream: Some(*stream),
-                                });
-                        }
-                    }
-                }
+                } => m.bind(open_visit, *tag, *conn, Some(*stream)),
                 TraceEvent::ConnOpened { conn, .. } => {
                     pending_setup.insert(*conn, t);
                 }
@@ -217,6 +195,34 @@ impl EventModel {
             }
         }
         m
+    }
+
+    /// The five stall interval lists in overlap-priority order, highest
+    /// first: RTO silence > promotion > serialization > queueing >
+    /// origin think. The one priority table every sweep reads.
+    pub fn layers(&self) -> [&[Interval]; 5] {
+        [
+            &self.rto,
+            &self.promotions,
+            &self.serialization,
+            &self.queueing,
+            &self.think,
+        ]
+    }
+
+    fn object(&mut self, visit: usize, object: u32) -> &mut ObjectInstants {
+        let per_object = self.objects.entry(visit).or_default();
+        per_object.entry(object).or_default()
+    }
+
+    /// Bind a page object's tag to the connection its request was written
+    /// to. The first binding wins; control tags, and requests sent while
+    /// no visit is open, never bind.
+    fn bind(&mut self, open_visit: Option<usize>, tag: u64, conn: usize, stream: Option<u32>) {
+        if let Some(visit) = open_visit.filter(|_| tag < CONTROL_TAG_FLOOR) {
+            let binding = ConnBinding { conn, stream };
+            self.bindings.entry((visit, tag as u32)).or_insert(binding);
+        }
     }
 
     /// The connection binding for one object of one visit.
@@ -293,7 +299,7 @@ mod tests {
         let m = EventModel::from_records(&records);
         assert_eq!(m.windows.len(), 1);
         assert_eq!(m.windows[0].end_us, 200);
-        assert!(m.windows[0].completed);
+        assert!(m.windows[0].completed && m.windows[0].closed);
         let o = m.objects[&0][&0];
         assert_eq!(o.requested_us, Some(10));
         assert_eq!(o.first_byte_us, Some(80));

@@ -3,26 +3,28 @@
 //! The extractor walks one visit's dependency spine backwards from the
 //! last-completing object — each spine step is "this fetch could not
 //! have been issued before its predecessor finished" — then carves every
-//! spine segment into typed edges with the same boundary-sweep the stall
-//! attributor uses. The edges tile the `[VisitStart, VisitStart + plt]`
-//! window with no gaps and no overlaps, so their durations sum to the
-//! PLT *exactly*: conservation is by construction, mirroring
-//! `attribute_stalls`.
+//! spine segment into typed edges with [`crate::sweep`], the function
+//! the stall table is swept with. The edges tile the
+//! `[VisitStart, VisitStart + plt]` window with no gaps and no overlaps,
+//! so their durations sum to the PLT *exactly*: conservation is by
+//! construction.
 //!
 //! Segment taxonomy:
 //!
 //! * **object spans** `[requested, complete)` — the network is working
-//!   on the fetch. Overlap priority: RTO recovery (on the fetch's own
-//!   connection) > RRC promotion > link serialization > queueing >
-//!   origin think; the remainder is response wait before the first byte
-//!   and receive after it.
+//!   on the fetch. Overlap priority: the model's five layers (RTO
+//!   recovery > RRC promotion > link serialization > queueing > origin
+//!   think), connection-bound ones on the fetch's own connection only;
+//!   the remainder is response wait before the first byte and receive
+//!   after it.
 //! * **gaps** `[prev complete, next requested)` — the browser holds the
 //!   chain. Priority: RTO recovery (any connection) > promotion >
 //!   connection setup (the next fetch's connection) ; the remainder is
 //!   parse/execute time.
 //! * **tail** `[last complete, plt)` — onload work; pure parse.
 
-use crate::model::{ConnBinding, EventModel, Interval, VisitWindow};
+use crate::model::{ConnBinding, EventModel, VisitWindow};
+use crate::sweep::{clipped, clipped_layers, sweep};
 use serde::Value;
 use spdyier_trace::TraceRecord;
 
@@ -309,93 +311,26 @@ fn push_edge(
     });
 }
 
-/// Clip `intervals` to `[a, b)`, keeping only those on `conn` (or all,
-/// when `conn` is `None`), and tag them with `priority`.
-fn clipped(
-    out: &mut Vec<(u64, u64, usize)>,
-    intervals: &[Interval],
-    a: u64,
-    b: u64,
-    conn: Option<usize>,
-    priority: usize,
-) {
-    for iv in intervals {
-        if let Some(want) = conn {
-            if iv.conn != Some(want) {
-                continue;
-            }
-        }
-        let (s, e) = (iv.a.max(a), iv.b.min(b));
-        if s < e {
-            out.push((s, e, priority));
-        }
-    }
-}
-
-/// The (object, connection) attribution every edge of one sweep shares.
-#[derive(Debug, Clone, Copy)]
-struct EdgeCtx {
-    object: Option<u32>,
-    conn: Option<usize>,
-}
-
-/// Boundary-sweep `[a, b)` against prioritized intervals; elementary
-/// segments covered by no interval go to `default(segment)`.
-fn sweep(
-    edges: &mut Vec<PathEdge>,
-    a: u64,
-    b: u64,
-    intervals: &[(u64, u64, usize)],
-    kinds: &[EdgeKind],
-    ctx: EdgeCtx,
-    default: impl Fn(u64, u64) -> EdgeKind,
-) {
-    let mut points: Vec<u64> = vec![a, b];
-    for &(s, e, _) in intervals {
-        points.push(s);
-        points.push(e);
-    }
-    points.sort_unstable();
-    points.dedup();
-    for pair in points.windows(2) {
-        let (s, e) = (pair[0], pair[1]);
-        let kind = intervals
-            .iter()
-            .filter(|&&(is, ie, _)| is <= s && ie >= e)
-            .map(|&(_, _, p)| p)
-            .min()
-            .map_or_else(|| default(s, e), |p| kinds[p]);
-        push_edge(edges, s, e, kind, ctx.object, ctx.conn);
-    }
-}
-
-/// Carve an object span `[r, c)` into typed edges.
+/// Carve an object span `[r, c)` into typed edges: the model's layers
+/// on the fetch's own connection, response wait / receive for the rest.
 fn span_edges(edges: &mut Vec<PathEdge>, model: &EventModel, o: &SpineObject) {
-    let conn = o.binding.map(|b| b.conn);
-    let mut ivs = Vec::new();
-    clipped(&mut ivs, &model.rto, o.r_us, o.c_us, conn, 0);
-    clipped(&mut ivs, &model.promotions, o.r_us, o.c_us, None, 1);
-    clipped(&mut ivs, &model.serialization, o.r_us, o.c_us, conn, 2);
-    clipped(&mut ivs, &model.queueing, o.r_us, o.c_us, conn, 3);
-    clipped(&mut ivs, &model.think, o.r_us, o.c_us, None, 4);
-    let kinds = [
+    // Parallel to `EventModel::layers`.
+    const KINDS: [EdgeKind; 5] = [
         EdgeKind::RtoRecovery,
         EdgeKind::Promotion,
         EdgeKind::Serialization,
         EdgeKind::Queueing,
         EdgeKind::ServerThink,
     ];
-    let fb = o.fb_us;
-    let ctx = EdgeCtx {
-        object: Some(o.object),
-        conn,
-    };
-    sweep(edges, o.r_us, o.c_us, &ivs, &kinds, ctx, |s, _e| {
-        if s < fb {
-            EdgeKind::ResponseWait
-        } else {
-            EdgeKind::Receive
-        }
+    let conn = o.binding.map(|b| b.conn);
+    let ivs = clipped_layers(model, o.r_us, o.c_us, conn);
+    sweep(o.r_us, o.c_us, &ivs, |s, e, priority| {
+        let kind = match priority {
+            Some(p) => KINDS[p],
+            None if s < o.fb_us => EdgeKind::ResponseWait,
+            None => EdgeKind::Receive,
+        };
+        push_edge(edges, s, e, kind, Some(o.object), conn);
     });
 }
 
@@ -408,18 +343,20 @@ fn gap_edges(
     b: u64,
     next: Option<ConnBinding>,
 ) {
+    const KINDS: [EdgeKind; 3] = [
+        EdgeKind::RtoRecovery,
+        EdgeKind::Promotion,
+        EdgeKind::ConnSetup,
+    ];
     let conn = next.map(|b| b.conn);
     let mut ivs = Vec::new();
     clipped(&mut ivs, &model.rto, a, b, None, 0);
     clipped(&mut ivs, &model.promotions, a, b, None, 1);
     clipped(&mut ivs, &model.setup, a, b, conn, 2);
-    let kinds = [
-        EdgeKind::RtoRecovery,
-        EdgeKind::Promotion,
-        EdgeKind::ConnSetup,
-    ];
-    let ctx = EdgeCtx { object: None, conn };
-    sweep(edges, a, b, &ivs, &kinds, ctx, |_, _| EdgeKind::Parse);
+    sweep(a, b, &ivs, |s, e, priority| {
+        let kind = priority.map_or(EdgeKind::Parse, |p| KINDS[p]);
+        push_edge(edges, s, e, kind, None, conn);
+    });
 }
 
 /// Schema version of the `explain_*.json` document.
@@ -480,7 +417,7 @@ pub fn explain_json(label: &str, paths: &[CriticalPath]) -> String {
         ("visits".into(), Value::Array(visits)),
         ("edge_sums_us".into(), sums_value(&rollup_us(paths))),
     ]);
-    let mut s = serde_json::to_string_pretty(&ValueDoc(doc)).expect("explain serializes");
+    let mut s = serde_json::to_string_pretty(&doc).expect("explain serializes");
     s.push('\n');
     s
 }
@@ -514,15 +451,6 @@ pub fn explain_text(label: &str, paths: &[CriticalPath]) -> String {
         }
     }
     s
-}
-
-/// Newtype so a pre-built `Value` tree can ride the `Serialize` trait.
-struct ValueDoc(Value);
-
-impl serde::Serialize for ValueDoc {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
 }
 
 #[cfg(test)]

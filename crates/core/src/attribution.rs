@@ -1,34 +1,20 @@
-//! Stall attribution: decompose each visit's page-load time into the
+//! Stall attribution: each visit's page-load time decomposed into the
 //! intervals the flight recorder saw — radio promotion waits, RTO
 //! silences, link queueing, serialization, and origin think time.
 //!
-//! The attributor is a pure consumer of a [`FlightLog`]: it replays the
-//! event stream, turns the relevant events into typed time intervals,
-//! clips them to each visit's `[VisitStart, VisitStart + plt_us]`
-//! window, and sweeps the window's elementary segments once. Every
-//! microsecond of the window lands in exactly one category (overlaps
-//! resolve by a fixed priority), so the categories sum to the PLT
-//! *exactly* — conservation is by construction, not by rounding luck.
-//!
-//! Category priority when intervals overlap (highest wins):
-//! RTO stall > promotion > serialization > queueing > server think.
-//! RTO silences rank first because they are the pathology the paper
-//! chases (§5.5, §5.7): a spurious timeout that fires *while* the
-//! radio is promoting is exactly the cross-layer interaction worth
-//! surfacing, so the attributor must not let the promotion swallow
-//! it — the promotion's remainder is still counted. A promotion
-//! stalls everything behind it, so it subsumes overlapping
-//! transmissions; serialization is "the link is genuinely busy with
-//! this byte", so it beats the softer queueing share. Note the
-//! queueing share of a segment's journey (`[sent, deliver - ser]`)
-//! includes propagation delay — the recorder cannot split the two
-//! without a per-hop model, and for stall hunting "waiting on the
-//! path" is the useful aggregate anyway.
+//! The table is a projection of the causal engine's
+//! [`EventModel`]: per finished visit, one whole-window
+//! [`spdyier_causal::sweep`] over every connection's intervals (overlap
+//! priority and its rationale are documented there). Every microsecond
+//! of `[VisitStart, VisitStart + plt_us]` lands in exactly one category,
+//! so the categories sum to the PLT *exactly*. This module only names
+//! the columns and renders `stalls_<label>.dat`.
 
 use crate::export::DataFile;
 use serde::Serialize;
+use spdyier_causal::{stall_sums_us, EventModel, VisitWindow};
 use spdyier_sim::SimTime;
-use spdyier_trace::{FlightLog, TraceEvent};
+use spdyier_trace::FlightLog;
 use std::fmt::Write as _;
 
 /// One visit's PLT decomposed into attributed stall categories.
@@ -75,102 +61,36 @@ impl StallBreakdown {
     }
 }
 
-/// Category indices in priority order (lower index wins on overlap).
-const RTO: usize = 0;
-const PROMOTION: usize = 1;
-const SERIALIZATION: usize = 2;
-const QUEUEING: usize = 3;
-const THINK: usize = 4;
-const CATEGORIES: usize = 5;
-
-/// Decompose every finished visit in `log` into a [`StallBreakdown`].
+/// Decompose every finished visit in `log` into a [`StallBreakdown`]:
+/// build the log's event model, project it with [`stall_table`].
 ///
 /// Needs at least `Transport`-level events for promotions and RTO
 /// stalls; serialization and queueing shares additionally need the
 /// `Full`-level `SegmentSent` records (they are zero otherwise).
 pub fn attribute_stalls(log: &FlightLog) -> Vec<StallBreakdown> {
-    // Pass 1: typed intervals, in microseconds, across the whole run.
-    let mut intervals: Vec<(u64, u64, usize)> = Vec::new();
-    // Visit windows: (visit, site, start_us, end_us).
-    let mut starts: Vec<(usize, usize, u64)> = Vec::new();
-    let mut windows: Vec<(usize, usize, u64, u64)> = Vec::new();
-    for rec in &log.events {
-        let t = rec.t.as_micros();
-        match &rec.event {
-            TraceEvent::VisitStart { visit, site } => starts.push((*visit, *site, t)),
-            TraceEvent::VisitEnd { visit, plt_us, .. } => {
-                if let Some(&(v, site, start)) = starts.iter().rev().find(|(v, ..)| v == visit) {
-                    windows.push((v, site, start, start + plt_us));
-                }
-            }
-            TraceEvent::RrcPromotion { start, done, .. } => {
-                intervals.push((start.as_micros(), done.as_micros(), PROMOTION));
-            }
-            TraceEvent::SegmentSent {
-                deliver, ser_us, ..
-            } => {
-                let deliver = deliver.as_micros();
-                let ser_start = deliver.saturating_sub(*ser_us);
-                intervals.push((ser_start, deliver, SERIALIZATION));
-                if t < ser_start {
-                    intervals.push((t, ser_start, QUEUEING));
-                }
-            }
-            TraceEvent::TcpRto { silent_since, .. } => {
-                intervals.push((silent_since.as_micros(), t, RTO));
-            }
-            TraceEvent::OriginThink { until, .. } => {
-                intervals.push((t, until.as_micros(), THINK));
-            }
-            _ => {}
-        }
-    }
+    stall_table(&EventModel::from_records(&log.events))
+}
 
-    // Pass 2: per visit, clip + boundary-sweep.
-    let mut out = Vec::with_capacity(windows.len());
-    for (visit, site, vs, ve) in windows {
-        let clipped: Vec<(u64, u64, usize)> = intervals
-            .iter()
-            .filter_map(|&(a, b, c)| {
-                let (a, b) = (a.max(vs), b.min(ve));
-                (a < b).then_some((a, b, c))
-            })
-            .collect();
-        let mut points: Vec<u64> = vec![vs, ve];
-        for &(a, b, _) in &clipped {
-            points.push(a);
-            points.push(b);
-        }
-        points.sort_unstable();
-        points.dedup();
-        let mut sums = [0u64; CATEGORIES];
-        let mut other = 0u64;
-        for w in points.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let cat = clipped
-                .iter()
-                .filter(|&&(s, e, _)| s <= a && e >= b)
-                .map(|&(_, _, c)| c)
-                .min();
-            match cat {
-                Some(c) => sums[c] += b - a,
-                None => other += b - a,
-            }
-        }
-        out.push(StallBreakdown {
-            visit,
-            site,
-            start: SimTime::from_micros(vs),
-            end: SimTime::from_micros(ve),
-            promotion_us: sums[PROMOTION],
-            serialization_us: sums[SERIALIZATION],
-            queueing_us: sums[QUEUEING],
-            rto_stall_us: sums[RTO],
-            server_think_us: sums[THINK],
+/// The stall table of an already-built model: one row per visit a
+/// `VisitEnd` closed (a window left open by a cut stream has no PLT to
+/// decompose), in stream order.
+pub fn stall_table(model: &EventModel) -> Vec<StallBreakdown> {
+    let row = |w: &VisitWindow| {
+        let [rto, promotion, serialization, queueing, think, other] = stall_sums_us(model, w);
+        StallBreakdown {
+            visit: w.visit,
+            site: w.site,
+            start: SimTime::from_micros(w.start_us),
+            end: SimTime::from_micros(w.end_us),
+            promotion_us: promotion,
+            serialization_us: serialization,
+            queueing_us: queueing,
+            rto_stall_us: rto,
+            server_think_us: think,
             other_us: other,
-        });
-    }
-    out
+        }
+    };
+    model.windows.iter().filter(|w| w.closed).map(row).collect()
 }
 
 /// Render breakdowns as a plotter-friendly column file
@@ -204,7 +124,7 @@ pub fn stall_file(label: &str, breakdowns: &[StallBreakdown]) -> DataFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spdyier_trace::{TraceLevel, Tracer};
+    use spdyier_trace::{TraceEvent, TraceLevel, Tracer};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -342,6 +262,48 @@ mod tests {
         let stalls = attribute_stalls(&log);
         assert_eq!(stalls[0].promotion_us, 500, "only the in-window tail");
         assert_eq!(stalls[0].attributed_us(), 1_000);
+    }
+
+    #[test]
+    fn a_stream_cut_mid_visit_omits_the_open_visit() {
+        // Visit 0 finishes; the stream ends inside visit 1, whose window
+        // the model holds open and zero-length.
+        let log = log_with(vec![
+            (0, TraceEvent::VisitStart { visit: 0, site: 1 }),
+            (
+                600,
+                TraceEvent::TcpRto {
+                    conn: 0,
+                    b_side: false,
+                    silent_since: t(200),
+                },
+            ),
+            (
+                1_000,
+                TraceEvent::VisitEnd {
+                    visit: 0,
+                    completed: true,
+                    plt_us: 1_000,
+                },
+            ),
+            (5_000, TraceEvent::VisitStart { visit: 1, site: 2 }),
+            (
+                5_100,
+                TraceEvent::RrcPromotion {
+                    kind: "IdleToDch".into(),
+                    start: t(5_100),
+                    done: t(7_100),
+                },
+            ),
+        ]);
+        let model = EventModel::from_records(&log.events);
+        assert_eq!(model.windows.len(), 2, "the model keeps the open window");
+        let stalls = attribute_stalls(&log);
+        assert_eq!(stalls.len(), 1, "only the closed visit has a PLT to split");
+        assert_eq!(stalls[0].visit, 0);
+        assert_eq!(stalls[0].rto_stall_us, 400);
+        assert_eq!(stalls[0].attributed_us(), stalls[0].plt_us());
+        assert_eq!(stalls, stall_table(&model));
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod visits;
 pub mod waterfall;
 mod world;
 
-pub use attribution::{attribute_stalls, stall_file, StallBreakdown};
+pub use attribution::{attribute_stalls, stall_file, stall_table, StallBreakdown};
 pub use config::{
     AccessPath, BeaconConfig, ExperimentConfig, NetworkKind, NetworkSpec, ProtocolMode,
     NETWORK_NAMES,
@@ -44,6 +44,4 @@ pub use driver::{run_experiment, run_experiment_traced, RunError, Testbed};
 pub use export::{export_run, metrics_file, write_to_dir, DataFile, METRICS_SCHEMA_VERSION};
 pub use results::{ConnTraceResult, RunResult, VisitResult};
 pub use spdyier_trace::{FlightLog, TraceLevel};
-pub use waterfall::{
-    waterfall, waterfall_json, waterfall_traced, waterfall_traced_json, Waterfall,
-};
+pub use waterfall::{waterfall, waterfall_json, Waterfall};

@@ -10,17 +10,17 @@
 //!
 //! Entry order is deterministic: ascending start instant, with
 //! same-instant ties broken by `(visit, conn, stream, object)`. The
-//! conn/stream columns come from the flight log's binding events when a
-//! trace was recorded ([`waterfall_traced`]); without one they stay
-//! absent and the tie-break degrades to `(visit, object)` — still a
-//! total order, so two exports of the same run are byte-identical.
+//! conn/stream columns come from the bindings in the flight log's event
+//! model when a trace was recorded ([`waterfall`]); without one
+//! they stay absent and the tie-break degrades to `(visit, object)` —
+//! still a total order, so two exports of the same run are
+//! byte-identical.
 
 use crate::results::RunResult;
 use serde::Serialize;
 use spdyier_browser::ObjectTiming;
 use spdyier_causal::EventModel;
 use spdyier_sim::SimDuration;
-use spdyier_trace::FlightLog;
 
 /// Top-level waterfall artifact (`{"log": {...}}`).
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -124,15 +124,15 @@ fn entry_key(e: &WaterfallEntry, t: &ObjectTiming) -> EntryKey {
 }
 
 /// Build the waterfall for every visit in `result`, annotating each
-/// entry with the serving connection (and SPDY stream) when a flight
-/// log is available.
-pub fn waterfall_traced(result: &RunResult, log: Option<&FlightLog>) -> Waterfall {
-    let model = log.map(|l| EventModel::from_records(&l.events));
+/// entry with the serving connection (and SPDY stream) when the run's
+/// event model is available; without one the conn/stream columns stay
+/// absent.
+pub fn waterfall(result: &RunResult, model: Option<&EventModel>) -> Waterfall {
     let mut keyed: Vec<(EntryKey, WaterfallEntry)> = Vec::new();
     for (visit, v) in result.visits.iter().enumerate() {
         for (object, t) in v.object_timings.iter().enumerate() {
             let mut e = entry(visit, v.site, object, t);
-            if let Some(b) = model.as_ref().and_then(|m| m.binding(visit, object as u32)) {
+            if let Some(b) = model.and_then(|m| m.binding(visit, object as u32)) {
                 e.conn = Some(b.conn);
                 e.stream = b.stream;
             }
@@ -151,21 +151,9 @@ pub fn waterfall_traced(result: &RunResult, log: Option<&FlightLog>) -> Waterfal
     }
 }
 
-/// Build the waterfall for every visit in `result` (no trace: the
-/// conn/stream columns stay absent).
-pub fn waterfall(result: &RunResult) -> Waterfall {
-    waterfall_traced(result, None)
-}
-
-/// The traced waterfall as pretty-printed JSON.
-pub fn waterfall_traced_json(result: &RunResult, log: Option<&FlightLog>) -> String {
-    serde_json::to_string_pretty(&waterfall_traced(result, log))
-        .expect("waterfall always serializes")
-}
-
 /// The waterfall as pretty-printed JSON.
-pub fn waterfall_json(result: &RunResult) -> String {
-    waterfall_traced_json(result, None)
+pub fn waterfall_json(result: &RunResult, model: Option<&EventModel>) -> String {
+    serde_json::to_string_pretty(&waterfall(result, model)).expect("waterfall always serializes")
 }
 
 #[cfg(test)]
@@ -190,7 +178,7 @@ mod tests {
     #[test]
     fn waterfall_covers_every_fetched_object() {
         let r = small_run();
-        let w = waterfall(&r);
+        let w = waterfall(&r, None);
         let expected: usize = r.visits.iter().map(|v| v.object_timings.len()).sum();
         assert_eq!(w.log.entries.len(), expected);
         assert!(!w.log.entries.is_empty());
@@ -211,7 +199,8 @@ mod tests {
                     SimDuration::from_secs(60),
                 )),
         );
-        let w = waterfall_traced(&r, Some(&log));
+        let model = EventModel::from_records(&log.events);
+        let w = waterfall(&r, Some(&model));
         assert_eq!(
             w.log.entries.len(),
             r.visits
@@ -257,15 +246,15 @@ mod tests {
         );
         // Two exports of the same run are byte-identical.
         assert_eq!(
-            waterfall_traced_json(&r, Some(&log)),
-            waterfall_traced_json(&r, Some(&log))
+            waterfall_json(&r, Some(&model)),
+            waterfall_json(&r, Some(&model))
         );
     }
 
     #[test]
     fn json_has_har_shape() {
         let r = small_run();
-        let j = waterfall_json(&r);
+        let j = waterfall_json(&r, None);
         assert!(j.contains("\"log\""));
         assert!(j.contains("\"entries\""));
         assert!(j.contains("\"timings\""));

@@ -91,18 +91,6 @@ fn load_trace_paths(path: &Path) -> Result<(String, Vec<CriticalPath>), String> 
     Ok((label, critical_paths_from_records(&records)))
 }
 
-/// Whether `filter` (dot-joined terms) selects `cell`, mirroring the
-/// assertion DSL's cell filters: protocol compact name, variant name, or
-/// `seed<N>`, all case-insensitive.
-fn cell_matches(cell: &Cell, filter: &str) -> bool {
-    filter.split('.').all(|f| {
-        let f = f.to_ascii_lowercase();
-        f == cell.protocol.compact().to_ascii_lowercase()
-            || (!cell.variant.is_empty() && f == cell.variant.to_ascii_lowercase())
-            || f == format!("seed{}", cell.seed)
-    })
-}
-
 /// Decode `manifest_path` with the trace level forced to `Full`
 /// (critical paths need per-segment records).
 fn load_manifest(manifest_path: &Path) -> Result<Manifest, String> {
@@ -112,12 +100,13 @@ fn load_manifest(manifest_path: &Path) -> Result<Manifest, String> {
     Ok(manifest)
 }
 
-/// The cells of `manifest` that match `filter` (all cells when absent).
-/// Nothing has run yet, so an empty selection costs no simulation.
+/// The cells of `manifest` that match every dot-joined term of `filter`
+/// (all cells when absent) — the assertion DSL's cell filters. Nothing
+/// has run yet, so an empty selection costs no simulation.
 fn select_cells(manifest: &Manifest, filter: Option<&str>) -> Result<Vec<Cell>, String> {
     let mut cells = manifest.cells();
     let all = labels(manifest, &cells);
-    cells.retain(|c| filter.is_none_or(|f| cell_matches(c, f)));
+    cells.retain(|c| filter.is_none_or(|f| f.split('.').all(|term| c.matches(term))));
     if cells.is_empty() {
         return Err(format!(
             "no cells match filter {:?} (cells: {all})",

@@ -14,17 +14,19 @@
 //! config and drives a [`Testbed`] to completion, and every consumer is
 //! a closure handed to [`Executor::run`] that calls it and reduces the
 //! result **on the worker thread that ran it**. The runner's reduction
-//! is [`fold_cell`] (metrics accumulator + pre-rendered artifacts); the
+//! is [`fold_cell`] (metrics accumulator + pre-rendered artifacts, both
+//! read from one [`EventModel`] of the cell's flight log); the
 //! O(visits) [`RunResult`] and its [`FlightLog`] are dropped before the
 //! worker's next cell starts, so a manifest run holds O(cells) state
 //! instead of O(total visits).
 
 use crate::exec::Executor;
 use serde::{Serialize, Value};
+use spdyier_causal::EventModel;
 use spdyier_core::{
-    attribute_stalls, junit_xml, metrics_file, paired_meta_file, stall_file, stall_manifest_file,
-    waterfall_traced_json, AssertionVerdict, DataFile, FlightLog, RunError, RunResult,
-    ScenarioExit, Testbed, TraceLevel, VerdictStatus,
+    junit_xml, metrics_file, paired_meta_file, stall_file, stall_manifest_file, stall_table,
+    waterfall_json, AssertionVerdict, DataFile, FlightLog, RunError, RunResult, ScenarioExit,
+    StallBreakdown, Testbed, TraceLevel, VerdictStatus,
 };
 use spdyier_scenario::{evaluate, Cell, CellMetrics, Manifest};
 use std::path::{Path, PathBuf};
@@ -82,20 +84,27 @@ pub(crate) fn limit_diagnostic(cell: &Cell, e: &RunError) -> String {
 /// Reduce one executed cell to its [`FoldedCell`] under `manifest`'s
 /// output options. The runner and the sweep runner both reduce through
 /// this, so what lands in the artifacts cannot depend on which ran it.
+/// A traced cell's log is scanned into one [`EventModel`] and swept into
+/// one stall table here; the metrics fold and every trace artifact read
+/// those.
 pub fn fold_cell(
     manifest: &Manifest,
     cell: &Cell,
     result: &RunResult,
     log: Option<&FlightLog>,
 ) -> FoldedCell {
-    let metrics = CellMetrics::from_run(cell, result, log);
+    let model = log.map(|l| EventModel::from_records(&l.events));
+    let stalls = model.as_ref().map(stall_table).unwrap_or_default();
+    let traced = log.zip(model.as_ref());
+    let metrics = CellMetrics::from_model(cell, result, traced, &stalls);
     let dump_line = manifest
         .outputs
         .paired_dump
         .then(|| serde_json::to_string(result).expect("serialize run"));
-    let trace_files = match log {
-        Some(log) if manifest.outputs.trace_artifacts => {
-            cell_trace_files(&cell.artifact_label(manifest), result, log)
+    let trace_files = match traced {
+        Some((log, model)) if manifest.outputs.trace_artifacts => {
+            let label = cell.artifact_label(manifest);
+            cell_trace_files(&label, result, log, model, &stalls)
         }
         _ => Vec::new(),
     };
@@ -128,14 +137,6 @@ fn status_str(exit: ScenarioExit) -> &'static str {
         ScenarioExit::AssertionFailed => "fail",
         ScenarioExit::LimitExceeded => "limit",
         ScenarioExit::ConfigError => "config_error",
-    }
-}
-
-struct SerializeValue(Value);
-
-impl Serialize for SerializeValue {
-    fn to_value(&self) -> Value {
-        self.0.clone()
     }
 }
 
@@ -193,8 +194,7 @@ fn result_file(
     if let Some(detail) = limit_detail {
         top.push(("limit".into(), Value::Str(detail.into())));
     }
-    let mut contents =
-        serde_json::to_string_pretty(&SerializeValue(Value::Object(top))).expect("result.json");
+    let mut contents = serde_json::to_string_pretty(&Value::Object(top)).expect("result.json");
     contents.push('\n');
     DataFile {
         name: "result.json".into(),
@@ -204,8 +204,14 @@ fn result_file(
 
 /// One cell's trace artifacts (the legacy `experiments trace` bundle
 /// plus the schema-versioned stall-table sidecar).
-fn cell_trace_files(label: &str, result: &RunResult, log: &FlightLog) -> Vec<DataFile> {
-    let stalls = stall_file(label, &attribute_stalls(log));
+fn cell_trace_files(
+    label: &str,
+    result: &RunResult,
+    log: &FlightLog,
+    model: &EventModel,
+    stalls: &[StallBreakdown],
+) -> Vec<DataFile> {
+    let stalls = stall_file(label, stalls);
     vec![
         DataFile {
             name: format!("trace_{label}.jsonl"),
@@ -213,7 +219,7 @@ fn cell_trace_files(label: &str, result: &RunResult, log: &FlightLog) -> Vec<Dat
         },
         DataFile {
             name: format!("waterfall_{label}.har.json"),
-            contents: waterfall_traced_json(result, Some(log)),
+            contents: waterfall_json(result, Some(model)),
         },
         stall_manifest_file(&stalls),
         stalls,
@@ -322,18 +328,12 @@ pub fn finish_folded(
 
     let written = spdyier_core::write_to_dir(&files, out_dir)?;
 
-    let passed = verdicts
-        .iter()
-        .filter(|v| v.status == VerdictStatus::Pass)
-        .count();
-    let failed = verdicts
-        .iter()
-        .filter(|v| v.status == VerdictStatus::Fail)
-        .count();
-    let skipped = verdicts
-        .iter()
-        .filter(|v| v.status == VerdictStatus::Skipped)
-        .count();
+    let count = |status| verdicts.iter().filter(|v| v.status == status).count();
+    let (passed, failed, skipped) = (
+        count(VerdictStatus::Pass),
+        count(VerdictStatus::Fail),
+        count(VerdictStatus::Skipped),
+    );
     let summary = match &limit_detail {
         Some(detail) => format!(
             "scenario {}: LIMIT EXCEEDED ({detail}) — exit {}",

@@ -140,7 +140,7 @@ fn header_json(manifest: &Manifest, cells: usize) -> String {
         ),
         ("cells".into(), Value::U64(cells as u64)),
     ]);
-    serde_json::to_string(&RawValue(v)).expect("header serializes")
+    serde_json::to_string(&v).expect("header serializes")
 }
 
 fn cell_json(index: usize, metrics: &CellMetrics) -> String {
@@ -148,15 +148,7 @@ fn cell_json(index: usize, metrics: &CellMetrics) -> String {
         ("cell".into(), Value::U64(index as u64)),
         ("metrics".into(), metrics.to_value()),
     ]);
-    serde_json::to_string(&RawValue(v)).expect("cell checkpoint serializes")
-}
-
-struct RawValue(Value);
-
-impl Serialize for RawValue {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
+    serde_json::to_string(&v).expect("cell checkpoint serializes")
 }
 
 // ---------------------------------------------------------------------

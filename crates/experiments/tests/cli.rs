@@ -123,6 +123,54 @@ fn a_yaml_manifest_path_is_a_config_error_saying_manifests_are_json() {
     }
 }
 
+/// `result.json` carries an attribution key only when the run recorded
+/// the events the key is built from: no `*_stall_ms` or `critical_*_ms`
+/// key below `transport`, the four promotion/RTO/think/other shares at
+/// `transport`, and the per-segment shares plus the nine critical-path
+/// edges only at `full`. A zero printed below a key's level would be
+/// indistinguishable from a measured zero.
+#[test]
+fn result_json_carries_attribution_keys_only_at_their_trace_level() {
+    let dir = std::env::temp_dir().join(format!("spdyier_cli_levels_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let transport = "promotion_stall_ms rto_stall_ms think_stall_ms other_stall_ms";
+    let full = "promotion_stall_ms serialization_stall_ms queueing_stall_ms rto_stall_ms \
+                think_stall_ms other_stall_ms critical_parse_ms critical_conn_setup_ms \
+                critical_promotion_ms critical_rto_stall_ms critical_serialization_ms \
+                critical_queueing_ms critical_think_ms critical_wait_ms critical_receive_ms";
+    let cases = [
+        ("off", ""),
+        ("lifecycle", ""),
+        ("transport", transport),
+        ("full", full),
+    ];
+    for (level, expected) in cases {
+        let manifest = dir.join(format!("{level}.json"));
+        let out = dir.join(level);
+        let text = format!(
+            r#"{{"schema_version":1,"name":"levels_{level}","network":{{"kind":"3g"}},
+                "protocols":["spdy"],"seeds":{{"base":0,"count":1}},"trace":"{level}",
+                "workload":{{"kind":"site","site":3,"visits":2}}}}"#
+        );
+        std::fs::write(&manifest, text).expect("manifest written");
+        let (manifest, out_dir) = (manifest.to_str().unwrap(), out.to_str().unwrap());
+        let child = experiments(&["run", manifest, "--out", out_dir]);
+        assert_eq!(child.status.code(), Some(0), "{level}: {child:?}");
+        let result = std::fs::read_to_string(out.join("result.json")).expect("result.json");
+        let doc = serde_json::from_str(&result).expect("result.json parses");
+        let serde::Value::Object(cell) = &doc["cells"][0] else {
+            panic!("{level}: cells[0] is not an object: {result}");
+        };
+        let attribution: Vec<&str> = cell
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .filter(|key| key.ends_with("_stall_ms") || key.starts_with("critical_"))
+            .collect();
+        assert_eq!(attribution.join(" "), expected, "trace level {level}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An output location that cannot be created is a config error naming
 /// the path — exit 3 before the figure or schedule is simulated, never
 /// a panic after it.

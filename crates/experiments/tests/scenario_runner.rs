@@ -33,6 +33,33 @@ fn quick_manifest(name: &str) -> Manifest {
     .expect("quick manifest decodes")
 }
 
+/// `fold_cell` is the one reduction behind `run`, `sweep` and `trace`:
+/// with every consumer of the flight log switched on (both attribution
+/// folds, the stall table, the bound waterfall) the log is still
+/// scanned into an event model exactly once.
+#[cfg(debug_assertions)]
+#[test]
+fn a_traced_cell_scans_its_flight_log_once() {
+    use spdyier_causal::model::SCANS;
+    use spdyier_experiments::{fold_cell, run_cell};
+    let mut m = quick_manifest("one_scan");
+    m.trace = spdyier_core::TraceLevel::Full;
+    m.outputs.trace_artifacts = true;
+    let cell = &m.cells()[1];
+    let (result, log) = run_cell(&m, cell).expect("within limits");
+    let scans = || SCANS.with(std::cell::Cell::get);
+    let before = scans();
+    let folded = fold_cell(&m, cell, &result, log.as_ref());
+    assert_eq!(scans() - before, 1);
+    assert_eq!(
+        folded.trace_files.len(),
+        5,
+        "trace, waterfall, stalls x2, metrics"
+    );
+    assert_eq!(folded.metrics.stall_visits, 1);
+    assert_eq!(folded.metrics.critical_visits, 1);
+}
+
 #[test]
 fn failing_assertion_yields_exit_1_and_failed_verdict() {
     let mut m = quick_manifest("must_fail");

@@ -23,7 +23,7 @@
 //! committed manifests with byte-identical outputs.
 
 use crate::assertions::Assertion;
-use serde::{Serialize, Value};
+use serde::Value;
 use spdyier_core::{ExperimentConfig, NetworkSpec, ProtocolMode};
 use spdyier_sim::{DetRng, SimDuration};
 use spdyier_tcp::CcAlgorithm;
@@ -1145,8 +1145,7 @@ impl Manifest {
 
     /// Render as pretty JSON (the committed `scenarios/*.json` format).
     pub fn to_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(&SerializeValue(self.to_value()))
-            .expect("manifest serializes");
+        let mut s = serde_json::to_string_pretty(&self.to_value()).expect("manifest serializes");
         s.push('\n');
         s
     }
@@ -1161,17 +1160,23 @@ fn object<'k>(entries: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
     )
 }
 
-/// Newtype bridging an already-built `Value` into the serialize-only
-/// vendored serde model.
-struct SerializeValue(Value);
-
-impl Serialize for SerializeValue {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
+/// Whether `filter` — one term of an assertion reference or of a
+/// `--cell` selector — names the cell with this identity: its protocol
+/// compact name, its variant name, or `seed<N>` (all case-insensitive).
+pub(crate) fn filter_selects(filter: &str, protocol: &str, variant: &str, seed: u64) -> bool {
+    let f = filter.to_ascii_lowercase();
+    f == protocol.to_ascii_lowercase()
+        || (!variant.is_empty() && f == variant.to_ascii_lowercase())
+        || f == format!("seed{seed}")
 }
 
 impl Cell {
+    /// Whether the filter term `filter` selects this cell (the same
+    /// predicate as [`crate::CellMetrics::matches`]).
+    pub fn matches(&self, filter: &str) -> bool {
+        filter_selects(filter, &self.protocol.compact(), &self.variant, self.seed)
+    }
+
     /// Build the full [`ExperimentConfig`] for this cell. Defaults match
     /// [`ExperimentConfig::paper_3g`] exactly, so a baseline manifest's
     /// cells are byte-identical to the legacy subcommands' runs.

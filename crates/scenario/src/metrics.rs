@@ -16,11 +16,11 @@
 //! are the checkpoint-store codec resumable sweeps persist cells with.
 
 use crate::assertions::{Assertion, Operand};
-use crate::manifest::{Cell, Manifest};
+use crate::manifest::{filter_selects, Cell, Manifest};
 use serde::{Serialize, Value};
-use spdyier_causal::critical_paths_from_records;
+use spdyier_causal::{critical_paths, EventModel};
 use spdyier_core::{
-    attribute_stalls, AssertionVerdict, FlightLog, RunResult, TraceLevel, VerdictStatus,
+    stall_table, AssertionVerdict, FlightLog, RunResult, StallBreakdown, TraceLevel, VerdictStatus,
     VisitResult,
 };
 use spdyier_sim::stats::{MergeError, QuantileSketch};
@@ -55,7 +55,8 @@ pub struct CellMetrics {
     /// [parse, conn_setup, promotion, rto, serialization, queueing,
     /// think, wait, receive].
     pub critical_sums_us: [u64; 9],
-    /// Visits with an extracted critical path (0 when tracing was off).
+    /// Visits with an extracted critical path (0 when tracing was below
+    /// `Full`, which makes it the accumulator's witness of that level).
     pub critical_visits: u64,
     /// Aggregate TCP retransmissions.
     pub retransmissions: u64,
@@ -85,6 +86,8 @@ pub type Metric = (
 
 const NO_STALL_SAMPLES: &str =
     "no stall-attribution samples (stall metrics need transport-level tracing)";
+const NO_SEGMENT_SAMPLES: &str =
+    "no per-segment samples (serialization and queueing shares need full-level tracing)";
 const NO_CRITICAL_SAMPLES: &str =
     "no critical-path samples (critical metrics need full-level tracing)";
 
@@ -106,9 +109,11 @@ pub const METRICS: &[Metric] = {
         ("visits", Off, |m| Ok(m.visits as f64)),
         ("completed_visits", Off, |m| Ok(m.completed as f64)),
         // STALL_ROWS: the six stall categories, in `stall_sums_us` order.
+        // Serialization / queueing are `Full`: their intervals come from
+        // per-segment records.
         ("promotion_stall_ms", Transport, |m| m.stall_mean_ms(0)),
-        ("serialization_stall_ms", Transport, |m| m.stall_mean_ms(1)),
-        ("queueing_stall_ms", Transport, |m| m.stall_mean_ms(2)),
+        ("serialization_stall_ms", Full, |m| m.segment_stall_mean_ms(1)),
+        ("queueing_stall_ms", Full, |m| m.segment_stall_mean_ms(2)),
         ("rto_stall_ms", Transport, |m| m.stall_mean_ms(3)),
         ("think_stall_ms", Transport, |m| m.stall_mean_ms(4)),
         ("other_stall_ms", Transport, |m| m.stall_mean_ms(5)),
@@ -167,6 +172,23 @@ pub(crate) fn required_trace(metric: &str) -> Option<TraceLevel> {
 impl CellMetrics {
     /// Reduce one cell's run (and its flight log, when recorded).
     pub fn from_run(cell: &Cell, result: &RunResult, log: Option<&FlightLog>) -> CellMetrics {
+        let model = log.map(|l| EventModel::from_records(&l.events));
+        let stalls = model.as_ref().map(stall_table).unwrap_or_default();
+        Self::from_model(cell, result, log.zip(model.as_ref()), &stalls)
+    }
+
+    /// [`Self::from_run`] for a caller that already holds the log's event
+    /// model and its stall table — the runner renders the cell's trace
+    /// artifacts from the same two, so a traced cell is scanned once and
+    /// swept once. Each table folds only at the trace level its
+    /// [`METRICS`] rows declare: below it the events it is built from
+    /// were never recorded, and its zeros would be false.
+    pub fn from_model(
+        cell: &Cell,
+        result: &RunResult,
+        traced: Option<(&FlightLog, &EventModel)>,
+        stalls: &[StallBreakdown],
+    ) -> CellMetrics {
         let mut m = CellMetrics {
             protocol: cell.protocol.compact(),
             variant: cell.variant.clone(),
@@ -182,21 +204,25 @@ impl CellMetrics {
         for v in &result.visits {
             m.fold_visit(v);
         }
-        if let Some(log) = log {
-            for b in attribute_stalls(log) {
-                m.stall_sums_us[0] += b.promotion_us;
-                m.stall_sums_us[1] += b.serialization_us;
-                m.stall_sums_us[2] += b.queueing_us;
-                m.stall_sums_us[3] += b.rto_stall_us;
-                m.stall_sums_us[4] += b.server_think_us;
-                m.stall_sums_us[5] += b.other_us;
-                m.stall_visits += 1;
-            }
-            for p in critical_paths_from_records(&log.events) {
-                for (sum, add) in m.critical_sums_us.iter_mut().zip(p.sums_us()) {
-                    *sum += add;
+        if let Some((log, model)) = traced {
+            if log.level >= METRICS[STALL_ROWS.start].1 {
+                for b in stalls {
+                    m.stall_sums_us[0] += b.promotion_us;
+                    m.stall_sums_us[1] += b.serialization_us;
+                    m.stall_sums_us[2] += b.queueing_us;
+                    m.stall_sums_us[3] += b.rto_stall_us;
+                    m.stall_sums_us[4] += b.server_think_us;
+                    m.stall_sums_us[5] += b.other_us;
+                    m.stall_visits += 1;
                 }
-                m.critical_visits += 1;
+            }
+            if log.level >= METRICS[CRITICAL_ROWS.start].1 {
+                for p in critical_paths(model) {
+                    for (sum, add) in m.critical_sums_us.iter_mut().zip(p.sums_us()) {
+                        *sum += add;
+                    }
+                    m.critical_visits += 1;
+                }
             }
             for (name, count) in log.metrics.counters() {
                 *m.counters.entry(name.to_string()).or_insert(0) += count;
@@ -222,10 +248,7 @@ impl CellMetrics {
     /// Whether `filter` selects this cell: the protocol compact name, the
     /// variant name, or `seed<N>` (all case-insensitive).
     pub fn matches(&self, filter: &str) -> bool {
-        let f = filter.to_ascii_lowercase();
-        f == self.protocol.to_ascii_lowercase()
-            || (!self.variant.is_empty() && f == self.variant.to_ascii_lowercase())
-            || f == format!("seed{}", self.seed)
+        filter_selects(filter, &self.protocol, &self.variant, self.seed)
     }
 
     /// Merge `other`'s samples and counters into `self` (the pooled
@@ -263,6 +286,15 @@ impl CellMetrics {
             return Err(NO_STALL_SAMPLES.into());
         }
         Ok(self.stall_sums_us[category] as f64 / 1_000.0 / self.stall_visits as f64)
+    }
+
+    /// The serialization / queueing shares exist only in a `Full`-level
+    /// accumulator (see [`CellMetrics::critical_visits`]).
+    fn segment_stall_mean_ms(&self, category: usize) -> Result<f64, String> {
+        if self.critical_visits == 0 {
+            return Err(NO_SEGMENT_SAMPLES.into());
+        }
+        self.stall_mean_ms(category)
     }
 
     fn critical_mean_ms(&self, edge: usize) -> Result<f64, String> {
@@ -324,8 +356,8 @@ impl CellMetrics {
             ("energy_mj".into(), Value::F64(self.energy_mj)),
         ];
         for (name, _, eval) in METRICS[STALL_ROWS].iter().chain(&METRICS[CRITICAL_ROWS]) {
-            // Absent without samples, so lifecycle-level runs keep the
-            // legacy schema.
+            // Absent without samples, so a run below a row's trace level
+            // (lifecycle: all of them) keeps the legacy schema.
             if let Ok(value) = eval(self) {
                 entries.push(((*name).into(), Value::F64(value)));
             }
