@@ -197,19 +197,6 @@ impl EventModel {
         m
     }
 
-    /// The five stall interval lists in overlap-priority order, highest
-    /// first: RTO silence > promotion > serialization > queueing >
-    /// origin think. The one priority table every sweep reads.
-    pub fn layers(&self) -> [&[Interval]; 5] {
-        [
-            &self.rto,
-            &self.promotions,
-            &self.serialization,
-            &self.queueing,
-            &self.think,
-        ]
-    }
-
     fn object(&mut self, visit: usize, object: u32) -> &mut ObjectInstants {
         let per_object = self.objects.entry(visit).or_default();
         per_object.entry(object).or_default()

@@ -24,7 +24,7 @@
 //! * **tail** `[last complete, plt)` — onload work; pure parse.
 
 use crate::model::{ConnBinding, EventModel, VisitWindow};
-use crate::sweep::{clipped, clipped_layers, sweep};
+use crate::sweep::{clipped, clipped_layers, layers, sweep};
 use serde::Value;
 use spdyier_trace::TraceRecord;
 
@@ -314,19 +314,12 @@ fn push_edge(
 /// Carve an object span `[r, c)` into typed edges: the model's layers
 /// on the fetch's own connection, response wait / receive for the rest.
 fn span_edges(edges: &mut Vec<PathEdge>, model: &EventModel, o: &SpineObject) {
-    // Parallel to `EventModel::layers`.
-    const KINDS: [EdgeKind; 5] = [
-        EdgeKind::RtoRecovery,
-        EdgeKind::Promotion,
-        EdgeKind::Serialization,
-        EdgeKind::Queueing,
-        EdgeKind::ServerThink,
-    ];
+    let kinds = layers(model).map(|(kind, _)| kind);
     let conn = o.binding.map(|b| b.conn);
     let ivs = clipped_layers(model, o.r_us, o.c_us, conn);
     sweep(o.r_us, o.c_us, &ivs, |s, e, priority| {
         let kind = match priority {
-            Some(p) => KINDS[p],
+            Some(p) => kinds[p],
             None if s < o.fb_us => EdgeKind::ResponseWait,
             None => EdgeKind::Receive,
         };
@@ -343,18 +336,18 @@ fn gap_edges(
     b: u64,
     next: Option<ConnBinding>,
 ) {
-    const KINDS: [EdgeKind; 3] = [
-        EdgeKind::RtoRecovery,
-        EdgeKind::Promotion,
-        EdgeKind::ConnSetup,
-    ];
     let conn = next.map(|b| b.conn);
     let mut ivs = Vec::new();
     clipped(&mut ivs, &model.rto, a, b, None, 0);
     clipped(&mut ivs, &model.promotions, a, b, None, 1);
     clipped(&mut ivs, &model.setup, a, b, conn, 2);
+    let kinds = [
+        EdgeKind::RtoRecovery,
+        EdgeKind::Promotion,
+        EdgeKind::ConnSetup,
+    ];
     sweep(a, b, &ivs, |s, e, priority| {
-        let kind = priority.map_or(EdgeKind::Parse, |p| KINDS[p]);
+        let kind = priority.map_or(EdgeKind::Parse, |p| kinds[p]);
         push_edge(edges, s, e, kind, None, conn);
     });
 }

@@ -7,7 +7,7 @@
 //! buckets sum to the window *exactly* — conservation is by
 //! construction, not by rounding luck.
 //!
-//! Overlap priority ([`EventModel::layers`]): RTO silence > promotion >
+//! Overlap priority (`layers`): RTO silence > promotion >
 //! serialization > queueing > origin think. RTO silences rank first
 //! because they are the pathology the paper chases (§5.5, §5.7): a
 //! spurious timeout that fires *while* the radio is promoting is exactly
@@ -25,6 +25,7 @@
 //! connection only — which of it gated the load?).
 
 use crate::model::{EventModel, Interval, VisitWindow};
+use crate::path::EdgeKind;
 
 /// Clip `intervals` to `[a, b)` and tag them with `priority`. With a
 /// `conn`, intervals owned by another connection are dropped;
@@ -48,8 +49,20 @@ pub(crate) fn clipped(
     }
 }
 
-/// Every [`EventModel::layers`] list clipped to `[a, b)` (see
-/// [`clipped`] for `conn`), tagged with its priority.
+/// The one overlap-priority table, highest first: each stall interval
+/// list of the model, with the critical-path edge its time becomes.
+pub(crate) fn layers(model: &EventModel) -> [(EdgeKind, &[Interval]); 5] {
+    [
+        (EdgeKind::RtoRecovery, &model.rto),
+        (EdgeKind::Promotion, &model.promotions),
+        (EdgeKind::Serialization, &model.serialization),
+        (EdgeKind::Queueing, &model.queueing),
+        (EdgeKind::ServerThink, &model.think),
+    ]
+}
+
+/// Every [`layers`] list clipped to `[a, b)` (see [`clipped`] for
+/// `conn`), tagged with its priority.
 pub(crate) fn clipped_layers(
     model: &EventModel,
     a: u64,
@@ -57,7 +70,7 @@ pub(crate) fn clipped_layers(
     conn: Option<usize>,
 ) -> Vec<(u64, u64, usize)> {
     let mut out = Vec::new();
-    for (priority, layer) in model.layers().into_iter().enumerate() {
+    for (priority, (_, layer)) in layers(model).into_iter().enumerate() {
         clipped(&mut out, layer, a, b, conn, priority);
     }
     out
@@ -91,8 +104,8 @@ pub(crate) fn sweep(
     }
 }
 
-/// One visit window's wall time by stall category, µs: the five
-/// [`EventModel::layers`] in priority order, then the uncovered
+/// One visit window's wall time by stall category, µs: RTO silence,
+/// promotion, serialization, queueing, origin think, then the uncovered
 /// remainder (browser parse/execute, handshakes, overlap slack). The six
 /// entries sum to `w.end_us - w.start_us` exactly.
 pub fn stall_sums_us(model: &EventModel, w: &VisitWindow) -> [u64; 6] {

@@ -328,12 +328,18 @@ pub fn finish_folded(
 
     let written = spdyier_core::write_to_dir(&files, out_dir)?;
 
-    let count = |status| verdicts.iter().filter(|v| v.status == status).count();
-    let (passed, failed, skipped) = (
-        count(VerdictStatus::Pass),
-        count(VerdictStatus::Fail),
-        count(VerdictStatus::Skipped),
-    );
+    let passed = verdicts
+        .iter()
+        .filter(|v| v.status == VerdictStatus::Pass)
+        .count();
+    let failed = verdicts
+        .iter()
+        .filter(|v| v.status == VerdictStatus::Fail)
+        .count();
+    let skipped = verdicts
+        .iter()
+        .filter(|v| v.status == VerdictStatus::Skipped)
+        .count();
     let summary = match &limit_detail {
         Some(detail) => format!(
             "scenario {}: LIMIT EXCEEDED ({detail}) — exit {}",
