@@ -8,6 +8,11 @@
 //! an integer microsecond, so downstream arithmetic is exact. Ordering
 //! is deterministic throughout: objects live in `BTreeMap`s and every
 //! interval list preserves the stream's own order.
+//!
+//! The stream's order is not start order (an RTO silence is recorded
+//! when it *fires*, a serialization share when its segment is *sent*),
+//! so the scan ends by building the interval index the sweep reads:
+//! every list sorted and coalesced once, instead of once per window.
 
 use spdyier_trace::{TraceEvent, TraceRecord};
 use std::collections::BTreeMap;
@@ -74,6 +79,81 @@ impl Interval {
     }
 }
 
+/// A maximal stretch `[start, end)` some interval of a list covers, µs.
+pub(crate) type Run = (u64, u64);
+
+/// Sort `runs` by start and merge every overlapping or touching pair.
+fn coalesce(mut runs: Vec<Run>) -> Vec<Run> {
+    runs.sort_unstable_by_key(|r| r.0);
+    runs.dedup_by(|next, run| {
+        let joins = next.0 <= run.1;
+        if joins {
+            run.1 = run.1.max(next.1);
+        }
+        joins
+    });
+    runs.shrink_to_fit();
+    runs
+}
+
+/// One interval list as the sweep reads it: coalesced into disjoint
+/// runs sorted by start (so sorted by end too), once across every owner
+/// and once per owning connection.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Runs {
+    /// Every interval, whoever owns it.
+    all: Vec<Run>,
+    /// The intervals no connection owns.
+    unowned: Vec<Run>,
+    /// Per owning connection: its own intervals plus the unowned ones.
+    by_conn: BTreeMap<usize, Vec<Run>>,
+}
+
+impl Runs {
+    fn build(intervals: &[Interval]) -> Runs {
+        let mut unowned = Vec::new();
+        let mut by_conn: BTreeMap<usize, Vec<Run>> = BTreeMap::new();
+        for iv in intervals {
+            let list = iv
+                .conn
+                .map_or(&mut unowned, |c| by_conn.entry(c).or_default());
+            list.push((iv.a, iv.b));
+        }
+        for owned in by_conn.values_mut() {
+            owned.extend_from_slice(&unowned);
+            *owned = coalesce(std::mem::take(owned));
+        }
+        Runs {
+            all: coalesce(intervals.iter().map(|iv| (iv.a, iv.b)).collect()),
+            unowned: coalesce(unowned),
+            by_conn,
+        }
+    }
+
+    /// The runs a window bound to `conn` admits: every connection's when
+    /// unbound; otherwise `conn`'s own plus the unowned ones (a list
+    /// whose intervals name no connection ignores the filter).
+    pub(crate) fn admitted(&self, conn: Option<usize>) -> &[Run] {
+        match conn {
+            None => &self.all,
+            Some(c) => self.by_conn.get(&c).unwrap_or(&self.unowned),
+        }
+    }
+}
+
+/// [`Runs`] of each interval list of the model, built once per record
+/// stream: O(n log n) there, so that a window costs the sweep a binary
+/// search and the runs inside it, not a pass over the whole run.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IntervalIndex {
+    pub(crate) rto: Runs,
+    pub(crate) promotions: Runs,
+    pub(crate) serialization: Runs,
+    pub(crate) queueing: Runs,
+    pub(crate) think: Runs,
+    pub(crate) setup: Runs,
+}
+
 /// Every table a trace reader needs, built in one pass.
 #[derive(Debug, Clone, Default)]
 pub struct EventModel {
@@ -95,6 +175,9 @@ pub struct EventModel {
     pub think: Vec<Interval>,
     /// Connection setup `[opened, ssl ready)` per connection.
     pub setup: Vec<Interval>,
+    /// The six lists above as the sweep reads them: built where the scan
+    /// ends, not re-read from lists edited afterwards.
+    pub(crate) index: IntervalIndex,
 }
 
 #[cfg(debug_assertions)]
@@ -102,10 +185,16 @@ thread_local! {
     /// Record streams scanned on this thread so far. Debug builds only:
     /// the runner's tests pin "one scan per traced cell" with it.
     pub static SCANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Runs the sweep's cursors stepped over or looked at, and segments
+    /// it emitted, on this thread so far. Debug builds only: the
+    /// runner's tests pin "a cell's sweeps cost its intervals, not its
+    /// intervals times its windows" as a ratio of the two.
+    pub static SWEEP_WORK: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 impl EventModel {
-    /// Build the model from a record stream (one linear scan).
+    /// Build the model from a record stream: one linear scan, then the
+    /// interval index over what it collected.
     pub fn from_records(records: &[TraceRecord]) -> EventModel {
         #[cfg(debug_assertions)]
         SCANS.with(|scans| scans.set(scans.get() + 1));
@@ -194,7 +283,20 @@ impl EventModel {
                 _ => {}
             }
         }
-        m
+        m.indexed()
+    }
+
+    /// Rebuild the interval index from the six lists as they stand.
+    pub(crate) fn indexed(mut self) -> EventModel {
+        self.index = IntervalIndex {
+            rto: Runs::build(&self.rto),
+            promotions: Runs::build(&self.promotions),
+            serialization: Runs::build(&self.serialization),
+            queueing: Runs::build(&self.queueing),
+            think: Runs::build(&self.think),
+            setup: Runs::build(&self.setup),
+        };
+        self
     }
 
     fn object(&mut self, visit: usize, object: u32) -> &mut ObjectInstants {

@@ -24,11 +24,12 @@
 //! * **tail** `[last complete, plt)` — onload work; pure parse.
 
 use crate::model::{ConnBinding, EventModel, VisitWindow};
-use crate::sweep::{clipped, clipped_layers, layers, sweep};
+use crate::sweep::{layers, sweep, sweep_layers};
 use serde::Value;
 use spdyier_trace::TraceRecord;
 
-/// What a critical-path edge's time was spent on.
+/// What a critical-path edge's time was spent on, declared in
+/// [`EDGE_KINDS`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EdgeKind {
     /// Browser parse/execute/dispatch time holding the chain.
@@ -82,10 +83,7 @@ impl EdgeKind {
 
     /// Index into [`EDGE_KINDS`]-ordered arrays.
     pub fn index(self) -> usize {
-        EDGE_KINDS
-            .iter()
-            .position(|&k| k == self)
-            .expect("kind listed")
+        self as usize
     }
 }
 
@@ -163,9 +161,12 @@ pub fn critical_paths_from_records(records: &[TraceRecord]) -> Vec<CriticalPath>
     critical_paths(&model)
 }
 
-/// Extract the critical path of every visit in an [`EventModel`].
+/// Extract the critical path of every visit a `VisitEnd` closed (a
+/// window left open by a cut stream has no PLT to tile), in stream
+/// order.
 pub fn critical_paths(model: &EventModel) -> Vec<CriticalPath> {
-    model.windows.iter().map(|w| visit_path(model, w)).collect()
+    let closed = model.windows.iter().filter(|w| w.closed);
+    closed.map(|w| visit_path(model, w)).collect()
 }
 
 /// One object on the spine: its clipped span and connection binding.
@@ -314,11 +315,10 @@ fn push_edge(
 /// Carve an object span `[r, c)` into typed edges: the model's layers
 /// on the fetch's own connection, response wait / receive for the rest.
 fn span_edges(edges: &mut Vec<PathEdge>, model: &EventModel, o: &SpineObject) {
-    let kinds = layers(model).map(|(kind, _)| kind);
+    let kinds = layers(&model.index).map(|(kind, _)| kind);
     let conn = o.binding.map(|b| b.conn);
-    let ivs = clipped_layers(model, o.r_us, o.c_us, conn);
-    sweep(o.r_us, o.c_us, &ivs, |s, e, priority| {
-        let kind = match priority {
+    sweep_layers(model, o.r_us, o.c_us, conn, |s, e, layer| {
+        let kind = match layer {
             Some(p) => kinds[p],
             None if s < o.fb_us => EdgeKind::ResponseWait,
             None => EdgeKind::Receive,
@@ -337,17 +337,19 @@ fn gap_edges(
     next: Option<ConnBinding>,
 ) {
     let conn = next.map(|b| b.conn);
-    let mut ivs = Vec::new();
-    clipped(&mut ivs, &model.rto, a, b, None, 0);
-    clipped(&mut ivs, &model.promotions, a, b, None, 1);
-    clipped(&mut ivs, &model.setup, a, b, conn, 2);
+    let index = &model.index;
+    let runs = [
+        index.rto.admitted(None),
+        index.promotions.admitted(None),
+        index.setup.admitted(conn),
+    ];
     let kinds = [
         EdgeKind::RtoRecovery,
         EdgeKind::Promotion,
         EdgeKind::ConnSetup,
     ];
-    sweep(a, b, &ivs, |s, e, priority| {
-        let kind = priority.map_or(EdgeKind::Parse, |p| kinds[p]);
+    sweep(a, b, runs, |s, e, layer| {
+        let kind = layer.map_or(EdgeKind::Parse, |p| kinds[p]);
         push_edge(edges, s, e, kind, None, conn);
     });
 }
@@ -662,6 +664,66 @@ mod tests {
     }
 
     #[test]
+    fn a_gap_waits_on_the_next_fetchs_handshake_and_on_any_connections_rto() {
+        let recs = records(vec![
+            (0, TraceEvent::VisitStart { visit: 0, site: 1 }),
+            // Another connection's handshake does not hold this fetch...
+            (
+                100,
+                TraceEvent::ConnOpened {
+                    conn: 7,
+                    over_access: true,
+                    label: "dev[7]".into(),
+                },
+            ),
+            (500, TraceEvent::SslReady { conn: 7 }),
+            // ...but its RTO silence does: a gap has no binding yet.
+            (
+                800,
+                TraceEvent::TcpRto {
+                    conn: 7,
+                    b_side: false,
+                    silent_since: t(600),
+                },
+            ),
+            (
+                1_000,
+                TraceEvent::ObjectRequested {
+                    visit: 0,
+                    object: 0,
+                },
+            ),
+            (
+                1_000,
+                TraceEvent::HttpRequestSent {
+                    conn: 0,
+                    gen: 1,
+                    tag: 0,
+                },
+            ),
+            (
+                1_500,
+                TraceEvent::ObjectComplete {
+                    visit: 0,
+                    object: 0,
+                },
+            ),
+            (
+                1_500,
+                TraceEvent::VisitEnd {
+                    visit: 0,
+                    completed: true,
+                    plt_us: 1_500,
+                },
+            ),
+        ]);
+        let sums = critical_paths_from_records(&recs)[0].sums_us();
+        assert_eq!(sums[EdgeKind::ConnSetup.index()], 0);
+        assert_eq!(sums[EdgeKind::RtoRecovery.index()], 200);
+        assert_eq!(sums[EdgeKind::Parse.index()], 800);
+    }
+
+    #[test]
     fn empty_visits_degenerate_to_one_parse_edge() {
         let recs = records(vec![
             (0, TraceEvent::VisitStart { visit: 0, site: 2 }),
@@ -678,6 +740,13 @@ mod tests {
         assert_eq!(p.edges.len(), 1);
         assert_eq!(p.edges[0].kind, EdgeKind::Parse);
         assert_eq!(p.plt_us(), 500);
+    }
+
+    #[test]
+    fn an_edge_kind_indexes_itself_in_edge_kinds() {
+        for (i, k) in EDGE_KINDS.into_iter().enumerate() {
+            assert_eq!((k.index(), EDGE_KINDS[k.index()]), (i, k));
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The one boundary sweep, and the stall table it projects.
 //!
 //! Every attribution is the same operation: tile a window `[a, b)`
-//! against the model's typed intervals, give each elementary segment to
-//! the highest-priority interval covering it, and hand uncovered time to
-//! a default. Every microsecond lands in exactly one bucket, so the
+//! against the model's typed intervals, give each stretch to the
+//! highest-priority layer covering it, and hand uncovered time to a
+//! default. Every microsecond lands in exactly one bucket, so the
 //! buckets sum to the window *exactly* — conservation is by
 //! construction, not by rounding luck.
 //!
@@ -18,90 +18,113 @@
 //! queueing share, which includes propagation delay (the recorder cannot
 //! split the two without a per-hop model).
 //!
+//! The sweep reads the model's interval index, never its raw lists. The
+//! index holds each list as *runs*: its intervals sorted by start and
+//! coalesced (overlapping or touching ones merged), so a list's runs are
+//! disjoint, non-adjacent, and sorted by end as well. Each list is
+//! indexed once across all owners and once per owning connection. A
+//! window bound to a connection admits that connection's runs plus the
+//! unowned ones — promotions and origin think name no connection, so
+//! they ignore the filter — and an unbound window (a whole visit, a
+//! fetch whose request was never seen) admits every connection's.
+//!
+//! A window then costs one binary search per layer plus the runs inside
+//! it: `sweep` walks one cursor per layer, in priority order, and emits
+//! *maximal* segments — it cuts only where the owner changes. That is
+//! coarser than cutting at every interval endpoint and the same tiling.
+//! Within a covered stretch the extra cuts separate pieces of one owner,
+//! which every reader sums or re-joins. An uncovered stretch has no
+//! endpoint inside it (an endpoint borders an interval, so one side of
+//! it is covered) and is one segment either way, which is what lets
+//! [`crate::path`] split response wait from receive by where a segment
+//! *starts*. `tests/sweep_oracle.rs` keeps the endpoint sweep as the
+//! reference.
+//!
 //! Two projections read the model through `sweep`: the **stall table**
 //! ([`stall_sums_us`]: one whole-window sweep per visit, every
 //! connection admitted — where did the wall time go?) and the **critical
 //! path** ([`crate::path`]: one sweep per spine segment, the fetch's own
 //! connection only — which of it gated the load?).
 
-use crate::model::{EventModel, Interval, VisitWindow};
+use crate::model::{EventModel, IntervalIndex, Run, Runs, VisitWindow};
 use crate::path::EdgeKind;
-
-/// Clip `intervals` to `[a, b)` and tag them with `priority`. With a
-/// `conn`, intervals owned by another connection are dropped;
-/// connection-agnostic intervals (promotions, origin think) always stay.
-pub(crate) fn clipped(
-    out: &mut Vec<(u64, u64, usize)>,
-    intervals: &[Interval],
-    a: u64,
-    b: u64,
-    conn: Option<usize>,
-    priority: usize,
-) {
-    for iv in intervals {
-        if conn.is_some() && iv.conn.is_some() && iv.conn != conn {
-            continue;
-        }
-        let (s, e) = (iv.a.max(a), iv.b.min(b));
-        if s < e {
-            out.push((s, e, priority));
-        }
-    }
-}
 
 /// The one overlap-priority table, highest first: each stall interval
 /// list of the model, with the critical-path edge its time becomes.
-pub(crate) fn layers(model: &EventModel) -> [(EdgeKind, &[Interval]); 5] {
+pub(crate) fn layers(index: &IntervalIndex) -> [(EdgeKind, &Runs); 5] {
     [
-        (EdgeKind::RtoRecovery, &model.rto),
-        (EdgeKind::Promotion, &model.promotions),
-        (EdgeKind::Serialization, &model.serialization),
-        (EdgeKind::Queueing, &model.queueing),
-        (EdgeKind::ServerThink, &model.think),
+        (EdgeKind::RtoRecovery, &index.rto),
+        (EdgeKind::Promotion, &index.promotions),
+        (EdgeKind::Serialization, &index.serialization),
+        (EdgeKind::Queueing, &index.queueing),
+        (EdgeKind::ServerThink, &index.think),
     ]
 }
 
-/// Every [`layers`] list clipped to `[a, b)` (see [`clipped`] for
-/// `conn`), tagged with its priority.
-pub(crate) fn clipped_layers(
+/// Merge-sweep `[a, b)` against `layers` of runs, highest priority
+/// first: `emit(start, end, layer)` once per maximal stretch with one
+/// owner, chronologically — the first layer with a run covering the
+/// stretch, `None` when no layer has one.
+pub(crate) fn sweep<const N: usize>(
+    a: u64,
+    b: u64,
+    layers: [&[Run]; N],
+    mut emit: impl FnMut(u64, u64, Option<usize>),
+) {
+    // Each layer's runs that reach into the window.
+    let layers = layers.map(|runs| {
+        let runs = &runs[runs.partition_point(|r| r.1 <= a)..];
+        &runs[..runs.partition_point(|r| r.0 < b)]
+    });
+    let mut cursor = [0usize; N];
+    #[cfg(debug_assertions)]
+    let mut work = (0u64, 0u64);
+    let mut t = a;
+    while t < b {
+        // The segment from `t` belongs to the first layer with a run
+        // over `t` and ends with that run, or earlier where a higher
+        // layer's next run starts; with no owner it ends at the first
+        // start of any layer.
+        let (mut end, mut owner) = (b, None);
+        for (p, runs) in layers.iter().enumerate() {
+            let behind = runs[cursor[p]..].iter().take_while(|r| r.1 <= t).count();
+            cursor[p] += behind;
+            #[cfg(debug_assertions)]
+            {
+                work.0 += behind as u64 + 1;
+            }
+            let Some(&(start, stop)) = runs.get(cursor[p]) else {
+                continue;
+            };
+            if start <= t {
+                (end, owner) = (end.min(stop), Some(p));
+                break;
+            }
+            end = end.min(start);
+        }
+        emit(t, end, owner);
+        #[cfg(debug_assertions)]
+        {
+            work.1 += 1;
+        }
+        t = end;
+    }
+    #[cfg(debug_assertions)]
+    crate::model::SWEEP_WORK.with(|w| w.set((w.get().0 + work.0, w.get().1 + work.1)));
+}
+
+/// Sweep `[a, b)` against the model's five layers as a window bound to
+/// `conn` admits them; `emit`'s layer is the priority-table row, 0 (RTO
+/// silence) to 4 (origin think).
+pub fn sweep_layers(
     model: &EventModel,
     a: u64,
     b: u64,
     conn: Option<usize>,
-) -> Vec<(u64, u64, usize)> {
-    let mut out = Vec::new();
-    for (priority, (_, layer)) in layers(model).into_iter().enumerate() {
-        clipped(&mut out, layer, a, b, conn, priority);
-    }
-    out
-}
-
-/// Boundary-sweep `[a, b)` against prioritized `intervals` (already
-/// clipped to it): `emit(start, end, priority)` once per elementary
-/// segment, chronologically, with the lowest priority number covering
-/// the segment — `None` when nothing does.
-pub(crate) fn sweep(
-    a: u64,
-    b: u64,
-    intervals: &[(u64, u64, usize)],
-    mut emit: impl FnMut(u64, u64, Option<usize>),
+    emit: impl FnMut(u64, u64, Option<usize>),
 ) {
-    let mut points: Vec<u64> = vec![a, b];
-    for &(s, e, _) in intervals {
-        points.push(s);
-        points.push(e);
-    }
-    points.sort_unstable();
-    points.dedup();
-    for pair in points.windows(2) {
-        let (s, e) = (pair[0], pair[1]);
-        let priority = intervals
-            .iter()
-            .filter(|&&(is, ie, _)| is <= s && ie >= e)
-            .map(|&(_, _, p)| p)
-            .min();
-        emit(s, e, priority);
-    }
+    let runs = layers(&model.index).map(|(_, runs)| runs.admitted(conn));
+    sweep(a, b, runs, emit);
 }
 
 /// One visit window's wall time by stall category, µs: RTO silence,
@@ -109,10 +132,9 @@ pub(crate) fn sweep(
 /// remainder (browser parse/execute, handshakes, overlap slack). The six
 /// entries sum to `w.end_us - w.start_us` exactly.
 pub fn stall_sums_us(model: &EventModel, w: &VisitWindow) -> [u64; 6] {
-    let intervals = clipped_layers(model, w.start_us, w.end_us, None);
     let mut sums = [0u64; 6];
-    sweep(w.start_us, w.end_us, &intervals, |s, e, priority| {
-        sums[priority.unwrap_or(5)] += e - s;
+    sweep_layers(model, w.start_us, w.end_us, None, |s, e, layer| {
+        sums[layer.unwrap_or(5)] += e - s;
     });
     sums
 }
@@ -120,20 +142,61 @@ pub fn stall_sums_us(model: &EventModel, w: &VisitWindow) -> [u64; 6] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Interval;
 
     fn iv(a: u64, b: u64, conn: Option<usize>) -> Interval {
         Interval { a, b, conn }
     }
 
+    fn segments(model: &EventModel, a: u64, b: u64, conn: Option<usize>) -> Vec<(u64, u64, i8)> {
+        let mut out = Vec::new();
+        sweep_layers(model, a, b, conn, |s, e, layer| {
+            out.push((s, e, layer.map_or(-1, |l| l as i8)));
+        });
+        out
+    }
+
     #[test]
     fn a_connection_filter_keeps_connection_agnostic_intervals() {
-        let list = [iv(0, 10, Some(1)), iv(5, 30, Some(2)), iv(20, 40, None)];
-        let mut own = Vec::new();
-        clipped(&mut own, &list, 0, 25, Some(1), 7);
-        assert_eq!(own, [(0, 10, 7), (20, 25, 7)]);
-        let mut any = Vec::new();
-        clipped(&mut any, &list, 0, 25, None, 7);
-        assert_eq!(any, [(0, 10, 7), (5, 25, 7), (20, 25, 7)]);
+        let model = EventModel {
+            rto: vec![iv(0, 10, Some(1)), iv(5, 30, Some(2)), iv(20, 40, None)],
+            ..EventModel::default()
+        }
+        .indexed();
+        let own = segments(&model, 0, 25, Some(1));
+        assert_eq!(own, [(0, 10, 0), (10, 20, -1), (20, 25, 0)]);
+        let stranger = segments(&model, 0, 25, Some(7));
+        assert_eq!(stranger, [(0, 20, -1), (20, 25, 0)]);
+        assert_eq!(segments(&model, 0, 25, None), [(0, 25, 0)]);
+    }
+
+    #[test]
+    fn a_lower_layer_is_cut_where_a_higher_one_starts_and_resumes_after_it() {
+        // Recorded out of start order, nested, and touching.
+        let model = EventModel {
+            rto: vec![
+                iv(40, 50, Some(0)),
+                iv(10, 20, Some(0)),
+                iv(20, 25, Some(0)),
+            ],
+            promotions: vec![iv(0, 45, None), iv(12, 18, None)],
+            think: vec![iv(44, 60, None)],
+            ..EventModel::default()
+        }
+        .indexed();
+        assert_eq!(
+            segments(&model, 5, 70, Some(0)),
+            [
+                (5, 10, 1),
+                (10, 25, 0),
+                (25, 40, 1),
+                (40, 50, 0),
+                (50, 60, 4),
+                (60, 70, -1)
+            ]
+        );
+        assert_eq!(segments(&model, 30, 30, None), []);
+        assert_eq!(segments(&model, 49, 50, None), [(49, 50, 0)]);
     }
 
     #[test]
@@ -143,7 +206,8 @@ mod tests {
             promotions: vec![iv(0, 150, None)],
             think: vec![iv(350, 600, None)],
             ..EventModel::default()
-        };
+        }
+        .indexed();
         let w = VisitWindow {
             visit: 0,
             site: 1,

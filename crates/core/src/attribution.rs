@@ -264,11 +264,10 @@ mod tests {
         assert_eq!(stalls[0].attributed_us(), 1_000);
     }
 
-    #[test]
-    fn a_stream_cut_mid_visit_omits_the_open_visit() {
-        // Visit 0 finishes; the stream ends inside visit 1, whose window
-        // the model holds open and zero-length.
-        let log = log_with(vec![
+    /// Visit 0 finishes; the stream ends inside visit 1, whose window
+    /// the model holds open and zero-length.
+    fn log_cut_mid_visit() -> FlightLog {
+        log_with(vec![
             (0, TraceEvent::VisitStart { visit: 0, site: 1 }),
             (
                 600,
@@ -295,7 +294,12 @@ mod tests {
                     done: t(7_100),
                 },
             ),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn a_stream_cut_mid_visit_omits_the_open_visit() {
+        let log = log_cut_mid_visit();
         let model = EventModel::from_records(&log.events);
         assert_eq!(model.windows.len(), 2, "the model keeps the open window");
         let stalls = attribute_stalls(&log);
@@ -304,6 +308,17 @@ mod tests {
         assert_eq!(stalls[0].rto_stall_us, 400);
         assert_eq!(stalls[0].attributed_us(), stalls[0].plt_us());
         assert_eq!(stalls, stall_table(&model));
+    }
+
+    #[test]
+    fn a_stream_cut_mid_visit_has_no_critical_path_for_the_open_visit() {
+        // One row per path: `explain` must not count, nor `diff` align
+        // on, a zero-PLT visit the stall table does not have.
+        let model = EventModel::from_records(&log_cut_mid_visit().events);
+        let paths = spdyier_causal::critical_paths(&model);
+        let visits: Vec<usize> = paths.iter().map(|p| p.visit).collect();
+        assert_eq!(visits, [0]);
+        assert_eq!(paths[0].plt_us(), 1_000);
     }
 
     #[test]

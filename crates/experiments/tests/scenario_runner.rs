@@ -60,6 +60,45 @@ fn a_traced_cell_scans_its_flight_log_once() {
     assert_eq!(folded.metrics.critical_visits, 1);
 }
 
+/// Attribution costs what the cell's trace holds, not that times its
+/// windows: over both projections of one Table-1 3G cell (20 visit
+/// windows, some hundreds of spine segments) the sweep's cursors read
+/// about as many runs as the model has intervals plus the segments it
+/// emits — 87,397 for 102,842 intervals and 21,668 segments when
+/// committed. The endpoint sweep this one replaced passed over every
+/// interval of the run once per window: 281,456,133 reads for this cell.
+#[cfg(debug_assertions)]
+#[test]
+fn a_traced_cells_sweeps_read_its_intervals_once_not_once_per_window() {
+    use spdyier_causal::model::SWEEP_WORK;
+    use spdyier_experiments::{fold_cell, run_cell};
+    let mut m = Manifest::paper_baseline("sweep_work");
+    m.trace = spdyier_core::TraceLevel::Full;
+    let cell = &m.cells()[0];
+    let (result, log) = run_cell(&m, cell).expect("within limits");
+    let log = log.expect("traced");
+    let model = spdyier_causal::EventModel::from_records(&log.events);
+    let lists = [
+        &model.rto,
+        &model.promotions,
+        &model.serialization,
+        &model.queueing,
+        &model.think,
+        &model.setup,
+    ];
+    let intervals: u64 = lists.iter().map(|l| l.len() as u64).sum();
+    let (read_before, emitted_before) = SWEEP_WORK.with(std::cell::Cell::get);
+    let folded = fold_cell(&m, cell, &result, Some(&log));
+    let (read, emitted) = SWEEP_WORK.with(std::cell::Cell::get);
+    let (read, emitted) = (read - read_before, emitted - emitted_before);
+    assert_eq!(folded.metrics.critical_visits, 20);
+    assert!(intervals > 100_000, "a full trace: {intervals} intervals");
+    assert!(
+        read <= 2 * (intervals + emitted),
+        "{read} runs read for {intervals} intervals and {emitted} segments"
+    );
+}
+
 #[test]
 fn failing_assertion_yields_exit_1_and_failed_verdict() {
     let mut m = quick_manifest("must_fail");
