@@ -119,14 +119,14 @@ impl Runs {
                 .map_or(&mut unowned, |c| by_conn.entry(c).or_default());
             list.push((iv.a, iv.b));
         }
-        for owned in by_conn.values_mut() {
+        let with_unowned = |(conn, mut owned): (usize, Vec<Run>)| {
             owned.extend_from_slice(&unowned);
-            *owned = coalesce(std::mem::take(owned));
-        }
+            (conn, coalesce(owned))
+        };
         Runs {
             all: coalesce(intervals.iter().map(|iv| (iv.a, iv.b)).collect()),
+            by_conn: by_conn.into_iter().map(with_unowned).collect(),
             unowned: coalesce(unowned),
-            by_conn,
         }
     }
 

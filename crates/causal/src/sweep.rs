@@ -77,8 +77,6 @@ pub(crate) fn sweep<const N: usize>(
         &runs[..runs.partition_point(|r| r.0 < b)]
     });
     let mut cursor = [0usize; N];
-    #[cfg(debug_assertions)]
-    let mut work = (0u64, 0u64);
     let mut t = a;
     while t < b {
         // The segment from `t` belongs to the first layer with a run
@@ -89,10 +87,7 @@ pub(crate) fn sweep<const N: usize>(
         for (p, runs) in layers.iter().enumerate() {
             let behind = runs[cursor[p]..].iter().take_while(|r| r.1 <= t).count();
             cursor[p] += behind;
-            #[cfg(debug_assertions)]
-            {
-                work.0 += behind as u64 + 1;
-            }
+            count_work(behind as u64 + 1, 0);
             let Some(&(start, stop)) = runs.get(cursor[p]) else {
                 continue;
             };
@@ -103,14 +98,19 @@ pub(crate) fn sweep<const N: usize>(
             end = end.min(start);
         }
         emit(t, end, owner);
-        #[cfg(debug_assertions)]
-        {
-            work.1 += 1;
-        }
+        count_work(0, 1);
         t = end;
     }
+}
+
+/// Add to `model::SWEEP_WORK`; nothing in a release build.
+#[inline(always)]
+fn count_work(_runs_read: u64, _segments: u64) {
     #[cfg(debug_assertions)]
-    crate::model::SWEEP_WORK.with(|w| w.set((w.get().0 + work.0, w.get().1 + work.1)));
+    crate::model::SWEEP_WORK.with(|w| {
+        let (read, emitted) = w.get();
+        w.set((read + _runs_read, emitted + _segments));
+    });
 }
 
 /// Sweep `[a, b)` against the model's five layers as a window bound to
