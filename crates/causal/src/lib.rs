@@ -1,7 +1,8 @@
 //! # spdyier-causal
 //!
-//! The only reader of a flight-recorder stream: one scan builds the
-//! [`EventModel`] of each page load (HTML parse → fetch issue →
+//! The only reader of a flight-recorder stream: one pass — over a
+//! retained log, or online as the recorder's sink ([`ModelBuilder`]) —
+//! builds the [`EventModel`] of each page load (HTML parse → fetch issue →
 //! connection grant → TCP send → link serialization → RRC promotion wait
 //! → RTO recovery → response → dependent fetch), and one boundary
 //! [`sweep`] projects it two ways — the per-visit **stall table**
@@ -40,7 +41,7 @@ pub mod path;
 pub mod sweep;
 
 pub use diff::{diff_paths, DiffReport, VisitDiff, DIFF_SCHEMA_VERSION};
-pub use model::{ConnBinding, EventModel, Interval, ObjectInstants, VisitWindow};
+pub use model::{ConnBinding, EventModel, Interval, ModelBuilder, ObjectInstants, VisitWindow};
 pub use parse::{parse_jsonl, parse_record};
 pub use path::{
     critical_paths, critical_paths_from_records, explain_json, explain_text, rollup_us,

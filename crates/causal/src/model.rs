@@ -1,7 +1,9 @@
-//! The event model: one linear scan of a trace's records into the typed
-//! lookup tables every reader of a trace works from — the stall table,
-//! the critical-path extractor, and the waterfall's conn/stream binding.
-//! This is the only place a record stream's events are interpreted.
+//! The event model: one linear pass over a trace's records into the
+//! typed lookup tables every reader of a trace works from — the stall
+//! table, the critical-path extractor, and the waterfall's conn/stream
+//! binding. [`ModelBuilder::observe`] is the only place a record's event
+//! is interpreted; it is driven over a retained log's slice or, as the
+//! recorder's sink, by the run itself, record by record.
 //!
 //! Everything is keyed the way the flight recorder already keys it —
 //! visit index, object tag, connection (pipe) index — and every time is
@@ -14,7 +16,7 @@
 //! so the scan ends by building the interval index the sweep reads:
 //! every list sorted and coalesced once, instead of once per window.
 
-use spdyier_trace::{TraceEvent, TraceRecord};
+use spdyier_trace::{TraceEvent, TraceRecord, TraceSink};
 use std::collections::BTreeMap;
 
 /// Object tags at or above this value are control traffic (the §5.7
@@ -99,7 +101,7 @@ fn coalesce(mut runs: Vec<Run>) -> Vec<Run> {
 /// One interval list as the sweep reads it: coalesced into disjoint
 /// runs sorted by start (so sorted by end too), once across every owner
 /// and once per owning connection.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Runs {
     /// Every interval, whoever owns it.
     all: Vec<Run>,
@@ -144,7 +146,7 @@ impl Runs {
 /// [`Runs`] of each interval list of the model, built once per record
 /// stream: O(n log n) there, so that a window costs the sweep a binary
 /// search and the runs inside it, not a pass over the whole run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct IntervalIndex {
     pub(crate) rto: Runs,
     pub(crate) promotions: Runs,
@@ -155,7 +157,7 @@ pub(crate) struct IntervalIndex {
 }
 
 /// Every table a trace reader needs, built in one pass.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventModel {
     /// Visit windows, in stream order.
     pub windows: Vec<VisitWindow>,
@@ -182,8 +184,9 @@ pub struct EventModel {
 
 #[cfg(debug_assertions)]
 thread_local! {
-    /// Record streams scanned on this thread so far. Debug builds only:
-    /// the runner's tests pin "one scan per traced cell" with it.
+    /// Retained record streams scanned on this thread so far. Debug
+    /// builds only: the runner's tests pin with it that a traced cell
+    /// scans its log once when it keeps one and never when it does not.
     pub static SCANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     /// Runs the sweep's cursors stepped over or looked at, and segments
     /// it emitted, on this thread so far. Debug builds only: the
@@ -192,98 +195,127 @@ thread_local! {
     pub static SWEEP_WORK: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
+/// The model under construction: [`ModelBuilder::observe`] is the only
+/// place a record's event is interpreted, whether the records come from
+/// a retained log ([`EventModel::from_records`]) or straight from the
+/// recorder — the builder is a [`TraceSink`], so a run lent one folds
+/// each record into the model as it is emitted and retains none.
+#[derive(Debug, Default)]
+pub struct ModelBuilder {
+    model: EventModel,
+    /// The visit whose window is currently open, for binding the
+    /// visit-less HttpRequestSent / SpdyStreamOpen records.
+    open_visit: Option<usize>,
+    /// Connections opened but not yet SSL-ready: conn -> open instant.
+    pending_setup: BTreeMap<usize, u64>,
+}
+
+impl ModelBuilder {
+    /// Fold one record into the model.
+    pub fn observe(&mut self, rec: &TraceRecord) {
+        let m = &mut self.model;
+        let t = rec.t.as_micros();
+        match &rec.event {
+            TraceEvent::VisitStart { visit, site } => {
+                self.open_visit = Some(*visit);
+                m.windows.push(VisitWindow {
+                    visit: *visit,
+                    site: *site,
+                    completed: false,
+                    closed: false,
+                    start_us: t,
+                    end_us: t,
+                });
+            }
+            TraceEvent::VisitEnd {
+                visit,
+                completed,
+                plt_us,
+            } => {
+                if self.open_visit == Some(*visit) {
+                    self.open_visit = None;
+                }
+                if let Some(w) = m.windows.iter_mut().rev().find(|w| w.visit == *visit) {
+                    w.completed = *completed;
+                    w.closed = true;
+                    w.end_us = w.start_us + plt_us;
+                }
+            }
+            TraceEvent::ObjectRequested { visit, object } => {
+                m.object(*visit, *object).requested_us.get_or_insert(t);
+            }
+            TraceEvent::ObjectFirstByte { visit, object } => {
+                m.object(*visit, *object).first_byte_us.get_or_insert(t);
+            }
+            TraceEvent::ObjectComplete { visit, object } => {
+                m.object(*visit, *object).complete_us.get_or_insert(t);
+            }
+            TraceEvent::HttpRequestSent { conn, tag, .. } => {
+                m.bind(self.open_visit, *tag, *conn, None);
+            }
+            TraceEvent::SpdyStreamOpen {
+                conn, stream, tag, ..
+            } => m.bind(self.open_visit, *tag, *conn, Some(*stream)),
+            TraceEvent::ConnOpened { conn, .. } => {
+                self.pending_setup.insert(*conn, t);
+            }
+            TraceEvent::SslReady { conn } => {
+                if let Some(opened) = self.pending_setup.remove(conn) {
+                    m.setup.extend(Interval::new(opened, t, Some(*conn)));
+                }
+            }
+            TraceEvent::TcpRto {
+                conn, silent_since, ..
+            } => {
+                m.rto
+                    .extend(Interval::new(silent_since.as_micros(), t, Some(*conn)));
+            }
+            TraceEvent::RrcPromotion { start, done, .. } => {
+                m.promotions
+                    .extend(Interval::new(start.as_micros(), done.as_micros(), None));
+            }
+            TraceEvent::SegmentSent {
+                conn,
+                deliver,
+                ser_us,
+                ..
+            } => {
+                let deliver = deliver.as_micros();
+                let ser_start = deliver.saturating_sub(*ser_us);
+                m.serialization
+                    .extend(Interval::new(ser_start, deliver, Some(*conn)));
+                m.queueing.extend(Interval::new(t, ser_start, Some(*conn)));
+            }
+            TraceEvent::OriginThink { until, .. } => {
+                m.think.extend(Interval::new(t, until.as_micros(), None));
+            }
+            _ => {}
+        }
+    }
+
+    /// The model of everything observed so far, with the interval index
+    /// over what was collected. Any prefix of a stream is a stream: a
+    /// visit left open stays an open window.
+    pub fn finish(self) -> EventModel {
+        self.model.indexed()
+    }
+}
+
+impl TraceSink for ModelBuilder {
+    fn record(&mut self, rec: TraceRecord) {
+        self.observe(&rec);
+    }
+}
+
 impl EventModel {
-    /// Build the model from a record stream: one linear scan, then the
-    /// interval index over what it collected.
+    /// Build the model from a retained record stream: [`ModelBuilder`]
+    /// driven over the slice.
     pub fn from_records(records: &[TraceRecord]) -> EventModel {
         #[cfg(debug_assertions)]
         SCANS.with(|scans| scans.set(scans.get() + 1));
-        let mut m = EventModel::default();
-        // The visit whose window is currently open, for binding the
-        // visit-less HttpRequestSent / SpdyStreamOpen records.
-        let mut open_visit: Option<usize> = None;
-        // Connections opened but not yet SSL-ready: conn -> open instant.
-        let mut pending_setup: BTreeMap<usize, u64> = BTreeMap::new();
-        for rec in records {
-            let t = rec.t.as_micros();
-            match &rec.event {
-                TraceEvent::VisitStart { visit, site } => {
-                    open_visit = Some(*visit);
-                    m.windows.push(VisitWindow {
-                        visit: *visit,
-                        site: *site,
-                        completed: false,
-                        closed: false,
-                        start_us: t,
-                        end_us: t,
-                    });
-                }
-                TraceEvent::VisitEnd {
-                    visit,
-                    completed,
-                    plt_us,
-                } => {
-                    if open_visit == Some(*visit) {
-                        open_visit = None;
-                    }
-                    if let Some(w) = m.windows.iter_mut().rev().find(|w| w.visit == *visit) {
-                        w.completed = *completed;
-                        w.closed = true;
-                        w.end_us = w.start_us + plt_us;
-                    }
-                }
-                TraceEvent::ObjectRequested { visit, object } => {
-                    m.object(*visit, *object).requested_us.get_or_insert(t);
-                }
-                TraceEvent::ObjectFirstByte { visit, object } => {
-                    m.object(*visit, *object).first_byte_us.get_or_insert(t);
-                }
-                TraceEvent::ObjectComplete { visit, object } => {
-                    m.object(*visit, *object).complete_us.get_or_insert(t);
-                }
-                TraceEvent::HttpRequestSent { conn, tag, .. } => {
-                    m.bind(open_visit, *tag, *conn, None);
-                }
-                TraceEvent::SpdyStreamOpen {
-                    conn, stream, tag, ..
-                } => m.bind(open_visit, *tag, *conn, Some(*stream)),
-                TraceEvent::ConnOpened { conn, .. } => {
-                    pending_setup.insert(*conn, t);
-                }
-                TraceEvent::SslReady { conn } => {
-                    if let Some(opened) = pending_setup.remove(conn) {
-                        m.setup.extend(Interval::new(opened, t, Some(*conn)));
-                    }
-                }
-                TraceEvent::TcpRto {
-                    conn, silent_since, ..
-                } => {
-                    m.rto
-                        .extend(Interval::new(silent_since.as_micros(), t, Some(*conn)));
-                }
-                TraceEvent::RrcPromotion { start, done, .. } => {
-                    m.promotions
-                        .extend(Interval::new(start.as_micros(), done.as_micros(), None));
-                }
-                TraceEvent::SegmentSent {
-                    conn,
-                    deliver,
-                    ser_us,
-                    ..
-                } => {
-                    let deliver = deliver.as_micros();
-                    let ser_start = deliver.saturating_sub(*ser_us);
-                    m.serialization
-                        .extend(Interval::new(ser_start, deliver, Some(*conn)));
-                    m.queueing.extend(Interval::new(t, ser_start, Some(*conn)));
-                }
-                TraceEvent::OriginThink { until, .. } => {
-                    m.think.extend(Interval::new(t, until.as_micros(), None));
-                }
-                _ => {}
-            }
-        }
-        m.indexed()
+        let mut builder = ModelBuilder::default();
+        records.iter().for_each(|rec| builder.observe(rec));
+        builder.finish()
     }
 
     /// Rebuild the interval index from the six lists as they stand.

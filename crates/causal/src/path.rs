@@ -357,64 +357,141 @@ fn gap_edges(
 /// Schema version of the `explain_*.json` document.
 pub const EXPLAIN_SCHEMA_VERSION: u32 = 1;
 
-fn sums_value(sums: &[u64; EDGE_KINDS.len()]) -> Value {
-    Value::Object(
-        EDGE_KINDS
-            .iter()
-            .zip(sums)
-            .map(|(k, &us)| (k.name().to_string(), Value::U64(us)))
-            .collect(),
-    )
+/// Pretty JSON written straight into one string: the bytes
+/// `serde_json::to_string_pretty` prints for the same document
+/// (two-space indent, `[]` / `{}` for an empty container) without the
+/// `Value` tree, which for a Table-1 cell's ~15k edges outweighs the
+/// text several times over.
+struct PrettyJson {
+    out: String,
+    depth: usize,
+}
+
+impl PrettyJson {
+    /// Start the next element of the open container on its own line.
+    fn element(&mut self) {
+        if !self.out.ends_with(['[', '{']) {
+            self.out.push(',');
+        }
+        self.line();
+    }
+
+    fn line(&mut self) {
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n("  ", self.depth));
+    }
+
+    /// Start the member `key` of the open object. Keys are the schema's
+    /// own names: nothing in them needs escaping.
+    fn key(&mut self, key: &str) {
+        self.element();
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\": ");
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.out.ends_with(['[', '{']) {
+            self.line();
+        }
+        self.out.push(bracket);
+    }
+
+    fn display(&mut self, value: impl std::fmt::Display) {
+        use std::fmt::Write as _;
+        let _ = write!(self.out, "{value}");
+    }
+
+    /// `Some(n)` as the number, `None` as `null`.
+    fn optional(&mut self, value: Option<impl std::fmt::Display>) {
+        match value {
+            Some(v) => self.display(v),
+            None => self.out.push_str("null"),
+        }
+    }
+
+    fn string(&mut self, value: &str) {
+        if value.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+            return Value::Str(value.into()).render_compact(&mut self.out);
+        }
+        self.out.push('"');
+        self.out.push_str(value);
+        self.out.push('"');
+    }
+
+    fn sums(&mut self, key: &str, sums: &[u64; EDGE_KINDS.len()]) {
+        self.key(key);
+        self.open('{');
+        for (kind, us) in EDGE_KINDS.iter().zip(sums) {
+            self.key(kind.name());
+            self.display(us);
+        }
+        self.close('}');
+    }
 }
 
 /// Render paths as the schema-versioned `explain` JSON document.
 pub fn explain_json(label: &str, paths: &[CriticalPath]) -> String {
-    let visits: Vec<Value> = paths
-        .iter()
-        .map(|p| {
-            let edges: Vec<Value> = p
-                .edges
-                .iter()
-                .map(|e| {
-                    Value::Object(vec![
-                        ("start_us".into(), Value::U64(e.start_us)),
-                        ("end_us".into(), Value::U64(e.end_us)),
-                        ("kind".into(), Value::Str(e.kind.name().into())),
-                        (
-                            "object".into(),
-                            e.object.map_or(Value::Null, |o| Value::U64(u64::from(o))),
-                        ),
-                        (
-                            "conn".into(),
-                            e.conn.map_or(Value::Null, |c| Value::U64(c as u64)),
-                        ),
-                    ])
-                })
-                .collect();
-            Value::Object(vec![
-                ("visit".into(), Value::U64(p.visit as u64)),
-                ("site".into(), Value::U64(p.site as u64)),
-                ("completed".into(), Value::Bool(p.completed)),
-                ("start_us".into(), Value::U64(p.start_us)),
-                ("plt_us".into(), Value::U64(p.plt_us())),
-                ("edge_sums_us".into(), sums_value(&p.sums_us())),
-                ("edges".into(), Value::Array(edges)),
-            ])
-        })
-        .collect();
-    let doc = Value::Object(vec![
-        (
-            "schema_version".into(),
-            Value::U64(u64::from(EXPLAIN_SCHEMA_VERSION)),
-        ),
-        ("kind".into(), Value::Str("critical_path_explain".into())),
-        ("label".into(), Value::Str(label.into())),
-        ("visits".into(), Value::Array(visits)),
-        ("edge_sums_us".into(), sums_value(&rollup_us(paths))),
-    ]);
-    let mut s = serde_json::to_string_pretty(&doc).expect("explain serializes");
-    s.push('\n');
-    s
+    // ~170 bytes an edge and ~550 a visit header at the depth they sit.
+    let edges: usize = paths.iter().map(|p| p.edges.len()).sum();
+    let mut j = PrettyJson {
+        out: String::with_capacity(512 + 640 * paths.len() + 192 * edges),
+        depth: 0,
+    };
+    j.open('{');
+    j.key("schema_version");
+    j.display(EXPLAIN_SCHEMA_VERSION);
+    j.key("kind");
+    j.string("critical_path_explain");
+    j.key("label");
+    j.string(label);
+    j.key("visits");
+    j.open('[');
+    for p in paths {
+        j.element();
+        j.open('{');
+        j.key("visit");
+        j.display(p.visit);
+        j.key("site");
+        j.display(p.site);
+        j.key("completed");
+        j.display(p.completed);
+        j.key("start_us");
+        j.display(p.start_us);
+        j.key("plt_us");
+        j.display(p.plt_us());
+        j.sums("edge_sums_us", &p.sums_us());
+        j.key("edges");
+        j.open('[');
+        for e in &p.edges {
+            j.element();
+            j.open('{');
+            j.key("start_us");
+            j.display(e.start_us);
+            j.key("end_us");
+            j.display(e.end_us);
+            j.key("kind");
+            j.string(e.kind.name());
+            j.key("object");
+            j.optional(e.object);
+            j.key("conn");
+            j.optional(e.conn);
+            j.close('}');
+        }
+        j.close(']');
+        j.close('}');
+    }
+    j.close(']');
+    j.sums("edge_sums_us", &rollup_us(paths));
+    j.close('}');
+    j.out.push('\n');
+    j.out
 }
 
 /// Human-readable `explain` rendering: one block per visit, the path's
@@ -759,5 +836,75 @@ mod tests {
         assert_eq!(v["visits"][0]["plt_us"].as_u64(), Some(6_400));
         let text = explain_text("spdy", &paths);
         assert!(text.contains("visit  0"), "{text}");
+    }
+
+    /// The `Value` tree `explain_json` printed before it wrote its text
+    /// directly: the reference for its bytes.
+    fn explain_value(label: &str, paths: &[CriticalPath]) -> Value {
+        let sums = |sums: [u64; EDGE_KINDS.len()]| {
+            let pairs = EDGE_KINDS.iter().zip(sums);
+            Value::Object(
+                pairs
+                    .map(|(k, us)| (k.name().into(), Value::U64(us)))
+                    .collect(),
+            )
+        };
+        let optional = |n: Option<u64>| n.map_or(Value::Null, Value::U64);
+        let edge = |e: &PathEdge| {
+            Value::Object(vec![
+                ("start_us".into(), Value::U64(e.start_us)),
+                ("end_us".into(), Value::U64(e.end_us)),
+                ("kind".into(), Value::Str(e.kind.name().into())),
+                ("object".into(), optional(e.object.map(u64::from))),
+                ("conn".into(), optional(e.conn.map(|c| c as u64))),
+            ])
+        };
+        let visit = |p: &CriticalPath| {
+            Value::Object(vec![
+                ("visit".into(), Value::U64(p.visit as u64)),
+                ("site".into(), Value::U64(p.site as u64)),
+                ("completed".into(), Value::Bool(p.completed)),
+                ("start_us".into(), Value::U64(p.start_us)),
+                ("plt_us".into(), Value::U64(p.plt_us())),
+                ("edge_sums_us".into(), sums(p.sums_us())),
+                (
+                    "edges".into(),
+                    Value::Array(p.edges.iter().map(edge).collect()),
+                ),
+            ])
+        };
+        Value::Object(vec![
+            ("schema_version".into(), Value::U64(1)),
+            ("kind".into(), Value::Str("critical_path_explain".into())),
+            ("label".into(), Value::Str(label.into())),
+            (
+                "visits".into(),
+                Value::Array(paths.iter().map(visit).collect()),
+            ),
+            ("edge_sums_us".into(), sums(rollup_us(paths))),
+        ])
+    }
+
+    #[test]
+    fn explain_json_prints_what_the_value_tree_printed() {
+        let mut paths = critical_paths_from_records(&chain_records());
+        // A zero-length visit has no edges: `"edges": []`.
+        paths.push(CriticalPath {
+            visit: 1,
+            site: 4,
+            completed: false,
+            start_us: 9_000,
+            end_us: 9_000,
+            edges: Vec::new(),
+        });
+        for (label, paths) in [
+            ("spdy", &paths[..]),
+            ("a \"b\"\\\n", &paths[..1]),
+            ("", &[]),
+        ] {
+            let mut expected = serde_json::to_string_pretty(&explain_value(label, paths)).unwrap();
+            expected.push('\n');
+            assert_eq!(explain_json(label, paths), expected);
+        }
     }
 }

@@ -25,7 +25,7 @@ use spdyier_net::Direction;
 use spdyier_origin::{OriginConfig, OriginServers};
 use spdyier_proxy::{ClientConnId, FetchId};
 use spdyier_sim::{SimDuration, SimTime};
-use spdyier_trace::{FlightLog, TraceEvent, TraceLevel};
+use spdyier_trace::{FlightLog, TraceEvent, TraceLevel, TraceSink, Tracer};
 use spdyier_workload::ObjectId;
 
 /// A run failed in a structured, reportable way.
@@ -121,7 +121,24 @@ impl Testbed {
     /// event budget runs out first. With tracing off the log is empty.
     pub fn try_run_traced(mut self) -> Result<(RunResult, FlightLog), RunError> {
         self.run_events()?;
-        Ok(self.finalize())
+        let (result, tracer) = self.finalize();
+        Ok((result, tracer.finish()))
+    }
+
+    /// [`Testbed::try_run_traced`] with the flight recorder writing into
+    /// `sink` instead of retaining every record, and the sink handed
+    /// back: the log's `events` are whatever `S::drain` returns (nothing
+    /// for a sink that folds records as they arrive), its level, metrics
+    /// and `emitted`/`dropped` counts what any sink would have given.
+    pub fn try_run_into<S: TraceSink + 'static>(
+        mut self,
+        sink: S,
+    ) -> Result<(RunResult, FlightLog, S), RunError> {
+        self.world.tracer = Tracer::with_sink(self.cfg.trace_level, Box::new(sink));
+        self.run_events()?;
+        let (result, tracer) = self.finalize();
+        let (log, sink) = tracer.finish_into();
+        Ok((result, log, sink))
     }
 
     /// Execute the run and report how many segment deliveries missed their
@@ -628,7 +645,7 @@ impl Testbed {
         }
     }
 
-    fn finalize(mut self) -> (RunResult, FlightLog) {
+    fn finalize(mut self) -> (RunResult, Tracer) {
         let _span = spdyier_prof::scope("driver.finalize");
         // Make sure every promotion taken this run reaches the recorder,
         // even ones after the last access-pipe drain.
@@ -673,8 +690,7 @@ impl Testbed {
         self.world
             .tracer
             .count("run.visits", self.result.visits.len() as u64);
-        let log = std::mem::take(&mut self.world.tracer).finish();
-        (self.result, log)
+        (self.result, self.world.tracer)
     }
 }
 

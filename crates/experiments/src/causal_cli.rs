@@ -1,17 +1,24 @@
 //! Back-ends for `experiments explain` and `experiments diff`.
 //!
-//! Both entry points are pure: they return the artifacts to write plus a
-//! one-line summary, and an `Err(String)` the binary reports as a config
-//! error (exit 3). Inputs are either raw `trace_*.jsonl` dumps (as
-//! written by `experiments trace` / scenario trace artifacts) or a
-//! scenario manifest. For a manifest, cell filters are resolved against
-//! the expanded cell list *first* — a filter that matches nothing (or,
-//! for `diff`, more than one cell) is reported without simulating
-//! anything — and only the selected cells are re-run at `Full` trace
-//! level on the deterministic executor, each reduced to its critical
-//! paths on the worker that ran it (the flight log is dropped there).
-//! So `explain`/`diff` outputs are byte-identical at any `SPDYIER_JOBS`
-//! width, and memory does not grow with the number of cells.
+//! Both entry points write their artifacts under an output directory
+//! and return the paths plus a one-line summary, or an `Err(String)` the
+//! binary reports as a config error (exit 3). Inputs are either raw
+//! `trace_*.jsonl` dumps (as written by `experiments trace` / scenario
+//! trace artifacts) or a scenario manifest. For a manifest, cell filters
+//! are resolved against the expanded cell list and the output directory
+//! is created and probed *first* — a filter that matches nothing (or,
+//! for `diff`, more than one cell) and an unwritable `--out` are
+//! reported without simulating anything — and only the selected cells
+//! are re-run at `Full` trace level on the deterministic executor.
+//!
+//! Memory does not grow with the number of cells, because nothing of a
+//! cell outlives its worker's turn: the run folds its records into the
+//! event model as it emits them (no flight log is retained, see
+//! [`run_cell`]), and `explain` renders the cell's critical paths and
+//! writes both files on the worker that ran it, handing back only their
+//! paths and a visit count. The bytes written depend on the cell alone
+//! and the paths are listed in cell order, so the output is identical
+//! at any `SPDYIER_JOBS` width.
 //!
 //! Lossy traces are refused outright: if the recorder's ring dropped
 //! events (`trace.sink_dropped > 0`), the causal engine's conservation
@@ -22,20 +29,41 @@
 use crate::exec::Executor;
 use crate::scenario_run::{limit_diagnostic, run_cell};
 use spdyier_causal::CriticalPath;
-use spdyier_causal::{critical_paths_from_records, diff_paths, explain_json, explain_text};
-use spdyier_core::{DataFile, TraceLevel};
+use spdyier_causal::{
+    critical_paths, critical_paths_from_records, diff_paths, explain_json, explain_text,
+};
+use spdyier_core::TraceLevel;
 use spdyier_scenario::{Cell, Manifest};
 use spdyier_trace::FlightLog;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// What an `explain`/`diff` invocation produced: files for the caller to
-/// write and a one-line summary for it to print.
+/// What an `explain`/`diff` invocation produced: the files it wrote and
+/// a one-line summary for the caller to print.
 #[derive(Debug)]
 pub struct CausalOutcome {
-    /// Artifacts, in write order.
-    pub files: Vec<DataFile>,
+    /// Paths written, in artifact order.
+    pub written: Vec<PathBuf>,
     /// One-line human summary.
     pub summary: String,
+}
+
+/// Create `dir` and prove a file can be written in it, before anything
+/// is simulated for it.
+fn probe_out_dir(dir: &Path) -> Result<(), String> {
+    let probe = dir.join(".spdyier_write_probe");
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&probe, b""))
+        .and_then(|()| std::fs::remove_file(&probe))
+        .map_err(|e| format!("--out {dir:?}: {e}"))
+}
+
+/// Write one artifact under `dir`, naming the path on failure.
+fn write_artifact(dir: &Path, name: &str, contents: &str) -> Result<PathBuf, String> {
+    let path = dir.join(name);
+    match std::fs::write(&path, contents) {
+        Ok(()) => Ok(path),
+        Err(e) => Err(format!("{path:?}: {e}")),
+    }
 }
 
 /// Whether `path` names a raw trace dump rather than a manifest.
@@ -123,57 +151,84 @@ fn labels(manifest: &Manifest, cells: &[Cell]) -> String {
 }
 
 /// Run the selected `cells` of `manifest` (whose trace level must be
-/// `Full`) on `exec` and reduce each to its artifact label and critical
-/// paths on the worker that ran it; the flight log is dropped there.
-/// The first cell (in order) that exceeds a limit or sheds trace
-/// records is the error.
-pub fn critical_paths_on(
+/// `Full`) on `exec` and hand each one's artifact label and critical
+/// paths to `reduce` on the worker that ran it; the run and its event
+/// model are dropped there first. The first cell (in order) that exceeds
+/// a limit, sheds trace records, or fails to reduce is the error.
+fn reduce_paths_on<T: Send>(
     exec: &Executor,
     manifest: &Manifest,
     cells: &[Cell],
-) -> Result<Vec<(String, Vec<CriticalPath>)>, String> {
+    reduce: impl Fn(String, Vec<CriticalPath>) -> Result<T, String> + Sync,
+) -> Result<Vec<T>, String> {
     exec.run(cells.len(), |i, _worker| {
         let cell = &cells[i];
-        let (_, log) = run_cell(manifest, cell).map_err(|e| limit_diagnostic(cell, &e))?;
-        let log = log.expect("trace level is Full");
         let label = cell.artifact_label(manifest);
-        refuse_lossy_log(&label, &log)?;
-        Ok((label, critical_paths_from_records(&log.events)))
+        let paths = {
+            let (_, traced) = run_cell(manifest, cell).map_err(|e| limit_diagnostic(cell, &e))?;
+            let traced = traced.expect("trace level is Full");
+            refuse_lossy_log(&label, &traced.log)?;
+            critical_paths(&traced.model)
+        };
+        reduce(label, paths)
     })
     .into_iter()
     .collect()
 }
 
+/// Each of `cells` reduced to its artifact label and critical paths,
+/// all held at once: what `diff` aligns its two cells from.
+pub fn critical_paths_on(
+    exec: &Executor,
+    manifest: &Manifest,
+    cells: &[Cell],
+) -> Result<Vec<(String, Vec<CriticalPath>)>, String> {
+    reduce_paths_on(exec, manifest, cells, |label, paths| Ok((label, paths)))
+}
+
+/// Render and write one cell's `explain_<label>.json` and `.txt` under
+/// `out_dir`, one after the other so only one rendering is alive.
+fn write_explained(
+    out_dir: &Path,
+    label: &str,
+    paths: &[CriticalPath],
+) -> Result<[PathBuf; 2], String> {
+    let json = format!("explain_{label}.json");
+    let json = write_artifact(out_dir, &json, &explain_json(label, paths))?;
+    let text = format!("explain_{label}.txt");
+    let text = write_artifact(out_dir, &text, &explain_text(label, paths))?;
+    Ok([json, text])
+}
+
 /// `experiments explain <trace.jsonl|MANIFEST> [--cell FILTER]`:
 /// per-visit critical-path extraction, one `explain_<label>.json` (+
-/// `.txt` rendering) per selected cell.
-pub fn explain(input: &Path, cell_filter: Option<&str>) -> Result<CausalOutcome, String> {
-    let labeled = if is_trace_file(input) {
-        vec![load_trace_paths(input)?]
+/// `.txt` rendering) per selected cell, written under `out_dir`.
+pub fn explain(
+    input: &Path,
+    cell_filter: Option<&str>,
+    out_dir: &Path,
+) -> Result<CausalOutcome, String> {
+    let explained = |label: String, paths: Vec<CriticalPath>| {
+        write_explained(out_dir, &label, &paths).map(|written| (written, paths.len()))
+    };
+    let cells = if is_trace_file(input) {
+        let (label, paths) = load_trace_paths(input)?;
+        probe_out_dir(out_dir)?;
+        vec![explained(label, paths)?]
     } else {
         let manifest = load_manifest(input)?;
         let cells = select_cells(&manifest, cell_filter)?;
-        critical_paths_on(&Executor::from_env(), &manifest, &cells)?
+        probe_out_dir(out_dir)?;
+        reduce_paths_on(&Executor::from_env(), &manifest, &cells, explained)?
     };
-    let mut files = Vec::new();
-    let mut visits = 0usize;
-    for (label, paths) in &labeled {
-        visits += paths.len();
-        files.push(DataFile {
-            name: format!("explain_{label}.json"),
-            contents: explain_json(label, paths),
-        });
-        files.push(DataFile {
-            name: format!("explain_{label}.txt"),
-            contents: explain_text(label, paths),
-        });
-    }
+    let visits: usize = cells.iter().map(|(_, visits)| visits).sum();
     let summary = format!(
         "explained {} cell(s), {} visit(s); every critical path's edges sum to its PLT",
-        labeled.len(),
+        cells.len(),
         visits
     );
-    Ok(CausalOutcome { files, summary })
+    let written = cells.into_iter().flat_map(|(written, _)| written).collect();
+    Ok(CausalOutcome { written, summary })
 }
 
 /// The one cell of `manifest` that `filter` selects; matching several
@@ -195,23 +250,29 @@ fn select_one_cell(manifest: &Manifest, filter: &str) -> Result<Cell, String> {
 /// `experiments diff <a.jsonl> <b.jsonl>` or
 /// `experiments diff <MANIFEST> --a FILTER --b FILTER`: align two runs of
 /// the same workload by visit identity and attribute the PLT delta
-/// edge-by-edge into `diff.json` + `diff.txt`.
+/// edge-by-edge into `diff.json` + `diff.txt` under `out_dir`.
 pub fn diff(
     a_file: Option<&Path>,
     b_file: Option<&Path>,
     manifest_path: Option<&Path>,
     a_filter: Option<&str>,
     b_filter: Option<&str>,
+    out_dir: &Path,
 ) -> Result<CausalOutcome, String> {
     let [(a_label, a_paths), (b_label, b_paths)] =
         match (a_file, b_file, manifest_path, a_filter, b_filter) {
-            (Some(a), Some(b), None, None, None) => [load_trace_paths(a)?, load_trace_paths(b)?],
+            (Some(a), Some(b), None, None, None) => {
+                let pair = [load_trace_paths(a)?, load_trace_paths(b)?];
+                probe_out_dir(out_dir)?;
+                pair
+            }
             (None, None, Some(path), Some(a), Some(b)) => {
                 let manifest = load_manifest(path)?;
                 let pair = [
                     select_one_cell(&manifest, a)?,
                     select_one_cell(&manifest, b)?,
                 ];
+                probe_out_dir(out_dir)?;
                 critical_paths_on(&Executor::from_env(), &manifest, &pair)?
                     .try_into()
                     .expect("two cells in, two out")
@@ -231,17 +292,11 @@ pub fn diff(
         report.plt_delta_us() as f64 / 1e3,
         report.dominant_edge().name()
     );
-    let files = vec![
-        DataFile {
-            name: "diff.json".into(),
-            contents: report.to_json(),
-        },
-        DataFile {
-            name: "diff.txt".into(),
-            contents: report.to_text(),
-        },
+    let written = vec![
+        write_artifact(out_dir, "diff.json", &report.to_json())?,
+        write_artifact(out_dir, "diff.txt", &report.to_text())?,
     ];
-    Ok(CausalOutcome { files, summary })
+    Ok(CausalOutcome { written, summary })
 }
 
 #[cfg(test)]
@@ -256,11 +311,12 @@ mod tests {
         assert!(!is_trace_file(Path::new("scenarios/paired_3g.json")));
     }
 
-    #[test]
-    fn filters_are_resolved_before_anything_runs() {
-        // One event is every cell's whole budget, so any run ends in the
-        // limit error: a filter diagnostic proves nothing was simulated.
-        let path = std::env::temp_dir().join(format!("spdyier_select_{}.json", std::process::id()));
+    /// A manifest whose every cell has one event as its whole budget, so
+    /// any run ends in the limit error: a different diagnostic proves
+    /// nothing was simulated.
+    fn one_event_manifest(tag: &str) -> PathBuf {
+        let name = format!("spdyier_{tag}_{}.json", std::process::id());
+        let path = std::env::temp_dir().join(name);
         let manifest = r#"{
             "schema_version": 1,
             "name": "select",
@@ -270,25 +326,120 @@ mod tests {
             "limits": { "event_budget": 1 }
         }"#;
         std::fs::write(&path, manifest).unwrap();
-        let e = explain(&path, Some("nosuch")).unwrap_err();
+        path
+    }
+
+    #[test]
+    fn filters_are_resolved_before_anything_runs() {
+        let path = one_event_manifest("select");
+        let out = path.with_extension("out");
+        let e = explain(&path, Some("nosuch"), &out).unwrap_err();
         assert!(
             e.starts_with("no cells match filter \"nosuch\" (cells: http_s0, spdy_s0,"),
             "{e}"
         );
-        let e = diff(None, None, Some(&path), Some("spdy.seed1"), Some("http")).unwrap_err();
+        let e = diff(
+            None,
+            None,
+            Some(&path),
+            Some("spdy.seed1"),
+            Some("http"),
+            &out,
+        )
+        .unwrap_err();
         assert!(
             e.starts_with("filter \"http\" matches 2 cells (http_s0, http_s1)"),
             "{e}"
         );
+        assert!(!out.exists(), "a rejected filter creates no output");
         // A selection that resolves does run, and only then hits the limit.
-        let e = explain(&path, Some("spdy.seed1")).unwrap_err();
+        let e = explain(&path, Some("spdy.seed1"), &out).unwrap_err();
         assert!(e.starts_with("cell 3 (spdy seed 1): event budget"), "{e}");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
+    /// `--out` that is an existing file, and `--out` under a directory
+    /// nothing can be created in, fail naming the path before the first
+    /// cell runs (a run would end in the limit error instead).
+    #[test]
+    fn an_unwritable_out_dir_is_reported_before_anything_runs() {
+        let path = one_event_manifest("unwritable");
+        let taken = path.with_extension("taken");
+        std::fs::write(&taken, "a file, not a directory").unwrap();
+        // Mode bits do not bind a privileged user, for whom /proc is
+        // the directory that admits no new entry.
+        let read_only = path.with_extension("ro");
+        std::fs::create_dir_all(&read_only).unwrap();
+        let mut mode = std::fs::metadata(&read_only).unwrap().permissions();
+        mode.set_readonly(true);
+        std::fs::set_permissions(&read_only, mode.clone()).unwrap();
+        let privileged = std::fs::create_dir(read_only.join("probe")).is_ok();
+        let under_read_only = if privileged {
+            PathBuf::from("/proc/spdyier_out")
+        } else {
+            read_only.join("out")
+        };
+        for out in [&taken, &under_read_only] {
+            let named = format!("--out {out:?}: ");
+            let e = explain(&path, None, out).unwrap_err();
+            assert!(e.starts_with(&named), "{e}");
+            let e = diff(
+                None,
+                None,
+                Some(&path),
+                Some("http.seed0"),
+                Some("spdy.seed0"),
+                out,
+            );
+            let e = e.unwrap_err();
+            assert!(e.starts_with(&named), "{e}");
+        }
+        #[allow(clippy::permissions_set_readonly_false)]
+        mode.set_readonly(false);
+        let _ = std::fs::set_permissions(&read_only, mode);
+        let _ = std::fs::remove_dir_all(&read_only);
+        let _ = std::fs::remove_file(&taken);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A run recorded through a ring too small for it sheds records; the
+    /// log says so whatever the sink, and `explain`/`diff` refuse it.
+    #[test]
+    fn a_run_that_shed_records_is_refused() {
+        use spdyier_core::Testbed;
+        use spdyier_trace::RingSink;
+        let mut manifest = Manifest::paper_baseline("ring");
+        manifest.network.kind = spdyier_core::NetworkKind::Wifi;
+        manifest.trace = TraceLevel::Full;
+        let cell = &manifest.cells()[0];
+        let testbed = Testbed::new(cell.build_config(&manifest));
+        let (_, log, ring) = testbed
+            .try_run_into(RingSink::new(64))
+            .expect("within budget");
+        assert_eq!(log.events.len(), ring.capacity());
+        assert_eq!(log.dropped, log.emitted - 64);
+        let e = refuse_lossy_log("http_s0", &log).unwrap_err();
+        assert!(e.starts_with("http_s0: lossy trace ("), "{e}");
+    }
+
+    /// A write that fails once cells are running names the file.
+    #[test]
+    fn a_failed_artifact_write_names_its_path() {
+        let dir = std::env::temp_dir().join(format!("spdyier_write_{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("explain_x.json")).unwrap();
+        let e = write_explained(&dir, "x", &[]).unwrap_err();
+        assert!(
+            e.starts_with(&format!("{:?}: ", dir.join("explain_x.json"))),
+            "{e}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn diff_rejects_mixed_input_shapes() {
-        let e = diff(Some(Path::new("a.jsonl")), None, None, None, None).unwrap_err();
+        let out = Path::new("unused");
+        let e = diff(Some(Path::new("a.jsonl")), None, None, None, None, out).unwrap_err();
         assert!(e.contains("usage"), "{e}");
     }
 }

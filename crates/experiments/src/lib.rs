@@ -33,7 +33,7 @@ pub use exec::Executor;
 pub use profiling::{profile_manifest_on, ProfiledSweep};
 pub use scenario_run::{
     execute_folded_on, fold_cell, run_cell, run_manifest, run_manifest_on, FoldedCell,
-    ScenarioOutcome,
+    ScenarioOutcome, TracedCell,
 };
 pub use sweep::{run_sweep, run_sweep_on, SweepOptions, SweepOutcome};
 

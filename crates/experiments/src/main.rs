@@ -407,15 +407,16 @@ fn run_paired(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// Write a causal outcome's artifacts and print the summary.
-fn write_causal_outcome(outcome: spdyier_experiments::CausalOutcome, out_dir: &str) -> ! {
-    match write_to_dir(&outcome.files, Path::new(out_dir)) {
-        Ok(paths) => {
-            print_written(&paths);
+/// Print what `cmd` (`explain` / `diff`) wrote and its summary, or its
+/// diagnostic as a config error.
+fn finish_causal(cmd: &str, result: Result<spdyier_experiments::CausalOutcome, String>) -> ! {
+    match result {
+        Ok(outcome) => {
+            print_written(&outcome.written);
             println!("{}", outcome.summary);
             std::process::exit(0);
         }
-        Err(e) => config_error(&format!("--out {out_dir:?}: {e}")),
+        Err(e) => config_error(&format!("experiments {cmd}: {e}")),
     }
 }
 
@@ -426,10 +427,9 @@ fn run_explain(args: &[String]) -> ! {
     };
     let cell = parse_flag_str(args, "--cell");
     let out = parse_flag_str(args, "--out").unwrap_or_else(|| "results/explain".into());
-    match spdyier_experiments::causal_explain(Path::new(input), cell.as_deref()) {
-        Ok(outcome) => write_causal_outcome(outcome, &out),
-        Err(e) => config_error(&format!("experiments explain: {e}")),
-    }
+    let result =
+        spdyier_experiments::causal_explain(Path::new(input), cell.as_deref(), Path::new(&out));
+    finish_causal("explain", result)
 }
 
 /// `experiments diff <a.jsonl> <b.jsonl> | <MANIFEST> --a F --b F [--out DIR]`.
@@ -445,6 +445,7 @@ fn run_diff(args: &[String]) -> ! {
             None,
             None,
             None,
+            Path::new(&out),
         ),
         ([manifest], Some(a), Some(b)) => spdyier_experiments::causal_diff(
             None,
@@ -452,13 +453,11 @@ fn run_diff(args: &[String]) -> ! {
             Some(Path::new(manifest)),
             Some(a),
             Some(b),
+            Path::new(&out),
         ),
         _ => usage_error(Some("diff")),
     };
-    match result {
-        Ok(outcome) => write_causal_outcome(outcome, &out),
-        Err(e) => config_error(&format!("experiments diff: {e}")),
-    }
+    finish_causal("diff", result)
 }
 
 /// Decode the manifest at `path`, applying a `--seeds N` override.

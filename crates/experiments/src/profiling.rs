@@ -11,7 +11,7 @@
 //!    [`ProfileReport`],
 //! 3. emits a heartbeat line through [`SweepTelemetry`], and
 //! 4. keeps only the cell's trace metrics registry and retained-record
-//!    count — the run and its flight log are dropped on the spot.
+//!    count — the run and its event model are dropped on the spot.
 //!
 //! The profiler never touches simulated state, so every artifact the
 //! runner writes is byte-identical whether the profiler is enabled,
@@ -33,7 +33,10 @@ use crate::scenario_run::run_cell;
 pub struct ProfiledSweep {
     /// The cells' trace metrics registries, merged in cell order.
     pub metrics: MetricsRegistry,
-    /// Trace records the cells' sinks retained.
+    /// Trace records held in memory when each cell finished: 0 unless
+    /// the manifest asks for `outputs.trace_artifacts`, since a traced
+    /// cell otherwise folds its records into its event model as they are
+    /// emitted (`emitted` is the count that does not depend on the sink).
     pub retained: u64,
     /// The span tables of every worker thread, merged.
     pub profile: ProfileReport,
@@ -75,7 +78,8 @@ pub fn profile_manifest_on(
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .merge(&spans);
         }
-        let (run, log) = out?;
+        let (run, traced) = out?;
+        let log = traced.map(|t| t.log);
         telemetry.cell_done(&CellReport {
             shard: worker,
             cell: job,
@@ -134,8 +138,8 @@ mod tests {
         assert_eq!(order, expected.map(|(p, s)| (p.to_string(), s)));
         let (mut metrics, mut retained, mut visits) = (MetricsRegistry::new(), 0, 0);
         for cell in &cells {
-            let (run, log) = run_cell(&manifest, cell).expect("within budget");
-            let log = log.expect("lifecycle trace");
+            let (run, traced) = run_cell(&manifest, cell).expect("within budget");
+            let log = traced.expect("lifecycle trace").log;
             metrics.merge(&log.metrics);
             retained += log.events.len() as u64;
             visits += run.visits.len() as u64;
@@ -144,7 +148,8 @@ mod tests {
             sweep.metrics, metrics,
             "telemetry must not perturb the runs"
         );
-        assert_eq!(sweep.retained, retained);
+        assert_eq!((sweep.retained, retained), (0, 0), "no cell keeps its log");
+        assert!(sweep.telemetry.events > 0);
         assert_eq!(sweep.telemetry.visits, visits);
     }
 }

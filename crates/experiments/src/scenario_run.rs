@@ -15,14 +15,19 @@
 //! a closure handed to [`Executor::run`] that calls it and reduces the
 //! result **on the worker thread that ran it**. The runner's reduction
 //! is [`fold_cell`] (metrics accumulator + pre-rendered artifacts, both
-//! read from one [`EventModel`] of the cell's flight log); the
-//! O(visits) [`RunResult`] and its [`FlightLog`] are dropped before the
-//! worker's next cell starts, so a manifest run holds O(cells) state
-//! instead of O(total visits).
+//! read from the cell's one [`EventModel`]); the O(visits) [`RunResult`]
+//! and the [`TracedCell`] are dropped before the worker's next cell
+//! starts, so a manifest run holds O(cells) state instead of O(total
+//! visits).
+//!
+//! A traced cell always yields its event model and retains its flight
+//! log's records only when `outputs.trace_artifacts` asks for the JSONL
+//! dump: otherwise the model *is* the recorder's sink and each record is
+//! folded into it as the run emits it.
 
 use crate::exec::Executor;
 use serde::{Serialize, Value};
-use spdyier_causal::EventModel;
+use spdyier_causal::{EventModel, ModelBuilder};
 use spdyier_core::{
     junit_xml, metrics_file, paired_meta_file, stall_file, stall_manifest_file, stall_table,
     waterfall_json, AssertionVerdict, DataFile, FlightLog, RunError, RunResult, ScenarioExit,
@@ -58,17 +63,39 @@ pub struct FoldedCell {
     pub trace_files: Vec<DataFile>,
 }
 
+/// What a traced cell leaves behind.
+#[derive(Debug)]
+pub struct TracedCell {
+    /// The recorder's level, metrics registry and `emitted` / `dropped`
+    /// counts — and its records only under `outputs.trace_artifacts`;
+    /// `events` is empty otherwise.
+    pub log: FlightLog,
+    /// The event model of everything the run emitted.
+    pub model: EventModel,
+}
+
 /// Run one cell of `manifest` to completion: the only place outside
 /// tests that turns a [`Cell`] into a config and starts a [`Testbed`].
-/// The flight log is `None` when the effective trace level is `Off`.
+/// The [`TracedCell`] is `None` when the effective trace level is `Off`.
 pub fn run_cell(
     manifest: &Manifest,
     cell: &Cell,
-) -> Result<(RunResult, Option<FlightLog>), RunError> {
+) -> Result<(RunResult, Option<TracedCell>), RunError> {
     let cfg = cell.build_config(manifest);
     let traced = cfg.trace_level != TraceLevel::Off;
-    let (result, log) = Testbed::new(cfg).try_run_traced()?;
-    Ok((result, traced.then_some(log)))
+    let testbed = Testbed::new(cfg);
+    if !traced {
+        return Ok((testbed.try_run_traced()?.0, None));
+    }
+    let (result, log, model) = if manifest.outputs.trace_artifacts {
+        let (result, log) = testbed.try_run_traced()?;
+        let model = EventModel::from_records(&log.events);
+        (result, log, model)
+    } else {
+        let (result, log, builder) = testbed.try_run_into(ModelBuilder::default())?;
+        (result, log, builder.finish())
+    };
+    Ok((result, Some(TracedCell { log, model })))
 }
 
 /// The one-line diagnostic for a `cell` that exceeded a limit.
@@ -84,18 +111,16 @@ pub(crate) fn limit_diagnostic(cell: &Cell, e: &RunError) -> String {
 /// Reduce one executed cell to its [`FoldedCell`] under `manifest`'s
 /// output options. The runner and the sweep runner both reduce through
 /// this, so what lands in the artifacts cannot depend on which ran it.
-/// A traced cell's log is scanned into one [`EventModel`] and swept into
-/// one stall table here; the metrics fold and every trace artifact read
-/// those.
+/// A traced cell's model is swept into one stall table here; the metrics
+/// fold and every trace artifact read those.
 pub fn fold_cell(
     manifest: &Manifest,
     cell: &Cell,
     result: &RunResult,
-    log: Option<&FlightLog>,
+    traced: Option<&TracedCell>,
 ) -> FoldedCell {
-    let model = log.map(|l| EventModel::from_records(&l.events));
-    let stalls = model.as_ref().map(stall_table).unwrap_or_default();
-    let traced = log.zip(model.as_ref());
+    let stalls = traced.map(|t| stall_table(&t.model)).unwrap_or_default();
+    let traced = traced.map(|t| (&t.log, &t.model));
     let metrics = CellMetrics::from_model(cell, result, traced, &stalls);
     let dump_line = manifest
         .outputs
@@ -127,7 +152,7 @@ pub fn execute_folded_on(
     exec.run(cells.len(), |i, _worker| {
         let cell = &cells[i];
         run_cell(manifest, cell)
-            .map(|(result, log)| fold_cell(manifest, cell, &result, log.as_ref()))
+            .map(|(result, traced)| fold_cell(manifest, cell, &result, traced.as_ref()))
     })
 }
 

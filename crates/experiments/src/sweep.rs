@@ -399,8 +399,8 @@ fn run_sweep_through(
         // A cell runs start to finish on the worker that claimed it, so
         // the worker's own counters bracket exactly its allocations.
         let allocs_before = spdyier_prof::thread_counts();
-        Some(run_cell(manifest, &cells[index]).map(|(result, log)| {
-            let out = fold_cell(manifest, &cells[index], &result, log.as_ref());
+        Some(run_cell(manifest, &cells[index]).map(|(result, traced)| {
+            let out = fold_cell(manifest, &cells[index], &result, traced.as_ref());
             let line = store_line(&cell_json(index, &out.metrics));
             let checkpointed = {
                 let mut store = store

@@ -263,20 +263,34 @@ fn paired_3g_explain_and_diff_artifact_digests_are_pinned() {
     use spdyier_experiments::causal_cli::{diff, explain};
     let scenario =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/paired_3g.json");
-    let mut files = explain(&scenario, None).expect("explain runs").files;
-    let diffed = diff(None, None, Some(&scenario), Some("http"), Some("spdy"));
-    files.extend(diffed.expect("diff runs").files);
-    let digests: Vec<(&str, u64)> = files
+    let out = std::env::temp_dir().join(format!("spdyier_causal_pins_{}", std::process::id()));
+    let mut written = explain(&scenario, None, &out)
+        .expect("explain runs")
+        .written;
+    let diffed = diff(
+        None,
+        None,
+        Some(&scenario),
+        Some("http"),
+        Some("spdy"),
+        &out,
+    );
+    written.extend(diffed.expect("diff runs").written);
+    let digests: Vec<(String, u64)> = written
         .iter()
-        .map(|f| {
-            let digest = f.contents.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        .map(|path| {
+            let contents = std::fs::read(path).expect("a written artifact reads back");
+            let digest = contents.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
             });
-            (f.name.as_str(), digest)
+            let name = path.file_name().expect("artifact name").to_string_lossy();
+            (name.into_owned(), digest)
         })
         .collect();
+    let pinned = PAIRED_3G_CAUSAL_ARTIFACTS.map(|(name, digest)| (name.to_string(), digest));
     assert_eq!(
-        digests, PAIRED_3G_CAUSAL_ARTIFACTS,
+        digests, pinned,
         "explain/diff output changed: {digests:#018x?}"
     );
+    let _ = std::fs::remove_dir_all(&out);
 }

@@ -176,11 +176,26 @@ fn result_json_carries_attribution_keys_only_at_their_trace_level() {
 /// a panic after it.
 #[test]
 fn unwritable_output_is_a_config_error_not_a_panic() {
-    let cases: [&[&str]; 4] = [
+    let paired = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/paired_3g.json"
+    );
+    let cases: [&[&str]; 6] = [
         &["table1", "--seeds", "1", "--json", "/dev/null/x"],
         &["export", "spdy", "wifi", "/dev/null/x"],
         &["trace", "spdy", "wifi", "/dev/null/x"],
         &["profile", "spdy", "wifi", "/dev/null/x"],
+        &["explain", paired, "--out", "/dev/null/x"],
+        &[
+            "diff",
+            paired,
+            "--a",
+            "http",
+            "--b",
+            "spdy",
+            "--out",
+            "/dev/null/x",
+        ],
     ];
     for args in cases {
         let child = experiments(args);

@@ -33,31 +33,38 @@ fn quick_manifest(name: &str) -> Manifest {
     .expect("quick manifest decodes")
 }
 
-/// `fold_cell` is the one reduction behind `run`, `sweep` and `trace`:
-/// with every consumer of the flight log switched on (both attribution
-/// folds, the stall table, the bound waterfall) the log is still
-/// scanned into an event model exactly once.
+/// `run_cell` + `fold_cell` are the one path behind `run`, `sweep` and
+/// `trace`. A traced cell keeps its flight log only when the manifest
+/// asks for the JSONL dump, and then — with every consumer switched on
+/// (both attribution folds, the stall table, the bound waterfall) —
+/// scans it into an event model exactly once; otherwise the model was
+/// the recorder's sink, there is no log, and nothing is scanned.
 #[cfg(debug_assertions)]
 #[test]
-fn a_traced_cell_scans_its_flight_log_once() {
+fn a_traced_cell_scans_its_flight_log_once_if_it_keeps_one_and_never_otherwise() {
     use spdyier_causal::model::SCANS;
     use spdyier_experiments::{fold_cell, run_cell};
     let mut m = quick_manifest("one_scan");
     m.trace = spdyier_core::TraceLevel::Full;
-    m.outputs.trace_artifacts = true;
-    let cell = &m.cells()[1];
-    let (result, log) = run_cell(&m, cell).expect("within limits");
-    let scans = || SCANS.with(std::cell::Cell::get);
-    let before = scans();
-    let folded = fold_cell(&m, cell, &result, log.as_ref());
-    assert_eq!(scans() - before, 1);
-    assert_eq!(
-        folded.trace_files.len(),
-        5,
-        "trace, waterfall, stalls x2, metrics"
-    );
-    assert_eq!(folded.metrics.stall_visits, 1);
-    assert_eq!(folded.metrics.critical_visits, 1);
+    for (artifacts, scans_expected, files) in [(true, 1, 5), (false, 0, 0)] {
+        m.outputs.trace_artifacts = artifacts;
+        let cell = &m.cells()[1];
+        let scans = || SCANS.with(std::cell::Cell::get);
+        let before = scans();
+        let (result, traced) = run_cell(&m, cell).expect("within limits");
+        let folded = fold_cell(&m, cell, &result, traced.as_ref());
+        assert_eq!(scans() - before, scans_expected, "artifacts: {artifacts}");
+        let log = traced.expect("traced").log;
+        assert_eq!(log.events.is_empty(), !artifacts);
+        assert!(log.emitted > 0 && log.dropped == 0);
+        assert_eq!(
+            folded.trace_files.len(),
+            files,
+            "trace, waterfall, stalls x2, metrics"
+        );
+        assert_eq!(folded.metrics.stall_visits, 1);
+        assert_eq!(folded.metrics.critical_visits, 1);
+    }
 }
 
 /// Attribution costs what the cell's trace holds, not that times its
@@ -75,9 +82,8 @@ fn a_traced_cells_sweeps_read_its_intervals_once_not_once_per_window() {
     let mut m = Manifest::paper_baseline("sweep_work");
     m.trace = spdyier_core::TraceLevel::Full;
     let cell = &m.cells()[0];
-    let (result, log) = run_cell(&m, cell).expect("within limits");
-    let log = log.expect("traced");
-    let model = spdyier_causal::EventModel::from_records(&log.events);
+    let (result, traced) = run_cell(&m, cell).expect("within limits");
+    let model = &traced.as_ref().expect("traced").model;
     let lists = [
         &model.rto,
         &model.promotions,
@@ -88,7 +94,7 @@ fn a_traced_cells_sweeps_read_its_intervals_once_not_once_per_window() {
     ];
     let intervals: u64 = lists.iter().map(|l| l.len() as u64).sum();
     let (read_before, emitted_before) = SWEEP_WORK.with(std::cell::Cell::get);
-    let folded = fold_cell(&m, cell, &result, Some(&log));
+    let folded = fold_cell(&m, cell, &result, traced.as_ref());
     let (read, emitted) = SWEEP_WORK.with(std::cell::Cell::get);
     let (read, emitted) = (read - read_before, emitted - emitted_before);
     assert_eq!(folded.metrics.critical_visits, 20);
@@ -224,6 +230,46 @@ fn no_delivery_leaves_its_lane_on_the_committed_pack() {
                 "{} cell {}: deliveries scheduled out of link order",
                 path.display(),
                 cell.index
+            );
+        }
+    }
+}
+
+/// The model is the sink: across the pack at `full` trace (every
+/// protocol and variant, first seed) the model a run folds record by
+/// record equals the model scanned from the retained log of the same
+/// run, the recorder's books (`emitted`, `dropped`, the registry with
+/// its `trace.emitted` / `trace.sink_dropped` counters) do not depend on
+/// which sink it wrote to, and neither does the run.
+#[test]
+fn the_online_model_equals_the_model_of_the_retained_log_on_the_committed_pack() {
+    use spdyier_causal::{EventModel, ModelBuilder};
+    use spdyier_core::Testbed;
+    for (path, mut m) in committed_pack() {
+        m.trace = spdyier_core::TraceLevel::Full;
+        for cell in m.cells().iter().filter(|c| c.seed == m.seeds.base) {
+            let what = format!("{} cell {}", path.display(), cell.index);
+            let (run, log) = Testbed::new(cell.build_config(&m))
+                .try_run_traced()
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let (folded_run, folded_log, builder) = Testbed::new(cell.build_config(&m))
+                .try_run_into(ModelBuilder::default())
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(log.emitted > 0 && log.events.len() as u64 == log.emitted);
+            assert!(
+                builder.finish() == EventModel::from_records(&log.events),
+                "{what}: models differ"
+            );
+            assert!(folded_log.events.is_empty(), "{what}");
+            assert_eq!(
+                (folded_log.emitted, folded_log.dropped, &folded_log.metrics),
+                (log.emitted, log.dropped, &log.metrics),
+                "{what}"
+            );
+            assert_eq!(log.metrics.counter("trace.emitted"), log.emitted, "{what}");
+            assert!(
+                serde_json::to_string(&folded_run).unwrap() == serde_json::to_string(&run).unwrap(),
+                "{what}: the sink changed the run"
             );
         }
     }

@@ -129,8 +129,8 @@ fn profile_report_schema_is_pinned() {
 #[test]
 fn metrics_file_schema_is_pinned() {
     let manifest = wifi_manifest("metrics_schema", 1);
-    let (_run, log) = run_cell(&manifest, &manifest.cells()[0]).expect("within budget");
-    let log = log.expect("lifecycle trace");
+    let (_run, traced) = run_cell(&manifest, &manifest.cells()[0]).expect("within budget");
+    let log = traced.expect("lifecycle trace").log;
     assert_eq!(METRICS_SCHEMA_VERSION, 1);
     let file = metrics_file("http", &log.metrics);
     assert_eq!(file.name, "metrics_http.json");

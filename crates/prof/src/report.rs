@@ -115,7 +115,8 @@ pub struct SubsystemStats {
 pub struct SinkReport {
     /// Events that passed the recorder's level gate.
     pub emitted: u64,
-    /// Events the sink retained to the end of the run.
+    /// Events held in memory at the end of the run (0 for a sink that
+    /// folds records as they arrive instead of retaining them).
     pub retained: u64,
     /// Events the sink shed (ring overflow / write failures).
     pub dropped: u64,

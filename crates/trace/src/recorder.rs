@@ -8,6 +8,8 @@
 //! everything into a [`FlightLog`], the self-contained artifact the
 //! consumers (stall attributor, waterfall exporter, JSONL dump) read.
 
+use std::any::Any;
+
 use serde::Serialize;
 use spdyier_sim::SimTime;
 
@@ -15,10 +17,22 @@ use crate::event::{TraceEvent, TraceLevel, TraceRecord};
 use crate::metrics::MetricsRegistry;
 use crate::sink::{self, MemorySink, NullSink, TraceSink};
 
+/// A sink the recorder can hand back as the concrete type it was lent
+/// as ([`Tracer::finish_into`]). Implemented for every `'static` sink.
+trait LentSink: TraceSink {
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+}
+
+impl<S: TraceSink + 'static> LentSink for S {
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
 /// The per-run event recorder: level gate + sink + metrics.
 pub struct Tracer {
     level: TraceLevel,
-    sink: Box<dyn TraceSink>,
+    sink: Box<dyn LentSink>,
     metrics: MetricsRegistry,
     emitted: u64,
 }
@@ -63,11 +77,9 @@ impl Tracer {
         }
     }
 
-    /// A recorder for `level` writing into a caller-supplied sink.
-    pub fn with_sink(level: TraceLevel, sink: Box<dyn TraceSink>) -> Tracer {
-        if level == TraceLevel::Off {
-            return Tracer::off();
-        }
+    /// A recorder for `level` writing into a caller-supplied sink
+    /// (at `Off` the sink is held but never written to).
+    pub fn with_sink<S: TraceSink + 'static>(level: TraceLevel, sink: Box<S>) -> Tracer {
         Tracer {
             level,
             sink,
@@ -133,20 +145,42 @@ impl Tracer {
     /// inspect the sink. Drain first: a batching sink (like
     /// [`crate::sink::JsonlWriter`]) may only discover write failures
     /// while flushing.
-    pub fn finish(mut self) -> FlightLog {
+    pub fn finish(self) -> FlightLog {
+        self.close().0
+    }
+
+    /// [`Tracer::finish`] for a recorder built by [`Tracer::with_sink`]
+    /// around an `S`: the log holds what `S::drain` gave (nothing, for a
+    /// sink that folds records instead of retaining them) and the sink
+    /// itself is handed back. The recorder's books — `emitted`,
+    /// `dropped`, the two `trace.*` counters — do not depend on the sink.
+    ///
+    /// # Panics
+    /// If the recorder's sink is not an `S`.
+    pub fn finish_into<S: TraceSink + 'static>(self) -> (FlightLog, S) {
+        let (log, sink) = self.close();
+        let sink = sink
+            .into_any()
+            .downcast::<S>()
+            .expect("finish_into::<S> on a recorder whose sink is not an S");
+        (log, *sink)
+    }
+
+    fn close(mut self) -> (FlightLog, Box<dyn LentSink>) {
         let events = self.sink.drain();
         let dropped = self.sink.dropped();
         if self.level != TraceLevel::Off {
             self.metrics.count("trace.emitted", self.emitted);
             self.metrics.count("trace.sink_dropped", dropped);
         }
-        FlightLog {
+        let log = FlightLog {
             level: self.level,
             events,
             dropped,
             emitted: self.emitted,
             metrics: self.metrics,
-        }
+        };
+        (log, self.sink)
     }
 }
 

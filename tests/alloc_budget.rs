@@ -11,10 +11,16 @@
 //! its ceiling in the same commit; CI prints the measured values
 //! (`cargo test --test alloc_budget -- --nocapture`).
 //!
+//! The `explain` rows count bytes requested instead of calls: what makes
+//! a traced cell expensive to hold is a retained structure (the flight
+//! log's records, a `Value` tree of the document), and each of those
+//! shows up as megabytes requested per visit long before it shows up as
+//! a noisy RSS reading.
+//!
 //! One test function, alone in its binary: the deltas are read from the
 //! process-wide counters, which only this thread moves while it runs.
 
-use spdyier::experiments::run_cell;
+use spdyier::experiments::{causal_explain, run_cell};
 use spdyier::prof::{global_counts, CountingAlloc};
 use spdyier_scenario::Manifest;
 use std::path::Path;
@@ -32,13 +38,43 @@ const CEILINGS: [(&str, &str, u64); 4] = [
     ("quick_wifi.json", "spdy", 4_355),
 ];
 
+/// `(scenario, protocol, bytes requested per visit at most)` by
+/// `experiments explain`: run at full trace, event model, critical
+/// paths, both renderings, both files. Measured when committed:
+/// 3,660,113 / 3,991,101 (the commit before, which retained the flight
+/// log and printed the JSON from a `Value` tree, measured 4,609,335 /
+/// 5,583,375 and fails both rows).
+const EXPLAIN_CEILINGS: [(&str, &str, u64); 2] = [
+    ("paired_3g.json", "http", 3_843_118),
+    ("paired_3g.json", "spdy", 4_190_656),
+];
+
+fn scenario_path(scenario: &str) -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("scenarios")
+        .join(scenario)
+}
+
+/// Bytes requested per visit by explaining `scenario`'s one `protocol`
+/// cell, from decoding the manifest to the second file written.
+fn explain_bytes_per_visit(scenario: &str, protocol: &str) -> u64 {
+    let out = std::env::temp_dir().join(format!("spdyier_alloc_budget_{}", std::process::id()));
+    let before = global_counts();
+    let outcome = causal_explain(&scenario_path(scenario), Some(protocol), &out);
+    let bytes = global_counts().since(before).bytes;
+    let written = outcome.expect("explain runs").written;
+    let text = std::fs::read_to_string(&written[1]).expect("explain_*.txt reads back");
+    let visits = text.matches("\n  visit ").count() as u64;
+    let _ = std::fs::remove_dir_all(&out);
+    assert!(visits > 0, "{scenario}: no {protocol} visit explained");
+    bytes / visits
+}
+
 /// Allocator calls per visit of every cell of `scenario` under
 /// `protocol`, from building the testbed to dropping its result.
 fn allocs_per_visit(scenario: &str, protocol: &str) -> u64 {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("scenarios")
-        .join(scenario);
-    let manifest = Manifest::from_file(&path).expect("committed scenario decodes");
+    let manifest =
+        Manifest::from_file(&scenario_path(scenario)).expect("committed scenario decodes");
     let (mut allocs, mut visits) = (0u64, 0u64);
     for cell in manifest.cells() {
         if cell.protocol.compact() != protocol {
@@ -62,6 +98,17 @@ fn allocator_calls_per_visit_stay_under_their_ceilings() {
         if measured > ceiling {
             over.push(format!(
                 "{scenario} {protocol}: {measured} > {ceiling} allocs/visit"
+            ));
+        }
+    }
+    for (scenario, protocol, ceiling) in EXPLAIN_CEILINGS {
+        let measured = explain_bytes_per_visit(scenario, protocol);
+        println!(
+            "alloc_budget explain {scenario} {protocol}: {measured} bytes/visit (ceiling {ceiling})"
+        );
+        if measured > ceiling {
+            over.push(format!(
+                "explain {scenario} {protocol}: {measured} > {ceiling} bytes/visit"
             ));
         }
     }
