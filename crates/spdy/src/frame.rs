@@ -118,8 +118,10 @@ fn decode_headers(
         if buf.remaining() < nl {
             return Err(FrameError::Malformed("truncated header name".into()));
         }
-        let name = String::from_utf8(buf.copy_to_bytes(nl).to_vec())
-            .map_err(|_| FrameError::Malformed("non-UTF8 header name".into()))?;
+        let name = std::str::from_utf8(&buf[..nl])
+            .map_err(|_| FrameError::Malformed("non-UTF8 header name".into()))?
+            .to_owned();
+        buf.advance(nl);
         if buf.remaining() < 4 {
             return Err(FrameError::Malformed("truncated header value len".into()));
         }
@@ -127,8 +129,10 @@ fn decode_headers(
         if buf.remaining() < vl {
             return Err(FrameError::Malformed("truncated header value".into()));
         }
-        let value = String::from_utf8(buf.copy_to_bytes(vl).to_vec())
-            .map_err(|_| FrameError::Malformed("non-UTF8 header value".into()))?;
+        let value = std::str::from_utf8(&buf[..vl])
+            .map_err(|_| FrameError::Malformed("non-UTF8 header value".into()))?
+            .to_owned();
+        buf.advance(vl);
         out.push((name, value));
     }
     Ok(out)
