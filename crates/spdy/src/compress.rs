@@ -16,6 +16,7 @@
 
 use crate::hash::U32Map;
 use bytes::{BufMut, Bytes, BytesMut};
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Static dictionary: common header names/values, as in the SPDY/3 spec's
@@ -56,8 +57,24 @@ fn get_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// What the codecs dropped on this thread have left for the next ones
+/// created here. A sweep worker builds and drops two sessions a cell,
+/// thousands of cells in a row; their windows and index rings are the
+/// largest blocks a cell would otherwise request, so a new codec takes
+/// a parked one and resets it instead. Storage only ever grows, and
+/// the pool holds no more than were live at once.
+#[derive(Default)]
+struct Parked {
+    windows: Vec<Vec<u8>>,
+    chains: Vec<Chains>,
+}
+
+thread_local! {
+    static PARKED: RefCell<Parked> = RefCell::new(Parked::default());
+}
+
 /// The shared rolling window, identical on both sides.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Window {
     /// Static dictionary followed by session history.
     buf: Vec<u8>,
@@ -65,9 +82,12 @@ struct Window {
 
 impl Window {
     fn new() -> Window {
-        Window {
-            buf: STATIC_DICTIONARY.to_vec(),
-        }
+        let mut buf = PARKED
+            .with(|parked| parked.borrow_mut().windows.pop())
+            .unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(STATIC_DICTIONARY);
+        Window { buf }
     }
 
     fn extend(&mut self, data: &[u8]) {
@@ -81,6 +101,14 @@ impl Window {
             self.buf
                 .drain(STATIC_DICTIONARY.len()..STATIC_DICTIONARY.len() + overflow);
         }
+    }
+}
+
+impl Drop for Window {
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.buf);
+        // A thread that is exiting has no pool left to park in.
+        let _ = PARKED.try_with(|parked| parked.borrow_mut().windows.push(buf));
     }
 }
 
@@ -116,8 +144,10 @@ fn static_index() -> &'static U32Map<Vec<u32>> {
 
 /// An empty chain's `oldest`.
 const NO_SLOT: u32 = u32::MAX;
-/// Smallest ring: a session of a few short blocks pays for this much.
-const MIN_RING: usize = 1024;
+/// Slots in a new ring: a full window and a block as long again. Every
+/// live span a session of header blocks can reach fits, so the ring is
+/// sized once; only a block longer than [`MAX_HISTORY`] outgrows it.
+const RING: usize = 2 * MAX_HISTORY;
 
 /// The history half of the candidate index: every indexed history
 /// position, chained oldest to newest with the positions whose gram
@@ -140,13 +170,29 @@ const MIN_RING: usize = 1024;
 /// token stream changes, and with it every wire time downstream.
 #[derive(Debug, Default)]
 struct Chains {
-    /// `(oldest, newest)` slot per bucket; as many buckets as slots.
+    /// `(oldest, newest)` slot per bucket; [`RING`] buckets.
     ends: Vec<(u32, u32)>,
-    /// Forward links; the length is zero or a power of two.
+    /// Forward links; the length is a power of two, [`RING`] or more.
     next: Vec<u32>,
 }
 
 impl Chains {
+    /// An empty index: a dropped compressor's, reset, when this thread
+    /// has one parked.
+    fn new() -> Chains {
+        match PARKED.with(|parked| parked.borrow_mut().chains.pop()) {
+            Some(mut chains) => {
+                // Links are only ever reached from a bucket.
+                chains.ends.fill((NO_SLOT, NO_SLOT));
+                chains
+            }
+            None => Chains {
+                ends: vec![(NO_SLOT, NO_SLOT); RING],
+                next: vec![0; RING],
+            },
+        }
+    }
+
     fn bucket(&self, key: Gram) -> usize {
         // The high bits of one multiply: as many as there are buckets.
         let h = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -189,19 +235,29 @@ impl Chains {
         };
     }
 
-    /// Make room for `span` live positions. Outgrowing the ring rebuilds
-    /// the index from `history` (the window past the static dictionary,
-    /// starting at stream position `hist_start`): exactly the grams that
-    /// lie wholly inside it have been indexed so far.
-    fn reserve(&mut self, span: usize, history: &[u8], hist_start: u64) {
+    /// Make room for `span` live positions, of which the `live` from
+    /// `hist_start` on are linked so far. A block longer than the ring
+    /// was sized for outgrows it: the links move to a longer ring under
+    /// the slot names they have there. The buckets stay as they are, so
+    /// no gram is hashed again.
+    fn reserve(&mut self, span: usize, hist_start: u64, live: usize) {
         if span <= self.next.len() {
             return;
         }
-        let slots = span.next_power_of_two().max(MIN_RING);
-        self.next = vec![0; slots];
-        self.ends = vec![(NO_SLOT, NO_SLOT); slots];
-        for (i, bytes) in history.windows(MIN_MATCH).enumerate() {
-            self.push(gram(bytes), hist_start + i as u64);
+        let mask = span.next_power_of_two() as u64 - 1;
+        let old = std::mem::replace(&mut self.next, vec![0; mask as usize + 1]);
+        let old_mask = old.len() as u64 - 1;
+        let renamed = |slot: u32| match slot {
+            NO_SLOT => NO_SLOT,
+            _ => {
+                ((hist_start + (u64::from(slot).wrapping_sub(hist_start) & old_mask)) & mask) as u32
+            }
+        };
+        for s in hist_start..hist_start + live as u64 {
+            self.next[(s & mask) as usize] = renamed(old[(s & old_mask) as usize]);
+        }
+        for (oldest, newest) in &mut self.ends {
+            (*oldest, *newest) = (renamed(*oldest), renamed(*newest));
         }
     }
 }
@@ -276,7 +332,7 @@ fn assemble_candidates(
             scratch.push(i);
         }
     }
-    if scratch.len() >= MAX_CANDIDATES || history.ends.is_empty() {
+    if scratch.len() >= MAX_CANDIDATES {
         return;
     }
     let (oldest, newest) = history.ends[history.bucket(key)];
@@ -349,7 +405,7 @@ impl Compressor {
         Compressor {
             window: Window::new(),
             drained: 0,
-            history: Chains::default(),
+            history: Chains::new(),
             scratch: Vec::new(),
             stats_in: 0,
             stats_out: 0,
@@ -386,7 +442,12 @@ impl Compressor {
             ..
         } = &mut *self;
         let win: &[u8] = &window.buf;
-        history.reserve(base - s_len + input.len(), &win[s_len..], at.hist_start);
+        let hist_len = base - s_len;
+        history.reserve(
+            hist_len + input.len(),
+            at.hist_start,
+            hist_len.saturating_sub(MIN_MATCH - 1),
+        );
         // Search space = window ++ input, addressed without materializing.
         let byte = |p: usize| -> u8 {
             if p < base {
@@ -492,6 +553,14 @@ impl Compressor {
         self.stats_in += input.len() as u64;
         self.stats_out += out.len() as u64;
         out.freeze()
+    }
+}
+
+impl Drop for Compressor {
+    fn drop(&mut self) {
+        let chains = std::mem::take(&mut self.history);
+        // A thread that is exiting has no pool left to park in.
+        let _ = PARKED.try_with(|parked| parked.borrow_mut().chains.push(chains));
     }
 }
 

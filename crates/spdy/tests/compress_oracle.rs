@@ -372,3 +372,56 @@ fn a_gram_with_more_live_positions_than_the_cap_keeps_the_oldest() {
     late.extend(blocks.iter().cloned());
     assert_session_agrees(&late).unwrap();
 }
+
+/// A codec's window and index ring are taken from the last ones this
+/// thread dropped, reset rather than reallocated. Whatever the donor
+/// went through — a short life, a window turned over three times, a
+/// block that outgrew the ring — the next compressor and decompressor
+/// must behave as the first ever built on the thread did, which is what
+/// the oracle, sharing nothing, emits.
+#[test]
+fn a_compressor_built_from_recycled_storage_matches_oracle() {
+    let session = |blocks: u64, stride: u64| -> Vec<Vec<u8>> {
+        let mut made: Vec<Vec<u8>> = Vec::new();
+        for i in 0..blocks {
+            let next = block(
+                (i % 7) as u8,
+                i * stride,
+                (i * 13 % 2000) as usize,
+                i,
+                &made,
+            );
+            made.push(next);
+        }
+        made
+    };
+    let short = session(12, 31);
+    let long = session(500, 37);
+    assert!(long.iter().map(Vec::len).sum::<usize>() > 3 * MAX_HISTORY);
+    let mut outgrown = session(40, 41);
+    outgrown.push(long.iter().flatten().copied().take(70_000).collect());
+    outgrown.extend(session(40, 43));
+
+    // A thread of its own: nothing is parked when it starts.
+    std::thread::spawn(move || {
+        let first_ever: Vec<_> = {
+            let mut fresh = Compressor::new();
+            short.iter().map(|b| fresh.compress(b)).collect()
+        };
+        for donor in [&short, &long, &outgrown, &short] {
+            assert_session_agrees(donor).unwrap();
+            let mut recycled = Compressor::new();
+            let again: Vec<_> = short.iter().map(|b| recycled.compress(b)).collect();
+            assert_eq!(again, first_ever);
+        }
+        // Two alive at once take two parked rings; neither sees the other.
+        let (mut a, mut b) = (Compressor::new(), Compressor::new());
+        let (mut oracle_a, mut oracle_b) = (OracleCompressor::new(), OracleCompressor::new());
+        for (x, y) in long.iter().zip(outgrown.iter()) {
+            assert_eq!(a.compress(x)[..], oracle_a.compress(x)[..]);
+            assert_eq!(b.compress(y)[..], oracle_b.compress(y)[..]);
+        }
+    })
+    .join()
+    .expect("the recycled sessions agree");
+}

@@ -29,24 +29,26 @@ use std::path::Path;
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// `(scenario, protocol, allocator calls per visit at most)`. Measured
-/// when committed: 16,367 / 19,879 / 2,535 / 3,172 (the commit before
-/// measured 16,367 / 25,536 / 2,535 / 4,148 and fails both SPDY rows).
+/// when committed: 16,367 / 19,878 / 2,535 / 3,144 (two commits before,
+/// with three allocations per decoded header string: 16,367 / 25,536 /
+/// 2,535 / 4,148, failing both SPDY rows).
 const CEILINGS: [(&str, &str, u64); 4] = [
     ("paired_3g.json", "http", 17_185),
-    ("paired_3g.json", "spdy", 20_872),
+    ("paired_3g.json", "spdy", 20_871),
     ("quick_wifi.json", "http", 2_661),
-    ("quick_wifi.json", "spdy", 3_330),
+    ("quick_wifi.json", "spdy", 3_301),
 ];
 
 /// `(scenario, protocol, bytes requested per visit at most)` by
 /// `experiments explain`: run at full trace, event model, critical
 /// paths, both renderings, both files. Measured when committed:
-/// 3,660,113 / 3,991,101 (the commit before, which retained the flight
-/// log and printed the JSON from a `Value` tree, measured 4,609,335 /
-/// 5,583,375 and fails both rows).
+/// 3,660,113 / 3,729,595 (a tree that retained the flight log and
+/// printed the JSON from a `Value` tree measured 4,609,335 / 5,583,375
+/// and fails both rows; one that rebuilt the compressor's index per
+/// session measured 3,991,101 and fails the SPDY row).
 const EXPLAIN_CEILINGS: [(&str, &str, u64); 2] = [
     ("paired_3g.json", "http", 3_843_118),
-    ("paired_3g.json", "spdy", 4_190_656),
+    ("paired_3g.json", "spdy", 3_916_074),
 ];
 
 /// `(protocol, allocator calls, bytes requested)` at most, for one
@@ -56,10 +58,11 @@ const EXPLAIN_CEILINGS: [(&str, &str, u64); 2] = [
 /// six-object page, so the fixed cost per session dominates: a
 /// compressor index rebuilt per session shows in the bytes, an owned
 /// string per header in the calls. Measured when committed: 2,037 calls
-/// and 361,843 bytes / 2,440 and 754,278 (the commit before measured
-/// 2,037 and 361,843 / 3,160 and 776,652 and fails the SPDY row).
+/// and 361,843 bytes / 2,414 and 280,346 (879d3dc, which did both,
+/// measured 2,037 and 361,843 / 3,160 and 776,652 and fails the SPDY
+/// row twice over).
 const POPULATION_CEILINGS: [(&str, u64, u64); 2] =
-    [("http", 2_138, 379_935), ("spdy", 2_562, 791_991)];
+    [("http", 2_138, 379_935), ("spdy", 2_534, 294_363)];
 
 fn scenario_path(scenario: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
