@@ -14,7 +14,7 @@ use crate::domains::{DomainId, DomainTable};
 use crate::results::RunResult;
 use crate::visits::{Visits, BEACON_TAG};
 use crate::world::{Event, World};
-use spdyier_bytes::Payload;
+use spdyier_bytes::{Headers, HeadersBuilder, Payload};
 use spdyier_http::{
     Acquire, ConnectionPool, HttpClientConn, HttpServerConn, PoolConfig, PoolConnId, Request,
     Response,
@@ -850,12 +850,7 @@ impl SpdySide {
                 } => {
                     // A late-bound response arrives on a server-initiated
                     // stream tagged with the original request identity.
-                    let get = |k: &str| {
-                        headers
-                            .iter()
-                            .find(|(n, _)| n == k)
-                            .and_then(|(_, v)| v.parse::<u64>().ok())
-                    };
+                    let get = |k: &str| headers.get(k).and_then(|v| v.parse::<u64>().ok());
                     if let (Some(generation), Some(tag)) = (get("x-late-gen"), get("x-late-tag")) {
                         if tag != BEACON_TAG {
                             ctx.visits
@@ -973,31 +968,28 @@ impl SpdySide {
                 return; // no session ready yet (SSL still setting up)
             };
             self.rr = (sidx + 1) % n;
-            let (host, path, priority) = {
-                let Some(page) = ctx.visits.current_page.as_ref() else {
-                    return;
-                };
-                let o = page.object(obj);
-                (o.domain.clone(), o.path.clone(), o.kind.spdy_priority())
-            };
-            let mut headers = vec![
-                (":method".to_string(), "GET".to_string()),
-                (":host".to_string(), host),
-                (":path".to_string(), path),
-                (":scheme".to_string(), "https".to_string()),
-            ];
             let domain = ctx.visits.domain_of(obj);
-            headers.extend(
-                ctx.visits
-                    .cached_headers(&ctx.world.domains, domain)
-                    .iter()
-                    .cloned(),
+            let browser = ctx
+                .visits
+                .cached_headers(&ctx.world.domains, domain)
+                .clone();
+            let Some(page) = ctx.visits.current_page.as_ref() else {
+                return;
+            };
+            let o = page.object(obj);
+            let headers = request_block(
+                &[
+                    (":method", "GET"),
+                    (":host", &o.domain),
+                    (":path", &o.path),
+                    (":scheme", "https"),
+                ],
+                &browser,
             );
-            let stream = {
+            let stream =
                 self.clients[sidx]
                     .session
-                    .open_stream(headers, priority, true)
-            };
+                    .open_stream(headers, o.kind.spdy_priority(), true);
             self.clients[sidx]
                 .streams
                 .insert(stream, (ctx.visits.visit_gen, u64::from(obj.0), false));
@@ -1022,19 +1014,13 @@ impl SpdySide {
             return false;
         };
         if let Some(sidx) = (0..self.clients.len()).find(|&s| self.clients[s].usable) {
-            let mut headers = vec![
-                (":method".to_string(), "GET".to_string()),
-                (
-                    ":host".to_string(),
-                    ctx.world.domains.name(domain).to_string(),
-                ),
-                (":path".to_string(), "/beacon.gif".to_string()),
-            ];
-            headers.extend(
-                ctx.visits
-                    .cached_headers(&ctx.world.domains, domain)
-                    .iter()
-                    .cloned(),
+            let headers = request_block(
+                &[
+                    (":method", "GET"),
+                    (":host", ctx.world.domains.name(domain)),
+                    (":path", "/beacon.gif"),
+                ],
+                ctx.visits.cached_headers(&ctx.world.domains, domain),
             );
             let stream = self.clients[sidx].session.open_stream(headers, 4, true);
             self.clients[sidx]
@@ -1058,6 +1044,18 @@ impl SpdySide {
             self.pump_proxy_wire(ctx.world, sidx);
         }
     }
+}
+
+/// A SYN_STREAM's header block: the request's own `:`-pseudo headers,
+/// then the browser's cached set for the domain, in one buffer.
+fn request_block(pseudo: &[(&str, &str)], browser: &Headers) -> Headers {
+    let text: usize = pseudo.iter().map(|(n, v)| 8 + n.len() + v.len()).sum();
+    let mut headers = HeadersBuilder::with_capacity(text + browser.as_block().len());
+    for (name, value) in pseudo {
+        headers.push(name, value);
+    }
+    headers.extend(browser);
+    headers.finish()
 }
 
 impl AppSession for SpdySide {
@@ -1114,11 +1112,11 @@ impl AppSession for SpdySide {
             .get(&fetch)
             .copied()
             .unwrap_or((0, BEACON_TAG));
-        let headers = vec![
-            (":status".to_string(), resp.status.to_string()),
-            ("x-late-gen".to_string(), generation.to_string()),
-            ("x-late-tag".to_string(), tag.to_string()),
-        ];
+        let headers = Headers::from_pairs(&[
+            (":status", resp.status.to_string()),
+            ("x-late-gen", generation.to_string()),
+            ("x-late-tag", tag.to_string()),
+        ]);
         let stream = self.proxies[best].push_with_headers(headers, resp.body, 2);
         self.late_stream_fetch.insert((best, stream), (sidx, fetch));
         self.pending_pump.push(best);

@@ -13,6 +13,7 @@ use crate::domains::{DomainId, DomainTable};
 use crate::results::{RunResult, VisitResult};
 use crate::world::{Event, World};
 use spdyier_browser::PageLoad;
+use spdyier_bytes::{Headers, HeadersBuilder};
 use spdyier_http::Request;
 use spdyier_origin::OriginServers;
 use spdyier_sim::{EventId, SimTime};
@@ -50,9 +51,9 @@ pub(crate) struct Visits {
     /// (A side table because `WebPage` is a serialized, string-typed
     /// input format.)
     object_domains: Vec<DomainId>,
-    /// Rendered browser header sets by [`DomainId::index`]; empty until
+    /// Rendered browser header sets by [`DomainId::index`]; `None` until
     /// a domain's first request.
-    header_cache: Vec<Vec<(String, String)>>,
+    header_cache: Vec<Option<Headers>>,
     /// Armed browser parse/execute timer.
     pub browser_timer: Option<EventId>,
     /// When the next scheduled visit begins (beacons must not outlive the
@@ -170,27 +171,20 @@ impl Visits {
             let domain = self.object_domains[tag as usize];
             (domain, obj.domain.clone(), obj.path.clone())
         };
-        let headers = self.cached_headers(domains, domain).to_vec();
-        let mut req = Request::get(host, path);
-        req.headers = headers;
-        Some(req)
+        Some(Request {
+            headers: self.cached_headers(domains, domain).clone(),
+            ..Request::get(host, path)
+        })
     }
 
     /// The standard browser header set for `domain`, rendered once per
     /// domain and served from a per-run cache thereafter.
-    pub fn cached_headers(
-        &mut self,
-        domains: &DomainTable,
-        domain: DomainId,
-    ) -> &[(String, String)] {
+    pub fn cached_headers(&mut self, domains: &DomainTable, domain: DomainId) -> &Headers {
         if self.header_cache.len() <= domain.index() {
-            self.header_cache.resize_with(domain.index() + 1, Vec::new);
+            self.header_cache.resize(domain.index() + 1, None);
         }
-        let headers = &mut self.header_cache[domain.index()];
-        if headers.is_empty() {
-            *headers = browser_headers(domains.name(domain));
-        }
-        headers
+        self.header_cache[domain.index()]
+            .get_or_insert_with(|| browser_headers(domains.name(domain)))
     }
 
     // ------------------------------------------------------------------
@@ -370,7 +364,7 @@ impl Visits {
 /// pays these bytes on the uplink per request; SPDY's stateful header
 /// compression collapses the repetition — one of its documented
 /// advantages.
-pub(crate) fn browser_headers(host: &str) -> Vec<(String, String)> {
+pub(crate) fn browser_headers(host: &str) -> Headers {
     let mut cookie = String::with_capacity(192);
     cookie.push_str("sid=");
     let h = host
@@ -379,24 +373,24 @@ pub(crate) fn browser_headers(host: &str) -> Vec<(String, String)> {
         .fold(0u64, |a, &b| a.wrapping_mul(131).wrapping_add(b as u64));
     for i in 0..10u64 {
         // write! appends in place; format! would allocate a temporary
-        // per segment on what used to be a per-request path.
+        // per segment.
         let _ = write!(
             cookie,
             "{:016x}",
             h.wrapping_add(i.wrapping_mul(0x9E3779B97F4A7C15))
         );
     }
-    vec![
-        (
-            "user-agent".to_string(),
-            "Mozilla/5.0 (Windows NT 6.1) AppleWebKit/537.11 (KHTML, like Gecko) Chrome/23.0.1271.97 Safari/537.11".to_string(),
-        ),
-        (
-            "accept".to_string(),
-            "text/html,application/xhtml+xml,application/xml;q=0.9,*/*;q=0.8".to_string(),
-        ),
-        ("accept-encoding".to_string(), "gzip,deflate,sdch".to_string()),
-        ("accept-language".to_string(), "en-US,en;q=0.8".to_string()),
-        ("cookie".to_string(), cookie),
-    ]
+    let mut headers = HeadersBuilder::with_capacity(512);
+    headers.push(
+        "user-agent",
+        "Mozilla/5.0 (Windows NT 6.1) AppleWebKit/537.11 (KHTML, like Gecko) Chrome/23.0.1271.97 Safari/537.11",
+    );
+    headers.push(
+        "accept",
+        "text/html,application/xhtml+xml,application/xml;q=0.9,*/*;q=0.8",
+    );
+    headers.push("accept-encoding", "gzip,deflate,sdch");
+    headers.push("accept-language", "en-US,en;q=0.8");
+    headers.push("cookie", &cookie);
+    headers.finish()
 }

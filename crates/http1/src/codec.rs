@@ -11,7 +11,7 @@
 //! (length-only) bodies flow through without a single byte copied.
 
 use crate::message::{Request, Response};
-use spdyier_bytes::{Chunk, Payload};
+use spdyier_bytes::{Chunk, Headers, HeadersBuilder, Payload};
 
 /// Error raised on malformed input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,45 +25,69 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parsed start line tokens plus header pairs.
-type HeadParts<'a> = (Vec<&'a str>, Vec<(String, String)>);
-
-/// Find the end of the head (`\r\n\r\n`, inclusive) in the rope's real
-/// prefix. A head never extends into synthetic data (synthetic bytes are
-/// zeros), so the scan stops at the first synthetic chunk.
-fn find_head_end(buf: &Payload) -> Option<u64> {
-    let mut pos: u64 = 0;
-    // States of the "\r\n\r\n" matcher: number of pattern bytes matched.
-    let mut matched: u8 = 0;
-    for chunk in buf.chunks() {
-        let bytes = match chunk {
-            Chunk::Real(b) => &b[..],
-            Chunk::Synthetic(_) => return None,
-        };
-        for &c in bytes {
-            matched = match (matched, c) {
-                (1, b'\n') => 2,
-                (2, b'\r') => 3,
-                (3, b'\n') => 4,
-                (_, b'\r') => 1,
-                _ => 0,
-            };
-            pos += 1;
-            if matched == 4 {
-                return Some(pos);
-            }
-        }
-    }
-    None
+/// Where the search for the end of a head (`\r\n\r\n`) stands. A head
+/// arrives over several reads and the parser is asked after each one;
+/// keeping the position means every buffered byte is looked at once.
+#[derive(Debug, Default)]
+struct HeadScan {
+    /// Bytes of the buffer already matched against.
+    scanned: u64,
+    /// How many bytes of `\r\n\r\n` the last `scanned` bytes end with.
+    matched: u8,
 }
 
-fn split_headers(head: &str) -> Result<HeadParts<'_>, ParseError> {
+impl HeadScan {
+    /// Resume the search over `buf`; `Some(end)` (inclusive of the
+    /// `\r\n\r\n`) resets the scan for the next head. A head never
+    /// extends into synthetic data (synthetic bytes are zeros), so the
+    /// scan waits at the first synthetic chunk.
+    fn find_head_end(&mut self, buf: &Payload) -> Option<u64> {
+        let mut skip = self.scanned;
+        for chunk in buf.chunks() {
+            let bytes = match chunk {
+                Chunk::Real(b) => &b[..],
+                Chunk::Synthetic(_) => return None,
+            };
+            if skip >= bytes.len() as u64 {
+                skip -= bytes.len() as u64;
+                continue;
+            }
+            for &c in &bytes[skip as usize..] {
+                self.matched = match (self.matched, c) {
+                    (1, b'\n') => 2,
+                    (2, b'\r') => 3,
+                    (3, b'\n') => 4,
+                    (_, b'\r') => 1,
+                    _ => 0,
+                };
+                self.scanned += 1;
+                if self.matched == 4 {
+                    return Some(std::mem::take(self).scanned);
+                }
+            }
+            skip = 0;
+        }
+        None
+    }
+}
+
+/// A parsed head: the start line, the headers other than `lifted`, and
+/// the first `lifted` header's value.
+type HeadParts<'a> = (&'a str, Headers, Option<&'a str>);
+
+/// Split a head into its start line and its headers, names and values
+/// trimmed, written straight into one [`Headers`] block. The header named
+/// `lifted` (any case, every occurrence) is the codec's own — `Host`,
+/// `Content-Length` — and is returned beside the block, not in it.
+fn split_headers<'a>(head: &'a str, lifted: &str) -> Result<HeadParts<'a>, ParseError> {
     let mut lines = head.split("\r\n");
     let start = lines
         .next()
         .ok_or_else(|| ParseError("empty head".into()))?;
-    let start_parts: Vec<&str> = start.split(' ').collect();
-    let mut headers = Vec::new();
+    // A trimmed pair costs 8 bytes of lengths where its line spent 4 on
+    // `: ` and `\r\n`: room for a dozen headers before the block grows.
+    let mut headers = HeadersBuilder::with_capacity(head.len() + 64);
+    let mut first_lifted = None;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -71,9 +95,14 @@ fn split_headers(head: &str) -> Result<HeadParts<'_>, ParseError> {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| ParseError(format!("bad header line: {line}")))?;
-        headers.push((name.trim().to_owned(), value.trim().to_owned()));
+        let (name, value) = (name.trim(), value.trim());
+        if !name.eq_ignore_ascii_case(lifted) {
+            headers.push(name, value);
+        } else if first_lifted.is_none() {
+            first_lifted = Some(value);
+        }
     }
-    Ok((start_parts, headers))
+    Ok((start, headers.finish(), first_lifted))
 }
 
 /// Split the head off the rope and materialize it (minus the trailing
@@ -85,10 +114,16 @@ fn take_head(buf: &mut Payload, head_end: u64) -> Result<String, ParseError> {
     String::from_utf8(head).map_err(|_| ParseError("non-UTF8 head".into()))
 }
 
+/// The start line's space-separated tokens, as error messages show them.
+fn tokens(start: &str) -> Vec<&str> {
+    start.split(' ').collect()
+}
+
 /// Incremental parser for a stream of requests (server side).
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Payload,
+    scan: HeadScan,
 }
 
 impl RequestParser {
@@ -104,35 +139,30 @@ impl RequestParser {
 
     /// Extract the next complete request, if buffered.
     pub fn next_request(&mut self) -> Result<Option<Request>, ParseError> {
-        let Some(head_end) = find_head_end(&self.buf) else {
+        let Some(head_end) = self.scan.find_head_end(&self.buf) else {
             return Ok(None);
         };
         let head_str = take_head(&mut self.buf, head_end)?;
-        let (start, mut headers) = split_headers(&head_str)?;
-        if start.len() != 3 {
-            return Err(ParseError(format!("bad request line: {start:?}")));
-        }
-        let method = start[0].to_owned();
-        let target = start[1];
+        let (start, headers, host_header) = split_headers(&head_str, "host")?;
+        let mut parts = start.split(' ');
+        let (Some(method), Some(target), Some(_version), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
+            return Err(ParseError(format!("bad request line: {:?}", tokens(start))));
+        };
         // Absolute-form (proxy) or origin-form.
         let (host, path) = if let Some(rest) = target.strip_prefix("http://") {
             match rest.find('/') {
-                Some(idx) => (rest[..idx].to_owned(), rest[idx..].to_owned()),
-                None => (rest.to_owned(), "/".to_owned()),
+                Some(idx) => (&rest[..idx], &rest[idx..]),
+                None => (rest, "/"),
             }
         } else {
-            let host = headers
-                .iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case("host"))
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default();
-            (host, target.to_owned())
+            (host_header.unwrap_or_default(), target)
         };
-        headers.retain(|(n, _)| !n.eq_ignore_ascii_case("host"));
         Ok(Some(Request {
-            method,
-            host,
-            path,
+            method: method.to_owned(),
+            host: host.to_owned(),
+            path: path.to_owned(),
             headers,
         }))
     }
@@ -142,6 +172,7 @@ impl RequestParser {
 #[derive(Debug, Default)]
 pub struct ResponseParser {
     buf: Payload,
+    scan: HeadScan,
     /// Set once a head has been parsed; `(response-so-far, body_len)`.
     pending: Option<(Response, u64)>,
 }
@@ -165,30 +196,24 @@ impl ResponseParser {
     /// Extract the next complete response, if buffered.
     pub fn next_response(&mut self) -> Result<Option<Response>, ParseError> {
         if self.pending.is_none() {
-            let Some(head_end) = find_head_end(&self.buf) else {
+            let Some(head_end) = self.scan.find_head_end(&self.buf) else {
                 return Ok(None);
             };
             let head_str = take_head(&mut self.buf, head_end)?;
-            let (start, headers) = split_headers(&head_str)?;
-            if start.len() < 2 {
-                return Err(ParseError(format!("bad status line: {start:?}")));
-            }
-            let status: u16 = start[1]
+            let (start, headers, content_length) = split_headers(&head_str, "content-length")?;
+            let Some(status) = start.split(' ').nth(1) else {
+                return Err(ParseError(format!("bad status line: {:?}", tokens(start))));
+            };
+            let status: u16 = status
                 .parse()
-                .map_err(|_| ParseError(format!("bad status: {}", start[1])))?;
-            let body_len: u64 = headers
-                .iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-                .map(|(_, v)| {
+                .map_err(|_| ParseError(format!("bad status: {status}")))?;
+            let body_len: u64 = content_length
+                .map(|v| {
                     v.parse()
                         .map_err(|_| ParseError("bad content-length".into()))
                 })
                 .transpose()?
                 .unwrap_or(0);
-            let headers: Vec<(String, String)> = headers
-                .into_iter()
-                .filter(|(n, _)| !n.eq_ignore_ascii_case("content-length"))
-                .collect();
             self.pending = Some((
                 Response {
                     status,
@@ -345,7 +370,7 @@ mod tests {
     fn head_end_scan_stops_at_synthetic_data() {
         let mut buf = Payload::synthetic(100);
         buf.push_bytes(Bytes::from_static(b"\r\n\r\n"));
-        assert_eq!(find_head_end(&buf), None);
+        assert_eq!(HeadScan::default().find_head_end(&buf), None);
     }
 
     #[test]
@@ -353,6 +378,6 @@ mod tests {
         let mut buf = Payload::from("HTTP/1.1 200 OK\r\n");
         buf.push_bytes(Bytes::from_static(b"\r"));
         buf.push_bytes(Bytes::from_static(b"\nrest"));
-        assert_eq!(find_head_end(&buf), Some(19));
+        assert_eq!(HeadScan::default().find_head_end(&buf), Some(19));
     }
 }

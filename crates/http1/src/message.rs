@@ -10,7 +10,7 @@
 //! simulated case — without being copied into the head buffer.
 
 use bytes::{BufMut, BytesMut};
-use spdyier_bytes::Payload;
+use spdyier_bytes::{Headers, Payload};
 
 /// An HTTP request line + headers (bodies are not used by the workload:
 /// page loads are GETs).
@@ -23,7 +23,7 @@ pub struct Request {
     /// Path on the origin.
     pub path: String,
     /// Additional headers.
-    pub headers: Vec<(String, String)>,
+    pub headers: Headers,
 }
 
 impl Request {
@@ -33,22 +33,19 @@ impl Request {
             method: "GET".into(),
             host: host.into(),
             path: path.into(),
-            headers: Vec::new(),
+            headers: Headers::new(),
         }
     }
 
     /// Append a header (builder style).
     pub fn with_header(mut self, name: &str, value: &str) -> Request {
-        self.headers.push((name.into(), value.into()));
+        self.headers = self.headers.with(name, value);
         self
     }
 
     /// First value of header `name` (case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        self.headers.get(name)
     }
 
     /// Encode in proxy (absolute-URI) form.
@@ -61,15 +58,35 @@ impl Request {
         out.put_slice(b" HTTP/1.1\r\nHost: ");
         out.put_slice(self.host.as_bytes());
         out.put_slice(b"\r\n");
-        for (n, v) in &self.headers {
-            out.put_slice(n.as_bytes());
-            out.put_slice(b": ");
-            out.put_slice(v.as_bytes());
-            out.put_slice(b"\r\n");
-        }
-        out.put_slice(b"\r\n");
+        put_header_lines(&mut out, &self.headers);
         Payload::real(out.freeze())
     }
+}
+
+/// One `name: value` line per header, then the blank line ending a head.
+fn put_header_lines(out: &mut BytesMut, headers: &Headers) {
+    for (n, v) in headers.iter() {
+        out.put_slice(n.as_bytes());
+        out.put_slice(b": ");
+        out.put_slice(v.as_bytes());
+        out.put_slice(b"\r\n");
+    }
+    out.put_slice(b"\r\n");
+}
+
+/// `v` in decimal, without a `String` in between.
+fn put_decimal(out: &mut BytesMut, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.put_slice(&digits[at..]);
 }
 
 /// An HTTP response with a `Content-Length`-framed body.
@@ -78,7 +95,7 @@ pub struct Response {
     /// Status code (200 throughout the study).
     pub status: u16,
     /// Headers excluding `Content-Length` (added at encode time).
-    pub headers: Vec<(String, String)>,
+    pub headers: Headers,
     /// Response body — a rope; synthetic (length-only) for simulated
     /// objects, real bytes where content matters.
     pub body: Payload,
@@ -89,23 +106,20 @@ impl Response {
     pub fn ok(body: impl Into<Payload>) -> Response {
         Response {
             status: 200,
-            headers: Vec::new(),
+            headers: Headers::new(),
             body: body.into(),
         }
     }
 
     /// Append a header (builder style).
     pub fn with_header(mut self, name: &str, value: &str) -> Response {
-        self.headers.push((name.into(), value.into()));
+        self.headers = self.headers.with(name, value);
         self
     }
 
     /// First value of header `name` (case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        self.headers.get(name)
     }
 
     /// Wire encoding with `Content-Length` framing: a real head chunk
@@ -113,19 +127,13 @@ impl Response {
     pub fn encode(&self) -> Payload {
         let mut out = BytesMut::with_capacity(128);
         out.put_slice(b"HTTP/1.1 ");
-        out.put_slice(self.status.to_string().as_bytes());
+        put_decimal(&mut out, u64::from(self.status));
         out.put_slice(b" ");
         out.put_slice(reason(self.status).as_bytes());
         out.put_slice(b"\r\nContent-Length: ");
-        out.put_slice(self.body.len().to_string().as_bytes());
+        put_decimal(&mut out, self.body.len());
         out.put_slice(b"\r\n");
-        for (n, v) in &self.headers {
-            out.put_slice(n.as_bytes());
-            out.put_slice(b": ");
-            out.put_slice(v.as_bytes());
-            out.put_slice(b"\r\n");
-        }
-        out.put_slice(b"\r\n");
+        put_header_lines(&mut out, &self.headers);
         let mut wire = Payload::real(out.freeze());
         wire.append(self.body.clone());
         wire
@@ -188,6 +196,15 @@ mod tests {
         assert_eq!(r.header("missing"), None);
         let resp = Response::ok(Payload::new()).with_header("X-Foo", "bar");
         assert_eq!(resp.header("x-foo"), Some("bar"));
+    }
+
+    #[test]
+    fn decimals_print_as_to_string_does() {
+        for v in [0, 7, 10, 200, 404, 65_535, 1 << 20, u64::MAX] {
+            let mut out = BytesMut::new();
+            put_decimal(&mut out, v);
+            assert_eq!(&out[..], v.to_string().as_bytes());
+        }
     }
 
     #[test]

@@ -135,8 +135,7 @@ impl OriginServers {
                 self.stats.misses += 1;
                 let resp = Response {
                     status: 404,
-                    headers: vec![("Content-Type".into(), "text/plain".into())],
-                    body: Payload::from("not found"),
+                    ..Response::ok("not found").with_header("Content-Type", "text/plain")
                 };
                 (latency, resp)
             }

@@ -21,6 +21,9 @@
 //! byte-identical outputs — which is what the CI byte-identity guard
 //! checks (`SPDYIER_MATERIALIZE_BODIES=1` vs default).
 //!
+//! Header blocks have one form too: [`Headers`], the SPDY/3 name/value
+//! block in one shared buffer (see [`headers`]).
+//!
 //! The rope stores up to two chunks inline. The hot paths — a TCP
 //! segment split off a send buffer (`[Real head]` or
 //! `[Real head, Synthetic body]`), a reassembled receive run — nearly
@@ -28,6 +31,10 @@
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+
+pub mod headers;
+
+pub use headers::{Headers, HeadersBuilder, HeadersError};
 
 use bytes::Bytes;
 use std::collections::VecDeque;

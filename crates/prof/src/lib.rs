@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use alloc::{global_counts, thread_counts, AllocCounts, CountingAlloc};
 pub use report::{
-    peak_rss_kb, ProfileReport, SelfReport, SinkReport, SpanStats, SubsystemStats,
+    peak_rss_kb, PeakRss, ProfileReport, SelfReport, SinkReport, SpanStats, SubsystemStats,
     PROFILE_SCHEMA_VERSION,
 };
 pub use scope::{scope, take_thread_profile, Scope};

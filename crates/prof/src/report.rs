@@ -203,20 +203,81 @@ impl SelfReport {
 /// Peak resident set size of this process in kilobytes (`VmHWM` from
 /// `/proc/self/status`; 0 where unavailable).
 pub fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
+    PeakRss::open().kb()
+}
+
+/// `/proc/self/status` held open, for a caller that asks again and
+/// again (a heartbeat per cell): each reading is a seek and one read
+/// into a fixed buffer, where [`peak_rss_kb`] opens, fills a fresh
+/// `String` and closes.
+#[derive(Debug)]
+pub struct PeakRss {
+    status: Option<std::fs::File>,
+}
+
+impl PeakRss {
+    /// Open the status file; readings are 0 where there is none.
+    pub fn open() -> PeakRss {
+        PeakRss {
+            status: std::fs::File::open("/proc/self/status").ok(),
+        }
+    }
+
+    /// `VmHWM` now, in kilobytes.
+    pub fn kb(&mut self) -> u64 {
+        use std::io::{Read, Seek, SeekFrom};
+        let Some(status) = self.status.as_mut() else {
+            return 0;
+        };
+        // The file is about 1.5 KB and `VmHWM` sits in its first third.
+        let mut buf = [0u8; 4096];
+        let mut len = 0;
+        if status.seek(SeekFrom::Start(0)).is_err() {
+            return 0;
+        }
+        while len < buf.len() {
+            match status.read(&mut buf[len..]) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => len += n,
+            }
+        }
+        vm_hwm_kb(&buf[..len])
+    }
+}
+
+/// The number on the `VmHWM:` line of a `/proc/<pid>/status` image.
+fn vm_hwm_kb(status: &[u8]) -> u64 {
+    status
+        .split(|&b| b == b'\n')
+        .find_map(|line| line.strip_prefix(b"VmHWM:"))
+        .map_or(0, |rest| {
+            rest.iter()
+                .filter(|b| b.is_ascii_digit())
+                .fold(0, |kb, &d| kb * 10 + u64::from(d - b'0'))
         })
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vm_hwm_is_read_from_the_status_image() {
+        let status =
+            b"Name:\texperiments\nVmPeak:\t  300000 kB\nVmHWM:\t   26812 kB\nVmRSS:\t   20000 kB\n";
+        assert_eq!(vm_hwm_kb(status), 26_812);
+        assert_eq!(vm_hwm_kb(b"Name:\tx\n"), 0);
+        if cfg!(target_os = "linux") {
+            let text = std::fs::read_to_string("/proc/self/status").expect("procfs");
+            let line = text
+                .lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .expect("VmHWM");
+            let want: u64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+            let got = PeakRss::open().kb();
+            assert!(got >= want && got > 0, "{got} vs {want}");
+        }
+    }
 
     fn span(calls: u64, self_ns: u64, allocs: u64) -> SpanStats {
         let mut s = SpanStats {

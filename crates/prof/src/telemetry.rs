@@ -97,6 +97,8 @@ pub struct TelemetryTotals {
 struct State {
     out: Option<Box<dyn Write + Send>>,
     totals: TelemetryTotals,
+    /// One handle for the whole sweep: a heartbeat re-reads it.
+    rss: crate::PeakRss,
 }
 
 /// The shared heartbeat reporter one sweep's workers write into.
@@ -124,6 +126,7 @@ impl SweepTelemetry {
             state: Mutex::new(State {
                 out,
                 totals: TelemetryTotals::default(),
+                rss: crate::PeakRss::open(),
             }),
         }
     }
@@ -135,6 +138,7 @@ impl SweepTelemetry {
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let peak_rss_kb = state.rss.kb();
         let t = &mut state.totals;
         t.completed += 1;
         t.events += r.events;
@@ -168,7 +172,7 @@ impl SweepTelemetry {
             } else {
                 0.0
             }),
-            peak_rss_kb: crate::peak_rss_kb(),
+            peak_rss_kb,
         };
         let line = serde_json::to_string(&hb).expect("heartbeat serializes");
         let wrote = match state.out.as_mut() {
@@ -299,6 +303,39 @@ mod tests {
         );
         assert!(line.contains("\"events_per_sec\":"), "{line}");
         assert!(line.contains("\"eta_ms\":"), "{line}");
+    }
+
+    #[test]
+    fn peak_rss_is_read_for_every_heartbeat_and_never_falls() {
+        let buf = SharedBuf::default();
+        let tel = SweepTelemetry::new(3, Some(Box::new(buf.clone())));
+        let mut held = Vec::new();
+        for cell in 0..3 {
+            // Touch 8 MiB more before each heartbeat: the high-water
+            // mark must be re-read, not remembered from the first line.
+            held.push(vec![1u8; 8 << 20]);
+            tel.cell_done(&CellReport {
+                cell,
+                ..CellReport::default()
+            });
+        }
+        tel.finish();
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let peaks: Vec<u64> = text
+            .lines()
+            .map(|line| {
+                let (_, rest) = line.split_once("\"peak_rss_kb\":").expect("key present");
+                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+                digits.parse().expect("a number")
+            })
+            .collect();
+        assert_eq!(peaks.len(), 3);
+        if cfg!(target_os = "linux") {
+            assert!(peaks[0] > 0, "{peaks:?}");
+            assert!(peaks.windows(2).all(|w| w[0] <= w[1]), "{peaks:?}");
+            assert!(peaks[2] >= peaks[0] + (8 << 10), "{peaks:?}");
+        }
+        assert!(held.iter().all(|block| block[0] == 1));
     }
 
     #[test]

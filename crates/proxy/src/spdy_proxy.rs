@@ -8,7 +8,7 @@
 //! bottleneck — emerges from exactly this structure.
 
 use crate::record::{FetchId, ProxyObjectRecord};
-use spdyier_bytes::Payload;
+use spdyier_bytes::{Headers, Payload};
 use spdyier_http::{Request, Response};
 use spdyier_sim::SimTime;
 use spdyier_spdy::{Role, SpdyConfig, SpdyEvent, SpdySession};
@@ -83,13 +83,7 @@ impl SpdyProxyCore {
                 SpdyEvent::StreamOpened {
                     stream_id, headers, ..
                 } => {
-                    let get = |k: &str| {
-                        headers
-                            .iter()
-                            .find(|(n, _)| n == k)
-                            .map(|(_, v)| v.clone())
-                            .unwrap_or_default()
-                    };
+                    let get = |k: &str| headers.get(k).unwrap_or_default().to_owned();
                     let host = get(":host");
                     let path = get(":path");
                     let fetch = FetchId(self.next_fetch);
@@ -138,10 +132,9 @@ impl SpdyProxyCore {
         let Some(&stream_id) = self.stream_of.get(&fetch) else {
             return;
         };
-        let headers = vec![
-            (":status".to_string(), response.status.to_string()),
-            (":version".to_string(), "HTTP/1.1".to_string()),
-        ];
+        let status = response.status.to_string();
+        let headers =
+            Headers::from_pairs(&[(":status", status.as_str()), (":version", "HTTP/1.1")]);
         if response.body.is_empty() {
             self.session.reply(stream_id, headers, true);
         } else {
@@ -167,11 +160,8 @@ impl SpdyProxyCore {
     /// long-polls — the periodic site traffic of the paper's §5.7 that
     /// wakes an idle radio *from the proxy side*.
     pub fn push_data(&mut self, path: &str, body: Payload) -> u32 {
-        let headers = vec![
-            (":status".to_string(), "200".to_string()),
-            (":path".to_string(), path.to_string()),
-            ("x-pushed".to_string(), "1".to_string()),
-        ];
+        let headers =
+            Headers::from_pairs(&[(":status", "200"), (":path", path), ("x-pushed", "1")]);
         self.push_with_headers(headers, body, 4)
     }
 
@@ -179,7 +169,7 @@ impl SpdyProxyCore {
     /// `body` on it (the §6.1 late-binding delivery vehicle).
     pub fn push_with_headers(
         &mut self,
-        headers: Vec<(String, String)>,
+        headers: impl Into<Headers>,
         body: Payload,
         priority: u8,
     ) -> u32 {
@@ -251,9 +241,9 @@ mod tests {
     ) -> u32 {
         let sid = client.open_stream(
             vec![
-                (":method".into(), "GET".into()),
-                (":host".into(), host.into()),
-                (":path".into(), path.into()),
+                (":method".to_string(), "GET".to_string()),
+                (":host".to_string(), host.to_string()),
+                (":path".to_string(), path.to_string()),
             ],
             pri,
             true,
@@ -348,7 +338,7 @@ mod tests {
             fetch,
             Response {
                 status: 204,
-                headers: vec![],
+                headers: Headers::new(),
                 body: Payload::new(),
             },
             t(5),
@@ -363,7 +353,7 @@ mod tests {
                 } = ev
                 {
                     assert_eq!(stream_id, sid);
-                    assert!(headers.iter().any(|(n, v)| n == ":status" && v == "204"));
+                    assert_eq!(headers.get(":status"), Some("204"));
                     got_fin_reply = true;
                 }
             }
@@ -404,7 +394,7 @@ mod tests {
                         stream_id, headers, ..
                     } => {
                         assert_eq!(stream_id, sid);
-                        assert!(headers.iter().any(|(n, v)| n == "x-pushed" && v == "1"));
+                        assert_eq!(headers.get("x-pushed"), Some("1"));
                         opened = true;
                     }
                     SpdyEvent::Data { payload, .. } => bytes += payload.len(),
@@ -429,8 +419,8 @@ mod tests {
         while let Some(wire) = proxy.poll_wire() {
             for ev in client.on_bytes(wire).unwrap() {
                 if let SpdyEvent::StreamOpened { headers, .. } = ev {
-                    assert!(headers.iter().any(|(n, v)| n == "x-late-gen" && v == "3"));
-                    assert!(headers.iter().any(|(n, v)| n == "x-late-tag" && v == "17"));
+                    assert_eq!(headers.get("x-late-gen"), Some("3"));
+                    assert_eq!(headers.get("x-late-tag"), Some("17"));
                     seen = true;
                 }
             }

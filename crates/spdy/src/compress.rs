@@ -245,20 +245,17 @@ impl Chains {
             return;
         }
         let mask = span.next_power_of_two() as u64 - 1;
-        let old = std::mem::replace(&mut self.next, vec![0; mask as usize + 1]);
-        let old_mask = old.len() as u64 - 1;
         let renamed = |slot: u32| match slot {
             NO_SLOT => NO_SLOT,
-            _ => {
-                ((hist_start + (u64::from(slot).wrapping_sub(hist_start) & old_mask)) & mask) as u32
-            }
+            _ => (self.position(slot, hist_start) & mask) as u32,
         };
+        let mut next = vec![0; mask as usize + 1];
         for s in hist_start..hist_start + live as u64 {
-            self.next[(s & mask) as usize] = renamed(old[(s & old_mask) as usize]);
+            next[(s & mask) as usize] = renamed(self.next[self.slot(s) as usize]);
         }
-        for (oldest, newest) in &mut self.ends {
-            (*oldest, *newest) = (renamed(*oldest), renamed(*newest));
-        }
+        let ends = self.ends.iter();
+        self.ends = ends.map(|&(o, n)| (renamed(o), renamed(n))).collect();
+        self.next = next;
     }
 }
 

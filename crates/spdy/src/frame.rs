@@ -11,8 +11,8 @@
 //! simulated case — so segmentation and reassembly never copy them.
 
 use crate::compress::{Compressor, DecompressError, Decompressor};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use spdyier_bytes::Payload;
+use bytes::{BufMut, BytesMut};
+use spdyier_bytes::{Headers, Payload};
 
 /// SPDY protocol version emitted in control frames.
 pub const SPDY_VERSION: u16 = 3;
@@ -20,9 +20,12 @@ pub const SPDY_VERSION: u16 = 3;
 /// FLAG_FIN: the sender half-closes the stream.
 pub const FLAG_FIN: u8 = 0x01;
 
-/// A parsed SPDY frame.
+/// A SPDY frame. The parser yields `Frame<Headers>`; `H` is whatever a
+/// caller building one by hand holds its headers in, so long as
+/// [`Headers`] converts from a reference to it — `Headers` itself (a shared
+/// buffer, nothing copied) or a `Vec` of `(String, String)` pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+pub enum Frame<H = Headers> {
     /// Open a stream (client request).
     SynStream {
         /// Odd ids from clients, even from servers.
@@ -32,7 +35,7 @@ pub enum Frame {
         /// Sender half-closes immediately (pure GET).
         fin: bool,
         /// Header name/value pairs.
-        headers: Vec<(String, String)>,
+        headers: H,
     },
     /// First response frame on a stream.
     SynReply {
@@ -41,7 +44,7 @@ pub enum Frame {
         /// Sender half-closes immediately (empty body).
         fin: bool,
         /// Header name/value pairs.
-        headers: Vec<(String, String)>,
+        headers: H,
     },
     /// Stream payload.
     Data {
@@ -87,55 +90,10 @@ const T_PING: u16 = 6;
 const T_GOAWAY: u16 = 7;
 const T_WINDOW_UPDATE: u16 = 9;
 
-fn encode_headers(headers: &[(String, String)], comp: &mut Compressor) -> Bytes {
-    let mut plain = BytesMut::new();
-    plain.put_u32(headers.len() as u32);
-    for (n, v) in headers {
-        plain.put_u32(n.len() as u32);
-        plain.put_slice(n.as_bytes());
-        plain.put_u32(v.len() as u32);
-        plain.put_slice(v.as_bytes());
-    }
-    comp.compress(&plain)
-}
-
-fn decode_headers(
-    data: &[u8],
-    decomp: &mut Decompressor,
-) -> Result<Vec<(String, String)>, FrameError> {
-    let plain = decomp.decompress(data)?;
-    let mut buf = &plain[..];
-    if buf.remaining() < 4 {
-        return Err(FrameError::Malformed("header count missing".into()));
-    }
-    let count = buf.get_u32();
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        if buf.remaining() < 4 {
-            return Err(FrameError::Malformed("truncated header name len".into()));
-        }
-        let nl = buf.get_u32() as usize;
-        if buf.remaining() < nl {
-            return Err(FrameError::Malformed("truncated header name".into()));
-        }
-        let name = std::str::from_utf8(&buf[..nl])
-            .map_err(|_| FrameError::Malformed("non-UTF8 header name".into()))?
-            .to_owned();
-        buf.advance(nl);
-        if buf.remaining() < 4 {
-            return Err(FrameError::Malformed("truncated header value len".into()));
-        }
-        let vl = buf.get_u32() as usize;
-        if buf.remaining() < vl {
-            return Err(FrameError::Malformed("truncated header value".into()));
-        }
-        let value = std::str::from_utf8(&buf[..vl])
-            .map_err(|_| FrameError::Malformed("non-UTF8 header value".into()))?
-            .to_owned();
-        buf.advance(vl);
-        out.push((name, value));
-    }
-    Ok(out)
+fn decode_headers(data: &[u8], decomp: &mut Decompressor) -> Result<Headers, FrameError> {
+    // The decompressor's output is the name/value block: checked once
+    // here, then carried as it is.
+    Headers::from_block(decomp.decompress(data)?).map_err(|e| FrameError::Malformed(e.0.into()))
 }
 
 /// Framing error.
@@ -164,7 +122,10 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl Frame {
+impl<H> Frame<H>
+where
+    for<'a> Headers: From<&'a H>,
+{
     /// Encode to a wire rope, compressing header blocks with `comp`. For
     /// DATA frames the 8-byte header is real and the body rides along
     /// unchanged; control frames are entirely real bytes.
@@ -189,7 +150,7 @@ impl Frame {
                 fin,
                 headers,
             } => {
-                let block = encode_headers(headers, comp);
+                let block = comp.compress(Headers::from(headers).as_block());
                 control_header(
                     &mut out,
                     T_SYN_STREAM,
@@ -207,7 +168,7 @@ impl Frame {
                 fin,
                 headers,
             } => {
-                let block = encode_headers(headers, comp);
+                let block = comp.compress(Headers::from(headers).as_block());
                 control_header(
                     &mut out,
                     T_SYN_REPLY,
@@ -440,11 +401,11 @@ mod tests {
             stream_id: 7,
             priority: 3,
             fin: true,
-            headers: vec![
-                (":method".into(), "GET".into()),
-                (":path".into(), "/img/1.png".into()),
-                (":host".into(), "photos.example".into()),
-            ],
+            headers: Headers::from_pairs(&[
+                (":method", "GET"),
+                (":path", "/img/1.png"),
+                (":host", "photos.example"),
+            ]),
         };
         assert_eq!(roundtrip(f.clone()), f);
     }
@@ -454,10 +415,7 @@ mod tests {
         let f = Frame::SynReply {
             stream_id: 9,
             fin: false,
-            headers: vec![
-                (":status".into(), "200".into()),
-                ("content-type".into(), "text/html".into()),
-            ],
+            headers: Headers::from_pairs(&[(":status", "200"), ("content-type", "text/html")]),
         };
         assert_eq!(roundtrip(f.clone()), f);
     }
@@ -514,7 +472,7 @@ mod tests {
     fn parser_handles_fragmentation() {
         let mut comp = Compressor::new();
         let mut decomp = Decompressor::new();
-        let f = Frame::Data {
+        let f: Frame = Frame::Data {
             stream_id: 1,
             fin: false,
             payload: Payload::from(vec![1u8; 100]),
@@ -531,8 +489,8 @@ mod tests {
     fn parser_handles_back_to_back_frames() {
         let mut comp = Compressor::new();
         let mut decomp = Decompressor::new();
-        let a = Frame::Ping(1).encode(&mut comp);
-        let b = Frame::Ping(2).encode(&mut comp);
+        let a = Frame::<Headers>::Ping(1).encode(&mut comp);
+        let b = Frame::<Headers>::Ping(2).encode(&mut comp);
         let mut p = FrameParser::new();
         p.push(a);
         p.push(b);
@@ -545,18 +503,12 @@ mod tests {
     fn headers_compress_across_requests() {
         // The SPDY claim the paper cites: repeated header sets shrink.
         let mut comp = Compressor::new();
-        let headers = vec![
-            (":method".to_string(), "GET".to_string()),
-            (":host".to_string(), "news.example".to_string()),
-            (
-                "user-agent".to_string(),
-                "Chrome/23.0 (Windows NT 6.1) AppleWebKit".to_string(),
-            ),
-            (
-                "cookie".to_string(),
-                "sid=0123456789abcdef0123456789abcdef".to_string(),
-            ),
-        ];
+        let headers = Headers::from_pairs(&[
+            (":method", "GET"),
+            (":host", "news.example"),
+            ("user-agent", "Chrome/23.0 (Windows NT 6.1) AppleWebKit"),
+            ("cookie", "sid=0123456789abcdef0123456789abcdef"),
+        ]);
         let first = Frame::SynStream {
             stream_id: 1,
             priority: 0,
@@ -580,6 +532,71 @@ mod tests {
     }
 
     #[test]
+    fn a_hand_built_frame_may_carry_string_pairs() {
+        let headers = vec![
+            (":status".to_string(), "200 OK".to_string()),
+            ("set-cookie".to_string(), String::new()),
+            ("set-cookie".to_string(), "a=b".to_string()),
+        ];
+        let by_pairs = Frame::SynReply {
+            stream_id: 3,
+            fin: false,
+            headers: headers.clone(),
+        };
+        let by_block: Frame = Frame::SynReply {
+            stream_id: 3,
+            fin: false,
+            headers: Headers::from(headers),
+        };
+        let wire = by_pairs.encode(&mut Compressor::new());
+        assert_eq!(wire, by_block.encode(&mut Compressor::new()));
+        let mut p = FrameParser::new();
+        p.push(wire);
+        assert_eq!(p.next_frame(&mut Decompressor::new()), Ok(Some(by_block)));
+    }
+
+    #[test]
+    fn malformed_header_blocks_are_rejected_by_name() {
+        let reply_with = |block: &[u8]| {
+            let mut comp = Compressor::new();
+            let z = comp.compress(block);
+            let mut out = BytesMut::new();
+            control_header(&mut out, T_SYN_REPLY, 0, 4 + z.len() as u32);
+            out.put_u32(1);
+            out.put_slice(&z);
+            let mut p = FrameParser::new();
+            p.push(Payload::real(out.freeze()));
+            p.next_frame(&mut Decompressor::new())
+        };
+        let malformed = |m: &str| Err(FrameError::Malformed(m.into()));
+        assert_eq!(reply_with(&[0, 0]), malformed("header count missing"));
+        assert_eq!(
+            reply_with(&[0, 0, 0, 1, 0]),
+            malformed("truncated header name len")
+        );
+        assert_eq!(
+            reply_with(&[0, 0, 0, 1, 0, 0, 0, 2, b'a']),
+            malformed("truncated header name")
+        );
+        assert_eq!(
+            reply_with(&[0, 0, 0, 1, 0, 0, 0, 1, 0xFF, 0, 0, 0, 0]),
+            malformed("non-UTF8 header name")
+        );
+        assert_eq!(
+            reply_with(&[0, 0, 0, 1, 0, 0, 0, 1, b'a', 0]),
+            malformed("truncated header value len")
+        );
+        assert_eq!(
+            reply_with(&[0, 0, 0, 1, 0, 0, 0, 1, b'a', 0, 0, 0, 2, b'v']),
+            malformed("truncated header value")
+        );
+        assert_eq!(
+            reply_with(&[0, 0, 0, 1, 0, 0, 0, 1, b'a', 0, 0, 0, 1, 0xC0]),
+            malformed("non-UTF8 header value")
+        );
+    }
+
+    #[test]
     fn unknown_control_type_is_an_error() {
         let mut out = BytesMut::new();
         control_header(&mut out, 99, 0, 0);
@@ -596,7 +613,7 @@ mod tests {
                 stream_id: 1,
                 priority: pri,
                 fin: false,
-                headers: vec![],
+                headers: Headers::new(),
             };
             match roundtrip(f) {
                 Frame::SynStream { priority, .. } => assert_eq!(priority, pri),

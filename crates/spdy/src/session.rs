@@ -13,7 +13,7 @@ use crate::compress::{Compressor, Decompressor};
 use crate::frame::{Frame, FrameError, FrameParser};
 use crate::hash::U32Map;
 use serde::Serialize;
-use spdyier_bytes::Payload;
+use spdyier_bytes::{Headers, Payload};
 use std::collections::VecDeque;
 
 /// Session tunables.
@@ -58,7 +58,7 @@ pub enum SpdyEvent {
         /// Peer half-closed immediately.
         fin: bool,
         /// Request headers.
-        headers: Vec<(String, String)>,
+        headers: Headers,
     },
     /// The reply headers for a stream we opened.
     Reply {
@@ -67,7 +67,7 @@ pub enum SpdyEvent {
         /// Peer half-closed (no body follows).
         fin: bool,
         /// Response headers.
-        headers: Vec<(String, String)>,
+        headers: Headers,
     },
     /// Payload on a stream.
     Data {
@@ -176,7 +176,7 @@ impl SpdySession {
 
     /// Open a new stream with `headers` at `priority` (0 = highest).
     /// `fin` half-closes immediately (a bodyless request).
-    pub fn open_stream(&mut self, headers: Vec<(String, String)>, priority: u8, fin: bool) -> u32 {
+    pub fn open_stream(&mut self, headers: impl Into<Headers>, priority: u8, fin: bool) -> u32 {
         let stream_id = self.next_stream_id;
         self.next_stream_id += 2;
         let priority = priority.min(7);
@@ -193,26 +193,30 @@ impl SpdySession {
             },
         );
         self.stats.streams_opened += 1;
-        let frame = Frame::SynStream {
+        self.queue_control(Frame::SynStream {
             stream_id,
             priority,
             fin,
-            headers,
-        };
-        let wire = frame.encode(&mut self.comp);
-        self.control_out.push_back(wire);
+            headers: headers.into(),
+        });
         stream_id
     }
 
-    /// Answer a peer-opened stream with reply headers.
-    pub fn reply(&mut self, stream_id: u32, headers: Vec<(String, String)>, fin: bool) {
-        let frame = Frame::SynReply {
-            stream_id,
-            fin,
-            headers,
-        };
+    /// Encode a control frame and queue it behind those already waiting
+    /// (header blocks must reach the wire in the order they were
+    /// compressed).
+    fn queue_control(&mut self, frame: Frame) {
         let wire = frame.encode(&mut self.comp);
         self.control_out.push_back(wire);
+    }
+
+    /// Answer a peer-opened stream with reply headers.
+    pub fn reply(&mut self, stream_id: u32, headers: impl Into<Headers>, fin: bool) {
+        self.queue_control(Frame::SynReply {
+            stream_id,
+            fin,
+            headers: headers.into(),
+        });
         if fin {
             if let Some(st) = self.streams.get_mut(&stream_id) {
                 st.local_closed = true;
@@ -242,26 +246,22 @@ impl SpdySession {
 
     /// Reset a stream.
     pub fn rst(&mut self, stream_id: u32, status: u32) {
-        let wire = Frame::RstStream { stream_id, status }.encode(&mut self.comp);
-        self.control_out.push_back(wire);
+        self.queue_control(Frame::RstStream { stream_id, status });
         self.streams.remove(&stream_id);
     }
 
     /// Send a PING probe.
     pub fn ping(&mut self, id: u32) {
-        let wire = Frame::Ping(id).encode(&mut self.comp);
-        self.control_out.push_back(wire);
+        self.queue_control(Frame::Ping(id));
     }
 
     /// Announce session teardown.
     pub fn goaway(&mut self) {
         let last = self.next_stream_id.saturating_sub(2);
-        let wire = Frame::Goaway {
+        self.queue_control(Frame::Goaway {
             last_stream_id: last,
             status: 0,
-        }
-        .encode(&mut self.comp);
-        self.control_out.push_back(wire);
+        });
     }
 
     /// The application consumed `n` received bytes on `stream_id`; may emit
@@ -275,8 +275,7 @@ impl SpdySession {
         if st.consumed_unacked >= threshold {
             let delta = st.consumed_unacked;
             st.consumed_unacked = 0;
-            let wire = Frame::WindowUpdate { stream_id, delta }.encode(&mut self.comp);
-            self.control_out.push_back(wire);
+            self.queue_control(Frame::WindowUpdate { stream_id, delta });
         }
     }
 
@@ -338,7 +337,7 @@ impl SpdySession {
             if st.fin_pending {
                 st.fin_pending = false;
                 st.local_closed = true;
-                let wire = Frame::Data {
+                let wire = Frame::<Headers>::Data {
                     stream_id,
                     fin: true,
                     payload: Payload::new(),
@@ -364,7 +363,7 @@ impl SpdySession {
             st.fin_pending = false;
             st.local_closed = true;
         }
-        let wire = Frame::Data {
+        let wire = Frame::<Headers>::Data {
             stream_id,
             fin,
             payload,
@@ -478,8 +477,7 @@ impl SpdySession {
                         Role::Server => id % 2 == 0,
                     };
                     if !ours {
-                        let wire = Frame::Ping(id).encode(&mut self.comp);
-                        self.control_out.push_back(wire);
+                        self.queue_control(Frame::Ping(id));
                     }
                     events.push(SpdyEvent::Ping(id));
                 }
@@ -538,7 +536,7 @@ mod tests {
                 ..
             }]
         ));
-        s.reply(sid, vec![(":status".into(), "200".into())], false);
+        s.reply(sid, vec![(":status".to_string(), "200".to_string())], false);
         s.send_data(sid, Payload::from(vec![9u8; 10_000]), true);
         let events = pump(&mut s, &mut c);
         let mut data = 0u64;
@@ -558,7 +556,7 @@ mod tests {
         let (mut c, mut s) = pair();
         let sid = c.open_stream(req_headers("/"), 0, true);
         pump(&mut c, &mut s);
-        s.reply(sid, vec![], false);
+        s.reply(sid, Headers::new(), false);
         s.send_data(sid, Payload::from(vec![1u8; 20_000]), true);
         let mut frames = 0;
         while let Some(wire) = s.poll_wire() {
@@ -574,7 +572,7 @@ mod tests {
         let (mut c, mut s) = pair();
         let sid = c.open_stream(req_headers("/"), 0, true);
         pump(&mut c, &mut s);
-        s.reply(sid, vec![], false);
+        s.reply(sid, Headers::new(), false);
         s.send_data(sid, Payload::synthetic(20_000), true);
         while let Some(wire) = s.poll_wire() {
             for e in c.on_bytes(wire).unwrap() {
@@ -595,8 +593,8 @@ mod tests {
         let high = c.open_stream(req_headers("/css"), 0, true);
         pump(&mut c, &mut s);
         // Server queues big low-priority data first, then high.
-        s.reply(low, vec![], false);
-        s.reply(high, vec![], false);
+        s.reply(low, Headers::new(), false);
+        s.reply(high, Headers::new(), false);
         s.send_data(low, Payload::from(vec![1u8; 8_000]), true);
         s.send_data(high, Payload::from(vec![2u8; 8_000]), true);
         // Skip the control frames (replies).
@@ -619,8 +617,8 @@ mod tests {
         let a = c.open_stream(req_headers("/a"), 2, true);
         let b = c.open_stream(req_headers("/b"), 2, true);
         pump(&mut c, &mut s);
-        s.reply(a, vec![], false);
-        s.reply(b, vec![], false);
+        s.reply(a, Headers::new(), false);
+        s.reply(b, Headers::new(), false);
         s.send_data(a, Payload::from(vec![1u8; 12_000]), true);
         s.send_data(b, Payload::from(vec![2u8; 12_000]), true);
         let mut order = Vec::new();
@@ -648,7 +646,7 @@ mod tests {
         let mut s = SpdySession::new(Role::Server, small);
         let sid = c.open_stream(req_headers("/"), 0, true);
         pump(&mut c, &mut s);
-        s.reply(sid, vec![], false);
+        s.reply(sid, Headers::new(), false);
         s.send_data(sid, Payload::from(vec![3u8; 10_000]), true);
         // Drain: only 4096 bytes may fly before the window empties.
         let mut delivered = 0u64;
@@ -709,7 +707,7 @@ mod tests {
         let events = pump(&mut c, &mut s);
         assert_eq!(events.len(), 100);
         for (i, sid) in ids.iter().enumerate() {
-            s.reply(*sid, vec![], false);
+            s.reply(*sid, Headers::new(), false);
             s.send_data(*sid, Payload::from(vec![i as u8; 500]), true);
         }
         let events = pump(&mut s, &mut c);

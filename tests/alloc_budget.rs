@@ -29,26 +29,28 @@ use std::path::Path;
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// `(scenario, protocol, allocator calls per visit at most)`. Measured
-/// when committed: 16,367 / 19,878 / 2,535 / 3,144 (two commits before,
-/// with three allocations per decoded header string: 16,367 / 25,536 /
-/// 2,535 / 4,148, failing both SPDY rows).
+/// when committed: 9,762 / 11,325 / 1,427 / 1,693. A tree that held
+/// headers as `Vec<(String, String)>` (two strings a header at every
+/// parse, clone and forward) measured 16,367 / 19,878 / 2,535 / 3,144,
+/// and one that also built each decoded string through three
+/// allocations 25,536 / 4,148 on the SPDY rows: every row fails there.
 const CEILINGS: [(&str, &str, u64); 4] = [
-    ("paired_3g.json", "http", 17_185),
-    ("paired_3g.json", "spdy", 20_871),
-    ("quick_wifi.json", "http", 2_661),
-    ("quick_wifi.json", "spdy", 3_301),
+    ("paired_3g.json", "http", 10_250),
+    ("paired_3g.json", "spdy", 11_891),
+    ("quick_wifi.json", "http", 1_498),
+    ("quick_wifi.json", "spdy", 1_777),
 ];
 
 /// `(scenario, protocol, bytes requested per visit at most)` by
 /// `experiments explain`: run at full trace, event model, critical
 /// paths, both renderings, both files. Measured when committed:
-/// 3,660,113 / 3,729,595 (a tree that retained the flight log and
-/// printed the JSON from a `Value` tree measured 4,609,335 / 5,583,375
-/// and fails both rows; one that rebuilt the compressor's index per
-/// session measured 3,991,101 and fails the SPDY row).
+/// 3,413,114 / 3,208,131 (a tree that retained the flight log and
+/// printed the JSON from a `Value` tree measured 4,609,335 / 5,583,375;
+/// one that rebuilt the compressor's index per session and held
+/// headers as string pairs 3,660,113 / 3,991,101: each fails both rows).
 const EXPLAIN_CEILINGS: [(&str, &str, u64); 2] = [
-    ("paired_3g.json", "http", 3_843_118),
-    ("paired_3g.json", "spdy", 3_916_074),
+    ("paired_3g.json", "http", 3_583_769),
+    ("paired_3g.json", "spdy", 3_368_831),
 ];
 
 /// `(protocol, allocator calls, bytes requested)` at most, for one
@@ -57,12 +59,12 @@ const EXPLAIN_CEILINGS: [(&str, &str, u64); 2] = [
 /// which is what cells 2..N of a sweep cost. A cell is two visits of a
 /// six-object page, so the fixed cost per session dominates: a
 /// compressor index rebuilt per session shows in the bytes, an owned
-/// string per header in the calls. Measured when committed: 2,037 calls
-/// and 361,843 bytes / 2,414 and 280,346 (879d3dc, which did both,
-/// measured 2,037 and 361,843 / 3,160 and 776,652 and fails the SPDY
-/// row twice over).
+/// string per header in the calls. Measured when committed: 1,229 calls
+/// and 332,528 bytes / 1,340 and 214,851 (879d3dc, which did both,
+/// measured 2,037 and 361,843 / 3,160 and 776,652 and fails every
+/// figure).
 const POPULATION_CEILINGS: [(&str, u64, u64); 2] =
-    [("http", 2_138, 379_935), ("spdy", 2_534, 294_363)];
+    [("http", 1_290, 349_154), ("spdy", 1_407, 225_652)];
 
 fn scenario_path(scenario: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))

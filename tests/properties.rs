@@ -212,18 +212,19 @@ fn tcp_transfer_integrity_across_latencies() {
 /// SPDY frames round-trip through arbitrary chunked delivery.
 #[test]
 fn spdy_frames_roundtrip_chunked() {
+    use spdyier::payload::Headers;
     use spdyier::spdy::{Compressor, Decompressor, Frame, FrameParser};
     let mut comp = Compressor::new();
     let decomp = Decompressor::new();
-    let frames = vec![
+    let frames: Vec<Frame> = vec![
         Frame::SynStream {
             stream_id: 1,
             priority: 2,
             fin: true,
-            headers: vec![
-                (":path".into(), "/a".into()),
-                ("cookie".into(), "x".repeat(300)),
-            ],
+            headers: Headers::from(vec![
+                (":path".to_string(), "/a".to_string()),
+                ("cookie".to_string(), "x".repeat(300)),
+            ]),
         },
         Frame::Ping(7),
         Frame::Data {
@@ -234,7 +235,7 @@ fn spdy_frames_roundtrip_chunked() {
         Frame::SynReply {
             stream_id: 1,
             fin: false,
-            headers: vec![(":status".into(), "200".into())],
+            headers: Headers::from(vec![(":status".to_string(), "200".to_string())]),
         },
         Frame::WindowUpdate {
             stream_id: 1,
