@@ -52,7 +52,16 @@ impl HeadScan {
                 skip -= bytes.len() as u64;
                 continue;
             }
-            for &c in &bytes[skip as usize..] {
+            let mut rest = &bytes[skip as usize..];
+            while let Some((&c, tail)) = rest.split_first() {
+                if self.matched == 0 && c != b'\r' {
+                    // With nothing matched, only a `\r` changes anything:
+                    // step over the run of text before the next one.
+                    let run = tail.iter().position(|&c| c == b'\r').unwrap_or(tail.len());
+                    self.scanned += 1 + run as u64;
+                    rest = &tail[run..];
+                    continue;
+                }
                 self.matched = match (self.matched, c) {
                     (1, b'\n') => 2,
                     (2, b'\r') => 3,
@@ -61,6 +70,7 @@ impl HeadScan {
                     _ => 0,
                 };
                 self.scanned += 1;
+                rest = tail;
                 if self.matched == 4 {
                     return Some(std::mem::take(self).scanned);
                 }
