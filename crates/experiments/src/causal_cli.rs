@@ -3,8 +3,8 @@
 //! Both entry points write their artifacts under an output directory
 //! and return the paths plus a one-line summary, or an `Err(String)` the
 //! binary reports as a config error (exit 3). Inputs are either raw
-//! `trace_*.jsonl` dumps (as written by `experiments trace` / scenario
-//! trace artifacts) or a scenario manifest. For a manifest, cell filters
+//! `trace_*.jsonl` dumps (as a manifest with `outputs.trace_artifacts`
+//! writes them) or a scenario manifest. For a manifest, cell filters
 //! are resolved against the expanded cell list and the output directory
 //! is created and probed *first* — a filter that matches nothing (or,
 //! for `diff`, more than one cell) and an unwritable `--out` are

@@ -17,7 +17,6 @@ pub mod extensions;
 pub mod mitigations;
 pub mod objects;
 pub mod plt;
-pub mod profiling;
 pub mod proxy_bottleneck;
 pub mod scenario_run;
 pub mod sweep;
@@ -30,10 +29,8 @@ use spdyier_scenario::{Cell, Manifest, ProtocolSpec};
 
 pub use causal_cli::{diff as causal_diff, explain as causal_explain, CausalOutcome};
 pub use exec::Executor;
-pub use profiling::{profile_manifest_on, ProfiledSweep};
 pub use scenario_run::{
-    execute_folded_on, fold_cell, run_cell, run_manifest, run_manifest_on, FoldedCell,
-    ScenarioOutcome, TracedCell,
+    fold_cell, run_cell, run_manifest, run_manifest_on, FoldedCell, ScenarioOutcome, TracedCell,
 };
 pub use sweep::{run_sweep, run_sweep_on, SweepOptions, SweepOutcome};
 

@@ -2,32 +2,17 @@
 //!
 //! Run it with no arguments for every invocation form (the `USAGE`
 //! table below): the per-figure runners by id, and the `run`, `sweep`,
-//! `export`, `trace`, `paired`, `explain`, `diff` and `profile`
-//! subcommands.
+//! `explain` and `diff` subcommands. Every form but the figure ids takes
+//! a scenario manifest; what a run writes besides its results contract
+//! is the manifest's `outputs`, never a flag.
 //!
 //! The `run` form executes a declarative scenario manifest (a JSON
 //! document) end to end: expand cells, fan them across
 //! `SPDYIER_JOBS` workers, evaluate assertions, and write the versioned
-//! results contract (`result.json`, `junit.xml`, optional paired dump
-//! and trace artifacts) to the output directory. Exit codes are
-//! standardized: 0 pass, 1 assertion failure, 2 limit exceeded, 3
-//! config error.
-//!
-//! The `export` form runs one full schedule with traces and writes
-//! gnuplot-ready `.dat` files (PLTs, per-second downlink, bytes in
-//! flight, retransmissions, promotions, proxy timelines, per-connection
-//! cwnd traces) to `DIR`.
-//!
-//! The `trace` form runs one full schedule with the flight recorder on
-//! (level from `SPDYIER_TRACE`, default `full`) and writes the raw
-//! JSONL event stream, the HAR-style waterfall, the per-visit stall
-//! attribution table, and the metrics registry to `DIR` — routed
-//! through the same scenario runner as `run`, so the directory also
-//! gains `result.json`, `junit.xml`, and the stall-table sidecar.
-//!
-//! The `paired` form is likewise a pre-baked paired-sweep manifest: one
-//! `RunResult` JSON line per run (HTTP then SPDY per seed), plus a
-//! `.meta.json` schema sidecar next to the dump.
+//! results contract (`result.json`, `junit.xml`, and the paired dump,
+//! trace artifacts, plot data and self-profile the manifest's `outputs`
+//! ask for) to the output directory. Exit codes are standardized: 0
+//! pass, 1 assertion failure, 2 limit exceeded, 3 config error.
 //!
 //! The `explain` form extracts each visit's causal critical path from a
 //! recorded trace (or re-runs a manifest's cells at `Full` trace level)
@@ -36,27 +21,16 @@
 //! aligns two runs of the same workload by visit identity and
 //! attributes the PLT delta edge-by-edge into `diff.json` / `diff.txt`.
 //! Both refuse lossy traces (recorder drops) with exit 3.
-//!
-//! The `profile` form turns the host-side self-profiler on and runs one
-//! or more schedules (`--seeds N`, fanned across `SPDYIER_JOBS`
-//! workers), writing `profile_<proto>.json` (wall-time / allocations /
-//! events-per-second by subsystem), `heartbeat_<proto>.jsonl` (one line
-//! per completed cell), and the merged `metrics_<proto>.json` to `DIR`.
 
-use spdyier_core::{
-    export_run, metrics_file, write_to_dir, DataFile, NetworkSpec, ProtocolMode, ScenarioExit,
-    TraceLevel,
-};
-use spdyier_experiments::{
-    profile_manifest_on, run_by_id, scenario_run, Executor, ExpOpts, ALL_EXPERIMENTS,
-};
-use spdyier_scenario::{Manifest, ProtocolSpec, Seeds};
-use std::io::Write;
+use spdyier_core::ScenarioExit;
+use spdyier_experiments::{run_by_id, ExpOpts, ALL_EXPERIMENTS};
+use spdyier_scenario::Manifest;
 use std::path::{Path, PathBuf};
 
-/// Count every allocation the binary makes, so `profile` runs can report
-/// allocations per visit and per subsystem (near-zero cost otherwise:
-/// two relaxed atomic increments per allocation).
+/// Count every allocation the binary makes, so sweep heartbeats and
+/// `outputs.profile` runs can report allocations per visit and per
+/// subsystem (near-zero cost otherwise: two relaxed atomic increments
+/// per allocation).
 #[global_allocator]
 static GLOBAL: spdyier_prof::CountingAlloc = spdyier_prof::CountingAlloc;
 
@@ -66,13 +40,9 @@ const USAGE: &[&str] = &[
     "<id|all> [--seeds N] [--json DIR]",
     "run <MANIFEST.json> [--out DIR] [--seeds N]",
     "sweep <MANIFEST.json> --out DIR [--seeds N] [--stop-after K]",
-    "export <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]",
-    "trace <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N]",
-    "paired <3g|lte|wifi|3g-pinned> <FILE> [--seeds N]",
     "explain <trace.jsonl|MANIFEST> [--cell FILTER] [--out DIR]",
     "diff <a.jsonl> <b.jsonl> [--out DIR]",
     "diff <MANIFEST> --a FILTER --b FILTER [--out DIR]",
-    "profile <http|spdy> <3g|lte|wifi|3g-pinned> <DIR> [--seed N] [--seeds N]",
 ];
 
 /// One-line config diagnostic, then the standardized config-error exit.
@@ -143,12 +113,6 @@ fn parse_seeds(args: &[String]) -> Option<u64> {
     Some(n)
 }
 
-/// A cell of `cmd`'s manifest exceeded a limit: report it and exit 2.
-fn limit_exit(cmd: &str, e: &spdyier_core::RunError) -> ! {
-    eprintln!("experiments {cmd}: {e}");
-    std::process::exit(ScenarioExit::LimitExceeded.code());
-}
-
 /// Print the paths a subcommand wrote.
 fn print_written(paths: &[PathBuf]) {
     for p in paths {
@@ -160,251 +124,6 @@ fn print_written(paths: &[PathBuf]) {
 /// line and exit 3.
 fn write_error(cmd: &str, path: &Path, e: &std::io::Error) -> ! {
     config_error(&format!("experiments {cmd}: {path:?}: {e}"))
-}
-
-/// Create `cmd`'s output directory before anything is simulated, so an
-/// unwritable location costs nothing.
-fn create_out_dir(cmd: &str, dir: &Path) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        write_error(cmd, dir, &e);
-    }
-}
-
-/// Parse the shared `<http|spdy> <network> <DIR> [--seed N]` tail.
-fn parse_run_args(args: &[String], cmd: &str) -> (ProtocolSpec, NetworkSpec, PathBuf, u64) {
-    let [protocol, network, dir] = positional_args(args, &["--seed", "--seeds"])[..] else {
-        usage_error(Some(cmd));
-    };
-    let protocol = ProtocolSpec::parse(protocol)
-        .unwrap_or_else(|e| config_error(&format!("experiments {cmd}: protocol: {e}")));
-    let network: NetworkSpec = network
-        .parse()
-        .unwrap_or_else(|e| config_error(&format!("experiments {cmd}: network: {e}")));
-    let seed = parse_flag_u64(args, "--seed").unwrap_or(0);
-    (protocol, network, PathBuf::from(dir), seed)
-}
-
-/// The paper-baseline manifest the legacy single-protocol subcommands
-/// (`export`, `trace`, `profile`) are re-expressed as.
-fn single_protocol_manifest(
-    cmd: &str,
-    protocol: ProtocolSpec,
-    network: NetworkSpec,
-    seeds: Seeds,
-    level: TraceLevel,
-) -> Manifest {
-    let mut manifest = Manifest::paper_baseline(cmd);
-    manifest.name = format!(
-        "{cmd}_{}_{}",
-        protocol.compact().replace(':', "-"),
-        network.cli_name()
-    );
-    manifest.network.kind = network;
-    manifest.protocols = vec![protocol];
-    manifest.seeds = seeds;
-    manifest.trace = level;
-    manifest
-}
-
-/// `SPDYIER_TRACE`, or `default` when it is unset or `off` (these
-/// subcommands exist to record).
-fn trace_level_or(default: TraceLevel) -> TraceLevel {
-    match TraceLevel::from_env() {
-        TraceLevel::Off => default,
-        explicit => explicit,
-    }
-}
-
-fn run_export(args: &[String]) -> ! {
-    let (protocol, network, dir, seed) = parse_run_args(args, "export");
-    create_out_dir("export", &dir);
-    let seeds = Seeds {
-        base: seed,
-        count: 1,
-    };
-    let mut manifest =
-        single_protocol_manifest("export", protocol, network, seeds, TraceLevel::Off);
-    manifest.tcp_traces = true;
-    let result = match scenario_run::run_cell(&manifest, &manifest.cells()[0]) {
-        Ok((result, _log)) => result,
-        Err(e) => limit_exit("export", &e),
-    };
-    match write_to_dir(&export_run(&result), &dir) {
-        Ok(paths) => print_written(&paths),
-        Err(e) => write_error("export", &dir, &e),
-    }
-    std::process::exit(0);
-}
-
-fn run_trace(args: &[String]) -> ! {
-    let (protocol, network, dir, seed) = parse_run_args(args, "trace");
-    create_out_dir("trace", &dir);
-    let level = trace_level_or(TraceLevel::Full);
-    let seeds = Seeds {
-        base: seed,
-        count: 1,
-    };
-    let mut manifest = single_protocol_manifest("trace", protocol, network, seeds, level);
-    manifest.outputs.trace_artifacts = true;
-
-    let outputs = scenario_run::execute_folded_on(&Executor::from_env(), &manifest);
-    let counters = match &outputs[0] {
-        Ok(cell) => &cell.metrics.counters,
-        Err(e) => limit_exit("trace", e),
-    };
-    let dropped = counters["trace.sink_dropped"];
-    println!(
-        "traced {} on {:?} at {:?}: {} events ({} dropped)",
-        protocol.mode.label(),
-        network,
-        level,
-        counters["trace.emitted"] - dropped,
-        dropped
-    );
-    match scenario_run::finish_folded(&manifest, &outputs, &dir) {
-        Ok(outcome) => print_written(&outcome.written),
-        Err(e) => write_error("trace", &dir, &e),
-    }
-    std::process::exit(0);
-}
-
-/// Run one or more profiled schedules and write the self-observability
-/// artifacts: `profile_<proto>.json` (the span/subsystem self-report),
-/// `heartbeat_<proto>.jsonl` (one line per completed cell), and
-/// `metrics_<proto>.json` (the merged trace metrics registry, which
-/// includes `trace.emitted` / `trace.sink_dropped`).
-fn run_profile(args: &[String]) -> ! {
-    let (protocol, network, dir, seed) = parse_run_args(args, "profile");
-    let seeds = parse_seeds(args).unwrap_or(1);
-    let level = trace_level_or(TraceLevel::Lifecycle);
-    let proto = match protocol.mode {
-        ProtocolMode::Http => "http",
-        ProtocolMode::Spdy { .. } => "spdy",
-    };
-    let seed_range = Seeds {
-        base: seed,
-        count: seeds,
-    };
-    let manifest = single_protocol_manifest("profile", protocol, network, seed_range, level);
-
-    create_out_dir("profile", &dir);
-    let hb_path = dir.join(format!("heartbeat_{proto}.jsonl"));
-    let heartbeat: Box<dyn Write + Send> = match std::fs::File::create(&hb_path) {
-        Ok(file) => Box::new(file),
-        Err(e) => write_error("profile", &hb_path, &e),
-    };
-
-    spdyier_prof::set_enabled(true);
-    let alloc_before = spdyier_prof::global_counts();
-    let sweep = profile_manifest_on(&Executor::from_env(), &manifest, Some(heartbeat))
-        .unwrap_or_else(|e| limit_exit("profile", &e));
-    let alloc_delta = spdyier_prof::global_counts().since(alloc_before);
-
-    let secs = sweep.wall_ms / 1e3;
-    let report = spdyier_prof::SelfReport::assemble(
-        format!("{proto} {} seeds={seeds}", network.cli_name()),
-        &sweep.profile,
-        sweep.wall_ms,
-        sweep.telemetry.visits,
-        alloc_delta,
-        sweep.telemetry.events,
-        spdyier_prof::SinkReport {
-            emitted: sweep.telemetry.events,
-            retained: sweep.retained,
-            dropped: sweep.telemetry.trace_dropped,
-            events_per_sec: if secs > 0.0 {
-                sweep.telemetry.events as f64 / secs
-            } else {
-                0.0
-            },
-        },
-    );
-    spdyier_prof::set_enabled(false);
-    let files = vec![
-        DataFile {
-            name: format!("profile_{proto}.json"),
-            contents: report.to_json(),
-        },
-        metrics_file(proto, &sweep.metrics),
-    ];
-    let paths = write_to_dir(&files, &dir).unwrap_or_else(|e| write_error("profile", &dir, &e));
-    println!(
-        "profiled {seeds} cell(s) of {} on {:?} at {:?}: {:.0} ms, {} events ({:.0}/s), {:.0} allocs/visit",
-        proto,
-        network,
-        level,
-        sweep.wall_ms,
-        sweep.telemetry.events,
-        report.events_per_sec,
-        report.allocs_per_visit,
-    );
-    for (name, s) in &report.subsystems {
-        println!(
-            "  {name:<10} {:>10.1} ms self  {:>12} allocs  {:>8} calls",
-            s.self_ns as f64 / 1e6,
-            s.allocs,
-            s.calls
-        );
-    }
-    println!("wrote {}", hb_path.display());
-    print_written(&paths);
-    std::process::exit(0);
-}
-
-/// Run the paired sweep on one network and dump every `RunResult` as one
-/// JSON line (HTTP then SPDY per seed). The output is byte-stable for a
-/// given build, which makes it the reference artifact for the CI
-/// byte-identity guard: dump before and after a data-plane change and
-/// `cmp` the files. A pre-baked paired manifest through the scenario
-/// runner's fold, with a `.meta.json` schema sidecar next to the dump.
-fn run_paired(args: &[String]) -> ! {
-    let [network, file] = positional_args(args, &["--seeds"])[..] else {
-        usage_error(Some("paired"));
-    };
-    let network: NetworkSpec = network
-        .parse()
-        .unwrap_or_else(|e| config_error(&format!("experiments paired: network: {e}")));
-    let seeds = parse_seeds(args).unwrap_or(ExpOpts::default().seeds);
-
-    let mut manifest = Manifest::paper_baseline("paired");
-    manifest.name = format!("paired_{}", network.cli_name());
-    manifest.network.kind = network;
-    manifest.seeds = Seeds {
-        base: 0,
-        count: seeds,
-    };
-    manifest.tcp_traces = true;
-    manifest.outputs.paired_dump = true;
-
-    let mut out = String::new();
-    for cell in scenario_run::execute_folded_on(&Executor::from_env(), &manifest) {
-        match cell {
-            Ok(cell) => {
-                out.push_str(&cell.dump_line.expect("manifest requests the paired dump"));
-                out.push('\n');
-            }
-            Err(e) => limit_exit("paired", &e),
-        }
-    }
-
-    let path = PathBuf::from(file);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create dump dir");
-        }
-    }
-    std::fs::write(&path, &out).expect("write paired dump");
-    let dump_name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "paired.jsonl".to_string());
-    let keys = spdyier_core::contract::json_line_keys(out.lines().next().unwrap_or_default());
-    let meta = spdyier_core::paired_meta_file(&dump_name, network.cli_name(), seeds, &keys);
-    let meta_path = path.with_file_name(&meta.name);
-    std::fs::write(&meta_path, &meta.contents).expect("write paired dump sidecar");
-    println!("wrote {} ({} pairs)", path.display(), seeds);
-    println!("wrote {}", meta_path.display());
-    std::process::exit(0);
 }
 
 /// Print what `cmd` (`explain` / `diff`) wrote and its summary, or its
@@ -546,7 +265,10 @@ fn run_figures(args: &[String]) {
         ));
     }
     if let Some(dir) = &json_dir {
-        create_out_dir("--json", dir);
+        // Before the first figure runs, so an unwritable location costs nothing.
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            write_error("--json", dir, &e);
+        }
     }
     for id in ids {
         let started = std::time::Instant::now();
@@ -578,10 +300,6 @@ fn main() {
     match cmd.as_str() {
         "run" => run_scenario(&args[1..]),
         "sweep" => run_sweep_cmd(&args[1..]),
-        "export" => run_export(&args[1..]),
-        "trace" => run_trace(&args[1..]),
-        "profile" => run_profile(&args[1..]),
-        "paired" => run_paired(&args[1..]),
         "explain" => run_explain(&args[1..]),
         "diff" => run_diff(&args[1..]),
         _ => run_figures(&args),

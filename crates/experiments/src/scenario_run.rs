@@ -4,11 +4,12 @@
 //! the deterministic parallel [`Executor`] (outputs land in cell order,
 //! so every artifact is byte-identical at any pool width), evaluates the
 //! manifest's assertions over the pooled cell metrics, and writes the
-//! versioned results contract: `result.json`, `junit.xml`, and the
-//! optional legacy artifacts (paired dump + sidecar, per-cell trace
-//! bundles). The returned [`ScenarioOutcome`] carries the standardized
-//! exit code (0 pass / 1 assertion failure / 2 limit exceeded — config
-//! errors never reach the runner; they fail at manifest decode, exit 3).
+//! versioned results contract: `result.json`, `junit.xml`, and what the
+//! manifest's `outputs` ask for (paired dump + sidecar, per-cell trace
+//! bundles, per-cell plot data, the self-profile). The returned
+//! [`ScenarioOutcome`] carries the standardized exit code (0 pass / 1
+//! assertion failure / 2 limit exceeded — config errors never reach the
+//! runner; they fail at manifest decode, exit 3).
 //!
 //! There is one way to run a cell: [`run_cell`] builds the cell's
 //! config and drives a [`Testbed`] to completion, and every consumer is
@@ -24,17 +25,25 @@
 //! log's records only when `outputs.trace_artifacts` asks for the JSONL
 //! dump: otherwise the model *is* the recorder's sink and each record is
 //! folded into it as the run emits it.
+//!
+//! A run that reports progress — every `sweep`, and `run` under
+//! `outputs.profile` — runs each cell through `fold_reported` instead,
+//! which adds the worker's allocation bracket and one heartbeat line.
+//! The plain `run` path does neither.
 
 use crate::exec::Executor;
 use serde::{Serialize, Value};
 use spdyier_causal::{EventModel, ModelBuilder};
 use spdyier_core::{
-    junit_xml, metrics_file, paired_meta_file, stall_file, stall_manifest_file, stall_table,
-    waterfall_json, AssertionVerdict, DataFile, FlightLog, RunError, RunResult, ScenarioExit,
-    StallBreakdown, Testbed, TraceLevel, VerdictStatus,
+    export_run, junit_xml, metrics_file, paired_meta_file, stall_file, stall_manifest_file,
+    stall_table, waterfall_json, AssertionVerdict, DataFile, FlightLog, RunError, RunResult,
+    ScenarioExit, StallBreakdown, Testbed, TraceLevel, VerdictStatus,
 };
+use spdyier_prof::{CellReport, ProfileReport, SelfReport, SinkReport, SweepTelemetry};
 use spdyier_scenario::{evaluate, Cell, CellMetrics, Manifest};
+use spdyier_trace::MetricsRegistry;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// Everything a scenario run produced.
 #[derive(Debug)]
@@ -58,9 +67,12 @@ pub struct FoldedCell {
     /// The cell's legacy paired-dump line (serialized `RunResult`),
     /// when the manifest requests the paired dump.
     pub dump_line: Option<String>,
-    /// The cell's pre-rendered trace artifacts, when the manifest
-    /// requests them (and the cell was traced).
-    pub trace_files: Vec<DataFile>,
+    /// The cell's pre-rendered files: its trace artifacts (when the cell
+    /// was traced) and its plot data, when the manifest requests them.
+    pub files: Vec<DataFile>,
+    /// Under `outputs.profile`, for a traced cell: its flight-recorder
+    /// registry and how many records its log held when it finished.
+    pub recorder: Option<(MetricsRegistry, u64)>,
 }
 
 /// What a traced cell leaves behind.
@@ -126,17 +138,24 @@ pub fn fold_cell(
         .outputs
         .paired_dump
         .then(|| serde_json::to_string(result).expect("serialize run"));
-    let trace_files = match traced {
+    let mut files = match traced {
         Some((log, model)) if manifest.outputs.trace_artifacts => {
             let label = cell.artifact_label(manifest);
             cell_trace_files(&label, result, log, model, &stalls)
         }
         _ => Vec::new(),
     };
+    if manifest.outputs.plot_data {
+        files.extend(export_run(result));
+    }
+    let recorder = traced
+        .filter(|_| manifest.outputs.profile)
+        .map(|(log, _)| (log.metrics.clone(), log.events.len() as u64));
     FoldedCell {
         metrics,
         dump_line,
-        trace_files,
+        files,
+        recorder,
     }
 }
 
@@ -144,16 +163,108 @@ pub fn fold_cell(
 /// [`FoldedCell`] on the worker that ran it. Outputs land in cell
 /// order, so artifacts stay byte-identical at any pool width; an `Err`
 /// is a cell that exceeded a limit.
-pub fn execute_folded_on(
-    exec: &Executor,
-    manifest: &Manifest,
-) -> Vec<Result<FoldedCell, RunError>> {
+fn execute_folded_on(exec: &Executor, manifest: &Manifest) -> Vec<Result<FoldedCell, RunError>> {
     let cells = manifest.cells();
     exec.run(cells.len(), |i, _worker| {
         let cell = &cells[i];
         run_cell(manifest, cell)
             .map(|(result, traced)| fold_cell(manifest, cell, &result, traced.as_ref()))
     })
+}
+
+/// Run and fold `cell` on `worker` between two reads of the worker's own
+/// allocation counters, then report it to `telemetry`: the one per-cell
+/// step of every run that heartbeats. A profiled run also passes `spans`,
+/// into which the worker's span table is drained while still on it.
+pub(crate) fn fold_reported(
+    manifest: &Manifest,
+    cell: &Cell,
+    worker: usize,
+    telemetry: &SweepTelemetry,
+    spans: Option<&Mutex<ProfileReport>>,
+) -> Result<FoldedCell, RunError> {
+    let before = spdyier_prof::thread_counts();
+    let out = run_cell(manifest, cell)
+        .map(|(result, traced)| fold_cell(manifest, cell, &result, traced.as_ref()));
+    let allocs = spdyier_prof::thread_counts().since(before);
+    if let Some(spans) = spans {
+        let table = spdyier_prof::take_thread_profile();
+        spans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(&table);
+    }
+    let out = out?;
+    let counter = |name: &str| out.metrics.counters.get(name).copied().unwrap_or(0);
+    telemetry.cell_done(&CellReport {
+        shard: worker,
+        cell: cell.index,
+        visits: out.metrics.visits,
+        events: counter("trace.emitted"),
+        trace_dropped: counter("trace.sink_dropped"),
+        allocs: allocs.allocs,
+        alloc_bytes: allocs.bytes,
+    });
+    Ok(out)
+}
+
+/// [`run_manifest_on`] under the span profiler: each cell heartbeats into
+/// `heartbeat_<name>.jsonl` as it finishes, and `profile_<name>.json`
+/// and the cells' merged `metrics_<name>.json` follow the contract files.
+fn run_profiled_on(
+    exec: &Executor,
+    manifest: &Manifest,
+    out_dir: &Path,
+) -> std::io::Result<ScenarioOutcome> {
+    let name = &manifest.name;
+    let heartbeat = std::fs::File::create(out_dir.join(format!("heartbeat_{name}.jsonl")))?;
+    let cells = manifest.cells();
+    let spans = Mutex::new(ProfileReport::new());
+    spdyier_prof::set_enabled(true);
+    let alloc_before = spdyier_prof::global_counts();
+    let telemetry = SweepTelemetry::new(cells.len(), Some(Box::new(heartbeat)));
+    let outputs = exec.run(cells.len(), |i, worker| {
+        fold_reported(manifest, &cells[i], worker, &telemetry, Some(&spans))
+    });
+    let alloc_delta = spdyier_prof::global_counts().since(alloc_before);
+    let wall_ms = telemetry.elapsed_ms();
+    let totals = telemetry.finish();
+
+    let (mut metrics, mut retained) = (MetricsRegistry::new(), 0);
+    for (registry, records) in outputs.iter().flatten().filter_map(|f| f.recorder.as_ref()) {
+        metrics.merge(registry);
+        retained += records;
+    }
+    let secs = wall_ms / 1e3;
+    let report = SelfReport::assemble(
+        format!("{name} seeds={}", manifest.seeds.count),
+        &spans.into_inner().unwrap_or_else(PoisonError::into_inner),
+        wall_ms,
+        totals.visits,
+        alloc_delta,
+        totals.events,
+        SinkReport {
+            emitted: totals.events,
+            retained,
+            dropped: totals.trace_dropped,
+            events_per_sec: if secs > 0.0 {
+                totals.events as f64 / secs
+            } else {
+                0.0
+            },
+        },
+    );
+    spdyier_prof::set_enabled(false);
+    let profile = DataFile {
+        name: format!("profile_{name}.json"),
+        contents: report.to_json(),
+    };
+    finish_folded(
+        manifest,
+        &outputs,
+        out_dir,
+        &[profile, metrics_file(name, &metrics)],
+    )
 }
 
 fn status_str(exit: ScenarioExit) -> &'static str {
@@ -227,8 +338,8 @@ fn result_file(
     }
 }
 
-/// One cell's trace artifacts (the legacy `experiments trace` bundle
-/// plus the schema-versioned stall-table sidecar).
+/// One cell's trace artifacts: the JSONL event stream, the waterfall,
+/// the stall table with its schema sidecar, and the metrics registry.
 fn cell_trace_files(
     label: &str,
     result: &RunResult,
@@ -259,23 +370,30 @@ pub fn run_manifest(manifest: &Manifest, out_dir: &Path) -> std::io::Result<Scen
 }
 
 /// [`run_manifest`] on an explicit executor (tests pin the pool width).
+/// `out_dir` is created before the first cell runs, so an unwritable one
+/// costs nothing.
 pub fn run_manifest_on(
     exec: &Executor,
     manifest: &Manifest,
     out_dir: &Path,
 ) -> std::io::Result<ScenarioOutcome> {
-    finish_folded(manifest, &execute_folded_on(exec, manifest), out_dir)
+    std::fs::create_dir_all(out_dir)?;
+    if manifest.outputs.profile {
+        return run_profiled_on(exec, manifest, out_dir);
+    }
+    finish_folded(manifest, &execute_folded_on(exec, manifest), out_dir, &[])
 }
 
 /// Evaluate assertions over a manifest's folded cells (one output per
-/// cell, in cell order) and write the results-contract artifacts. Split
-/// from [`run_manifest_on`] so the sweep runner can interleave replayed
-/// checkpoints, and the `trace` subcommand can print event counts,
-/// before finishing.
-pub fn finish_folded(
+/// cell, in cell order) and write the results-contract artifacts, with
+/// the run-level `extra` files last. Split from [`run_manifest_on`] so
+/// the sweep runner can interleave replayed checkpoints before
+/// finishing.
+pub(crate) fn finish_folded(
     manifest: &Manifest,
     outputs: &[Result<FoldedCell, RunError>],
     out_dir: &Path,
+    extra: &[DataFile],
 ) -> std::io::Result<ScenarioOutcome> {
     let cell_metrics: Vec<CellMetrics> = outputs
         .iter()
@@ -334,8 +452,9 @@ pub fn finish_folded(
         outputs
             .iter()
             .flatten()
-            .flat_map(|f| f.trace_files.iter().cloned()),
+            .flat_map(|f| f.files.iter().cloned()),
     );
+    files.extend(extra.iter().cloned());
     let artifact_names: Vec<String> = std::iter::once("result.json".to_string())
         .chain(files.iter().map(|f| f.name.clone()))
         .collect();

@@ -31,16 +31,15 @@
 //! actually left.
 //!
 //! The store checkpoints *metrics only*, so manifests that request
-//! per-cell bulk artifacts (`outputs.paired_dump`,
-//! `outputs.trace_artifacts`) are rejected up front — those artifacts
-//! cannot be reconstructed from a metrics checkpoint, and a
-//! population-scale sweep could not afford to retain them anyway.
+//! per-cell bulk artifacts (any `outputs` key) are rejected up front —
+//! those artifacts cannot be reconstructed from a metrics checkpoint,
+//! and a population-scale sweep could not afford to retain them anyway.
 
 use crate::exec::Executor;
-use crate::scenario_run::{finish_folded, fold_cell, run_cell, FoldedCell, ScenarioOutcome};
+use crate::scenario_run::{finish_folded, fold_reported, FoldedCell, ScenarioOutcome};
 use serde::{Serialize, Value};
 use spdyier_core::RunError;
-use spdyier_prof::{CellReport, SweepTelemetry};
+use spdyier_prof::SweepTelemetry;
 use spdyier_scenario::{CellMetrics, Manifest};
 use std::io::Write;
 use std::path::Path;
@@ -336,11 +335,12 @@ fn run_sweep_through(
     opts: SweepOptions,
     sink: impl FnOnce(std::fs::File) -> Box<dyn Write + Send>,
 ) -> Result<SweepOutcome, SweepError> {
-    if manifest.outputs.paired_dump || manifest.outputs.trace_artifacts {
+    if manifest.outputs != Default::default() {
         return Err(SweepError(
             "experiments sweep: manifest requests per-cell bulk artifacts \
-             (outputs.paired_dump / outputs.trace_artifacts), which the \
-             metrics-only checkpoint store cannot resume; use `experiments run`"
+             (outputs.paired_dump / outputs.trace_artifacts / outputs.plot_data / \
+             outputs.profile), which the metrics-only checkpoint store cannot \
+             resume; use `experiments run`"
                 .into(),
         ));
     }
@@ -396,11 +396,8 @@ fn run_sweep_through(
             return None;
         }
         let index = pending[j];
-        // A cell runs start to finish on the worker that claimed it, so
-        // the worker's own counters bracket exactly its allocations.
-        let allocs_before = spdyier_prof::thread_counts();
-        Some(run_cell(manifest, &cells[index]).map(|(result, traced)| {
-            let out = fold_cell(manifest, &cells[index], &result, traced.as_ref());
+        let out = fold_reported(manifest, &cells[index], worker, &telemetry, None);
+        if let Ok(out) = &out {
             let line = store_line(&cell_json(index, &out.metrics));
             let checkpointed = {
                 let mut store = store
@@ -413,36 +410,13 @@ fn run_sweep_through(
                 }
                 store.failed.is_none()
             };
-            if !checkpointed {
-                // The cell is lost to this invocation; stop claiming more.
-                stopped.store(true, Ordering::Relaxed);
-                return out;
-            }
-            if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= budget {
+            // A cell whose checkpoint failed is lost to this invocation:
+            // stop claiming more, as after the last budgeted one.
+            if !checkpointed || fresh.fetch_add(1, Ordering::Relaxed) + 1 >= budget {
                 stopped.store(true, Ordering::Relaxed);
             }
-            let cell_allocs = spdyier_prof::thread_counts().since(allocs_before);
-            telemetry.cell_done(&CellReport {
-                shard: worker,
-                cell: index,
-                visits: out.metrics.visits,
-                events: out
-                    .metrics
-                    .counters
-                    .get("trace.emitted")
-                    .copied()
-                    .unwrap_or(0),
-                trace_dropped: out
-                    .metrics
-                    .counters
-                    .get("trace.sink_dropped")
-                    .copied()
-                    .unwrap_or(0),
-                allocs: cell_allocs.allocs,
-                alloc_bytes: cell_allocs.bytes,
-            });
-            out
-        }))
+        }
+        Some(out)
     });
     telemetry.finish();
 
@@ -478,7 +452,8 @@ fn run_sweep_through(
                 Some(metrics) => Ok(FoldedCell {
                     metrics,
                     dump_line: None,
-                    trace_files: Vec::new(),
+                    files: Vec::new(),
+                    recorder: None,
                 }),
                 None => fresh_cells
                     .next()
@@ -486,7 +461,7 @@ fn run_sweep_through(
             })
             .collect()
     };
-    let outcome = finish_folded(manifest, &outputs, out_dir)
+    let outcome = finish_folded(manifest, &outputs, out_dir, &[])
         .map_err(|e| SweepError(format!("--out {}: {e}", out_dir.display())))?;
     Ok(SweepOutcome::Completed(Box::new(outcome)))
 }

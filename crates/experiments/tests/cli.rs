@@ -22,12 +22,10 @@ fn zero_seeds_is_a_config_error_on_every_subcommand() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../scenarios/quick_wifi.json"
     );
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 3] = [
         &["fig3", "--seeds", "0"],
-        &["profile", "http", "wifi", out, "--seeds", "0"],
         &["run", manifest, "--out", out, "--seeds", "0"],
         &["sweep", manifest, "--out", out, "--seeds", "0"],
-        &["paired", "wifi", out, "--seeds", "0"],
     ];
     for args in cases {
         let child = experiments(args);
@@ -172,19 +170,17 @@ fn result_json_carries_attribution_keys_only_at_their_trace_level() {
 }
 
 /// An output location that cannot be created is a config error naming
-/// the path — exit 3 before the figure or schedule is simulated, never
-/// a panic after it.
+/// the path — exit 3 before the figure or any cell is simulated, never
+/// a panic or a whole run's work after it.
 #[test]
 fn unwritable_output_is_a_config_error_not_a_panic() {
     let paired = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../scenarios/paired_3g.json"
     );
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 4] = [
         &["table1", "--seeds", "1", "--json", "/dev/null/x"],
-        &["export", "spdy", "wifi", "/dev/null/x"],
-        &["trace", "spdy", "wifi", "/dev/null/x"],
-        &["profile", "spdy", "wifi", "/dev/null/x"],
+        &["run", paired, "--out", "/dev/null/x"],
         &["explain", paired, "--out", "/dev/null/x"],
         &[
             "diff",

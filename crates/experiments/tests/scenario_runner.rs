@@ -33,8 +33,7 @@ fn quick_manifest(name: &str) -> Manifest {
     .expect("quick manifest decodes")
 }
 
-/// `run_cell` + `fold_cell` are the one path behind `run`, `sweep` and
-/// `trace`. A traced cell keeps its flight log only when the manifest
+/// `run_cell` + `fold_cell` are the one path behind `run` and `sweep`. A traced cell keeps its flight log only when the manifest
 /// asks for the JSONL dump, and then — with every consumer switched on
 /// (both attribution folds, the stall table, the bound waterfall) —
 /// scans it into an event model exactly once; otherwise the model was
@@ -58,7 +57,7 @@ fn a_traced_cell_scans_its_flight_log_once_if_it_keeps_one_and_never_otherwise()
         assert_eq!(log.events.is_empty(), !artifacts);
         assert!(log.emitted > 0 && log.dropped == 0);
         assert_eq!(
-            folded.trace_files.len(),
+            folded.files.len(),
             files,
             "trace, waterfall, stalls x2, metrics"
         );
@@ -314,4 +313,56 @@ fn trace_manifest_writes_the_legacy_artifact_set_plus_contract() {
         assert!(dir.join(name).is_file(), "missing artifact {name}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `outputs.plot_data` renders each cell's `.dat` set on the worker: the
+/// six per-protocol files, plus one cwnd file per connection when the
+/// manifest records TCP traces, listed in `result.json` after the
+/// contract files.
+#[test]
+fn plot_data_manifest_writes_the_export_file_set() {
+    let mut m = quick_manifest("plotted");
+    m.tcp_traces = true;
+    m.outputs.plot_data = true;
+    let dir = out_dir("plot");
+    let outcome = run_manifest_on(&Executor::new(2), &m, &dir).expect("runner writes");
+    assert_eq!(outcome.exit, ScenarioExit::Pass);
+    for proto in ["http", "spdy"] {
+        for kind in ["plt", "downlink", "inflight", "rtx", "promotions", "proxy"] {
+            let name = format!("{kind}_{proto}.dat");
+            let text = std::fs::read_to_string(dir.join(&name)).expect(&name);
+            assert!(text.starts_with('#'), "{name} has a header");
+        }
+        assert!(
+            dir.join(format!("cwnd_{proto}-0.dat")).is_file(),
+            "{proto} cwnd"
+        );
+    }
+    let plt = std::fs::read_to_string(dir.join("plt_spdy.dat")).expect("plt");
+    assert_eq!(plt.lines().count(), 2, "header + one visit");
+    let result = std::fs::read_to_string(dir.join("result.json")).expect("result.json");
+    assert!(result.contains("\"plt_http.dat\""), "{result}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `.dat` names carry only the protocol, so a manifest whose cells
+/// would overwrite each other's files is refused at decode, naming the
+/// field — like `paired_dump` off its paired shape.
+#[test]
+fn plot_data_is_refused_where_two_cells_would_share_a_file() {
+    let base = r#""schema_version":1,"name":"plots","network":{"kind":"wifi"},"outputs":{"plot_data":true}"#;
+    for shape in [
+        r#""protocols":["http","spdy"],"seeds":{"base":0,"count":2}"#,
+        r#""protocols":["spdy"],"matrix":{"rtt_reset_after_idle":[true,false]}"#,
+        r#""protocols":["spdy","spdy:4"]"#,
+        r#""protocols":["http","http"]"#,
+    ] {
+        let e = Manifest::from_json(&format!("{{{base},{shape}}}")).expect_err(shape);
+        assert!(
+            e.0.starts_with("scenario error at manifest.outputs.plot_data: "),
+            "{shape}: {e}"
+        );
+    }
+    let one_each = format!(r#"{{{base},"protocols":["http","spdy:4:late"]}}"#);
+    Manifest::from_json(&one_each).expect("one http and one spdy cell");
 }

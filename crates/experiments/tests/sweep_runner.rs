@@ -239,12 +239,24 @@ fn sweep_heartbeats_are_schema_v2_with_finite_rates() {
 #[test]
 fn sweep_refuses_bulk_artifact_manifests_and_foreign_stores() {
     // Bulk artifacts cannot be resumed from a metrics-only store.
-    let mut m = sweep_manifest("sweep_bulk");
-    m.outputs.paired_dump = true;
     let dir = out_dir("bulk");
-    let err = run_sweep_on(&Executor::new(1), &m, &dir, SweepOptions::default())
-        .expect_err("bulk-artifact manifests are rejected");
-    assert!(err.to_string().contains("paired_dump"), "{err}");
+    type Key = fn(&mut spdyier_scenario::Outputs);
+    let keys: [(&str, Key); 4] = [
+        ("paired_dump", |o| o.paired_dump = true),
+        ("trace_artifacts", |o| o.trace_artifacts = true),
+        ("plot_data", |o| o.plot_data = true),
+        ("profile", |o| o.profile = true),
+    ];
+    for (key, set) in keys {
+        let mut m = sweep_manifest("sweep_bulk");
+        set(&mut m.outputs);
+        let err = run_sweep_on(&Executor::new(1), &m, &dir, SweepOptions::default())
+            .expect_err("bulk-artifact manifests are rejected");
+        let err = err.to_string();
+        assert!(err.contains("per-cell bulk artifacts"), "{key}: {err}");
+        assert!(err.contains(&format!("outputs.{key}")), "{key}: {err}");
+        assert!(!dir.exists(), "{key}: refused before anything is written");
+    }
 
     // A store written for one sweep refuses to feed a different one.
     let m = sweep_manifest("sweep_mine");

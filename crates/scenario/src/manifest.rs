@@ -634,6 +634,16 @@ pub struct Outputs {
     /// Write per-cell trace artifacts (`trace_*.jsonl`, waterfall,
     /// stall table + sidecar, metrics registry).
     pub trace_artifacts: bool,
+    /// Write each cell's gnuplot-ready `.dat` set (PLTs, per-second
+    /// downlink, bytes in flight, retransmissions, promotions, proxy
+    /// timeline, per-connection cwnd with `tcp_traces`). The file names
+    /// carry only the protocol, so decode allows one seed, no matrix, and
+    /// at most one http and one spdy protocol.
+    pub plot_data: bool,
+    /// Run under the host-side span profiler and write
+    /// `profile_<name>.json`, `heartbeat_<name>.jsonl` (one line per
+    /// cell) and the cells' merged `metrics_<name>.json`.
+    pub profile: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -921,6 +931,8 @@ impl Manifest {
         let outputs = Outputs {
             paired_dump: f.flag("paired_dump", false),
             trace_artifacts: f.flag("trace_artifacts", false),
+            plot_data: f.flag("plot_data", false),
+            profile: f.flag("profile", false),
         };
         let manifest = Manifest {
             schema_version: schema_version.unwrap_or_default(),
@@ -943,6 +955,21 @@ impl Manifest {
         if outputs.paired_dump && !manifest.is_paired() {
             f.reject(
                 "paired_dump requires protocols [\"http\", \"spdy\"] and an empty matrix (the legacy dump format is strictly paired)",
+            );
+        }
+        let spdy_sides = manifest
+            .protocols
+            .iter()
+            .filter(|p| p.mode != ProtocolMode::Http)
+            .count();
+        let one_cell_per_file = manifest.seeds.count == 1
+            && manifest.matrix.is_empty()
+            && spdy_sides <= 1
+            && manifest.protocols.len() - spdy_sides <= 1;
+        if outputs.plot_data && !one_cell_per_file {
+            f.fail(
+                "plot_data",
+                "the .dat files are named by protocol alone (plt_spdy.dat, cwnd_spdy-0.dat), so it needs one seed, an empty matrix, and at most one http and one spdy protocol",
             );
         }
         top.absorb(f);
@@ -1136,6 +1163,8 @@ impl Manifest {
             let set = [
                 ("paired_dump", self.outputs.paired_dump),
                 ("trace_artifacts", self.outputs.trace_artifacts),
+                ("plot_data", self.outputs.plot_data),
+                ("profile", self.outputs.profile),
             ];
             let set = set.into_iter().filter(|&(_, on)| on);
             top.push(("outputs", object(set.map(|(k, on)| (k, Value::Bool(on))))));

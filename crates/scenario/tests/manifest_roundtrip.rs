@@ -122,6 +122,14 @@ fn gen_manifest(mut s: u64) -> Manifest {
             .push(Assertion::parse(expr).expect("pool entries parse"));
     }
     m.outputs.trace_artifacts = chance(&mut s);
+    m.outputs.profile = chance(&mut s);
+    if chance(&mut s) && chance(&mut s) {
+        // One cell per protocol: the shape `plot_data`'s file names need.
+        m.seeds.count = 1;
+        m.matrix.clear();
+        m.protocols.truncate(1);
+        m.outputs.plot_data = true;
+    }
     m.outputs.paired_dump = m.is_paired() && chance(&mut s);
     m
 }

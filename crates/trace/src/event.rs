@@ -33,18 +33,8 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    /// Parse the `SPDYIER_TRACE` environment variable.
-    ///
-    /// Accepts names (`off`, `lifecycle`, `transport`, `full`) or the
-    /// numeric levels `0`–`3`; unset or unrecognized values mean `Off`.
-    pub fn from_env() -> TraceLevel {
-        match std::env::var("SPDYIER_TRACE") {
-            Ok(v) => TraceLevel::parse(&v).unwrap_or(TraceLevel::Off),
-            Err(_) => TraceLevel::Off,
-        }
-    }
-
-    /// Parse a level name or digit; `None` for unrecognized input.
+    /// Parse a level name or digit (a manifest's `trace` field); `None`
+    /// for unrecognized input.
     pub fn parse(s: &str) -> Option<TraceLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "" | "0" | "off" | "none" => Some(TraceLevel::Off),

@@ -10,7 +10,7 @@
 //!
 //! - [`TraceEvent`] / [`TraceRecord`] — the cross-layer vocabulary.
 //! - [`TraceLevel`] — `Off` < `Lifecycle` < `Transport` < `Full`,
-//!   settable via `SPDYIER_TRACE`.
+//!   set by a scenario manifest's `trace` field.
 //! - [`TraceSink`] — where records go: [`NullSink`], [`MemorySink`],
 //!   bounded [`RingSink`], streaming [`JsonlWriter`].
 //! - [`MetricsRegistry`] — named counters + power-of-two histograms,

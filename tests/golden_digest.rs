@@ -17,9 +17,9 @@
 //! refactor or a performance change may not touch them.
 //!
 //! CI's `scenario-matrix` job checks the same constants against the
-//! files the released binary writes (`experiments paired 3g --seeds 1`,
-//! which that job already `cmp`s equal to the `scenarios/paired_3g.json`
-//! dump digested here), so the two builds cannot drift apart either.
+//! files the released binary writes for the same manifests (`experiments
+//! run scenarios/<name>.json`), so the two builds cannot drift apart
+//! either.
 
 use spdyier::experiments::{run_manifest_on, Executor};
 use spdyier_scenario::Manifest;
