@@ -222,19 +222,10 @@ pub mod presets {
     /// The 3G path with the radio pinned active (the Fig. 14 "ping"
     /// experiment's ideal): same bearer, no RRC gating.
     pub fn umts_3g_pinned() -> CellularPath {
-        let down = LinkConfig::from_mbps(6.0, 75)
-            .with_queue_limit(768 * 1024)
-            .with_jitter(JitterModel::LogNormal {
-                mean_ms: 20.0,
-                sigma: 0.6,
-            });
-        let up = LinkConfig::from_mbps(1.5, 75)
-            .with_queue_limit(256 * 1024)
-            .with_jitter(JitterModel::LogNormal {
-                mean_ms: 15.0,
-                sigma: 0.6,
-            });
-        CellularPath::new(down, up, Radio::AlwaysOn)
+        CellularPath {
+            radio: Radio::AlwaysOn,
+            ..umts_3g()
+        }
     }
 }
 

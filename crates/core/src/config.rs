@@ -7,8 +7,8 @@
 //! §5.7 identifies as a timeout trigger.
 
 use spdyier_cellular::{presets as cell_presets, CellularPath, Radio};
-use spdyier_net::{presets as net_presets, Direction, DuplexPath, LinkVerdict, LossModel};
-use spdyier_sim::{DetRng, SimDuration, SimTime};
+use spdyier_net::{presets as net_presets, Direction, LossModel};
+use spdyier_sim::{DetRng, SimDuration};
 use spdyier_tcp::TcpConfig;
 use spdyier_trace::TraceLevel;
 use spdyier_workload::VisitSchedule;
@@ -36,10 +36,7 @@ pub const NETWORK_NAMES: [(&str, NetworkKind); 4] = [
 ];
 
 /// The one place `"3g" | "lte" | "wifi" | "3g-pinned"` strings become a
-/// [`NetworkKind`]: CLI subcommands and scenario manifests both parse
-/// through this alias's `FromStr`.
-pub type NetworkSpec = NetworkKind;
-
+/// [`NetworkKind`]: scenario manifests and assertions parse through it.
 impl std::str::FromStr for NetworkKind {
     type Err = String;
 
@@ -68,13 +65,18 @@ impl NetworkKind {
             .expect("every NetworkKind is in NETWORK_NAMES")
     }
 
-    /// Instantiate the access path.
-    pub fn build(self) -> AccessPath {
+    /// Instantiate the access path. WiFi is the broadband path's two
+    /// links behind [`Radio::AlwaysOn`], which gates nothing.
+    pub fn build(self) -> CellularPath {
         match self {
-            NetworkKind::Umts3G => AccessPath::Cellular(cell_presets::umts_3g()),
-            NetworkKind::Umts3GPinned => AccessPath::Cellular(cell_presets::umts_3g_pinned()),
-            NetworkKind::Lte => AccessPath::Cellular(cell_presets::lte()),
-            NetworkKind::Wifi => AccessPath::Plain(net_presets::broadband_wifi()),
+            NetworkKind::Umts3G => cell_presets::umts_3g(),
+            NetworkKind::Umts3GPinned => cell_presets::umts_3g_pinned(),
+            NetworkKind::Lte => cell_presets::lte(),
+            NetworkKind::Wifi => {
+                let wifi = net_presets::broadband_wifi();
+                let link = |dir| *wifi.link(dir).config();
+                CellularPath::new(link(Direction::Down), link(Direction::Up), Radio::AlwaysOn)
+            }
         }
     }
 
@@ -85,106 +87,6 @@ impl NetworkKind {
             NetworkKind::Umts3GPinned => "3G-pinned",
             NetworkKind::Lte => "LTE",
             NetworkKind::Wifi => "WiFi",
-        }
-    }
-}
-
-/// A built access path (cellular with an RRC radio, or a plain duplex
-/// path).
-#[derive(Debug)]
-pub enum AccessPath {
-    /// RRC-gated cellular bearer.
-    Cellular(CellularPath),
-    /// Plain wired/WiFi path.
-    Plain(DuplexPath),
-}
-
-impl AccessPath {
-    /// Offer a packet in `dir` at `now`.
-    pub fn send(
-        &mut self,
-        dir: Direction,
-        now: SimTime,
-        bytes: u64,
-        rng: &mut DetRng,
-    ) -> LinkVerdict {
-        match self {
-            AccessPath::Cellular(p) => p.send(dir, now, bytes, rng),
-            AccessPath::Plain(p) => p.send(dir, now, bytes, rng),
-        }
-    }
-
-    /// Base round-trip time.
-    pub fn base_rtt(&self) -> SimDuration {
-        match self {
-            AccessPath::Cellular(p) => p.base_rtt(),
-            AccessPath::Plain(p) => p.base_rtt(),
-        }
-    }
-
-    /// The radio, if this is a cellular path.
-    pub fn radio_mut(&mut self) -> Option<&mut Radio> {
-        match self {
-            AccessPath::Cellular(p) => Some(p.radio_mut()),
-            AccessPath::Plain(_) => None,
-        }
-    }
-
-    /// Promotions taken so far (empty on plain paths).
-    pub fn promotions(&self) -> &[spdyier_cellular::PromotionEvent] {
-        match self {
-            AccessPath::Cellular(p) => p.radio().promotions(),
-            AccessPath::Plain(_) => &[],
-        }
-    }
-
-    /// Downlink drop counters `(queue_drops, loss_drops)`.
-    pub fn down_drops(&self) -> (u64, u64) {
-        let stats = match self {
-            AccessPath::Cellular(p) => p.link(Direction::Down).stats(),
-            AccessPath::Plain(p) => p.link(Direction::Down).stats(),
-        };
-        (stats.queue_drops, stats.loss_drops)
-    }
-
-    /// Drop counters `(queue_drops, loss_drops)` for either direction.
-    pub fn drops(&self, dir: Direction) -> (u64, u64) {
-        let stats = match self {
-            AccessPath::Cellular(p) => p.link(dir).stats(),
-            AccessPath::Plain(p) => p.link(dir).stats(),
-        };
-        (stats.queue_drops, stats.loss_drops)
-    }
-
-    /// Serialization (transmission) time of `bytes` in `dir`.
-    pub fn serialization_time(&self, dir: Direction, bytes: u64) -> SimDuration {
-        match self {
-            AccessPath::Cellular(p) => p.link(dir).serialization_time(bytes),
-            AccessPath::Plain(p) => p.link(dir).serialization_time(bytes),
-        }
-    }
-
-    /// Radio energy consumed so far, mJ.
-    pub fn energy_mj(&mut self, now: SimTime) -> f64 {
-        match self {
-            AccessPath::Cellular(p) => p.radio_mut().energy_mj(now),
-            AccessPath::Plain(_) => 0.0,
-        }
-    }
-
-    /// Inject a loss model on both directions (fault injection).
-    pub fn set_loss(&mut self, loss: LossModel) {
-        for dir in [Direction::Down, Direction::Up] {
-            match self {
-                AccessPath::Cellular(p) => {
-                    let cfg = p.link(dir).config().with_loss(loss);
-                    p.link_mut(dir).set_config(cfg);
-                }
-                AccessPath::Plain(p) => {
-                    let cfg = p.link(dir).config().with_loss(loss);
-                    p.link_mut(dir).set_config(cfg);
-                }
-            }
         }
     }
 }
@@ -410,10 +312,12 @@ mod tests {
     #[test]
     fn network_builders_produce_expected_paths() {
         assert!(matches!(
-            NetworkKind::Umts3G.build(),
-            AccessPath::Cellular(_)
+            NetworkKind::Umts3G.build().radio(),
+            Radio::ThreeG(_)
         ));
-        assert!(matches!(NetworkKind::Wifi.build(), AccessPath::Plain(_)));
+        let wifi = NetworkKind::Wifi.build();
+        assert!(matches!(wifi.radio(), Radio::AlwaysOn));
+        assert_eq!(wifi.base_rtt(), net_presets::broadband_wifi().base_rtt());
         assert_eq!(NetworkKind::Lte.label(), "LTE");
     }
 

@@ -1,8 +1,7 @@
 //! The testbed driver: a thin dispatcher wiring the layered harness
 //! together — the [`World`](crate::world::World) (clock, event queue,
-//! links, TCP pipes), the active protocol [`Side`] behind the
-//! [`AppSession`] contract, the [`Visits`] lifecycle, and the origin
-//! servers.
+//! links, TCP pipes), the active protocol [`Side`], the [`Visits`]
+//! lifecycle, and the origin servers.
 //!
 //! Topology (paper Fig. 2):
 //!
@@ -17,7 +16,7 @@
 
 use crate::config::{ExperimentConfig, ProtocolMode};
 use crate::results::{ConnTraceResult, RunResult};
-use crate::session::{AppSession, PipeRole, SessionAction, SessionCtx, Side};
+use crate::session::{PipeRole, SessionAction, SessionCtx, Side};
 use crate::visits::Visits;
 use crate::world::{Event, World};
 use spdyier_bytes::Payload;
@@ -304,7 +303,7 @@ impl Testbed {
         if let Some(fetch) = *current {
             if !*got_first_byte && !data.is_empty() {
                 *got_first_byte = true;
-                with_side!(self, side, ctx, side.on_fetch_first_byte(&mut ctx, fetch));
+                self.side.on_fetch_first_byte(self.world.now, fetch);
             }
         }
         let done = http.on_bytes(data).unwrap_or_default();
@@ -382,7 +381,7 @@ impl Testbed {
     fn pump_session(&mut self) {
         let _span = spdyier_prof::scope("session.pump");
         loop {
-            let actions = with_side!(self, side, ctx, side.poll_actions(&mut ctx));
+            let actions = self.side.poll_actions();
             if actions.is_empty() {
                 return;
             }
@@ -678,9 +677,11 @@ impl Testbed {
             });
         }
         self.result.total_retransmissions = self.result.retransmissions.count() as u64;
-        self.result.promotions = self.world.access.promotions().to_vec();
-        self.result.downlink_drops = self.world.access.down_drops();
-        self.result.energy_mj = self.world.access.energy_mj(self.world.now);
+        let access = &mut self.world.access;
+        self.result.promotions = access.radio().promotions().to_vec();
+        let down = access.link(Direction::Down).stats();
+        self.result.downlink_drops = (down.queue_drops, down.loss_drops);
+        self.result.energy_mj = access.radio_mut().energy_mj(self.world.now);
         self.result.proxy_records = self.side.proxy_records();
         // Publish run-level aggregates into the metrics registry (no-ops
         // when tracing is off).

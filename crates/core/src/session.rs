@@ -1,7 +1,6 @@
-//! The protocol layer: a transport-agnostic [`AppSession`] contract and
-//! its two implementations — [`HttpSide`] (HTTP/1.1 connection pool plus
-//! HTTP proxy core) and [`SpdySide`] (SPDY/3 sessions with §6.1 late
-//! binding and multi-connection support).
+//! The protocol layer: the run's [`Side`], one of [`HttpSide`] (HTTP/1.1
+//! connection pool plus HTTP proxy core) and [`SpdySide`] (SPDY/3
+//! sessions with §6.1 late binding and multi-connection support).
 //!
 //! Both sides are sans-IO: they never touch sockets or the event queue
 //! directly for wire work. They parse bytes handed to them, record
@@ -144,23 +143,6 @@ pub(crate) enum SessionAction {
         /// Session index.
         session: usize,
     },
-}
-
-/// A protocol side of the testbed, sans-IO. The driver feeds it parsed
-/// byte streams and fetch completions; it responds by mutating pipe
-/// staging queues and returning [`SessionAction`]s from
-/// [`AppSession::poll_actions`].
-pub(crate) trait AppSession {
-    /// The first response byte for `fetch` arrived from an origin.
-    fn on_fetch_first_byte(&mut self, ctx: &mut SessionCtx<'_>, fetch: FetchId);
-    /// An origin fetch completed with `resp`.
-    fn on_fetch_complete(&mut self, ctx: &mut SessionCtx<'_>, fetch: FetchId, resp: Response);
-    /// Drain pending work (origin fetches, client-bound bytes, wire
-    /// pumps) for the driver to execute in order.
-    fn poll_actions(&mut self, ctx: &mut SessionCtx<'_>) -> Vec<SessionAction>;
-    /// The earliest instant this side needs a maintenance wake-up
-    /// (idle-connection close), if any.
-    fn next_timeout(&self, ctx: &SessionCtx<'_>) -> Option<SimTime>;
 }
 
 // ======================================================================
@@ -663,18 +645,9 @@ impl HttpSide {
             self.retire_http_pipe(world, i);
         }
     }
-}
 
-impl AppSession for HttpSide {
-    fn on_fetch_first_byte(&mut self, ctx: &mut SessionCtx<'_>, fetch: FetchId) {
-        self.proxy.on_fetch_first_byte(fetch, ctx.world.now);
-    }
-
-    fn on_fetch_complete(&mut self, ctx: &mut SessionCtx<'_>, fetch: FetchId, resp: Response) {
-        self.proxy.on_fetch_complete(fetch, resp, ctx.world.now);
-    }
-
-    fn poll_actions(&mut self, _ctx: &mut SessionCtx<'_>) -> Vec<SessionAction> {
+    /// Drain the proxy's origin fetches and client-bound bytes.
+    fn poll_actions(&mut self) -> Vec<SessionAction> {
         let mut actions = Vec::new();
         while let Some(out) = self.proxy.poll_output() {
             match out {
@@ -693,6 +666,7 @@ impl AppSession for HttpSide {
         actions
     }
 
+    /// The earliest idle-close deadline of an idle, unretired pipe.
     fn next_timeout(&self, ctx: &SessionCtx<'_>) -> Option<SimTime> {
         let max_idle = ctx.cfg.http_idle_close?;
         ctx.world
@@ -1058,13 +1032,16 @@ fn request_block(pseudo: &[(&str, &str)], browser: &Headers) -> Headers {
     headers.finish()
 }
 
-impl AppSession for SpdySide {
-    fn on_fetch_first_byte(&mut self, ctx: &mut SessionCtx<'_>, fetch: FetchId) {
+impl SpdySide {
+    /// The first response byte for `fetch` arrived from an origin.
+    fn on_fetch_first_byte(&mut self, now: SimTime, fetch: FetchId) {
         if let Some(&sidx) = self.fetch_owner.get(&fetch) {
-            self.proxies[sidx].on_fetch_first_byte(fetch, ctx.world.now);
+            self.proxies[sidx].on_fetch_first_byte(fetch, now);
         }
     }
 
+    /// An origin fetch completed: hand it to the owning session's proxy,
+    /// or (§6.1 late binding) push it on the least-backlogged session.
     fn on_fetch_complete(&mut self, ctx: &mut SessionCtx<'_>, fetch: FetchId, resp: Response) {
         let Some(&sidx) = self.fetch_owner.get(&fetch) else {
             return;
@@ -1122,7 +1099,8 @@ impl AppSession for SpdySide {
         self.pending_pump.push(best);
     }
 
-    fn poll_actions(&mut self, _ctx: &mut SessionCtx<'_>) -> Vec<SessionAction> {
+    /// Drain the proxies' origin fetches, then the wire pumps owed.
+    fn poll_actions(&mut self) -> Vec<SessionAction> {
         let mut actions = Vec::new();
         for sidx in 0..self.proxies.len() {
             while let Some(out) = self.proxies[sidx].poll_output() {
@@ -1145,10 +1123,6 @@ impl AppSession for SpdySide {
             actions.push(SessionAction::PumpProxyWire { session: sidx });
         }
         actions
-    }
-
-    fn next_timeout(&self, _ctx: &SessionCtx<'_>) -> Option<SimTime> {
-        None
     }
 }
 
@@ -1224,6 +1198,40 @@ impl Side {
         }
     }
 
+    /// The first response byte for `fetch` arrived from an origin.
+    pub fn on_fetch_first_byte(&mut self, now: SimTime, fetch: FetchId) {
+        match self {
+            Side::Http(h) => h.proxy.on_fetch_first_byte(fetch, now),
+            Side::Spdy(s) => s.on_fetch_first_byte(now, fetch),
+        }
+    }
+
+    /// An origin fetch completed with `resp`.
+    pub fn on_fetch_complete(&mut self, ctx: &mut SessionCtx<'_>, fetch: FetchId, resp: Response) {
+        match self {
+            Side::Http(h) => h.proxy.on_fetch_complete(fetch, resp, ctx.world.now),
+            Side::Spdy(s) => s.on_fetch_complete(ctx, fetch, resp),
+        }
+    }
+
+    /// Drain pending work (origin fetches, client-bound bytes, wire
+    /// pumps) for the driver to execute in order.
+    pub fn poll_actions(&mut self) -> Vec<SessionAction> {
+        match self {
+            Side::Http(h) => h.poll_actions(),
+            Side::Spdy(s) => s.poll_actions(),
+        }
+    }
+
+    /// The earliest instant this side needs a maintenance wake-up
+    /// (HTTP idle-connection close), if any.
+    pub fn next_timeout(&self, ctx: &SessionCtx<'_>) -> Option<SimTime> {
+        match self {
+            Side::Http(h) => h.next_timeout(ctx),
+            Side::Spdy(_) => None,
+        }
+    }
+
     /// All per-object proxy records accumulated this run.
     pub fn proxy_records(&self) -> Vec<ProxyObjectRecord> {
         match self {
@@ -1237,36 +1245,6 @@ impl Side {
                 }
                 records
             }
-        }
-    }
-}
-
-impl AppSession for Side {
-    fn on_fetch_first_byte(&mut self, ctx: &mut SessionCtx<'_>, fetch: FetchId) {
-        match self {
-            Side::Http(h) => h.on_fetch_first_byte(ctx, fetch),
-            Side::Spdy(s) => s.on_fetch_first_byte(ctx, fetch),
-        }
-    }
-
-    fn on_fetch_complete(&mut self, ctx: &mut SessionCtx<'_>, fetch: FetchId, resp: Response) {
-        match self {
-            Side::Http(h) => h.on_fetch_complete(ctx, fetch, resp),
-            Side::Spdy(s) => s.on_fetch_complete(ctx, fetch, resp),
-        }
-    }
-
-    fn poll_actions(&mut self, ctx: &mut SessionCtx<'_>) -> Vec<SessionAction> {
-        match self {
-            Side::Http(h) => h.poll_actions(ctx),
-            Side::Spdy(s) => s.poll_actions(ctx),
-        }
-    }
-
-    fn next_timeout(&self, ctx: &SessionCtx<'_>) -> Option<SimTime> {
-        match self {
-            Side::Http(h) => h.next_timeout(ctx),
-            Side::Spdy(s) => s.next_timeout(ctx),
         }
     }
 }

@@ -9,11 +9,12 @@
 //! is recorded in its [`PipeRole`], which the session layer defines and
 //! interprets.
 
-use crate::config::{AccessPath, ExperimentConfig};
+use crate::config::ExperimentConfig;
 use crate::domains::DomainTable;
 use crate::results::RunResult;
 use crate::session::PipeRole;
 use spdyier_bytes::Payload;
+use spdyier_cellular::CellularPath;
 use spdyier_http::{HttpClientConn, HttpServerConn, Request};
 use spdyier_net::{presets as net_presets, Direction, DuplexPath, LinkVerdict};
 use spdyier_proxy::FetchId;
@@ -134,7 +135,7 @@ pub(crate) struct World {
     /// Origin service-time randomness.
     pub rng_origin: DetRng,
     /// Device↔proxy access path (3G/LTE/WiFi).
-    pub access: AccessPath,
+    pub access: CellularPath,
     /// Proxy↔origin wired path.
     pub wired: DuplexPath,
     /// All pipes ever opened this run (index-stable).
@@ -174,12 +175,13 @@ impl World {
         let root = DetRng::new(cfg.seed);
         let mut access = cfg.network.build();
         if let Some(promotion) = cfg.rrc_promotion_override {
-            if let Some(radio) = access.radio_mut() {
-                radio.set_promotion(promotion);
-            }
+            access.radio_mut().set_promotion(promotion);
         }
         if let Some(loss) = cfg.access_loss {
-            access.set_loss(loss);
+            for dir in [Direction::Down, Direction::Up] {
+                let link = access.link_mut(dir);
+                link.set_config(link.config().with_loss(loss));
+            }
         }
         World {
             now: SimTime::ZERO,
@@ -399,10 +401,10 @@ impl World {
                     (false, false) => Direction::Up,
                     (false, true) => Direction::Down,
                 };
-                let drops_before = if transport && over_access {
-                    self.access.drops(dir)
+                let queue_drops_before = if transport && over_access {
+                    self.access.link(dir).stats().queue_drops
                 } else {
-                    (0, 0)
+                    0
                 };
                 let verdict = if over_access {
                     self.access
@@ -417,7 +419,7 @@ impl World {
                 match verdict {
                     LinkVerdict::Deliver(at) => {
                         if over_access && self.tracer.active(TraceLevel::Full) {
-                            let ser = self.access.serialization_time(dir, seg.wire_size());
+                            let ser = self.access.link(dir).serialization_time(seg.wire_size());
                             self.tracer.emit(
                                 self.now,
                                 TraceEvent::SegmentSent {
@@ -445,13 +447,13 @@ impl World {
                     LinkVerdict::Drop => {
                         // The packet evaporates; TCP recovery handles it.
                         if transport && over_access {
-                            let after = self.access.drops(dir);
+                            let queue_drops = self.access.link(dir).stats().queue_drops;
                             self.tracer.emit(
                                 self.now,
                                 TraceEvent::LinkDrop {
                                     conn: idx,
                                     down: b_side,
-                                    queue_overflow: after.0 > drops_before.0,
+                                    queue_overflow: queue_drops > queue_drops_before,
                                 },
                             );
                             self.tracer.count("link.access.drops", 1);
@@ -485,7 +487,7 @@ impl World {
     /// recorder (each as one `[start, done]` interval, stamped at its
     /// start).
     pub fn sync_promotions(&mut self) {
-        let promotions = self.access.promotions();
+        let promotions = self.access.radio().promotions();
         for p in promotions.iter().skip(self.promos_emitted) {
             self.tracer.emit(
                 p.start,

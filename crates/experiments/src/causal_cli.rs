@@ -20,7 +20,7 @@
 //! and the paths are listed in cell order, so the output is identical
 //! at any `SPDYIER_JOBS` width.
 //!
-//! Lossy traces are refused outright: if the recorder's ring dropped
+//! Lossy traces are refused outright: if the recorder's sink dropped
 //! events (`trace.sink_dropped > 0`), the causal engine's conservation
 //! guarantee (edge durations sum to PLT) is void, and a refusal beats a
 //! silently-wrong attribution. For raw dumps the drop count comes from
@@ -91,7 +91,7 @@ fn sidecar_dropped(path: &Path, label: &str) -> Option<u64> {
 
 fn lossy_error(what: &str, dropped: u64) -> String {
     format!(
-        "{what}: lossy trace ({dropped} event(s) dropped by the recorder ring); \
+        "{what}: lossy trace ({dropped} event(s) dropped by the recorder's sink); \
          critical-path conservation would be unsound — re-record with a larger \
          sink before explaining or diffing"
     )
@@ -403,21 +403,45 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A run recorded through a ring too small for it sheds records; the
-    /// log says so whatever the sink, and `explain`/`diff` refuse it.
+    /// Keeps the first 64 records and sheds the rest.
+    #[derive(Default)]
+    struct Shedding {
+        kept: Vec<spdyier_trace::TraceRecord>,
+        shed: u64,
+    }
+
+    impl spdyier_trace::TraceSink for Shedding {
+        fn record(&mut self, rec: spdyier_trace::TraceRecord) {
+            if self.kept.len() < 64 {
+                self.kept.push(rec);
+            } else {
+                self.shed += 1;
+            }
+        }
+
+        fn drain(&mut self) -> Vec<spdyier_trace::TraceRecord> {
+            std::mem::take(&mut self.kept)
+        }
+
+        fn dropped(&self) -> u64 {
+            self.shed
+        }
+    }
+
+    /// A run recorded through a sink that sheds records; the log says so
+    /// whatever the sink, and `explain`/`diff` refuse it.
     #[test]
     fn a_run_that_shed_records_is_refused() {
         use spdyier_core::Testbed;
-        use spdyier_trace::RingSink;
-        let mut manifest = Manifest::paper_baseline("ring");
+        let mut manifest = Manifest::paper_baseline("shed");
         manifest.network.kind = spdyier_core::NetworkKind::Wifi;
         manifest.trace = TraceLevel::Full;
         let cell = &manifest.cells()[0];
         let testbed = Testbed::new(cell.build_config(&manifest));
-        let (_, log, ring) = testbed
-            .try_run_into(RingSink::new(64))
+        let (_, log, _) = testbed
+            .try_run_into(Shedding::default())
             .expect("within budget");
-        assert_eq!(log.events.len(), ring.capacity());
+        assert_eq!(log.events.len(), 64);
         assert_eq!(log.dropped, log.emitted - 64);
         let e = refuse_lossy_log("http_s0", &log).unwrap_err();
         assert!(e.starts_with("http_s0: lossy trace ("), "{e}");

@@ -24,7 +24,7 @@ pub mod table1;
 pub mod tcp_dynamics;
 
 use serde_json::Value;
-use spdyier_core::{NetworkSpec, ProtocolMode, RunResult};
+use spdyier_core::{NetworkKind, ProtocolMode, RunResult};
 use spdyier_scenario::{Cell, Manifest, ProtocolSpec};
 
 pub use causal_cli::{diff as causal_diff, explain as causal_explain, CausalOutcome};
@@ -82,7 +82,7 @@ impl ExpOpts {
 /// The manifest every figure starts from: the paper baseline (Table 1
 /// workload, HTTP then SPDY per seed, no mitigation) on `network` with
 /// `seeds` seeds. A figure sets its knobs on the returned value.
-pub(crate) fn baseline(id: &str, network: NetworkSpec, seeds: u64) -> Manifest {
+pub(crate) fn baseline(id: &str, network: NetworkKind, seeds: u64) -> Manifest {
     let mut manifest = Manifest::paper_baseline(id);
     manifest.network.kind = network;
     manifest.seeds.count = seeds;

@@ -64,8 +64,8 @@ pub struct ScenarioOutcome {
 pub struct FoldedCell {
     /// The cell's metrics accumulator.
     pub metrics: CellMetrics,
-    /// The cell's legacy paired-dump line (serialized `RunResult`),
-    /// when the manifest requests the paired dump.
+    /// The cell's line of the paired dump (serialized `RunResult`), when
+    /// the manifest sets `outputs.paired_dump`.
     pub dump_line: Option<String>,
     /// The cell's pre-rendered files: its trace artifacts (when the cell
     /// was traced) and its plot data, when the manifest requests them.
@@ -421,9 +421,24 @@ pub(crate) fn finish_folded(
         };
     }
 
+    // A limit stops evaluation, so JUnit gets one failing `limits` case
+    // instead of zero tests: a CI reporter reads it as red, like exit 2.
+    let junit = match &limit_detail {
+        Some(detail) => junit_xml(
+            &manifest.name,
+            &[AssertionVerdict {
+                expr: "limits".into(),
+                status: VerdictStatus::Fail,
+                lhs: None,
+                rhs: None,
+                detail: detail.clone(),
+            }],
+        ),
+        None => junit_xml(&manifest.name, &verdicts),
+    };
     let mut files = vec![DataFile {
         name: "junit.xml".into(),
-        contents: junit_xml(&manifest.name, &verdicts),
+        contents: junit,
     }];
     if manifest.outputs.paired_dump && limit_error.is_none() {
         let dump_name = format!("paired_{}.jsonl", manifest.network.kind.cli_name());

@@ -170,6 +170,22 @@ fn exhausted_event_budget_yields_exit_2_and_limit_status() {
         matches!(&v["limit"], serde_json::Value::Str(s) if s.contains("event budget")),
         "{result}"
     );
+    assert_eq!(v["assertions"], serde_json::Value::Array(Vec::new()));
+    // JUnit carries the limit as one failing case, so CI does not read
+    // a limit-exceeded run as green.
+    let junit = std::fs::read_to_string(dir.join("junit.xml")).expect("junit.xml exists");
+    assert!(
+        junit.contains("tests=\"1\" failures=\"1\" skipped=\"0\""),
+        "{junit}"
+    );
+    assert!(junit.contains("name=\"limits\""), "{junit}");
+    let serde_json::Value::Str(limit) = &v["limit"] else {
+        unreachable!()
+    };
+    assert!(
+        junit.contains(&format!("<failure message=\"{limit}\"/>")),
+        "{junit}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -20,7 +20,7 @@
 //! one assertion list serve a family of per-network manifests.
 
 use crate::metrics::{required_trace, COUNTER, METRICS};
-use spdyier_core::{NetworkSpec, TraceLevel};
+use spdyier_core::{NetworkKind, TraceLevel};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +87,7 @@ pub struct Assertion {
     /// Right-hand side.
     pub rhs: Operand,
     /// Optional `on <network>` gate.
-    pub on: Option<NetworkSpec>,
+    pub on: Option<NetworkKind>,
 }
 
 impl MetricRef {
@@ -165,7 +165,7 @@ impl Assertion {
         let (head, on) = match tokens.len() {
             3 => (&tokens[..3], None),
             5 if tokens[3] == "on" => {
-                let net: NetworkSpec = tokens[4].parse()?;
+                let net: NetworkKind = tokens[4].parse()?;
                 (&tokens[..3], Some(net))
             }
             _ => {
@@ -221,7 +221,7 @@ mod tests {
     fn parses_the_paper_headline() {
         let a = Assertion::parse("spdy.rto_stall_ms > http.rto_stall_ms on 3g").unwrap();
         assert_eq!(a.op, CmpOp::Gt);
-        assert_eq!(a.on, Some(NetworkSpec::Umts3G));
+        assert_eq!(a.on, Some(NetworkKind::Umts3G));
         let lhs = a.lhs.metric().unwrap();
         assert_eq!(lhs.filters, ["spdy"]);
         assert_eq!(lhs.metric, "rto_stall_ms");

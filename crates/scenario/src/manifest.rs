@@ -18,13 +18,13 @@
 //!
 //! The defaults of every optional section reproduce
 //! [`ExperimentConfig::paper_3g`] exactly; a manifest that only names a
-//! network and protocols runs at the paper's operating point, which is
-//! what lets the legacy `paired`/`trace` subcommands be re-expressed as
-//! committed manifests with byte-identical outputs.
+//! network and protocols runs at the paper's operating point, so every
+//! figure, scenario and `explain`/`diff` input is a manifest over the
+//! same defaults.
 
 use crate::assertions::Assertion;
 use serde::Value;
-use spdyier_core::{ExperimentConfig, NetworkSpec, ProtocolMode};
+use spdyier_core::{ExperimentConfig, NetworkKind, ProtocolMode};
 use spdyier_sim::{DetRng, SimDuration};
 use spdyier_tcp::CcAlgorithm;
 use spdyier_trace::TraceLevel;
@@ -322,7 +322,7 @@ impl ProtocolSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkSection {
     /// Which access network (`"3g"`, `"3g-pinned"`, `"lte"`, `"wifi"`).
-    pub kind: NetworkSpec,
+    pub kind: NetworkKind,
 }
 
 /// The `workload` section: what pages the schedule visits.
@@ -826,7 +826,7 @@ impl Manifest {
             name: name.to_string(),
             description: String::new(),
             network: NetworkSection {
-                kind: NetworkSpec::Umts3G,
+                kind: NetworkKind::Umts3G,
             },
             workload: Workload::Table1,
             protocols: vec![
@@ -882,7 +882,7 @@ impl Manifest {
 
         let mut settings = Settings::default();
         let mut f = top.child(Home::Network.key());
-        let kind = f.read("kind", None, |v| as_str(v)?.parse::<NetworkSpec>());
+        let kind = f.read("kind", None, |v| as_str(v)?.parse::<NetworkKind>());
         decode_knobs(&mut f, Home::Network, &mut settings);
         top.absorb(f);
 
@@ -939,7 +939,7 @@ impl Manifest {
             name: name.unwrap_or_default(),
             description: description.unwrap_or_default().to_string(),
             network: NetworkSection {
-                kind: kind.unwrap_or(NetworkSpec::Umts3G),
+                kind: kind.unwrap_or(NetworkKind::Umts3G),
             },
             workload,
             protocols,
@@ -1207,8 +1207,8 @@ impl Cell {
     }
 
     /// Build the full [`ExperimentConfig`] for this cell. Defaults match
-    /// [`ExperimentConfig::paper_3g`] exactly, so a baseline manifest's
-    /// cells are byte-identical to the legacy subcommands' runs.
+    /// [`ExperimentConfig::paper_3g`] exactly, with the schedule the
+    /// workload and seed name.
     pub fn build_config(&self, manifest: &Manifest) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::paper_3g(self.protocol.mode, self.seed)
             .with_network(manifest.network.kind);
@@ -1262,9 +1262,9 @@ impl Cell {
     }
 
     /// Artifact label for this cell: the protocol compact name, extended
-    /// with the seed and variant when the manifest has several cells per
-    /// protocol (single-cell-per-protocol manifests keep the legacy
-    /// `trace_<proto>.*` names).
+    /// with the seed when the manifest has several seeds and with the
+    /// variant under a matrix (one cell per protocol stays `<proto>`, as
+    /// in `trace_spdy.jsonl`).
     pub fn artifact_label(&self, manifest: &Manifest) -> String {
         let proto = self.protocol.compact().replace(':', "-");
         let mut label = proto;

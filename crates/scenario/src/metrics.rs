@@ -26,8 +26,10 @@ use spdyier_core::{
 use spdyier_sim::stats::{MergeError, QuantileSketch};
 use std::collections::BTreeMap;
 
-/// Everything assertion evaluation needs from one run cell.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Everything assertion evaluation needs from one run cell. The derived
+/// `Serialize` writes every field in declaration order: the checkpoint
+/// encoder [`CellMetrics::from_value`] reads back.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CellMetrics {
     /// Protocol compact name (`"http"`, `"spdy:20:late"`, …).
     pub protocol: String,
@@ -437,53 +439,6 @@ impl CellMetrics {
             m.counters.insert(name.clone(), count);
         }
         Ok(m)
-    }
-}
-
-impl Serialize for CellMetrics {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("protocol".into(), Value::Str(self.protocol.clone())),
-            ("variant".into(), Value::Str(self.variant.clone())),
-            ("seed".into(), Value::U64(self.seed)),
-            ("plt".into(), self.plt.to_value()),
-            ("visits".into(), Value::U64(self.visits)),
-            ("completed".into(), Value::U64(self.completed)),
-            (
-                "stall_sums_us".into(),
-                Value::Array(self.stall_sums_us.iter().map(|&x| Value::U64(x)).collect()),
-            ),
-            ("stall_visits".into(), Value::U64(self.stall_visits)),
-            (
-                "critical_sums_us".into(),
-                Value::Array(
-                    self.critical_sums_us
-                        .iter()
-                        .map(|&x| Value::U64(x))
-                        .collect(),
-                ),
-            ),
-            ("critical_visits".into(), Value::U64(self.critical_visits)),
-            ("retransmissions".into(), Value::U64(self.retransmissions)),
-            ("timeouts".into(), Value::U64(self.timeouts)),
-            ("idle_restarts".into(), Value::U64(self.idle_restarts)),
-            (
-                "connections_opened".into(),
-                Value::U64(self.connections_opened),
-            ),
-            ("promotions".into(), Value::U64(self.promotions)),
-            ("total_bytes".into(), Value::U64(self.total_bytes)),
-            ("energy_mj".into(), Value::F64(self.energy_mj)),
-            (
-                "counters".into(),
-                Value::Object(
-                    self.counters
-                        .iter()
-                        .map(|(k, &n)| (k.clone(), Value::U64(n)))
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 

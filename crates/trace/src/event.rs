@@ -7,7 +7,7 @@
 //! connection index (pipe slot in the `World`), visit index, stream id
 //! or object tag. Serialization is externally tagged
 //! (`{"VariantName": {...}}`), one JSON object per record, which is
-//! what the JSONL writer emits line by line.
+//! one line of [`crate::to_jsonl`]'s output.
 
 use serde::Serialize;
 use spdyier_sim::SimTime;
@@ -210,9 +210,8 @@ impl TraceRecord {
     /// Byte-identical to `serde_json::to_string(self)` — the test suite
     /// pins that equivalence for every variant — but serializes straight
     /// into the caller's buffer instead of building a `Value` tree and a
-    /// fresh `String` per record. [`crate::sink::JsonlWriter`] keeps one
-    /// scratch line alive across millions of records on the strength of
-    /// this method.
+    /// fresh `String` per record, so [`crate::to_jsonl`] renders a whole
+    /// log into one growing string.
     pub fn write_jsonl_line(&self, out: &mut String) {
         out.push_str("{\"t\":");
         push_u64(out, self.t.as_micros());

@@ -11,8 +11,8 @@
 //! - [`TraceEvent`] / [`TraceRecord`] — the cross-layer vocabulary.
 //! - [`TraceLevel`] — `Off` < `Lifecycle` < `Transport` < `Full`,
 //!   set by a scenario manifest's `trace` field.
-//! - [`TraceSink`] — where records go: [`NullSink`], [`MemorySink`],
-//!   bounded [`RingSink`], streaming [`JsonlWriter`].
+//! - [`TraceSink`] — where records go: [`NullSink`], [`MemorySink`], or
+//!   a sink the caller lends (the causal engine's model builder).
 //! - [`MetricsRegistry`] — named counters + power-of-two histograms,
 //!   deterministically ordered.
 //! - [`Tracer`] / [`FlightLog`] — the recorder the `World` carries and
@@ -29,4 +29,4 @@ mod sink;
 pub use event::{TraceEvent, TraceLevel, TraceRecord};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{FlightLog, Tracer};
-pub use sink::{to_jsonl, JsonlWriter, MemorySink, NullSink, RingSink, TraceSink};
+pub use sink::{to_jsonl, MemorySink, NullSink, TraceSink};

@@ -142,9 +142,8 @@ impl Tracer {
     /// recorder's own throughput (`trace.emitted`) and the sink's loss
     /// (`trace.sink_dropped`) land in the metrics registry so
     /// `metrics_*.json` surfaces trace loss without consumers having to
-    /// inspect the sink. Drain first: a batching sink (like
-    /// [`crate::sink::JsonlWriter`]) may only discover write failures
-    /// while flushing.
+    /// inspect the sink. Drain first: a sink that buffers may only learn
+    /// what it lost while draining.
     pub fn finish(self) -> FlightLog {
         self.close().0
     }
@@ -192,7 +191,7 @@ pub struct FlightLog {
     pub level: TraceLevel,
     /// All retained records, in emission (= simulated time) order.
     pub events: Vec<TraceRecord>,
-    /// Records shed by the sink (ring overflow / write failures).
+    /// Records the sink shed ([`TraceSink::dropped`]).
     pub dropped: u64,
     /// Records that passed the level gate (>= `events.len()`).
     pub emitted: u64,
@@ -210,7 +209,32 @@ impl FlightLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::RingSink;
+
+    /// Keeps the first record and sheds the rest: the loss accounting's
+    /// test double (no sink a run is lent sheds today).
+    #[derive(Default)]
+    struct Shedding {
+        kept: Vec<TraceRecord>,
+        shed: u64,
+    }
+
+    impl TraceSink for Shedding {
+        fn record(&mut self, rec: TraceRecord) {
+            if self.kept.is_empty() {
+                self.kept.push(rec);
+            } else {
+                self.shed += 1;
+            }
+        }
+
+        fn drain(&mut self) -> Vec<TraceRecord> {
+            std::mem::take(&mut self.kept)
+        }
+
+        fn dropped(&self) -> u64 {
+            self.shed
+        }
+    }
 
     fn visit_start(visit: usize) -> TraceEvent {
         TraceEvent::VisitStart { visit, site: 0 }
@@ -262,7 +286,7 @@ mod tests {
 
     #[test]
     fn finish_reports_ring_shedding() {
-        let mut tr = Tracer::with_sink(TraceLevel::Lifecycle, Box::new(RingSink::new(1)));
+        let mut tr = Tracer::with_sink(TraceLevel::Lifecycle, Box::<Shedding>::default());
         tr.emit(SimTime::ZERO, visit_start(0));
         tr.emit(SimTime::from_micros(1), visit_start(1));
         let log = tr.finish();
@@ -273,7 +297,7 @@ mod tests {
 
     #[test]
     fn finish_publishes_throughput_and_loss_metrics() {
-        let mut tr = Tracer::with_sink(TraceLevel::Lifecycle, Box::new(RingSink::new(1)));
+        let mut tr = Tracer::with_sink(TraceLevel::Lifecycle, Box::<Shedding>::default());
         tr.emit(SimTime::ZERO, visit_start(0));
         tr.emit(SimTime::from_micros(1), visit_start(1));
         let log = tr.finish();

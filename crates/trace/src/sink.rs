@@ -1,17 +1,12 @@
 //! Where trace records go.
 //!
 //! A [`TraceSink`] receives fully-formed [`TraceRecord`]s from the
-//! recorder. The three built-ins cover the spectrum: [`NullSink`]
-//! discards everything (the zero-cost default — the recorder never even
-//! constructs events when the level is `Off`), [`MemorySink`] keeps
-//! everything for in-process consumers like the stall attributor, and
-//! [`RingSink`] keeps only the most recent `capacity` records, counting
-//! what it sheds — the "flight recorder" configuration for long runs.
-//! [`JsonlWriter`] streams each record as one JSON line to any
-//! `io::Write`, for post-mortem tooling outside the process.
-
-use std::collections::VecDeque;
-use std::io;
+//! recorder. Two built-ins: [`NullSink`] discards everything (the
+//! zero-cost default — the recorder never even constructs events when
+//! the level is `Off`) and [`MemorySink`] keeps everything for
+//! in-process consumers like the stall attributor. The third sink a run
+//! is ever lent, `spdyier_causal::ModelBuilder`, folds records into the
+//! causal event model instead of retaining them.
 
 use crate::event::TraceRecord;
 
@@ -78,153 +73,6 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// A bounded ring that keeps the most recent `capacity` records and
-/// counts everything it sheds.
-#[derive(Debug)]
-pub struct RingSink {
-    ring: VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` records (clamped to >= 1).
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            ring: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: TraceRecord) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(rec);
-    }
-
-    fn drain(&mut self) -> Vec<TraceRecord> {
-        self.ring.drain(..).collect()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-/// How many buffered bytes a [`JsonlWriter`] accumulates before it
-/// pushes them to the inner writer in one `write_all`.
-const JSONL_FLUSH_BYTES: usize = 64 * 1024;
-
-/// Streams each record as one JSON line to an `io::Write`, batching
-/// lines through an internal buffer so a megaevent run costs hundreds
-/// of writes rather than one syscall per record. The buffer drains to
-/// the inner writer whenever it crosses [`JSONL_FLUSH_BYTES`], on
-/// [`TraceSink::drain`], and on [`JsonlWriter::into_inner`]; the bytes
-/// that reach the writer are identical to the unbatched stream.
-///
-/// Write errors are counted (see [`TraceSink::dropped`]) rather than
-/// propagated: tracing must never abort a run. A failed batch write
-/// reclassifies every line in the batch from `written` to dropped.
-#[derive(Debug)]
-pub struct JsonlWriter<W: io::Write + Send> {
-    out: W,
-    buf: Vec<u8>,
-    /// Reusable scratch for one serialized line: `record` renders into
-    /// this (via [`TraceRecord::write_jsonl_line`]) and copies it into
-    /// `buf`, so steady state allocates nothing per record.
-    line: String,
-    /// Lines currently sitting in `buf`.
-    pending: u64,
-    written: u64,
-    failed: u64,
-}
-
-impl<W: io::Write + Send> JsonlWriter<W> {
-    /// Wrap a writer.
-    pub fn new(out: W) -> JsonlWriter<W> {
-        JsonlWriter {
-            out,
-            buf: Vec::with_capacity(JSONL_FLUSH_BYTES),
-            line: String::new(),
-            pending: 0,
-            written: 0,
-            failed: 0,
-        }
-    }
-
-    /// How many lines were accepted (buffered or already pushed to the
-    /// inner writer). A line only leaves this count if its batch later
-    /// fails to write or the final flush fails.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Push the buffered batch to the inner writer.
-    fn flush_buf(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        if self.out.write_all(&self.buf).is_err() {
-            self.written = self.written.saturating_sub(self.pending);
-            self.failed += self.pending;
-        }
-        self.buf.clear();
-        self.pending = 0;
-    }
-
-    /// Push the batch and flush the inner writer. A writer that buffers
-    /// internally (`BufWriter`, a compressing encoder) may only reveal a
-    /// truncated file here — on flush failure every line counted as
-    /// written is reclassified as failed, so `dropped()` never reports 0
-    /// for a trace the reader cannot actually recover.
-    fn final_flush(&mut self) {
-        self.flush_buf();
-        if self.out.flush().is_err() {
-            self.failed += self.written;
-            self.written = 0;
-        }
-    }
-
-    /// Flush and recover the inner writer.
-    pub fn into_inner(mut self) -> W {
-        self.final_flush();
-        self.out
-    }
-}
-
-impl<W: io::Write + Send> TraceSink for JsonlWriter<W> {
-    fn record(&mut self, rec: TraceRecord) {
-        self.line.clear();
-        rec.write_jsonl_line(&mut self.line);
-        self.buf.extend_from_slice(self.line.as_bytes());
-        self.buf.push(b'\n');
-        self.pending += 1;
-        self.written += 1;
-        if self.buf.len() >= JSONL_FLUSH_BYTES {
-            self.flush_buf();
-        }
-    }
-
-    fn drain(&mut self) -> Vec<TraceRecord> {
-        self.final_flush();
-        Vec::new()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.failed
-    }
-}
-
 /// Render records to one JSONL string (one line per record, trailing
 /// newline after each). The canonical on-disk trace format.
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
@@ -259,165 +107,6 @@ mod tests {
         assert_eq!(drained[0].t, SimTime::from_micros(1));
         assert!(sink.is_empty());
         assert_eq!(sink.dropped(), 0);
-    }
-
-    #[test]
-    fn ring_sink_keeps_newest_and_counts_shed() {
-        let mut sink = RingSink::new(2);
-        for i in 0..5 {
-            sink.record(rec(i, i as usize));
-        }
-        assert_eq!(sink.dropped(), 3);
-        let kept = sink.drain();
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].t, SimTime::from_micros(3));
-        assert_eq!(kept[1].t, SimTime::from_micros(4));
-    }
-
-    #[test]
-    fn jsonl_writer_streams_lines() {
-        let mut sink = JsonlWriter::new(Vec::new());
-        sink.record(rec(10, 0));
-        sink.record(rec(20, 1));
-        assert_eq!(sink.written(), 2);
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.ends_with('\n'));
-        assert_eq!(text, to_jsonl(&[rec(10, 0), rec(20, 1)]));
-    }
-
-    /// A writer shared through an `Rc<RefCell<..>>` so tests can watch
-    /// when bytes actually arrive, plus a write-call counter.
-    #[derive(Default)]
-    struct CountingWriter {
-        bytes: Vec<u8>,
-        write_calls: usize,
-    }
-
-    impl io::Write for &mut CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.write_calls += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_writer_batches_lines_into_one_write() {
-        let mut inner = CountingWriter::default();
-        {
-            let mut sink = JsonlWriter::new(&mut inner);
-            for i in 0..100 {
-                sink.record(rec(i, i as usize));
-            }
-            // Under the flush threshold: nothing has hit the writer yet,
-            // but every line is accepted.
-            assert_eq!(sink.written(), 100);
-            let _ = sink.into_inner();
-        }
-        assert!(
-            inner.write_calls <= 2,
-            "expected one batched write, got {}",
-            inner.write_calls
-        );
-        let text = String::from_utf8(inner.bytes).unwrap();
-        assert_eq!(text.lines().count(), 100);
-        let expect: Vec<TraceRecord> = (0..100).map(|i| rec(i, i as usize)).collect();
-        assert_eq!(text, to_jsonl(&expect), "batching must not change bytes");
-    }
-
-    #[test]
-    fn jsonl_writer_drain_flushes_the_batch() {
-        let mut inner = CountingWriter::default();
-        {
-            let mut sink = JsonlWriter::new(&mut inner);
-            sink.record(rec(1, 0));
-            assert_eq!(inner_len(&sink), 1, "line should be buffered");
-            assert!(sink.drain().is_empty());
-            let _ = sink.into_inner();
-        }
-        assert_eq!(
-            String::from_utf8(inner.bytes).unwrap().lines().count(),
-            1,
-            "drain must push buffered lines"
-        );
-    }
-
-    /// Peek at how many lines a writer is holding (test-only).
-    fn inner_len<W: io::Write + Send>(w: &JsonlWriter<W>) -> u64 {
-        w.pending
-    }
-
-    /// A writer that always fails.
-    struct FailWriter;
-
-    impl io::Write for FailWriter {
-        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-            Err(io::Error::other("disk full"))
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_writer_counts_failed_batches_as_dropped() {
-        let mut sink = JsonlWriter::new(FailWriter);
-        sink.record(rec(1, 0));
-        sink.record(rec(2, 1));
-        let _ = sink.drain();
-        assert_eq!(sink.dropped(), 2);
-        assert_eq!(sink.written(), 0, "failed lines leave the written count");
-    }
-
-    /// A writer whose writes succeed but whose `flush` fails — the
-    /// shape of a `BufWriter` over a full disk: bytes are accepted into
-    /// the intermediate buffer, the loss only surfaces at flush time.
-    struct FailFlushWriter;
-
-    impl io::Write for FailFlushWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Err(io::Error::other("disk full"))
-        }
-    }
-
-    #[test]
-    fn jsonl_writer_reclassifies_written_on_final_flush_failure() {
-        let mut sink = JsonlWriter::new(FailFlushWriter);
-        sink.record(rec(1, 0));
-        sink.record(rec(2, 1));
-        assert_eq!(sink.written(), 2);
-        assert_eq!(sink.dropped(), 0);
-        let _ = sink.drain();
-        assert_eq!(
-            sink.dropped(),
-            2,
-            "a failed final flush must not leave dropped() at 0"
-        );
-        assert_eq!(sink.written(), 0);
-    }
-
-    #[test]
-    fn jsonl_writer_scratch_line_reuse_keeps_bytes_identical() {
-        let mut sink = JsonlWriter::new(Vec::new());
-        let records: Vec<TraceRecord> = (0..50).map(|i| rec(i, i as usize)).collect();
-        for r in &records {
-            sink.record(r.clone());
-        }
-        let _ = sink.drain();
-        let bytes = sink.into_inner();
-        assert_eq!(
-            String::from_utf8(bytes).unwrap(),
-            to_jsonl(&records),
-            "scratch-line serialization must not change the stream"
-        );
     }
 
     #[test]
