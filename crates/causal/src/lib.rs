@@ -42,7 +42,7 @@ pub mod sweep;
 
 pub use diff::{diff_paths, DiffReport, VisitDiff, DIFF_SCHEMA_VERSION};
 pub use model::{ConnBinding, EventModel, Interval, ModelBuilder, ObjectInstants, VisitWindow};
-pub use parse::{parse_jsonl, parse_record};
+pub use parse::parse_jsonl;
 pub use path::{
     critical_paths, critical_paths_from_records, explain_json, explain_text, rollup_us,
     CriticalPath, EdgeKind, PathEdge, EDGE_KINDS, EXPLAIN_SCHEMA_VERSION,

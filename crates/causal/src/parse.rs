@@ -1,191 +1,16 @@
 //! Strict JSONL trace parsing: the inverse of the flight recorder's
-//! `trace_*.jsonl` writer.
+//! `trace_*.jsonl` writer ([`spdyier_trace::to_jsonl`]).
 //!
-//! Each line is `{"t":<µs>,"event":{"Variant":{...}}}`. Parsing is
-//! strict — an unknown variant, a missing field, or a malformed line is
-//! an error naming the line number, never a silently skipped record —
-//! because the causal engine must refuse to explain an event stream it
-//! does not fully understand.
+//! Each line is `{"t":<µs>,"event":{"Variant":{...}}}`, decoded by the
+//! `Deserialize` that [`TraceRecord`] derives beside its `Serialize`, so
+//! the vocabulary is spelled once, in `spdyier_trace`. Decoding is
+//! strict — malformed JSON, an unknown variant, a missing or unknown
+//! field is an error naming the line number and the field path
+//! (`line 7: … event.TcpRto.conn: missing key`), never a silently
+//! skipped record — because the causal engine must refuse to explain an
+//! event stream it does not fully understand.
 
-use serde::Value;
-use spdyier_sim::SimTime;
-use spdyier_trace::{TraceEvent, TraceRecord};
-
-fn field<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, String> {
-    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_u64(obj: &Value, key: &str) -> Result<u64, String> {
-    field(obj, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
-}
-
-fn req_usize(obj: &Value, key: &str) -> Result<usize, String> {
-    Ok(req_u64(obj, key)? as usize)
-}
-
-fn req_u32(obj: &Value, key: &str) -> Result<u32, String> {
-    let v = req_u64(obj, key)?;
-    u32::try_from(v).map_err(|_| format!("field {key:?} overflows u32"))
-}
-
-fn req_bool(obj: &Value, key: &str) -> Result<bool, String> {
-    field(obj, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field {key:?} is not a boolean"))
-}
-
-fn req_str(obj: &Value, key: &str) -> Result<String, String> {
-    Ok(field(obj, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))?
-        .to_string())
-}
-
-fn req_time(obj: &Value, key: &str) -> Result<SimTime, String> {
-    Ok(SimTime::from_micros(req_u64(obj, key)?))
-}
-
-fn opt_u64(obj: &Value, key: &str) -> Result<Option<u64>, String> {
-    match field(obj, key)? {
-        Value::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} is not null or an unsigned integer")),
-    }
-}
-
-fn parse_event(tag: &str, body: &Value) -> Result<TraceEvent, String> {
-    use TraceEvent::*;
-    Ok(match tag {
-        "VisitStart" => VisitStart {
-            visit: req_usize(body, "visit")?,
-            site: req_usize(body, "site")?,
-        },
-        "VisitEnd" => VisitEnd {
-            visit: req_usize(body, "visit")?,
-            completed: req_bool(body, "completed")?,
-            plt_us: req_u64(body, "plt_us")?,
-        },
-        "ObjectRequested" => ObjectRequested {
-            visit: req_usize(body, "visit")?,
-            object: req_u32(body, "object")?,
-        },
-        "ObjectFirstByte" => ObjectFirstByte {
-            visit: req_usize(body, "visit")?,
-            object: req_u32(body, "object")?,
-        },
-        "ObjectComplete" => ObjectComplete {
-            visit: req_usize(body, "visit")?,
-            object: req_u32(body, "object")?,
-        },
-        "HttpRequestSent" => HttpRequestSent {
-            conn: req_usize(body, "conn")?,
-            gen: req_u64(body, "gen")?,
-            tag: req_u64(body, "tag")?,
-        },
-        "HttpResponseDone" => HttpResponseDone {
-            conn: req_usize(body, "conn")?,
-            gen: req_u64(body, "gen")?,
-            tag: req_u64(body, "tag")?,
-        },
-        "SpdyStreamOpen" => SpdyStreamOpen {
-            conn: req_usize(body, "conn")?,
-            stream: req_u32(body, "stream")?,
-            gen: req_u64(body, "gen")?,
-            tag: req_u64(body, "tag")?,
-        },
-        "ConnOpened" => ConnOpened {
-            conn: req_usize(body, "conn")?,
-            over_access: req_bool(body, "over_access")?,
-            label: req_str(body, "label")?,
-        },
-        "ConnClosed" => ConnClosed {
-            conn: req_usize(body, "conn")?,
-        },
-        "SslReady" => SslReady {
-            conn: req_usize(body, "conn")?,
-        },
-        "ProxyFetchDispatch" => ProxyFetchDispatch {
-            fetch: req_u64(body, "fetch")?,
-            conn: req_usize(body, "conn")?,
-            fresh_pipe: req_bool(body, "fresh_pipe")?,
-            domain: req_str(body, "domain")?,
-        },
-        "ProxyLateBind" => ProxyLateBind {
-            fetch: req_u64(body, "fetch")?,
-            owner_session: req_usize(body, "owner_session")?,
-            chosen_session: req_usize(body, "chosen_session")?,
-        },
-        "OriginThink" => OriginThink {
-            conn: req_usize(body, "conn")?,
-            until: req_time(body, "until")?,
-        },
-        "RrcPromotion" => RrcPromotion {
-            kind: req_str(body, "kind")?,
-            start: req_time(body, "start")?,
-            done: req_time(body, "done")?,
-        },
-        "LinkDrop" => LinkDrop {
-            conn: req_usize(body, "conn")?,
-            down: req_bool(body, "down")?,
-            queue_overflow: req_bool(body, "queue_overflow")?,
-        },
-        "TcpRto" => TcpRto {
-            conn: req_usize(body, "conn")?,
-            b_side: req_bool(body, "b_side")?,
-            silent_since: req_time(body, "silent_since")?,
-        },
-        "TcpIdleRestart" => TcpIdleRestart {
-            conn: req_usize(body, "conn")?,
-            b_side: req_bool(body, "b_side")?,
-        },
-        "TcpRetransmit" => TcpRetransmit {
-            conn: req_usize(body, "conn")?,
-            down: req_bool(body, "down")?,
-        },
-        "TcpCwnd" => TcpCwnd {
-            conn: req_usize(body, "conn")?,
-            cwnd: req_u64(body, "cwnd")?,
-            ssthresh: opt_u64(body, "ssthresh")?,
-            inflight: req_u64(body, "inflight")?,
-        },
-        "SegmentSent" => SegmentSent {
-            conn: req_usize(body, "conn")?,
-            down: req_bool(body, "down")?,
-            bytes: req_u64(body, "bytes")?,
-            deliver: req_time(body, "deliver")?,
-            ser_us: req_u64(body, "ser_us")?,
-            retransmit: req_bool(body, "retransmit")?,
-        },
-        "SpdyFrameRecv" => SpdyFrameRecv {
-            conn: req_usize(body, "conn")?,
-            stream: req_u32(body, "stream")?,
-            kind: req_str(body, "kind")?,
-            fin: req_bool(body, "fin")?,
-        },
-        other => return Err(format!("unknown event variant {other:?}")),
-    })
-}
-
-/// Parse one `{"t":..,"event":{..}}` JSONL line.
-pub fn parse_record(line: &str) -> Result<TraceRecord, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
-    let t = req_time(&v, "t")?;
-    let event = field(&v, "event")?;
-    let Value::Object(entries) = event else {
-        return Err("field \"event\" is not an object".into());
-    };
-    let [(tag, body)] = entries.as_slice() else {
-        return Err("field \"event\" must have exactly one variant key".into());
-    };
-    Ok(TraceRecord {
-        t,
-        event: parse_event(tag, body)?,
-    })
-}
+use spdyier_trace::TraceRecord;
 
 /// Parse a whole `trace_*.jsonl` document (blank lines allowed).
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
@@ -194,7 +19,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        out.push(parse_record(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+        let record = serde_json::from_str(line).and_then(serde_json::from_value);
+        out.push(record.map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     Ok(out)
 }
@@ -202,65 +28,167 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spdyier_sim::SimTime;
+    use spdyier_trace::{to_jsonl, TraceEvent};
 
-    #[test]
-    fn round_trips_the_writers_own_lines() {
-        let recs = vec![
-            TraceRecord {
-                t: SimTime::from_micros(10),
-                event: TraceEvent::VisitStart { visit: 0, site: 9 },
+    /// One exemplar per variant, with string fields that exercise the
+    /// escaping rules (quotes, backslashes, named escapes, raw control
+    /// characters) and numeric extremes.
+    fn exemplars() -> Vec<TraceEvent> {
+        use TraceEvent::*;
+        vec![
+            VisitStart { visit: 0, site: 19 },
+            VisitEnd {
+                visit: usize::MAX,
+                completed: false,
+                plt_us: u64::MAX,
             },
-            TraceRecord {
-                t: SimTime::from_micros(20),
-                event: TraceEvent::SpdyStreamOpen {
-                    conn: 1,
-                    stream: 3,
-                    gen: 2,
-                    tag: 7,
-                },
+            ObjectRequested {
+                visit: 3,
+                object: u32::MAX,
             },
-            TraceRecord {
-                t: SimTime::from_micros(30),
-                event: TraceEvent::TcpCwnd {
-                    conn: 1,
-                    cwnd: 14_600,
-                    ssthresh: None,
-                    inflight: 0,
-                },
+            ObjectFirstByte {
+                visit: 4,
+                object: 0,
             },
-            TraceRecord {
-                t: SimTime::from_micros(40),
-                event: TraceEvent::ConnOpened {
-                    conn: 2,
-                    over_access: true,
-                    label: "dev\"x\\y\n".into(),
-                },
+            ObjectComplete {
+                visit: 5,
+                object: 77,
             },
-            TraceRecord {
-                t: SimTime::from_micros(50),
-                event: TraceEvent::SpdyFrameRecv {
-                    conn: 1,
-                    stream: 3,
-                    kind: "Reply".into(),
-                    fin: false,
-                },
+            HttpRequestSent {
+                conn: 1,
+                gen: 2,
+                tag: 3,
             },
-        ];
-        let text: String = recs
-            .iter()
-            .map(|r| format!("{}\n", r.to_jsonl_line()))
-            .collect();
-        let parsed = parse_jsonl(&text).expect("round trip parses");
-        assert_eq!(parsed, recs);
+            HttpResponseDone {
+                conn: 9,
+                gen: 0,
+                tag: u64::MAX,
+            },
+            SpdyStreamOpen {
+                conn: 2,
+                stream: 41,
+                gen: 7,
+                tag: 8,
+            },
+            ConnOpened {
+                conn: 6,
+                over_access: true,
+                label: "dev\"ice\\a[3]\n\t\r\u{1}\u{1F}é".to_string(),
+            },
+            ConnClosed { conn: 11 },
+            SslReady { conn: 12 },
+            ProxyFetchDispatch {
+                fetch: 99,
+                conn: 4,
+                fresh_pipe: true,
+                domain: "static.example.org".to_string(),
+            },
+            ProxyLateBind {
+                fetch: 100,
+                owner_session: 1,
+                chosen_session: 2,
+            },
+            OriginThink {
+                conn: 3,
+                until: SimTime::from_micros(123_456_789),
+            },
+            RrcPromotion {
+                kind: "idle->dch".to_string(),
+                start: SimTime::ZERO,
+                done: SimTime::from_micros(u64::MAX),
+            },
+            LinkDrop {
+                conn: 5,
+                down: true,
+                queue_overflow: false,
+            },
+            TcpRto {
+                conn: 6,
+                b_side: true,
+                silent_since: SimTime::from_micros(42),
+            },
+            TcpIdleRestart {
+                conn: 7,
+                b_side: false,
+            },
+            TcpRetransmit {
+                conn: 8,
+                down: false,
+            },
+            TcpCwnd {
+                conn: 9,
+                cwnd: 14_600,
+                ssthresh: None,
+                inflight: 2_920,
+            },
+            TcpCwnd {
+                conn: 9,
+                cwnd: 29_200,
+                ssthresh: Some(u64::MAX),
+                inflight: 0,
+            },
+            SegmentSent {
+                conn: 10,
+                down: true,
+                bytes: 1_400,
+                deliver: SimTime::from_micros(987_654),
+                ser_us: 120,
+                retransmit: true,
+            },
+            SpdyFrameRecv {
+                conn: 11,
+                stream: 13,
+                kind: "SYN_REPLY".to_string(),
+                fin: true,
+            },
+        ]
     }
 
     #[test]
-    fn unknown_variants_and_missing_fields_are_errors() {
-        let e = parse_jsonl("{\"t\":1,\"event\":{\"Mystery\":{}}}").unwrap_err();
-        assert!(e.contains("unknown event variant"), "{e}");
-        let e = parse_jsonl("{\"t\":1,\"event\":{\"ConnClosed\":{}}}").unwrap_err();
-        assert!(e.contains("line 1") && e.contains("conn"), "{e}");
-        let e = parse_jsonl("not json").unwrap_err();
-        assert!(e.contains("malformed JSON"), "{e}");
+    fn every_exemplar_round_trips_through_the_writer() {
+        let recs: Vec<TraceRecord> = exemplars()
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| TraceRecord {
+                t: SimTime::from_micros(1_000 + i as u64),
+                event,
+            })
+            .collect();
+        let text = to_jsonl(&recs);
+        assert_eq!(
+            text.lines().nth(8),
+            Some(
+                r#"{"t":1008,"event":{"ConnOpened":{"conn":6,"over_access":true,"label":"dev\"ice\\a[3]\n\t\r\u0001\u001fé"}}}"#
+            )
+        );
+        assert_eq!(parse_jsonl(&format!("\n{text}\n")).unwrap(), recs);
+    }
+
+    #[test]
+    fn unknown_variants_and_missing_or_extra_fields_are_errors() {
+        let cases = [
+            (
+                "{\"t\":1,\"event\":{\"Mystery\":{}}}",
+                "event: unknown variant \"Mystery\"",
+            ),
+            (
+                "{\"t\":1,\"event\":{\"ConnClosed\":{}}}",
+                "event.ConnClosed.conn: missing key",
+            ),
+            (
+                "{\"t\":1,\"event\":{\"ConnClosed\":{\"conn\":1,\"x\":2}}}",
+                "event.ConnClosed.x: unknown key",
+            ),
+            (
+                "{\"t\":-1,\"event\":{\"SslReady\":{\"conn\":1}}}",
+                "t: expected an unsigned",
+            ),
+            ("not json", "at line 1 column 1"),
+        ];
+        for (line, want) in cases {
+            let e = parse_jsonl(&format!("\n{line}")).unwrap_err();
+            assert!(e.starts_with("line 2: ") && e.contains(want), "{e}");
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! machine (sans-IO, like every protocol core in this workspace).
 
 use crate::energy::EnergyMeter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spdyier_sim::{SimDuration, SimTime};
 
 /// Observable 3G RRC states.
@@ -56,7 +56,7 @@ pub struct PromotionEvent {
 }
 
 /// Timer and power constants of the 3G machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Rrc3gConfig {
     /// `IDLE → DCH` promotion delay (paper: ~2 s).
     pub promo_idle_dch: SimDuration,

@@ -9,7 +9,7 @@
 use crate::energy::EnergyMeter;
 use crate::rrc3g::PromotionEvent;
 use crate::rrc3g::PromotionKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spdyier_sim::{SimDuration, SimTime};
 
 /// Observable LTE radio states.
@@ -28,7 +28,7 @@ pub enum RrcLteState {
 }
 
 /// Timer and power constants of the LTE machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RrcLteConfig {
     /// `RRC_IDLE → RRC_CONNECTED` promotion (paper: ~400 ms).
     pub promotion: SimDuration,

@@ -24,7 +24,8 @@
 //! events (`trace.sink_dropped > 0`), the causal engine's conservation
 //! guarantee (edge durations sum to PLT) is void, and a refusal beats a
 //! silently-wrong attribution. For raw dumps the drop count comes from
-//! the `metrics_<label>.json` sidecar next to the trace, when present.
+//! the `metrics_<label>.json` sidecar next to the trace: a dump without
+//! one is taken as whole, a sidecar that cannot be read is refused.
 
 use crate::exec::Executor;
 use crate::scenario_run::{limit_diagnostic, run_cell};
@@ -78,15 +79,21 @@ fn trace_label(path: &Path) -> String {
 }
 
 /// The sink drop count recorded in the `metrics_<label>.json` sidecar
-/// next to a raw dump, when one exists.
-fn sidecar_dropped(path: &Path, label: &str) -> Option<u64> {
+/// next to a raw dump; `None` when there is no sidecar. A sidecar that
+/// is there but unreadable, unparsable or without the count is an error
+/// naming it: it cannot vouch that the dump is whole.
+fn sidecar_dropped(path: &Path, label: &str) -> Result<Option<u64>, String> {
     let sidecar = path.with_file_name(format!("metrics_{label}.json"));
-    let text = std::fs::read_to_string(sidecar).ok()?;
-    let doc = serde_json::from_str(&text).ok()?;
-    doc.get("metrics")?
-        .get("counters")?
-        .get("trace.sink_dropped")?
-        .as_u64()
+    let broken = |e: &dyn std::fmt::Display| format!("{}: {e}", sidecar.display());
+    let text = match std::fs::read_to_string(&sidecar) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        read => read.map_err(|e| broken(&e))?,
+    };
+    let doc = serde_json::from_str(&text).map_err(|e| broken(&e))?;
+    match doc["metrics"]["counters"]["trace.sink_dropped"].as_u64() {
+        Some(dropped) => Ok(Some(dropped)),
+        None => Err(broken(&"no metrics.counters[\"trace.sink_dropped\"] count")),
+    }
 }
 
 fn lossy_error(what: &str, dropped: u64) -> String {
@@ -108,10 +115,8 @@ fn refuse_lossy_log(label: &str, log: &FlightLog) -> Result<(), String> {
 /// per-visit critical paths.
 fn load_trace_paths(path: &Path) -> Result<(String, Vec<CriticalPath>), String> {
     let label = trace_label(path);
-    if let Some(dropped) = sidecar_dropped(path, &label) {
-        if dropped > 0 {
-            return Err(lossy_error(&path.display().to_string(), dropped));
-        }
+    if let Some(dropped @ 1..) = sidecar_dropped(path, &label)? {
+        return Err(lossy_error(&path.display().to_string(), dropped));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let records =

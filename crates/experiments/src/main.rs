@@ -23,7 +23,7 @@
 //! Both refuse lossy traces (recorder drops) with exit 3.
 
 use spdyier_core::ScenarioExit;
-use spdyier_experiments::{run_by_id, ExpOpts, ALL_EXPERIMENTS};
+use spdyier_experiments::{run_by_id, ExpOpts, EXPERIMENTS};
 use spdyier_scenario::Manifest;
 use std::path::{Path, PathBuf};
 
@@ -61,9 +61,14 @@ fn usage_error(cmd: Option<&str>) -> ! {
         eprintln!("{lead} experiments {form}");
     }
     if cmd.is_none() {
-        eprintln!("ids: {}", ALL_EXPERIMENTS.join(" "));
+        eprintln!("ids: {}", experiment_ids().join(" "));
     }
     std::process::exit(ScenarioExit::ConfigError.code());
+}
+
+/// Every figure id, in presentation order.
+fn experiment_ids() -> Vec<&'static str> {
+    EXPERIMENTS.iter().map(|&(id, _)| id).collect()
 }
 
 /// The arguments that are not flags (or flag values) from `flags`.
@@ -256,12 +261,13 @@ fn run_figures(args: &[String]) {
     let json_dir = parse_flag_str(args, "--json").map(PathBuf::from);
     let mut ids = positional_args(args, &["--seeds", "--json"]);
     if ids.contains(&"all") {
-        ids = ALL_EXPERIMENTS.to_vec();
+        ids = experiment_ids();
     }
-    if let Some(id) = ids.iter().find(|id| !ALL_EXPERIMENTS.contains(id)) {
+    let known = experiment_ids();
+    if let Some(id) = ids.iter().find(|id| !known.contains(id)) {
         config_error(&format!(
             "unknown experiment id: {id}\nids: {}",
-            ALL_EXPERIMENTS.join(" ")
+            known.join(" ")
         ));
     }
     if let Some(dir) = &json_dir {

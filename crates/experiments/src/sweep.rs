@@ -37,7 +37,7 @@
 
 use crate::exec::Executor;
 use crate::scenario_run::{finish_folded, fold_reported, FoldedCell, ScenarioOutcome};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 use spdyier_core::RunError;
 use spdyier_prof::SweepTelemetry;
 use spdyier_scenario::{CellMetrics, Manifest};
@@ -125,29 +125,43 @@ pub fn manifest_digest(manifest: &Manifest) -> String {
     format!("{:08x}", crc32(format!("{manifest:?}").as_bytes()))
 }
 
-fn header_json(manifest: &Manifest, cells: usize) -> String {
-    let v = Value::Object(vec![
-        (
-            "schema_version".into(),
-            Value::U64(u64::from(SWEEP_STORE_SCHEMA_VERSION)),
-        ),
-        ("kind".into(), Value::Str("sweep_store".into())),
-        ("scenario".into(), Value::Str(manifest.name.clone())),
-        (
-            "manifest_digest".into(),
-            Value::Str(manifest_digest(manifest)),
-        ),
-        ("cells".into(), Value::U64(cells as u64)),
-    ]);
-    serde_json::to_string(&v).expect("header serializes")
+/// The store's first line: which sweep its cell lines belong to.
+#[derive(Serialize, Deserialize)]
+struct StoreHeader {
+    schema_version: u32,
+    kind: String,
+    scenario: String,
+    manifest_digest: String,
+    cells: usize,
 }
 
-fn cell_json(index: usize, metrics: &CellMetrics) -> String {
-    let v = Value::Object(vec![
-        ("cell".into(), Value::U64(index as u64)),
-        ("metrics".into(), metrics.to_value()),
-    ]);
-    serde_json::to_string(&v).expect("cell checkpoint serializes")
+fn header_json(manifest: &Manifest, cells: usize) -> String {
+    let header = StoreHeader {
+        schema_version: SWEEP_STORE_SCHEMA_VERSION,
+        kind: "sweep_store".into(),
+        scenario: manifest.name.clone(),
+        manifest_digest: manifest_digest(manifest),
+        cells,
+    };
+    serde_json::to_string(&header).expect("header serializes")
+}
+
+/// Every later line: one finished cell's checkpoint.
+#[derive(Serialize, Deserialize)]
+struct CellLine {
+    cell: usize,
+    metrics: CellMetrics,
+}
+
+/// Cell `cell`'s checkpoint line; `metrics` is lent to it, not cloned.
+fn cell_json(cell: usize, metrics: &mut CellMetrics) -> String {
+    let line = CellLine {
+        cell,
+        metrics: std::mem::take(metrics),
+    };
+    let json = serde_json::to_string(&line).expect("cell checkpoint serializes");
+    *metrics = line.metrics;
+    json
 }
 
 // ---------------------------------------------------------------------
@@ -169,18 +183,6 @@ pub struct Replay {
     /// every whole line before the torn tail. A resume truncates the
     /// store to this before its first append.
     pub verified_len: u64,
-}
-
-fn u64_field(obj: &Value, field: &str, ctx: &str) -> Result<u64, String> {
-    obj.get(field)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer {field:?}"))
-}
-
-fn str_field<'a>(obj: &'a Value, field: &str, ctx: &str) -> Result<&'a str, String> {
-    obj.get(field)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{ctx}: missing or non-string {field:?}"))
 }
 
 /// Replay `sweep_store.jsonl` at `path` against `manifest` (whose sweep
@@ -213,15 +215,16 @@ pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Re
     };
     let ctx = format!("{}: header", path.display());
     let header_json = check_line(first).map_err(|e| format!("{ctx}: {e}"))?;
-    let header: Value =
-        serde_json::from_str(header_json).map_err(|e| format!("{ctx}: invalid JSON: {e}"))?;
-    let version = u64_field(&header, "schema_version", &ctx)?;
-    if version != u64::from(SWEEP_STORE_SCHEMA_VERSION) {
+    let header: StoreHeader = serde_json::from_str(header_json)
+        .and_then(serde_json::from_value)
+        .map_err(|e| format!("{ctx}: {e}"))?;
+    let version = header.schema_version;
+    if version != SWEEP_STORE_SCHEMA_VERSION {
         return Err(format!(
             "{ctx}: store is schema v{version}, this build speaks v{SWEEP_STORE_SCHEMA_VERSION}"
         ));
     }
-    let digest = str_field(&header, "manifest_digest", &ctx)?;
+    let digest = header.manifest_digest;
     if digest != manifest_digest(manifest) {
         return Err(format!(
             "{ctx}: store was written for a different manifest \
@@ -229,10 +232,10 @@ pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Re
             manifest_digest(manifest)
         ));
     }
-    let header_cells = u64_field(&header, "cells", &ctx)?;
-    if header_cells != cells as u64 {
+    if header.cells != cells {
         return Err(format!(
-            "{ctx}: store covers {header_cells} cells, this sweep has {cells}"
+            "{ctx}: store covers {} cells, this sweep has {cells}",
+            header.cells
         ));
     }
     replay.verified_len = first.len() as u64 + 1;
@@ -247,14 +250,13 @@ pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Re
             replay.dropped_tail = true;
             break;
         };
-        let index = u64_field(&v, "cell", &ctx)? as usize;
+        let CellLine {
+            cell: index,
+            metrics,
+        } = serde_json::from_value(v).map_err(|e| format!("{ctx}: {e}"))?;
         if index >= cells {
             return Err(format!("{ctx}: cell index {index} out of range"));
         }
-        let metrics = v
-            .get("metrics")
-            .ok_or_else(|| format!("{ctx}: missing \"metrics\""))
-            .and_then(|m| CellMetrics::from_value(m).map_err(|e| format!("{ctx}: {e}")))?;
         if replay.done[index].is_none() {
             replay.recovered += 1;
         }
@@ -396,9 +398,9 @@ fn run_sweep_through(
             return None;
         }
         let index = pending[j];
-        let out = fold_reported(manifest, &cells[index], worker, &telemetry, None);
-        if let Ok(out) = &out {
-            let line = store_line(&cell_json(index, &out.metrics));
+        let mut out = fold_reported(manifest, &cells[index], worker, &telemetry, None);
+        if let Ok(out) = &mut out {
+            let line = store_line(&cell_json(index, &mut out.metrics));
             let checkpointed = {
                 let mut store = store
                     .lock()
@@ -545,8 +547,8 @@ mod tests {
         };
         metrics.visits = 3;
         let mut whole = store_line(&header_json(&m, 4));
-        whole.push_str(&store_line(&cell_json(1, &metrics)));
-        let torn = store_line(&cell_json(2, &metrics));
+        whole.push_str(&store_line(&cell_json(1, &mut metrics)));
+        let torn = store_line(&cell_json(2, &mut metrics));
         // A crash mid-write — or after everything but the newline: a
         // later append would fuse with either fragment.
         for cut in [torn.len() / 2, torn.len() - 1] {
@@ -557,6 +559,41 @@ mod tests {
             assert_eq!(replay.verified_len, whole.len() as u64);
             assert_eq!(replay.done[1].as_ref().unwrap().visits, 3);
             assert!(replay.done[2].is_none());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A whole, CRC-valid line that is not the encoder's output — a key
+    /// too many or one missing — is refused naming its path, not
+    /// replayed with a default in the gap.
+    #[test]
+    fn replay_refuses_a_cell_line_with_a_missing_or_unknown_key() {
+        let dir = std::env::temp_dir().join(format!("spdyier_sweep_keys_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(SWEEP_STORE_NAME);
+        let m = Manifest::paper_baseline("sweep_keys");
+        let json = cell_json(1, &mut CellMetrics::default());
+        let cases = [
+            (
+                json.replace("\"critical_visits\":0,", ""),
+                "metrics.critical_visits: missing key",
+            ),
+            (
+                json.replace("\"timeouts\":0,", "\"timeouts\":0,\"bogus\":1,"),
+                "metrics.bogus: unknown key",
+            ),
+            (
+                json.replace("{\"cell\":1,", "{\"cell\":1,\"bogus\":1,"),
+                " bogus: unknown key",
+            ),
+        ];
+        for (line, want) in cases {
+            assert_ne!(line, json);
+            let store = store_line(&header_json(&m, 4)) + &store_line(&line);
+            std::fs::write(&path, store).unwrap();
+            let err = replay_store(&path, &m, 4).expect_err("a foreign line refuses");
+            assert!(err.contains(": line 2: ") && err.ends_with(want), "{err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -299,3 +299,61 @@ fn fig7_is_byte_identical_across_pool_widths() {
     assert!(!stdout.contains("completed in"), "{stdout}");
     assert!(serial.1.len() > 100);
 }
+
+/// A raw dump's `metrics_<label>.json` sidecar may be absent (the dump
+/// is taken as whole), but one that is there and cannot vouch for the
+/// dump — unreadable, truncated, or without the sink's drop count — is
+/// a config error naming it: exit 3, one line, nothing written.
+#[test]
+fn a_broken_metrics_sidecar_is_refused_naming_it() {
+    let dir = std::env::temp_dir().join(format!("spdyier_cli_sidecar_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("trace_spdy.jsonl");
+    let visit = r#"{"t":0,"event":{"VisitStart":{"visit":0,"site":1}}}"#;
+    std::fs::write(&trace, format!("{visit}\n")).expect("trace written");
+    let sidecar = dir.join("metrics_spdy.json");
+    let out = dir.join("out");
+    let explain = || {
+        let _ = std::fs::remove_dir_all(&out);
+        let args = [
+            "explain",
+            trace.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ];
+        experiments(&args)
+    };
+    let whole = r#"{"schema_version":1,"metrics":{"counters":{"trace.sink_dropped":0}}}"#;
+    for sidecar_text in [None, Some(whole)] {
+        if let Some(text) = sidecar_text {
+            std::fs::write(&sidecar, text).expect("sidecar written");
+        }
+        let child = explain();
+        assert_eq!(child.status.code(), Some(0), "{sidecar_text:?}: {child:?}");
+    }
+    let no_count = r#"{"schema_version":1,"metrics":{"counters":{}}}"#;
+    let broken = [
+        ("truncated", Some(&whole[..40])),
+        ("no drop count", Some(no_count)),
+        ("unreadable", None),
+    ];
+    for (what, text) in broken {
+        match text {
+            Some(text) => std::fs::write(&sidecar, text).expect("sidecar written"),
+            // A directory where the file belongs: present, but unreadable.
+            None => {
+                std::fs::remove_file(&sidecar).expect("sidecar removed");
+                std::fs::create_dir(&sidecar).expect("directory in its place");
+            }
+        }
+        let child = explain();
+        assert_eq!(child.status.code(), Some(3), "{what}: {child:?}");
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        let named = format!("experiments explain: {}: ", sidecar.display());
+        assert!(stderr.starts_with(&named), "{what}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
+        assert!(!out.exists(), "{what}: a refused dump writes nothing");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

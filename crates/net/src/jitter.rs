@@ -5,11 +5,11 @@
 //! the RTO — realistic. A log-normal model fits measured cellular one-way
 //! delay tails well.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spdyier_sim::{DetRng, SimDuration};
 
 /// A jitter model producing a non-negative additional delay per packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub enum JitterModel {
     /// No added delay.
     #[default]

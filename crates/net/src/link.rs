@@ -8,11 +8,11 @@
 
 use crate::jitter::JitterModel;
 use crate::loss::{LossModel, LossState};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spdyier_sim::{DetRng, SimDuration, SimTime};
 
 /// Configuration of one direction of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LinkConfig {
     /// Line rate in bytes per second.
     pub rate_bytes_per_sec: u64,

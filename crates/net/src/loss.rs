@@ -5,11 +5,11 @@
 //! We provide independent (Bernoulli) loss and a two-state Gilbert–Elliott
 //! model for correlated bursts.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spdyier_sim::DetRng;
 
 /// A packet loss model evaluated per packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub enum LossModel {
     /// No loss ever.
     #[default]

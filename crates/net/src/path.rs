@@ -3,11 +3,11 @@
 use crate::jitter::JitterModel;
 use crate::link::{Link, LinkConfig, LinkVerdict};
 use crate::loss::LossModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spdyier_sim::{DetRng, SimDuration, SimTime};
 
 /// Direction of travel on a duplex path, named from the client's viewpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Direction {
     /// Towards the client (downlink).
     Down,

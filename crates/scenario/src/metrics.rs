@@ -17,7 +17,7 @@
 
 use crate::assertions::{Assertion, Operand};
 use crate::manifest::{filter_selects, Cell, Manifest};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use spdyier_causal::{critical_paths, EventModel};
 use spdyier_core::{
     stall_table, AssertionVerdict, FlightLog, RunResult, StallBreakdown, TraceLevel, VerdictStatus,
@@ -27,9 +27,10 @@ use spdyier_sim::stats::{MergeError, QuantileSketch};
 use std::collections::BTreeMap;
 
 /// Everything assertion evaluation needs from one run cell. The derived
-/// `Serialize` writes every field in declaration order: the checkpoint
-/// encoder [`CellMetrics::from_value`] reads back.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+/// `Serialize` writes every field in declaration order and the derived
+/// `Deserialize` ([`CellMetrics::from_value`]) reads them back: the
+/// checkpoint codec.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CellMetrics {
     /// Protocol compact name (`"http"`, `"spdy:20:late"`, …).
     pub protocol: String,
@@ -368,77 +369,12 @@ impl CellMetrics {
     }
 
     /// Decode an accumulator from the JSON value its `Serialize` impl
-    /// produces — the checkpoint-store codec. Every field is integer or
-    /// a shortest-round-trip f64, so encode → decode is lossless and a
-    /// resumed sweep reproduces the uninterrupted run byte for byte.
+    /// produces — the checkpoint-store codec, derived strictly: every
+    /// field is integer or a shortest-round-trip f64, so encode → decode
+    /// is lossless and a resumed sweep reproduces the uninterrupted run
+    /// byte for byte. Errors name the field under `cell`.
     pub fn from_value(v: &Value) -> Result<CellMetrics, String> {
-        let str_field = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("cell.{name}: missing or not a string"))
-        };
-        let u64_field = |name: &str| -> Result<u64, String> {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("cell.{name}: missing or not unsigned"))
-        };
-        let sums = |name: &str, out: &mut [u64]| -> Result<(), String> {
-            let arr = v
-                .get(name)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("cell.{name}: missing or not an array"))?;
-            if arr.len() != out.len() {
-                return Err(format!(
-                    "cell.{name}: expected {} entries, got {}",
-                    out.len(),
-                    arr.len()
-                ));
-            }
-            for (i, (slot, x)) in out.iter_mut().zip(arr).enumerate() {
-                *slot = x
-                    .as_u64()
-                    .ok_or_else(|| format!("cell.{name}[{i}]: not unsigned"))?;
-            }
-            Ok(())
-        };
-        let mut m = CellMetrics {
-            protocol: str_field("protocol")?,
-            variant: str_field("variant")?,
-            seed: u64_field("seed")?,
-            plt: QuantileSketch::from_value(
-                v.get("plt")
-                    .ok_or_else(|| "cell.plt: missing".to_string())?,
-            )
-            .map_err(|e| format!("cell.plt: {e}"))?,
-            visits: u64_field("visits")?,
-            completed: u64_field("completed")?,
-            stall_visits: u64_field("stall_visits")?,
-            critical_visits: u64_field("critical_visits")?,
-            retransmissions: u64_field("retransmissions")?,
-            timeouts: u64_field("timeouts")?,
-            idle_restarts: u64_field("idle_restarts")?,
-            connections_opened: u64_field("connections_opened")?,
-            promotions: u64_field("promotions")?,
-            total_bytes: u64_field("total_bytes")?,
-            energy_mj: v
-                .get("energy_mj")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| "cell.energy_mj: missing or not a number".to_string())?,
-            ..CellMetrics::default()
-        };
-        sums("stall_sums_us", &mut m.stall_sums_us)?;
-        sums("critical_sums_us", &mut m.critical_sums_us)?;
-        let Some(Value::Object(counters)) = v.get("counters") else {
-            return Err("cell.counters: missing or not an object".to_string());
-        };
-        for (name, count) in counters {
-            let count = count
-                .as_u64()
-                .ok_or_else(|| format!("cell.counters.{name}: not unsigned"))?;
-            m.counters.insert(name.clone(), count);
-        }
-        Ok(m)
+        Self::deserialize(v).map_err(|e| e.at("cell").to_string())
     }
 }
 

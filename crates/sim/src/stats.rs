@@ -2,7 +2,7 @@
 //! box-plot summaries (the paper's Figures 3 and 16), CDFs (Figure 14),
 //! means with confidence intervals (Figure 4), and the mergeable [`QuantileSketch`] population-scale sweeps fold into.
 
-use serde::{Serialize, Value};
+use serde::{de, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// Arithmetic mean; 0 for an empty slice.
@@ -452,52 +452,33 @@ impl QuantileSketch {
         }
         Cdf { points }
     }
+}
 
-    /// Decode a sketch from the JSON value produced by its `Serialize`
-    /// impl (the checkpoint-store codec; the vendored serde has no
-    /// typed deserializer).
-    pub fn from_value(v: &Value) -> Result<QuantileSketch, String> {
-        let field_u64 = |name: &str| -> Result<u64, String> {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("quantile_sketch.{name}: missing or not unsigned"))
-        };
-        let field_f64 = |name: &str, empty: f64| -> Result<f64, String> {
-            match v.get(name) {
-                None => Err(format!("quantile_sketch.{name}: missing")),
-                Some(Value::Null) => Ok(empty),
-                Some(x) => x
-                    .as_f64()
-                    .ok_or_else(|| format!("quantile_sketch.{name}: not a number")),
-            }
-        };
-        let mut sketch = QuantileSketch::with_sub_bits(
-            u32::try_from(field_u64("sub_bits")?)
-                .map_err(|_| "quantile_sketch.sub_bits: out of range".to_string())?,
-        );
-        sketch.zeros = field_u64("zeros")?;
-        sketch.count = field_u64("count")?;
-        sketch.rejected = field_u64("rejected")?;
-        sketch.min = field_f64("min", f64::INFINITY)?;
-        sketch.max = field_f64("max", f64::NEG_INFINITY)?;
+/// The checkpoint-store codec's sketch half, by hand because the encoder
+/// is: `sum_fp` is split into two `u64`s, and ±inf bounds are `null`.
+impl Deserialize for QuantileSketch {
+    fn deserialize(v: &Value) -> Result<QuantileSketch, de::Error> {
+        let keys = [
+            "sub_bits",
+            "count",
+            "zeros",
+            "rejected",
+            "min",
+            "max",
+            "sum_fp_hi",
+            "sum_fp_lo",
+            "buckets",
+        ];
+        let mut f = de::Fields::new(v, &keys)?;
+        let mut sketch = QuantileSketch::with_sub_bits(f.get("sub_bits")?);
+        sketch.count = f.get("count")?;
+        sketch.zeros = f.get("zeros")?;
+        sketch.rejected = f.get("rejected")?;
+        sketch.min = f.get::<Option<f64>>("min")?.unwrap_or(f64::INFINITY);
+        sketch.max = f.get::<Option<f64>>("max")?.unwrap_or(f64::NEG_INFINITY);
         sketch.sum_fp =
-            (u128::from(field_u64("sum_fp_hi")?) << 64) | u128::from(field_u64("sum_fp_lo")?);
-        let buckets = v
-            .get("buckets")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "quantile_sketch.buckets: missing or not an array".to_string())?;
-        for (i, pair) in buckets.iter().enumerate() {
-            let key = pair
-                .get_index(0)
-                .and_then(Value::as_u64)
-                .and_then(|k| u32::try_from(k).ok())
-                .ok_or_else(|| format!("quantile_sketch.buckets[{i}][0]: not a bucket key"))?;
-            let n = pair
-                .get_index(1)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("quantile_sketch.buckets[{i}][1]: not a count"))?;
-            sketch.buckets.insert(key, n);
-        }
+            (u128::from(f.get::<u64>("sum_fp_hi")?) << 64) | u128::from(f.get::<u64>("sum_fp_lo")?);
+        sketch.buckets = f.get::<Vec<(u32, u64)>>("buckets")?.into_iter().collect();
         Ok(sketch)
     }
 }
@@ -709,16 +690,16 @@ mod tests {
             s.record(f64::from(i) * 13.37 + 0.001);
         }
         s.record(f64::NAN);
-        let decoded = QuantileSketch::from_value(&s.to_value()).unwrap();
+        let decoded = QuantileSketch::deserialize(&s.to_value()).unwrap();
         assert_eq!(decoded, s);
         // The empty sketch round-trips its non-finite min/max via null.
         let empty = QuantileSketch::new();
         assert_eq!(
-            QuantileSketch::from_value(&empty.to_value()).unwrap(),
+            QuantileSketch::deserialize(&empty.to_value()).unwrap(),
             empty
         );
         // Decode diagnostics name the field.
-        let e = QuantileSketch::from_value(&Value::Object(vec![])).unwrap_err();
-        assert!(e.contains("quantile_sketch.sub_bits"), "{e}");
+        let e = QuantileSketch::deserialize(&Value::Object(vec![])).unwrap_err();
+        assert_eq!(e.to_string(), "sub_bits: missing key");
     }
 }

@@ -4,11 +4,11 @@
 //! both are implemented here behind the [`CongestionControl`] trait. Window
 //! arithmetic is in bytes, with the MSS as the increment quantum.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spdyier_sim::{SimDuration, SimTime};
 
 /// Which congestion control algorithm a connection runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CcAlgorithm {
     /// NewReno-style AIMD (the kernel's `reno`).
     Reno,

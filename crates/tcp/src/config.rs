@@ -6,11 +6,11 @@
 //! destination metrics cache (§6.2.4).
 
 use crate::cc::CcAlgorithm;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spdyier_sim::SimDuration;
 
 /// Per-connection TCP configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TcpConfig {
     /// Maximum segment size, bytes.
     pub mss: u64,

@@ -7,9 +7,10 @@
 //! connection index (pipe slot in the `World`), visit index, stream id
 //! or object tag. Serialization is externally tagged
 //! (`{"VariantName": {...}}`), one JSON object per record, which is
-//! one line of [`crate::to_jsonl`]'s output.
+//! one line of [`crate::to_jsonl`]'s output. Both directions are
+//! derived, so the variants and their fields are spelled once, here.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use spdyier_sim::SimTime;
 
 /// How much of the event vocabulary a run records.
@@ -53,7 +54,7 @@ impl TraceLevel {
 /// request/response framing, `down` distinguishes downlink from uplink
 /// on the access path, and `b_side` marks the proxy/origin end of a
 /// pipe (as opposed to the device end).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     // -- Lifecycle -------------------------------------------------------
     /// A page visit began.
@@ -189,243 +190,12 @@ impl TraceEvent {
 }
 
 /// An event plus the simulated instant it happened.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// Simulated time of the event, microseconds since run start.
     pub t: SimTime,
     /// The event itself.
     pub event: TraceEvent,
-}
-
-impl TraceRecord {
-    /// One JSONL line (no trailing newline) for this record.
-    pub fn to_jsonl_line(&self) -> String {
-        let mut out = String::new();
-        self.write_jsonl_line(&mut out);
-        out
-    }
-
-    /// Append this record's JSONL line (no trailing newline) to `out`.
-    ///
-    /// Byte-identical to `serde_json::to_string(self)` — the test suite
-    /// pins that equivalence for every variant — but serializes straight
-    /// into the caller's buffer instead of building a `Value` tree and a
-    /// fresh `String` per record, so [`crate::to_jsonl`] renders a whole
-    /// log into one growing string.
-    pub fn write_jsonl_line(&self, out: &mut String) {
-        out.push_str("{\"t\":");
-        push_u64(out, self.t.as_micros());
-        out.push_str(",\"event\":");
-        self.event.write_json(out);
-        out.push('}');
-    }
-}
-
-/// Append `v` in decimal. `fmt::Write` into a `String` never errors and
-/// never allocates a temporary, unlike `v.to_string()`.
-fn push_u64(out: &mut String, v: u64) {
-    use std::fmt::Write;
-    let _ = write!(out, "{v}");
-}
-
-/// Append a JSON string literal, matching the vendored renderer's
-/// escaping byte for byte: named escapes for `"` `\` `\n` `\r` `\t`,
-/// `\u00XX` for other control characters, everything else verbatim.
-fn push_json_str(out: &mut String, s: &str) {
-    use std::fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Emit `{"Variant":{"field":value,...}}` for one event. The macro
-/// keeps each arm a literal transcription of the derive output —
-/// externally tagged, fields in declaration order, `usize`/`u32`/`u64`
-/// as bare decimals, `SimTime` transparent (bare microseconds),
-/// `Option<u64>` as `null`/decimal — with all the punctuation assembled
-/// at compile time via `concat!`.
-macro_rules! emit_variant {
-    ($out:ident, $tag:literal {
-        $first:literal => $fpush:ident($fv:expr)
-        $(, $rest:literal => $rpush:ident($rv:expr))*
-    }) => {{
-        $out.push_str(concat!("{\"", $tag, "\":{\"", $first, "\":"));
-        $fpush($out, $fv);
-        $(
-            $out.push_str(concat!(",\"", $rest, "\":"));
-            $rpush($out, $rv);
-        )*
-        $out.push_str("}}");
-    }};
-}
-
-fn push_usize(out: &mut String, v: usize) {
-    push_u64(out, v as u64);
-}
-
-fn push_u32(out: &mut String, v: u32) {
-    push_u64(out, u64::from(v));
-}
-
-fn push_bool(out: &mut String, v: bool) {
-    out.push_str(if v { "true" } else { "false" });
-}
-
-fn push_time(out: &mut String, v: SimTime) {
-    push_u64(out, v.as_micros());
-}
-
-fn push_opt_u64(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(v) => push_u64(out, v),
-        None => out.push_str("null"),
-    }
-}
-
-impl TraceEvent {
-    /// Append this event's externally-tagged JSON object to `out`.
-    fn write_json(&self, out: &mut String) {
-        use TraceEvent::*;
-        match self {
-            VisitStart { visit, site } => emit_variant!(out, "VisitStart" {
-                "visit" => push_usize(*visit), "site" => push_usize(*site)
-            }),
-            VisitEnd {
-                visit,
-                completed,
-                plt_us,
-            } => emit_variant!(out, "VisitEnd" {
-                "visit" => push_usize(*visit), "completed" => push_bool(*completed),
-                "plt_us" => push_u64(*plt_us)
-            }),
-            ObjectRequested { visit, object } => emit_variant!(out, "ObjectRequested" {
-                "visit" => push_usize(*visit), "object" => push_u32(*object)
-            }),
-            ObjectFirstByte { visit, object } => emit_variant!(out, "ObjectFirstByte" {
-                "visit" => push_usize(*visit), "object" => push_u32(*object)
-            }),
-            ObjectComplete { visit, object } => emit_variant!(out, "ObjectComplete" {
-                "visit" => push_usize(*visit), "object" => push_u32(*object)
-            }),
-            HttpRequestSent { conn, gen, tag } => emit_variant!(out, "HttpRequestSent" {
-                "conn" => push_usize(*conn), "gen" => push_u64(*gen), "tag" => push_u64(*tag)
-            }),
-            HttpResponseDone { conn, gen, tag } => emit_variant!(out, "HttpResponseDone" {
-                "conn" => push_usize(*conn), "gen" => push_u64(*gen), "tag" => push_u64(*tag)
-            }),
-            SpdyStreamOpen {
-                conn,
-                stream,
-                gen,
-                tag,
-            } => emit_variant!(out, "SpdyStreamOpen" {
-                "conn" => push_usize(*conn), "stream" => push_u32(*stream),
-                "gen" => push_u64(*gen), "tag" => push_u64(*tag)
-            }),
-            ConnOpened {
-                conn,
-                over_access,
-                label,
-            } => emit_variant!(out, "ConnOpened" {
-                "conn" => push_usize(*conn), "over_access" => push_bool(*over_access),
-                "label" => push_json_str(label)
-            }),
-            ConnClosed { conn } => emit_variant!(out, "ConnClosed" {
-                "conn" => push_usize(*conn)
-            }),
-            SslReady { conn } => emit_variant!(out, "SslReady" {
-                "conn" => push_usize(*conn)
-            }),
-            ProxyFetchDispatch {
-                fetch,
-                conn,
-                fresh_pipe,
-                domain,
-            } => emit_variant!(out, "ProxyFetchDispatch" {
-                "fetch" => push_u64(*fetch), "conn" => push_usize(*conn),
-                "fresh_pipe" => push_bool(*fresh_pipe), "domain" => push_json_str(domain)
-            }),
-            ProxyLateBind {
-                fetch,
-                owner_session,
-                chosen_session,
-            } => emit_variant!(out, "ProxyLateBind" {
-                "fetch" => push_u64(*fetch), "owner_session" => push_usize(*owner_session),
-                "chosen_session" => push_usize(*chosen_session)
-            }),
-            OriginThink { conn, until } => emit_variant!(out, "OriginThink" {
-                "conn" => push_usize(*conn), "until" => push_time(*until)
-            }),
-            RrcPromotion { kind, start, done } => emit_variant!(out, "RrcPromotion" {
-                "kind" => push_json_str(kind), "start" => push_time(*start),
-                "done" => push_time(*done)
-            }),
-            LinkDrop {
-                conn,
-                down,
-                queue_overflow,
-            } => emit_variant!(out, "LinkDrop" {
-                "conn" => push_usize(*conn), "down" => push_bool(*down),
-                "queue_overflow" => push_bool(*queue_overflow)
-            }),
-            TcpRto {
-                conn,
-                b_side,
-                silent_since,
-            } => emit_variant!(out, "TcpRto" {
-                "conn" => push_usize(*conn), "b_side" => push_bool(*b_side),
-                "silent_since" => push_time(*silent_since)
-            }),
-            TcpIdleRestart { conn, b_side } => emit_variant!(out, "TcpIdleRestart" {
-                "conn" => push_usize(*conn), "b_side" => push_bool(*b_side)
-            }),
-            TcpRetransmit { conn, down } => emit_variant!(out, "TcpRetransmit" {
-                "conn" => push_usize(*conn), "down" => push_bool(*down)
-            }),
-            TcpCwnd {
-                conn,
-                cwnd,
-                ssthresh,
-                inflight,
-            } => emit_variant!(out, "TcpCwnd" {
-                "conn" => push_usize(*conn), "cwnd" => push_u64(*cwnd),
-                "ssthresh" => push_opt_u64(*ssthresh), "inflight" => push_u64(*inflight)
-            }),
-            SegmentSent {
-                conn,
-                down,
-                bytes,
-                deliver,
-                ser_us,
-                retransmit,
-            } => emit_variant!(out, "SegmentSent" {
-                "conn" => push_usize(*conn), "down" => push_bool(*down),
-                "bytes" => push_u64(*bytes), "deliver" => push_time(*deliver),
-                "ser_us" => push_u64(*ser_us), "retransmit" => push_bool(*retransmit)
-            }),
-            SpdyFrameRecv {
-                conn,
-                stream,
-                kind,
-                fin,
-            } => emit_variant!(out, "SpdyFrameRecv" {
-                "conn" => push_usize(*conn), "stream" => push_u32(*stream),
-                "kind" => push_json_str(kind), "fin" => push_bool(*fin)
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -464,147 +234,6 @@ mod tests {
         assert_eq!(seg.level(), TraceLevel::Full);
     }
 
-    /// One exemplar per variant, with string fields that exercise the
-    /// escaping rules (quotes, backslashes, named escapes, raw control
-    /// characters) and numeric extremes.
-    fn exemplars() -> Vec<TraceEvent> {
-        use TraceEvent::*;
-        vec![
-            VisitStart { visit: 0, site: 19 },
-            VisitEnd {
-                visit: usize::MAX,
-                completed: false,
-                plt_us: u64::MAX,
-            },
-            ObjectRequested {
-                visit: 3,
-                object: u32::MAX,
-            },
-            ObjectFirstByte {
-                visit: 4,
-                object: 0,
-            },
-            ObjectComplete {
-                visit: 5,
-                object: 77,
-            },
-            HttpRequestSent {
-                conn: 1,
-                gen: 2,
-                tag: 3,
-            },
-            HttpResponseDone {
-                conn: 9,
-                gen: 0,
-                tag: u64::MAX,
-            },
-            SpdyStreamOpen {
-                conn: 2,
-                stream: 41,
-                gen: 7,
-                tag: 8,
-            },
-            ConnOpened {
-                conn: 6,
-                over_access: true,
-                label: "dev\"ice\\a[3]\n\t\r\u{1}\u{1F}é".to_string(),
-            },
-            ConnClosed { conn: 11 },
-            SslReady { conn: 12 },
-            ProxyFetchDispatch {
-                fetch: 99,
-                conn: 4,
-                fresh_pipe: true,
-                domain: "static.example.org".to_string(),
-            },
-            ProxyLateBind {
-                fetch: 100,
-                owner_session: 1,
-                chosen_session: 2,
-            },
-            OriginThink {
-                conn: 3,
-                until: SimTime::from_micros(123_456_789),
-            },
-            RrcPromotion {
-                kind: "idle->dch".to_string(),
-                start: SimTime::ZERO,
-                done: SimTime::from_micros(u64::MAX),
-            },
-            LinkDrop {
-                conn: 5,
-                down: true,
-                queue_overflow: false,
-            },
-            TcpRto {
-                conn: 6,
-                b_side: true,
-                silent_since: SimTime::from_micros(42),
-            },
-            TcpIdleRestart {
-                conn: 7,
-                b_side: false,
-            },
-            TcpRetransmit {
-                conn: 8,
-                down: false,
-            },
-            TcpCwnd {
-                conn: 9,
-                cwnd: 14_600,
-                ssthresh: None,
-                inflight: 2_920,
-            },
-            TcpCwnd {
-                conn: 9,
-                cwnd: 29_200,
-                ssthresh: Some(u64::MAX),
-                inflight: 0,
-            },
-            SegmentSent {
-                conn: 10,
-                down: true,
-                bytes: 1_400,
-                deliver: SimTime::from_micros(987_654),
-                ser_us: 120,
-                retransmit: true,
-            },
-            SpdyFrameRecv {
-                conn: 11,
-                stream: 13,
-                kind: "SYN_REPLY".to_string(),
-                fin: true,
-            },
-        ]
-    }
-
-    #[test]
-    fn manual_serializer_matches_serde_for_every_variant() {
-        for (i, event) in exemplars().into_iter().enumerate() {
-            let rec = TraceRecord {
-                t: SimTime::from_micros(1_000 + i as u64),
-                event,
-            };
-            let via_serde = serde_json::to_string(&rec).expect("serialize");
-            assert_eq!(
-                rec.to_jsonl_line(),
-                via_serde,
-                "variant {i} diverged from the derive output"
-            );
-        }
-    }
-
-    #[test]
-    fn write_jsonl_line_appends_without_clearing() {
-        let rec = TraceRecord {
-            t: SimTime::from_micros(7),
-            event: TraceEvent::ConnClosed { conn: 1 },
-        };
-        let mut out = String::from("prefix:");
-        rec.write_jsonl_line(&mut out);
-        assert_eq!(out, format!("prefix:{}", rec.to_jsonl_line()));
-    }
-
     #[test]
     fn records_serialize_as_externally_tagged_jsonl() {
         let rec = TraceRecord {
@@ -615,10 +244,9 @@ mod tests {
                 plt_us: 1_200_000,
             },
         };
-        let line = rec.to_jsonl_line();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"VisitEnd\""), "line: {line}");
-        assert!(line.contains("\"plt_us\":1200000"), "line: {line}");
-        assert!(!line.contains('\n'));
+        assert_eq!(
+            crate::to_jsonl(&[rec]),
+            "{\"t\":1500,\"event\":{\"VisitEnd\":{\"visit\":2,\"completed\":true,\"plt_us\":1200000}}}\n"
+        );
     }
 }
