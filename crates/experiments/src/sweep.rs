@@ -581,11 +581,11 @@ mod tests {
             ),
             (
                 json.replace("\"timeouts\":0,", "\"timeouts\":0,\"bogus\":1,"),
-                "metrics.bogus: unknown key",
+                "metrics.bogus: unknown key (expected one of: protocol, variant, seed, ",
             ),
             (
                 json.replace("{\"cell\":1,", "{\"cell\":1,\"bogus\":1,"),
-                " bogus: unknown key",
+                " bogus: unknown key (expected one of: cell, metrics)",
             ),
         ];
         for (line, want) in cases {
@@ -593,7 +593,7 @@ mod tests {
             let store = store_line(&header_json(&m, 4)) + &store_line(&line);
             std::fs::write(&path, store).unwrap();
             let err = replay_store(&path, &m, 4).expect_err("a foreign line refuses");
-            assert!(err.contains(": line 2: ") && err.ends_with(want), "{err}");
+            assert!(err.contains(": line 2: ") && err.contains(want), "{err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

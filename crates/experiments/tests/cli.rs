@@ -47,8 +47,11 @@ fn zero_seeds_is_a_config_error_on_every_subcommand() {
 /// into the testbed — `visits` cast to `u32` (2^32 ran zero visits and
 /// passed), a seed range past `u64::MAX` (zero cells, passed), a visit
 /// interval past `SimTime`'s microseconds (never finished), a 1e300 s
-/// ping interval — are config errors naming the field: exit 3, one
-/// line, nothing simulated or written.
+/// ping interval, a 2^32-image page (aborted allocating its object
+/// table), a page whose bytes wrap `u64` (passed with a wrapped
+/// `total_bytes`), a sub-millisecond ping (a 0 ms timer that re-armed
+/// until the event budget ran out) — are config errors naming the
+/// field: exit 3, one line, nothing simulated or written.
 #[test]
 fn out_of_range_manifest_values_are_config_errors_naming_the_field() {
     let dir = std::env::temp_dir().join(format!("spdyier_cli_range_{}", std::process::id()));
@@ -80,6 +83,22 @@ fn out_of_range_manifest_values_are_config_errors_naming_the_field() {
         (
             "scenario error at manifest.mitigations.keepalive_ping_s: ",
             r#""mitigations":{"keepalive_ping_s":1e300}"#.into(),
+            &[],
+        ),
+        (
+            "scenario error at manifest.workload.objects: ",
+            r#""workload":{"kind":"synthetic","objects":4294967295}"#.into(),
+            &[],
+        ),
+        (
+            "scenario error at manifest.workload.object_bytes: ",
+            r#""workload":{"kind":"synthetic","objects":2,"object_bytes":18446744073709551615}"#
+                .into(),
+            &[],
+        ),
+        (
+            "scenario error at manifest.mitigations.keepalive_ping_s: ",
+            r#""mitigations":{"keepalive_ping_s":0.0004},"limits":{"event_budget":2000000}"#.into(),
             &[],
         ),
     ];

@@ -30,13 +30,16 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod assertions;
+pub mod cells;
+pub mod decode;
 pub mod manifest;
 pub mod metrics;
 
 pub use assertions::{Assertion, CmpOp, MetricRef, Operand};
+pub use cells::{table1_schedule_for_seed, Cell};
+pub use decode::ManifestError;
 pub use manifest::{
-    table1_schedule_for_seed, Cell, Home, Knob, KnobValue, Limits, Manifest, ManifestError,
-    NetworkSection, Outputs, ProtocolSpec, Seeds, Settings, Workload, KNOBS,
-    MANIFEST_SCHEMA_VERSION,
+    Knob, KnobValue, Limits, Manifest, NetworkSection, Outputs, ProtocolSpec, Seeds, Settings,
+    Workload, KNOBS, MANIFEST_SCHEMA_VERSION,
 };
 pub use metrics::{eval_metric, evaluate, CellMetrics, METRICS};

@@ -16,7 +16,8 @@
 //! are the checkpoint-store codec resumable sweeps persist cells with.
 
 use crate::assertions::{Assertion, Operand};
-use crate::manifest::{filter_selects, Cell, Manifest};
+use crate::cells::{filter_selects, Cell};
+use crate::manifest::Manifest;
 use serde::{Deserialize, Serialize, Value};
 use spdyier_causal::{critical_paths, EventModel};
 use spdyier_core::{

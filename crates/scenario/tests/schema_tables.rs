@@ -8,7 +8,7 @@ use spdyier_trace::TraceLevel;
 fn knob_table() -> String {
     let mut table = String::from("| knob | takes | section |\n|---|---|---|\n");
     for knob in KNOBS {
-        let (name, takes, home) = (knob.name, knob.takes(), knob.home.key());
+        let (name, takes, home) = (knob.name, knob.takes(), knob.home);
         table.push_str(&format!("| `{name}` | {takes} | `{home}` |\n"));
     }
     table

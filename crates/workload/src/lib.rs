@@ -26,4 +26,4 @@ pub mod synth;
 pub use corpus::{SiteSpec, TABLE1};
 pub use page::{ObjectId, ObjectKind, WebObject, WebPage};
 pub use schedule::VisitSchedule;
-pub use synth::{synthesize, test_page};
+pub use synth::{synthesize, test_page, TEST_PAGE_HTML_BYTES};

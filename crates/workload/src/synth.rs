@@ -171,6 +171,9 @@ pub fn synthesize(spec: &SiteSpec, rng: &mut DetRng) -> WebPage {
     }
 }
 
+/// Size of a [`test_page`]'s root HTML, bytes.
+pub const TEST_PAGE_HTML_BYTES: u64 = 20_000;
+
 /// The §5.2 synthetic pages: a root HTML plus `n` images with **no**
 /// interdependencies. `same_domain = true` puts every image on the root's
 /// domain; `false` gives each image its own domain.
@@ -180,7 +183,7 @@ pub fn test_page(n: usize, image_size: u64, same_domain: bool) -> WebPage {
         id: ObjectId(0),
         domain: "testserver.example".into(),
         path: "/".into(),
-        size: 20_000,
+        size: TEST_PAGE_HTML_BYTES,
         kind: ObjectKind::Html,
         discovered_by: None,
         eval_time: SimDuration::from_millis(20),
