@@ -11,8 +11,10 @@
 //! `scenarios/trace_spdy_3g.json`: the per-visit stall table
 //! (`stalls_spdy.dat`), the `result.json` whose cell carries the six
 //! `*_stall_ms` and nine `critical_*_ms` keys, and the HAR waterfall with
-//! its conn/stream bindings. Their FNV-1a digests
-//! are pinned here. A change that is meant to alter
+//! its conn/stream bindings. Four more pin what the JSON printer writes
+//! and no other digest covers: that scenario's trace JSONL, metrics
+//! registry and stall-table sidecar, and the paired dump's sidecar (its
+//! `run_result_keys`). Their FNV-1a digests are pinned here. A change that is meant to alter
 //! behaviour updates the constants in the same commit and says why; a
 //! refactor or a performance change may not touch them.
 //!
@@ -31,6 +33,10 @@ const BULK_LTE_SMALL_RESULT_JSON: u64 = 0x609e_cdde_8a79_48dc;
 const TRACE_SPDY_3G_STALLS_DAT: u64 = 0x3020_680f_f0aa_78ed;
 const TRACE_SPDY_3G_RESULT_JSON: u64 = 0x7f2c_936c_59ad_81cb;
 const TRACE_SPDY_3G_WATERFALL_HAR: u64 = 0x1b78_cfdd_b1e7_eee3;
+const TRACE_SPDY_3G_TRACE_JSONL: u64 = 0x6dbf_9e14_23ad_df40;
+const TRACE_SPDY_3G_METRICS_JSON: u64 = 0x0a68_58bf_37db_7560;
+const TRACE_SPDY_3G_STALLS_MANIFEST: u64 = 0xd87f_1838_0273_ee50;
+const PAIRED_3G_DUMP_META: u64 = 0xa214_e554_e84f_7165;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
@@ -51,17 +57,22 @@ fn artifact_digests<const N: usize>(scenario: &str, artifacts: [&str; N]) -> [u6
 
 #[test]
 fn golden_artifact_digests_are_pinned() {
-    let [dump] = artifact_digests("paired_3g.json", ["paired_3g.jsonl"]);
+    let [dump, meta] = artifact_digests(
+        "paired_3g.json",
+        ["paired_3g.jsonl", "paired_3g.jsonl.meta.json"],
+    );
     let [result] = artifact_digests("quick_wifi.json", ["result.json"]);
     let [bulk] = artifact_digests("bulk_lte_small.json", ["result.json"]);
     assert_eq!(
-        (dump, result, bulk),
+        (dump, meta, result, bulk),
         (
             PAIRED_3G_ONE_SEED_DUMP,
+            PAIRED_3G_DUMP_META,
             QUICK_WIFI_RESULT_JSON,
             BULK_LTE_SMALL_RESULT_JSON
         ),
         "simulator output changed: paired_3g.jsonl {dump:#018x}, \
+         paired_3g.jsonl.meta.json {meta:#018x}, \
          quick_wifi result.json {result:#018x}, \
          bulk_lte_small result.json {bulk:#018x}"
     );
@@ -69,19 +80,32 @@ fn golden_artifact_digests_are_pinned() {
 
 #[test]
 fn golden_traced_artifact_digests_are_pinned() {
-    let [stalls, result, waterfall] = artifact_digests(
+    let [stalls, result, waterfall, jsonl, metrics, sidecar] = artifact_digests(
         "trace_spdy_3g.json",
-        ["stalls_spdy.dat", "result.json", "waterfall_spdy.har.json"],
+        [
+            "stalls_spdy.dat",
+            "result.json",
+            "waterfall_spdy.har.json",
+            "trace_spdy.jsonl",
+            "metrics_spdy.json",
+            "stalls_spdy.manifest.json",
+        ],
     );
     assert_eq!(
-        (stalls, result, waterfall),
+        (stalls, result, waterfall, jsonl, metrics, sidecar),
         (
             TRACE_SPDY_3G_STALLS_DAT,
             TRACE_SPDY_3G_RESULT_JSON,
-            TRACE_SPDY_3G_WATERFALL_HAR
+            TRACE_SPDY_3G_WATERFALL_HAR,
+            TRACE_SPDY_3G_TRACE_JSONL,
+            TRACE_SPDY_3G_METRICS_JSON,
+            TRACE_SPDY_3G_STALLS_MANIFEST
         ),
         "trace reader output changed: stalls_spdy.dat {stalls:#018x}, \
          trace_spdy_3g result.json {result:#018x}, \
-         waterfall_spdy.har.json {waterfall:#018x}"
+         waterfall_spdy.har.json {waterfall:#018x}, \
+         trace_spdy.jsonl {jsonl:#018x}, \
+         metrics_spdy.json {metrics:#018x}, \
+         stalls_spdy.manifest.json {sidecar:#018x}"
     );
 }
