@@ -50,7 +50,9 @@ fn zero_seeds_is_a_config_error_on_every_subcommand() {
 /// ping interval, a 2^32-image page (aborted allocating its object
 /// table), a page whose bytes wrap `u64` (passed with a wrapped
 /// `total_bytes`), a sub-millisecond ping (a 0 ms timer that re-armed
-/// until the event budget ran out) — are config errors naming the
+/// until the event budget ran out), an assertion literal that is not
+/// finite (`1e400` passed any `<`, `-nan` failed, and either printed in
+/// `result.json` as a `null` side) — are config errors naming the
 /// field: exit 3, one line, nothing simulated or written.
 #[test]
 fn out_of_range_manifest_values_are_config_errors_naming_the_field() {
@@ -99,6 +101,16 @@ fn out_of_range_manifest_values_are_config_errors_naming_the_field() {
         (
             "scenario error at manifest.mitigations.keepalive_ping_s: ",
             r#""mitigations":{"keepalive_ping_s":0.0004},"limits":{"event_budget":2000000}"#.into(),
+            &[],
+        ),
+        (
+            "scenario error at manifest.assertions[0]: ",
+            r#""assertions":["plt_p50_ms < 1e400"]"#.into(),
+            &[],
+        ),
+        (
+            "scenario error at manifest.assertions[1]: ",
+            r#""assertions":["visits >= 1","plt_p50_ms > -nan"]"#.into(),
             &[],
         ),
     ];

@@ -136,15 +136,18 @@ impl MetricRef {
 impl Operand {
     fn parse(token: &str) -> Result<Operand, String> {
         // Number literals win; anything else must be a metric reference.
+        // A literal must be finite: `1e400` would pass any `<` and `nan`
+        // fail everything, and neither has a JSON spelling in the verdict.
         if token
             .chars()
             .next()
             .is_some_and(|c| c.is_ascii_digit() || c == '-' || c == '+')
         {
-            return token
-                .parse::<f64>()
-                .map(Operand::Number)
-                .map_err(|_| format!("malformed number literal {token:?}"));
+            return match token.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(Operand::Number(x)),
+                Ok(_) => Err(format!("number literal {token:?} is not finite")),
+                Err(_) => Err(format!("malformed number literal {token:?}")),
+            };
         }
         MetricRef::parse(token).map(Operand::Metric)
     }
@@ -257,6 +260,9 @@ mod tests {
             ("plt_p50_ms < 9000 on 4g", "unknown network"),
             ("spdy..plt_p50_ms < 9000", "malformed metric reference"),
             ("http.counter < 1", "missing a counter name"),
+            ("plt_p50_ms < 1e400", "not finite"),
+            ("plt_p50_ms > -nan", "not finite"),
+            ("plt_p50_ms < +inf", "not finite"),
         ] {
             let e = Assertion::parse(expr).unwrap_err();
             assert!(e.contains(needle), "{expr:?}: {e}");
