@@ -6,8 +6,8 @@
 //! exactly, the per-kind deltas sum to the PLT delta exactly — the diff
 //! inherits the conservation guarantee instead of re-proving it.
 
-use crate::path::{CriticalPath, EdgeKind, EDGE_KINDS};
-use serde::Value;
+use crate::path::{ByEdge, CriticalPath, EdgeKind, EDGE_KINDS};
+use serde::{Serialize, Writer};
 
 /// Schema version of the `diff.json` document.
 pub const DIFF_SCHEMA_VERSION: u32 = 1;
@@ -45,6 +45,15 @@ impl VisitDiff {
     }
 }
 
+/// A visit by its identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct VisitId {
+    /// Visit index in the schedule.
+    pub visit: usize,
+    /// Site index the visit loaded.
+    pub site: usize,
+}
+
 /// The full cross-run attribution report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffReport {
@@ -54,10 +63,10 @@ pub struct DiffReport {
     pub b_label: String,
     /// Aligned visits, in visit order.
     pub visits: Vec<VisitDiff>,
-    /// Run-A visits with no aligned partner (index, site).
-    pub unaligned_a: Vec<(usize, usize)>,
-    /// Run-B visits with no aligned partner (index, site).
-    pub unaligned_b: Vec<(usize, usize)>,
+    /// Run-A visits with no aligned partner.
+    pub unaligned_a: Vec<VisitId>,
+    /// Run-B visits with no aligned partner.
+    pub unaligned_b: Vec<VisitId>,
 }
 
 impl DiffReport {
@@ -102,7 +111,7 @@ pub fn diff_paths(
 ) -> DiffReport {
     let mut visits = Vec::new();
     let mut unaligned_a = Vec::new();
-    let mut unaligned_b: Vec<(usize, usize)> = Vec::new();
+    let mut unaligned_b = Vec::new();
     let mut b_used = vec![false; b.len()];
     for pa in a {
         match b
@@ -121,12 +130,18 @@ pub fn diff_paths(
                     sums_b_us: pb.sums_us(),
                 });
             }
-            None => unaligned_a.push((pa.visit, pa.site)),
+            None => unaligned_a.push(VisitId {
+                visit: pa.visit,
+                site: pa.site,
+            }),
         }
     }
     for (pb, used) in b.iter().zip(&b_used) {
         if !used {
-            unaligned_b.push((pb.visit, pb.site));
+            unaligned_b.push(VisitId {
+                visit: pb.visit,
+                site: pb.site,
+            });
         }
     }
     DiffReport {
@@ -138,89 +153,82 @@ pub fn diff_paths(
     }
 }
 
-fn edge_triples(sums_a: &[u64; EDGE_KINDS.len()], sums_b: &[u64; EDGE_KINDS.len()]) -> Value {
-    Value::Object(
-        EDGE_KINDS
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                (
-                    k.name().to_string(),
-                    Value::Object(vec![
-                        ("a_us".into(), Value::U64(sums_a[i])),
-                        ("b_us".into(), Value::U64(sums_b[i])),
-                        (
-                            "delta_us".into(),
-                            Value::I64(sums_b[i] as i64 - sums_a[i] as i64),
-                        ),
-                    ]),
-                )
-            })
-            .collect(),
-    )
+/// Run A's and run B's time on one edge kind, and B − A.
+#[derive(Serialize)]
+struct Triple {
+    a_us: u64,
+    b_us: u64,
+    delta_us: i64,
 }
 
-fn pair_list(pairs: &[(usize, usize)]) -> Value {
-    Value::Array(
-        pairs
-            .iter()
-            .map(|&(visit, site)| {
-                Value::Object(vec![
-                    ("visit".into(), Value::U64(visit as u64)),
-                    ("site".into(), Value::U64(site as u64)),
-                ])
-            })
-            .collect(),
-    )
+fn triples(sums_a: &[u64; EDGE_KINDS.len()], sums_b: &[u64; EDGE_KINDS.len()]) -> ByEdge<Triple> {
+    ByEdge(std::array::from_fn(|i| Triple {
+        a_us: sums_a[i],
+        b_us: sums_b[i],
+        delta_us: sums_b[i] as i64 - sums_a[i] as i64,
+    }))
+}
+
+/// An aligned visit prints as one visit of the `diff.json` document.
+impl Serialize for VisitDiff {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("visit", &self.visit);
+        w.field("site", &self.site);
+        w.field("plt_a_us", &self.plt_a_us);
+        w.field("plt_b_us", &self.plt_b_us);
+        w.field("plt_delta_us", &self.plt_delta_us());
+        w.field("edges", &triples(&self.sums_a_us, &self.sums_b_us));
+        w.end_object();
+    }
+}
+
+/// The `diff.json` document.
+#[derive(Serialize)]
+struct DiffDoc<'a> {
+    schema_version: u32,
+    kind: &'static str,
+    a: &'a str,
+    b: &'a str,
+    aligned_visits: usize,
+    plt_delta_us: i64,
+    dominant_edge: EdgeKind,
+    totals: ByEdge<Triple>,
+    visits: &'a [VisitDiff],
+    unaligned_a: &'a [VisitId],
+    unaligned_b: &'a [VisitId],
 }
 
 impl DiffReport {
-    /// The schema-versioned `diff.json` document.
-    pub fn to_json(&self) -> String {
-        let visits: Vec<Value> = self
-            .visits
-            .iter()
-            .map(|v| {
-                Value::Object(vec![
-                    ("visit".into(), Value::U64(v.visit as u64)),
-                    ("site".into(), Value::U64(v.site as u64)),
-                    ("plt_a_us".into(), Value::U64(v.plt_a_us)),
-                    ("plt_b_us".into(), Value::U64(v.plt_b_us)),
-                    ("plt_delta_us".into(), Value::I64(v.plt_delta_us())),
-                    ("edges".into(), edge_triples(&v.sums_a_us, &v.sums_b_us)),
-                ])
-            })
-            .collect();
-        let mut sums_a = [0u64; EDGE_KINDS.len()];
-        let mut sums_b = [0u64; EDGE_KINDS.len()];
+    /// Run A's and run B's per-kind sums over the aligned visits, µs.
+    fn totals_us(&self) -> [[u64; EDGE_KINDS.len()]; 2] {
+        let mut sums = [[0u64; EDGE_KINDS.len()]; 2];
         for v in &self.visits {
-            for i in 0..EDGE_KINDS.len() {
-                sums_a[i] += v.sums_a_us[i];
-                sums_b[i] += v.sums_b_us[i];
+            for (side, run) in sums.iter_mut().zip([&v.sums_a_us, &v.sums_b_us]) {
+                for (sum, us) in side.iter_mut().zip(run) {
+                    *sum += us;
+                }
             }
         }
-        let doc = Value::Object(vec![
-            (
-                "schema_version".into(),
-                Value::U64(u64::from(DIFF_SCHEMA_VERSION)),
-            ),
-            ("kind".into(), Value::Str("critical_path_diff".into())),
-            ("a".into(), Value::Str(self.a_label.clone())),
-            ("b".into(), Value::Str(self.b_label.clone())),
-            (
-                "aligned_visits".into(),
-                Value::U64(self.visits.len() as u64),
-            ),
-            ("plt_delta_us".into(), Value::I64(self.plt_delta_us())),
-            (
-                "dominant_edge".into(),
-                Value::Str(self.dominant_edge().name().into()),
-            ),
-            ("totals".into(), edge_triples(&sums_a, &sums_b)),
-            ("visits".into(), Value::Array(visits)),
-            ("unaligned_a".into(), pair_list(&self.unaligned_a)),
-            ("unaligned_b".into(), pair_list(&self.unaligned_b)),
-        ]);
+        sums
+    }
+
+    /// The schema-versioned `diff.json` document.
+    pub fn to_json(&self) -> String {
+        let [sums_a, sums_b] = self.totals_us();
+        let doc = DiffDoc {
+            schema_version: DIFF_SCHEMA_VERSION,
+            kind: "critical_path_diff",
+            a: &self.a_label,
+            b: &self.b_label,
+            aligned_visits: self.visits.len(),
+            plt_delta_us: self.plt_delta_us(),
+            dominant_edge: self.dominant_edge(),
+            totals: triples(&sums_a, &sums_b),
+            visits: &self.visits,
+            unaligned_a: &self.unaligned_a,
+            unaligned_b: &self.unaligned_b,
+        };
         let mut s = serde_json::to_string_pretty(&doc).expect("diff serializes");
         s.push('\n');
         s
@@ -251,14 +259,7 @@ impl DiffReport {
             format!("{} ms", self.b_label),
             "delta ms"
         );
-        let mut sums_a = [0u64; EDGE_KINDS.len()];
-        let mut sums_b = [0u64; EDGE_KINDS.len()];
-        for v in &self.visits {
-            for i in 0..EDGE_KINDS.len() {
-                sums_a[i] += v.sums_a_us[i];
-                sums_b[i] += v.sums_b_us[i];
-            }
-        }
+        let [sums_a, sums_b] = self.totals_us();
         for (i, k) in EDGE_KINDS.iter().enumerate() {
             let _ = writeln!(
                 s,
@@ -342,8 +343,8 @@ mod tests {
         let b = vec![path(0, 4, vec![(0, 9_000, EdgeKind::Parse)])];
         let d = diff_paths("a", &a, "b", &b);
         assert!(d.visits.is_empty());
-        assert_eq!(d.unaligned_a, vec![(0, 9)]);
-        assert_eq!(d.unaligned_b, vec![(0, 4)]);
+        assert_eq!(d.unaligned_a, [VisitId { visit: 0, site: 9 }]);
+        assert_eq!(d.unaligned_b, [VisitId { visit: 0, site: 4 }]);
         assert_eq!(d.plt_delta_us(), 0);
     }
 

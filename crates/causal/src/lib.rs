@@ -40,7 +40,7 @@ pub mod parse;
 pub mod path;
 pub mod sweep;
 
-pub use diff::{diff_paths, DiffReport, VisitDiff, DIFF_SCHEMA_VERSION};
+pub use diff::{diff_paths, DiffReport, VisitDiff, VisitId, DIFF_SCHEMA_VERSION};
 pub use model::{ConnBinding, EventModel, Interval, ModelBuilder, ObjectInstants, VisitWindow};
 pub use parse::parse_jsonl;
 pub use path::{

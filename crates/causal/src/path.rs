@@ -22,10 +22,16 @@
 //!   connection setup (the next fetch's connection) ; the remainder is
 //!   parse/execute time.
 //! * **tail** `[last complete, plt)` — onload work; pure parse.
+//!
+//! The `explain` document ([`explain_json`]) is typed: a [`CriticalPath`]
+//! prints as one visit and a [`PathEdge`] as one edge, through their
+//! `Serialize`, and `serde::Writer` prints the whole document into one
+//! string sized up front — no `Value` tree, which for a Table-1 cell's
+//! ~15k edges would outweigh the text several times over.
 
 use crate::model::{ConnBinding, EventModel, VisitWindow};
 use crate::sweep::{layers, sweep, sweep_layers};
-use serde::Value;
+use serde::{Serialize, Writer};
 use spdyier_trace::TraceRecord;
 
 /// What a critical-path edge's time was spent on, declared in
@@ -87,8 +93,30 @@ impl EdgeKind {
     }
 }
 
-/// One typed edge of a visit's critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// An edge kind prints as its [`EdgeKind::name`].
+impl Serialize for EdgeKind {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self.name());
+    }
+}
+
+/// One value per edge kind, in [`EDGE_KINDS`] order; prints as an object
+/// keyed by [`EdgeKind::name`].
+pub(crate) struct ByEdge<T>(pub(crate) [T; EDGE_KINDS.len()]);
+
+impl<T: Serialize> Serialize for ByEdge<T> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        for (kind, value) in EDGE_KINDS.iter().zip(&self.0) {
+            w.field(kind.name(), value);
+        }
+        w.end_object();
+    }
+}
+
+/// One typed edge of a visit's critical path; prints as one edge of the
+/// `explain` document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PathEdge {
     /// Edge start, µs.
     pub start_us: u64,
@@ -357,141 +385,49 @@ fn gap_edges(
 /// Schema version of the `explain_*.json` document.
 pub const EXPLAIN_SCHEMA_VERSION: u32 = 1;
 
-/// Pretty JSON written straight into one string: the bytes
-/// `serde_json::to_string_pretty` prints for the same document
-/// (two-space indent, `[]` / `{}` for an empty container) without the
-/// `Value` tree, which for a Table-1 cell's ~15k edges outweighs the
-/// text several times over.
-struct PrettyJson {
-    out: String,
-    depth: usize,
+/// A path prints as one visit of the `explain` document: its identity,
+/// PLT, per-kind sums and edges.
+impl Serialize for CriticalPath {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("visit", &self.visit);
+        w.field("site", &self.site);
+        w.field("completed", &self.completed);
+        w.field("start_us", &self.start_us);
+        w.field("plt_us", &self.plt_us());
+        w.field("edge_sums_us", &ByEdge(self.sums_us()));
+        w.field("edges", &self.edges);
+        w.end_object();
+    }
 }
 
-impl PrettyJson {
-    /// Start the next element of the open container on its own line.
-    fn element(&mut self) {
-        if !self.out.ends_with(['[', '{']) {
-            self.out.push(',');
-        }
-        self.line();
-    }
-
-    fn line(&mut self) {
-        self.out.push('\n');
-        self.out.extend(std::iter::repeat_n("  ", self.depth));
-    }
-
-    /// Start the member `key` of the open object. Keys are the schema's
-    /// own names: nothing in them needs escaping.
-    fn key(&mut self, key: &str) {
-        self.element();
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\": ");
-    }
-
-    fn open(&mut self, bracket: char) {
-        self.out.push(bracket);
-        self.depth += 1;
-    }
-
-    fn close(&mut self, bracket: char) {
-        self.depth -= 1;
-        if !self.out.ends_with(['[', '{']) {
-            self.line();
-        }
-        self.out.push(bracket);
-    }
-
-    fn display(&mut self, value: impl std::fmt::Display) {
-        use std::fmt::Write as _;
-        let _ = write!(self.out, "{value}");
-    }
-
-    /// `Some(n)` as the number, `None` as `null`.
-    fn optional(&mut self, value: Option<impl std::fmt::Display>) {
-        match value {
-            Some(v) => self.display(v),
-            None => self.out.push_str("null"),
-        }
-    }
-
-    fn string(&mut self, value: &str) {
-        if value.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-            return Value::Str(value.into()).render_compact(&mut self.out);
-        }
-        self.out.push('"');
-        self.out.push_str(value);
-        self.out.push('"');
-    }
-
-    fn sums(&mut self, key: &str, sums: &[u64; EDGE_KINDS.len()]) {
-        self.key(key);
-        self.open('{');
-        for (kind, us) in EDGE_KINDS.iter().zip(sums) {
-            self.key(kind.name());
-            self.display(us);
-        }
-        self.close('}');
-    }
+/// The `explain_*.json` document.
+#[derive(Serialize)]
+struct Explain<'a> {
+    schema_version: u32,
+    kind: &'static str,
+    label: &'a str,
+    visits: &'a [CriticalPath],
+    edge_sums_us: ByEdge<u64>,
 }
 
 /// Render paths as the schema-versioned `explain` JSON document.
 pub fn explain_json(label: &str, paths: &[CriticalPath]) -> String {
-    // ~170 bytes an edge and ~550 a visit header at the depth they sit.
-    let edges: usize = paths.iter().map(|p| p.edges.len()).sum();
-    let mut j = PrettyJson {
-        out: String::with_capacity(512 + 640 * paths.len() + 192 * edges),
-        depth: 0,
+    let doc = Explain {
+        schema_version: EXPLAIN_SCHEMA_VERSION,
+        kind: "critical_path_explain",
+        label,
+        visits: paths,
+        edge_sums_us: ByEdge(rollup_us(paths)),
     };
-    j.open('{');
-    j.key("schema_version");
-    j.display(EXPLAIN_SCHEMA_VERSION);
-    j.key("kind");
-    j.string("critical_path_explain");
-    j.key("label");
-    j.string(label);
-    j.key("visits");
-    j.open('[');
-    for p in paths {
-        j.element();
-        j.open('{');
-        j.key("visit");
-        j.display(p.visit);
-        j.key("site");
-        j.display(p.site);
-        j.key("completed");
-        j.display(p.completed);
-        j.key("start_us");
-        j.display(p.start_us);
-        j.key("plt_us");
-        j.display(p.plt_us());
-        j.sums("edge_sums_us", &p.sums_us());
-        j.key("edges");
-        j.open('[');
-        for e in &p.edges {
-            j.element();
-            j.open('{');
-            j.key("start_us");
-            j.display(e.start_us);
-            j.key("end_us");
-            j.display(e.end_us);
-            j.key("kind");
-            j.string(e.kind.name());
-            j.key("object");
-            j.optional(e.object);
-            j.key("conn");
-            j.optional(e.conn);
-            j.close('}');
-        }
-        j.close(']');
-        j.close('}');
-    }
-    j.close(']');
-    j.sums("edge_sums_us", &rollup_us(paths));
-    j.close('}');
-    j.out.push('\n');
-    j.out
+    // Sized up front: a Table-1 cell's text is megabytes, and growing it
+    // by doubling would hold two copies at once. ~170 bytes an edge and
+    // ~550 a visit header at the depth they sit.
+    let edges: usize = paths.iter().map(|p| p.edges.len()).sum();
+    let mut out = String::with_capacity(512 + 640 * paths.len() + 192 * edges);
+    doc.serialize(&mut Writer::new(&mut out, true));
+    out.push('\n');
+    out
 }
 
 /// Human-readable `explain` rendering: one block per visit, the path's
@@ -528,6 +464,7 @@ pub fn explain_text(label: &str, paths: &[CriticalPath]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use spdyier_sim::SimTime;
     use spdyier_trace::{TraceEvent, TraceLevel, Tracer};
 

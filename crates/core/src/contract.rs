@@ -17,10 +17,13 @@
 //! Machine-readable side outputs that predate the contract (the
 //! paired-sweep JSONL dump, the `stalls_*.dat` table) keep their exact
 //! bytes for golden compatibility and gain schema-versioned *sidecar*
-//! manifests instead, built here.
+//! manifests instead, built here. Every document is a typed value
+//! deriving `Serialize`: the key order is the field order, and
+//! `serde::Writer` prints it.
 
 use crate::export::DataFile;
-use serde::{Serialize, Value};
+use crate::results::RunResult;
+use serde::{Serialize, Value, Writer};
 
 /// Schema version of the `result.json` document (bump on breaking
 /// key-set changes; the golden-schema tests pin the key sets).
@@ -70,15 +73,12 @@ pub enum VerdictStatus {
 }
 
 impl Serialize for VerdictStatus {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                VerdictStatus::Pass => "pass",
-                VerdictStatus::Fail => "fail",
-                VerdictStatus::Skipped => "skipped",
-            }
-            .to_string(),
-        )
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(match self {
+            VerdictStatus::Pass => "pass",
+            VerdictStatus::Fail => "fail",
+            VerdictStatus::Skipped => "skipped",
+        });
     }
 }
 
@@ -167,59 +167,66 @@ pub fn junit_xml(scenario: &str, verdicts: &[AssertionVerdict]) -> String {
     s
 }
 
+/// The `stalls_<label>.manifest.json` document.
+#[derive(Serialize)]
+struct StallManifest<'a> {
+    schema_version: u32,
+    kind: &'static str,
+    file: &'a str,
+    columns: Vec<&'a str>,
+    rows: usize,
+}
+
 /// Sidecar manifest for a `stalls_<label>.dat` table: schema version,
 /// column names (lifted from the table's own `#` header), and row count.
 /// The `.dat` bytes themselves stay exactly as they always were.
 pub fn stall_manifest_file(stalls: &DataFile) -> DataFile {
     let header = stalls.contents.lines().next().unwrap_or_default();
-    let columns: Vec<&str> = header.trim_start_matches('#').split_whitespace().collect();
-    let rows = stalls.contents.lines().count().saturating_sub(1);
-    let body = serde_json::json!({
-        "schema_version": STALL_TABLE_SCHEMA_VERSION,
-        "kind": "stall_table",
-        "file": stalls.name,
-        "columns": columns,
-        "rows": rows,
-    });
-    DataFile {
-        name: format!("{}.manifest.json", stalls.name.trim_end_matches(".dat")),
-        contents: serde_json::to_string_pretty(&body).expect("stall manifest serialize"),
-    }
+    let doc = StallManifest {
+        schema_version: STALL_TABLE_SCHEMA_VERSION,
+        kind: "stall_table",
+        file: &stalls.name,
+        columns: header.trim_start_matches('#').split_whitespace().collect(),
+        rows: stalls.contents.lines().count().saturating_sub(1),
+    };
+    let name = format!("{}.manifest.json", stalls.name.trim_end_matches(".dat"));
+    DataFile::pretty(name, &doc)
+}
+
+/// The `<dump>.meta.json` document.
+#[derive(Serialize)]
+struct PairedMeta<'a> {
+    schema_version: u32,
+    kind: &'static str,
+    file: &'a str,
+    network: &'a str,
+    seeds: u64,
+    lines_per_seed: u32,
+    line_order: [&'static str; 2],
+    run_result_keys: Vec<String>,
 }
 
 /// Sidecar header for a paired-sweep JSONL dump (`<dump>.meta.json`):
 /// schema version, the sweep's identity, the line interleaving, and the
 /// exact top-level key set of each `RunResult` line. The dump itself
 /// stays headerless so historical `cmp`-based goldens keep passing.
-pub fn paired_meta_file(
-    dump_name: &str,
-    network: &str,
-    seeds: u64,
-    line_keys: &[String],
-) -> DataFile {
-    let body = serde_json::json!({
-        "schema_version": PAIRED_DUMP_SCHEMA_VERSION,
-        "kind": "paired_sweep",
-        "file": dump_name,
-        "network": network,
-        "seeds": seeds,
-        "lines_per_seed": 2u32,
-        "line_order": ["http", "spdy"],
-        "run_result_keys": line_keys,
-    });
-    DataFile {
-        name: format!("{dump_name}.meta.json"),
-        contents: serde_json::to_string_pretty(&body).expect("paired meta serialize"),
-    }
-}
-
-/// The top-level keys of one serialized [`RunResult`](crate::RunResult)
-/// JSON line, extracted for the paired-dump sidecar.
-pub fn json_line_keys(line: &str) -> Vec<String> {
-    match serde_json::from_str(line) {
-        Ok(Value::Object(entries)) => entries.into_iter().map(|(k, _)| k).collect(),
-        _ => Vec::new(),
-    }
+pub fn paired_meta_file(dump_name: &str, network: &str, seeds: u64) -> DataFile {
+    // The derived encoding writes every field of every run, so an empty
+    // run's top-level keys are each line's.
+    let Value::Object(entries) = RunResult::default().to_value() else {
+        unreachable!("a RunResult prints as an object")
+    };
+    let doc = PairedMeta {
+        schema_version: PAIRED_DUMP_SCHEMA_VERSION,
+        kind: "paired_sweep",
+        file: dump_name,
+        network,
+        seeds,
+        lines_per_seed: 2,
+        line_order: ["http", "spdy"],
+        run_result_keys: entries.into_iter().map(|(k, _)| k).collect(),
+    };
+    DataFile::pretty(format!("{dump_name}.meta.json"), &doc)
 }
 
 #[cfg(test)]
@@ -297,13 +304,17 @@ mod tests {
 
     #[test]
     fn paired_meta_names_and_keys() {
-        let keys = json_line_keys(r#"{"protocol":"HTTP","network":"3G","seed":0}"#);
-        assert_eq!(keys, ["protocol", "network", "seed"]);
-        let side = paired_meta_file("paired_3g.jsonl", "3g", 3, &keys);
+        let side = paired_meta_file("paired_3g.jsonl", "3g", 3);
         assert_eq!(side.name, "paired_3g.jsonl.meta.json");
         let v = serde_json::from_str(&side.contents).unwrap();
         assert_eq!(v["kind"].as_str(), Some("paired_sweep"));
         assert_eq!(v["seeds"].as_u64(), Some(3));
         assert_eq!(v["run_result_keys"][0].as_str(), Some("protocol"));
+        let line = serde_json::to_string(&RunResult::new("HTTP", "3G", 0)).unwrap();
+        let serde_json::Value::Object(line) = serde_json::from_str(&line).unwrap() else {
+            panic!("a RunResult line is an object");
+        };
+        let keys: Vec<&str> = line.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(v["run_result_keys"], keys.to_value());
     }
 }

@@ -3,7 +3,7 @@
 //! paper's tcpdump + `tcp_probe` post-processing scripts.
 
 use crate::results::RunResult;
-use serde::Serialize;
+use serde::{Serialize, Writer};
 use spdyier_sim::{SimDuration, SimTime};
 use spdyier_trace::MetricsRegistry;
 use std::fmt::Write as _;
@@ -18,24 +18,34 @@ pub struct DataFile {
     pub contents: String,
 }
 
+impl DataFile {
+    /// The JSON document `doc`, printed pretty, as the file `name`.
+    pub(crate) fn pretty(name: String, doc: &impl Serialize) -> DataFile {
+        let mut contents = String::new();
+        doc.serialize(&mut Writer::new(&mut contents, true));
+        DataFile { name, contents }
+    }
+}
+
 /// Schema version stamped into `metrics_*.json` (bump on breaking
 /// key-set changes; the golden-schema tests pin it).
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
+/// The `metrics_*.json` document.
+#[derive(Serialize)]
+struct MetricsDoc<'a> {
+    schema_version: u32,
+    metrics: &'a MetricsRegistry,
+}
+
 /// Render a metrics registry as the schema-versioned `metrics_*.json`
 /// artifact (`label` is the lowercase protocol, e.g. `"spdy"`).
 pub fn metrics_file(label: &str, metrics: &MetricsRegistry) -> DataFile {
-    let body = serde::Value::Object(vec![
-        (
-            "schema_version".to_string(),
-            METRICS_SCHEMA_VERSION.to_value(),
-        ),
-        ("metrics".to_string(), metrics.to_value()),
-    ]);
-    DataFile {
-        name: format!("metrics_{label}.json"),
-        contents: serde_json::to_string_pretty(&body).expect("metrics serialize"),
-    }
+    let doc = MetricsDoc {
+        schema_version: METRICS_SCHEMA_VERSION,
+        metrics,
+    };
+    DataFile::pretty(format!("metrics_{label}.json"), &doc)
 }
 
 /// Export everything plottable from a run.

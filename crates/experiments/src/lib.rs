@@ -198,7 +198,7 @@ mod tests {
             assert_eq!(report.id, id);
             assert!(!report.text.is_empty());
             assert!(report.render().contains(report.title));
-            assert!(report.data.is_object() || report.data.is_array());
+            assert!(matches!(report.data, Value::Object(_) | Value::Array(_)));
         }
     }
 }

@@ -32,7 +32,7 @@
 //! The plain `run` path does neither.
 
 use crate::exec::Executor;
-use serde::{Serialize, Value};
+use serde::Serialize;
 use spdyier_causal::{EventModel, ModelBuilder};
 use spdyier_core::{
     export_run, junit_xml, metrics_file, paired_meta_file, stall_file, stall_manifest_file,
@@ -40,7 +40,7 @@ use spdyier_core::{
     ScenarioExit, StallBreakdown, Testbed, TraceLevel, VerdictStatus,
 };
 use spdyier_prof::{CellReport, ProfileReport, SelfReport, SinkReport, SweepTelemetry};
-use spdyier_scenario::{evaluate, Cell, CellMetrics, Manifest};
+use spdyier_scenario::{evaluate, Cell, CellMetrics, Manifest, Seeds, Summary};
 use spdyier_trace::MetricsRegistry;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
@@ -276,8 +276,25 @@ fn status_str(exit: ScenarioExit) -> &'static str {
     }
 }
 
-/// Assemble `result.json` (schema v1; the integration suite pins the key
-/// set).
+/// The `result.json` document (schema v1; the integration suite pins
+/// the key set).
+#[derive(Serialize)]
+struct ResultDoc<'a> {
+    schema_version: u32,
+    scenario: &'a str,
+    description: &'a str,
+    network: &'static str,
+    seeds: Seeds,
+    status: &'static str,
+    exit_code: i32,
+    cells: Vec<Summary<'a>>,
+    assertions: &'a [AssertionVerdict],
+    artifacts: &'a [String],
+    #[serde(skip_serializing_if = "Option::is_none")]
+    limit: Option<&'a str>,
+}
+
+/// Print `result.json`.
 fn result_file(
     manifest: &Manifest,
     exit: ScenarioExit,
@@ -286,51 +303,20 @@ fn result_file(
     limit_detail: Option<&str>,
     artifacts: &[String],
 ) -> DataFile {
-    let mut top: Vec<(String, Value)> = vec![
-        (
-            "schema_version".into(),
-            Value::U64(u64::from(spdyier_core::RESULT_SCHEMA_VERSION)),
-        ),
-        ("scenario".into(), Value::Str(manifest.name.clone())),
-        (
-            "description".into(),
-            Value::Str(manifest.description.clone()),
-        ),
-        (
-            "network".into(),
-            Value::Str(manifest.network.kind.cli_name().into()),
-        ),
-        (
-            "seeds".into(),
-            Value::Object(vec![
-                ("base".into(), Value::U64(manifest.seeds.base)),
-                ("count".into(), Value::U64(manifest.seeds.count)),
-            ]),
-        ),
-        ("status".into(), Value::Str(status_str(exit).into())),
-        ("exit_code".into(), Value::I64(i64::from(exit.code()))),
-        (
-            "cells".into(),
-            Value::Array(
-                cell_metrics
-                    .iter()
-                    .map(CellMetrics::summary_value)
-                    .collect(),
-            ),
-        ),
-        (
-            "assertions".into(),
-            Value::Array(verdicts.iter().map(Serialize::to_value).collect()),
-        ),
-        (
-            "artifacts".into(),
-            Value::Array(artifacts.iter().map(|a| Value::Str(a.clone())).collect()),
-        ),
-    ];
-    if let Some(detail) = limit_detail {
-        top.push(("limit".into(), Value::Str(detail.into())));
-    }
-    let mut contents = serde_json::to_string_pretty(&Value::Object(top)).expect("result.json");
+    let doc = ResultDoc {
+        schema_version: spdyier_core::RESULT_SCHEMA_VERSION,
+        scenario: &manifest.name,
+        description: &manifest.description,
+        network: manifest.network.kind.cli_name(),
+        seeds: manifest.seeds,
+        status: status_str(exit),
+        exit_code: exit.code(),
+        cells: cell_metrics.iter().map(Summary).collect(),
+        assertions: verdicts,
+        artifacts,
+        limit: limit_detail,
+    };
+    let mut contents = serde_json::to_string_pretty(&doc).expect("result.json");
     contents.push('\n');
     DataFile {
         name: "result.json".into(),
@@ -451,12 +437,10 @@ pub(crate) fn finish_folded(
             dump.push_str(line);
             dump.push('\n');
         }
-        let keys = spdyier_core::contract::json_line_keys(dump.lines().next().unwrap_or_default());
         files.push(paired_meta_file(
             &dump_name,
             manifest.network.kind.cli_name(),
             manifest.seeds.count,
-            &keys,
         ));
         files.push(DataFile {
             name: dump_name,

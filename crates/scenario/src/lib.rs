@@ -42,4 +42,4 @@ pub use manifest::{
     Knob, KnobValue, Limits, Manifest, NetworkSection, Outputs, ProtocolSpec, Seeds, Settings,
     Workload, KNOBS, MANIFEST_SCHEMA_VERSION,
 };
-pub use metrics::{eval_metric, evaluate, CellMetrics, METRICS};
+pub use metrics::{eval_metric, evaluate, CellMetrics, Summary, METRICS};

@@ -22,7 +22,7 @@
 //! [`ExperimentConfig::paper_3g`]: spdyier_core::ExperimentConfig::paper_3g
 
 use crate::assertions::Assertion;
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 use spdyier_core::{NetworkKind, ProtocolMode};
 use spdyier_tcp::CcAlgorithm;
 use spdyier_trace::TraceLevel;
@@ -314,8 +314,8 @@ impl Knob {
     }
 }
 
-/// The `seeds` section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
+/// The `seeds` section (and `result.json`'s `seeds`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct Seeds {
     /// First seed.

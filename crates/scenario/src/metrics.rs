@@ -18,7 +18,7 @@
 use crate::assertions::{Assertion, Operand};
 use crate::cells::{filter_selects, Cell};
 use crate::manifest::Manifest;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value, Writer};
 use spdyier_causal::{critical_paths, EventModel};
 use spdyier_core::{
     stall_table, AssertionVerdict, FlightLog, RunResult, StallBreakdown, TraceLevel, VerdictStatus,
@@ -151,7 +151,7 @@ pub const METRICS: &[Metric] = {
     ]
 };
 
-/// The rows `summary_value` renders by position.
+/// The rows [`Summary`] prints by position.
 const STALL_ROWS: std::ops::Range<usize> = 9..15;
 const CRITICAL_ROWS: std::ops::Range<usize> = 23..32;
 
@@ -337,38 +337,6 @@ impl CellMetrics {
         }
     }
 
-    /// The per-cell summary object recorded in `result.json` (fixed key
-    /// set — the golden-schema test pins it).
-    pub fn summary_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = vec![
-            ("protocol".into(), Value::Str(self.protocol.clone())),
-            ("variant".into(), Value::Str(self.variant.clone())),
-            ("seed".into(), Value::U64(self.seed)),
-            ("visits".into(), Value::U64(self.visits)),
-            ("completed".into(), Value::U64(self.completed)),
-            ("plt_p50_ms".into(), Value::F64(self.plt.percentile(50.0))),
-            ("plt_p90_ms".into(), Value::F64(self.plt.percentile(90.0))),
-            ("plt_mean_ms".into(), Value::F64(self.plt.mean())),
-            ("retransmissions".into(), Value::U64(self.retransmissions)),
-            ("timeouts".into(), Value::U64(self.timeouts)),
-            (
-                "connections_opened".into(),
-                Value::U64(self.connections_opened),
-            ),
-            ("promotions".into(), Value::U64(self.promotions)),
-            ("total_bytes".into(), Value::U64(self.total_bytes)),
-            ("energy_mj".into(), Value::F64(self.energy_mj)),
-        ];
-        for (name, _, eval) in METRICS[STALL_ROWS].iter().chain(&METRICS[CRITICAL_ROWS]) {
-            // Absent without samples, so a run below a row's trace level
-            // (lifecycle: all of them) keeps the legacy schema.
-            if let Ok(value) = eval(self) {
-                entries.push(((*name).into(), Value::F64(value)));
-            }
-        }
-        Value::Object(entries)
-    }
-
     /// Decode an accumulator from the JSON value its `Serialize` impl
     /// produces — the checkpoint-store codec, derived strictly: every
     /// field is integer or a shortest-round-trip f64, so encode → decode
@@ -376,6 +344,39 @@ impl CellMetrics {
     /// byte for byte. Errors name the field under `cell`.
     pub fn from_value(v: &Value) -> Result<CellMetrics, String> {
         Self::deserialize(v).map_err(|e| e.at("cell").to_string())
+    }
+}
+
+/// A cell's summary object in `result.json` (fixed key set — the
+/// golden-schema test pins it).
+pub struct Summary<'a>(pub &'a CellMetrics);
+
+impl Serialize for Summary<'_> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        let m = self.0;
+        w.begin_object();
+        w.field("protocol", &m.protocol);
+        w.field("variant", &m.variant);
+        w.field("seed", &m.seed);
+        w.field("visits", &m.visits);
+        w.field("completed", &m.completed);
+        w.field("plt_p50_ms", &m.plt.percentile(50.0));
+        w.field("plt_p90_ms", &m.plt.percentile(90.0));
+        w.field("plt_mean_ms", &m.plt.mean());
+        w.field("retransmissions", &m.retransmissions);
+        w.field("timeouts", &m.timeouts);
+        w.field("connections_opened", &m.connections_opened);
+        w.field("promotions", &m.promotions);
+        w.field("total_bytes", &m.total_bytes);
+        w.field("energy_mj", &m.energy_mj);
+        for (name, _, eval) in METRICS[STALL_ROWS].iter().chain(&METRICS[CRITICAL_ROWS]) {
+            // Absent without samples, so a run below a row's trace level
+            // (lifecycle: all of them) keeps the legacy schema.
+            if let Ok(value) = eval(m) {
+                w.field(name, &value);
+            }
+        }
+        w.end_object();
     }
 }
 
@@ -588,11 +589,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_value_has_the_pinned_keys() {
+    fn the_summary_has_the_pinned_keys() {
         let mut c = cell("http", 0, &[100.0], 2_000);
         c.critical_sums_us = [50_000, 0, 10_000, 30_000, 5_000, 2_000, 1_000, 1_500, 500];
         c.critical_visits = 1;
-        let Value::Object(entries) = c.summary_value() else {
+        let Value::Object(entries) = Summary(&c).to_value() else {
             panic!("summary is an object");
         };
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
@@ -633,7 +634,7 @@ mod tests {
         // Without critical-path samples the critical_* keys stay absent so
         // lifecycle-level runs keep the legacy schema.
         let c = cell("http", 0, &[100.0], 2_000);
-        let Value::Object(entries) = c.summary_value() else {
+        let Value::Object(entries) = Summary(&c).to_value() else {
             panic!("summary is an object");
         };
         assert!(entries.iter().all(|(k, _)| !k.starts_with("critical_")));

@@ -69,7 +69,10 @@ fn at_mut<'a>(v: &'a mut Value, path: &[Seg]) -> &'a mut Value {
 fn at<'a>(v: &'a Value, path: &[Seg]) -> &'a Value {
     path.iter().fold(v, |v, seg| match seg {
         Seg::Key(k) => v.get(k).expect("path exists"),
-        Seg::Index(i) => v.get_index(*i).expect("path exists"),
+        Seg::Index(i) => v
+            .as_array()
+            .and_then(|items| items.get(*i))
+            .expect("path exists"),
     })
 }
 

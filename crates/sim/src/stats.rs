@@ -2,7 +2,7 @@
 //! box-plot summaries (the paper's Figures 3 and 16), CDFs (Figure 14),
 //! means with confidence intervals (Figure 4), and the mergeable [`QuantileSketch`] population-scale sweeps fold into.
 
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, Deserialize, Serialize, Value, Writer};
 use std::collections::BTreeMap;
 
 /// Arithmetic mean; 0 for an empty slice.
@@ -484,35 +484,22 @@ impl Deserialize for QuantileSketch {
 }
 
 impl Serialize for QuantileSketch {
-    fn to_value(&self) -> Value {
-        // min/max are ±inf while empty; JSON has no inf, so they encode
-        // as null and decode back through the empty-sketch defaults.
-        let bound = |x: f64| {
-            if x.is_finite() {
-                Value::F64(x)
-            } else {
-                Value::Null
-            }
-        };
-        Value::Object(vec![
-            ("sub_bits".into(), Value::U64(u64::from(self.sub_bits))),
-            ("count".into(), Value::U64(self.count)),
-            ("zeros".into(), Value::U64(self.zeros)),
-            ("rejected".into(), Value::U64(self.rejected)),
-            ("min".into(), bound(self.min)),
-            ("max".into(), bound(self.max)),
-            ("sum_fp_hi".into(), Value::U64((self.sum_fp >> 64) as u64)),
-            ("sum_fp_lo".into(), Value::U64(self.sum_fp as u64)),
-            (
-                "buckets".into(),
-                Value::Array(
-                    self.buckets
-                        .iter()
-                        .map(|(&k, &n)| Value::Array(vec![Value::U64(u64::from(k)), Value::U64(n)]))
-                        .collect(),
-                ),
-            ),
-        ])
+    fn serialize(&self, w: &mut Writer<'_>) {
+        // min/max are ±inf while empty; the writer prints a non-finite
+        // float as null, which decodes back through the empty-sketch
+        // defaults.
+        w.begin_object();
+        w.field("sub_bits", &self.sub_bits);
+        w.field("count", &self.count);
+        w.field("zeros", &self.zeros);
+        w.field("rejected", &self.rejected);
+        w.field("min", &self.min);
+        w.field("max", &self.max);
+        w.field("sum_fp_hi", &((self.sum_fp >> 64) as u64));
+        w.field("sum_fp_lo", &(self.sum_fp as u64));
+        w.key("buckets");
+        w.array(&self.buckets);
+        w.end_object();
     }
 }
 

@@ -13,14 +13,12 @@ use serde::{Deserialize, Serialize};
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
-#[serde(transparent)]
 pub struct SimTime(u64);
 
 /// A span of simulation time, in microseconds.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
-#[serde(transparent)]
 pub struct SimDuration(u64);
 
 impl SimTime {

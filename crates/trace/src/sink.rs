@@ -9,7 +9,7 @@
 //! causal event model instead of retaining them.
 
 use crate::event::TraceRecord;
-use serde::Serialize;
+use serde::{Serialize, Writer};
 
 /// A destination for trace records.
 ///
@@ -74,13 +74,13 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// Render records to one JSONL string (one line per record, trailing
+/// Print records as one JSONL string (one line per record, trailing
 /// newline after each), through the derived `Serialize`. The canonical
 /// on-disk trace format; `spdyier_causal::parse_jsonl` reads it back.
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for rec in records {
-        rec.write_json(&mut out, false);
+        rec.serialize(&mut Writer::new(&mut out, false));
         out.push('\n');
     }
     out

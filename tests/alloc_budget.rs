@@ -11,6 +11,10 @@
 //! its ceiling in the same commit; CI prints the measured values
 //! (`cargo test --test alloc_budget -- --nocapture`).
 //!
+//! Two rows price the JSON printer itself: a record or a `RunResult`
+//! printed through a `Value` tree costs an allocation per key and per
+//! container, where the writer only grows its output string.
+//!
 //! The `explain` rows count bytes requested instead of calls: what makes
 //! a traced cell expensive to hold is a retained structure (the flight
 //! log's records, a `Value` tree of the document), and each of those
@@ -65,6 +69,17 @@ const EXPLAIN_CEILINGS: [(&str, &str, u64); 2] = [
 /// figure).
 const POPULATION_CEILINGS: [(&str, u64, u64); 2] =
     [("http", 1_290, 349_154), ("spdy", 1_407, 225_652)];
+
+/// Allocator calls per million records of `FlightLog::to_jsonl` over
+/// `trace_spdy_3g.json`'s 81,008-record log, at most. Measured when
+/// committed: 271, the output string growing. A printer that built each
+/// record's `Value` tree first measured 10,788,465.
+const JSONL_CALLS_PER_MILLION_RECORDS: u64 = 284;
+
+/// Allocator calls of `serde_json::to_string` of `paired_3g.json`'s
+/// first `RunResult` (the paired dump's first line), at most. Measured
+/// when committed: 21; through a `Value` tree: 293,871.
+const DUMP_LINE_CALLS: u64 = 22;
 
 fn scenario_path(scenario: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -123,6 +138,22 @@ fn population_cell_cost(protocol: &str) -> (u64, u64) {
     (cost.allocs, cost.bytes)
 }
 
+/// `scenario`'s first cell, run to completion with its trace retained
+/// when the manifest keeps one.
+fn first_cell(scenario: &str) -> (spdyier::core::RunResult, Option<spdyier::core::FlightLog>) {
+    let manifest =
+        Manifest::from_file(&scenario_path(scenario)).expect("committed scenario decodes");
+    let (result, traced) = run_cell(&manifest, &manifest.cells()[0]).expect("within budget");
+    (result, traced.map(|t| t.log))
+}
+
+/// Allocator calls of `print`.
+fn calls_of<T>(print: impl FnOnce() -> T) -> u64 {
+    let before = global_counts();
+    drop(print());
+    global_counts().since(before).allocs
+}
+
 #[test]
 fn allocator_calls_per_visit_stay_under_their_ceilings() {
     let mut over = Vec::new();
@@ -158,6 +189,30 @@ fn allocator_calls_per_visit_stay_under_their_ceilings() {
                  {allocs_ceiling}, {bytes_ceiling}"
             ));
         }
+    }
+    let log = first_cell("trace_spdy_3g.json")
+        .1
+        .expect("the scenario keeps its trace");
+    let records = log.events.len() as u64;
+    let measured = calls_of(|| log.to_jsonl()) * 1_000_000 / records;
+    println!(
+        "alloc_budget trace_spdy_3g.json to_jsonl: {measured} allocs/1e6 records over {records} \
+         (ceiling {JSONL_CALLS_PER_MILLION_RECORDS})"
+    );
+    if measured > JSONL_CALLS_PER_MILLION_RECORDS {
+        over.push(format!(
+            "trace_spdy_3g.json to_jsonl: {measured} > {JSONL_CALLS_PER_MILLION_RECORDS} allocs/1e6 records"
+        ));
+    }
+    let (result, _) = first_cell("paired_3g.json");
+    let measured = calls_of(|| serde_json::to_string(&result));
+    println!(
+        "alloc_budget paired_3g.json dump line: {measured} allocs (ceiling {DUMP_LINE_CALLS})"
+    );
+    if measured > DUMP_LINE_CALLS {
+        over.push(format!(
+            "paired_3g.json dump line: {measured} > {DUMP_LINE_CALLS} allocs"
+        ));
     }
     assert!(over.is_empty(), "over budget: {over:?}");
 }
