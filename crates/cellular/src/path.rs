@@ -88,7 +88,6 @@ impl Radio {
                 let cfg = m.config_mut();
                 cfg.promo_idle_dch = promotion;
                 cfg.promo_fach_dch = promotion.saturating_mul(3).div(4);
-                cfg.promo_idle_fach = promotion.saturating_mul(3).div(4);
             }
             Radio::Lte(m) => {
                 m.config_mut().promotion = promotion;

@@ -4,8 +4,9 @@
 //! Figure 18: `IDLE`, `CELL_FACH`, and `CELL_DCH`, with the promotion and
 //! demotion timers the paper reports:
 //!
-//! * `IDLE → DCH` promotion ≈ 2 s (large data);
-//! * `IDLE → FACH` promotion ≈ 1.5 s (small data);
+//! * `IDLE → DCH` promotion ≈ 2 s for any packet (the measured network
+//!   took the DCH path for all packet-switched traffic; there is no
+//!   `IDLE → FACH` promotion);
 //! * `FACH → DCH` promotion ≈ 1.5 s when the pending transfer exceeds the
 //!   FACH queue threshold;
 //! * `DCH → FACH` demotion after ≈ 5 s of inactivity;
@@ -38,8 +39,6 @@ pub enum Rrc3gState {
 pub enum PromotionKind {
     /// `IDLE → CELL_DCH`, the full ~2 s promotion.
     IdleToDch,
-    /// `IDLE → CELL_FACH`, the ~1.5 s small-data promotion.
-    IdleToFach,
     /// `CELL_FACH → CELL_DCH` when the queue threshold is exceeded.
     FachToDch,
 }
@@ -60,8 +59,6 @@ pub struct PromotionEvent {
 pub struct Rrc3gConfig {
     /// `IDLE → DCH` promotion delay (paper: ~2 s).
     pub promo_idle_dch: SimDuration,
-    /// `IDLE → FACH` promotion delay for small data (paper: ~1.5 s).
-    pub promo_idle_fach: SimDuration,
     /// `FACH → DCH` promotion delay (paper: ~1.5 s).
     pub promo_fach_dch: SimDuration,
     /// Inactivity before `DCH → FACH` demotion (paper: ~5 s).
@@ -84,15 +81,11 @@ impl Default for Rrc3gConfig {
     fn default() -> Self {
         Rrc3gConfig {
             promo_idle_dch: SimDuration::from_millis(2_000),
-            promo_idle_fach: SimDuration::from_millis(1_500),
             promo_fach_dch: SimDuration::from_millis(1_500),
             dch_fach_timer: SimDuration::from_secs(5),
             fach_idle_timer: SimDuration::from_secs(12),
             // Bare control packets (SYN/ACK ≈ 40 B wire, pings) ride FACH;
-            // anything data-bearing needs the dedicated channel. A flow
-            // opening with a SYN upgrades the in-progress FACH promotion
-            // to the full ~2 s DCH promotion when its first data packet
-            // arrives, matching the paper's measured promotion delay.
+            // anything data-bearing needs the dedicated channel.
             fach_queue_threshold_bytes: 120,
             fach_latency: SimDuration::from_millis(100),
             power_dch_mw: 800.0,
@@ -110,7 +103,7 @@ pub struct Rrc3g {
     dch_until: SimTime,
     /// Device holds FACH until this instant.
     fach_until: SimTime,
-    /// All promotions taken, for the cross-layer analyzer. The machine's
+    /// All promotions taken, for the run's results. The machine's
     /// current/past promotion state is derived from this list.
     promotions: Vec<PromotionEvent>,
     /// Number of promotions whose completion has been applied to the
@@ -206,20 +199,8 @@ impl Rrc3g {
                 let i = self
                     .covering_promotion(now)
                     .expect("Promoting implies a covering promotion record");
-                let p = self.promotions[i];
-                if p.kind == PromotionKind::IdleToFach && !small {
-                    // Upgrade: the pending large transfer needs DCH. Extend
-                    // to the full DCH promotion measured from the original
-                    // start (the RNC collapses these in practice).
-                    let end = p.done.max(p.start + self.cfg.promo_idle_dch);
-                    self.promotions[i].done = end;
-                    self.promotions[i].kind = PromotionKind::IdleToDch;
-                    end
-                } else if p.kind == PromotionKind::IdleToFach && small {
-                    p.done + self.cfg.fach_latency
-                } else {
-                    p.done
-                }
+                // Every promotion lands in DCH: the packet waits it out.
+                self.promotions[i].done
             }
             Rrc3gState::Dch => now,
             Rrc3gState::Fach if small => now + self.cfg.fach_latency,
@@ -230,9 +211,7 @@ impl Rrc3g {
             }
             Rrc3gState::Idle => {
                 // The paper's network promotes IDLE → CELL_DCH (~2 s) for
-                // any packet-switched traffic; IDLE → CELL_FACH setup is
-                // retained as a configuration (promo_idle_fach) but the
-                // measured network took the DCH path.
+                // any packet-switched traffic, small or large.
                 let end = now + self.cfg.promo_idle_dch;
                 self.begin_promotion(now, end, PromotionKind::IdleToDch);
                 end
@@ -249,15 +228,8 @@ impl Rrc3g {
         let was_fach = self.state_at(t) == Rrc3gState::Fach;
         // Land any promotions that completed by `t` into the hold timers.
         while self.landed < self.promotions.len() && self.promotions[self.landed].done <= t {
-            let p = self.promotions[self.landed];
-            match p.kind {
-                PromotionKind::IdleToFach => {
-                    self.fach_until = self.fach_until.max(p.done + self.cfg.fach_idle_timer);
-                }
-                PromotionKind::IdleToDch | PromotionKind::FachToDch => {
-                    self.dch_until = self.dch_until.max(p.done + self.cfg.dch_fach_timer);
-                }
-            }
+            let done = self.promotions[self.landed].done;
+            self.dch_until = self.dch_until.max(done + self.cfg.dch_fach_timer);
             self.landed += 1;
         }
         if small && was_fach {
@@ -337,23 +309,17 @@ mod tests {
     }
 
     #[test]
-    fn large_data_from_idle_takes_full_promotion() {
-        let mut m = machine();
-        let gate = m.gate(SimTime::ZERO, 1380);
-        assert_eq!(gate, t(2_000), "IDLE→DCH promotion is 2 s");
-        assert_eq!(m.state_at(t(1_000)), Rrc3gState::Promoting);
-        m.note_activity(gate, 1380);
-        assert_eq!(m.state_at(gate), Rrc3gState::Dch);
-    }
-
-    #[test]
-    fn small_data_from_idle_also_takes_dch_promotion() {
+    fn small_and_large_data_from_idle_take_the_full_dch_promotion() {
         // The measured network promotes IDLE → DCH for any PS traffic.
-        let mut m = machine();
-        let gate = m.gate(SimTime::ZERO, 64);
-        assert_eq!(gate, t(2_000));
-        m.note_activity(gate, 64);
-        assert_eq!(m.state_at(gate), Rrc3gState::Dch);
+        for bytes in [64, 1380] {
+            let mut m = machine();
+            let gate = m.gate(SimTime::ZERO, bytes);
+            assert_eq!(gate, t(2_000), "IDLE→DCH promotion is 2 s ({bytes} B)");
+            assert_eq!(m.promotions()[0].kind, PromotionKind::IdleToDch);
+            assert_eq!(m.state_at(t(1_000)), Rrc3gState::Promoting);
+            m.note_activity(gate, bytes);
+            assert_eq!(m.state_at(gate), Rrc3gState::Dch);
+        }
     }
 
     #[test]
@@ -427,22 +393,10 @@ mod tests {
         let g1 = m.gate(SimTime::ZERO, 1380);
         let g2 = m.gate(t(500), 1380);
         assert_eq!(g1, g2, "second packet joins the in-progress promotion");
+        // A small packet leaves when the promotion lands, with no FACH
+        // latency on top.
+        assert_eq!(m.gate(t(700), 64), g1);
         assert_eq!(m.promotions().len(), 1);
-    }
-
-    #[test]
-    fn large_data_upgrades_fach_promotion() {
-        let mut m = machine();
-        let g_small = m.gate(SimTime::ZERO, 64); // IDLE→FACH started
-        let g_large = m.gate(t(200), 1380); // needs DCH
-        assert!(g_large >= t(2_000), "upgraded to the full DCH promotion");
-        assert!(g_small <= g_large);
-        assert_eq!(
-            m.promotions().len(),
-            1,
-            "collapsed into one promotion record"
-        );
-        assert_eq!(m.promotions()[0].kind, PromotionKind::IdleToDch);
     }
 
     #[test]

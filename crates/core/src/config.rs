@@ -8,7 +8,7 @@
 
 use spdyier_cellular::{presets as cell_presets, CellularPath, Radio};
 use spdyier_net::{presets as net_presets, Direction, LossModel};
-use spdyier_sim::{DetRng, SimDuration};
+use spdyier_sim::SimDuration;
 use spdyier_tcp::TcpConfig;
 use spdyier_trace::TraceLevel;
 use spdyier_workload::VisitSchedule;
@@ -225,14 +225,20 @@ pub struct ExperimentConfig {
     /// livelocked. Exhaustion is reported as a structured
     /// [`RunError`](crate::driver::RunError) from
     /// [`Testbed::try_run_traced`](crate::Testbed::try_run_traced) (and a
-    /// panic from the infallible [`run_experiment`](crate::run_experiment)).
+    /// panic from the infallible [`Testbed::run`](crate::Testbed::run)).
     pub event_budget: u64,
 }
 
 impl ExperimentConfig {
-    /// The paper's baseline 3G configuration for the given protocol.
-    pub fn paper_3g(protocol: ProtocolMode, seed: u64) -> ExperimentConfig {
-        let rng = DetRng::new(seed);
+    /// The paper's baseline 3G configuration for the given protocol,
+    /// visiting `schedule`. A scenario manifest's cell
+    /// (`spdyier_scenario::Cell::build_config`) is what picks the
+    /// schedule and sets every other field from the manifest.
+    pub fn paper_3g(
+        protocol: ProtocolMode,
+        seed: u64,
+        schedule: VisitSchedule,
+    ) -> ExperimentConfig {
         ExperimentConfig {
             seed,
             network: NetworkKind::Umts3G,
@@ -241,7 +247,7 @@ impl ExperimentConfig {
             cache_metrics: true,
             keepalive_ping: None,
             beacon: Some(BeaconConfig::default()),
-            schedule: VisitSchedule::paper_default(&mut rng.fork("schedule")),
+            schedule,
             pages: PageSource::Table1,
             visit_timeout: SimDuration::from_secs(60),
             record_traces: false,
@@ -253,42 +259,6 @@ impl ExperimentConfig {
             access_loss: None,
             event_budget: 200_000_000,
         }
-    }
-
-    /// Builder: cap the number of dispatched events.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
-    }
-
-    /// Builder: swap the network.
-    pub fn with_network(mut self, network: NetworkKind) -> Self {
-        self.network = network;
-        self
-    }
-
-    /// Builder: enable tracing.
-    pub fn with_traces(mut self) -> Self {
-        self.record_traces = true;
-        self
-    }
-
-    /// Builder: set the flight-recorder level.
-    pub fn with_trace_level(mut self, level: TraceLevel) -> Self {
-        self.trace_level = level;
-        self
-    }
-
-    /// Builder: restrict the schedule.
-    pub fn with_schedule(mut self, schedule: VisitSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Builder: visit custom pages instead of Table 1 sites.
-    pub fn with_custom_pages(mut self, pages: Vec<spdyier_workload::WebPage>) -> Self {
-        self.pages = PageSource::Custom(pages);
-        self
     }
 }
 
@@ -345,22 +315,14 @@ mod tests {
 
     #[test]
     fn paper_3g_defaults_match_methodology() {
-        let cfg = ExperimentConfig::paper_3g(ProtocolMode::Http, 7);
-        assert_eq!(cfg.schedule.order.len(), 20);
+        let schedule = VisitSchedule::sequential(vec![9, 4], SimDuration::from_secs(60));
+        let cfg = ExperimentConfig::paper_3g(ProtocolMode::Http, 7, schedule);
+        assert_eq!(cfg.schedule.order, [9, 4], "the caller's schedule is kept");
+        assert_eq!(cfg.network, NetworkKind::Umts3G);
         assert_eq!(cfg.visit_timeout, SimDuration::from_secs(60));
         assert!(cfg.cache_metrics);
         assert!(cfg.keepalive_ping.is_none());
         assert!(cfg.beacon.is_some());
         assert_eq!(cfg.http_idle_close, Some(SimDuration::from_secs(10)));
-    }
-
-    #[test]
-    fn same_seed_same_schedule() {
-        let a = ExperimentConfig::paper_3g(ProtocolMode::Http, 7);
-        let b = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 7);
-        assert_eq!(
-            a.schedule.order, b.schedule.order,
-            "HTTP and SPDY runs visit sites in the same order"
-        );
     }
 }

@@ -695,19 +695,6 @@ impl Testbed {
     }
 }
 
-/// Run one experiment configuration to completion.
-pub fn run_experiment(cfg: ExperimentConfig) -> RunResult {
-    Testbed::new(cfg).run()
-}
-
-/// Run one experiment configuration and return the flight recorder's log
-/// alongside the results (empty when `cfg.trace_level` is `Off`).
-pub fn run_experiment_traced(cfg: ExperimentConfig) -> (RunResult, FlightLog) {
-    Testbed::new(cfg)
-        .try_run_traced()
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

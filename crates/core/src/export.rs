@@ -207,18 +207,15 @@ pub fn write_to_dir(
 mod tests {
     use super::*;
     use crate::config::{ExperimentConfig, NetworkKind, ProtocolMode};
-    use crate::driver::run_experiment;
+    use crate::driver::Testbed;
     use spdyier_workload::VisitSchedule;
 
     fn small_run(traces: bool) -> RunResult {
-        let mut cfg = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 3)
-            .with_network(NetworkKind::Wifi)
-            .with_schedule(VisitSchedule::sequential(
-                vec![9],
-                SimDuration::from_secs(60),
-            ));
+        let schedule = VisitSchedule::sequential(vec![9], SimDuration::from_secs(60));
+        let mut cfg = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 3, schedule);
+        cfg.network = NetworkKind::Wifi;
         cfg.record_traces = traces;
-        run_experiment(cfg)
+        Testbed::new(cfg).run()
     }
 
     #[test]

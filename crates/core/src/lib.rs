@@ -7,18 +7,25 @@
 //! wired cloud path to modelled origins — reproducing the paper's
 //! measurement topology (its Fig. 2) end to end.
 //!
-//! ```no_run
-//! use spdyier_core::{run_experiment, ExperimentConfig, ProtocolMode};
+//! A run is one [`ExperimentConfig`] handed to a [`Testbed`]. Outside
+//! this crate's tests, configs come from a scenario manifest's cells
+//! (`spdyier_scenario::Cell::build_config`), which pick the visit
+//! schedule; this crate's own tests hand one to the constructor:
 //!
-//! let cfg = ExperimentConfig::paper_3g(ProtocolMode::Http, /*seed*/ 1);
-//! let result = run_experiment(cfg);
-//! println!("median-ish PLT sample: {:?} ms", result.plts_ms().first());
+//! ```no_run
+//! use spdyier_core::{ExperimentConfig, ProtocolMode, Testbed};
+//! use spdyier_sim::SimDuration;
+//! use spdyier_workload::VisitSchedule;
+//!
+//! let schedule = VisitSchedule::sequential(vec![9], SimDuration::from_secs(60));
+//! let cfg = ExperimentConfig::paper_3g(ProtocolMode::Http, /*seed*/ 1, schedule);
+//! let result = Testbed::new(cfg).run();
+//! println!("PLT: {:?} ms", result.plts_ms());
 //! ```
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod analyzer;
 pub mod attribution;
 pub mod config;
 pub mod contract;
@@ -37,7 +44,7 @@ pub use contract::{
     junit_xml, paired_meta_file, stall_manifest_file, AssertionVerdict, ScenarioExit,
     VerdictStatus, PAIRED_DUMP_SCHEMA_VERSION, RESULT_SCHEMA_VERSION, STALL_TABLE_SCHEMA_VERSION,
 };
-pub use driver::{run_experiment, run_experiment_traced, RunError, Testbed};
+pub use driver::{RunError, Testbed};
 pub use export::{export_run, metrics_file, write_to_dir, DataFile, METRICS_SCHEMA_VERSION};
 pub use results::{ConnTraceResult, RunResult, VisitResult};
 pub use spdyier_trace::{FlightLog, TraceLevel};

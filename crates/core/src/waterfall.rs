@@ -160,19 +160,22 @@ pub fn waterfall_json(result: &RunResult, model: Option<&EventModel>) -> String 
 mod tests {
     use super::*;
     use crate::config::{ExperimentConfig, NetworkKind, ProtocolMode};
-    use crate::driver::run_experiment;
+    use crate::driver::Testbed;
     use spdyier_sim::SimDuration;
+    use spdyier_trace::TraceLevel;
     use spdyier_workload::VisitSchedule;
 
+    /// One SPDY visit to site 9 over WiFi at `level`.
+    fn small_cfg(level: TraceLevel) -> ExperimentConfig {
+        let schedule = VisitSchedule::sequential(vec![9], SimDuration::from_secs(60));
+        let mut cfg = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 3, schedule);
+        cfg.network = NetworkKind::Wifi;
+        cfg.trace_level = level;
+        cfg
+    }
+
     fn small_run() -> RunResult {
-        run_experiment(
-            ExperimentConfig::paper_3g(ProtocolMode::spdy(), 3)
-                .with_network(NetworkKind::Wifi)
-                .with_schedule(VisitSchedule::sequential(
-                    vec![9],
-                    SimDuration::from_secs(60),
-                )),
-        )
+        Testbed::new(small_cfg(TraceLevel::Off)).run()
     }
 
     #[test]
@@ -188,17 +191,9 @@ mod tests {
 
     #[test]
     fn traced_entries_order_deterministically_with_conn_stream_tie_break() {
-        use crate::driver::run_experiment_traced;
-        use spdyier_trace::TraceLevel;
-        let (r, log) = run_experiment_traced(
-            ExperimentConfig::paper_3g(ProtocolMode::spdy(), 3)
-                .with_network(NetworkKind::Wifi)
-                .with_trace_level(TraceLevel::Full)
-                .with_schedule(VisitSchedule::sequential(
-                    vec![9],
-                    SimDuration::from_secs(60),
-                )),
-        );
+        let (r, log) = Testbed::new(small_cfg(TraceLevel::Full))
+            .try_run_traced()
+            .expect("within budget");
         let model = EventModel::from_records(&log.events);
         let w = waterfall(&r, Some(&model));
         assert_eq!(

@@ -4,38 +4,37 @@
 //! paper's SPDY-suffers-more-RTOs story on 3G.
 
 use spdyier_core::{
-    attribute_stalls, run_experiment_traced, ExperimentConfig, NetworkKind, ProtocolMode,
+    attribute_stalls, ExperimentConfig, FlightLog, NetworkKind, ProtocolMode, RunResult, Testbed,
     TraceLevel,
 };
 use spdyier_sim::SimDuration;
 use spdyier_workload::VisitSchedule;
 
+fn run_traced(cfg: ExperimentConfig) -> (RunResult, FlightLog) {
+    Testbed::new(cfg).try_run_traced().expect("within budget")
+}
+
 fn small_cfg(protocol: ProtocolMode, level: TraceLevel) -> ExperimentConfig {
-    ExperimentConfig::paper_3g(protocol, 3)
-        .with_network(NetworkKind::Wifi)
-        .with_schedule(VisitSchedule::sequential(
-            vec![9],
-            SimDuration::from_secs(60),
-        ))
-        .with_trace_level(level)
+    let schedule = VisitSchedule::sequential(vec![9], SimDuration::from_secs(60));
+    let mut cfg = ExperimentConfig::paper_3g(protocol, 3, schedule);
+    cfg.network = NetworkKind::Wifi;
+    cfg.trace_level = level;
+    cfg
 }
 
 /// Two visits with the §5.7 beacon gap between them — long enough on 3G
 /// for the radio to demote and for background transfers to hit RTOs.
 fn paired_3g_cfg(protocol: ProtocolMode, level: TraceLevel) -> ExperimentConfig {
-    ExperimentConfig::paper_3g(protocol, 3)
-        .with_schedule(VisitSchedule::sequential(
-            vec![9, 4],
-            SimDuration::from_secs(120),
-        ))
-        .with_trace_level(level)
+    let schedule = VisitSchedule::sequential(vec![9, 4], SimDuration::from_secs(120));
+    let mut cfg = ExperimentConfig::paper_3g(protocol, 3, schedule);
+    cfg.trace_level = level;
+    cfg
 }
 
 #[test]
 fn tracing_is_invisible_to_the_simulation() {
-    let (r_off, log_off) = run_experiment_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Off));
-    let (r_full, log_full) =
-        run_experiment_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Full));
+    let (r_off, log_off) = run_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Off));
+    let (r_full, log_full) = run_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Full));
 
     // Off: nothing materialized at all.
     assert_eq!(log_off.emitted, 0);
@@ -53,11 +52,9 @@ fn tracing_is_invisible_to_the_simulation() {
 
 #[test]
 fn trace_levels_are_cumulative() {
-    let (_, lifecycle) =
-        run_experiment_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Lifecycle));
-    let (_, transport) =
-        run_experiment_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Transport));
-    let (_, full) = run_experiment_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Full));
+    let (_, lifecycle) = run_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Lifecycle));
+    let (_, transport) = run_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Transport));
+    let (_, full) = run_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Full));
     assert!(lifecycle.emitted > 0);
     assert!(transport.emitted >= lifecycle.emitted);
     assert!(full.emitted > transport.emitted, "Full adds segment detail");
@@ -65,7 +62,7 @@ fn trace_levels_are_cumulative() {
 
 #[test]
 fn stall_attribution_conserves_plt_exactly() {
-    let (_, log) = run_experiment_traced(paired_3g_cfg(ProtocolMode::spdy(), TraceLevel::Full));
+    let (_, log) = run_traced(paired_3g_cfg(ProtocolMode::spdy(), TraceLevel::Full));
     let stalls = attribute_stalls(&log);
     assert!(!stalls.is_empty(), "traced run produced visits");
     for b in &stalls {
@@ -85,12 +82,10 @@ fn stall_attribution_conserves_plt_exactly() {
 
 #[test]
 fn spdy_attributes_more_rto_stall_than_http_on_3g() {
-    let (_, spdy_log) =
-        run_experiment_traced(paired_3g_cfg(ProtocolMode::spdy(), TraceLevel::Full));
-    let (_, http_log) = run_experiment_traced(paired_3g_cfg(ProtocolMode::Http, TraceLevel::Full));
-    let rto_total = |log: &spdyier_core::FlightLog| -> u64 {
-        attribute_stalls(log).iter().map(|b| b.rto_stall_us).sum()
-    };
+    let (_, spdy_log) = run_traced(paired_3g_cfg(ProtocolMode::spdy(), TraceLevel::Full));
+    let (_, http_log) = run_traced(paired_3g_cfg(ProtocolMode::Http, TraceLevel::Full));
+    let rto_total =
+        |log: &FlightLog| -> u64 { attribute_stalls(log).iter().map(|b| b.rto_stall_us).sum() };
     let spdy_rto = rto_total(&spdy_log);
     let http_rto = rto_total(&http_log);
     assert!(

@@ -9,26 +9,40 @@
 use spdyier_causal::{
     critical_paths, diff_paths, explain_json, CriticalPath, EdgeKind, EventModel, Interval,
 };
-use spdyier_core::{
-    run_experiment_traced, stall_table, ExperimentConfig, NetworkKind, ProtocolMode,
-};
-use spdyier_experiments::Executor;
-use spdyier_scenario::Manifest;
-use spdyier_trace::{FlightLog, TraceLevel};
-use spdyier_workload::VisitSchedule;
+use spdyier_core::{stall_table, NetworkKind, ProtocolMode, RunResult};
+use spdyier_experiments::{run_cell, Executor};
+use spdyier_scenario::{Manifest, ProtocolSpec, Workload};
+use spdyier_trace::TraceLevel;
 
-/// One traced single-site visit at `Full` level.
-fn traced_run(mode: ProtocolMode, network: NetworkKind, seed: u64) -> FlightLog {
-    let site = 1 + ((seed * 7) % 20) as u32;
-    let cfg = ExperimentConfig::paper_3g(mode, seed)
-        .with_network(network)
-        .with_trace_level(TraceLevel::Full)
-        .with_schedule(VisitSchedule::sequential(
-            vec![site],
-            spdyier_sim::SimDuration::from_secs(120),
-        ));
-    let (_, log) = run_experiment_traced(cfg);
-    log
+/// The paper baseline on `network` for `mode` alone at `seed`, traced at
+/// `Full`.
+fn traced_manifest(mode: ProtocolMode, network: NetworkKind, seed: u64) -> Manifest {
+    let mut m = Manifest::paper_baseline("causal_engine");
+    m.network.kind = network;
+    m.protocols = vec![ProtocolSpec { mode }];
+    m.seeds.base = seed;
+    m.trace = TraceLevel::Full;
+    m
+}
+
+/// Run the manifest's one cell: its result and the event model of
+/// everything it emitted, which must have been recorded losslessly.
+fn run_traced(m: &Manifest) -> (RunResult, EventModel) {
+    let (result, traced) = run_cell(m, &m.cells()[0]).expect("within budget");
+    let traced = traced.expect("traced at Full");
+    assert_eq!(traced.log.dropped, 0, "lossy trace voids the property");
+    (result, traced.model)
+}
+
+/// One traced single-site visit.
+fn traced_run(mode: ProtocolMode, network: NetworkKind, seed: u64) -> EventModel {
+    let mut m = traced_manifest(mode, network, seed);
+    m.workload = Workload::Site {
+        site: 1 + ((seed * 7) % 20) as u32,
+        visits: 1,
+        interval_s: 120,
+    };
+    run_traced(&m).1
 }
 
 /// Measure of the union of `intervals` clipped to `[a, b)`, restricted
@@ -169,9 +183,7 @@ fn conservation_and_rto_coverage_hold_across_the_sweep() {
     for network in networks {
         for protocol in protocols {
             for seed in 0..8u64 {
-                let log = traced_run(protocol, network, seed);
-                assert_eq!(log.dropped, 0, "lossy trace voids the property");
-                let model = EventModel::from_records(&log.events);
+                let model = traced_run(protocol, network, seed);
                 let paths = critical_paths(&model);
                 let what = format!("{network:?}/{protocol:?}/seed{seed}");
                 check_invariants(&model, &paths, &what);
@@ -186,13 +198,7 @@ fn conservation_and_rto_coverage_hold_across_the_sweep() {
 #[test]
 fn conservation_holds_on_the_full_3g_schedule() {
     for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
-        let cfg = ExperimentConfig::paper_3g(protocol, 0)
-            .with_network(NetworkKind::Umts3G)
-            .with_trace_level(TraceLevel::Full)
-            .with_schedule(spdyier_scenario::table1_schedule_for_seed(0));
-        let (result, log) = run_experiment_traced(cfg);
-        assert_eq!(log.dropped, 0);
-        let model = EventModel::from_records(&log.events);
+        let (result, model) = run_traced(&traced_manifest(protocol, NetworkKind::Umts3G, 0));
         let paths = critical_paths(&model);
         assert_eq!(paths.len(), result.visits.len());
         check_invariants(&model, &paths, &format!("table1/{protocol:?}"));

@@ -2,7 +2,7 @@
 //! protocols, each mapped onto the exact [`ExperimentConfig`] it runs.
 
 use crate::manifest::{Knob, Manifest, ProtocolSpec, Settings, Workload};
-use spdyier_core::ExperimentConfig;
+use spdyier_core::{config::PageSource, ExperimentConfig};
 use spdyier_sim::{DetRng, SimDuration};
 use spdyier_workload::{test_page, VisitSchedule};
 
@@ -98,23 +98,21 @@ impl Cell {
         filter_selects(filter, &self.protocol.compact(), &self.variant, self.seed)
     }
 
-    /// Build the full [`ExperimentConfig`] for this cell. Defaults match
-    /// [`ExperimentConfig::paper_3g`] exactly, with the schedule the
-    /// workload and seed name.
+    /// Build the full [`ExperimentConfig`] for this cell: the one place a
+    /// run's visit schedule is picked. Defaults match
+    /// [`ExperimentConfig::paper_3g`] exactly.
     pub fn build_config(&self, manifest: &Manifest) -> ExperimentConfig {
-        let mut cfg = ExperimentConfig::paper_3g(self.protocol.mode, self.seed)
-            .with_network(manifest.network.kind);
         let sequential = |site, visits: u32, interval_s| {
             let order = vec![site; visits as usize];
             VisitSchedule::sequential(order, SimDuration::from_secs(interval_s))
         };
-        let schedule = match manifest.workload {
-            Workload::Table1 => table1_schedule_for_seed(self.seed),
+        let (schedule, pages) = match manifest.workload {
+            Workload::Table1 => (table1_schedule_for_seed(self.seed), PageSource::Table1),
             Workload::Site {
                 site,
                 visits,
                 interval_s,
-            } => sequential(site, visits, interval_s),
+            } => (sequential(site, visits, interval_s), PageSource::Table1),
             Workload::Synthetic {
                 objects,
                 object_bytes,
@@ -123,11 +121,15 @@ impl Cell {
                 interval_s,
             } => {
                 let page = test_page(objects as usize, object_bytes, same_domain);
-                cfg = cfg.with_custom_pages(vec![page]);
-                sequential(1, visits, interval_s)
+                (
+                    sequential(1, visits, interval_s),
+                    PageSource::Custom(vec![page]),
+                )
             }
         };
-        cfg = cfg.with_schedule(schedule);
+        let mut cfg = ExperimentConfig::paper_3g(self.protocol.mode, self.seed, schedule);
+        cfg.network = manifest.network.kind;
+        cfg.pages = pages;
         let s = &self.settings;
         cfg.tcp.reset_rtt_after_idle = s.rtt_reset_after_idle;
         cfg.tcp.slow_start_after_idle = s.slow_start_after_idle;
@@ -170,7 +172,6 @@ fn secs_f64(s: f64) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spdyier_core::config::PageSource;
     use spdyier_core::ProtocolMode;
     use spdyier_trace::TraceLevel;
 
@@ -187,8 +188,8 @@ mod tests {
         let cells = m.cells();
         assert_eq!(cells.len(), 2);
         let cfg = cells[1].build_config(&m);
-        let reference = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 0)
-            .with_schedule(table1_schedule_for_seed(0));
+        let reference =
+            ExperimentConfig::paper_3g(ProtocolMode::spdy(), 0, table1_schedule_for_seed(0));
         assert_eq!(cfg.seed, reference.seed);
         assert_eq!(cfg.network, reference.network);
         assert_eq!(cfg.protocol, reference.protocol);

@@ -14,10 +14,10 @@
 //! other key is read once, where the decoder reads its section.
 //!
 //! The defaults of every optional section reproduce
-//! [`ExperimentConfig::paper_3g`] exactly; a manifest that only names a
-//! network and protocols runs at the paper's operating point, so every
-//! figure, scenario and `explain`/`diff` input is a manifest over the
-//! same defaults.
+//! [`ExperimentConfig::paper_3g`] over the seed's Table 1 schedule
+//! exactly; a manifest that only names a network and protocols runs at
+//! the paper's operating point, so every figure, scenario and
+//! `explain`/`diff` input is a manifest over the same defaults.
 //!
 //! [`ExperimentConfig::paper_3g`]: spdyier_core::ExperimentConfig::paper_3g
 

@@ -69,7 +69,7 @@ pub struct Segment {
     /// Payload.
     pub payload: Payload,
     /// True if this segment is a retransmission (diagnostic only — real
-    /// TCP infers this; the testbed records it for the analyzer).
+    /// TCP infers this; the testbed records it for its retransmission counts).
     pub retransmit: bool,
     /// Duplicate-SACK signal: the sender of this ACK received duplicate
     /// payload (a spurious-retransmission report, RFC 2883). Drives the

@@ -7,20 +7,23 @@
 //! ```
 
 use spdyier::browser::StepAverages;
-use spdyier::core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode};
-use spdyier::sim::SimDuration;
-use spdyier::workload::VisitSchedule;
+use spdyier::experiments::run_cell;
+use spdyier::scenario::Manifest;
+
+const MANIFEST: &str = r#"{
+    "schema_version": 1,
+    "name": "news_site_3g",
+    "network": { "kind": "3g" },
+    "protocols": ["http", "spdy"],
+    "workload": { "kind": "site", "site": 15 },
+    "seeds": { "base": 3 }
+}"#;
 
 fn main() {
     println!("Site 15 (News): 323 objects, ~85 domains, 1.7 MB — the stress test.\n");
-    for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
-        let cfg = ExperimentConfig::paper_3g(protocol, 3)
-            .with_network(NetworkKind::Umts3G)
-            .with_schedule(VisitSchedule::sequential(
-                vec![15],
-                SimDuration::from_secs(60),
-            ));
-        let result = run_experiment(cfg);
+    let manifest = Manifest::from_json(MANIFEST).expect("the example manifest decodes");
+    for cell in manifest.cells() {
+        let (result, _) = run_cell(&manifest, &cell).expect("within the event budget");
         let v = &result.visits[0];
         let avg = StepAverages::from_timings(&v.object_timings);
         println!("== {} ==", result.protocol);

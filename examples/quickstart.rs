@@ -1,52 +1,57 @@
-//! Quickstart: load three sites over 3G with both protocols and print the
-//! page load times plus the cross-layer retransmission attribution.
+//! Quickstart: run the paper's baseline — HTTP and SPDY over 3G on the
+//! seed's Table 1 visit order — and print each site's page load time
+//! beside the retransmissions and radio promotions behind them.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use spdyier::core::analyzer::analyze;
-use spdyier::core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode};
-use spdyier::sim::SimDuration;
-use spdyier::workload::VisitSchedule;
+use spdyier::experiments::run_cell;
+use spdyier::scenario::Manifest;
 
 fn main() {
-    println!("Loading sites 7 (News), 5 (Technology) and 12 (Photo Sharing) over 3G…\n");
-    for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
-        let cfg = ExperimentConfig::paper_3g(protocol, 7)
-            .with_network(NetworkKind::Umts3G)
-            .with_schedule(VisitSchedule::sequential(
-                vec![7, 5, 12],
-                SimDuration::from_secs(60),
-            ));
-        let result = run_experiment(cfg);
-        println!("== {} over {} ==", result.protocol, result.network);
-        for v in &result.visits {
-            println!(
-                "  site {:>2}: PLT {:>7.0} ms  ({} objects, {} KB){}",
-                v.site,
-                v.plt_ms,
-                v.object_count,
-                v.total_bytes / 1024,
-                if v.completed {
-                    ""
-                } else {
-                    "  [did not finish]"
-                }
-            );
-        }
-        let report = analyze(&result);
+    let mut manifest = Manifest::paper_baseline("quickstart");
+    manifest.seeds.base = 7;
+    println!("Loading the 20 Table 1 sites over 3G, HTTP then SPDY, in one shared order…\n");
+    let runs: Vec<_> = manifest
+        .cells()
+        .iter()
+        .map(|cell| {
+            run_cell(&manifest, cell)
+                .expect("within the event budget")
+                .0
+        })
+        .collect();
+    let [http, spdy] = &runs[..] else {
+        unreachable!("the baseline is one HTTP/SPDY pair");
+    };
+    println!("  site   HTTP PLT   SPDY PLT");
+    for (h, s) in http.visits.iter().zip(&spdy.visits) {
+        let mark = |completed| if completed { " " } else { "*" };
         println!(
-            "  retransmissions: {} ({} promotion-correlated, {} spurious-estimate)",
-            report.retransmissions, report.promotion_correlated, report.spurious_estimate
+            "  {:>4} {:>8.0} ms{}{:>8.0} ms{}",
+            h.site,
+            h.plt_ms,
+            mark(h.completed),
+            s.plt_ms,
+            mark(s.completed)
         );
+    }
+    for r in [http, spdy] {
+        let (queue_drops, loss_drops) = r.downlink_drops;
         println!(
-            "  RRC promotions: {}, radio energy: {:.0} mJ\n",
-            report.promotions, result.energy_mj
+            "\n== {} over {} ==\n  retransmissions: {} ({} real downlink drops)\n  \
+             RRC promotions: {}, radio energy: {:.0} mJ",
+            r.protocol,
+            r.network,
+            r.total_retransmissions,
+            queue_drops + loss_drops,
+            r.promotions.len(),
+            r.energy_mj
         );
     }
     println!(
-        "The paper's finding: over 3G the two protocols end up comparable — the\n\
-         radio's promotion delay defeats TCP's RTT estimate for both."
+        "\n(* = did not finish.) The paper's finding: over 3G the two protocols end up\n\
+         comparable — the radio's promotion delay defeats TCP's RTT estimate for both."
     );
 }

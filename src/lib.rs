@@ -30,20 +30,27 @@
 //! | [`causal`] | critical-path engine: per-visit PLT decomposition, cross-run diff attribution |
 //! | [`prof`] | host-side self-profiler: counting allocator, spans, sweep heartbeats |
 //! | [`core`] | the assembled testbed driver and experiment configs |
+//! | [`scenario`] | manifests: one experiment as data, expanded into run cells |
 //! | [`experiments`] | regenerate every paper table/figure |
 //!
 //! ## Quickstart
 //!
-//! ```no_run
-//! use spdyier::core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode};
+//! A run is a cell of a scenario manifest. The paper's baseline pairs
+//! HTTP and SPDY over 3G on the seed's Table 1 visit order:
 //!
-//! let cfg = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 42)
-//!     .with_network(NetworkKind::Umts3G);
-//! let result = run_experiment(cfg);
-//! for v in &result.visits {
-//!     println!("site {:>2}: {:.0} ms", v.site, v.plt_ms);
+//! ```no_run
+//! use spdyier::experiments::run_cell;
+//! use spdyier::scenario::Manifest;
+//!
+//! let mut manifest = Manifest::paper_baseline("quickstart");
+//! manifest.seeds.base = 42;
+//! for cell in manifest.cells() {
+//!     let (result, _) = run_cell(&manifest, &cell).expect("within the event budget");
+//!     for v in &result.visits {
+//!         println!("{} site {:>2}: {:.0} ms", result.protocol, v.site, v.plt_ms);
+//!     }
+//!     println!("retransmissions: {}", result.total_retransmissions);
 //! }
-//! println!("retransmissions: {}", result.total_retransmissions);
 //! ```
 
 #![warn(missing_docs)]
@@ -60,6 +67,7 @@ pub use spdyier_net as net;
 pub use spdyier_origin as origin;
 pub use spdyier_prof as prof;
 pub use spdyier_proxy as proxy;
+pub use spdyier_scenario as scenario;
 pub use spdyier_sim as sim;
 pub use spdyier_spdy as spdy;
 pub use spdyier_tcp as tcp;

@@ -2,15 +2,58 @@
 //! the testbed (browser → SPDY/HTTP → TCP → RRC-gated link → proxy →
 //! wired → origins) on every network preset.
 
-use spdyier::core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode, RunResult};
+use spdyier::core::{ExperimentConfig, NetworkKind, ProtocolMode, RunResult, Testbed};
+use spdyier::experiments::run_cell;
+use spdyier::scenario::{Manifest, ProtocolSpec, Workload};
 use spdyier::sim::SimDuration;
 use spdyier::workload::VisitSchedule;
 
-fn run(protocol: ProtocolMode, network: NetworkKind, sites: Vec<u32>, seed: u64) -> RunResult {
-    let cfg = ExperimentConfig::paper_3g(protocol, seed)
-        .with_network(network)
-        .with_schedule(VisitSchedule::sequential(sites, SimDuration::from_secs(60)));
-    run_experiment(cfg)
+/// The paper baseline for `protocol` alone on `network` at `seed`.
+fn manifest(protocol: ProtocolMode, network: NetworkKind, seed: u64) -> Manifest {
+    let mut m = Manifest::paper_baseline("end_to_end");
+    m.network.kind = network;
+    m.protocols = vec![ProtocolSpec { mode: protocol }];
+    m.seeds.base = seed;
+    m
+}
+
+/// The manifest's one cell, run to completion.
+fn run_manifest(m: &Manifest) -> RunResult {
+    run_cell(m, &m.cells()[0]).expect("within budget").0
+}
+
+/// One visit to Table 1 `site`: a manifest's `site` workload.
+fn run(protocol: ProtocolMode, network: NetworkKind, site: u32, seed: u64) -> RunResult {
+    let mut m = manifest(protocol, network, seed);
+    m.workload = Workload::Site {
+        site,
+        visits: 1,
+        interval_s: 60,
+    };
+    run_manifest(&m)
+}
+
+/// `sites` in order, 60 s apart: a fixed list no workload kind
+/// expresses, so it goes to the constructor as is.
+fn sites_config(
+    protocol: ProtocolMode,
+    network: NetworkKind,
+    sites: Vec<u32>,
+    seed: u64,
+) -> ExperimentConfig {
+    let schedule = VisitSchedule::sequential(sites, SimDuration::from_secs(60));
+    let mut cfg = ExperimentConfig::paper_3g(protocol, seed, schedule);
+    cfg.network = network;
+    cfg
+}
+
+fn run_sites(
+    protocol: ProtocolMode,
+    network: NetworkKind,
+    sites: Vec<u32>,
+    seed: u64,
+) -> RunResult {
+    Testbed::new(sites_config(protocol, network, sites, seed)).run()
 }
 
 #[test]
@@ -22,7 +65,7 @@ fn every_network_and_protocol_completes_a_load() {
         NetworkKind::Lte,
     ] {
         for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
-            let r = run(protocol, network, vec![12], 1);
+            let r = run(protocol, network, 12, 1);
             assert_eq!(r.visits.len(), 1, "{network:?}/{protocol:?}");
             assert!(
                 r.visits[0].completed,
@@ -35,7 +78,7 @@ fn every_network_and_protocol_completes_a_load() {
 
 #[test]
 fn completed_visits_have_complete_object_timings() {
-    let r = run(ProtocolMode::spdy(), NetworkKind::Umts3G, vec![5, 9], 2);
+    let r = run_sites(ProtocolMode::spdy(), NetworkKind::Umts3G, vec![5, 9], 2);
     for v in &r.visits {
         assert!(v.completed);
         assert_eq!(v.object_timings.len(), v.object_count);
@@ -59,9 +102,9 @@ fn completed_visits_have_complete_object_timings() {
 #[test]
 fn network_ordering_wifi_lte_3g() {
     // WiFi < LTE < 3G page load times for the same site and protocol.
-    let wifi = run(ProtocolMode::Http, NetworkKind::Wifi, vec![5], 3);
-    let lte = run(ProtocolMode::Http, NetworkKind::Lte, vec![5], 3);
-    let g3 = run(ProtocolMode::Http, NetworkKind::Umts3G, vec![5], 3);
+    let wifi = run(ProtocolMode::Http, NetworkKind::Wifi, 5, 3);
+    let lte = run(ProtocolMode::Http, NetworkKind::Lte, 5, 3);
+    let g3 = run(ProtocolMode::Http, NetworkKind::Umts3G, 5, 3);
     let (w, l, g) = (
         wifi.visits[0].plt_ms,
         lte.visits[0].plt_ms,
@@ -73,8 +116,8 @@ fn network_ordering_wifi_lte_3g() {
 
 #[test]
 fn three_g_pays_the_promotion_delay() {
-    let pinned = run(ProtocolMode::spdy(), NetworkKind::Umts3GPinned, vec![9], 4);
-    let normal = run(ProtocolMode::spdy(), NetworkKind::Umts3G, vec![9], 4);
+    let pinned = run(ProtocolMode::spdy(), NetworkKind::Umts3GPinned, 9, 4);
+    let normal = run(ProtocolMode::spdy(), NetworkKind::Umts3G, 9, 4);
     // Same bearer; the only difference is the RRC machine. The promotion is
     // ~2 s, so the gap must be at least one second.
     assert!(
@@ -89,8 +132,8 @@ fn three_g_pays_the_promotion_delay() {
 
 #[test]
 fn determinism_full_stack() {
-    let a = run(ProtocolMode::spdy(), NetworkKind::Umts3G, vec![7, 12], 9);
-    let b = run(ProtocolMode::spdy(), NetworkKind::Umts3G, vec![7, 12], 9);
+    let a = run_sites(ProtocolMode::spdy(), NetworkKind::Umts3G, vec![7, 12], 9);
+    let b = run_sites(ProtocolMode::spdy(), NetworkKind::Umts3G, vec![7, 12], 9);
     let plts_a: Vec<f64> = a.visits.iter().map(|v| v.plt_ms).collect();
     let plts_b: Vec<f64> = b.visits.iter().map(|v| v.plt_ms).collect();
     assert_eq!(plts_a, plts_b);
@@ -101,8 +144,8 @@ fn determinism_full_stack() {
 
 #[test]
 fn different_seeds_vary() {
-    let a = run(ProtocolMode::Http, NetworkKind::Umts3G, vec![7], 1);
-    let b = run(ProtocolMode::Http, NetworkKind::Umts3G, vec![7], 2);
+    let a = run(ProtocolMode::Http, NetworkKind::Umts3G, 7, 1);
+    let b = run(ProtocolMode::Http, NetworkKind::Umts3G, 7, 2);
     assert_ne!(
         a.visits[0].plt_ms, b.visits[0].plt_ms,
         "seeds must actually vary the run"
@@ -111,7 +154,7 @@ fn different_seeds_vary() {
 
 #[test]
 fn proxy_records_cover_every_object() {
-    let r = run(ProtocolMode::spdy(), NetworkKind::Wifi, vec![5], 5);
+    let r = run(ProtocolMode::spdy(), NetworkKind::Wifi, 5, 5);
     // Every page object produced a proxy-side fetch record.
     assert!(r.proxy_records.len() >= r.visits[0].object_count);
     for rec in &r.proxy_records {
@@ -126,16 +169,16 @@ fn proxy_records_cover_every_object() {
 
 #[test]
 fn energy_accounting_is_positive_on_cellular() {
-    let r = run(ProtocolMode::Http, NetworkKind::Umts3G, vec![9], 6);
+    let r = run(ProtocolMode::Http, NetworkKind::Umts3G, 9, 6);
     assert!(r.energy_mj > 0.0);
-    let wifi = run(ProtocolMode::Http, NetworkKind::Wifi, vec![9], 6);
+    let wifi = run(ProtocolMode::Http, NetworkKind::Wifi, 9, 6);
     assert_eq!(wifi.energy_mj, 0.0, "no radio model on WiFi");
 }
 
 #[test]
 fn spdy_single_connection_http_many() {
-    let s = run(ProtocolMode::spdy(), NetworkKind::Wifi, vec![15], 7);
-    let h = run(ProtocolMode::Http, NetworkKind::Wifi, vec![15], 7);
+    let s = run(ProtocolMode::spdy(), NetworkKind::Wifi, 15, 7);
+    let h = run(ProtocolMode::Http, NetworkKind::Wifi, 15, 7);
     assert_eq!(s.connections_opened, 1, "one SPDY session");
     assert!(
         h.connections_opened >= 10,
@@ -152,7 +195,7 @@ fn multiconn_spdy_opens_n_sessions() {
             late_binding: false,
         },
         NetworkKind::Wifi,
-        vec![9],
+        9,
         8,
     );
     assert_eq!(r.connections_opened, 20);
@@ -161,7 +204,7 @@ fn multiconn_spdy_opens_n_sessions() {
 
 #[test]
 fn late_binding_still_loads_pages() {
-    let r = run(
+    let r = run_sites(
         ProtocolMode::Spdy {
             connections: 4,
             late_binding: true,
@@ -178,15 +221,64 @@ fn late_binding_still_loads_pages() {
 
 #[test]
 fn custom_pages_load() {
-    let page = spdyier::workload::test_page(50, 40_000, true);
-    let cfg = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 1)
-        .with_network(NetworkKind::Umts3G)
-        .with_schedule(VisitSchedule::sequential(
-            vec![1],
-            SimDuration::from_secs(60),
-        ))
-        .with_custom_pages(vec![page]);
-    let r = run_experiment(cfg);
+    let mut m = manifest(ProtocolMode::spdy(), NetworkKind::Umts3G, 1);
+    m.workload = Workload::Synthetic {
+        objects: 50,
+        object_bytes: 40_000,
+        same_domain: true,
+        visits: 1,
+        interval_s: 60,
+    };
+    let r = run_manifest(&m);
     assert!(r.visits[0].completed);
     assert_eq!(r.visits[0].object_count, 51);
+}
+
+#[test]
+fn a_small_site_is_fast_over_wifi_and_3g_pays_its_promotion() {
+    for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
+        let wifi = run(protocol, NetworkKind::Wifi, 9, 42);
+        let v = &wifi.visits[0];
+        assert!(
+            v.completed,
+            "{protocol:?}: site 9 (5 objects) loads over WiFi"
+        );
+        assert!(
+            v.plt_ms < 10_000.0,
+            "{protocol:?}: a tiny site over WiFi is fast, got {} ms",
+            v.plt_ms
+        );
+        // The first packet waits out the 2 s IDLE→DCH promotion.
+        let g3 = run(protocol, NetworkKind::Umts3G, 5, 42);
+        let v = &g3.visits[0];
+        assert!(v.completed, "{protocol:?}: site 5 loads over 3G");
+        assert!(
+            v.plt_ms > 2_000.0,
+            "{protocol:?}: 3G PLT includes the promotion, got {} ms",
+            v.plt_ms
+        );
+        assert!(!g3.promotions.is_empty(), "the radio promoted");
+    }
+}
+
+/// With `http_pipelining > 1` the assignment sweep also reads every
+/// connection's queue depth, so its skip-when-unchanged memo keys on
+/// that too. Test builds re-run the sweep on every memo hit and assert
+/// it was a no-op, so completing a throttled 3G load here is the check
+/// that the pipelined key is complete.
+#[test]
+fn pipelined_http_stacks_requests_on_fewer_connections() {
+    let load = |depth: usize| {
+        let mut cfg = sites_config(ProtocolMode::Http, NetworkKind::Umts3G, vec![5, 1], 42);
+        cfg.http_pipelining = depth;
+        Testbed::new(cfg).run()
+    };
+    let (plain, pipelined) = (load(1), load(4));
+    assert!(pipelined.visits.iter().all(|v| v.completed));
+    assert!(
+        pipelined.connections_opened < plain.connections_opened,
+        "depth 4 opened {} connections, depth 1 {}",
+        pipelined.connections_opened,
+        plain.connections_opened
+    );
 }

@@ -2,17 +2,20 @@
 //! every page still completes, every byte still arrives — under genuine
 //! packet loss, and degrade gracefully rather than collapse.
 
-use spdyier::core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode, RunResult};
+use spdyier::core::{ExperimentConfig, NetworkKind, ProtocolMode, RunResult, Testbed};
 use spdyier::net::LossModel;
+use spdyier::scenario::Manifest;
 use spdyier::sim::SimDuration;
 use spdyier::workload::VisitSchedule;
 
+/// `sites` in order over WiFi under `loss`: a fixed site list no
+/// workload kind expresses, so it goes to the constructor as is.
 fn run_lossy(protocol: ProtocolMode, loss: Option<LossModel>, sites: Vec<u32>) -> RunResult {
-    let mut cfg = ExperimentConfig::paper_3g(protocol, 11)
-        .with_network(NetworkKind::Wifi)
-        .with_schedule(VisitSchedule::sequential(sites, SimDuration::from_secs(60)));
+    let schedule = VisitSchedule::sequential(sites, SimDuration::from_secs(60));
+    let mut cfg = ExperimentConfig::paper_3g(protocol, 11, schedule);
+    cfg.network = NetworkKind::Wifi;
     cfg.access_loss = loss;
-    run_experiment(cfg)
+    Testbed::new(cfg).run()
 }
 
 #[test]
@@ -74,7 +77,7 @@ fn bursty_loss_is_survivable() {
 #[test]
 fn genuine_loss_produces_genuine_retransmissions() {
     // Under injected loss the spurious-dominance invariant must NOT hold:
-    // the analyzer correctly attributes retransmissions to real drops.
+    // retransmissions are repairing real drops.
     let r = run_lossy(
         ProtocolMode::Http,
         Some(LossModel::Bernoulli { p: 0.02 }),
@@ -93,14 +96,21 @@ fn genuine_loss_produces_genuine_retransmissions() {
 
 #[test]
 fn lossy_cellular_compounds_with_promotions() {
-    let mut cfg = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 13)
-        .with_network(NetworkKind::Umts3G)
-        .with_schedule(VisitSchedule::sequential(
-            vec![9],
-            SimDuration::from_secs(60),
-        ));
+    let m = Manifest::from_json(
+        r#"{
+            "schema_version": 1,
+            "name": "lossy_3g",
+            "network": { "kind": "3g" },
+            "protocols": ["spdy"],
+            "workload": { "kind": "site", "site": 9 },
+            "seeds": { "base": 13 }
+        }"#,
+    )
+    .expect("manifest decodes");
+    // Loss is not a manifest knob: set it on the cell's config.
+    let mut cfg = m.cells()[0].build_config(&m);
     cfg.access_loss = Some(LossModel::Bernoulli { p: 0.02 });
-    let r = run_experiment(cfg);
+    let r = Testbed::new(cfg).run();
     assert!(r.visits[0].completed, "completes despite loss + promotions");
     assert!(!r.promotions.is_empty());
 }

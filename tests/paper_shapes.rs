@@ -2,41 +2,45 @@
 //! the "shape" checks EXPERIMENTS.md reports: who wins, roughly by how
 //! much, and which mechanism is responsible.
 
-use spdyier::core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode, RunResult};
-use spdyier::sim::{DetRng, SimDuration};
-use spdyier::workload::VisitSchedule;
+use spdyier::core::{NetworkKind, ProtocolMode, RunResult};
+use spdyier::experiments::run_cell;
+use spdyier::scenario::{Manifest, ProtocolSpec, Settings, Workload};
+use spdyier::sim::SimDuration;
 
-fn paired(network: NetworkKind, seed: u64) -> (RunResult, RunResult) {
-    let mut rng = DetRng::new(seed + 1000);
-    let schedule = VisitSchedule::paper_default(&mut rng);
-    let http = run_experiment(
-        ExperimentConfig::paper_3g(ProtocolMode::Http, seed)
-            .with_network(network)
-            .with_schedule(schedule.clone()),
-    );
-    let spdy = run_experiment(
-        ExperimentConfig::paper_3g(ProtocolMode::spdy(), seed)
-            .with_network(network)
-            .with_schedule(schedule),
-    );
+/// The paper baseline on `network` at `seed`: HTTP then SPDY over the
+/// seed's shared Table 1 schedule — the schedule the figure runners and
+/// scenario manifests use for that seed, so these thresholds assert
+/// exactly what EXPERIMENTS.md reports.
+fn baseline(network: NetworkKind, seed: u64) -> Manifest {
+    let mut m = Manifest::paper_baseline("paper_shapes");
+    m.network.kind = network;
+    m.seeds.base = seed;
+    m
+}
+
+/// The (HTTP, SPDY) runs of a paired manifest.
+fn pair(m: &Manifest) -> (RunResult, RunResult) {
+    let run = |cell| run_cell(m, cell).expect("within budget").0;
+    let runs: Vec<RunResult> = m.cells().iter().map(run).collect();
+    let [http, spdy]: [RunResult; 2] = runs.try_into().expect("one HTTP/SPDY pair");
     (http, spdy)
 }
 
-/// One protocol over the seed's shared Table 1 schedule — the schedule
-/// the figure runners and scenario manifests use for that seed, so these
-/// thresholds assert exactly what EXPERIMENTS.md reports.
-fn table1_run(protocol: ProtocolMode, network: NetworkKind, seed: u64) -> RunResult {
-    run_experiment(
-        ExperimentConfig::paper_3g(protocol, seed)
-            .with_network(network)
-            .with_schedule(spdyier_scenario::table1_schedule_for_seed(seed)),
-    )
+/// SPDY alone on 3G over [`baseline`]'s schedule at `seed`, with
+/// `mitigate` applied to its knob settings.
+fn spdy_3g(seed: u64, mitigate: impl FnOnce(&mut Settings)) -> RunResult {
+    let mut m = baseline(NetworkKind::Umts3G, seed);
+    m.protocols = vec![ProtocolSpec {
+        mode: ProtocolMode::spdy(),
+    }];
+    mitigate(&mut m.settings);
+    run_cell(&m, &m.cells()[0]).expect("within budget").0
 }
 
 #[test]
 fn wifi_spdy_clearly_outperforms_http() {
     // Paper Fig. 4: SPDY beats HTTP on (almost) every site over WiFi.
-    let (http, spdy) = paired(NetworkKind::Wifi, 0);
+    let (http, spdy) = pair(&baseline(NetworkKind::Wifi, 0));
     let wins = http
         .visits
         .iter()
@@ -63,8 +67,7 @@ fn cellular_erases_spdys_advantage() {
     let mut spdy_wins = 0usize;
     let mut visits = 0usize;
     for seed in 0..3u64 {
-        let http = table1_run(ProtocolMode::Http, NetworkKind::Umts3G, seed);
-        let spdy = table1_run(ProtocolMode::spdy(), NetworkKind::Umts3G, seed);
+        let (http, spdy) = pair(&baseline(NetworkKind::Umts3G, seed));
         h_sum += http.visits.iter().map(|v| v.plt_ms).sum::<f64>();
         s_sum += spdy.visits.iter().map(|v| v.plt_ms).sum::<f64>();
         spdy_wins += http
@@ -102,10 +105,8 @@ fn spdys_wifi_advantage_shrinks_on_3g() {
     let mut wifi_adv = 0.0;
     let mut g3_adv = 0.0;
     for seed in [0, 1, 2] {
-        let http_w = table1_run(ProtocolMode::Http, NetworkKind::Wifi, seed);
-        let spdy_w = table1_run(ProtocolMode::spdy(), NetworkKind::Wifi, seed);
-        let http_g = table1_run(ProtocolMode::Http, NetworkKind::Umts3G, seed);
-        let spdy_g = table1_run(ProtocolMode::spdy(), NetworkKind::Umts3G, seed);
+        let (http_w, spdy_w) = pair(&baseline(NetworkKind::Wifi, seed));
+        let (http_g, spdy_g) = pair(&baseline(NetworkKind::Umts3G, seed));
         wifi_adv += adv(&http_w, &spdy_w) / 3.0;
         g3_adv += adv(&http_g, &spdy_g) / 3.0;
     }
@@ -119,7 +120,7 @@ fn spdys_wifi_advantage_shrinks_on_3g() {
 fn retransmissions_are_overwhelmingly_spurious_on_3g() {
     // Paper §5.5.2: upon inspection, all retransmissions in an HTTP run
     // were spurious. Our testbed counts actual downlink drops directly.
-    let (http, spdy) = paired(NetworkKind::Umts3G, 2);
+    let (http, spdy) = pair(&baseline(NetworkKind::Umts3G, 2));
     for r in [&http, &spdy] {
         let (queue_drops, loss_drops) = r.downlink_drops;
         let drops = queue_drops + loss_drops;
@@ -135,7 +136,7 @@ fn retransmissions_are_overwhelmingly_spurious_on_3g() {
 
 #[test]
 fn retransmissions_cluster_around_promotions() {
-    let (_, spdy) = paired(NetworkKind::Umts3G, 3);
+    let (_, spdy) = pair(&baseline(NetworkKind::Umts3G, 3));
     let correlated = spdy.promotion_correlated_rtx(SimDuration::from_secs(2));
     assert!(
         correlated * 2 >= spdy.total_retransmissions as usize,
@@ -147,18 +148,8 @@ fn retransmissions_cluster_around_promotions() {
 #[test]
 fn pinning_the_radio_slashes_retransmissions() {
     // Paper Fig. 14: ~91–96% reduction with the keepalive ping.
-    let mut rng = DetRng::new(77);
-    let schedule = VisitSchedule::paper_default(&mut rng);
-    let base = run_experiment(
-        ExperimentConfig::paper_3g(ProtocolMode::spdy(), 4)
-            .with_network(NetworkKind::Umts3G)
-            .with_schedule(schedule.clone()),
-    );
-    let mut cfg = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 4)
-        .with_network(NetworkKind::Umts3G)
-        .with_schedule(schedule);
-    cfg.keepalive_ping = Some(SimDuration::from_secs(3));
-    let pinged = run_experiment(cfg);
+    let base = spdy_3g(4, |_| {});
+    let pinged = spdy_3g(4, |s| s.keepalive_ping_s = Some(3.0));
     assert!(
         (pinged.total_retransmissions as f64) < base.total_retransmissions as f64 * 0.4,
         "ping removes most retransmissions: {} -> {}",
@@ -177,10 +168,10 @@ fn pinning_the_radio_slashes_retransmissions() {
 fn lte_has_far_fewer_retransmissions_than_3g() {
     // Paper: 8.9/7.5 per run on LTE vs 117/63 on 3G. Average two seeds;
     // per-seed rtx counts vary.
-    let (http_g1, spdy_g1) = paired(NetworkKind::Umts3G, 5);
-    let (http_g2, spdy_g2) = paired(NetworkKind::Umts3G, 6);
-    let (http_l1, spdy_l1) = paired(NetworkKind::Lte, 5);
-    let (http_l2, spdy_l2) = paired(NetworkKind::Lte, 6);
+    let (http_g1, spdy_g1) = pair(&baseline(NetworkKind::Umts3G, 5));
+    let (http_g2, spdy_g2) = pair(&baseline(NetworkKind::Umts3G, 6));
+    let (http_l1, spdy_l1) = pair(&baseline(NetworkKind::Lte, 5));
+    let (http_l2, spdy_l2) = pair(&baseline(NetworkKind::Lte, 6));
     let sum = |a: &RunResult, b: &RunResult| a.total_retransmissions + b.total_retransmissions;
     let (http_g, spdy_g) = (sum(&http_g1, &http_g2), sum(&spdy_g1, &spdy_g2));
     let (http_l, spdy_l) = (sum(&http_l1, &http_l2), sum(&spdy_l1, &spdy_l2));
@@ -201,7 +192,7 @@ fn lte_has_far_fewer_retransmissions_than_3g() {
 fn proxy_transfer_leg_dominates_for_spdy() {
     // Paper Fig. 8: origin wait ~14 ms and download ~4 ms; the transfer to
     // the client dominates by an order of magnitude.
-    let (_, spdy) = paired(NetworkKind::Umts3G, 6);
+    let (_, spdy) = pair(&baseline(NetworkKind::Umts3G, 6));
     let mut origin_ms = Vec::new();
     let mut transfer_ms = Vec::new();
     for rec in &spdy.proxy_records {
@@ -222,18 +213,8 @@ fn proxy_transfer_leg_dominates_for_spdy() {
 #[test]
 fn rtt_reset_eliminates_promotion_timeouts() {
     // Paper §6.2.1. Compare promotion-correlated rtx with and without the fix.
-    let mut rng = DetRng::new(88);
-    let schedule = VisitSchedule::paper_default(&mut rng);
-    let base = run_experiment(
-        ExperimentConfig::paper_3g(ProtocolMode::spdy(), 7)
-            .with_network(NetworkKind::Umts3G)
-            .with_schedule(schedule.clone()),
-    );
-    let mut cfg = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 7)
-        .with_network(NetworkKind::Umts3G)
-        .with_schedule(schedule);
-    cfg.tcp.reset_rtt_after_idle = true;
-    let fixed = run_experiment(cfg);
+    let base = spdy_3g(7, |_| {});
+    let fixed = spdy_3g(7, |s| s.rtt_reset_after_idle = true);
     assert!(
         fixed.total_retransmissions * 3 < base.total_retransmissions.max(1),
         "rtt reset removes most rtx: {} -> {}",
@@ -246,19 +227,15 @@ fn rtt_reset_eliminates_promotion_timeouts() {
 fn spdy_requests_everything_http_trickles() {
     // Paper Figs. 6/7: SPDY issues all discovered requests immediately;
     // HTTP is limited by its pool.
-    let page = spdyier::workload::test_page(50, 40_000, true);
-    let run_one = |protocol| {
-        let cfg = ExperimentConfig::paper_3g(protocol, 1)
-            .with_network(NetworkKind::Umts3G)
-            .with_schedule(VisitSchedule::sequential(
-                vec![1],
-                SimDuration::from_secs(60),
-            ))
-            .with_custom_pages(vec![page.clone()]);
-        run_experiment(cfg)
+    let mut m = baseline(NetworkKind::Umts3G, 1);
+    m.workload = Workload::Synthetic {
+        objects: 50,
+        object_bytes: 40_000,
+        same_domain: true,
+        visits: 1,
+        interval_s: 60,
     };
-    let spdy = run_one(ProtocolMode::spdy());
-    let http = run_one(ProtocolMode::Http);
+    let (http, spdy) = pair(&m);
     let span = |r: &RunResult| {
         let v = &r.visits[0];
         let reqs: Vec<f64> = v.object_timings[1..]
