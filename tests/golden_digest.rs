@@ -14,9 +14,13 @@
 //! its conn/stream bindings. Four more pin what the JSON printer writes
 //! and no other digest covers: that scenario's trace JSONL, metrics
 //! registry and stall-table sidecar, and the paired dump's sidecar (its
-//! `run_result_keys`). Their FNV-1a digests are pinned here. A change that is meant to alter
-//! behaviour updates the constants in the same commit and says why; a
-//! refactor or a performance change may not touch them.
+//! `run_result_keys`). Three more pin the two per-segment series, the
+//! only outputs that read them: `scenarios/export_spdy_3g.json`'s
+//! per-second downlink and bytes-in-flight plot files, and the paired
+//! dump of `scenarios/paired_lte.json`. Their FNV-1a digests are pinned
+//! here. A change that is meant to alter behaviour updates the constants
+//! in the same commit and says why; a refactor or a performance change
+//! may not touch them.
 //!
 //! CI's `scenario-matrix` job checks the same constants against the
 //! files the released binary writes for the same manifests (`experiments
@@ -37,6 +41,9 @@ const TRACE_SPDY_3G_TRACE_JSONL: u64 = 0x6dbf_9e14_23ad_df40;
 const TRACE_SPDY_3G_METRICS_JSON: u64 = 0x0a68_58bf_37db_7560;
 const TRACE_SPDY_3G_STALLS_MANIFEST: u64 = 0xd87f_1838_0273_ee50;
 const PAIRED_3G_DUMP_META: u64 = 0xa214_e554_e84f_7165;
+const EXPORT_SPDY_3G_DOWNLINK_DAT: u64 = 0x9187_0206_2182_a22e;
+const EXPORT_SPDY_3G_INFLIGHT_DAT: u64 = 0x4e2b_d6cf_eb56_ccb5;
+const PAIRED_LTE_ONE_SEED_DUMP: u64 = 0x4641_c31c_bdeb_b3a5;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
@@ -107,5 +114,24 @@ fn golden_traced_artifact_digests_are_pinned() {
          trace_spdy.jsonl {jsonl:#018x}, \
          metrics_spdy.json {metrics:#018x}, \
          stalls_spdy.manifest.json {sidecar:#018x}"
+    );
+}
+
+#[test]
+fn golden_series_artifact_digests_are_pinned() {
+    let [downlink, inflight] = artifact_digests(
+        "export_spdy_3g.json",
+        ["downlink_spdy.dat", "inflight_spdy.dat"],
+    );
+    let [dump] = artifact_digests("paired_lte.json", ["paired_lte.jsonl"]);
+    assert_eq!(
+        (downlink, inflight, dump),
+        (
+            EXPORT_SPDY_3G_DOWNLINK_DAT,
+            EXPORT_SPDY_3G_INFLIGHT_DAT,
+            PAIRED_LTE_ONE_SEED_DUMP
+        ),
+        "per-segment series changed: downlink_spdy.dat {downlink:#018x}, \
+         inflight_spdy.dat {inflight:#018x}, paired_lte.jsonl {dump:#018x}"
     );
 }
