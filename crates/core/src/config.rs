@@ -201,6 +201,14 @@ pub struct ExperimentConfig {
     pub visit_timeout: SimDuration,
     /// Record full TCP traces (cwnd/ssthresh/inflight).
     pub record_traces: bool,
+    /// Record the two per-segment series, [`RunResult::client_downlink_bytes`]
+    /// and [`RunResult::inflight_bytes`] (Figs. 9–10). On by default; a
+    /// manifest's cell turns it off unless one of its outputs reads them
+    /// (`spdyier_scenario::Cell::build_config`).
+    ///
+    /// [`RunResult::client_downlink_bytes`]: crate::RunResult::client_downlink_bytes
+    /// [`RunResult::inflight_bytes`]: crate::RunResult::inflight_bytes
+    pub record_series: bool,
     /// Flight-recorder level for the cross-layer event stream
     /// ([`TraceLevel::Off`] costs nothing; see `spdyier-trace`).
     pub trace_level: TraceLevel,
@@ -251,6 +259,7 @@ impl ExperimentConfig {
             pages: PageSource::Table1,
             visit_timeout: SimDuration::from_secs(60),
             record_traces: false,
+            record_series: true,
             trace_level: TraceLevel::Off,
             ssl_setup_rtts: 2,
             http_idle_close: Some(SimDuration::from_secs(10)),

@@ -64,7 +64,9 @@ pub fn fig8(opts: ExpOpts) -> Report {
 /// Fig. 9: average bytes delivered to the device per second, aligned on
 /// visit starts and averaged across the run.
 pub fn fig9(opts: ExpOpts) -> Report {
-    let runs = run_cells(&baseline("fig9", NetworkKind::Umts3G, opts.seeds));
+    let mut manifest = baseline("fig9", NetworkKind::Umts3G, opts.seeds);
+    manifest.tcp_traces = true;
+    let runs = run_cells(&manifest);
     let (http, spdy) = by_protocol(&runs);
     let horizon = SimTime::from_secs(20 * 60);
     let bin = SimDuration::from_secs(1);
@@ -128,7 +130,9 @@ pub fn fig9(opts: ExpOpts) -> Report {
 /// zooms showing that whoever holds more bytes in flight loads faster.
 pub fn fig10(opts: ExpOpts) -> Report {
     let _ = opts;
-    let runs = run_cells(&baseline("fig10", NetworkKind::Umts3G, 1));
+    let mut manifest = baseline("fig10", NetworkKind::Umts3G, 1);
+    manifest.tcp_traces = true;
+    let runs = run_cells(&manifest);
     let (http, spdy) = by_protocol(&runs);
     let (http, spdy) = (http[0], spdy[0]);
     let horizon = SimTime::from_secs(20 * 60);
