@@ -226,7 +226,9 @@ impl HttpSide {
                     .note_first_byte_tagged(ctx.world, generation, tag);
             }
         }
-        let done = http.on_bytes(data).unwrap_or_default();
+        let done = http
+            .on_bytes(data)
+            .unwrap_or_else(|e| panic!("device on HTTP pipe {idx}: {e}"));
         let pool_id = *pool_id;
         for (tag, _resp) in done {
             outstanding.pop_front();
@@ -600,7 +602,7 @@ impl HttpSide {
                 )
         });
         if let Some(idx) = target {
-            let resp = Response::ok(Payload::body(size)).with_header("X-Pushed", "1");
+            let resp = Response::push(Payload::body(size));
             ctx.world.pipes[idx].out_b.push_back(resp.encode());
             ctx.world.mark_dirty(idx);
         }

@@ -53,16 +53,18 @@ impl HttpClientConn {
     }
 
     /// Feed data read from TCP; returns completed `(tag, response)` pairs
-    /// in request order.
+    /// in request order. A pushed response ([`Response::push`]) that
+    /// arrives with nothing outstanding is dropped; any other response
+    /// without a request is an error.
     pub fn on_bytes(&mut self, data: Payload) -> Result<Vec<(u64, Response)>, ParseError> {
         self.parser.push(data);
         let mut done = Vec::new();
         while let Some(resp) = self.parser.next_response()? {
-            let tag = self
-                .outstanding
-                .pop_front()
-                .ok_or_else(|| ParseError("response without a request".into()))?;
-            done.push((tag, resp));
+            match self.outstanding.pop_front() {
+                Some(tag) => done.push((tag, resp)),
+                None if resp.is_push() => {}
+                None => return Err(ParseError("response without a request".into())),
+            }
         }
         Ok(done)
     }
@@ -154,6 +156,18 @@ mod tests {
         let mut client = HttpClientConn::new();
         let err = client.on_bytes(Response::ok(Payload::new()).encode());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn a_push_with_nothing_outstanding_is_dropped() {
+        let mut client = HttpClientConn::new();
+        let push = Response::push(Payload::synthetic(762));
+        assert!(push.is_push());
+        assert!(client.on_bytes(push.encode()).unwrap().is_empty());
+        // The connection stays usable, and a later answer pairs normally.
+        let _ = client.send_request(4, &Request::get("e.com", "/x"));
+        let done = client.on_bytes(Response::ok(Payload::synthetic(5)).encode());
+        assert_eq!(done.unwrap()[0].0, 4);
     }
 
     #[test]

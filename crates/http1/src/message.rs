@@ -89,6 +89,9 @@ fn put_decimal(out: &mut BytesMut, mut v: u64) {
     out.put_slice(&digits[at..]);
 }
 
+/// The header marking a response the server sent unasked.
+const PUSH_HEADER: &str = "X-Pushed";
+
 /// An HTTP response with a `Content-Length`-framed body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -109,6 +112,18 @@ impl Response {
             headers: Headers::new(),
             body: body.into(),
         }
+    }
+
+    /// A 200 OK the server sends unasked (a long-poll completing, §5.7):
+    /// it answers no request, so a client with nothing outstanding drops
+    /// it ([`HttpClientConn::on_bytes`](crate::HttpClientConn::on_bytes)).
+    pub fn push(body: impl Into<Payload>) -> Response {
+        Response::ok(body).with_header(PUSH_HEADER, "1")
+    }
+
+    /// Whether this response was sent unasked ([`Response::push`]).
+    pub fn is_push(&self) -> bool {
+        self.header(PUSH_HEADER).is_some()
     }
 
     /// Append a header (builder style).
