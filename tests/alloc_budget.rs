@@ -19,7 +19,9 @@
 //! a traced cell expensive to hold is a retained structure (the flight
 //! log's records, a `Value` tree of the document), and each of those
 //! shows up as megabytes requested per visit long before it shows up as
-//! a noisy RSS reading.
+//! a noisy RSS reading. The `bulk_lte_small` rows count bytes for the
+//! same reason: a series grown per segment and never read is most of a
+//! data-plane cell's memory.
 //!
 //! One test function, alone in its binary: the deltas are read from the
 //! process-wide counters, which only this thread moves while it runs.
@@ -33,7 +35,7 @@ use std::path::Path;
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// `(scenario, protocol, allocator calls per visit at most)`. Measured
-/// when committed: 9,762 / 11,325 / 1,427 / 1,693. A tree that held
+/// when committed: 9,762 / 11,325 / 1,415 / 1,682. A tree that held
 /// headers as `Vec<(String, String)>` (two strings a header at every
 /// parse, clone and forward) measured 16,367 / 19,878 / 2,535 / 3,144,
 /// and one that also built each decoded string through three
@@ -41,8 +43,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const CEILINGS: [(&str, &str, u64); 4] = [
     ("paired_3g.json", "http", 10_250),
     ("paired_3g.json", "spdy", 11_891),
-    ("quick_wifi.json", "http", 1_498),
-    ("quick_wifi.json", "spdy", 1_777),
+    ("quick_wifi.json", "http", 1_486),
+    ("quick_wifi.json", "spdy", 1_767),
+];
+
+/// `(scenario, protocol, bytes requested per visit at most)` by a cell
+/// run, from building the testbed to dropping its result. Measured when
+/// committed: 1,501,883 / 2,445,745. A tree that recorded the
+/// per-segment downlink and bytes-in-flight series for every cell, read
+/// or not, measured 1,895,035 / 2,838,897 and fails both rows.
+const BYTES_CEILINGS: [(&str, &str, u64); 2] = [
+    ("bulk_lte_small.json", "http", 1_576_978),
+    ("bulk_lte_small.json", "spdy", 2_568_033),
 ];
 
 /// `(scenario, protocol, bytes requested per visit at most)` by
@@ -63,12 +75,12 @@ const EXPLAIN_CEILINGS: [(&str, &str, u64); 2] = [
 /// which is what cells 2..N of a sweep cost. A cell is two visits of a
 /// six-object page, so the fixed cost per session dominates: a
 /// compressor index rebuilt per session shows in the bytes, an owned
-/// string per header in the calls. Measured when committed: 1,229 calls
-/// and 332,528 bytes / 1,340 and 214,851 (879d3dc, which did both,
+/// string per header in the calls. Measured when committed: 1,217 calls
+/// and 326,432 bytes / 1,329 and 210,803 (879d3dc, which did both,
 /// measured 2,037 and 361,843 / 3,160 and 776,652 and fails every
 /// figure).
 const POPULATION_CEILINGS: [(&str, u64, u64); 2] =
-    [("http", 1_290, 349_154), ("spdy", 1_407, 225_652)];
+    [("http", 1_278, 342_754), ("spdy", 1_396, 221_344)];
 
 /// Allocator calls per million records of `FlightLog::to_jsonl` over
 /// `trace_spdy_3g.json`'s 81,008-record log, at most. Measured when
@@ -102,23 +114,26 @@ fn explain_bytes_per_visit(scenario: &str, protocol: &str) -> u64 {
     bytes / visits
 }
 
-/// Allocator calls per visit of every cell of `scenario` under
-/// `protocol`, from building the testbed to dropping its result.
-fn allocs_per_visit(scenario: &str, protocol: &str) -> u64 {
+/// Allocator calls and bytes requested per visit of every cell of
+/// `scenario` under `protocol`, from building the testbed to dropping
+/// its result.
+fn cost_per_visit(scenario: &str, protocol: &str) -> (u64, u64) {
     let manifest =
         Manifest::from_file(&scenario_path(scenario)).expect("committed scenario decodes");
-    let (mut allocs, mut visits) = (0u64, 0u64);
+    let (mut allocs, mut bytes, mut visits) = (0u64, 0u64, 0u64);
     for cell in manifest.cells() {
         if cell.protocol.compact() != protocol {
             continue;
         }
         let before = global_counts();
         let (result, _log) = run_cell(&manifest, &cell).expect("within budget");
-        allocs += global_counts().since(before).allocs;
+        let cost = global_counts().since(before);
+        allocs += cost.allocs;
+        bytes += cost.bytes;
         visits += result.visits.len() as u64;
     }
     assert!(visits > 0, "{scenario}: no {protocol} visit ran");
-    allocs / visits
+    (allocs / visits, bytes / visits)
 }
 
 /// Allocator calls and bytes requested by the second run of
@@ -158,11 +173,20 @@ fn calls_of<T>(print: impl FnOnce() -> T) -> u64 {
 fn allocator_calls_per_visit_stay_under_their_ceilings() {
     let mut over = Vec::new();
     for (scenario, protocol, ceiling) in CEILINGS {
-        let measured = allocs_per_visit(scenario, protocol);
+        let measured = cost_per_visit(scenario, protocol).0;
         println!("alloc_budget {scenario} {protocol}: {measured} allocs/visit (ceiling {ceiling})");
         if measured > ceiling {
             over.push(format!(
                 "{scenario} {protocol}: {measured} > {ceiling} allocs/visit"
+            ));
+        }
+    }
+    for (scenario, protocol, ceiling) in BYTES_CEILINGS {
+        let measured = cost_per_visit(scenario, protocol).1;
+        println!("alloc_budget {scenario} {protocol}: {measured} bytes/visit (ceiling {ceiling})");
+        if measured > ceiling {
+            over.push(format!(
+                "{scenario} {protocol}: {measured} > {ceiling} bytes/visit"
             ));
         }
     }
