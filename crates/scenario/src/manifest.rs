@@ -350,7 +350,10 @@ impl Default for Limits {
 }
 
 /// The `outputs` section: which artifacts the runner writes besides
-/// `result.json` and `junit.xml`.
+/// `result.json` and `junit.xml`. `paired_dump` and `plot_data` are the
+/// outputs that print the per-segment downlink and bytes-in-flight
+/// series, so a cell records those only under one of them or
+/// [`Manifest::tcp_traces`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Deserialize)]
 #[serde(default)]
 pub struct Outputs {
@@ -400,8 +403,11 @@ pub struct Manifest {
     pub seeds: Seeds,
     /// Flight-recorder level for every cell.
     pub trace: TraceLevel,
-    /// Record full per-connection TCP traces (cwnd/ssthresh) — the
-    /// legacy paired dump serializes them, so its manifest sets this.
+    /// Record full per-connection TCP traces (cwnd/ssthresh) and the
+    /// per-segment downlink and bytes-in-flight series (Figs. 9–10; the
+    /// figures that read either set this). `outputs.paired_dump` and
+    /// `outputs.plot_data` record the series too; a manifest with none of
+    /// the three records neither.
     pub tcp_traces: bool,
     /// Run limits.
     pub limits: Limits,
