@@ -3,8 +3,9 @@
 //! Every knob the paper turns is a field here: access network (3G / LTE /
 //! WiFi / 3G-pinned-in-DCH), protocol (HTTP pool vs one-or-many SPDY
 //! sessions, with or without late binding), the TCP sysctls, the metrics
-//! cache, the Fig. 14 keepalive ping, and the periodic site traffic that
-//! §5.7 identifies as a timeout trigger.
+//! cache and the Fig. 14 keepalive ping. What the paper holds fixed, its
+//! SSL setup cost and §5.7's beacon cadence, are constants beside the
+//! code that uses them (`session.rs`, `visits.rs`).
 
 use spdyier_cellular::{presets as cell_presets, CellularPath, Radio};
 use spdyier_net::{presets as net_presets, Direction, LossModel};
@@ -132,47 +133,15 @@ impl ProtocolMode {
     }
 }
 
-/// Periodic background site traffic (ads, analytics, refreshes — §5.7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BeaconConfig {
-    /// Interval between beacons after a page finishes loading.
-    pub interval: SimDuration,
-    /// Beacon response size, bytes.
-    pub size: u64,
-    /// Beacons fired per visit before the page goes quiet (analytics and
-    /// ad refreshes burst after load, then stop).
-    pub max_per_visit: u32,
-    /// One further beacon this long after the last regular one — a slow
-    /// ad-exchange refresh or long-poll completing after the radio has
-    /// fully idled (the deep mid-interval retransmission bursts of the
-    /// paper's Fig. 11).
-    pub late_gap: Option<SimDuration>,
-}
-
-impl Default for BeaconConfig {
-    fn default() -> Self {
-        BeaconConfig {
-            // Periodic site traffic (ads, analytics, refreshes — §5.7)
-            // keeps arriving through the think time; each arrival finds a
-            // demoted radio and pays a promotion — the paper's
-            // mid-interval retransmission bursts (Fig. 11).
-            interval: SimDuration::from_secs(20),
-            size: 2_048,
-            max_per_visit: u32::MAX,
-            late_gap: None,
-        }
-    }
-}
-
 /// Where visited pages come from.
 #[derive(Debug, Clone)]
 pub enum PageSource {
     /// Synthesize from the Table 1 site specs (schedule indices are
     /// 1-based Table 1 rows); each visit uses a fresh seed fork.
     Table1,
-    /// A fixed list of custom pages; schedule indices are 1-based indices
-    /// into this list (the §5.2 synthetic test pages).
-    Custom(Vec<spdyier_workload::WebPage>),
+    /// One custom page every visit loads (the §5.2 synthetic test
+    /// pages).
+    Custom(spdyier_workload::WebPage),
 }
 
 /// Full experiment configuration.
@@ -184,23 +153,21 @@ pub struct ExperimentConfig {
     pub network: NetworkKind,
     /// Protocol under test.
     pub protocol: ProtocolMode,
-    /// TCP configuration for the device↔proxy leg.
+    /// TCP configuration for the device↔proxy leg. Its `trace` flag
+    /// records a full cwnd/ssthresh/inflight trace of every access
+    /// connection; the wired leg never traces.
     pub tcp: TcpConfig,
     /// Cache ssthresh/RTT per destination across connections (Linux
     /// default; §6.2.4 tests disabling it).
     pub cache_metrics: bool,
     /// Background ping keeping the radio in DCH (Fig. 14).
     pub keepalive_ping: Option<SimDuration>,
-    /// Periodic site traffic after load (None disables).
-    pub beacon: Option<BeaconConfig>,
     /// Page visit schedule.
     pub schedule: VisitSchedule,
     /// Where pages come from.
     pub pages: PageSource,
     /// Abandon a visit (censored PLT) at this deadline.
     pub visit_timeout: SimDuration,
-    /// Record full TCP traces (cwnd/ssthresh/inflight).
-    pub record_traces: bool,
     /// Record the two per-segment series, [`RunResult::client_downlink_bytes`]
     /// and [`RunResult::inflight_bytes`] (Figs. 9–10). On by default; a
     /// manifest's cell turns it off unless one of its outputs reads them
@@ -212,8 +179,6 @@ pub struct ExperimentConfig {
     /// Flight-recorder level for the cross-layer event stream
     /// ([`TraceLevel::Off`] costs nothing; see `spdyier-trace`).
     pub trace_level: TraceLevel,
-    /// Extra round trips charged when a SPDY (SSL) session is established.
-    pub ssl_setup_rtts: u32,
     /// Close HTTP client connections idle for this long (Chrome's
     /// idle-socket reaping; keeps HTTP connections short-lived across
     /// sites as the paper observes). With the 3G demotion timers this
@@ -254,14 +219,11 @@ impl ExperimentConfig {
             tcp: TcpConfig::default(),
             cache_metrics: true,
             keepalive_ping: None,
-            beacon: Some(BeaconConfig::default()),
             schedule,
             pages: PageSource::Table1,
             visit_timeout: SimDuration::from_secs(60),
-            record_traces: false,
             record_series: true,
             trace_level: TraceLevel::Off,
-            ssl_setup_rtts: 2,
             http_idle_close: Some(SimDuration::from_secs(10)),
             http_pipelining: 1,
             rrc_promotion_override: None,
@@ -331,7 +293,6 @@ mod tests {
         assert_eq!(cfg.visit_timeout, SimDuration::from_secs(60));
         assert!(cfg.cache_metrics);
         assert!(cfg.keepalive_ping.is_none());
-        assert!(cfg.beacon.is_some());
         assert_eq!(cfg.http_idle_close, Some(SimDuration::from_secs(10)));
     }
 }

@@ -619,8 +619,7 @@ impl Testbed {
                         self.assign_ready_objects();
                     }
                     with_side!(self, side, ctx, side.push_beacon(&mut ctx));
-                    self.visits.beacons_fired += 1;
-                    if let Some(next) = self.visits.next_beacon_at(&self.cfg, self.world.now) {
+                    if let Some(next) = self.visits.next_beacon_at(self.world.now) {
                         self.world.queue.schedule(next, Event::Beacon);
                     }
                     self.service_all();
@@ -674,17 +673,13 @@ impl Testbed {
             let stats_b = pipe.b.stats();
             self.result.total_timeouts += stats_a.timeouts + stats_b.timeouts;
             self.result.total_idle_restarts += stats_a.idle_restarts + stats_b.idle_restarts;
-            // The proxy side is the bulk sender; keep its trace.
-            let trace = if self.cfg.record_traces {
-                pipe.b.take_trace()
-            } else {
-                None
-            };
+            // The proxy side is the bulk sender; keep its trace (present
+            // only under `cfg.tcp.trace`).
             self.result.conn_traces.push(ConnTraceResult {
                 label: pipe.label.clone(),
                 opened: pipe.opened,
                 stats: stats_b,
-                trace,
+                trace: pipe.b.take_trace(),
             });
         }
         self.result.total_retransmissions = self.result.retransmissions.count() as u64;

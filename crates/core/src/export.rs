@@ -214,7 +214,7 @@ mod tests {
         let schedule = VisitSchedule::sequential(vec![9], SimDuration::from_secs(60));
         let mut cfg = ExperimentConfig::paper_3g(ProtocolMode::spdy(), 3, schedule);
         cfg.network = NetworkKind::Wifi;
-        cfg.record_traces = traces;
+        cfg.tcp.trace = traces;
         Testbed::new(cfg).run()
     }
 

@@ -39,7 +39,7 @@ pub mod waterfall;
 mod world;
 
 pub use attribution::{attribute_stalls, stall_file, stall_table, StallBreakdown};
-pub use config::{BeaconConfig, ExperimentConfig, NetworkKind, ProtocolMode, NETWORK_NAMES};
+pub use config::{ExperimentConfig, NetworkKind, ProtocolMode, NETWORK_NAMES};
 pub use contract::{
     junit_xml, paired_meta_file, stall_manifest_file, AssertionVerdict, ScenarioExit,
     VerdictStatus, PAIRED_DUMP_SCHEMA_VERSION, RESULT_SCHEMA_VERSION, STALL_TABLE_SCHEMA_VERSION,

@@ -11,7 +11,7 @@
 use crate::config::{ExperimentConfig, ProtocolMode};
 use crate::domains::{DomainId, DomainTable};
 use crate::results::RunResult;
-use crate::visits::{Visits, BEACON_TAG};
+use crate::visits::{Visits, BEACON_BYTES, BEACON_TAG};
 use crate::world::{Event, World};
 use spdyier_bytes::{Headers, HeadersBuilder, Payload};
 use spdyier_http::{
@@ -27,6 +27,11 @@ use spdyier_spdy::{Role, SpdyConfig, SpdyEvent, SpdySession};
 use spdyier_trace::{TraceEvent, TraceLevel};
 use spdyier_workload::ObjectId;
 use std::collections::{HashMap, VecDeque};
+
+/// Round trips a SPDY session's SSL setup costs once its TCP handshake
+/// is done: the paper's fixed one-time cost of 2 extra RTTs, charged
+/// at the access path's base RTT.
+const SSL_SETUP_RTTS: u64 = 2;
 
 /// What a client↔proxy or proxy↔origin pipe is used for.
 pub(crate) enum PipeRole {
@@ -545,10 +550,7 @@ impl HttpSide {
     /// Fire a §5.7 beacon request on a pooled (or fresh) connection.
     /// Returns whether a request was issued immediately.
     pub fn issue_beacon(&mut self, ctx: &mut SessionCtx<'_>) -> bool {
-        let Some(domain) = ctx.visits.beacon_domain else {
-            return false;
-        };
-        match self.pool.acquire(domain) {
+        match self.pool.acquire(ctx.visits.beacon_domain()) {
             Acquire::Reuse(pid) => {
                 if let Some(pipe) = self.pipe_for_pool(ctx.world, pid) {
                     if let PipeRole::HttpClient { pending, .. } = &mut ctx.world.pipes[pipe].role {
@@ -589,9 +591,6 @@ impl HttpSide {
     /// completes on one idle persistent connection; the client discards
     /// the unsolicited body.
     pub fn push_beacon(&mut self, ctx: &mut SessionCtx<'_>) {
-        let Some(size) = ctx.cfg.beacon.map(|b| b.size) else {
-            return;
-        };
         let target = ctx.world.live_access.iter().copied().find(|&i| {
             let p = &ctx.world.pipes[i];
             p.b.is_established()
@@ -602,7 +601,7 @@ impl HttpSide {
                 )
         });
         if let Some(idx) = target {
-            let resp = Response::push(Payload::body(size));
+            let resp = Response::push(Payload::body(BEACON_BYTES));
             ctx.world.pipes[idx].out_b.push_back(resp.encode());
             ctx.world.mark_dirty(idx);
         }
@@ -898,18 +897,14 @@ impl SpdySide {
     }
 
     /// Once a session's pipe is established, schedule its SSL-setup
-    /// completion (a configured number of RTTs away), exactly once.
+    /// completion ([`SSL_SETUP_RTTS`] away), exactly once.
     pub fn detect_ssl_ready(&mut self, ctx: &mut SessionCtx<'_>, idx: usize) {
         if let PipeRole::SpdyClient { idx: sidx } = ctx.world.pipes[idx].role {
             if !self.clients[sidx].usable
                 && ctx.world.pipes[idx].a.is_established()
                 && !self.clients[sidx].ssl_scheduled
             {
-                let delay = ctx
-                    .world
-                    .access
-                    .base_rtt()
-                    .saturating_mul(u64::from(ctx.cfg.ssl_setup_rtts));
+                let delay = ctx.world.access.base_rtt().saturating_mul(SSL_SETUP_RTTS);
                 let at = ctx.world.now + delay;
                 ctx.world.queue.schedule(at, Event::SslReady { pipe: idx });
                 self.clients[sidx].ssl_scheduled = true;
@@ -986,10 +981,8 @@ impl SpdySide {
 
     /// Fire a §5.7 beacon request on the first usable session.
     pub fn issue_beacon(&mut self, ctx: &mut SessionCtx<'_>) -> bool {
-        let Some(domain) = ctx.visits.beacon_domain else {
-            return false;
-        };
         if let Some(sidx) = (0..self.clients.len()).find(|&s| self.clients[s].usable) {
+            let domain = ctx.visits.beacon_domain();
             let headers = request_block(
                 &[
                     (":method", "GET"),
@@ -1012,11 +1005,8 @@ impl SpdySide {
     /// idle radio — the transfer pattern whose spurious timeouts collapse
     /// the sender's window with no request to pre-pay the promotion.
     pub fn push_beacon(&mut self, ctx: &mut SessionCtx<'_>) {
-        let Some(size) = ctx.cfg.beacon.map(|b| b.size) else {
-            return;
-        };
         if let Some(sidx) = (0..self.clients.len()).find(|&s| self.clients[s].usable) {
-            self.proxies[sidx].push_data("/push/refresh", Payload::body(size));
+            self.proxies[sidx].push_data("/push/refresh", Payload::body(BEACON_BYTES));
             self.pump_proxy_wire(ctx.world, sidx);
         }
     }

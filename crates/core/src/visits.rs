@@ -16,7 +16,7 @@ use spdyier_browser::PageLoad;
 use spdyier_bytes::{Headers, HeadersBuilder};
 use spdyier_http::Request;
 use spdyier_origin::OriginServers;
-use spdyier_sim::{EventId, SimTime};
+use spdyier_sim::{EventId, SimDuration, SimTime};
 use spdyier_trace::{TraceEvent, TraceLevel};
 use spdyier_workload::{synthesize, ObjectId, SiteSpec, WebPage};
 use std::fmt::Write as _;
@@ -24,6 +24,16 @@ use std::sync::Arc;
 
 /// Sentinel tag for beacon (non-page) requests.
 pub(crate) const BEACON_TAG: u64 = u64::MAX;
+
+/// Periodic site traffic (ads, analytics, refreshes — §5.7) keeps
+/// arriving through the think time, one beacon this long after the last
+/// page finished and every interval after until the next visit; each
+/// arrival finds a demoted radio and pays a promotion — the paper's
+/// mid-interval retransmission bursts (Fig. 11).
+const BEACON_INTERVAL: SimDuration = SimDuration::from_secs(20);
+
+/// Bytes of each beacon response the proxy pushes to the device.
+pub(crate) const BEACON_BYTES: u64 = 2_048;
 
 /// True when the (possibly 32-bit-masked) tag names a page object rather
 /// than the beacon sentinel.
@@ -60,9 +70,7 @@ pub(crate) struct Visits {
     /// gap).
     pub next_visit_start: SimTime,
     /// Root domain of the last finished page (beacon destination).
-    pub beacon_domain: Option<DomainId>,
-    /// Beacons already fired in the current inter-visit gap.
-    pub beacons_fired: u32,
+    beacon_domain: Option<DomainId>,
 }
 
 impl Visits {
@@ -79,7 +87,6 @@ impl Visits {
             browser_timer: None,
             next_visit_start: SimTime::MAX,
             beacon_domain: None,
-            beacons_fired: 0,
         }
     }
 
@@ -159,7 +166,7 @@ impl Visits {
         tag: u64,
     ) -> Option<Request> {
         let (domain, host, path) = if tag == BEACON_TAG {
-            let domain = self.beacon_domain?;
+            let domain = self.beacon_domain();
             let host = domains.name(domain).to_string();
             (domain, host, "/beacon.gif".to_string())
         } else {
@@ -242,10 +249,7 @@ impl Visits {
                     .fork_indexed("page", (u64::from(site) << 16) | self.visit_gen);
                 synthesize(spec, &mut rng)
             }
-            PageSource::Custom(pages) => pages
-                .get((site as usize).saturating_sub(1))
-                .expect("schedule index within custom pages")
-                .clone(),
+            PageSource::Custom(page) => page.clone(),
         };
         origin.register_page(&page);
         self.object_domains.clear();
@@ -334,29 +338,22 @@ impl Visits {
         // `objects[0]` is the root document.
         self.beacon_domain = self.object_domains.first().copied();
         self.spare_load = Some(load);
-        self.beacons_fired = 0;
-        if let Some(beacon) = cfg.beacon {
-            if beacon.max_per_visit > 0 {
-                world
-                    .queue
-                    .schedule(world.now + beacon.interval, Event::Beacon);
-            }
-        }
+        world
+            .queue
+            .schedule(world.now + BEACON_INTERVAL, Event::Beacon);
     }
 
-    /// After firing a beacon, when the next one is due (if any): the
-    /// regular cadence up to `max_per_visit`, then the optional late
-    /// straggler (§5.7's deep mid-interval burst).
-    pub fn next_beacon_at(&self, cfg: &ExperimentConfig, now: SimTime) -> Option<SimTime> {
-        let beacon = cfg.beacon?;
-        let next = if self.beacons_fired < beacon.max_per_visit {
-            Some(now + beacon.interval)
-        } else if self.beacons_fired == beacon.max_per_visit {
-            beacon.late_gap.map(|g| now + g)
-        } else {
-            None
-        };
-        next.filter(|&t| t < self.next_visit_start)
+    /// Where beacons go: the root domain of the last finished page. A
+    /// beacon is armed only by [`Visits::finish_visit`], which sets it.
+    pub fn beacon_domain(&self) -> DomainId {
+        self.beacon_domain
+            .expect("a beacon fires only after a visit has finished")
+    }
+
+    /// After firing a beacon, when the next one is due: one interval on,
+    /// unless the next visit starts first.
+    pub fn next_beacon_at(&self, now: SimTime) -> Option<SimTime> {
+        Some(now + BEACON_INTERVAL).filter(|&t| t < self.next_visit_start)
     }
 }
 

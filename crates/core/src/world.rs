@@ -158,12 +158,11 @@ pub(crate) struct World {
     pub metrics_cache: TcpMetricsCache,
     /// The flight recorder every layer emits into.
     pub tracer: Tracer,
-    /// Device↔proxy TCP configuration.
+    /// Device↔proxy TCP configuration (its `trace` flag says whether
+    /// access pipes record full cwnd traces).
     tcp: TcpConfig,
     /// Whether to seed/harvest the metrics cache.
     cache_metrics: bool,
-    /// Whether access pipes record full cwnd traces.
-    record_traces: bool,
     /// Radio promotions already forwarded to the flight recorder.
     promos_emitted: usize,
 }
@@ -200,7 +199,6 @@ impl World {
             tracer: Tracer::for_level(cfg.trace_level),
             tcp: cfg.tcp,
             cache_metrics: cfg.cache_metrics,
-            record_traces: cfg.record_traces,
             promos_emitted: 0,
         }
     }
@@ -225,10 +223,7 @@ impl World {
         label: String,
     ) -> usize {
         let tcp_cfg = if over_access {
-            TcpConfig {
-                trace: self.record_traces,
-                ..self.tcp
-            }
+            self.tcp
         } else {
             self.wired_tcp_config()
         };

@@ -2,14 +2,15 @@
 //!
 //! Both entry points write their artifacts under an output directory
 //! and return the paths plus a one-line summary, or an `Err(String)` the
-//! binary reports as a config error (exit 3). Inputs are either raw
-//! `trace_*.jsonl` dumps (as a manifest with `outputs.trace_artifacts`
-//! writes them) or a scenario manifest. For a manifest, cell filters
-//! are resolved against the expanded cell list and the output directory
-//! is created and probed *first* — a filter that matches nothing (or,
-//! for `diff`, more than one cell) and an unwritable `--out` are
-//! reported without simulating anything — and only the selected cells
-//! are re-run at `Full` trace level on the deterministic executor.
+//! binary reports as a config error (exit 3). The one input is a
+//! scenario manifest: a recorded trace is an output, and re-running the
+//! manifest that wrote it gives the same trace by determinism. Cell
+//! filters are resolved against the expanded cell list and the output
+//! directory is created and probed *first* — a filter that matches
+//! nothing (or, for `diff`, more than one cell) and an unwritable
+//! `--out` are reported without simulating anything — and only the
+//! selected cells are re-run at `Full` trace level on the deterministic
+//! executor.
 //!
 //! Memory does not grow with the number of cells, because nothing of a
 //! cell outlives its worker's turn: the run folds its records into the
@@ -23,16 +24,11 @@
 //! Lossy traces are refused outright: if the recorder's sink dropped
 //! events (`trace.sink_dropped > 0`), the causal engine's conservation
 //! guarantee (edge durations sum to PLT) is void, and a refusal beats a
-//! silently-wrong attribution. For raw dumps the drop count comes from
-//! the `metrics_<label>.json` sidecar next to the trace: a dump without
-//! one is taken as whole, a sidecar that cannot be read is refused.
+//! silently-wrong attribution.
 
 use crate::exec::Executor;
 use crate::scenario_run::{limit_diagnostic, run_cell};
-use spdyier_causal::CriticalPath;
-use spdyier_causal::{
-    critical_paths, critical_paths_from_records, diff_paths, explain_json, explain_text,
-};
+use spdyier_causal::{critical_paths, diff_paths, explain_json, explain_text, CriticalPath};
 use spdyier_core::TraceLevel;
 use spdyier_scenario::{Cell, Manifest};
 use spdyier_trace::FlightLog;
@@ -67,61 +63,16 @@ fn write_artifact(dir: &Path, name: &str, contents: &str) -> Result<PathBuf, Str
     }
 }
 
-/// Whether `path` names a raw trace dump rather than a manifest.
-pub fn is_trace_file(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "jsonl")
-}
-
-/// Artifact label for a raw dump: `trace_spdy.jsonl` → `spdy`.
-fn trace_label(path: &Path) -> String {
-    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-    stem.strip_prefix("trace_").unwrap_or(stem).to_string()
-}
-
-/// The sink drop count recorded in the `metrics_<label>.json` sidecar
-/// next to a raw dump; `None` when there is no sidecar. A sidecar that
-/// is there but unreadable, unparsable or without the count is an error
-/// naming it: it cannot vouch that the dump is whole.
-fn sidecar_dropped(path: &Path, label: &str) -> Result<Option<u64>, String> {
-    let sidecar = path.with_file_name(format!("metrics_{label}.json"));
-    let broken = |e: &dyn std::fmt::Display| format!("{}: {e}", sidecar.display());
-    let text = match std::fs::read_to_string(&sidecar) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        read => read.map_err(|e| broken(&e))?,
-    };
-    let doc = serde_json::from_str(&text).map_err(|e| broken(&e))?;
-    match doc["metrics"]["counters"]["trace.sink_dropped"].as_u64() {
-        Some(dropped) => Ok(Some(dropped)),
-        None => Err(broken(&"no metrics.counters[\"trace.sink_dropped\"] count")),
-    }
-}
-
-fn lossy_error(what: &str, dropped: u64) -> String {
-    format!(
-        "{what}: lossy trace ({dropped} event(s) dropped by the recorder's sink); \
-         critical-path conservation would be unsound — re-record with a larger \
-         sink before explaining or diffing"
-    )
-}
-
 fn refuse_lossy_log(label: &str, log: &FlightLog) -> Result<(), String> {
     if log.dropped > 0 {
-        return Err(lossy_error(label, log.dropped));
+        return Err(format!(
+            "{label}: lossy trace ({} event(s) dropped by the recorder's sink); \
+             critical-path conservation would be unsound — re-record with a larger \
+             sink before explaining or diffing",
+            log.dropped
+        ));
     }
     Ok(())
-}
-
-/// Load one raw dump: refuse lossy sidecars, parse strictly, extract
-/// per-visit critical paths.
-fn load_trace_paths(path: &Path) -> Result<(String, Vec<CriticalPath>), String> {
-    let label = trace_label(path);
-    if let Some(dropped @ 1..) = sidecar_dropped(path, &label)? {
-        return Err(lossy_error(&path.display().to_string(), dropped));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let records =
-        spdyier_causal::parse_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((label, critical_paths_from_records(&records)))
 }
 
 /// Decode `manifest_path` with the trace level forced to `Full`
@@ -205,27 +156,20 @@ fn write_explained(
     Ok([json, text])
 }
 
-/// `experiments explain <trace.jsonl|MANIFEST> [--cell FILTER]`:
-/// per-visit critical-path extraction, one `explain_<label>.json` (+
-/// `.txt` rendering) per selected cell, written under `out_dir`.
+/// `experiments explain <MANIFEST> [--cell FILTER]`: per-visit
+/// critical-path extraction, one `explain_<label>.json` (+ `.txt`
+/// rendering) per selected cell, written under `out_dir`.
 pub fn explain(
-    input: &Path,
+    manifest_path: &Path,
     cell_filter: Option<&str>,
     out_dir: &Path,
 ) -> Result<CausalOutcome, String> {
-    let explained = |label: String, paths: Vec<CriticalPath>| {
+    let manifest = load_manifest(manifest_path)?;
+    let cells = select_cells(&manifest, cell_filter)?;
+    probe_out_dir(out_dir)?;
+    let cells = reduce_paths_on(&Executor::from_env(), &manifest, &cells, |label, paths| {
         write_explained(out_dir, &label, &paths).map(|written| (written, paths.len()))
-    };
-    let cells = if is_trace_file(input) {
-        let (label, paths) = load_trace_paths(input)?;
-        probe_out_dir(out_dir)?;
-        vec![explained(label, paths)?]
-    } else {
-        let manifest = load_manifest(input)?;
-        let cells = select_cells(&manifest, cell_filter)?;
-        probe_out_dir(out_dir)?;
-        reduce_paths_on(&Executor::from_env(), &manifest, &cells, explained)?
-    };
+    })?;
     let visits: usize = cells.iter().map(|(_, visits)| visits).sum();
     let summary = format!(
         "explained {} cell(s), {} visit(s); every critical path's edges sum to its PLT",
@@ -252,42 +196,25 @@ fn select_one_cell(manifest: &Manifest, filter: &str) -> Result<Cell, String> {
     Ok(matched.remove(0))
 }
 
-/// `experiments diff <a.jsonl> <b.jsonl>` or
-/// `experiments diff <MANIFEST> --a FILTER --b FILTER`: align two runs of
-/// the same workload by visit identity and attribute the PLT delta
+/// `experiments diff <MANIFEST> --a FILTER --b FILTER`: align two runs
+/// of the same workload by visit identity and attribute the PLT delta
 /// edge-by-edge into `diff.json` + `diff.txt` under `out_dir`.
 pub fn diff(
-    a_file: Option<&Path>,
-    b_file: Option<&Path>,
-    manifest_path: Option<&Path>,
-    a_filter: Option<&str>,
-    b_filter: Option<&str>,
+    manifest_path: &Path,
+    a_filter: &str,
+    b_filter: &str,
     out_dir: &Path,
 ) -> Result<CausalOutcome, String> {
+    let manifest = load_manifest(manifest_path)?;
+    let pair = [
+        select_one_cell(&manifest, a_filter)?,
+        select_one_cell(&manifest, b_filter)?,
+    ];
+    probe_out_dir(out_dir)?;
     let [(a_label, a_paths), (b_label, b_paths)] =
-        match (a_file, b_file, manifest_path, a_filter, b_filter) {
-            (Some(a), Some(b), None, None, None) => {
-                let pair = [load_trace_paths(a)?, load_trace_paths(b)?];
-                probe_out_dir(out_dir)?;
-                pair
-            }
-            (None, None, Some(path), Some(a), Some(b)) => {
-                let manifest = load_manifest(path)?;
-                let pair = [
-                    select_one_cell(&manifest, a)?,
-                    select_one_cell(&manifest, b)?,
-                ];
-                probe_out_dir(out_dir)?;
-                critical_paths_on(&Executor::from_env(), &manifest, &pair)?
-                    .try_into()
-                    .expect("two cells in, two out")
-            }
-            _ => {
-                return Err("usage: experiments diff <a.jsonl> <b.jsonl> [--out DIR]\n\
-                     |      experiments diff <MANIFEST> --a FILTER --b FILTER [--out DIR]"
-                    .into())
-            }
-        };
+        critical_paths_on(&Executor::from_env(), &manifest, &pair)?
+            .try_into()
+            .expect("two cells in, two out");
     let report = diff_paths(&a_label, &a_paths, &b_label, &b_paths);
     let summary = format!(
         "diff {} -> {}: {} aligned visit(s), total delta {:+.1} ms, dominant edge {}",
@@ -307,14 +234,6 @@ pub fn diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trace_labels_strip_the_prefix() {
-        assert_eq!(trace_label(Path::new("/x/trace_spdy.jsonl")), "spdy");
-        assert_eq!(trace_label(Path::new("dump.jsonl")), "dump");
-        assert!(is_trace_file(Path::new("a/trace_http.jsonl")));
-        assert!(!is_trace_file(Path::new("scenarios/paired_3g.json")));
-    }
 
     /// A manifest whose every cell has one event as its whole budget, so
     /// any run ends in the limit error: a different diagnostic proves
@@ -343,15 +262,7 @@ mod tests {
             e.starts_with("no cells match filter \"nosuch\" (cells: http_s0, spdy_s0,"),
             "{e}"
         );
-        let e = diff(
-            None,
-            None,
-            Some(&path),
-            Some("spdy.seed1"),
-            Some("http"),
-            &out,
-        )
-        .unwrap_err();
+        let e = diff(&path, "spdy.seed1", "http", &out).unwrap_err();
         assert!(
             e.starts_with("filter \"http\" matches 2 cells (http_s0, http_s1)"),
             "{e}"
@@ -389,15 +300,7 @@ mod tests {
             let named = format!("--out {out:?}: ");
             let e = explain(&path, None, out).unwrap_err();
             assert!(e.starts_with(&named), "{e}");
-            let e = diff(
-                None,
-                None,
-                Some(&path),
-                Some("http.seed0"),
-                Some("spdy.seed0"),
-                out,
-            );
-            let e = e.unwrap_err();
+            let e = diff(&path, "http.seed0", "spdy.seed0", out).unwrap_err();
             assert!(e.starts_with(&named), "{e}");
         }
         #[allow(clippy::permissions_set_readonly_false)]
@@ -463,12 +366,5 @@ mod tests {
             "{e}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn diff_rejects_mixed_input_shapes() {
-        let out = Path::new("unused");
-        let e = diff(Some(Path::new("a.jsonl")), None, None, None, None, out).unwrap_err();
-        assert!(e.contains("usage"), "{e}");
     }
 }

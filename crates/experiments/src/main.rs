@@ -14,13 +14,14 @@
 //! ask for) to the output directory. Exit codes are standardized: 0
 //! pass, 1 assertion failure, 2 limit exceeded, 3 config error.
 //!
-//! The `explain` form extracts each visit's causal critical path from a
-//! recorded trace (or re-runs a manifest's cells at `Full` trace level)
-//! and writes `explain_<label>.json` / `.txt` — every path's edge
-//! durations sum to the visit's PLT by construction. The `diff` form
-//! aligns two runs of the same workload by visit identity and
-//! attributes the PLT delta edge-by-edge into `diff.json` / `diff.txt`.
-//! Both refuse lossy traces (recorder drops) with exit 3.
+//! The `explain` form re-runs a manifest's cells at `Full` trace level,
+//! extracts each visit's causal critical path and writes
+//! `explain_<label>.json` / `.txt` — every path's edge durations sum to
+//! the visit's PLT by construction. The `diff` form re-runs two cells of
+//! a manifest, aligns them by visit identity and attributes the PLT
+//! delta edge-by-edge into `diff.json` / `diff.txt`. Both refuse lossy
+//! traces (recorder drops) with exit 3. A recorded trace is an output,
+//! never an input: a `.jsonl` path is refused like any non-manifest.
 
 use spdyier_core::ScenarioExit;
 use spdyier_experiments::{run_by_id, ExpOpts, EXPERIMENTS};
@@ -40,9 +41,8 @@ const USAGE: &[&str] = &[
     "<id|all> [--seeds N] [--json DIR]",
     "run <MANIFEST.json> [--out DIR] [--seeds N]",
     "sweep <MANIFEST.json> --out DIR [--seeds N] [--stop-after K]",
-    "explain <trace.jsonl|MANIFEST> [--cell FILTER] [--out DIR]",
-    "diff <a.jsonl> <b.jsonl> [--out DIR]",
-    "diff <MANIFEST> --a FILTER --b FILTER [--out DIR]",
+    "explain <MANIFEST.json> [--cell FILTER] [--out DIR]",
+    "diff <MANIFEST.json> --a FILTER --b FILTER [--out DIR]",
 ];
 
 /// One-line config diagnostic, then the standardized config-error exit.
@@ -144,43 +144,28 @@ fn finish_causal(cmd: &str, result: Result<spdyier_experiments::CausalOutcome, S
     }
 }
 
-/// `experiments explain <trace.jsonl|MANIFEST> [--cell FILTER] [--out DIR]`.
+/// `experiments explain <MANIFEST.json> [--cell FILTER] [--out DIR]`.
 fn run_explain(args: &[String]) -> ! {
-    let [input] = positional_args(args, &["--cell", "--out"])[..] else {
+    let [manifest] = positional_args(args, &["--cell", "--out"])[..] else {
         usage_error(Some("explain"));
     };
     let cell = parse_flag_str(args, "--cell");
     let out = parse_flag_str(args, "--out").unwrap_or_else(|| "results/explain".into());
     let result =
-        spdyier_experiments::causal_explain(Path::new(input), cell.as_deref(), Path::new(&out));
+        spdyier_experiments::causal_explain(Path::new(manifest), cell.as_deref(), Path::new(&out));
     finish_causal("explain", result)
 }
 
-/// `experiments diff <a.jsonl> <b.jsonl> | <MANIFEST> --a F --b F [--out DIR]`.
+/// `experiments diff <MANIFEST.json> --a FILTER --b FILTER [--out DIR]`.
 fn run_diff(args: &[String]) -> ! {
     let positional = positional_args(args, &["--a", "--b", "--out"]);
     let a_filter = parse_flag_str(args, "--a");
     let b_filter = parse_flag_str(args, "--b");
     let out = parse_flag_str(args, "--out").unwrap_or_else(|| "results/diff".into());
-    let result = match (&positional[..], &a_filter, &b_filter) {
-        ([a, b], None, None) => spdyier_experiments::causal_diff(
-            Some(Path::new(a)),
-            Some(Path::new(b)),
-            None,
-            None,
-            None,
-            Path::new(&out),
-        ),
-        ([manifest], Some(a), Some(b)) => spdyier_experiments::causal_diff(
-            None,
-            None,
-            Some(Path::new(manifest)),
-            Some(a),
-            Some(b),
-            Path::new(&out),
-        ),
-        _ => usage_error(Some("diff")),
+    let ([manifest], Some(a), Some(b)) = (&positional[..], &a_filter, &b_filter) else {
+        usage_error(Some("diff"));
     };
+    let result = spdyier_experiments::causal_diff(Path::new(manifest), a, b, Path::new(&out));
     finish_causal("diff", result)
 }
 

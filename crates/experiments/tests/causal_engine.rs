@@ -273,14 +273,7 @@ fn paired_3g_explain_and_diff_artifact_digests_are_pinned() {
     let mut written = explain(&scenario, None, &out)
         .expect("explain runs")
         .written;
-    let diffed = diff(
-        None,
-        None,
-        Some(&scenario),
-        Some("http"),
-        Some("spdy"),
-        &out,
-    );
+    let diffed = diff(&scenario, "http", "spdy", &out);
     written.extend(diffed.expect("diff runs").written);
     let digests: Vec<(String, u64)> = written
         .iter()

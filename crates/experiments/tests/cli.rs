@@ -152,6 +152,37 @@ fn a_yaml_manifest_path_is_a_config_error_saying_manifests_are_json() {
     }
 }
 
+/// A trace is an output: a `.jsonl` path given where a manifest belongs
+/// is refused by its extension, saying to pass the manifest that wrote
+/// it — exit 3, one line, nothing simulated or written.
+#[test]
+fn a_trace_passed_as_a_manifest_is_refused() {
+    let out = std::env::temp_dir().join(format!("spdyier_cli_jsonl_{}", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp dir");
+    let trace = "trace-artifacts/trace_spdy.jsonl";
+    let cases: [&[&str]; 4] = [
+        &["explain", trace, "--out", out],
+        &["diff", trace, "--a", "http", "--b", "spdy", "--out", out],
+        &["run", trace, "--out", out],
+        &["sweep", trace, "--out", out],
+    ];
+    for args in cases {
+        let child = experiments(args);
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert_eq!(child.status.code(), Some(3), "{args:?}: {child:?}");
+        assert!(
+            stderr.contains("a .jsonl trace is an output, not a manifest; pass the manifest"),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(child.stdout.is_empty(), "{args:?}: {child:?}");
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a refused trace writes nothing"
+    );
+}
+
 /// `result.json` carries an attribution key only when the run recorded
 /// the events the key is built from: no `*_stall_ms` or `critical_*_ms`
 /// key below `transport`, the four promotion/RTO/think/other shares at
@@ -329,62 +360,4 @@ fn fig7_is_byte_identical_across_pool_widths() {
     assert!(stdout.starts_with("== fig7 "), "{stdout}");
     assert!(!stdout.contains("completed in"), "{stdout}");
     assert!(serial.1.len() > 100);
-}
-
-/// A raw dump's `metrics_<label>.json` sidecar may be absent (the dump
-/// is taken as whole), but one that is there and cannot vouch for the
-/// dump — unreadable, truncated, or without the sink's drop count — is
-/// a config error naming it: exit 3, one line, nothing written.
-#[test]
-fn a_broken_metrics_sidecar_is_refused_naming_it() {
-    let dir = std::env::temp_dir().join(format!("spdyier_cli_sidecar_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let trace = dir.join("trace_spdy.jsonl");
-    let visit = r#"{"t":0,"event":{"VisitStart":{"visit":0,"site":1}}}"#;
-    std::fs::write(&trace, format!("{visit}\n")).expect("trace written");
-    let sidecar = dir.join("metrics_spdy.json");
-    let out = dir.join("out");
-    let explain = || {
-        let _ = std::fs::remove_dir_all(&out);
-        let args = [
-            "explain",
-            trace.to_str().unwrap(),
-            "--out",
-            out.to_str().unwrap(),
-        ];
-        experiments(&args)
-    };
-    let whole = r#"{"schema_version":1,"metrics":{"counters":{"trace.sink_dropped":0}}}"#;
-    for sidecar_text in [None, Some(whole)] {
-        if let Some(text) = sidecar_text {
-            std::fs::write(&sidecar, text).expect("sidecar written");
-        }
-        let child = explain();
-        assert_eq!(child.status.code(), Some(0), "{sidecar_text:?}: {child:?}");
-    }
-    let no_count = r#"{"schema_version":1,"metrics":{"counters":{}}}"#;
-    let broken = [
-        ("truncated", Some(&whole[..40])),
-        ("no drop count", Some(no_count)),
-        ("unreadable", None),
-    ];
-    for (what, text) in broken {
-        match text {
-            Some(text) => std::fs::write(&sidecar, text).expect("sidecar written"),
-            // A directory where the file belongs: present, but unreadable.
-            None => {
-                std::fs::remove_file(&sidecar).expect("sidecar removed");
-                std::fs::create_dir(&sidecar).expect("directory in its place");
-            }
-        }
-        let child = explain();
-        assert_eq!(child.status.code(), Some(3), "{what}: {child:?}");
-        let stderr = String::from_utf8_lossy(&child.stderr);
-        let named = format!("experiments explain: {}: ", sidecar.display());
-        assert!(stderr.starts_with(&named), "{what}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
-        assert!(!out.exists(), "{what}: a refused dump writes nothing");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }

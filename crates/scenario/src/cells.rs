@@ -122,10 +122,7 @@ impl Cell {
                 interval_s,
             } => {
                 let page = test_page(objects as usize, object_bytes, same_domain);
-                (
-                    sequential(1, visits, interval_s),
-                    PageSource::Custom(vec![page]),
-                )
+                (sequential(1, visits, interval_s), PageSource::Custom(page))
             }
         };
         let mut cfg = ExperimentConfig::paper_3g(self.protocol.mode, self.seed, schedule);
@@ -141,7 +138,7 @@ impl Cell {
         cfg.http_idle_close = s.http_idle_close_s.map(secs_f64);
         cfg.rrc_promotion_override = s.rrc_promotion_ms.map(SimDuration::from_millis);
         cfg.trace_level = manifest.effective_trace();
-        cfg.record_traces = manifest.tcp_traces;
+        cfg.tcp.trace = manifest.tcp_traces;
         // The per-segment series cost more memory than the rest of a run
         // together; only the paired dump, the plot files and a figure
         // that asks for TCP traces read them.
@@ -204,9 +201,7 @@ mod tests {
         assert_eq!(cfg.keepalive_ping, reference.keepalive_ping);
         assert_eq!(cfg.schedule.order, reference.schedule.order);
         assert_eq!(cfg.visit_timeout, reference.visit_timeout);
-        assert_eq!(cfg.record_traces, reference.record_traces);
         assert_eq!(cfg.trace_level, reference.trace_level);
-        assert_eq!(cfg.ssl_setup_rtts, reference.ssl_setup_rtts);
         assert_eq!(cfg.http_idle_close, reference.http_idle_close);
         assert_eq!(cfg.http_pipelining, reference.http_pipelining);
         assert_eq!(cfg.rrc_promotion_override, reference.rrc_promotion_override);
@@ -224,7 +219,9 @@ mod tests {
         for (i, read) in reads.iter().enumerate() {
             let mut m = Manifest::paper_baseline("x");
             read(&mut m);
-            assert!(m.cells()[1].build_config(&m).record_series, "reader {i}");
+            let cfg = m.cells()[1].build_config(&m);
+            assert!(cfg.record_series, "reader {i}");
+            assert_eq!(cfg.tcp.trace, i == 0, "only tcp_traces traces: reader {i}");
         }
     }
 
@@ -295,10 +292,7 @@ mod tests {
         let cfg = m.cells()[0].build_config(&m);
         assert_eq!(cfg.schedule.order, vec![1]);
         match &cfg.pages {
-            PageSource::Custom(pages) => {
-                assert_eq!(pages.len(), 1);
-                assert_eq!(pages[0].objects.len(), 51);
-            }
+            PageSource::Custom(page) => assert_eq!(page.objects.len(), 51),
             PageSource::Table1 => panic!("expected custom pages"),
         }
     }

@@ -49,12 +49,21 @@ impl Manifest {
         Manifest::decode(&value)
     }
 
-    /// Decode a manifest from a JSON file.
+    /// Decode a manifest from a JSON file. A `.yaml`/`.yml` path, and a
+    /// `.jsonl` trace a run wrote, are refused by extension before the
+    /// file is looked for.
     pub fn from_file(path: &std::path::Path) -> Result<Manifest, ManifestError> {
-        if let Some("yaml" | "yml") = path.extension().and_then(|e| e.to_str()) {
-            return Err(ManifestError(
-                "scenario error: manifests are JSON (.yaml and .yml files are not accepted)".into(),
-            ));
+        let refused = match path.extension().and_then(|e| e.to_str()) {
+            Some("yaml" | "yml") => {
+                Some("manifests are JSON (.yaml and .yml files are not accepted)")
+            }
+            Some("jsonl") => {
+                Some("a .jsonl trace is an output, not a manifest; pass the manifest that wrote it")
+            }
+            _ => None,
+        };
+        if let Some(refused) = refused {
+            return Err(ManifestError(format!("scenario error: {refused}")));
         }
         let text = std::fs::read_to_string(path).map_err(|e| {
             ManifestError(format!(

@@ -49,11 +49,6 @@ pub struct TcpConfig {
     pub post_idle_rto: SimDuration,
     /// TIME_WAIT hold before the connection object reports closed.
     pub time_wait: SimDuration,
-    /// Nagle's algorithm (RFC 896): hold sub-MSS payloads while anything
-    /// is unacknowledged. Browsers disable it (TCP_NODELAY), so the
-    /// default here is off; the flag exists to measure its interaction
-    /// with request/FIN chatter.
-    pub nagle: bool,
     /// Record a full [`crate::trace::TcpTrace`] for this connection.
     pub trace: bool,
 }
@@ -75,7 +70,6 @@ impl Default for TcpConfig {
             reset_rtt_after_idle: false,
             post_idle_rto: SimDuration::from_secs(3),
             time_wait: SimDuration::from_secs(30),
-            nagle: false,
             trace: false,
         }
     }
@@ -85,18 +79,6 @@ impl TcpConfig {
     /// Initial congestion window in bytes.
     pub fn initial_cwnd(&self) -> u64 {
         self.initial_cwnd_segments * self.mss
-    }
-
-    /// Builder-style trace toggle.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Builder-style congestion control selection.
-    pub fn with_cc(mut self, cc: CcAlgorithm) -> Self {
-        self.cc = cc;
-        self
     }
 }
 
@@ -113,12 +95,5 @@ mod tests {
         assert!(!c.reset_rtt_after_idle);
         assert_eq!(c.initial_cwnd(), 13_800);
         assert_eq!(c.min_rto, SimDuration::from_millis(200));
-    }
-
-    #[test]
-    fn builders_compose() {
-        let c = TcpConfig::default().with_cc(CcAlgorithm::Reno).with_trace();
-        assert_eq!(c.cc, CcAlgorithm::Reno);
-        assert!(c.trace);
     }
 }

@@ -4,8 +4,8 @@
 //! converges on the tight active-state RTT of the cellular link, and the
 //! resulting RTO (a few hundred milliseconds) is far smaller than the
 //! ~2-second RRC promotion delay. Unless the estimate is reset across idle
-//! periods ([`RttEstimator::reset`], the paper's §6.2.1 proposal), the first
-//! transfer after idle fires a spurious retransmission.
+//! periods ([`RttEstimator::reset_to`], the paper's §6.2.1 proposal), the
+//! first transfer after idle fires a spurious retransmission.
 
 use serde::Serialize;
 use spdyier_sim::SimDuration;
@@ -92,17 +92,6 @@ impl RttEstimator {
     /// Number of samples consumed.
     pub fn samples_taken(&self) -> u64 {
         self.samples_taken
-    }
-
-    /// Discard the estimate: the RTO returns to `initial_rto`.
-    ///
-    /// This is the paper's proposed fix for cellular idle periods — the
-    /// initial RTO (seconds) comfortably exceeds the promotion delay, so no
-    /// spurious timeout fires while the radio wakes up.
-    pub fn reset(&mut self) {
-        self.srtt = None;
-        self.rttvar = SimDuration::ZERO;
-        self.reset_rto = None;
     }
 
     /// Discard the estimate and hold the RTO at `rto` until a new sample
@@ -194,13 +183,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_initial_rto() {
+    fn reset_to_holds_its_rto_until_a_fresh_sample() {
         let mut e = est();
         e.sample(SimDuration::from_millis(100));
         assert!(e.rto() < SimDuration::from_secs(1));
-        e.reset();
-        assert_eq!(e.rto(), SimDuration::from_secs(1));
+        e.reset_to(SimDuration::from_secs(3));
+        assert_eq!(e.rto(), SimDuration::from_secs(3));
         assert_eq!(e.srtt(), None);
+        e.sample(SimDuration::from_millis(100));
+        assert_eq!(e.rto(), SimDuration::from_millis(300));
     }
 
     #[test]
