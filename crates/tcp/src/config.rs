@@ -3,11 +3,27 @@
 //! Every Linux sysctl the paper experiments with is a field here:
 //! `tcp_slow_start_after_idle` (§6.2.2, Fig. 15), the RTT-reset-after-idle
 //! fix (§6.2.1), the congestion control variant (§6.2.3, Table 2), and the
-//! destination metrics cache (§6.2.4).
+//! destination metrics cache (§6.2.4). The stack's other timers and
+//! thresholds are constants: no run varies them.
 
 use crate::cc::CcAlgorithm;
 use serde::Serialize;
 use spdyier_sim::SimDuration;
+
+/// RTO before any RTT sample (RFC 6298: 1 s).
+pub const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
+/// Maximum RTO (Linux `TCP_RTO_MAX`: 120 s).
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(120);
+/// RTO held after an idle-period RTT reset
+/// ([`TcpConfig::reset_rtt_after_idle`]; the paper: "the initial default
+/// value (of multiple seconds)").
+pub const POST_IDLE_RTO: SimDuration = SimDuration::from_secs(3);
+/// Delayed-ACK timer (Linux: 40 ms).
+pub const DELAYED_ACK: SimDuration = SimDuration::from_millis(40);
+/// Duplicate ACKs that trigger fast retransmit.
+pub const DUPACK_THRESHOLD: u32 = 3;
+/// TIME_WAIT hold before the connection object reports closed.
+pub const TIME_WAIT: SimDuration = SimDuration::from_secs(30);
 
 /// Per-connection TCP configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -24,31 +40,18 @@ pub struct TcpConfig {
     /// [`crate::TcpConnection::send_space`] first — the backpressure that
     /// keeps application schedulers (e.g. SPDY priorities) meaningful.
     pub send_buffer: u64,
-    /// RTO before any RTT sample (RFC 6298: 1 s).
-    pub initial_rto: SimDuration,
     /// Minimum RTO (Linux: 200 ms).
     pub min_rto: SimDuration,
-    /// Maximum RTO (Linux: 120 s).
-    pub max_rto: SimDuration,
-    /// Delayed-ACK timer.
-    pub delayed_ack: SimDuration,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_threshold: u32,
     /// Congestion control algorithm.
     pub cc: CcAlgorithm,
     /// RFC 2861 `tcp_slow_start_after_idle`: collapse cwnd to the initial
     /// window after an idle period longer than one RTO.
     pub slow_start_after_idle: bool,
     /// The paper's §6.2.1 proposal: *also* reset the RTT estimate across
-    /// an idle period, holding the RTO at `post_idle_rto` until a fresh
+    /// an idle period, holding the RTO at [`POST_IDLE_RTO`] until a fresh
     /// sample arrives, so the first post-idle RTO comfortably covers the
     /// RRC promotion delay.
     pub reset_rtt_after_idle: bool,
-    /// RTO used right after an idle-period RTT reset (the paper:
-    /// "the initial default value (of multiple seconds)").
-    pub post_idle_rto: SimDuration,
-    /// TIME_WAIT hold before the connection object reports closed.
-    pub time_wait: SimDuration,
     /// Record a full [`crate::trace::TcpTrace`] for this connection.
     pub trace: bool,
 }
@@ -60,16 +63,10 @@ impl Default for TcpConfig {
             initial_cwnd_segments: 10,
             recv_buffer: 512 * 1024,
             send_buffer: 128 * 1024,
-            initial_rto: SimDuration::from_secs(1),
             min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(120),
-            delayed_ack: SimDuration::from_millis(40),
-            dupack_threshold: 3,
             cc: CcAlgorithm::Cubic,
             slow_start_after_idle: true,
             reset_rtt_after_idle: false,
-            post_idle_rto: SimDuration::from_secs(3),
-            time_wait: SimDuration::from_secs(30),
             trace: false,
         }
     }

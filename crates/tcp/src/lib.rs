@@ -23,6 +23,11 @@
 //! * `tcp_probe`-equivalent tracing ([`TcpTrace`]) of cwnd/ssthresh/
 //!   in-flight/retransmissions.
 //!
+//! [`TcpConnection`] holds the RFC 793 state, the handshake and the
+//! close over two private halves, `sender` and `receiver`; each timer
+//! belongs to exactly one of the three. The settings no run varies are
+//! constants in [`config`].
+//!
 //! ```
 //! use spdyier_tcp::{TcpConnection, TcpConfig};
 //! use spdyier_sim::SimTime;
@@ -47,8 +52,10 @@ pub mod cc;
 pub mod config;
 pub mod connection;
 pub mod metrics_cache;
+mod receiver;
 pub mod rtt;
 pub mod segment;
+mod sender;
 pub mod trace;
 
 pub use cc::{CcAlgorithm, CongestionControl};

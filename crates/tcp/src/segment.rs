@@ -11,8 +11,6 @@ pub struct SegFlags {
     pub ack: bool,
     /// No more data from sender (connection teardown).
     pub fin: bool,
-    /// Abort the connection.
-    pub rst: bool,
 }
 
 impl SegFlags {
@@ -21,35 +19,24 @@ impl SegFlags {
         syn: false,
         ack: true,
         fin: false,
-        rst: false,
     };
     /// A SYN (client handshake opener).
     pub const SYN: SegFlags = SegFlags {
         syn: true,
         ack: false,
         fin: false,
-        rst: false,
     };
     /// A SYN-ACK (server handshake reply).
     pub const SYN_ACK: SegFlags = SegFlags {
         syn: true,
         ack: true,
         fin: false,
-        rst: false,
     };
     /// A FIN-ACK (sender-side close).
     pub const FIN_ACK: SegFlags = SegFlags {
         syn: false,
         ack: true,
         fin: true,
-        rst: false,
-    };
-    /// A RST.
-    pub const RST: SegFlags = SegFlags {
-        syn: false,
-        ack: false,
-        fin: false,
-        rst: true,
     };
 }
 

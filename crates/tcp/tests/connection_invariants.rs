@@ -2,7 +2,7 @@
 //! of the first segments a drawn one-way delay (1 ms – 30 s, so segments
 //! reorder and RTT samples reach the RTO cap) and drops some of them,
 //! then turns clean. After every `on_segment`, `on_timer` and
-//! `poll_transmit`, each end's RTO lies in `[min_rto, max_rto]` and its
+//! `poll_transmit`, each end's RTO lies in `[min_rto, MAX_RTO]` and its
 //! cwnd holds at least one MSS; what each end has read is always a
 //! prefix of what its peer wrote, and both streams arrive whole once the
 //! drops stop.
@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use spdyier_bytes::Payload;
 use spdyier_sim::{SimDuration, SimTime};
+use spdyier_tcp::config::MAX_RTO;
 use spdyier_tcp::{CcAlgorithm, Segment, TcpConfig, TcpConnection, TcpState};
 
 /// One-way delay of every segment after the drawn fates run out.
@@ -49,10 +50,9 @@ impl End {
     fn check(&self, cfg: &TcpConfig, step: &str) {
         let rto = self.conn.rto();
         assert!(
-            cfg.min_rto <= rto && rto <= cfg.max_rto,
-            "after {step}: RTO {rto} outside [{}, {}]",
+            cfg.min_rto <= rto && rto <= MAX_RTO,
+            "after {step}: RTO {rto} outside [{}, {MAX_RTO}]",
             cfg.min_rto,
-            cfg.max_rto
         );
         let cwnd = self.conn.cwnd();
         assert!(cwnd >= cfg.mss, "after {step}: cwnd {cwnd} below one MSS");

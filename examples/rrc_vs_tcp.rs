@@ -15,9 +15,17 @@ use spdyier::payload::Payload;
 use spdyier::sim::{DetRng, SimDuration, SimTime};
 use spdyier::tcp::{Segment, TcpConfig, TcpConnection};
 
-/// Drive sender→receiver over an RRC-gated link until quiescent. Returns
-/// the retransmissions and RTO firings of the *post-idle* phase only.
-fn episode(reset_rtt_after_idle: bool) -> (u64, u64) {
+/// What one episode shows about its post-idle phase.
+struct PostIdle {
+    retransmissions: u64,
+    timeouts: u64,
+    /// The RTO in force once the first post-idle segment has left.
+    rto: SimDuration,
+}
+
+/// Drive sender→receiver over an RRC-gated link until quiescent, and
+/// report the *post-idle* phase only.
+fn episode(reset_rtt_after_idle: bool) -> PostIdle {
     let cfg = TcpConfig {
         reset_rtt_after_idle,
         ..TcpConfig::default()
@@ -36,6 +44,7 @@ fn episode(reset_rtt_after_idle: bool) -> (u64, u64) {
     // Phase 2 trigger: after 30 s idle (radio demoted to IDLE), send again.
     let mut phase2_sent = false;
     let mut phase1_stats = (0u64, 0u64);
+    let mut post_idle_rto = None;
 
     for _ in 0..1_000_000 {
         while let Some(seg) = sender.poll_transmit(now) {
@@ -47,6 +56,9 @@ fn episode(reset_rtt_after_idle: bool) -> (u64, u64) {
                 }
                 LinkVerdict::Drop => {}
             }
+        }
+        if phase2_sent && post_idle_rto.is_none() {
+            post_idle_rto = Some(sender.rto());
         }
         while let Some(seg) = receiver.poll_transmit(now) {
             let gate = radio.gate(now, seg.wire_size());
@@ -105,10 +117,11 @@ fn episode(reset_rtt_after_idle: bool) -> (u64, u64) {
         receiver.on_timer(now);
     }
     let s = sender.stats();
-    (
-        s.retransmissions - phase1_stats.0,
-        s.timeouts - phase1_stats.1,
-    )
+    PostIdle {
+        retransmissions: s.retransmissions - phase1_stats.0,
+        timeouts: s.timeouts - phase1_stats.1,
+        rto: post_idle_rto.expect("the post-idle phase ran"),
+    }
 }
 
 fn radio_label(radio: &Rrc3g, t: SimTime) -> &'static str {
@@ -120,21 +133,29 @@ fn radio_label(radio: &Rrc3g, t: SimTime) -> &'static str {
     }
 }
 
+fn report(p: PostIdle) -> PostIdle {
+    println!("  first post-idle segment sent; sender RTO is {}", p.rto);
+    println!(
+        "  post-idle result: {} retransmissions, {} RTO firings\n",
+        p.retransmissions, p.timeouts
+    );
+    p
+}
+
 fn main() {
     println!("One TCP connection, one 3G radio. Transfer, go idle 30 s, transfer again.\n");
     println!("-- stock Linux behaviour (RTT estimate survives the idle period) --");
-    let (rtx, timeouts) = episode(false);
-    println!("  post-idle result: {rtx} retransmissions, {timeouts} RTO firings\n");
+    let stock = report(episode(false));
     println!("-- paper §6.2.1 fix (reset the RTT estimate after idle) --");
-    let (rtx_fix, timeouts_fix) = episode(true);
-    println!("  post-idle result: {rtx_fix} retransmissions, {timeouts_fix} RTO firings\n");
+    let fix = report(episode(true));
     assert!(
-        rtx_fix < rtx,
+        fix.retransmissions < stock.retransmissions,
         "the fix must remove spurious retransmissions"
     );
     println!(
-        "The 2 s promotion exceeds the converged RTO (~300 ms) → spurious timeouts.\n\
-         Resetting the estimate restores the initial RTO (1 s, backed off past 2 s),\n\
-         so the radio wakes before the timer fires."
+        "The 2 s promotion exceeds the converged RTO ({}) → spurious timeouts.\n\
+         Resetting the estimate holds the first post-idle RTO at {} until a fresh\n\
+         sample arrives, so the radio wakes before the timer fires.",
+        stock.rto, fix.rto
     );
 }
