@@ -21,6 +21,13 @@
 //! starts, so a manifest run holds O(cells) state instead of O(total
 //! visits).
 //!
+//! Both `run` and `sweep` end in `finish`, which evaluates the
+//! assertions over the cells' metrics where they lie (`&[CellMetrics]`
+//! or `&[&CellMetrics]`, never a copy) and prints `result.json`
+//! straight into its file through a `BufWriter`, one 64 KiB spill at a
+//! time, so a population sweep's multi-megabyte document is never held
+//! whole. A write that fails ends the run as its `--out` error.
+//!
 //! A traced cell always yields its event model and retains its flight
 //! log's records only when `outputs.trace_artifacts` asks for the JSONL
 //! dump: otherwise the model *is* the recorder's sink and each record is
@@ -42,6 +49,9 @@ use spdyier_core::{
 use spdyier_prof::{CellReport, ProfileReport, SelfReport, SinkReport, SweepTelemetry};
 use spdyier_scenario::{evaluate, Cell, CellMetrics, Manifest, Seeds, Summary};
 use spdyier_trace::MetricsRegistry;
+use std::borrow::Borrow;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
@@ -159,12 +169,15 @@ pub fn fold_cell(
     }
 }
 
-/// Execute every cell of `manifest` on `exec`, reducing each cell to a
-/// [`FoldedCell`] on the worker that ran it. Outputs land in cell
+/// Execute `cells` (all of `manifest`'s) on `exec`, reducing each cell
+/// to a [`FoldedCell`] on the worker that ran it. Outputs land in cell
 /// order, so artifacts stay byte-identical at any pool width; an `Err`
 /// is a cell that exceeded a limit.
-fn execute_folded_on(exec: &Executor, manifest: &Manifest) -> Vec<Result<FoldedCell, RunError>> {
-    let cells = manifest.cells();
+fn execute_folded_on(
+    exec: &Executor,
+    manifest: &Manifest,
+    cells: &[Cell],
+) -> Vec<Result<FoldedCell, RunError>> {
     exec.run(cells.len(), |i, _worker| {
         let cell = &cells[i];
         run_cell(manifest, cell)
@@ -261,9 +274,10 @@ fn run_profiled_on(
     };
     finish_folded(
         manifest,
-        &outputs,
+        &cells,
+        outputs,
         out_dir,
-        &[profile, metrics_file(name, &metrics)],
+        vec![profile, metrics_file(name, &metrics)],
     )
 }
 
@@ -294,34 +308,19 @@ struct ResultDoc<'a> {
     limit: Option<&'a str>,
 }
 
-/// Print `result.json`.
-fn result_file(
-    manifest: &Manifest,
-    exit: ScenarioExit,
-    cell_metrics: &[CellMetrics],
-    verdicts: &[AssertionVerdict],
-    limit_detail: Option<&str>,
-    artifacts: &[String],
-) -> DataFile {
-    let doc = ResultDoc {
-        schema_version: spdyier_core::RESULT_SCHEMA_VERSION,
-        scenario: &manifest.name,
-        description: &manifest.description,
-        network: manifest.network.kind.cli_name(),
-        seeds: manifest.seeds,
-        status: status_str(exit),
-        exit_code: exit.code(),
-        cells: cell_metrics.iter().map(Summary).collect(),
-        assertions: verdicts,
-        artifacts,
-        limit: limit_detail,
-    };
-    let mut contents = serde_json::to_string_pretty(&doc).expect("result.json");
-    contents.push('\n');
-    DataFile {
-        name: "result.json".into(),
-        contents,
-    }
+/// How much `result.json` text is buffered before it is written out:
+/// one write a spill, and the document is never in memory whole.
+const RESULT_SPILL_BYTES: usize = 64 * 1024;
+
+/// Print `result.json` straight into `path`, a spill at a time.
+fn write_result_file(path: &Path, doc: &ResultDoc) -> std::io::Result<()> {
+    let mut file = BufWriter::new(File::create(path)?);
+    let mut text = String::new();
+    let mut w = serde::Writer::to_sink(&mut text, true, &mut file, RESULT_SPILL_BYTES);
+    doc.serialize(&mut w);
+    w.finish()?;
+    file.write_all(b"\n")?;
+    file.flush()
 }
 
 /// One cell's trace artifacts: the JSONL event stream, the waterfall,
@@ -367,66 +366,27 @@ pub fn run_manifest_on(
     if manifest.outputs.profile {
         return run_profiled_on(exec, manifest, out_dir);
     }
-    finish_folded(manifest, &execute_folded_on(exec, manifest), out_dir, &[])
+    let cells = manifest.cells();
+    let outputs = execute_folded_on(exec, manifest, &cells);
+    finish_folded(manifest, &cells, outputs, out_dir, Vec::new())
 }
 
-/// Evaluate assertions over a manifest's folded cells (one output per
-/// cell, in cell order) and write the results-contract artifacts, with
-/// the run-level `extra` files last. Split from [`run_manifest_on`] so
-/// the sweep runner can interleave replayed checkpoints before
-/// finishing.
-pub(crate) fn finish_folded(
+/// [`finish`] for a run that folded every cell of `manifest` (`cells`,
+/// one output each, in cell order): the first cell over a limit, the
+/// paired dump and each cell's files, then the run-level `extra` files.
+fn finish_folded(
     manifest: &Manifest,
-    outputs: &[Result<FoldedCell, RunError>],
+    cells: &[Cell],
+    mut outputs: Vec<Result<FoldedCell, RunError>>,
     out_dir: &Path,
-    extra: &[DataFile],
+    extra: Vec<DataFile>,
 ) -> std::io::Result<ScenarioOutcome> {
-    let cell_metrics: Vec<CellMetrics> = outputs
+    let limit = outputs
         .iter()
-        .flatten()
-        .map(|f| f.metrics.clone())
-        .collect();
-    let limit_error = outputs
-        .iter()
-        .enumerate()
-        .find_map(|(i, out)| out.as_ref().err().map(|e| (i, e)));
-
-    let (verdicts, limit_detail, exit);
-    if let Some((index, e)) = limit_error {
-        limit_detail = Some(limit_diagnostic(&manifest.cells()[index], e));
-        verdicts = Vec::new();
-        exit = ScenarioExit::LimitExceeded;
-    } else {
-        limit_detail = None;
-        verdicts = evaluate(manifest, &cell_metrics);
-        let failed = verdicts.iter().any(|v| v.status == VerdictStatus::Fail);
-        exit = if failed {
-            ScenarioExit::AssertionFailed
-        } else {
-            ScenarioExit::Pass
-        };
-    }
-
-    // A limit stops evaluation, so JUnit gets one failing `limits` case
-    // instead of zero tests: a CI reporter reads it as red, like exit 2.
-    let junit = match &limit_detail {
-        Some(detail) => junit_xml(
-            &manifest.name,
-            &[AssertionVerdict {
-                expr: "limits".into(),
-                status: VerdictStatus::Fail,
-                lhs: None,
-                rhs: None,
-                detail: detail.clone(),
-            }],
-        ),
-        None => junit_xml(&manifest.name, &verdicts),
-    };
-    let mut files = vec![DataFile {
-        name: "junit.xml".into(),
-        contents: junit,
-    }];
-    if manifest.outputs.paired_dump && limit_error.is_none() {
+        .zip(cells)
+        .find_map(|(out, cell)| out.as_ref().err().map(|e| limit_diagnostic(cell, e)));
+    let mut files = Vec::new();
+    if manifest.outputs.paired_dump && limit.is_none() {
         let dump_name = format!("paired_{}.jsonl", manifest.network.kind.cli_name());
         let mut dump = String::new();
         for line in outputs
@@ -447,52 +407,97 @@ pub(crate) fn finish_folded(
             contents: dump,
         });
     }
-    files.extend(
-        outputs
-            .iter()
-            .flatten()
-            .flat_map(|f| f.files.iter().cloned()),
-    );
-    files.extend(extra.iter().cloned());
-    let artifact_names: Vec<String> = std::iter::once("result.json".to_string())
+    for folded in outputs.iter_mut().flatten() {
+        files.append(&mut folded.files);
+    }
+    files.extend(extra);
+    let metrics: Vec<&CellMetrics> = outputs.iter().flatten().map(|f| &f.metrics).collect();
+    finish(manifest, &metrics, limit, files, out_dir)
+}
+
+/// Evaluate the manifest's assertions over `cells` — the metrics of
+/// every cell that ran, in cell order, owned or borrowed — unless a cell
+/// exceeded a limit (`limit`, its one-line diagnostic), and write the
+/// results contract: `result.json`, printed straight into its file, then
+/// `junit.xml`, then `files`. The run and sweep runners both end here.
+pub(crate) fn finish<C: Borrow<CellMetrics>>(
+    manifest: &Manifest,
+    cells: &[C],
+    limit: Option<String>,
+    files: Vec<DataFile>,
+    out_dir: &Path,
+) -> std::io::Result<ScenarioOutcome> {
+    let (verdicts, exit) = match limit {
+        Some(_) => (Vec::new(), ScenarioExit::LimitExceeded),
+        None => {
+            let verdicts = evaluate(manifest, cells);
+            let failed = verdicts.iter().any(|v| v.status == VerdictStatus::Fail);
+            let exit = if failed {
+                ScenarioExit::AssertionFailed
+            } else {
+                ScenarioExit::Pass
+            };
+            (verdicts, exit)
+        }
+    };
+
+    // A limit stops evaluation, so JUnit gets one failing `limits` case
+    // instead of zero tests: a CI reporter reads it as red, like exit 2.
+    let junit = match &limit {
+        Some(detail) => junit_xml(
+            &manifest.name,
+            &[AssertionVerdict {
+                expr: "limits".into(),
+                status: VerdictStatus::Fail,
+                lhs: None,
+                rhs: None,
+                detail: detail.clone(),
+            }],
+        ),
+        None => junit_xml(&manifest.name, &verdicts),
+    };
+    let files: Vec<DataFile> = std::iter::once(DataFile {
+        name: "junit.xml".into(),
+        contents: junit,
+    })
+    .chain(files)
+    .collect();
+    let artifacts: Vec<String> = std::iter::once("result.json".to_string())
         .chain(files.iter().map(|f| f.name.clone()))
         .collect();
-    files.insert(
-        0,
-        result_file(
-            manifest,
-            exit,
-            &cell_metrics,
-            &verdicts,
-            limit_detail.as_deref(),
-            &artifact_names,
-        ),
-    );
+    let doc = ResultDoc {
+        schema_version: spdyier_core::RESULT_SCHEMA_VERSION,
+        scenario: &manifest.name,
+        description: &manifest.description,
+        network: manifest.network.kind.cli_name(),
+        seeds: manifest.seeds,
+        status: status_str(exit),
+        exit_code: exit.code(),
+        cells: cells.iter().map(|c| Summary(c.borrow())).collect(),
+        assertions: &verdicts,
+        artifacts: &artifacts,
+        limit: limit.as_deref(),
+    };
+    std::fs::create_dir_all(out_dir)?;
+    let result_path = out_dir.join("result.json");
+    write_result_file(&result_path, &doc)?;
+    let mut written = vec![result_path];
+    written.extend(spdyier_core::write_to_dir(&files, out_dir)?);
 
-    let written = spdyier_core::write_to_dir(&files, out_dir)?;
-
-    let passed = verdicts
-        .iter()
-        .filter(|v| v.status == VerdictStatus::Pass)
-        .count();
-    let failed = verdicts
-        .iter()
-        .filter(|v| v.status == VerdictStatus::Fail)
-        .count();
-    let skipped = verdicts
-        .iter()
-        .filter(|v| v.status == VerdictStatus::Skipped)
-        .count();
-    let summary = match &limit_detail {
+    let count = |status| verdicts.iter().filter(|v| v.status == status).count();
+    let summary = match &limit {
         Some(detail) => format!(
             "scenario {}: LIMIT EXCEEDED ({detail}) — exit {}",
             manifest.name,
             exit.code()
         ),
         None => format!(
-            "scenario {}: {} cell(s), {passed} passed / {failed} failed / {skipped} skipped — exit {}",
+            "scenario {}: {} cell(s), {} passed / {} failed / {} skipped — exit {}",
             manifest.name,
-            outputs.len(),
+            cells.len(),
+            count(VerdictStatus::Pass),
+            count(VerdictStatus::Fail),
+            count(VerdictStatus::Skipped),
             exit.code()
         ),
     };

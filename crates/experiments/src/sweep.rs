@@ -24,6 +24,16 @@
 //!   round-trips exactly, the final `result.json` is byte-identical to
 //!   an uninterrupted sweep — at any pool width.
 //!
+//! * **One copy of each cell.** The replay's cell-indexed
+//!   `Vec<Option<CellMetrics>>` is the only per-cell state that grows:
+//!   it starts with the replayed checkpoints, and each worker moves a
+//!   fresh cell's metrics into it after checkpointing them, dropping the
+//!   rest of the fold. Finishing borrows the cells to evaluate the
+//!   assertions and prints `result.json` straight into its file, and a
+//!   resume reads the store a line at a time — so the live heap grows by
+//!   about one `CellMetrics` per cell (~0.7 KB at `population_wifi`;
+//!   `tests/sweep_memory.rs` pins it).
+//!
 //! Workers heartbeat into `heartbeat_sweep.jsonl` via the PR 4
 //! [`SweepTelemetry`] (cells done/total, events/s, ETA, peak RSS); on
 //! resume the file is appended and the counters cover the resumed
@@ -36,15 +46,15 @@
 //! and a population-scale sweep could not afford to retain them anyway.
 
 use crate::exec::Executor;
-use crate::scenario_run::{finish_folded, fold_reported, FoldedCell, ScenarioOutcome};
+use crate::scenario_run::{finish, fold_reported, limit_diagnostic, ScenarioOutcome};
 use serde::{Deserialize, Serialize};
 use spdyier_core::RunError;
 use spdyier_prof::SweepTelemetry;
 use spdyier_scenario::{CellMetrics, Manifest};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Schema version stamped into the checkpoint store header.
 pub const SWEEP_STORE_SCHEMA_VERSION: u32 = 1;
@@ -188,10 +198,11 @@ pub struct Replay {
 /// Replay `sweep_store.jsonl` at `path` against `manifest` (whose sweep
 /// has `cells` cells). A missing file is an empty replay; a header that
 /// disagrees on schema version, manifest digest, or cell count is an
-/// error (the store belongs to a different sweep). Any line that fails
-/// its CRC, does not parse, or lacks its newline truncates the replay
-/// at that point — with append-only writes only the tail can be torn,
-/// and re-running the lost cells is always safe.
+/// error (the store belongs to a different sweep). Any cell line that
+/// is not UTF-8, fails its CRC, does not parse, or lacks its newline
+/// truncates the replay at that point — with append-only writes only the
+/// tail can be torn, and re-running the lost cells is always safe. The
+/// store is read a line at a time.
 pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Replay, String> {
     let mut replay = Replay {
         done: (0..cells).map(|_| None).collect(),
@@ -199,21 +210,30 @@ pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Re
         dropped_tail: false,
         verified_len: 0,
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let file = match std::fs::File::open(path) {
+        Ok(file) => file,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(replay),
         Err(e) => return Err(format!("{}: {e}", path.display())),
     };
-    let mut lines = text.split_inclusive('\n');
-    let Some(first) = lines.next() else {
-        return Ok(replay);
+    // One line at a time: a resume holds one store line, not the store.
+    let mut store = BufReader::new(file);
+    let mut raw = Vec::new();
+    let mut next_line = |raw: &mut Vec<u8>| {
+        raw.clear();
+        store
+            .read_until(b'\n', raw)
+            .map_err(|e| format!("{}: {e}", path.display()))
     };
-    let Some(first) = first.strip_suffix('\n') else {
+    if next_line(&mut raw)? == 0 {
+        return Ok(replay);
+    }
+    let Some(first) = raw.strip_suffix(b"\n") else {
         // The header itself was torn: nothing is recoverable.
         replay.dropped_tail = true;
         return Ok(replay);
     };
     let ctx = format!("{}: header", path.display());
+    let first = std::str::from_utf8(first).map_err(|e| format!("{ctx}: {e}"))?;
     let header_json = check_line(first).map_err(|e| format!("{ctx}: {e}"))?;
     let header: StoreHeader = serde_json::from_str(header_json)
         .and_then(serde_json::from_value)
@@ -238,11 +258,13 @@ pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Re
             header.cells
         ));
     }
-    replay.verified_len = first.len() as u64 + 1;
-    for (lineno, raw) in lines.enumerate() {
-        let ctx = format!("{}: line {}", path.display(), lineno + 2);
+    replay.verified_len = raw.len() as u64;
+    let mut lineno = 1;
+    while next_line(&mut raw)? > 0 {
+        lineno += 1;
         let parsed = raw
-            .strip_suffix('\n')
+            .strip_suffix(b"\n")
+            .and_then(|line| std::str::from_utf8(line).ok())
             .and_then(|line| check_line(line).ok())
             .and_then(|json| serde_json::from_str(json).ok());
         let Some(v) = parsed else {
@@ -250,12 +272,13 @@ pub fn replay_store(path: &Path, manifest: &Manifest, cells: usize) -> Result<Re
             replay.dropped_tail = true;
             break;
         };
+        let ctx = || format!("{}: line {lineno}", path.display());
         let CellLine {
             cell: index,
             metrics,
-        } = serde_json::from_value(v).map_err(|e| format!("{ctx}: {e}"))?;
+        } = serde_json::from_value(v).map_err(|e| format!("{}: {e}", ctx()))?;
         if index >= cells {
-            return Err(format!("{ctx}: cell index {index} out of range"));
+            return Err(format!("{}: cell index {index} out of range", ctx()));
         }
         if replay.done[index].is_none() {
             replay.recovered += 1;
@@ -392,40 +415,50 @@ fn run_sweep_through(
     let fresh = AtomicUsize::new(0);
     let stopped = AtomicBool::new(false);
     let budget = opts.stop_after.unwrap_or(usize::MAX);
+    // The one cell-indexed vector: replayed checkpoints, and each fresh
+    // cell's metrics moved in by the worker that folded it.
+    let done = Mutex::new(replay.done);
+    // The lowest-indexed cell that exceeded a limit, as a serial run
+    // would meet it first.
+    let first_limit: Mutex<Option<(usize, RunError)>> = Mutex::new(None);
 
-    let folded: Vec<Option<Result<FoldedCell, RunError>>> = exec.run(pending.len(), |j, worker| {
+    let ran: Vec<bool> = exec.run(pending.len(), |j, worker| {
         if stopped.load(Ordering::Relaxed) {
-            return None;
+            return false;
         }
         let index = pending[j];
-        let mut out = fold_reported(manifest, &cells[index], worker, &telemetry, None);
-        if let Ok(out) = &mut out {
-            let line = store_line(&cell_json(index, &mut out.metrics));
-            let checkpointed = {
-                let mut store = store
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if store.failed.is_none() {
-                    // One write_all per checkpoint: a crash can tear at
-                    // most the final line, which replay drops.
-                    store.failed = store.out.write_all(line.as_bytes()).err();
+        let mut metrics = match fold_reported(manifest, &cells[index], worker, &telemetry, None) {
+            Ok(folded) => folded.metrics,
+            Err(e) => {
+                let mut first = lock(&first_limit);
+                if first.as_ref().is_none_or(|&(i, _)| index < i) {
+                    *first = Some((index, e));
                 }
-                store.failed.is_none()
-            };
-            // A cell whose checkpoint failed is lost to this invocation:
-            // stop claiming more, as after the last budgeted one.
-            if !checkpointed || fresh.fetch_add(1, Ordering::Relaxed) + 1 >= budget {
-                stopped.store(true, Ordering::Relaxed);
+                return true;
             }
+        };
+        let line = store_line(&cell_json(index, &mut metrics));
+        let checkpointed = {
+            let mut store = lock(&store);
+            if store.failed.is_none() {
+                // One write_all per checkpoint: a crash can tear at
+                // most the final line, which replay drops.
+                store.failed = store.out.write_all(line.as_bytes()).err();
+            }
+            store.failed.is_none()
+        };
+        lock(&done)[index] = Some(metrics);
+        // A cell whose checkpoint failed is lost to this invocation:
+        // stop claiming more, as after the last budgeted one.
+        if !checkpointed || fresh.fetch_add(1, Ordering::Relaxed) + 1 >= budget {
+            stopped.store(true, Ordering::Relaxed);
         }
-        Some(out)
+        true
     });
     telemetry.finish();
 
     let checkpointed = replay.recovered + fresh.load(Ordering::Relaxed);
-    let store = store
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let store = store.into_inner().unwrap_or_else(PoisonError::into_inner);
     if let Some(e) = store.failed {
         return Err(SweepError(format!(
             "{}: checkpoint append failed ({e}); {checkpointed}/{} cell(s) are checkpointed, \
@@ -434,38 +467,31 @@ fn run_sweep_through(
             cells.len()
         )));
     }
-    if folded.iter().any(Option::is_none) {
+    if ran.contains(&false) {
         return Ok(SweepOutcome::Interrupted {
             checkpointed,
             total: cells.len(),
         });
     }
 
-    // Assemble the outputs in cell order: replayed checkpoints and
-    // fresh cells interleave by index, and both kinds carry metrics
-    // from the same fold — the store codec round-trips exactly, so the
-    // artifacts are byte-identical to an uninterrupted sweep.
-    let outputs: Vec<Result<FoldedCell, RunError>> = {
-        let mut fresh_cells = folded.into_iter().flatten();
-        replay
-            .done
-            .into_iter()
-            .map(|replayed| match replayed {
-                Some(metrics) => Ok(FoldedCell {
-                    metrics,
-                    dump_line: None,
-                    files: Vec::new(),
-                    recorder: None,
-                }),
-                None => fresh_cells
-                    .next()
-                    .expect("every pending cell ran; interrupted sweeps returned above"),
-            })
-            .collect()
-    };
-    let outcome = finish_folded(manifest, &outputs, out_dir, &[])
+    // Finish over the cells in index order: replayed checkpoints and
+    // fresh cells carry metrics from the same fold, and the store codec
+    // round-trips exactly, so the artifacts are byte-identical to an
+    // uninterrupted sweep.
+    let done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let metrics: Vec<&CellMetrics> = done.iter().flatten().collect();
+    let limit = first_limit
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .map(|(index, e)| limit_diagnostic(&cells[index], &e));
+    let outcome = finish(manifest, &metrics, limit, Vec::new(), out_dir)
         .map_err(|e| SweepError(format!("--out {}: {e}", out_dir.display())))?;
     Ok(SweepOutcome::Completed(Box::new(outcome)))
+}
+
+/// `mutex`, locked; a worker that panicked holding it left nothing torn.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// [`run_sweep_on`] with the environment-sized executor.
@@ -560,6 +586,13 @@ mod tests {
             assert_eq!(replay.done[1].as_ref().unwrap().visits, 3);
             assert!(replay.done[2].is_none());
         }
+        // A whole line that is not even UTF-8 is torn the same way.
+        let mut bytes = whole.clone().into_bytes();
+        bytes.extend_from_slice(b"\xff\xfe\n");
+        std::fs::write(&path, bytes).unwrap();
+        let replay = replay_store(&path, &m, 4).expect("replay tolerates a non-UTF-8 tail");
+        assert_eq!((replay.recovered, replay.dropped_tail), (1, true));
+        assert_eq!(replay.verified_len, whole.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -594,6 +627,40 @@ mod tests {
             std::fs::write(&path, store).unwrap();
             let err = replay_store(&path, &m, 4).expect_err("a foreign line refuses");
             assert!(err.contains(": line 2: ") && err.contains(want), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sweep whose cells exceed a limit finishes as `run` does: the
+    /// diagnostic names the lowest-indexed such cell at any pool width,
+    /// and nothing of it is checkpointed.
+    #[test]
+    fn a_sweep_over_a_limit_names_its_first_cell_like_run() {
+        let mut m = Manifest::paper_baseline("sweep_limit");
+        m.seeds.count = 2;
+        m.limits.event_budget = 50;
+        let dir = std::env::temp_dir().join(format!("spdyier_sweep_limit_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ran =
+            crate::run_manifest_on(&Executor::new(1), &m, &dir.join("run")).expect("run writes");
+        assert_eq!(ran.exit.code(), 2);
+        for workers in [1, 3] {
+            let swept = dir.join(format!("sweep{workers}"));
+            let outcome =
+                run_sweep_on(&Executor::new(workers), &m, &swept, SweepOptions::default());
+            match outcome.expect("sweep writes") {
+                SweepOutcome::Completed(o) => assert_eq!(o.summary, ran.summary),
+                SweepOutcome::Interrupted { .. } => panic!("an unbudgeted sweep completes"),
+            }
+            for artifact in ["result.json", "junit.xml"] {
+                assert_eq!(
+                    std::fs::read(swept.join(artifact)).unwrap(),
+                    std::fs::read(dir.join("run").join(artifact)).unwrap(),
+                    "{artifact} at {workers} worker(s)"
+                );
+            }
+            let replay = replay_store(&swept.join(SWEEP_STORE_NAME), &m, 4).expect("replays");
+            assert_eq!(replay.recovered, 0);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

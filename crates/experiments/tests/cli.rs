@@ -266,6 +266,38 @@ fn unwritable_output_is_a_config_error_not_a_panic() {
     }
 }
 
+/// `result.json` is printed straight into its file, so a write that
+/// fails mid-document (here: the name is a link to `/dev/full`) must end
+/// the run as the `--out` config error it is, not as a truncated file
+/// and exit 0.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_result_json_write_is_an_out_error() {
+    let manifest = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/quick_wifi.json"
+    );
+    for cmd in ["run", "sweep"] {
+        let out =
+            std::env::temp_dir().join(format!("spdyier_cli_full_{cmd}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        std::fs::create_dir_all(&out).expect("temp dir");
+        std::os::unix::fs::symlink("/dev/full", out.join("result.json")).expect("symlink");
+        let out_str = out.to_str().expect("utf-8");
+        let child = experiments(&[cmd, manifest, "--out", out_str]);
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert_eq!(child.status.code(), Some(3), "{cmd}: {child:?}");
+        assert!(stderr.contains("--out"), "{cmd}: {stderr}");
+        assert!(stderr.contains(out_str), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("No space left on device"),
+            "{cmd}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{cmd}: {stderr}");
+        let _ = std::fs::remove_dir_all(&out);
+    }
+}
+
 /// A sweep whose heartbeat file cannot be opened (here: the name is
 /// taken by a directory) fails with exit 3 naming the path before the
 /// first cell runs, instead of sweeping silently without heartbeats.

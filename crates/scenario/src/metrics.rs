@@ -25,6 +25,7 @@ use spdyier_core::{
     VisitResult,
 };
 use spdyier_sim::stats::{MergeError, QuantileSketch};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Everything assertion evaluation needs from one run cell. The derived
@@ -381,10 +382,15 @@ impl Serialize for Summary<'_> {
 }
 
 /// Pool the cells selected by `filters` and compute `metric` over them.
-pub fn eval_metric(cells: &[CellMetrics], filters: &[String], metric: &str) -> Result<f64, String> {
+/// The cells may be owned or borrowed (`&[CellMetrics]`, `&[&CellMetrics]`).
+pub fn eval_metric<C: Borrow<CellMetrics>>(
+    cells: &[C],
+    filters: &[String],
+    metric: &str,
+) -> Result<f64, String> {
     let mut pool = CellMetrics::default();
     let mut matched = 0usize;
-    for cell in cells {
+    for cell in cells.iter().map(Borrow::borrow) {
         if filters.iter().all(|f| cell.matches(f)) {
             pool.merge(cell).map_err(|e| e.to_string())?;
             matched += 1;
@@ -396,7 +402,7 @@ pub fn eval_metric(cells: &[CellMetrics], filters: &[String], metric: &str) -> R
             filters.join("."),
             cells
                 .iter()
-                .map(|c| c.protocol.as_str())
+                .map(|c| c.borrow().protocol.as_str())
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
@@ -404,15 +410,16 @@ pub fn eval_metric(cells: &[CellMetrics], filters: &[String], metric: &str) -> R
     pool.metric(metric)
 }
 
-fn eval_operand(cells: &[CellMetrics], operand: &Operand) -> Result<f64, String> {
+fn eval_operand<C: Borrow<CellMetrics>>(cells: &[C], operand: &Operand) -> Result<f64, String> {
     match operand {
         Operand::Number(x) => Ok(*x),
         Operand::Metric(m) => eval_metric(cells, &m.filters, &m.metric),
     }
 }
 
-/// Evaluate every manifest assertion against the cells' metrics.
-pub fn evaluate(manifest: &Manifest, cells: &[CellMetrics]) -> Vec<AssertionVerdict> {
+/// Evaluate every manifest assertion against the cells' metrics, owned
+/// or borrowed.
+pub fn evaluate<C: Borrow<CellMetrics>>(manifest: &Manifest, cells: &[C]) -> Vec<AssertionVerdict> {
     manifest
         .assertions
         .iter()
@@ -420,7 +427,11 @@ pub fn evaluate(manifest: &Manifest, cells: &[CellMetrics]) -> Vec<AssertionVerd
         .collect()
 }
 
-fn evaluate_one(a: &Assertion, manifest: &Manifest, cells: &[CellMetrics]) -> AssertionVerdict {
+fn evaluate_one<C: Borrow<CellMetrics>>(
+    a: &Assertion,
+    manifest: &Manifest,
+    cells: &[C],
+) -> AssertionVerdict {
     if let Some(net) = a.on {
         if net != manifest.network.kind {
             return AssertionVerdict {
