@@ -31,7 +31,7 @@ use spdyier::experiments::{run_manifest_on, Executor};
 use spdyier_scenario::Manifest;
 use std::path::Path;
 
-const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x0a12_b4ac_1bb4_8059;
+const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x44f5_4200_bbf4_5ce5;
 const QUICK_WIFI_RESULT_JSON: u64 = 0x0031_f90b_a9a0_46c4;
 const BULK_LTE_SMALL_RESULT_JSON: u64 = 0x609e_cdde_8a79_48dc;
 const TRACE_SPDY_3G_STALLS_DAT: u64 = 0x3020_680f_f0aa_78ed;
