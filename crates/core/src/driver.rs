@@ -24,6 +24,7 @@ use spdyier_net::Direction;
 use spdyier_origin::{OriginConfig, OriginServers};
 use spdyier_proxy::{ClientConnId, FetchId};
 use spdyier_sim::{SimDuration, SimTime};
+use spdyier_tcp::RtxRecord;
 use spdyier_trace::{FlightLog, TraceEvent, TraceLevel, TraceSink, Tracer};
 use spdyier_workload::ObjectId;
 
@@ -149,6 +150,17 @@ impl Testbed {
     pub fn run_counting_lane_fallbacks(mut self) -> Result<u64, RunError> {
         self.run_events()?;
         Ok(self.world.queue.fifo_fallbacks())
+    }
+
+    /// Execute the run and return, beside its results, the access path's
+    /// retransmission census in drain order: each loss detection and
+    /// retransmission, with whether the proxy (else the device) sent it.
+    #[doc(hidden)]
+    pub fn run_census(mut self) -> Result<(RunResult, Vec<(bool, RtxRecord)>), RunError> {
+        self.world.census_log = Some(Vec::new());
+        self.run_events()?;
+        let census = self.world.census_log.take().unwrap_or_default();
+        Ok((self.finalize().0, census))
     }
 
     /// Dispatch events until the run ends or the budget runs out.
@@ -513,9 +525,6 @@ impl Testbed {
                 if self.world.pipes[pipe].closed {
                     return;
                 }
-                let now = self.world.now;
-                let transport = self.world.tracer.active(TraceLevel::Transport);
-                let silent_since = self.world.pipes[pipe].last_activity;
                 let p = &mut self.world.pipes[pipe];
                 let (conn, timer) = if b_side {
                     (&mut p.b, &mut p.b_timer)
@@ -523,24 +532,8 @@ impl Testbed {
                     (&mut p.a, &mut p.a_timer)
                 };
                 *timer = None;
-                let timeouts_before = if transport { conn.stats().timeouts } else { 0 };
-                conn.on_timer(now);
-                let timeouts_after = if transport { conn.stats().timeouts } else { 0 };
-                for _ in timeouts_before..timeouts_after {
-                    self.world.tracer.emit(
-                        now,
-                        TraceEvent::TcpRto {
-                            conn: pipe,
-                            b_side,
-                            silent_since,
-                        },
-                    );
-                    self.world.tracer.count("tcp.rto_fires", 1);
-                    self.world.tracer.observe(
-                        "tcp.rto_silence_us",
-                        now.saturating_since(silent_since).as_micros(),
-                    );
-                }
+                conn.on_timer(self.world.now);
+                self.world.drain_census(pipe, b_side, &mut self.result);
                 self.world.mark_dirty(pipe);
                 self.service_all();
             }
@@ -671,7 +664,6 @@ impl Testbed {
             }
             let stats_a = pipe.a.stats();
             let stats_b = pipe.b.stats();
-            self.result.total_timeouts += stats_a.timeouts + stats_b.timeouts;
             self.result.total_idle_restarts += stats_a.idle_restarts + stats_b.idle_restarts;
             // The proxy side is the bulk sender; keep its trace (present
             // only under `cfg.tcp.trace`).
@@ -682,7 +674,6 @@ impl Testbed {
                 trace: pipe.b.take_trace(),
             });
         }
-        self.result.total_retransmissions = self.result.retransmissions.count() as u64;
         let access = &mut self.world.access;
         self.result.promotions = access.radio().promotions().to_vec();
         let down = access.link(Direction::Down).stats();

@@ -58,7 +58,8 @@ pub struct RunResult {
     /// Total unacknowledged bytes across device↔proxy connections,
     /// sampled on change (Fig. 10).
     pub inflight_bytes: TimeSeries,
-    /// Retransmission instants across all proxy-side senders (Figs. 11–13).
+    /// Retransmission instants of both sides of every access-path
+    /// connection, pure FINs left out (Figs. 11–13).
     pub retransmissions: EventMarks,
     /// Traces of the device↔proxy connections (proxy side — the bulk
     /// sender).
@@ -73,9 +74,10 @@ pub struct RunResult {
     pub energy_mj: f64,
     /// Client↔proxy connections opened over the run.
     pub connections_opened: u64,
-    /// Aggregate TCP retransmission count (all client-path senders).
+    /// How many instants `retransmissions` holds.
     pub total_retransmissions: u64,
-    /// Aggregate RTO firings.
+    /// RTO firings of both sides of every access-path connection, pure
+    /// FINs included.
     pub total_timeouts: u64,
     /// Aggregate idle restarts.
     pub total_idle_restarts: u64,

@@ -19,7 +19,7 @@ use spdyier_http::{HttpClientConn, HttpServerConn, Request};
 use spdyier_net::{presets as net_presets, Direction, DuplexPath, LinkVerdict};
 use spdyier_proxy::FetchId;
 use spdyier_sim::{DetRng, EventId, EventQueue, SimTime};
-use spdyier_tcp::{Segment, TcpConfig, TcpConnection, TcpMetricsCache};
+use spdyier_tcp::{RtxRecord, SegKind, Segment, TcpConfig, TcpConnection, TcpMetricsCache};
 use spdyier_trace::{TraceEvent, TraceLevel, Tracer};
 use std::collections::VecDeque;
 
@@ -165,6 +165,9 @@ pub(crate) struct World {
     cache_metrics: bool,
     /// Radio promotions already forwarded to the flight recorder.
     promos_emitted: usize,
+    /// The access path's drained census records, each with whether the
+    /// proxy sent it; kept only for [`crate::Testbed::run_census`].
+    pub census_log: Option<Vec<(bool, RtxRecord)>>,
 }
 
 impl World {
@@ -200,6 +203,7 @@ impl World {
             tcp: cfg.tcp,
             cache_metrics: cfg.cache_metrics,
             promos_emitted: 0,
+            census_log: None,
         }
     }
 
@@ -369,23 +373,8 @@ impl World {
                 let Some(seg) = seg else { break };
                 self.pipes[idx].last_activity = self.now;
                 let over_access = self.pipes[idx].over_access;
-                // Record retransmissions on the access path (the paper's
-                // tcpdump vantage point). Pure-FIN retransmissions from
-                // idle-socket teardown are tracked in per-connection stats
-                // but excluded from the headline series: connection
-                // teardown is not on any measured path.
-                if over_access && seg.retransmit && (!seg.payload.is_empty() || seg.flags.syn) {
-                    result.retransmissions.mark(self.now);
-                    if transport {
-                        self.tracer.emit(
-                            self.now,
-                            TraceEvent::TcpRetransmit {
-                                conn: idx,
-                                down: b_side,
-                            },
-                        );
-                        self.tracer.count("tcp.retransmissions", 1);
-                    }
+                if seg.retransmit {
+                    self.drain_census(idx, b_side, result);
                 }
                 let dir = match (over_access, b_side) {
                     // access: a = device (sends Up), b = proxy (sends Down)
@@ -475,6 +464,58 @@ impl World {
         }
         if self.pipes[idx].over_access && self.tracer.active(TraceLevel::Full) {
             self.sample_cwnd(idx);
+        }
+    }
+
+    /// Fold the census records one side of pipe `idx` wrote since the
+    /// last drain into the run's outputs by their rules (DESIGN.md,
+    /// "Counting retransmissions"): R1, a retransmission on the access
+    /// path that is not a pure FIN; R2, an RTO firing on the access path;
+    /// R4, at `Transport` level, an RTO firing on any pipe.
+    pub fn drain_census(&mut self, idx: usize, b_side: bool, result: &mut RunResult) {
+        let transport = self.tracer.active(TraceLevel::Transport);
+        let pipe = &mut self.pipes[idx];
+        let (over_access, silent_since) = (pipe.over_access, pipe.last_activity);
+        let conn = if b_side { &mut pipe.b } else { &mut pipe.a };
+        for record in conn.drain_census() {
+            if let (true, Some(log)) = (over_access, &mut self.census_log) {
+                log.push((b_side, record));
+            }
+            if record.is_timeout() {
+                if over_access {
+                    result.total_timeouts += 1;
+                }
+                if transport {
+                    self.tracer.emit(
+                        record.at,
+                        TraceEvent::TcpRto {
+                            conn: idx,
+                            b_side,
+                            silent_since,
+                        },
+                    );
+                    self.tracer.count("tcp.rto_fires", 1);
+                    self.tracer.observe(
+                        "tcp.rto_silence_us",
+                        record.at.saturating_since(silent_since).as_micros(),
+                    );
+                }
+            } else if record.sent.is_some() && over_access && record.kind != SegKind::PureFin {
+                // The paper's tcpdump series; idle-socket teardown is left
+                // out of it.
+                result.retransmissions.mark(record.at);
+                result.total_retransmissions += 1;
+                if transport {
+                    self.tracer.emit(
+                        record.at,
+                        TraceEvent::TcpRetransmit {
+                            conn: idx,
+                            down: b_side,
+                        },
+                    );
+                    self.tracer.count("tcp.retransmissions", 1);
+                }
+            }
         }
     }
 

@@ -16,7 +16,7 @@ use crate::receiver::Receiver;
 use crate::rtt::RttEstimator;
 use crate::segment::Segment;
 use crate::sender::Sender;
-use crate::trace::{TcpStats, TcpTrace};
+use crate::trace::{RtxRecord, TcpStats, TcpTrace};
 use spdyier_bytes::Payload;
 use spdyier_sim::{SimDuration, SimTime};
 
@@ -154,6 +154,13 @@ impl TcpConnection {
             dup_bytes_rcvd: self.rx.buf.as_ref().map_or(0, |b| b.dup_bytes()),
             ..self.tx.stats
         }
+    }
+
+    /// Take the retransmission census records written since the last
+    /// call, oldest first: one per loss detection and one per
+    /// retransmitted segment. Records nobody drains are kept.
+    pub fn drain_census(&mut self) -> std::vec::Drain<'_, RtxRecord> {
+        self.tx.census.drain(..)
     }
 
     /// The trace, if tracing was enabled.

@@ -21,7 +21,10 @@
 //! * a Linux-`tcp_metrics`-style destination cache ([`TcpMetricsCache`],
 //!   §6.2.4);
 //! * `tcp_probe`-equivalent tracing ([`TcpTrace`]) of cwnd/ssthresh/
-//!   in-flight/retransmissions.
+//!   in-flight/retransmissions;
+//! * a retransmission census: one [`RtxRecord`] per loss detection and
+//!   per retransmitted segment, with its segment kind and trigger, which
+//!   the connection's owner drains ([`TcpConnection::drain_census`]).
 //!
 //! [`TcpConnection`] holds the RFC 793 state, the handshake and the
 //! close over two private halves, `sender` and `receiver`; each timer
@@ -64,4 +67,4 @@ pub use connection::{TcpConnection, TcpState};
 pub use metrics_cache::{CachedMetrics, TcpMetricsCache};
 pub use rtt::RttEstimator;
 pub use segment::{SegFlags, Segment};
-pub use trace::{TcpStats, TcpTrace};
+pub use trace::{RtxRecord, RtxTrigger, SegKind, TcpStats, TcpTrace};

@@ -20,11 +20,11 @@ pub struct TcpStats {
     pub bytes_rcvd: u64,
     /// Payload bytes retransmitted.
     pub bytes_retransmitted: u64,
-    /// Retransmitted segments (fast retransmit + RTO).
+    /// Retransmitted segments, whatever the trigger.
     pub retransmissions: u64,
     /// RTO firings.
     pub timeouts: u64,
-    /// Fast retransmits triggered by duplicate ACKs.
+    /// Fast retransmits started by a third duplicate ACK.
     pub fast_retransmits: u64,
     /// Duplicate ACKs received.
     pub dup_acks_in: u64,
@@ -37,6 +37,49 @@ pub struct TcpStats {
     pub spurious_undos: u64,
 }
 
+/// What the head of the retransmission queue carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum SegKind {
+    /// A SYN or a SYN-ACK.
+    Syn,
+    /// Payload (a FIN never rides on data here).
+    Data,
+    /// A FIN alone: connection teardown.
+    PureFin,
+}
+
+/// What asked the sender to retransmit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum RtxTrigger {
+    /// The retransmission timer fired.
+    Rto,
+    /// A third duplicate ACK.
+    FastRetransmit,
+    /// An ACK into a recovery episode that revealed the next hole.
+    PartialAck,
+}
+
+/// One entry of a sender's retransmission census: a loss detection (an
+/// RTO firing or a fast retransmit's start) or a retransmitted segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RtxRecord {
+    /// When the sender recorded it.
+    pub at: SimTime,
+    /// The head segment's kind.
+    pub kind: SegKind,
+    /// What triggered it.
+    pub trigger: RtxTrigger,
+    /// Payload bytes retransmitted; `None` for a detection.
+    pub sent: Option<u64>,
+}
+
+impl RtxRecord {
+    /// An RTO firing.
+    pub fn is_timeout(&self) -> bool {
+        self.sent.is_none() && self.trigger == RtxTrigger::Rto
+    }
+}
+
 /// Timestamped series for one connection (the Fig. 10–12/17 raw material).
 #[derive(Debug, Default, Serialize)]
 pub struct TcpTrace {
@@ -47,7 +90,7 @@ pub struct TcpTrace {
     pub ssthresh_segments: OptionSeries,
     /// Unacknowledged bytes in flight.
     pub inflight_bytes: TimeSeries,
-    /// Retransmission instants.
+    /// Retransmission instants, one per retransmitted segment.
     pub retransmits: EventMarks,
     /// RTO firing instants.
     pub timeouts: EventMarks,

@@ -5,13 +5,18 @@
 //! `poll_transmit`, each end's RTO lies in `[min_rto, MAX_RTO]` and its
 //! cwnd holds at least one MSS; what each end has read is always a
 //! prefix of what its peer wrote, and both streams arrive whole once the
-//! drops stop.
+//! drops stop. The retransmission census matches the wire after every
+//! call: a segment `poll_transmit` returns with `retransmit` set has
+//! exactly one record, of its kind and at that instant; no other call
+//! records a retransmission, an RTO is detected only by `on_timer` and a
+//! fast retransmit only by `on_segment`, and no pure ACK is ever
+//! retransmitted.
 
 use proptest::prelude::*;
 use spdyier_bytes::Payload;
 use spdyier_sim::{SimDuration, SimTime};
 use spdyier_tcp::config::MAX_RTO;
-use spdyier_tcp::{CcAlgorithm, Segment, TcpConfig, TcpConnection, TcpState};
+use spdyier_tcp::{CcAlgorithm, RtxTrigger, SegKind, Segment, TcpConfig, TcpConnection, TcpState};
 
 /// One-way delay of every segment after the drawn fates run out.
 const CLEAN_DELAY: SimDuration = SimDuration::from_millis(50);
@@ -46,8 +51,9 @@ impl End {
         }
     }
 
-    /// RTO and cwnd bounds after `step`.
-    fn check(&self, cfg: &TcpConfig, step: &str) {
+    /// RTO and cwnd bounds, and the census against `sent`, the segment
+    /// `step` put on the wire at `now`, if any.
+    fn check(&mut self, cfg: &TcpConfig, step: &str, now: SimTime, sent: Option<&Segment>) {
         let rto = self.conn.rto();
         assert!(
             cfg.min_rto <= rto && rto <= MAX_RTO,
@@ -56,6 +62,21 @@ impl End {
         );
         let cwnd = self.conn.cwnd();
         assert!(cwnd >= cfg.mss, "after {step}: cwnd {cwnd} below one MSS");
+        let detects = match step {
+            "on_timer" => Some(RtxTrigger::Rto),
+            "on_segment" => Some(RtxTrigger::FastRetransmit),
+            _ => None,
+        };
+        let mut rtx = Vec::new();
+        for r in self.conn.drain_census() {
+            match r.sent {
+                Some(bytes) => rtx.push((r.at, r.kind, bytes)),
+                None => assert_eq!(Some(r.trigger), detects, "after {step}: {r:?}"),
+            }
+        }
+        let want = sent.filter(|s| s.retransmit);
+        let want: Vec<_> = want.map(|s| (now, kind(s), s.len())).into_iter().collect();
+        assert_eq!(rtx, want, "after {step}: census against the wire");
     }
 
     /// Drain what the application can read; it must continue `peer`'s
@@ -70,6 +91,16 @@ impl End {
             self.read.len(),
             peer.len()
         );
+    }
+}
+
+/// What a retransmitted segment carries; a pure ACK is never one.
+fn kind(seg: &Segment) -> SegKind {
+    match (seg.flags.syn, seg.payload.is_empty(), seg.flags.fin) {
+        (true, ..) => SegKind::Syn,
+        (false, false, _) => SegKind::Data,
+        (false, true, true) => SegKind::PureFin,
+        (false, true, false) => panic!("pure ACK {} retransmitted", seg.seq),
     }
 }
 
@@ -89,8 +120,10 @@ fn converse(fates: &[(u64, u8)], up: u64, down: u64, cfg: TcpConfig) {
     loop {
         for (end, to_client) in [(&mut client, false), (&mut server, true)] {
             end.write_once();
-            while let Some(seg) = end.conn.poll_transmit(now) {
-                end.check(&cfg, "poll_transmit");
+            loop {
+                let seg = end.conn.poll_transmit(now);
+                end.check(&cfg, "poll_transmit", now, seg.as_ref());
+                let Some(seg) = seg else { break };
                 match fates.next() {
                     Some(&(_, 3)) => {}
                     Some(&(delay_ms, _)) => {
@@ -127,11 +160,11 @@ fn converse(fates: &[(u64, u8)], up: u64, down: u64, cfg: TcpConfig) {
         for (_, to_client, seg) in due {
             let end = if to_client { &mut client } else { &mut server };
             end.conn.on_segment(now, seg);
-            end.check(&cfg, "on_segment");
+            end.check(&cfg, "on_segment", now, None);
         }
         for end in [&mut client, &mut server] {
             end.conn.on_timer(now);
-            end.check(&cfg, "on_timer");
+            end.check(&cfg, "on_timer", now, None);
         }
     }
 }

@@ -6,16 +6,22 @@ use spdyier::core::{ExperimentConfig, NetworkKind, ProtocolMode, RunResult, Test
 use spdyier::net::LossModel;
 use spdyier::scenario::Manifest;
 use spdyier::sim::SimDuration;
+use spdyier::tcp::{RtxTrigger, SegKind};
 use spdyier::workload::VisitSchedule;
+use std::collections::BTreeSet;
 
 /// `sites` in order over WiFi under `loss`: a fixed site list no
 /// workload kind expresses, so it goes to the constructor as is.
-fn run_lossy(protocol: ProtocolMode, loss: Option<LossModel>, sites: Vec<u32>) -> RunResult {
+fn lossy(protocol: ProtocolMode, loss: Option<LossModel>, sites: Vec<u32>) -> Testbed {
     let schedule = VisitSchedule::sequential(sites, SimDuration::from_secs(60));
     let mut cfg = ExperimentConfig::paper_3g(protocol, 11, schedule);
     cfg.network = NetworkKind::Wifi;
     cfg.access_loss = loss;
-    Testbed::new(cfg).run()
+    Testbed::new(cfg)
+}
+
+fn run_lossy(protocol: ProtocolMode, loss: Option<LossModel>, sites: Vec<u32>) -> RunResult {
+    lossy(protocol, loss, sites).run()
 }
 
 #[test]
@@ -92,6 +98,29 @@ fn genuine_loss_produces_genuine_retransmissions() {
         r.total_retransmissions,
         drops
     );
+}
+
+/// Every path that asks for a retransmission shows in the census. A
+/// partial ACK needs two losses in one window, so the 2% runs above
+/// hold none; at 5% every trigger fires.
+#[test]
+fn bernoulli_loss_retransmits_by_every_trigger() {
+    let loss = Some(LossModel::Bernoulli { p: 0.05 });
+    let testbed = lossy(ProtocolMode::Http, loss, vec![5, 12]);
+    let (r, census) = testbed.run_census().expect("within budget");
+    let rtx: Vec<_> = census
+        .iter()
+        .filter(|(_, rec)| rec.sent.is_some())
+        .collect();
+    let triggers: BTreeSet<RtxTrigger> = rtx.iter().map(|(_, rec)| rec.trigger).collect();
+    let all = [
+        RtxTrigger::Rto,
+        RtxTrigger::FastRetransmit,
+        RtxTrigger::PartialAck,
+    ];
+    assert_eq!(triggers, BTreeSet::from(all));
+    let counted = rtx.iter().filter(|(_, rec)| rec.kind != SegKind::PureFin);
+    assert_eq!(counted.count() as u64, r.total_retransmissions);
 }
 
 #[test]
