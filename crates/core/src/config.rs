@@ -179,11 +179,6 @@ pub struct ExperimentConfig {
     /// Flight-recorder level for the cross-layer event stream
     /// ([`TraceLevel::Off`] costs nothing; see `spdyier-trace`).
     pub trace_level: TraceLevel,
-    /// Close HTTP client connections idle for this long (Chrome's
-    /// idle-socket reaping; keeps HTTP connections short-lived across
-    /// sites as the paper observes). With the 3G demotion timers this
-    /// means FINs ride CELL_FACH rather than paying a promotion.
-    pub http_idle_close: Option<SimDuration>,
     /// Outstanding requests per HTTP connection. 1 reproduces the paper
     /// (Squid's pipelining was too rudimentary to enable); larger values
     /// test the Fig. 1(c) pipelining the paper could not measure.
@@ -224,7 +219,6 @@ impl ExperimentConfig {
             visit_timeout: SimDuration::from_secs(60),
             record_series: true,
             trace_level: TraceLevel::Off,
-            http_idle_close: Some(SimDuration::from_secs(10)),
             http_pipelining: 1,
             rrc_promotion_override: None,
             access_loss: None,
@@ -293,6 +287,5 @@ mod tests {
         assert_eq!(cfg.visit_timeout, SimDuration::from_secs(60));
         assert!(cfg.cache_metrics);
         assert!(cfg.keepalive_ping.is_none());
-        assert_eq!(cfg.http_idle_close, Some(SimDuration::from_secs(10)));
     }
 }

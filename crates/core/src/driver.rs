@@ -194,7 +194,7 @@ impl Testbed {
                 .queue
                 .schedule(SimTime::ZERO + interval, Event::PingTick);
         }
-        if self.cfg.http_idle_close.is_some() && matches!(self.cfg.protocol, ProtocolMode::Http) {
+        if matches!(self.cfg.protocol, ProtocolMode::Http) {
             self.world
                 .queue
                 .schedule(SimTime::from_secs(5), Event::IdleSweep);
@@ -619,23 +619,21 @@ impl Testbed {
                 }
             }
             Event::IdleSweep => {
-                if let Some(max_idle) = self.cfg.http_idle_close {
-                    // next_timeout gates the sweep: scan only when some
-                    // pipe's idle deadline has actually passed.
-                    let due = with_side!(self, side, ctx, {
-                        let now = ctx.world.now;
-                        side.next_timeout(&ctx).is_some_and(|t| t <= now)
-                    });
-                    if due {
-                        if let Side::Http(http) = &mut self.side {
-                            http.idle_sweep(&mut self.world, max_idle);
-                        }
+                // next_timeout gates the sweep: scan only when some
+                // pipe's idle deadline has actually passed.
+                let due = with_side!(self, side, ctx, {
+                    let now = ctx.world.now;
+                    side.next_timeout(&ctx).is_some_and(|t| t <= now)
+                });
+                if due {
+                    if let Side::Http(http) = &mut self.side {
+                        http.idle_sweep(&mut self.world);
                     }
-                    self.world
-                        .queue
-                        .schedule(self.world.now + SimDuration::from_secs(5), Event::IdleSweep);
-                    self.service_all();
                 }
+                self.world
+                    .queue
+                    .schedule(self.world.now + SimDuration::from_secs(5), Event::IdleSweep);
+                self.service_all();
             }
             Event::EndRun => {
                 if self.visits.load.is_some() {

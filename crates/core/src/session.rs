@@ -33,6 +33,12 @@ use std::collections::{HashMap, VecDeque};
 /// at the access path's base RTT.
 const SSL_SETUP_RTTS: u64 = 2;
 
+/// Close HTTP client connections idle for this long (Chrome's
+/// idle-socket reaping; keeps HTTP connections short-lived across sites
+/// as the paper observes). With the 3G demotion timers this means FINs
+/// ride CELL_FACH rather than paying a promotion.
+pub(crate) const HTTP_IDLE_CLOSE: SimDuration = SimDuration::from_secs(10);
+
 /// What a client↔proxy or proxy↔origin pipe is used for.
 pub(crate) enum PipeRole {
     /// One HTTP persistent connection, device↔proxy.
@@ -621,8 +627,8 @@ impl HttpSide {
     }
 
     /// Retire every idle unretired pipe whose idle time reached
-    /// `max_idle`.
-    pub fn idle_sweep(&mut self, world: &mut World, max_idle: SimDuration) {
+    /// [`HTTP_IDLE_CLOSE`].
+    pub fn idle_sweep(&mut self, world: &mut World) {
         let stale: Vec<usize> = world
             .live_access
             .iter()
@@ -638,7 +644,7 @@ impl HttpSide {
                         ..
                     } if outstanding.is_empty()
                         && pending.is_empty()
-                        && world.now.saturating_since(*last_use) >= max_idle
+                        && world.now.saturating_since(*last_use) >= HTTP_IDLE_CLOSE
                 )
             })
             .collect();
@@ -669,7 +675,6 @@ impl HttpSide {
 
     /// The earliest idle-close deadline of an idle, unretired pipe.
     fn next_timeout(&self, ctx: &SessionCtx<'_>) -> Option<SimTime> {
-        let max_idle = ctx.cfg.http_idle_close?;
         ctx.world
             .live_access
             .iter()
@@ -680,7 +685,9 @@ impl HttpSide {
                     retired: false,
                     last_use,
                     ..
-                } if outstanding.is_empty() && pending.is_empty() => Some(*last_use + max_idle),
+                } if outstanding.is_empty() && pending.is_empty() => {
+                    Some(*last_use + HTTP_IDLE_CLOSE)
+                }
                 _ => None,
             })
             .min()

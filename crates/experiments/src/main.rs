@@ -10,9 +10,9 @@
 //! document) end to end: expand cells, fan them across
 //! `SPDYIER_JOBS` workers, evaluate assertions, and write the versioned
 //! results contract (`result.json`, `junit.xml`, and the paired dump,
-//! trace artifacts, plot data and self-profile the manifest's `outputs`
-//! ask for) to the output directory. Exit codes are standardized: 0
-//! pass, 1 assertion failure, 2 limit exceeded, 3 config error.
+//! trace artifacts and plot data the manifest's `outputs` ask for) to
+//! the output directory. Exit codes are standardized: 0 pass, 1
+//! assertion failure, 2 limit exceeded, 3 config error.
 //!
 //! The `explain` form re-runs a manifest's cells at `Full` trace level,
 //! extracts each visit's causal critical path and writes
@@ -28,10 +28,9 @@ use spdyier_experiments::{run_by_id, ExpOpts, EXPERIMENTS};
 use spdyier_scenario::Manifest;
 use std::path::{Path, PathBuf};
 
-/// Count every allocation the binary makes, so sweep heartbeats and
-/// `outputs.profile` runs can report allocations per visit and per
-/// subsystem (near-zero cost otherwise: two relaxed atomic increments
-/// per allocation).
+/// Count every allocation the binary makes, so sweep heartbeats can
+/// report allocations per visit (near-zero cost otherwise: a load and a
+/// store per counter, in the allocating thread's own slot).
 #[global_allocator]
 static GLOBAL: spdyier_prof::CountingAlloc = spdyier_prof::CountingAlloc;
 

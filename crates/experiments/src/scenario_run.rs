@@ -6,7 +6,7 @@
 //! manifest's assertions over the pooled cell metrics, and writes the
 //! versioned results contract: `result.json`, `junit.xml`, and what the
 //! manifest's `outputs` ask for (paired dump + sidecar, per-cell trace
-//! bundles, per-cell plot data, the self-profile). The returned
+//! bundles, per-cell plot data). The returned
 //! [`ScenarioOutcome`] carries the standardized exit code (0 pass / 1
 //! assertion failure / 2 limit exceeded — config errors never reach the
 //! runner; they fail at manifest decode, exit 3).
@@ -33,10 +33,8 @@
 //! dump: otherwise the model *is* the recorder's sink and each record is
 //! folded into it as the run emits it.
 //!
-//! A run that reports progress — every `sweep`, and `run` under
-//! `outputs.profile` — runs each cell through `fold_reported` instead,
-//! which adds the worker's allocation bracket and one heartbeat line.
-//! The plain `run` path does neither.
+//! `run` has one path: execute, fold, finish. The `sweep` runner adds
+//! its own per-cell step (an allocation bracket and a heartbeat line).
 
 use crate::exec::Executor;
 use serde::Serialize;
@@ -46,14 +44,11 @@ use spdyier_core::{
     stall_table, waterfall_json, AssertionVerdict, DataFile, FlightLog, RunError, RunResult,
     ScenarioExit, StallBreakdown, Testbed, TraceLevel, VerdictStatus,
 };
-use spdyier_prof::{CellReport, ProfileReport, SelfReport, SinkReport, SweepTelemetry};
 use spdyier_scenario::{evaluate, Cell, CellMetrics, Manifest, Seeds, Summary};
-use spdyier_trace::MetricsRegistry;
 use std::borrow::Borrow;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 
 /// Everything a scenario run produced.
 #[derive(Debug)]
@@ -80,9 +75,6 @@ pub struct FoldedCell {
     /// The cell's pre-rendered files: its trace artifacts (when the cell
     /// was traced) and its plot data, when the manifest requests them.
     pub files: Vec<DataFile>,
-    /// Under `outputs.profile`, for a traced cell: its flight-recorder
-    /// registry and how many records its log held when it finished.
-    pub recorder: Option<(MetricsRegistry, u64)>,
 }
 
 /// What a traced cell leaves behind.
@@ -158,127 +150,18 @@ pub fn fold_cell(
     if manifest.outputs.plot_data {
         files.extend(export_run(result));
     }
-    let recorder = traced
-        .filter(|_| manifest.outputs.profile)
-        .map(|(log, _)| (log.metrics.clone(), log.events.len() as u64));
     FoldedCell {
         metrics,
         dump_line,
         files,
-        recorder,
     }
 }
 
-/// Execute `cells` (all of `manifest`'s) on `exec`, reducing each cell
-/// to a [`FoldedCell`] on the worker that ran it. Outputs land in cell
-/// order, so artifacts stay byte-identical at any pool width; an `Err`
-/// is a cell that exceeded a limit.
-fn execute_folded_on(
-    exec: &Executor,
-    manifest: &Manifest,
-    cells: &[Cell],
-) -> Vec<Result<FoldedCell, RunError>> {
-    exec.run(cells.len(), |i, _worker| {
-        let cell = &cells[i];
-        run_cell(manifest, cell)
-            .map(|(result, traced)| fold_cell(manifest, cell, &result, traced.as_ref()))
-    })
-}
-
-/// Run and fold `cell` on `worker` between two reads of the worker's own
-/// allocation counters, then report it to `telemetry`: the one per-cell
-/// step of every run that heartbeats. A profiled run also passes `spans`,
-/// into which the worker's span table is drained while still on it.
-pub(crate) fn fold_reported(
-    manifest: &Manifest,
-    cell: &Cell,
-    worker: usize,
-    telemetry: &SweepTelemetry,
-    spans: Option<&Mutex<ProfileReport>>,
-) -> Result<FoldedCell, RunError> {
-    let before = spdyier_prof::thread_counts();
-    let out = run_cell(manifest, cell)
-        .map(|(result, traced)| fold_cell(manifest, cell, &result, traced.as_ref()));
-    let allocs = spdyier_prof::thread_counts().since(before);
-    if let Some(spans) = spans {
-        let table = spdyier_prof::take_thread_profile();
-        spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(&table);
-    }
-    let out = out?;
-    let counter = |name: &str| out.metrics.counters.get(name).copied().unwrap_or(0);
-    telemetry.cell_done(&CellReport {
-        shard: worker,
-        cell: cell.index,
-        visits: out.metrics.visits,
-        events: counter("trace.emitted"),
-        trace_dropped: counter("trace.sink_dropped"),
-        allocs: allocs.allocs,
-        alloc_bytes: allocs.bytes,
-    });
-    Ok(out)
-}
-
-/// [`run_manifest_on`] under the span profiler: each cell heartbeats into
-/// `heartbeat_<name>.jsonl` as it finishes, and `profile_<name>.json`
-/// and the cells' merged `metrics_<name>.json` follow the contract files.
-fn run_profiled_on(
-    exec: &Executor,
-    manifest: &Manifest,
-    out_dir: &Path,
-) -> std::io::Result<ScenarioOutcome> {
-    let name = &manifest.name;
-    let heartbeat = std::fs::File::create(out_dir.join(format!("heartbeat_{name}.jsonl")))?;
-    let cells = manifest.cells();
-    let spans = Mutex::new(ProfileReport::new());
-    spdyier_prof::set_enabled(true);
-    let alloc_before = spdyier_prof::global_counts();
-    let telemetry = SweepTelemetry::new(cells.len(), Some(Box::new(heartbeat)));
-    let outputs = exec.run(cells.len(), |i, worker| {
-        fold_reported(manifest, &cells[i], worker, &telemetry, Some(&spans))
-    });
-    let alloc_delta = spdyier_prof::global_counts().since(alloc_before);
-    let wall_ms = telemetry.elapsed_ms();
-    let totals = telemetry.finish();
-
-    let (mut metrics, mut retained) = (MetricsRegistry::new(), 0);
-    for (registry, records) in outputs.iter().flatten().filter_map(|f| f.recorder.as_ref()) {
-        metrics.merge(registry);
-        retained += records;
-    }
-    let secs = wall_ms / 1e3;
-    let report = SelfReport::assemble(
-        format!("{name} seeds={}", manifest.seeds.count),
-        &spans.into_inner().unwrap_or_else(PoisonError::into_inner),
-        wall_ms,
-        totals.visits,
-        alloc_delta,
-        totals.events,
-        SinkReport {
-            emitted: totals.events,
-            retained,
-            dropped: totals.trace_dropped,
-            events_per_sec: if secs > 0.0 {
-                totals.events as f64 / secs
-            } else {
-                0.0
-            },
-        },
-    );
-    spdyier_prof::set_enabled(false);
-    let profile = DataFile {
-        name: format!("profile_{name}.json"),
-        contents: report.to_json(),
-    };
-    finish_folded(
-        manifest,
-        &cells,
-        outputs,
-        out_dir,
-        vec![profile, metrics_file(name, &metrics)],
-    )
+/// Run `cell` and reduce it to its [`FoldedCell`], on the calling
+/// worker; an `Err` is a cell that exceeded a limit.
+pub(crate) fn run_folded(manifest: &Manifest, cell: &Cell) -> Result<FoldedCell, RunError> {
+    let (result, traced) = run_cell(manifest, cell)?;
+    Ok(fold_cell(manifest, cell, &result, traced.as_ref()))
 }
 
 fn status_str(exit: ScenarioExit) -> &'static str {
@@ -356,34 +239,21 @@ pub fn run_manifest(manifest: &Manifest, out_dir: &Path) -> std::io::Result<Scen
 
 /// [`run_manifest`] on an explicit executor (tests pin the pool width).
 /// `out_dir` is created before the first cell runs, so an unwritable one
-/// costs nothing.
+/// costs nothing. Each cell is folded on the worker that ran it, and the
+/// outputs land in cell order, so artifacts stay byte-identical at any
+/// pool width. Then [`finish`] gets the first cell over a limit, the
+/// paired dump and each cell's files.
 pub fn run_manifest_on(
     exec: &Executor,
     manifest: &Manifest,
     out_dir: &Path,
 ) -> std::io::Result<ScenarioOutcome> {
     std::fs::create_dir_all(out_dir)?;
-    if manifest.outputs.profile {
-        return run_profiled_on(exec, manifest, out_dir);
-    }
     let cells = manifest.cells();
-    let outputs = execute_folded_on(exec, manifest, &cells);
-    finish_folded(manifest, &cells, outputs, out_dir, Vec::new())
-}
-
-/// [`finish`] for a run that folded every cell of `manifest` (`cells`,
-/// one output each, in cell order): the first cell over a limit, the
-/// paired dump and each cell's files, then the run-level `extra` files.
-fn finish_folded(
-    manifest: &Manifest,
-    cells: &[Cell],
-    mut outputs: Vec<Result<FoldedCell, RunError>>,
-    out_dir: &Path,
-    extra: Vec<DataFile>,
-) -> std::io::Result<ScenarioOutcome> {
+    let mut outputs = exec.run(cells.len(), |i, _worker| run_folded(manifest, &cells[i]));
     let limit = outputs
         .iter()
-        .zip(cells)
+        .zip(&cells)
         .find_map(|(out, cell)| out.as_ref().err().map(|e| limit_diagnostic(cell, e)));
     let mut files = Vec::new();
     if manifest.outputs.paired_dump && limit.is_none() {
@@ -410,7 +280,6 @@ fn finish_folded(
     for folded in outputs.iter_mut().flatten() {
         files.append(&mut folded.files);
     }
-    files.extend(extra);
     let metrics: Vec<&CellMetrics> = outputs.iter().flatten().map(|f| &f.metrics).collect();
     finish(manifest, &metrics, limit, files, out_dir)
 }

@@ -46,11 +46,11 @@
 //! and a population-scale sweep could not afford to retain them anyway.
 
 use crate::exec::Executor;
-use crate::scenario_run::{finish, fold_reported, limit_diagnostic, ScenarioOutcome};
+use crate::scenario_run::{finish, limit_diagnostic, run_folded, ScenarioOutcome};
 use serde::{Deserialize, Serialize};
 use spdyier_core::RunError;
-use spdyier_prof::SweepTelemetry;
-use spdyier_scenario::{CellMetrics, Manifest};
+use spdyier_prof::{CellReport, SweepTelemetry};
+use spdyier_scenario::{Cell, CellMetrics, Manifest};
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -339,6 +339,32 @@ struct StoreSink {
     failed: Option<std::io::Error>,
 }
 
+/// Run and fold `cell` on `worker` between two reads of the worker's own
+/// allocation counters, then report it to `telemetry`: the one per-cell
+/// step of a sweep, which keeps only the cell's metrics.
+fn fold_reported(
+    manifest: &Manifest,
+    cell: &Cell,
+    worker: usize,
+    telemetry: &SweepTelemetry,
+) -> Result<CellMetrics, RunError> {
+    let before = spdyier_prof::thread_counts();
+    let out = run_folded(manifest, cell);
+    let allocs = spdyier_prof::thread_counts().since(before);
+    let out = out?;
+    let counter = |name: &str| out.metrics.counters.get(name).copied().unwrap_or(0);
+    telemetry.cell_done(&CellReport {
+        shard: worker,
+        cell: cell.index,
+        visits: out.metrics.visits,
+        events: counter("trace.emitted"),
+        trace_dropped: counter("trace.sink_dropped"),
+        allocs: allocs.allocs,
+        alloc_bytes: allocs.bytes,
+    });
+    Ok(out.metrics)
+}
+
 /// Run (or resume) `manifest`'s sweep on `exec`, checkpointing into and
 /// replaying from `out_dir`. See the module docs for the store and
 /// resume semantics.
@@ -363,9 +389,9 @@ fn run_sweep_through(
     if manifest.outputs != Default::default() {
         return Err(SweepError(
             "experiments sweep: manifest requests per-cell bulk artifacts \
-             (outputs.paired_dump / outputs.trace_artifacts / outputs.plot_data / \
-             outputs.profile), which the metrics-only checkpoint store cannot \
-             resume; use `experiments run`"
+             (outputs.paired_dump / outputs.trace_artifacts / outputs.plot_data), \
+             which the metrics-only checkpoint store cannot resume; use \
+             `experiments run`"
                 .into(),
         ));
     }
@@ -427,8 +453,8 @@ fn run_sweep_through(
             return false;
         }
         let index = pending[j];
-        let mut metrics = match fold_reported(manifest, &cells[index], worker, &telemetry, None) {
-            Ok(folded) => folded.metrics,
+        let mut metrics = match fold_reported(manifest, &cells[index], worker, &telemetry) {
+            Ok(metrics) => metrics,
             Err(e) => {
                 let mut first = lock(&first_limit);
                 if first.as_ref().is_none_or(|&(i, _)| index < i) {

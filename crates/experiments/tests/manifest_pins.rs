@@ -13,17 +13,16 @@ use spdyier_scenario::Manifest;
 use std::path::Path;
 
 /// `(file, FNV-1a of the decoded manifest's Debug text, manifest_digest)`.
-const PINS: [(&str, u64, &str); 10] = [
-    ("bulk_lte_small.json", 0x1fd06089e316a1ed, "1a169754"),
-    ("export_spdy_3g.json", 0x4e40c9395caae5c4, "5074d5a9"),
-    ("mitigation_matrix_3g.json", 0xf2837e9f5eeb6ef8, "d4e15af7"),
-    ("paired_3g.json", 0x8c5065777e78180c, "db28ea4e"),
-    ("paired_lte.json", 0xc3dd3f540f067f6e, "e18eb832"),
-    ("population_wifi.json", 0x1606da3754eb1ec0, "278457ff"),
-    ("profile_spdy_3g.json", 0x26ebd6eda7d90f94, "be37a7d0"),
-    ("quick_wifi.json", 0x792bb686ecc867d7, "c473f68c"),
-    ("synthetic_50obj.json", 0x9555e40433636912, "8243e673"),
-    ("trace_spdy_3g.json", 0x14858231b9ef0ba1, "34880439"),
+const PINS: [(&str, u64, &str); 9] = [
+    ("bulk_lte_small.json", 0x00f5e6d11bda6ff3, "b7152277"),
+    ("export_spdy_3g.json", 0x25534d8a0399968e, "44c79dbd"),
+    ("mitigation_matrix_3g.json", 0xe0755d63d5423660, "ee27b529"),
+    ("paired_3g.json", 0x4746cb6524270b54, "b417e28c"),
+    ("paired_lte.json", 0xebc53f50f51d4b96, "bd54dd6e"),
+    ("population_wifi.json", 0xf50fa6ee63666c38, "42abcd0a"),
+    ("quick_wifi.json", 0xfe066c84f8448cf5, "2452bd25"),
+    ("synthetic_50obj.json", 0x867f40975b244aa2, "130d09e7"),
+    ("trace_spdy_3g.json", 0xdc4bf79653db8c7f, "88ef487c"),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -241,11 +241,10 @@ fn sweep_refuses_bulk_artifact_manifests_and_foreign_stores() {
     // Bulk artifacts cannot be resumed from a metrics-only store.
     let dir = out_dir("bulk");
     type Key = fn(&mut spdyier_scenario::Outputs);
-    let keys: [(&str, Key); 4] = [
+    let keys: [(&str, Key); 3] = [
         ("paired_dump", |o| o.paired_dump = true),
         ("trace_artifacts", |o| o.trace_artifacts = true),
         ("plot_data", |o| o.plot_data = true),
-        ("profile", |o| o.profile = true),
     ];
     for (key, set) in keys {
         let mut m = sweep_manifest("sweep_bulk");

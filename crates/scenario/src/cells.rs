@@ -135,7 +135,6 @@ impl Cell {
         cfg.cache_metrics = s.metrics_cache;
         cfg.keepalive_ping = s.keepalive_ping_s.map(secs_f64);
         cfg.http_pipelining = s.http_pipelining as usize;
-        cfg.http_idle_close = s.http_idle_close_s.map(secs_f64);
         cfg.rrc_promotion_override = s.rrc_promotion_ms.map(SimDuration::from_millis);
         cfg.trace_level = manifest.effective_trace();
         cfg.tcp.trace = manifest.tcp_traces;
@@ -202,7 +201,6 @@ mod tests {
         assert_eq!(cfg.schedule.order, reference.schedule.order);
         assert_eq!(cfg.visit_timeout, reference.visit_timeout);
         assert_eq!(cfg.trace_level, reference.trace_level);
-        assert_eq!(cfg.http_idle_close, reference.http_idle_close);
         assert_eq!(cfg.http_pipelining, reference.http_pipelining);
         assert_eq!(cfg.rrc_promotion_override, reference.rrc_promotion_override);
         assert_eq!(cfg.event_budget, reference.event_budget);

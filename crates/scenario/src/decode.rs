@@ -691,13 +691,20 @@ mod tests {
         let doc = with_key(
             &minimal(),
             Some("mitigations"),
-            "http_idle_close_s",
+            "keepalive_ping_s",
             Value::Null,
         );
         let doc = with_key(&doc, Some("mitigations"), "cc", Value::Str("reno".into()));
         let m = Manifest::decode(&doc).unwrap();
-        assert_eq!(m.settings.http_idle_close_s, None);
+        assert_eq!(m.settings.keepalive_ping_s, None);
         assert_eq!(m.settings.cc, CcAlgorithm::Reno);
+        let mut s = Settings {
+            keepalive_ping_s: Some(30.0),
+            ..Settings::default()
+        };
+        let knob = Knob::named("keepalive_ping_s").unwrap();
+        knob.set(&mut s, &KnobValue::Null).unwrap();
+        assert_eq!(s.keepalive_ping_s, None);
     }
 
     #[test]

@@ -175,9 +175,6 @@ settings! {
     keepalive_ping_s: Option<f64> = None,
     /// Outstanding requests per HTTP connection (1 = paper).
     http_pipelining: u64 = 1,
-    /// Close idle HTTP connections after this many seconds (JSON `null`
-    /// disables the reaper; absent = the 10 s default).
-    http_idle_close_s: Option<f64> = Some(10.0),
     /// Congestion control: `"cubic"` (paper testbed) or `"reno"`.
     cc: CcAlgorithm = CcAlgorithm::Cubic,
     /// Override the radio's idle→active promotion delay, ms.
@@ -193,7 +190,7 @@ pub enum KnobValue {
     Number(f64),
     /// String knob setting (e.g. a `cc` algorithm name).
     Str(String),
-    /// Null — disables an optional knob (e.g. `http_idle_close_s`).
+    /// Null — disables an optional knob (e.g. `keepalive_ping_s`).
     Null,
 }
 
@@ -259,7 +256,6 @@ pub const KNOBS: &[Knob] = {
         knob("metrics_cache", mitigations, Flag(|s| &mut s.metrics_cache)),
         knob("keepalive_ping_s", mitigations, Seconds(|s| &mut s.keepalive_ping_s)),
         knob("http_pipelining", mitigations, Count(|s| &mut s.http_pipelining, 1..=65_535)),
-        knob("http_idle_close_s", mitigations, Seconds(|s| &mut s.http_idle_close_s)),
         knob("cc", mitigations, Cc(|s| &mut s.cc)),
         knob("rrc_promotion_ms", network, Millis(|s| &mut s.rrc_promotion_ms)),
     ]
@@ -369,10 +365,6 @@ pub struct Outputs {
     /// carry only the protocol, so decode allows one seed, no matrix, and
     /// at most one http and one spdy protocol.
     pub plot_data: bool,
-    /// Run under the host-side span profiler and write
-    /// `profile_<name>.json`, `heartbeat_<name>.jsonl` (one line per
-    /// cell) and the cells' merged `metrics_<name>.json`.
-    pub profile: bool,
 }
 
 // ---------------------------------------------------------------------

@@ -259,7 +259,6 @@ fn gen_manifest(mut seed: u64) -> (Value, Manifest) {
         ("paired_dump", paired_dump, &mut o.paired_dump),
         ("trace_artifacts", chance(s), &mut o.trace_artifacts),
         ("plot_data", plot_data, &mut o.plot_data),
-        ("profile", chance(s), &mut o.profile),
     ] {
         if on {
             outputs.push((key.into(), Value::Bool(true)));
