@@ -13,7 +13,7 @@
 //! reports the transfer boundaries back.
 
 use crate::timing::ObjectTiming;
-use spdyier_sim::{SimDuration, SimTime};
+use spdyier_sim::SimTime;
 use spdyier_workload::{ObjectId, WebPage};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -97,11 +97,6 @@ impl PageLoad {
 
     /// The page being loaded.
     pub fn page(&self) -> &WebPage {
-        &self.page
-    }
-
-    /// Shared handle to the page being loaded.
-    pub fn page_arc(&self) -> &Arc<WebPage> {
         &self.page
     }
 
@@ -224,11 +219,6 @@ impl PageLoad {
         self.onload
     }
 
-    /// Page load time (onLoad − start), once complete.
-    pub fn page_load_time(&self) -> Option<SimDuration> {
-        Some(self.onload?.saturating_since(self.start))
-    }
-
     /// Per-object timing records (index = object id).
     pub fn timings(&self) -> &[ObjectTiming] {
         &self.timings
@@ -274,7 +264,7 @@ impl PageLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spdyier_sim::DetRng;
+    use spdyier_sim::{DetRng, SimDuration};
     use spdyier_workload::{synthesize, test_page, ObjectKind, SiteSpec};
 
     fn t(ms: u64) -> SimTime {
@@ -338,7 +328,7 @@ mod tests {
         let page = test_page(10, 1000, true);
         let load = drive(PageLoad::new(page, t(0)), 100);
         assert!(load.is_complete());
-        let plt = load.page_load_time().unwrap();
+        let plt = load.onload_time().unwrap().saturating_since(t(0));
         // Root fetch (100) + parse (20) + images fetch (100) ≈ 220 ms.
         assert!(plt >= SimDuration::from_millis(200));
         assert!(plt < SimDuration::from_millis(400), "plt {plt}");

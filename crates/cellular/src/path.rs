@@ -42,26 +42,6 @@ impl Radio {
         }
     }
 
-    /// Human-readable state label at `t` (for traces).
-    pub fn state_label(&self, t: SimTime) -> &'static str {
-        match self {
-            Radio::ThreeG(m) => match m.state_at(t) {
-                crate::rrc3g::Rrc3gState::Idle => "IDLE",
-                crate::rrc3g::Rrc3gState::Fach => "CELL_FACH",
-                crate::rrc3g::Rrc3gState::Dch => "CELL_DCH",
-                crate::rrc3g::Rrc3gState::Promoting => "PROMOTING",
-            },
-            Radio::Lte(m) => match m.state_at(t) {
-                crate::rrclte::RrcLteState::Idle => "RRC_IDLE",
-                crate::rrclte::RrcLteState::ContinuousRx => "CRX",
-                crate::rrclte::RrcLteState::ShortDrx => "SHORT_DRX",
-                crate::rrclte::RrcLteState::LongDrx => "LONG_DRX",
-                crate::rrclte::RrcLteState::Promoting => "PROMOTING",
-            },
-            Radio::AlwaysOn => "ALWAYS_ON",
-        }
-    }
-
     /// Promotions taken so far (empty for [`Radio::AlwaysOn`]).
     pub fn promotions(&self) -> &[PromotionEvent] {
         match self {
@@ -314,17 +294,5 @@ mod tests {
             _ => panic!(),
         }
         assert!(p.radio().promotions().is_empty());
-    }
-
-    #[test]
-    fn state_labels_trace_the_lifecycle() {
-        let mut p = presets::umts_3g();
-        let mut rng = DetRng::new(1);
-        assert_eq!(p.radio().state_label(SimTime::ZERO), "IDLE");
-        p.send(Direction::Up, SimTime::ZERO, 1380, &mut rng);
-        assert_eq!(
-            p.radio().state_label(SimTime::from_millis(500)),
-            "PROMOTING"
-        );
     }
 }

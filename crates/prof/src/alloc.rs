@@ -11,9 +11,8 @@
 //! first allocation and never handed back. A slot has a single writer,
 //! so the hot path is a plain load and store per counter — no locked
 //! read-modify-write, no line bouncing between workers.
-//! [`thread_counts`] reads the caller's slot (what the span profiler
-//! samples at scope entry/exit, and what a sweep worker brackets a cell
-//! with); [`global_counts`] sums every slot. Threads past the slot count
+//! [`thread_counts`] reads the caller's slot (what a sweep worker
+//! brackets a cell with); [`global_counts`] sums every slot. Threads past the slot count
 //! — and allocations made while a thread's locals are being torn down —
 //! share one overflow slot that keeps `fetch_add`.
 //!

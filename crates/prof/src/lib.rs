@@ -1,24 +1,26 @@
 //! # spdyier-prof
 //!
-//! Host-side self-observability for the testbed. PR 2's flight recorder
+//! Host-side self-observability for the testbed. The flight recorder
 //! watches the *simulated* world; this crate watches the *simulator*:
-//! where its own wall-time goes, which subsystem performs which share of
-//! its allocations, and how fast a sweep is actually progressing.
+//! how many allocations it makes, how fast a sweep is actually
+//! progressing, and — for the benchmark harness — where its own time
+//! goes by subsystem.
 //!
 //! Three pieces:
 //!
 //! - [`CountingAlloc`] — a pass-through global allocator (every binary
 //!   can install it) that counts every allocation into its thread's own
-//!   counter slot: [`thread_counts`] is what the span profiler
-//!   attributes per scope, [`global_counts`] the sum over all threads.
-//! - [`scope`] — a scoped span profiler: `let _p = prof::scope("tcp.deliver")`
-//!   records host-nanosecond power-of-two histograms plus the
-//!   allocations/bytes performed inside the scope, keyed by a
-//!   `layer.event_kind` name. Scopes nest; self-time and self-allocations
-//!   exclude enclosed scopes, so subsystem rollups partition exactly.
+//!   counter slot: [`thread_counts`] is what a sweep worker brackets a
+//!   cell with, [`global_counts`] the sum over all threads.
 //! - [`SweepTelemetry`] — per-shard JSONL heartbeats for the parallel
 //!   sweep executor (cells completed, events/s, allocs/visit, trace-drop
-//!   counts, ETA) plus the [`SelfReport`] end-of-run `profile_*.json`.
+//!   counts, ETA, peak RSS).
+//! - [`scope`] — a scoped span profiler: `let _p = prof::scope("driver.deliver")`
+//!   counts calls and self host-nanoseconds per `layer.event_kind`
+//!   name. Scopes nest; self time excludes enclosed scopes, so the
+//!   subsystem rollup of [`take_thread_profile`] partitions exactly. Its
+//!   one reader is the benchmark harness's `prof.*` rows; for host time
+//!   by layer of any run, sample it with `tools/sigprof`.
 //!
 //! The span profiler is gated on one global switch: with
 //! [`set_enabled`]`(false)` (the default), [`scope`] returns an inert
@@ -37,10 +39,7 @@ mod telemetry;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use alloc::{global_counts, thread_counts, AllocCounts, CountingAlloc};
-pub use report::{
-    peak_rss_kb, PeakRss, ProfileReport, SelfReport, SinkReport, SpanStats, SubsystemStats,
-    PROFILE_SCHEMA_VERSION,
-};
+pub use report::{peak_rss_kb, PeakRss, ProfileReport, SpanStats, SubsystemStats};
 pub use scope::{scope, take_thread_profile, Scope};
 pub use telemetry::{CellReport, SweepTelemetry, TelemetryTotals, HEARTBEAT_SCHEMA_VERSION};
 

@@ -1,34 +1,28 @@
 //! The scoped span profiler.
 //!
 //! `let _p = prof::scope("driver.deliver");` opens a span; dropping the
-//! guard records the span's host-nanosecond duration (into a
-//! power-of-two histogram) and the allocations performed inside it
-//! (from the [`crate::alloc`] per-thread counter slots). Spans nest: a
-//! span's *self* time and *self* allocations exclude everything charged
-//! to spans opened inside it, so summing self-columns across all spans
-//! partitions the profiled wall-time exactly — no double counting in
-//! subsystem rollups.
+//! guard records one call and the span's *self* time: its host
+//! nanoseconds minus everything charged to spans opened inside it. So
+//! summing self time across all spans partitions the profiled wall-time
+//! exactly — no double counting in subsystem rollups.
 //!
 //! The hot path is built for simulations that open a span per event
 //! (hundreds of thousands per second):
 //!
-//! - All per-span state (name, entry counters, start time) lives in the
-//!   [`Scope`] guard on the caller's stack — there is no thread-local
-//!   frame stack to push and pop.
-//! - Nesting is tracked by a single thread-local *child accumulator*:
-//!   opening a span saves and zeroes it, closing a span reads it (those
-//!   are the children's inclusive costs) and restores the saved value
-//!   plus the span's own inclusive cost.
+//! - All per-span state (name, start time) lives in the [`Scope`] guard
+//!   on the caller's stack — there is no thread-local frame stack to
+//!   push and pop.
+//! - Nesting is tracked by a single thread-local *child accumulator* of
+//!   ticks: opening a span saves and zeroes it, closing a span reads it
+//!   (those are the children's ticks) and restores the saved value plus
+//!   the span's own elapsed ticks.
 //! - Time is read with the CPU timestamp counter on `x86_64` (a
 //!   fraction of a `clock_gettime` call) and converted to nanoseconds
 //!   with a factor calibrated once per process in
 //!   [`crate::set_enabled`]`(true)`.
 //!
-//! Storage is thread-local (profiled sweeps fan runs across worker
-//! threads); [`take_thread_profile`] drains the calling thread's
-//! accumulated spans into a mergeable [`ProfileReport`]. The parallel
-//! sweep helper drains after every cell and folds into one shared
-//! report.
+//! Storage is thread-local; [`take_thread_profile`] drains the calling
+//! thread's accumulated spans into a [`ProfileReport`].
 //!
 //! Disabled mode ([`crate::enabled`] false) costs one relaxed atomic
 //! load per [`scope`] call: the guard is inert, nothing is timed, and
@@ -37,32 +31,12 @@
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::alloc::{thread_counts, AllocCounts};
 use crate::report::{ProfileReport, SpanStats};
 
-/// Inclusive cost (ticks, allocations, bytes) that closed child spans
-/// have charged to the innermost still-open span.
-#[derive(Clone, Copy, Default)]
-struct ChildAccum {
-    ticks: u64,
-    allocs: u64,
-    bytes: u64,
-}
-
-struct TlChild {
-    ticks: Cell<u64>,
-    allocs: Cell<u64>,
-    bytes: Cell<u64>,
-}
-
 thread_local! {
-    static CHILD: TlChild = const {
-        TlChild {
-            ticks: Cell::new(0),
-            allocs: Cell::new(0),
-            bytes: Cell::new(0),
-        }
-    };
+    /// Ticks that closed child spans have charged to the innermost
+    /// still-open span.
+    static CHILD_TICKS: Cell<u64> = const { Cell::new(0) };
     static SPANS: RefCell<Vec<(&'static str, SpanStats)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -154,10 +128,9 @@ pub struct Scope {
     active: bool,
     name: &'static str,
     start_ticks: u64,
-    at_entry: AllocCounts,
-    /// The parent's child-accumulator, saved while this span owns the
-    /// thread-local one.
-    saved_child: ChildAccum,
+    /// The parent's child ticks, saved while this span owns the
+    /// thread-local accumulator.
+    saved_child_ticks: u64,
 }
 
 impl Scope {
@@ -167,8 +140,7 @@ impl Scope {
             active: false,
             name: "",
             start_ticks: 0,
-            at_entry: AllocCounts::default(),
-            saved_child: ChildAccum::default(),
+            saved_child_ticks: 0,
         }
     }
 }
@@ -178,33 +150,17 @@ impl Drop for Scope {
         if !self.active {
             return;
         }
-        let total_ticks = now_ticks().wrapping_sub(self.start_ticks);
-        let d = thread_counts().since(self.at_entry);
+        let ticks = now_ticks().wrapping_sub(self.start_ticks);
         // Collect what nested spans charged while this one was open, and
-        // charge this span's inclusive cost to its parent.
-        let kids = CHILD.with(|c| {
-            let k = ChildAccum {
-                ticks: c.ticks.get(),
-                allocs: c.allocs.get(),
-                bytes: c.bytes.get(),
-            };
-            c.ticks
-                .set(self.saved_child.ticks.wrapping_add(total_ticks));
-            c.allocs.set(self.saved_child.allocs.wrapping_add(d.allocs));
-            c.bytes.set(self.saved_child.bytes.wrapping_add(d.bytes));
-            k
-        });
-        let total_ns = ticks_to_ns(total_ticks);
-        let child_ns = ticks_to_ns(kids.ticks);
+        // charge this span's elapsed ticks to its parent.
+        let child_ticks =
+            CHILD_TICKS.with(|c| c.replace(self.saved_child_ticks.wrapping_add(ticks)));
+        let self_ns = ticks_to_ns(ticks).saturating_sub(ticks_to_ns(child_ticks));
         SPANS.with(|s| {
             let mut spans = s.borrow_mut();
             let stats = stats_mut(&mut spans, self.name);
             stats.calls += 1;
-            stats.total_ns += total_ns;
-            stats.self_ns += total_ns.saturating_sub(child_ns);
-            stats.allocs += d.allocs.saturating_sub(kids.allocs);
-            stats.alloc_bytes += d.bytes.saturating_sub(kids.bytes);
-            stats.ns.observe(total_ns);
+            stats.self_ns += self_ns;
         });
     }
 }
@@ -219,29 +175,16 @@ pub fn scope(name: &'static str) -> Scope {
     if !crate::enabled() {
         return Scope::off();
     }
-    let saved_child = CHILD.with(|c| {
-        let s = ChildAccum {
-            ticks: c.ticks.get(),
-            allocs: c.allocs.get(),
-            bytes: c.bytes.get(),
-        };
-        c.ticks.set(0);
-        c.allocs.set(0);
-        c.bytes.set(0);
-        s
-    });
     Scope {
         active: true,
         name,
-        at_entry: thread_counts(),
-        saved_child,
+        saved_child_ticks: CHILD_TICKS.with(|c| c.replace(0)),
         start_ticks: now_ticks(),
     }
 }
 
 /// Drain the calling thread's finished spans into a [`ProfileReport`],
-/// leaving open scopes (if any) untouched. Used by sweep workers after
-/// each cell so per-cell attribution lands in one mergeable report.
+/// leaving open scopes (if any) untouched.
 pub fn take_thread_profile() -> ProfileReport {
     SPANS.with(|s| {
         let mut spans = s.borrow_mut();
@@ -277,106 +220,72 @@ mod tests {
         assert!(take_thread_profile().spans.is_empty());
     }
 
-    #[test]
-    fn nested_scopes_split_self_and_total_time() {
+    /// Self time of every span closed inside `body`, against the host
+    /// time `body` took.
+    fn profiled(body: impl FnOnce()) -> (ProfileReport, u64) {
         let _guard = crate::test_guard();
         crate::set_enabled(true);
         let _ = take_thread_profile();
-        {
+        let t0 = Instant::now();
+        body();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        crate::set_enabled(false);
+        (take_thread_profile(), wall_ns)
+    }
+
+    #[test]
+    fn nested_scopes_exclude_children_from_self_time() {
+        let (report, wall_ns) = profiled(|| {
             let _outer = scope("test.outer");
             spin_for_ns(200_000);
             {
                 let _inner = scope("test.inner");
                 spin_for_ns(400_000);
             }
-        }
-        crate::set_enabled(false);
-        let report = take_thread_profile();
-        let outer = &report.spans["test.outer"];
-        let inner = &report.spans["test.inner"];
-        assert_eq!(outer.calls, 1);
-        assert_eq!(inner.calls, 1);
-        assert!(inner.total_ns >= 300_000, "inner {}", inner.total_ns);
+        });
+        let outer = report.spans["test.outer"];
+        let inner = report.spans["test.inner"];
+        assert_eq!((outer.calls, inner.calls), (1, 1));
+        assert!(inner.self_ns >= 300_000, "inner {}", inner.self_ns);
+        assert!(outer.self_ns >= 150_000, "outer {}", outer.self_ns);
+        // Charging the inner span to the outer one too would overshoot
+        // the wall time by the inner span's 400 µs.
         assert!(
-            outer.total_ns >= inner.total_ns,
-            "outer span includes inner"
-        );
-        assert!(
-            outer.self_ns < outer.total_ns,
-            "outer self-time excludes the inner span \
-             (self {} vs total {})",
+            outer.self_ns + inner.self_ns <= wall_ns + 100_000,
+            "self times {} + {} should partition {wall_ns} ns",
             outer.self_ns,
-            outer.total_ns
-        );
-        assert_eq!(inner.self_ns, inner.total_ns, "leaf span is all self");
-        assert_eq!(inner.ns.count, 1, "per-call histogram populated");
-    }
-
-    #[test]
-    fn scope_attributes_allocations_to_self() {
-        let _guard = crate::test_guard();
-        crate::set_enabled(true);
-        let _ = take_thread_profile();
-        {
-            let _outer = scope("test.alloc_outer");
-            {
-                let _inner = scope("test.alloc_inner");
-                let v: Vec<u64> = Vec::with_capacity(10_000);
-                drop(v);
-            }
-        }
-        crate::set_enabled(false);
-        let report = take_thread_profile();
-        let inner = &report.spans["test.alloc_inner"];
-        let outer = &report.spans["test.alloc_outer"];
-        assert!(inner.allocs >= 1, "inner scope saw its allocation");
-        assert!(inner.alloc_bytes >= 80_000, "bytes: {}", inner.alloc_bytes);
-        // The outer span may be charged a few bytes of profiler
-        // bookkeeping (span-table growth), but never the inner payload.
-        assert!(
-            outer.alloc_bytes < 80_000,
-            "inner allocation double-charged: {}",
-            outer.alloc_bytes
+            inner.self_ns
         );
     }
 
     #[test]
     fn repeated_calls_accumulate() {
-        let _guard = crate::test_guard();
-        crate::set_enabled(true);
-        let _ = take_thread_profile();
-        for _ in 0..5 {
-            let _p = scope("test.repeat");
-        }
-        crate::set_enabled(false);
-        let report = take_thread_profile();
+        let (report, _) = profiled(|| {
+            for _ in 0..5 {
+                let _p = scope("test.repeat");
+            }
+        });
         assert_eq!(report.spans["test.repeat"].calls, 5);
-        assert_eq!(report.spans["test.repeat"].ns.count, 5);
     }
 
     #[test]
     fn sibling_spans_charge_the_right_parent() {
-        let _guard = crate::test_guard();
-        crate::set_enabled(true);
-        let _ = take_thread_profile();
-        {
+        let (report, wall_ns) = profiled(|| {
             let _outer = scope("test.sib_outer");
             for _ in 0..3 {
                 let _inner = scope("test.sib_inner");
-                spin_for_ns(50_000);
+                spin_for_ns(200_000);
             }
-        }
-        crate::set_enabled(false);
-        let report = take_thread_profile();
-        let outer = &report.spans["test.sib_outer"];
-        let inner = &report.spans["test.sib_inner"];
+        });
+        let outer = report.spans["test.sib_outer"];
+        let inner = report.spans["test.sib_inner"];
         assert_eq!(inner.calls, 3);
+        assert!(inner.self_ns >= 450_000, "inner {}", inner.self_ns);
         assert!(
-            outer.self_ns <= outer.total_ns.saturating_sub(inner.total_ns) + 10_000,
-            "outer self {} should exclude all three inner spans (outer total {}, inner total {})",
+            outer.self_ns + inner.self_ns <= wall_ns + 100_000,
+            "outer self {} should exclude all three inner spans ({} ns of {wall_ns})",
             outer.self_ns,
-            outer.total_ns,
-            inner.total_ns
+            inner.self_ns
         );
     }
 }

@@ -184,19 +184,6 @@ impl SweepTelemetry {
         }
     }
 
-    /// Elapsed host time since the reporter was created, milliseconds.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.started.elapsed().as_secs_f64() * 1e3
-    }
-
-    /// Cumulative totals so far.
-    pub fn totals(&self) -> TelemetryTotals {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .totals
-    }
-
     /// Flush and drop the writer, returning the final totals.
     pub fn finish(self) -> TelemetryTotals {
         let mut state = self
@@ -353,7 +340,7 @@ mod tests {
             visits: 5,
             ..CellReport::default()
         });
-        let totals = tel.totals();
+        let totals = tel.finish();
         assert_eq!(totals.completed, 1);
         assert_eq!(totals.visits, 5);
         assert_eq!(totals.lines, 0);

@@ -207,26 +207,6 @@ impl EventMarks {
     pub fn times(&self) -> impl Iterator<Item = SimTime> + '_ {
         self.times.iter().map(|&t| SimTime::from_micros(t))
     }
-
-    /// Occurrences within `[start, end)`.
-    pub fn count_in(&self, start: SimTime, end: SimTime) -> usize {
-        self.times().filter(|&t| t >= start && t < end).count()
-    }
-
-    /// Group occurrences into bursts: a mark within `gap` of the previous
-    /// mark extends the current burst. Returns `(burst_start, count)`.
-    pub fn bursts(&self, gap: SimDuration) -> Vec<(SimTime, usize)> {
-        let mut out: Vec<(SimTime, usize)> = Vec::new();
-        let mut prev: Option<SimTime> = None;
-        for t in self.times() {
-            match (prev, out.last_mut()) {
-                (Some(p), Some((_, n))) if t.saturating_since(p) <= gap => *n += 1,
-                _ => out.push((t, 1)),
-            }
-            prev = Some(t);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -312,26 +292,12 @@ mod tests {
     }
 
     #[test]
-    fn marks_count_and_range() {
+    fn marks_count_and_keep_their_times() {
         let mut m = EventMarks::new();
         m.mark(t(100));
         m.mark(t(200));
         m.mark(t(5000));
         assert_eq!(m.count(), 3);
-        assert_eq!(m.count_in(t(0), t(1000)), 2);
-        assert_eq!(m.count_in(t(200), t(5000)), 1, "half-open interval");
-    }
-
-    #[test]
-    fn bursts_group_nearby_marks() {
-        let mut m = EventMarks::new();
-        m.mark(t(0));
-        m.mark(t(50));
-        m.mark(t(90));
-        m.mark(t(10_000)); // a second burst much later
-        let b = m.bursts(SimDuration::from_millis(200));
-        assert_eq!(b.len(), 2);
-        assert_eq!(b[0], (t(0), 3));
-        assert_eq!(b[1], (t(10_000), 1));
+        assert_eq!(m.times().collect::<Vec<_>>(), [t(100), t(200), t(5000)]);
     }
 }

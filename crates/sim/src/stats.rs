@@ -415,43 +415,6 @@ impl QuantileSketch {
     pub fn percentile(&self, p: f64) -> f64 {
         self.quantile(p / 100.0)
     }
-
-    /// Five-number box summary built from the sketch: min/max/mean/n
-    /// exact, quartiles within the sketch error bound.
-    pub fn box_stats(&self) -> Option<BoxStats> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(BoxStats {
-            min: self.min,
-            q1: self.quantile(0.25),
-            median: self.quantile(0.5),
-            q3: self.quantile(0.75),
-            max: self.max,
-            mean: self.mean(),
-            n: self.count as usize,
-        })
-    }
-
-    /// Empirical CDF over the bucket representatives (clamped into
-    /// `[min, max]`).
-    pub fn cdf(&self) -> Cdf {
-        let n = self.count as f64;
-        let mut points = Vec::with_capacity(self.buckets.len() + 1);
-        let mut cum = 0u64;
-        if self.zeros > 0 {
-            cum += self.zeros;
-            points.push((0.0, cum as f64 / n));
-        }
-        for (&key, &c) in &self.buckets {
-            cum += c;
-            points.push((
-                self.bucket_mid(key).clamp(self.min, self.max),
-                cum as f64 / n,
-            ));
-        }
-        Cdf { points }
-    }
 }
 
 /// The checkpoint-store codec's sketch half, by hand because the encoder
@@ -621,11 +584,7 @@ mod tests {
             assert_eq!(s.quantile(q), 1234.5, "q={q}");
         }
         assert_eq!(s.percentile(50.0), 1234.5);
-        let b = s.box_stats().unwrap();
-        assert_eq!(
-            (b.min, b.median, b.max, b.mean, b.n),
-            (1234.5, 1234.5, 1234.5, 1234.5, 1)
-        );
+        assert_eq!(s.mean(), 1234.5);
     }
 
     #[test]
@@ -656,18 +615,6 @@ mod tests {
         let e = a.merge(&QuantileSketch::with_sub_bits(5)).unwrap_err();
         assert_eq!(e.path, "quantile_sketch.sub_bits");
         assert!(e.detail.contains('7') && e.detail.contains('5'), "{e}");
-    }
-
-    #[test]
-    fn sketch_reduction_builds_cdf() {
-        let mut s = QuantileSketch::new();
-        for x in [0.0, 1.0, 2.0, 4.0] {
-            s.record(x);
-        }
-        let cdf = s.cdf();
-        assert_eq!(cdf.points.first().unwrap(), &(0.0, 0.25));
-        assert_eq!(cdf.points.last().unwrap().1, 1.0);
-        assert_eq!(cdf.fraction_at(0.0), 0.25);
     }
 
     #[test]

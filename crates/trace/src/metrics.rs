@@ -73,25 +73,6 @@ impl Histogram {
     pub fn bucket_for(&self, value: u64) -> u64 {
         self.buckets[(64 - value.leading_zeros()) as usize]
     }
-
-    /// Fold another histogram into this one: buckets add, `min`/`max`
-    /// widen, `count` adds and `sum` saturates. Merging an empty
-    /// histogram is a no-op (its zero `min` must not clobber ours).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (i, &b) in other.buckets.iter().enumerate() {
-            self.buckets[i] += b;
-        }
-        if other.count > 0 {
-            if self.count == 0 || other.min < self.min {
-                self.min = other.min;
-            }
-            if other.max > self.max {
-                self.max = other.max;
-            }
-            self.count += other.count;
-            self.sum = self.sum.saturating_add(other.sum);
-        }
-    }
 }
 
 /// Named counters and histograms, deterministically ordered.
@@ -151,17 +132,6 @@ impl MetricsRegistry {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()
     }
-
-    /// Fold another registry into this one (counters add, histograms
-    /// merge bucket-wise). Used to aggregate across runs.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, &v) in &other.counters {
-            self.count(name, v);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,67 +177,5 @@ mod tests {
         let alpha = ja.find("alpha").unwrap();
         let zebra = ja.find("zebra").unwrap();
         assert!(alpha < zebra, "keys must serialize sorted: {ja}");
-    }
-
-    #[test]
-    fn histogram_merge_combines_buckets_and_summary() {
-        let mut a = Histogram::default();
-        for v in [2u64, 3, 100] {
-            a.observe(v);
-        }
-        let mut b = Histogram::default();
-        for v in [1u64, 2, 4096] {
-            b.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count, 6);
-        assert_eq!(a.sum, 2 + 3 + 100 + 1 + 2 + 4096);
-        assert_eq!(a.min, 1);
-        assert_eq!(a.max, 4096);
-        // 2 and 3 share bit length 2: two from `a`, one from `b`.
-        assert_eq!(a.bucket_for(2), 3);
-        assert_eq!(a.bucket_for(4096), 1);
-    }
-
-    #[test]
-    fn histogram_merge_of_empty_is_a_noop() {
-        let mut a = Histogram::default();
-        a.observe(7);
-        let before = a.clone();
-        a.merge(&Histogram::default());
-        assert_eq!(a, before, "empty merge must not clobber min/count");
-
-        // And merging *into* an empty histogram adopts the other side.
-        let mut empty = Histogram::default();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn histogram_merge_min_takes_smaller_nonzero() {
-        let mut a = Histogram::default();
-        a.observe(100);
-        let mut b = Histogram::default();
-        b.observe(5);
-        a.merge(&b);
-        assert_eq!(a.min, 5);
-        assert_eq!(a.max, 100);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_buckets() {
-        let mut a = MetricsRegistry::new();
-        a.count("c", 1);
-        a.observe("h", 4);
-        let mut b = MetricsRegistry::new();
-        b.count("c", 2);
-        b.observe("h", 64);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.min, 4);
-        assert_eq!(h.max, 64);
-        assert_eq!(h.sum, 68);
     }
 }
