@@ -12,9 +12,10 @@
 //! so the hot path is a plain load and store per counter — no locked
 //! read-modify-write, no line bouncing between workers.
 //! [`thread_counts`] reads the caller's slot (what a sweep worker
-//! brackets a cell with); [`global_counts`] sums every slot. Threads past the slot count
-//! — and allocations made while a thread's locals are being torn down —
-//! share one overflow slot that keeps `fetch_add`.
+//! brackets a cell with); [`global_counts`] sums every slot. Threads
+//! past the slot count — and allocations made while a thread's locals
+//! are being torn down — share one overflow slot that keeps
+//! `fetch_add`.
 //!
 //! The slot index lives in a const-initialized thread-local `Cell` — no
 //! lazy init, no destructor — so reading it from inside the allocator
