@@ -15,65 +15,12 @@
 //! One test function, alone in its binary: the counters are process-wide
 //! and only this thread moves them while it runs.
 
+mod common;
+
 use spdyier::experiments::sweep::{run_sweep_on, SweepOptions, SweepOutcome};
 use spdyier::experiments::Executor;
 use spdyier_scenario::Manifest;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The system allocator, counting live bytes and their high-water mark.
-struct LiveBytes;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrank(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its caller's arguments to `System`
-// unchanged and returns what `System` returned; the counters only read
-// the sizes.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        shrank(layout.size());
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            grew(new_size);
-            shrank(layout.size());
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static GLOBAL: LiveBytes = LiveBytes;
 
 /// Live bytes added per cell, at most: one `CellMetrics` of this
 /// workload is about 0.7 KB. Measured when committed: 676 bytes a cell;
@@ -100,10 +47,8 @@ fn sweep_high_water(seeds: u64) -> usize {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let exec = Executor::new(1);
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let outcome = run_sweep_on(&exec, &manifest, &dir, SweepOptions::default());
-    let high_water = PEAK.load(Ordering::Relaxed) - before;
+    let (outcome, high_water) =
+        common::high_water(|| run_sweep_on(&exec, &manifest, &dir, SweepOptions::default()));
     match outcome.expect("the sweep runs") {
         SweepOutcome::Completed(outcome) => {
             assert_eq!(outcome.exit.code(), 0, "{}", outcome.summary)
