@@ -15,7 +15,7 @@
 //! page/visit-specific in [`crate::visits`].
 
 use crate::config::{ExperimentConfig, ProtocolMode};
-use crate::results::{ConnTraceResult, RunResult};
+use crate::results::RunResult;
 use crate::session::{PipeRole, SessionAction, SessionCtx, Side};
 use crate::visits::Visits;
 use crate::world::{Event, World};
@@ -220,7 +220,7 @@ impl Testbed {
         while let Some(idx) = self.world.dirty.pop_front() {
             guard += 1;
             assert!(guard < 1_000_000, "pipe servicing livelock");
-            if self.world.pipes[idx].closed {
+            if self.world.pipes.is_closed(idx) {
                 continue;
             }
             self.service_reads(idx);
@@ -407,7 +407,7 @@ impl Testbed {
                         self.world.dispatch_fetch(&mut self.result, fetch, request);
                     }
                     SessionAction::ClientBytes { pipe, bytes, fetch } => {
-                        if pipe < self.world.pipes.len() && !self.world.pipes[pipe].closed {
+                        if pipe < self.world.pipes.len() && !self.world.pipes.is_closed(pipe) {
                             if let PipeRole::HttpClient { fetch_queue, .. } =
                                 &mut self.world.pipes[pipe].role
                             {
@@ -500,7 +500,7 @@ impl Testbed {
         let _span = spdyier_prof::scope(Self::event_scope(&ev));
         match ev {
             Event::Deliver { pipe, to_b, seg } => {
-                if self.world.pipes[pipe].closed {
+                if self.world.pipes.is_closed(pipe) {
                     return;
                 }
                 let now = self.world.now;
@@ -522,7 +522,7 @@ impl Testbed {
                 self.service_all();
             }
             Event::Timer { pipe, b_side } => {
-                if self.world.pipes[pipe].closed {
+                if self.world.pipes.is_closed(pipe) {
                     return;
                 }
                 let p = &mut self.world.pipes[pipe];
@@ -569,7 +569,7 @@ impl Testbed {
                 }
             }
             Event::OriginReply { pipe, bytes } => {
-                if !self.world.pipes[pipe].closed {
+                if !self.world.pipes.is_closed(pipe) {
                     self.world.pipes[pipe].out_b.push_back(bytes);
                     self.world.mark_dirty(pipe);
                     self.service_all();
@@ -652,25 +652,14 @@ impl Testbed {
         if self.world.tracer.active(TraceLevel::Transport) {
             self.world.sync_promotions();
         }
-        // Harvest every pipe's stats/traces.
+        // Harvest the pipes still open; every access pipe has then left
+        // its report.
         for idx in 0..self.world.pipes.len() {
             self.world.harvest_pipe(idx);
         }
-        for pipe in &mut self.world.pipes {
-            if !pipe.over_access {
-                continue;
-            }
-            let stats_a = pipe.a.stats();
-            let stats_b = pipe.b.stats();
-            self.result.total_idle_restarts += stats_a.idle_restarts + stats_b.idle_restarts;
-            // The proxy side is the bulk sender; keep its trace (present
-            // only under `cfg.tcp.trace`).
-            self.result.conn_traces.push(ConnTraceResult {
-                label: pipe.label.clone(),
-                opened: pipe.opened,
-                stats: stats_b,
-                trace: pipe.b.take_trace(),
-            });
+        for report in std::mem::take(&mut self.world.pipes).into_reports() {
+            self.result.total_idle_restarts += report.idle_restarts;
+            self.result.conn_traces.push(report.conn);
         }
         let access = &mut self.world.access;
         self.result.promotions = access.radio().promotions().to_vec();

@@ -873,7 +873,7 @@ impl SpdySide {
     /// staging queue is shallow — keeping priority decisions late.
     pub fn pump_proxy_wire(&mut self, world: &mut World, sidx: usize) {
         let pipe = self.clients[sidx].pipe;
-        if world.pipes[pipe].closed {
+        if world.pipes.is_closed(pipe) {
             return;
         }
         let mut staged: u64 = world.pipes[pipe].out_b.iter().map(|b| b.len()).sum();
@@ -894,7 +894,7 @@ impl SpdySide {
     /// queue (once SSL setup has finished).
     pub fn pump_client_wire(&mut self, world: &mut World, sidx: usize) {
         let pipe = self.clients[sidx].pipe;
-        if world.pipes[pipe].closed || !self.clients[sidx].usable {
+        if world.pipes.is_closed(pipe) || !self.clients[sidx].usable {
             return;
         }
         while let Some(wire) = self.clients[sidx].session.poll_wire() {

@@ -49,24 +49,28 @@ const CEILINGS: [(&str, &str, u64); 4] = [
 
 /// `(scenario, protocol, bytes requested per visit at most)` by a cell
 /// run, from building the testbed to dropping its result. Measured when
-/// committed: 1,501,883 / 2,445,745. A tree that recorded the
-/// per-segment downlink and bytes-in-flight series for every cell, read
-/// or not, measured 1,895,035 / 2,838,897 and fails both rows.
+/// committed: 1,458,827 / 2,438,110 (1,503,699 / 2,446,089 while every
+/// pipe stayed in a growing `Vec` until the run ended). A tree that
+/// recorded the per-segment downlink and bytes-in-flight series for
+/// every cell, read or not, measured 1,895,035 / 2,838,897 and fails
+/// both rows.
 const BYTES_CEILINGS: [(&str, &str, u64); 2] = [
-    ("bulk_lte_small.json", "http", 1_576_978),
-    ("bulk_lte_small.json", "spdy", 2_568_033),
+    ("bulk_lte_small.json", "http", 1_531_769),
+    ("bulk_lte_small.json", "spdy", 2_560_016),
 ];
 
 /// `(scenario, protocol, bytes requested per visit at most)` by
 /// `experiments explain`: run at full trace, event model, critical
 /// paths, both renderings, both files. Measured when committed:
-/// 3,413,114 / 3,208,131 (a tree that retained the flight log and
-/// printed the JSON from a `Value` tree measured 4,609,335 / 5,583,375;
-/// one that rebuilt the compressor's index per session and held
-/// headers as string pairs 3,660,113 / 3,991,101: each fails both rows).
+/// 3,202,734 / 3,104,552 (3,422,451 / 3,211,382 while every pipe stayed
+/// in a growing `Vec` until the run ended; a tree that retained the
+/// flight log and printed the JSON from a `Value` tree measured
+/// 4,609,335 / 5,583,375; one that rebuilt the compressor's index per
+/// session and held headers as string pairs 3,660,113 / 3,991,101: each
+/// fails both rows).
 const EXPLAIN_CEILINGS: [(&str, &str, u64); 2] = [
-    ("paired_3g.json", "http", 3_583_769),
-    ("paired_3g.json", "spdy", 3_368_831),
+    ("paired_3g.json", "http", 3_362_871),
+    ("paired_3g.json", "spdy", 3_259_780),
 ];
 
 /// `(protocol, allocator calls, bytes requested)` at most, for one
@@ -75,12 +79,16 @@ const EXPLAIN_CEILINGS: [(&str, &str, u64); 2] = [
 /// which is what cells 2..N of a sweep cost. A cell is two visits of a
 /// six-object page, so the fixed cost per session dominates: a
 /// compressor index rebuilt per session shows in the bytes, an owned
-/// string per header in the calls. Measured when committed: 1,217 calls
-/// and 326,432 bytes / 1,329 and 210,803 (879d3dc, which did both,
+/// string per header in the calls. The calls ceilings sit over 1,217 /
+/// 1,329 measured when they were committed; dropping each closed pipe
+/// (one `Box` per pipe opened) took them to 1,232 / 1,333. The bytes
+/// ceilings sit over 240,711 / 195,277, measured with that change
+/// (326,432 / 210,803 while every pipe stayed in a growing `Vec`).
+/// 879d3dc, which rebuilt the index and owned its header strings,
 /// measured 2,037 and 361,843 / 3,160 and 776,652 and fails every
-/// figure).
+/// figure.
 const POPULATION_CEILINGS: [(&str, u64, u64); 2] =
-    [("http", 1_278, 342_754), ("spdy", 1_396, 221_344)];
+    [("http", 1_278, 252_747), ("spdy", 1_396, 205_041)];
 
 /// Allocator calls per million records of `FlightLog::to_jsonl` over
 /// `trace_spdy_3g.json`'s 81,008-record log, at most. Measured when
