@@ -64,9 +64,9 @@ impl StallBreakdown {
 /// Decompose every finished visit in `log` into a [`StallBreakdown`]:
 /// build the log's event model, project it with [`stall_table`].
 ///
-/// Needs at least `Transport`-level events for promotions and RTO
-/// stalls; serialization and queueing shares additionally need the
-/// `Full`-level `SegmentSent` records (they are zero otherwise).
+/// Needs a log recorded at `Full`: promotions and RTO stalls come from
+/// their events, serialization and queueing shares from the
+/// `SegmentSent` records.
 pub fn attribute_stalls(log: &FlightLog) -> Vec<StallBreakdown> {
     stall_table(&EventModel::from_records(&log.events))
 }

@@ -363,7 +363,7 @@ impl Testbed {
                 self.world.put_role(idx, role);
                 for req in requests {
                     let (latency, resp) = self.origin.handle(&req, &mut self.world.rng_origin);
-                    if self.world.tracer.active(TraceLevel::Lifecycle) {
+                    if self.world.tracer.active(TraceLevel::Full) {
                         self.world.tracer.emit(
                             self.world.now,
                             TraceEvent::OriginThink {
@@ -595,7 +595,7 @@ impl Testbed {
                             .access
                             .send(dir, self.world.now, 1380, &mut self.world.rng_net);
                 }
-                if self.world.tracer.active(TraceLevel::Transport) {
+                if self.world.tracer.active(TraceLevel::Full) {
                     self.world.sync_promotions();
                 }
                 if let Some(interval) = self.cfg.keepalive_ping {
@@ -649,7 +649,7 @@ impl Testbed {
         let _span = spdyier_prof::scope("driver.finalize");
         // Make sure every promotion taken this run reaches the recorder,
         // even ones after the last access-pipe drain.
-        if self.world.tracer.active(TraceLevel::Transport) {
+        if self.world.tracer.active(TraceLevel::Full) {
             self.world.sync_promotions();
         }
         // Harvest the pipes still open; every access pipe has then left

@@ -311,7 +311,7 @@ impl Visits {
             Some(t) => t.saturating_since(start).as_secs_f64() * 1e3,
             None => world.now.saturating_since(start).as_secs_f64() * 1e3,
         };
-        if world.tracer.active(TraceLevel::Lifecycle) {
+        if world.tracer.active(TraceLevel::Full) {
             let end = onload.unwrap_or(world.now);
             let plt_us = end.saturating_since(start).as_micros();
             world.tracer.emit(

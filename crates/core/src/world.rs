@@ -353,7 +353,7 @@ impl World {
         }
         a.connect(self.now);
         let idx = self.pipes.len();
-        if self.tracer.active(TraceLevel::Lifecycle) {
+        if self.tracer.active(TraceLevel::Full) {
             self.tracer.emit(
                 self.now,
                 TraceEvent::ConnOpened {
@@ -458,10 +458,10 @@ impl World {
     /// Drain transmittable segments from both sides onto the links,
     /// scheduling deliveries (or dropping, per link verdict).
     pub fn drain_tx(&mut self, idx: usize, result: &mut RunResult) {
-        let transport = self.tracer.active(TraceLevel::Transport);
+        let traced = self.tracer.active(TraceLevel::Full);
         let over_access = self.pipes[idx].over_access;
         for b_side in [false, true] {
-            let idle_restarts_before = if transport {
+            let idle_restarts_before = if traced {
                 let conn = if b_side {
                     &self.pipes[idx].b
                 } else {
@@ -490,7 +490,7 @@ impl World {
                     (false, false) => Direction::Up,
                     (false, true) => Direction::Down,
                 };
-                let queue_drops_before = if transport && over_access {
+                let queue_drops_before = if traced && over_access {
                     self.access.link(dir).stats().queue_drops
                 } else {
                     0
@@ -502,12 +502,12 @@ impl World {
                     self.wired
                         .send(dir, self.now, seg.wire_size(), &mut self.rng_net)
                 };
-                if transport && over_access {
+                if traced && over_access {
                     self.tracer.count("link.access.segments", 1);
                 }
                 match verdict {
                     LinkVerdict::Deliver(at) => {
-                        if over_access && self.tracer.active(TraceLevel::Full) {
+                        if traced && over_access {
                             let ser = self.access.link(dir).serialization_time(seg.wire_size());
                             self.tracer.emit(
                                 self.now,
@@ -535,7 +535,7 @@ impl World {
                     }
                     LinkVerdict::Drop => {
                         // The packet evaporates; TCP recovery handles it.
-                        if transport && over_access {
+                        if traced && over_access {
                             let queue_drops = self.access.link(dir).stats().queue_drops;
                             self.tracer.emit(
                                 self.now,
@@ -550,7 +550,7 @@ impl World {
                     }
                 }
             }
-            if transport {
+            if traced {
                 let conn = if b_side {
                     &self.pipes[idx].b
                 } else {
@@ -564,10 +564,10 @@ impl World {
                 }
             }
         }
-        if transport {
+        if traced {
             self.sync_promotions();
         }
-        if over_access && self.tracer.active(TraceLevel::Full) {
+        if traced && over_access {
             self.sample_cwnd(idx);
         }
     }
@@ -576,9 +576,9 @@ impl World {
     /// last drain into the run's outputs by their rules (DESIGN.md,
     /// "Counting retransmissions"): R1, a retransmission on the access
     /// path that is not a pure FIN; R2, an RTO firing on the access path;
-    /// R4, at `Transport` level, an RTO firing on any pipe.
+    /// R4, when traced, an RTO firing on any pipe.
     pub fn drain_census(&mut self, idx: usize, b_side: bool, result: &mut RunResult) {
-        let transport = self.tracer.active(TraceLevel::Transport);
+        let traced = self.tracer.active(TraceLevel::Full);
         let pipe = &mut self.pipes[idx];
         let (over_access, silent_since) = (pipe.over_access, pipe.last_activity);
         let conn = if b_side { &mut pipe.b } else { &mut pipe.a };
@@ -590,7 +590,7 @@ impl World {
                 if over_access {
                     result.total_timeouts += 1;
                 }
-                if transport {
+                if traced {
                     self.tracer.emit(
                         record.at,
                         TraceEvent::TcpRto {
@@ -610,7 +610,7 @@ impl World {
                 // out of it.
                 result.retransmissions.mark(record.at);
                 result.total_retransmissions += 1;
-                if transport {
+                if traced {
                     self.tracer.emit(
                         record.at,
                         TraceEvent::TcpRetransmit {
@@ -814,7 +814,7 @@ impl World {
                 .expect("at the cap implies at least one pipe")
                 .0
         };
-        if self.tracer.active(TraceLevel::Lifecycle) {
+        if self.tracer.active(TraceLevel::Full) {
             self.tracer.emit(
                 self.now,
                 TraceEvent::ProxyFetchDispatch {

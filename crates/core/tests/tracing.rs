@@ -51,16 +51,6 @@ fn tracing_is_invisible_to_the_simulation() {
 }
 
 #[test]
-fn trace_levels_are_cumulative() {
-    let (_, lifecycle) = run_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Lifecycle));
-    let (_, transport) = run_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Transport));
-    let (_, full) = run_traced(small_cfg(ProtocolMode::spdy(), TraceLevel::Full));
-    assert!(lifecycle.emitted > 0);
-    assert!(transport.emitted >= lifecycle.emitted);
-    assert!(full.emitted > transport.emitted, "Full adds segment detail");
-}
-
-#[test]
 fn stall_attribution_conserves_plt_exactly() {
     let (_, log) = run_traced(paired_3g_cfg(ProtocolMode::spdy(), TraceLevel::Full));
     let stalls = attribute_stalls(&log);

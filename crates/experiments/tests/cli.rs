@@ -185,24 +185,26 @@ fn a_trace_passed_as_a_manifest_is_refused() {
 
 /// `result.json` carries an attribution key only when the run recorded
 /// the events the key is built from: no `*_stall_ms` or `critical_*_ms`
-/// key below `transport`, the four promotion/RTO/think/other shares at
-/// `transport`, and the per-segment shares plus the nine critical-path
-/// edges only at `full`. A zero printed below a key's level would be
-/// indistinguishable from a measured zero.
+/// key at `off`, all six stall shares and the nine critical-path edges at
+/// `full`. A zero printed for an untraced run would be indistinguishable
+/// from a measured zero. The retired level names and digits are config
+/// errors: exit 3 and one line naming the two levels.
 #[test]
 fn result_json_carries_attribution_keys_only_at_their_trace_level() {
     let dir = std::env::temp_dir().join(format!("spdyier_cli_levels_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let transport = "promotion_stall_ms rto_stall_ms think_stall_ms other_stall_ms";
     let full = "promotion_stall_ms serialization_stall_ms queueing_stall_ms rto_stall_ms \
                 think_stall_ms other_stall_ms critical_parse_ms critical_conn_setup_ms \
                 critical_promotion_ms critical_rto_stall_ms critical_serialization_ms \
                 critical_queueing_ms critical_think_ms critical_wait_ms critical_receive_ms";
     let cases = [
-        ("off", ""),
-        ("lifecycle", ""),
-        ("transport", transport),
-        ("full", full),
+        ("off", Some("")),
+        ("full", Some(full)),
+        ("lifecycle", None),
+        ("transport", None),
+        ("1", None),
+        ("2", None),
+        ("frames", None),
     ];
     for (level, expected) in cases {
         let manifest = dir.join(format!("{level}.json"));
@@ -215,6 +217,15 @@ fn result_json_carries_attribution_keys_only_at_their_trace_level() {
         std::fs::write(&manifest, text).expect("manifest written");
         let (manifest, out_dir) = (manifest.to_str().unwrap(), out.to_str().unwrap());
         let child = experiments(&["run", manifest, "--out", out_dir]);
+        let Some(expected) = expected else {
+            let stderr = String::from_utf8_lossy(&child.stderr);
+            assert_eq!(child.status.code(), Some(3), "{level}: {child:?}");
+            assert_eq!(stderr.lines().count(), 1, "{level}: {stderr}");
+            assert!(stderr.contains("manifest.trace"), "{level}: {stderr}");
+            assert!(stderr.contains("off or full"), "{level}: {stderr}");
+            assert!(!out.exists(), "{level}: nothing is written");
+            continue;
+        };
         assert_eq!(child.status.code(), Some(0), "{level}: {child:?}");
         let result = std::fs::read_to_string(out.join("result.json")).expect("result.json");
         let doc = serde_json::from_str(&result).expect("result.json parses");
@@ -227,6 +238,43 @@ fn result_json_carries_attribution_keys_only_at_their_trace_level() {
             .filter(|key| key.ends_with("_stall_ms") || key.starts_with("critical_"))
             .collect();
         assert_eq!(attribution.join(" "), expected, "trace level {level}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `counter.<name>` assertion turns the recorder on, and every counter
+/// the registry publishes is then counted: a 3G SPDY manifest with no
+/// `trace` key reads real promotions and RTO firings and passes, where a
+/// recorder that published them only at a higher level read 0 and failed.
+#[test]
+fn counter_assertions_read_what_the_run_counted() {
+    let dir = std::env::temp_dir().join(format!("spdyier_cli_counters_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("counters.json");
+    let out = dir.join("out");
+    let text = r#"{"schema_version":1,"name":"counters","network":{"kind":"3g"},
+        "protocols":["spdy"],"seeds":{"base":0,"count":1},
+        "workload":{"kind":"site","site":3,"visits":4},
+        "assertions":["counter.rrc.promotions >= 1","counter.tcp.rto_fires >= 1"]}"#;
+    std::fs::write(&manifest, text).expect("manifest written");
+    let child = experiments(&[
+        "run",
+        manifest.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(child.status.code(), Some(0), "{child:?}");
+    let result = std::fs::read_to_string(out.join("result.json")).expect("result.json");
+    let doc = serde_json::from_str(&result).expect("result.json parses");
+    for i in 0..2 {
+        let verdict = &doc["assertions"][i];
+        assert_eq!(
+            verdict["status"],
+            serde::Value::Str("pass".into()),
+            "{result}"
+        );
+        let lhs = verdict["lhs"].as_f64().expect("a measured count");
+        assert!(lhs >= 1.0, "{result}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

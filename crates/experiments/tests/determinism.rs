@@ -15,7 +15,7 @@ use spdyier_scenario::Manifest;
 #[test]
 fn parallel_traced_sweep_has_byte_identical_jsonl() {
     let mut manifest = Manifest::paper_baseline("determinism");
-    manifest.trace = TraceLevel::Transport;
+    manifest.trace = TraceLevel::Full;
     manifest.outputs.paired_dump = true;
     manifest.outputs.trace_artifacts = true;
 

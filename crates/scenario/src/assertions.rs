@@ -124,10 +124,10 @@ impl MetricRef {
         })
     }
 
-    /// The minimum flight-recorder level this reference needs to be
-    /// computable: its [`METRICS`] row's, or `Lifecycle` for `counter.*`
-    /// (a hand-built reference to an unknown metric needs none: it fails
-    /// evaluation at any level).
+    /// The flight-recorder level this reference needs to be computable:
+    /// its [`METRICS`] row's, or `Full` for `counter.*` (a hand-built
+    /// reference to an unknown metric needs none: it fails evaluation at
+    /// any level).
     pub fn required_trace(&self) -> TraceLevel {
         required_trace(&self.metric).unwrap_or(TraceLevel::Off)
     }
@@ -236,7 +236,7 @@ mod tests {
         assert_eq!(a.rhs, Operand::Number(9000.0));
 
         let a = Assertion::parse("http.counter.tcp.rto_fired >= 1").unwrap();
-        assert_eq!(a.required_trace(), TraceLevel::Lifecycle);
+        assert_eq!(a.required_trace(), TraceLevel::Full);
         let lhs = a.lhs.metric().unwrap();
         assert_eq!(lhs.filters, ["http"]);
         assert_eq!(lhs.metric, "counter.tcp.rto_fired");
@@ -293,7 +293,8 @@ mod tests {
             let mixed = Assertion::parse(&format!("{name} > critical_wait_ms")).unwrap();
             assert_eq!(mixed.required_trace(), TraceLevel::Full, "{name}");
             let empty = CellMetrics::default().metric(name);
-            assert_eq!(empty.is_err(), level >= TraceLevel::Transport, "{name}");
+            let unsampled = level == TraceLevel::Full && name != "trace_dropped";
+            assert_eq!(empty.is_err(), unsampled, "{name}");
             let value = populated
                 .metric(name)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

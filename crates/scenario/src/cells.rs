@@ -315,13 +315,13 @@ mod tests {
         }"#;
         let m = Manifest::from_json(text).unwrap();
         assert_eq!(m.trace, TraceLevel::Off);
-        assert_eq!(m.effective_trace(), TraceLevel::Transport);
+        assert_eq!(m.effective_trace(), TraceLevel::Full);
         let cfg = m.cells()[0].build_config(&m);
-        assert_eq!(cfg.trace_level, TraceLevel::Transport);
+        assert_eq!(cfg.trace_level, TraceLevel::Full);
     }
 
     #[test]
-    fn critical_path_assertions_raise_trace_level_to_full() {
+    fn critical_path_and_counter_assertions_raise_trace_level_to_full() {
         let text = r#"{
             "schema_version": 1,
             "name": "critical",
@@ -340,10 +340,23 @@ mod tests {
             "name": "lossless",
             "network": { "kind": "wifi" },
             "protocols": ["http"],
-            "assertions": ["trace_dropped <= 0"]
+            "assertions": ["trace_dropped <= 0", "counter.rrc.promotions >= 0"]
         }"#;
         let m = Manifest::from_json(text).unwrap();
-        assert_eq!(m.effective_trace(), TraceLevel::Lifecycle);
+        assert_eq!(m.effective_trace(), TraceLevel::Full);
+    }
+
+    #[test]
+    fn untraced_metrics_leave_the_recorder_off() {
+        let text = r#"{
+            "schema_version": 1,
+            "name": "plain",
+            "network": { "kind": "wifi" },
+            "protocols": ["http"],
+            "assertions": ["plt_p50_ms < 9000", "timeouts >= 0"]
+        }"#;
+        let m = Manifest::from_json(text).unwrap();
+        assert_eq!(m.effective_trace(), TraceLevel::Off);
     }
 
     #[test]

@@ -132,9 +132,7 @@ impl Deserialize for Manifest {
         let trace = match f.opt::<String>("trace")? {
             None => TraceLevel::Off,
             Some(level) => TraceLevel::parse(&level).ok_or_else(|| {
-                let msg = format!(
-                    "unknown level {level:?} (expected off, lifecycle, transport, or full)"
-                );
+                let msg = format!("unknown level {level:?} (expected off or full)");
                 Error::new(msg).at("trace")
             })?,
         };

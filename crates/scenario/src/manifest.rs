@@ -445,11 +445,11 @@ impl Manifest {
     }
 
     /// The trace level the runner actually uses: the declared level,
-    /// raised to whatever the assertions demand — `Transport` for stall
-    /// attribution, `Full` for critical-path metrics, `Lifecycle` for
-    /// `trace_dropped` / counter passthroughs (the flight recorder is
-    /// passive, so raising it never perturbs the simulation — the
-    /// determinism suite pins that).
+    /// raised to `Full` when an assertion names a metric the recorder
+    /// feeds — stall attribution, critical-path metrics, `trace_dropped`
+    /// or a counter passthrough (the flight recorder is passive, so
+    /// raising it never perturbs the simulation — the determinism suite
+    /// pins that).
     pub fn effective_trace(&self) -> TraceLevel {
         let needed = self
             .assertions

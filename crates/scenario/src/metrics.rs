@@ -52,16 +52,15 @@ pub struct CellMetrics {
     /// Stall-category sums in µs over attributed visits, in
     /// [promotion, serialization, queueing, rto, think, other] order.
     pub stall_sums_us: [u64; 6],
-    /// Visits with a stall attribution (0 when tracing was below
-    /// `Transport`).
+    /// Visits with a stall attribution (0 when the cell was untraced).
     pub stall_visits: u64,
     /// Critical-path edge sums in µs over extracted visits, in the
     /// causal engine's canonical [`spdyier_causal::EDGE_KINDS`] order:
     /// [parse, conn_setup, promotion, rto, serialization, queueing,
     /// think, wait, receive].
     pub critical_sums_us: [u64; 9],
-    /// Visits with an extracted critical path (0 when tracing was below
-    /// `Full`, which makes it the accumulator's witness of that level).
+    /// Visits with an extracted critical path (0 when the cell was
+    /// untraced).
     pub critical_visits: u64,
     /// Aggregate TCP retransmissions.
     pub retransmissions: u64,
@@ -81,8 +80,8 @@ pub struct CellMetrics {
     pub counters: BTreeMap<String, u64>,
 }
 
-/// A metric's row: its name, the least flight-recorder level that makes
-/// it computable, and how to compute it over a (pooled) accumulator.
+/// A metric's row: its name, the flight-recorder level that makes it
+/// computable, and how to compute it over a (pooled) accumulator.
 pub type Metric = (
     &'static str,
     TraceLevel,
@@ -90,18 +89,16 @@ pub type Metric = (
 );
 
 const NO_STALL_SAMPLES: &str =
-    "no stall-attribution samples (stall metrics need transport-level tracing)";
-const NO_SEGMENT_SAMPLES: &str =
-    "no per-segment samples (serialization and queueing shares need full-level tracing)";
+    "no stall-attribution samples (stall metrics need full-level tracing)";
 const NO_CRITICAL_SAMPLES: &str =
     "no critical-path samples (critical metrics need full-level tracing)";
 
 /// Every metric an assertion may name, besides the `counter.<name>`
 /// passthrough into the trace metrics registry (which needs the recorder
-/// merely on: [`TraceLevel::Lifecycle`]).
+/// on: [`TraceLevel::Full`]).
 #[rustfmt::skip]
 pub const METRICS: &[Metric] = {
-    use TraceLevel::{Full, Lifecycle, Off, Transport};
+    use TraceLevel::{Full, Off};
     &[
         ("plt_p50_ms", Off, |m| Ok(m.plt.percentile(50.0))),
         ("plt_p90_ms", Off, |m| Ok(m.plt.percentile(90.0))),
@@ -114,15 +111,13 @@ pub const METRICS: &[Metric] = {
         ("visits", Off, |m| Ok(m.visits as f64)),
         ("completed_visits", Off, |m| Ok(m.completed as f64)),
         // STALL_ROWS: the six stall categories, in `stall_sums_us` order.
-        // Serialization / queueing are `Full`: their intervals come from
-        // per-segment records.
-        ("promotion_stall_ms", Transport, |m| m.stall_mean_ms(0)),
-        ("serialization_stall_ms", Full, |m| m.segment_stall_mean_ms(1)),
-        ("queueing_stall_ms", Full, |m| m.segment_stall_mean_ms(2)),
-        ("rto_stall_ms", Transport, |m| m.stall_mean_ms(3)),
-        ("think_stall_ms", Transport, |m| m.stall_mean_ms(4)),
-        ("other_stall_ms", Transport, |m| m.stall_mean_ms(5)),
-        ("rto_stall_per_event_ms", Transport,
+        ("promotion_stall_ms", Full, |m| m.stall_mean_ms(0)),
+        ("serialization_stall_ms", Full, |m| m.stall_mean_ms(1)),
+        ("queueing_stall_ms", Full, |m| m.stall_mean_ms(2)),
+        ("rto_stall_ms", Full, |m| m.stall_mean_ms(3)),
+        ("think_stall_ms", Full, |m| m.stall_mean_ms(4)),
+        ("other_stall_ms", Full, |m| m.stall_mean_ms(5)),
+        ("rto_stall_per_event_ms", Full,
             |m| m.per_rto_firing(m.stall_sums_us[3], m.stall_visits, NO_STALL_SAMPLES)),
         ("retransmissions", Off, |m| Ok(m.retransmissions as f64)),
         ("timeouts", Off, |m| Ok(m.timeouts as f64)),
@@ -133,8 +128,7 @@ pub const METRICS: &[Metric] = {
         ("total_bytes", Off, |m| Ok(m.total_bytes as f64)),
         // CRITICAL_ROWS: the nine critical-path edges (mean ms per visit
         // on the pooled cells' critical paths), in `critical_sums_us`
-        // order. `Full`: the serialization / queueing edges come from
-        // per-segment records.
+        // order.
         ("critical_parse_ms", Full, |m| m.critical_mean_ms(0)),
         ("critical_conn_setup_ms", Full, |m| m.critical_mean_ms(1)),
         ("critical_promotion_ms", Full, |m| m.critical_mean_ms(2)),
@@ -148,7 +142,7 @@ pub const METRICS: &[Metric] = {
             |m| m.per_rto_firing(m.critical_sums_us[3], m.critical_visits, NO_CRITICAL_SAMPLES)),
         // Trace-sink losses: any drop voids conservation guarantees, so
         // scenarios can pin this to zero.
-        ("trace_dropped", Lifecycle, |m| Ok(m.counter("trace.sink_dropped"))),
+        ("trace_dropped", Full, |m| Ok(m.counter("trace.sink_dropped"))),
     ]
 };
 
@@ -164,11 +158,11 @@ fn counter_name(metric: &str) -> Option<&str> {
     metric.strip_prefix(COUNTER)?.strip_prefix('.')
 }
 
-/// The least flight-recorder level at which `metric` is computable;
-/// `None` for a name that is neither in [`METRICS`] nor a counter.
+/// The flight-recorder level at which `metric` is computable; `None`
+/// for a name that is neither in [`METRICS`] nor a counter.
 pub(crate) fn required_trace(metric: &str) -> Option<TraceLevel> {
     if counter_name(metric).is_some() {
-        return Some(TraceLevel::Lifecycle);
+        return Some(TraceLevel::Full);
     }
     let row = METRICS.iter().find(|(name, ..)| *name == metric);
     row.map(|&(_, level, _)| level)
@@ -185,9 +179,7 @@ impl CellMetrics {
     /// [`Self::from_run`] for a caller that already holds the log's event
     /// model and its stall table — the runner renders the cell's trace
     /// artifacts from the same two, so a traced cell is scanned once and
-    /// swept once. Each table folds only at the trace level its
-    /// [`METRICS`] rows declare: below it the events it is built from
-    /// were never recorded, and its zeros would be false.
+    /// swept once. A traced cell folds both tables.
     pub fn from_model(
         cell: &Cell,
         result: &RunResult,
@@ -210,24 +202,20 @@ impl CellMetrics {
             m.fold_visit(v);
         }
         if let Some((log, model)) = traced {
-            if log.level >= METRICS[STALL_ROWS.start].1 {
-                for b in stalls {
-                    m.stall_sums_us[0] += b.promotion_us;
-                    m.stall_sums_us[1] += b.serialization_us;
-                    m.stall_sums_us[2] += b.queueing_us;
-                    m.stall_sums_us[3] += b.rto_stall_us;
-                    m.stall_sums_us[4] += b.server_think_us;
-                    m.stall_sums_us[5] += b.other_us;
-                    m.stall_visits += 1;
-                }
+            for b in stalls {
+                m.stall_sums_us[0] += b.promotion_us;
+                m.stall_sums_us[1] += b.serialization_us;
+                m.stall_sums_us[2] += b.queueing_us;
+                m.stall_sums_us[3] += b.rto_stall_us;
+                m.stall_sums_us[4] += b.server_think_us;
+                m.stall_sums_us[5] += b.other_us;
+                m.stall_visits += 1;
             }
-            if log.level >= METRICS[CRITICAL_ROWS.start].1 {
-                for p in critical_paths(model) {
-                    for (sum, add) in m.critical_sums_us.iter_mut().zip(p.sums_us()) {
-                        *sum += add;
-                    }
-                    m.critical_visits += 1;
+            for p in critical_paths(model) {
+                for (sum, add) in m.critical_sums_us.iter_mut().zip(p.sums_us()) {
+                    *sum += add;
                 }
+                m.critical_visits += 1;
             }
             for (name, count) in log.metrics.counters() {
                 *m.counters.entry(name.to_string()).or_insert(0) += count;
@@ -291,15 +279,6 @@ impl CellMetrics {
             return Err(NO_STALL_SAMPLES.into());
         }
         Ok(self.stall_sums_us[category] as f64 / 1_000.0 / self.stall_visits as f64)
-    }
-
-    /// The serialization / queueing shares exist only in a `Full`-level
-    /// accumulator (see [`CellMetrics::critical_visits`]).
-    fn segment_stall_mean_ms(&self, category: usize) -> Result<f64, String> {
-        if self.critical_visits == 0 {
-            return Err(NO_SEGMENT_SAMPLES.into());
-        }
-        self.stall_mean_ms(category)
     }
 
     fn critical_mean_ms(&self, edge: usize) -> Result<f64, String> {
@@ -371,8 +350,8 @@ impl Serialize for Summary<'_> {
         w.field("total_bytes", &m.total_bytes);
         w.field("energy_mj", &m.energy_mj);
         for (name, _, eval) in METRICS[STALL_ROWS].iter().chain(&METRICS[CRITICAL_ROWS]) {
-            // Absent without samples, so a run below a row's trace level
-            // (lifecycle: all of them) keeps the legacy schema.
+            // Absent without samples, so an untraced run keeps the
+            // legacy schema.
             if let Ok(value) = eval(m) {
                 w.field(name, &value);
             }
@@ -593,7 +572,7 @@ mod tests {
         let verdicts = evaluate(&m, &[c]);
         assert_eq!(verdicts[0].status, VerdictStatus::Fail);
         assert!(
-            verdicts[0].detail.contains("transport"),
+            verdicts[0].detail.contains("full-level tracing"),
             "{}",
             verdicts[0].detail
         );
@@ -642,8 +621,7 @@ mod tests {
                 "critical_receive_ms",
             ]
         );
-        // Without critical-path samples the critical_* keys stay absent so
-        // lifecycle-level runs keep the legacy schema.
+        // Without critical-path samples the critical_* keys stay absent.
         let c = cell("http", 0, &[100.0], 2_000);
         let Value::Object(entries) = Summary(&c).to_value() else {
             panic!("summary is an object");

@@ -1,7 +1,7 @@
 //! Fuzz the manifest decoder with one mutation per case to a committed
 //! manifest: a key dropped, duplicated or added at any depth, a value
-//! retyped as each JSON type, a number replaced by an edge value, or the
-//! text cut at a byte. Decoding never panics. It returns `Ok`, or one
+//! retyped as each JSON type, a number replaced by an edge value, the
+//! trace level set to a name, or the text cut at a byte. Decoding never panics. It returns `Ok`, or one
 //! line starting with `scenario error`; after a mutation at a key or an
 //! array element, the line names that place's `manifest.` path (or, for
 //! a rule that joins keys, the object that holds it).
@@ -13,6 +13,20 @@ use spdyier_scenario::Manifest;
 /// The committed manifests mutated: between them every section shape
 /// but `outputs`, whose rules join keys across sections.
 const FUZZED: [&str; 2] = ["mitigation_matrix_3g.json", "bulk_lte_small.json"];
+
+/// Names a `trace` key is set to: the two levels the decoder takes, then
+/// retired level names, aliases and digits, which it refuses.
+const LEVELS: [&str; 9] = [
+    "off",
+    "full",
+    "lifecycle",
+    "transport",
+    "frames",
+    "none",
+    "",
+    "1",
+    "3",
+];
 
 /// One step of a path into a document.
 #[derive(Clone, Debug)]
@@ -87,6 +101,9 @@ struct Mutation {
     /// key can change how its siblings read (no `kind` makes a workload
     /// `table1`, which takes no `objects`).
     siblings: bool,
+    /// Whether the mutated document must decode, when the mutation
+    /// decides it.
+    decodes: Option<bool>,
 }
 
 fn pick(s: &mut u64, n: usize) -> usize {
@@ -106,7 +123,7 @@ fn mutate(mut seed: u64) -> Mutation {
     paths(&doc, &mut Vec::new(), &mut all);
     let place = |path: &[Seg]| Some((dotted(path), dotted(&path[..path.len() - 1])));
 
-    let kind = pick(s, 6);
+    let kind = pick(s, 7);
     let (what, place, siblings) = match kind {
         // Drop, duplicate or insert a key of an object (the root included).
         0..=2 => {
@@ -167,6 +184,22 @@ fn mutate(mut seed: u64) -> Mutation {
             *at_mut(&mut doc, &path) = value;
             (what, place(&path), false)
         }
+        // Set the trace level to a name, taken or refused.
+        5 => {
+            let level = LEVELS[pick(s, LEVELS.len())];
+            let Value::Object(entries) = &mut doc else {
+                unreachable!("a manifest is an object");
+            };
+            entries.retain(|(key, _)| key != "trace");
+            entries.push(("trace".into(), Value::Str(level.into())));
+            return Mutation {
+                what: format!("{file}: set manifest.trace to {level:?}"),
+                text: serde_json::to_string_pretty(&doc).expect("document prints"),
+                place: place(&[Seg::Key("trace".into())]),
+                siblings: false,
+                decodes: Some(matches!(level, "off" | "full")),
+            };
+        }
         // Cut the text.
         _ => {
             let mut cut = pick(s, original.len() + 1);
@@ -178,6 +211,7 @@ fn mutate(mut seed: u64) -> Mutation {
                 text: original[..cut].to_string(),
                 place: None,
                 siblings: false,
+                decodes: None,
             };
         }
     };
@@ -186,6 +220,7 @@ fn mutate(mut seed: u64) -> Mutation {
         text: serde_json::to_string_pretty(&doc).expect("document prints"),
         place,
         siblings,
+        decodes: None,
     }
 }
 
@@ -201,7 +236,11 @@ proptest! {
     #[test]
     fn a_mutated_manifest_decodes_or_names_the_mutated_place(seed in any::<u64>()) {
         let m = mutate(seed);
-        let Err(e) = Manifest::from_json(&m.text) else {
+        let decoded = Manifest::from_json(&m.text);
+        if let Some(ok) = m.decodes {
+            prop_assert_eq!(decoded.is_ok(), ok, "{}", m.what);
+        }
+        let Err(e) = decoded else {
             return;
         };
         let line = &e.0;

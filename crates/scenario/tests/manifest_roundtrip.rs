@@ -47,12 +47,7 @@ const ASSERTION_POOL: [&str; 6] = [
     "spdy.retransmissions >= 0",
 ];
 
-const TRACE_POOL: [(&str, TraceLevel); 4] = [
-    ("off", TraceLevel::Off),
-    ("lifecycle", TraceLevel::Lifecycle),
-    ("transport", TraceLevel::Transport),
-    ("full", TraceLevel::Full),
-];
+const TRACE_POOL: [(&str, TraceLevel); 2] = [("off", TraceLevel::Off), ("full", TraceLevel::Full)];
 
 type Entries = Vec<(String, Value)>;
 

@@ -16,12 +16,7 @@ fn knob_table() -> String {
 
 fn metric_table() -> String {
     let mut table = String::from("| trace level needed | metrics |\n|---|---|\n");
-    for (level, label) in [
-        (TraceLevel::Off, "off"),
-        (TraceLevel::Lifecycle, "lifecycle"),
-        (TraceLevel::Transport, "transport"),
-        (TraceLevel::Full, "full"),
-    ] {
+    for (level, label) in [(TraceLevel::Off, "off"), (TraceLevel::Full, "full")] {
         let rows = METRICS.iter().filter(|&&(_, needs, _)| needs == level);
         let names: Vec<String> = rows.map(|(name, ..)| format!("`{name}`")).collect();
         table.push_str(&format!("| `{label}` | {} |\n", names.join(", ")));

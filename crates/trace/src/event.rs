@@ -13,35 +13,26 @@
 use serde::{Deserialize, Serialize};
 use spdyier_sim::SimTime;
 
-/// How much of the event vocabulary a run records.
+/// Whether a run records the event vocabulary: not at all, or all of it.
 ///
-/// Levels are cumulative: `Transport` includes everything `Lifecycle`
-/// records, `Full` includes everything. `Off` is the zero-cost default —
-/// the recorder short-circuits before any event is even constructed.
+/// `Off` is the zero-cost default — the recorder short-circuits before
+/// any event is even constructed. `Full` records every event, including
+/// per-segment sends, cwnd/ssthresh samples, and per-frame SPDY receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum TraceLevel {
     /// Record nothing; the recorder is a no-op.
     Off,
-    /// Visit, object, request/response, stream, and connection lifecycle
-    /// plus proxy routing decisions — what a HAR waterfall needs.
-    Lifecycle,
-    /// Lifecycle plus radio promotions, link drops, RTO fires, idle
-    /// restarts, and retransmissions — what stall attribution needs.
-    Transport,
-    /// Everything, including per-segment sends, cwnd/ssthresh samples,
-    /// and per-frame SPDY receives.
+    /// Record every event and metric.
     Full,
 }
 
 impl TraceLevel {
-    /// Parse a level name or digit (a manifest's `trace` field); `None`
-    /// for unrecognized input.
+    /// Parse a manifest's `trace` field: `"off"` or `"full"`; `None` for
+    /// anything else.
     pub fn parse(s: &str) -> Option<TraceLevel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "0" | "off" | "none" => Some(TraceLevel::Off),
-            "1" | "lifecycle" => Some(TraceLevel::Lifecycle),
-            "2" | "transport" => Some(TraceLevel::Transport),
-            "3" | "full" | "frames" => Some(TraceLevel::Full),
+        match s {
+            "off" => Some(TraceLevel::Off),
+            "full" => Some(TraceLevel::Full),
             _ => None,
         }
     }
@@ -56,7 +47,7 @@ impl TraceLevel {
 /// pipe (as opposed to the device end).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
-    // -- Lifecycle -------------------------------------------------------
+    // -- Visits, objects, requests, connections, proxy ---------------------
     /// A page visit began.
     VisitStart { visit: usize, site: usize },
     /// A page visit finished (or was abandoned at its deadline).
@@ -109,7 +100,7 @@ pub enum TraceEvent {
     /// The origin is "thinking" (server-side latency) until `until`.
     OriginThink { conn: usize, until: SimTime },
 
-    // -- Transport -------------------------------------------------------
+    // -- Radio, link, and TCP recovery -----------------------------------
     /// An RRC promotion interval (IDLE/FACH -> DCH and similar).
     RrcPromotion {
         kind: String,
@@ -133,7 +124,7 @@ pub enum TraceEvent {
     /// TCP retransmitted a data segment.
     TcpRetransmit { conn: usize, down: bool },
 
-    // -- Full ------------------------------------------------------------
+    // -- Per-segment, per-window, and per-frame samples ------------------
     /// A congestion-window sample (emitted when the tuple changes).
     TcpCwnd {
         conn: usize,
@@ -160,35 +151,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The minimum [`TraceLevel`] at which this event is recorded.
-    pub fn level(&self) -> TraceLevel {
-        use TraceEvent::*;
-        match self {
-            VisitStart { .. }
-            | VisitEnd { .. }
-            | ObjectRequested { .. }
-            | ObjectFirstByte { .. }
-            | ObjectComplete { .. }
-            | HttpRequestSent { .. }
-            | HttpResponseDone { .. }
-            | SpdyStreamOpen { .. }
-            | ConnOpened { .. }
-            | ConnClosed { .. }
-            | SslReady { .. }
-            | ProxyFetchDispatch { .. }
-            | ProxyLateBind { .. }
-            | OriginThink { .. } => TraceLevel::Lifecycle,
-            RrcPromotion { .. }
-            | LinkDrop { .. }
-            | TcpRto { .. }
-            | TcpIdleRestart { .. }
-            | TcpRetransmit { .. } => TraceLevel::Transport,
-            TcpCwnd { .. } | SegmentSent { .. } | SpdyFrameRecv { .. } => TraceLevel::Full,
-        }
-    }
-}
-
 /// An event plus the simulated instant it happened.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceRecord {
@@ -203,35 +165,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn levels_are_ordered_and_parseable() {
-        assert!(TraceLevel::Off < TraceLevel::Lifecycle);
-        assert!(TraceLevel::Lifecycle < TraceLevel::Transport);
-        assert!(TraceLevel::Transport < TraceLevel::Full);
-        assert_eq!(TraceLevel::parse("transport"), Some(TraceLevel::Transport));
-        assert_eq!(TraceLevel::parse("3"), Some(TraceLevel::Full));
-        assert_eq!(TraceLevel::parse("OFF"), Some(TraceLevel::Off));
-        assert_eq!(TraceLevel::parse("verbose"), None);
-    }
-
-    #[test]
-    fn event_levels_match_vocabulary_tiers() {
-        let start = TraceEvent::VisitStart { visit: 0, site: 3 };
-        assert_eq!(start.level(), TraceLevel::Lifecycle);
-        let rto = TraceEvent::TcpRto {
-            conn: 1,
-            b_side: true,
-            silent_since: SimTime::from_micros(10),
-        };
-        assert_eq!(rto.level(), TraceLevel::Transport);
-        let seg = TraceEvent::SegmentSent {
-            conn: 1,
-            down: true,
-            bytes: 1400,
-            deliver: SimTime::from_micros(500),
-            ser_us: 120,
-            retransmit: false,
-        };
-        assert_eq!(seg.level(), TraceLevel::Full);
+    fn levels_parse_from_their_manifest_names_only() {
+        assert_eq!(TraceLevel::parse("off"), Some(TraceLevel::Off));
+        assert_eq!(TraceLevel::parse("full"), Some(TraceLevel::Full));
+        for refused in ["", "none", "frames", "0", "3", "OFF", " full", "transport"] {
+            assert_eq!(TraceLevel::parse(refused), None, "{refused:?}");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The recorder that the simulation carries around.
 //!
 //! [`Tracer`] is the single object threaded through the `World`: it
-//! owns the level gate, the sink, and the metrics registry. Emission
-//! sites call [`Tracer::active`] first (an inlined level compare) so
-//! that at `Off` no event — and none of its `String` fields — is ever
+//! owns the on/off switch, the sink, and the metrics registry. Emission
+//! sites call [`Tracer::active`] first (an inlined compare) so that at
+//! `Off` no event — and none of its `String` fields — is ever
 //! constructed. When a run finishes, [`Tracer::finish`] folds
 //! everything into a [`FlightLog`], the self-contained artifact the
 //! consumers (stall attributor, waterfall exporter, JSONL dump) read.
@@ -29,7 +29,7 @@ impl<S: TraceSink + 'static> LentSink for S {
     }
 }
 
-/// The per-run event recorder: level gate + sink + metrics.
+/// The per-run event recorder: on/off switch + sink + metrics.
 pub struct Tracer {
     level: TraceLevel,
     sink: Box<dyn LentSink>,
@@ -88,30 +88,25 @@ impl Tracer {
         }
     }
 
-    /// The configured level.
-    pub fn level(&self) -> TraceLevel {
-        self.level
-    }
-
-    /// Whether events at `level` are being recorded. Emission sites
-    /// check this before constructing an event, so `Off` costs one
-    /// integer compare per site.
+    /// Whether events needing `level` are being recorded: at `Full`
+    /// every event is. Emission sites check this before constructing an
+    /// event, so `Off` costs one integer compare per site.
     #[inline]
     pub fn active(&self, level: TraceLevel) -> bool {
         level <= self.level && self.level != TraceLevel::Off
     }
 
-    /// Record `event` at time `t` if the level admits it.
+    /// Record `event` at time `t` if the recorder is on.
     #[inline]
     pub fn emit(&mut self, t: SimTime, event: TraceEvent) {
-        if !self.active(event.level()) {
+        if self.level == TraceLevel::Off {
             return;
         }
         self.emitted += 1;
         self.sink.record(TraceRecord { t, event });
     }
 
-    /// How many events passed the level gate so far.
+    /// How many events were recorded so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
@@ -173,7 +168,6 @@ impl Tracer {
             self.metrics.count("trace.sink_dropped", dropped);
         }
         let log = FlightLog {
-            level: self.level,
             events,
             dropped,
             emitted: self.emitted,
@@ -187,13 +181,11 @@ impl Tracer {
 /// and the metrics registry. Self-contained input for the consumers.
 #[derive(Debug, Serialize)]
 pub struct FlightLog {
-    /// The level the run was recorded at.
-    pub level: TraceLevel,
     /// All retained records, in emission (= simulated time) order.
     pub events: Vec<TraceRecord>,
     /// Records the sink shed ([`TraceSink::dropped`]).
     pub dropped: u64,
-    /// Records that passed the level gate (>= `events.len()`).
+    /// Records the recorder took (>= `events.len()`).
     pub emitted: u64,
     /// The run's metrics registry.
     pub metrics: MetricsRegistry,
@@ -252,7 +244,7 @@ mod tests {
     #[test]
     fn off_tracer_materializes_nothing() {
         let mut tr = Tracer::off();
-        assert!(!tr.active(TraceLevel::Lifecycle));
+        assert!(!tr.active(TraceLevel::Full));
         tr.emit(SimTime::ZERO, visit_start(0));
         tr.count("c", 1);
         tr.observe("h", 5);
@@ -264,29 +256,8 @@ mod tests {
     }
 
     #[test]
-    fn level_gate_filters_by_event_level() {
-        let mut tr = Tracer::for_level(TraceLevel::Lifecycle);
-        tr.emit(SimTime::ZERO, visit_start(0));
-        tr.emit(SimTime::from_micros(5), cwnd_sample());
-        assert_eq!(tr.emitted(), 1);
-        let log = tr.finish();
-        assert_eq!(log.events.len(), 1);
-        assert!(matches!(log.events[0].event, TraceEvent::VisitStart { .. }));
-    }
-
-    #[test]
-    fn full_level_admits_everything() {
-        let mut tr = Tracer::for_level(TraceLevel::Full);
-        assert!(tr.active(TraceLevel::Lifecycle));
-        assert!(tr.active(TraceLevel::Full));
-        tr.emit(SimTime::ZERO, visit_start(0));
-        tr.emit(SimTime::from_micros(5), cwnd_sample());
-        assert_eq!(tr.finish().events.len(), 2);
-    }
-
-    #[test]
     fn finish_reports_ring_shedding() {
-        let mut tr = Tracer::with_sink(TraceLevel::Lifecycle, Box::<Shedding>::default());
+        let mut tr = Tracer::with_sink(TraceLevel::Full, Box::<Shedding>::default());
         tr.emit(SimTime::ZERO, visit_start(0));
         tr.emit(SimTime::from_micros(1), visit_start(1));
         let log = tr.finish();
@@ -297,7 +268,7 @@ mod tests {
 
     #[test]
     fn finish_publishes_throughput_and_loss_metrics() {
-        let mut tr = Tracer::with_sink(TraceLevel::Lifecycle, Box::<Shedding>::default());
+        let mut tr = Tracer::with_sink(TraceLevel::Full, Box::<Shedding>::default());
         tr.emit(SimTime::ZERO, visit_start(0));
         tr.emit(SimTime::from_micros(1), visit_start(1));
         let log = tr.finish();
