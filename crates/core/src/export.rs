@@ -28,8 +28,11 @@ impl DataFile {
 }
 
 /// Schema version stamped into `metrics_*.json` (bump on breaking
-/// key-set changes; the golden-schema tests pin it).
-pub const METRICS_SCHEMA_VERSION: u32 = 1;
+/// key-set changes; the golden-schema tests pin it). Version 2: each
+/// histogram is a quantile sketch (`sub_bits`, `count`, `zeros`,
+/// `rejected`, `min`, `max`, `sum_fp_hi`, `sum_fp_lo`, `buckets`), not
+/// 65 power-of-two buckets.
+pub const METRICS_SCHEMA_VERSION: u32 = 2;
 
 /// The `metrics_*.json` document.
 #[derive(Serialize)]

@@ -7,79 +7,19 @@
 //! keeps traced runs byte-identical regardless of which layer
 //! registered first.
 //!
-//! Histograms use power-of-two buckets (`bucket i` holds values whose
-//! bit length is `i`), which is enough resolution for latency and size
-//! distributions while staying allocation-free per observation.
+//! A histogram is the sweep's [`QuantileSketch`]: exact count, min, max
+//! and mean, quantiles within its pinned relative error.
 
 use std::collections::BTreeMap;
 
 use serde::Serialize;
-
-/// Number of power-of-two histogram buckets (covers the full u64 range).
-const BUCKETS: usize = 65;
-
-/// A power-of-two-bucketed histogram with summary stats.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Histogram {
-    /// `buckets[i]` counts observations with bit length `i` (0 -> value 0).
-    buckets: Vec<u64>,
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observations (saturating).
-    pub sum: u64,
-    /// Smallest observation, or 0 when empty.
-    pub min: u64,
-    /// Largest observation.
-    pub max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Record one observation.
-    pub fn observe(&mut self, value: u64) {
-        let bucket = (64 - value.leading_zeros()) as usize;
-        self.buckets[bucket] += 1;
-        if self.count == 0 || value < self.min {
-            self.min = value;
-        }
-        if value > self.max {
-            self.max = value;
-        }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Mean of all observations, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Count of observations in the bucket for `value`'s magnitude.
-    pub fn bucket_for(&self, value: u64) -> u64 {
-        self.buckets[(64 - value.leading_zeros()) as usize]
-    }
-}
+use spdyier_sim::QuantileSketch;
 
 /// Named counters and histograms, deterministically ordered.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, QuantileSketch>,
 }
 
 impl MetricsRegistry {
@@ -100,10 +40,10 @@ impl MetricsRegistry {
     /// Record one observation into the named histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
         if let Some(h) = self.histograms.get_mut(name) {
-            h.observe(value);
+            h.record(value as f64);
         } else {
-            let mut h = Histogram::default();
-            h.observe(value);
+            let mut h = QuantileSketch::new();
+            h.record(value as f64);
             self.histograms.insert(name.to_string(), h);
         }
     }
@@ -114,7 +54,7 @@ impl MetricsRegistry {
     }
 
     /// The named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+    pub fn histogram(&self, name: &str) -> Option<&QuantileSketch> {
         self.histograms.get(name)
     }
 
@@ -124,7 +64,7 @@ impl MetricsRegistry {
     }
 
     /// Iterate histograms in sorted-name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub fn histograms(&self) -> impl Iterator<Item = (&str, &QuantileSketch)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
@@ -148,19 +88,20 @@ mod tests {
     }
 
     #[test]
-    fn histogram_tracks_stats_and_buckets() {
+    fn histogram_tracks_exact_stats() {
         let mut m = MetricsRegistry::new();
         for v in [0u64, 1, 2, 3, 1000] {
             m.observe("plt_ms", v);
         }
         let h = m.histogram("plt_ms").unwrap();
-        assert_eq!(h.count, 5);
-        assert_eq!(h.sum, 1006);
-        assert_eq!(h.min, 0);
-        assert_eq!(h.max, 1000);
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), 1006.0);
+        assert_eq!(h.min(), 0.0);
+        assert_eq!(h.max(), 1000.0);
         assert!((h.mean() - 201.2).abs() < 1e-9);
-        // 2 and 3 share the bit-length-2 bucket.
-        assert_eq!(h.bucket_for(2), 2);
+        // The median is 2, answered by the midpoint of its bucket
+        // [2, 2 + 2/128): within half a bucket width.
+        assert!((h.quantile(0.5) - 2.0).abs() <= 2.0 / 256.0);
     }
 
     #[test]
