@@ -22,12 +22,20 @@
 //! in the same commit and says why; a refactor or a performance change
 //! may not touch them.
 //!
+//! Six more pin the metrics registry a fully-traced cell publishes
+//! (`metrics_<protocol>.json`), one HTTP and one SPDY cell of the first
+//! seed of `paired_3g.json` (3G), `bulk_lte_small.json` (LTE) and
+//! `quick_wifi.json` (WiFi), so every counter and histogram of both
+//! protocols on all three networks is guarded, not just the one SPDY 3G
+//! registry `trace_spdy_3g.json` writes.
+//!
 //! CI's `scenario-matrix` job checks the same constants against the
 //! files the released binary writes for the same manifests (`experiments
 //! run scenarios/<name>.json`), so the two builds cannot drift apart
 //! either.
 
-use spdyier::experiments::{run_manifest_on, Executor};
+use spdyier::core::{metrics_file, TraceLevel};
+use spdyier::experiments::{run_cell, run_manifest_on, Executor};
 use spdyier_scenario::Manifest;
 use std::path::Path;
 
@@ -44,6 +52,12 @@ const PAIRED_3G_DUMP_META: u64 = 0xa214_e554_e84f_7165;
 const EXPORT_SPDY_3G_DOWNLINK_DAT: u64 = 0x9187_0206_2182_a22e;
 const EXPORT_SPDY_3G_INFLIGHT_DAT: u64 = 0x4e2b_d6cf_eb56_ccb5;
 const PAIRED_LTE_ONE_SEED_DUMP: u64 = 0x4641_c31c_bdeb_b3a5;
+const PAIRED_3G_HTTP_METRICS_JSON: u64 = 0xe24b_e878_6001_8f61;
+const PAIRED_3G_SPDY_METRICS_JSON: u64 = 0x9a5a_33b2_32d8_b428;
+const BULK_LTE_SMALL_HTTP_METRICS_JSON: u64 = 0x68a4_9f38_88b8_3c22;
+const BULK_LTE_SMALL_SPDY_METRICS_JSON: u64 = 0x2b04_a4b6_92c2_6cc6;
+const QUICK_WIFI_HTTP_METRICS_JSON: u64 = 0x7df8_a568_cbad_ccbb;
+const QUICK_WIFI_SPDY_METRICS_JSON: u64 = 0x8971_230f_ac38_2112;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
@@ -60,6 +74,26 @@ fn artifact_digests<const N: usize>(scenario: &str, artifacts: [&str; N]) -> [u6
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden_{}", manifest.name));
     run_manifest_on(&Executor::new(1), &manifest, &out).expect("artifacts written");
     artifacts.map(|a| fnv1a(&std::fs::read(out.join(a)).expect("artifact exists")))
+}
+
+/// Run the first seed's HTTP and SPDY cells of a committed scenario at
+/// `full` trace and digest each one's metrics registry file.
+fn metrics_digests(scenario: &str) -> [u64; 2] {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("scenarios")
+        .join(scenario);
+    let mut manifest = Manifest::from_file(&path).expect("committed scenario decodes");
+    manifest.trace = TraceLevel::Full;
+    let cells = manifest.cells();
+    ["http", "spdy"].map(|protocol| {
+        let cell = cells
+            .iter()
+            .find(|c| c.seed == manifest.seeds.base && c.protocol.compact() == protocol)
+            .expect("the scenario runs both protocols");
+        let (_, traced) = run_cell(&manifest, cell).expect("within the event budget");
+        let log = traced.expect("a full-trace cell is traced").log;
+        fnv1a(metrics_file(protocol, &log.metrics).contents.as_bytes())
+    })
 }
 
 #[test]
@@ -133,5 +167,33 @@ fn golden_series_artifact_digests_are_pinned() {
         ),
         "per-segment series changed: downlink_spdy.dat {downlink:#018x}, \
          inflight_spdy.dat {inflight:#018x}, paired_lte.jsonl {dump:#018x}"
+    );
+}
+
+#[test]
+fn golden_metrics_registries_are_pinned() {
+    let [paired_http, paired_spdy] = metrics_digests("paired_3g.json");
+    let [bulk_http, bulk_spdy] = metrics_digests("bulk_lte_small.json");
+    let [wifi_http, wifi_spdy] = metrics_digests("quick_wifi.json");
+    assert_eq!(
+        (
+            paired_http,
+            paired_spdy,
+            bulk_http,
+            bulk_spdy,
+            wifi_http,
+            wifi_spdy
+        ),
+        (
+            PAIRED_3G_HTTP_METRICS_JSON,
+            PAIRED_3G_SPDY_METRICS_JSON,
+            BULK_LTE_SMALL_HTTP_METRICS_JSON,
+            BULK_LTE_SMALL_SPDY_METRICS_JSON,
+            QUICK_WIFI_HTTP_METRICS_JSON,
+            QUICK_WIFI_SPDY_METRICS_JSON
+        ),
+        "metrics registry changed: paired_3g http {paired_http:#018x} spdy {paired_spdy:#018x}, \
+         bulk_lte_small http {bulk_http:#018x} spdy {bulk_spdy:#018x}, \
+         quick_wifi http {wifi_http:#018x} spdy {wifi_spdy:#018x}"
     );
 }
