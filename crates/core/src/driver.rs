@@ -128,8 +128,8 @@ impl Testbed {
     /// [`Testbed::try_run_traced`] with the flight recorder writing into
     /// `sink` instead of retaining every record, and the sink handed
     /// back: the log's `events` are whatever `S::drain` returns (nothing
-    /// for a sink that folds records as they arrive), its level, metrics
-    /// and `emitted`/`dropped` counts what any sink would have given.
+    /// for a sink that folds records as they arrive); its metrics and
+    /// `dropped` count are what any sink would have given.
     pub fn try_run_into<S: TraceSink + 'static>(
         mut self,
         sink: S,
@@ -371,9 +371,6 @@ impl Testbed {
                                 until: self.world.now + latency,
                             },
                         );
-                        self.world
-                            .tracer
-                            .observe("origin.think_us", latency.as_micros());
                     }
                     self.world.queue.schedule(
                         self.world.now + latency,
@@ -667,14 +664,6 @@ impl Testbed {
         self.result.downlink_drops = (down.queue_drops, down.loss_drops);
         self.result.energy_mj = access.radio_mut().energy_mj(self.world.now);
         self.result.proxy_records = self.side.proxy_records();
-        // Publish run-level aggregates into the metrics registry (no-ops
-        // when tracing is off).
-        self.world
-            .tracer
-            .count("tcp.timeouts_total", self.result.total_timeouts);
-        self.world
-            .tracer
-            .count("run.visits", self.result.visits.len() as u64);
         (self.result, self.world.tracer)
     }
 }

@@ -315,7 +315,6 @@ impl HttpSide {
                         tag: tag & 0xFFFF_FFFF,
                     },
                 );
-                ctx.world.tracer.count("http.requests", 1);
                 if generation == ctx.visits.visit_gen && tag != BEACON_TAG {
                     ctx.visits.note_requested(ctx.world, ObjectId(tag as u32));
                 }
@@ -980,7 +979,6 @@ impl SpdySide {
                     tag: u64::from(obj.0),
                 },
             );
-            ctx.world.tracer.count("spdy.streams_opened", 1);
             ctx.visits.note_requested(ctx.world, obj);
             self.pump_client_wire(ctx.world, sidx);
         }

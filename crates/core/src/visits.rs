@@ -322,7 +322,6 @@ impl Visits {
                     plt_us,
                 },
             );
-            world.tracer.observe("visit.plt_ms", plt_us / 1_000);
         }
         let page = load.page();
         result.visits.push(VisitResult {

@@ -362,7 +362,6 @@ impl World {
                     label: label.clone(),
                 },
             );
-            self.tracer.count("conn.opened", 1);
         }
         self.pipes.push(Pipe {
             a,
@@ -502,9 +501,6 @@ impl World {
                     self.wired
                         .send(dir, self.now, seg.wire_size(), &mut self.rng_net)
                 };
-                if traced && over_access {
-                    self.tracer.count("link.access.segments", 1);
-                }
                 match verdict {
                     LinkVerdict::Deliver(at) => {
                         if traced && over_access {
@@ -545,7 +541,6 @@ impl World {
                                     queue_overflow: queue_drops > queue_drops_before,
                                 },
                             );
-                            self.tracer.count("link.access.drops", 1);
                         }
                     }
                 }
@@ -560,7 +555,6 @@ impl World {
                 for _ in idle_restarts_before..restarts {
                     self.tracer
                         .emit(self.now, TraceEvent::TcpIdleRestart { conn: idx, b_side });
-                    self.tracer.count("tcp.idle_restarts", 1);
                 }
             }
         }
@@ -599,11 +593,6 @@ impl World {
                             silent_since,
                         },
                     );
-                    self.tracer.count("tcp.rto_fires", 1);
-                    self.tracer.observe(
-                        "tcp.rto_silence_us",
-                        record.at.saturating_since(silent_since).as_micros(),
-                    );
                 }
             } else if record.sent.is_some() && over_access && record.kind != SegKind::PureFin {
                 // The paper's tcpdump series; idle-socket teardown is left
@@ -618,7 +607,6 @@ impl World {
                             down: b_side,
                         },
                     );
-                    self.tracer.count("tcp.retransmissions", 1);
                 }
             }
         }
@@ -637,11 +625,6 @@ impl World {
                     start: p.start,
                     done: p.done,
                 },
-            );
-            self.tracer.count("rrc.promotions", 1);
-            self.tracer.observe(
-                "rrc.promotion_us",
-                p.done.saturating_since(p.start).as_micros(),
             );
         }
         self.promos_emitted = promotions.len();
@@ -824,7 +807,6 @@ impl World {
                     domain: request.host.clone(),
                 },
             );
-            self.tracer.count("proxy.fetches", 1);
         }
         if let PipeRole::Origin { pending, .. } = &mut self.pipes[target].role {
             pending.push_back((fetch, request));

@@ -350,7 +350,7 @@ mod tests {
             .try_run_into(Shedding::default())
             .expect("within budget");
         assert_eq!(log.events.len(), 64);
-        assert_eq!(log.dropped, log.emitted - 64);
+        assert_eq!(log.dropped, log.metrics.counter("trace.emitted") - 64);
         let e = refuse_lossy_log("http_s0", &log).unwrap_err();
         assert!(e.starts_with("http_s0: lossy trace ("), "{e}");
     }

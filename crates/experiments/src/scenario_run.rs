@@ -80,8 +80,8 @@ pub struct FoldedCell {
 /// What a traced cell leaves behind.
 #[derive(Debug)]
 pub struct TracedCell {
-    /// The recorder's level, metrics registry and `emitted` / `dropped`
-    /// counts — and its records only under `outputs.trace_artifacts`;
+    /// The recorder's metrics registry and `dropped` count — and its
+    /// records only under `outputs.trace_artifacts`;
     /// `events` is empty otherwise.
     pub log: FlightLog,
     /// The event model of everything the run emitted.

@@ -55,7 +55,7 @@ fn a_traced_cell_scans_its_flight_log_once_if_it_keeps_one_and_never_otherwise()
         assert_eq!(scans() - before, scans_expected, "artifacts: {artifacts}");
         let log = traced.expect("traced").log;
         assert_eq!(log.events.is_empty(), !artifacts);
-        assert!(log.emitted > 0 && log.dropped == 0);
+        assert!(log.metrics.counter("trace.emitted") > 0 && log.dropped == 0);
         assert_eq!(
             folded.files.len(),
             files,
@@ -253,8 +253,8 @@ fn no_delivery_leaves_its_lane_on_the_committed_pack() {
 /// The model is the sink: across the pack at `full` trace (every
 /// protocol and variant, first seed) the model a run folds record by
 /// record equals the model scanned from the retained log of the same
-/// run, the recorder's books (`emitted`, `dropped`, the registry with
-/// its `trace.emitted` / `trace.sink_dropped` counters) do not depend on
+/// run, the recorder's books (`dropped`, the registry with its
+/// `trace.emitted` / `trace.sink_dropped` counters) do not depend on
 /// which sink it wrote to, and neither does the run.
 #[test]
 fn the_online_model_equals_the_model_of_the_retained_log_on_the_committed_pack() {
@@ -270,18 +270,18 @@ fn the_online_model_equals_the_model_of_the_retained_log_on_the_committed_pack()
             let (folded_run, folded_log, builder) = Testbed::new(cell.build_config(&m))
                 .try_run_into(ModelBuilder::default())
                 .unwrap_or_else(|e| panic!("{what}: {e}"));
-            assert!(log.emitted > 0 && log.events.len() as u64 == log.emitted);
+            let emitted = log.metrics.counter("trace.emitted");
+            assert!(emitted > 0 && log.events.len() as u64 == emitted, "{what}");
             assert!(
                 builder.finish() == EventModel::from_records(&log.events),
                 "{what}: models differ"
             );
             assert!(folded_log.events.is_empty(), "{what}");
             assert_eq!(
-                (folded_log.emitted, folded_log.dropped, &folded_log.metrics),
-                (log.emitted, log.dropped, &log.metrics),
+                (folded_log.dropped, &folded_log.metrics),
+                (log.dropped, &log.metrics),
                 "{what}"
             );
-            assert_eq!(log.metrics.counter("trace.emitted"), log.emitted, "{what}");
             assert!(
                 serde_json::to_string(&folded_run).unwrap() == serde_json::to_string(&run).unwrap(),
                 "{what}: the sink changed the run"

@@ -1,7 +1,8 @@
 //! The recorder that the simulation carries around.
 //!
 //! [`Tracer`] is the single object threaded through the `World`: it
-//! owns the on/off switch, the sink, and the metrics registry. Emission
+//! owns the on/off switch, the sink, and the metrics registry, which it
+//! folds from each event it takes (`crate::metrics`). Emission
 //! sites call [`Tracer::active`] first (an inlined compare) so that at
 //! `Off` no event — and none of its `String` fields — is ever
 //! constructed. When a run finishes, [`Tracer::finish`] folds
@@ -10,11 +11,10 @@
 
 use std::any::Any;
 
-use serde::Serialize;
 use spdyier_sim::SimTime;
 
 use crate::event::{TraceEvent, TraceLevel, TraceRecord};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Books, MetricsRegistry};
 use crate::sink::{self, MemorySink, NullSink, TraceSink};
 
 /// A sink the recorder can hand back as the concrete type it was lent
@@ -33,15 +33,13 @@ impl<S: TraceSink + 'static> LentSink for S {
 pub struct Tracer {
     level: TraceLevel,
     sink: Box<dyn LentSink>,
-    metrics: MetricsRegistry,
-    emitted: u64,
+    books: Books,
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("level", &self.level)
-            .field("emitted", &self.emitted)
             .finish_non_exhaustive()
     }
 }
@@ -55,12 +53,7 @@ impl Default for Tracer {
 impl Tracer {
     /// A disabled recorder: `Off` level, [`NullSink`], no metrics.
     pub fn off() -> Tracer {
-        Tracer {
-            level: TraceLevel::Off,
-            sink: Box::new(NullSink),
-            metrics: MetricsRegistry::new(),
-            emitted: 0,
-        }
+        Tracer::with_sink(TraceLevel::Off, Box::new(NullSink))
     }
 
     /// A recorder for `level`, retaining events in memory (the default
@@ -69,12 +62,7 @@ impl Tracer {
         if level == TraceLevel::Off {
             return Tracer::off();
         }
-        Tracer {
-            level,
-            sink: Box::new(MemorySink::new()),
-            metrics: MetricsRegistry::new(),
-            emitted: 0,
-        }
+        Tracer::with_sink(level, Box::new(MemorySink::new()))
     }
 
     /// A recorder for `level` writing into a caller-supplied sink
@@ -83,8 +71,7 @@ impl Tracer {
         Tracer {
             level,
             sink,
-            metrics: MetricsRegistry::new(),
-            emitted: 0,
+            books: Books::default(),
         }
     }
 
@@ -96,41 +83,15 @@ impl Tracer {
         level <= self.level && self.level != TraceLevel::Off
     }
 
-    /// Record `event` at time `t` if the recorder is on.
+    /// Record `event` at time `t` if the recorder is on: fold it into
+    /// the metrics registry, then hand it to the sink.
     #[inline]
     pub fn emit(&mut self, t: SimTime, event: TraceEvent) {
         if self.level == TraceLevel::Off {
             return;
         }
-        self.emitted += 1;
+        self.books.fold(t, &event);
         self.sink.record(TraceRecord { t, event });
-    }
-
-    /// How many events were recorded so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Add to a named counter. No-op when tracing is off, so disabled
-    /// runs allocate no metric storage at all.
-    #[inline]
-    pub fn count(&mut self, name: &str, delta: u64) {
-        if self.level != TraceLevel::Off {
-            self.metrics.count(name, delta);
-        }
-    }
-
-    /// Observe into a named histogram. No-op when tracing is off.
-    #[inline]
-    pub fn observe(&mut self, name: &str, value: u64) {
-        if self.level != TraceLevel::Off {
-            self.metrics.observe(name, value);
-        }
-    }
-
-    /// Read access to the metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Close out the run: drain the sink and package everything. The
@@ -146,8 +107,8 @@ impl Tracer {
     /// [`Tracer::finish`] for a recorder built by [`Tracer::with_sink`]
     /// around an `S`: the log holds what `S::drain` gave (nothing, for a
     /// sink that folds records instead of retaining them) and the sink
-    /// itself is handed back. The recorder's books — `emitted`,
-    /// `dropped`, the two `trace.*` counters — do not depend on the sink.
+    /// itself is handed back. The recorder's books — `dropped` and the
+    /// metrics registry — do not depend on the sink.
     ///
     /// # Panics
     /// If the recorder's sink is not an `S`.
@@ -163,15 +124,15 @@ impl Tracer {
     fn close(mut self) -> (FlightLog, Box<dyn LentSink>) {
         let events = self.sink.drain();
         let dropped = self.sink.dropped();
-        if self.level != TraceLevel::Off {
-            self.metrics.count("trace.emitted", self.emitted);
-            self.metrics.count("trace.sink_dropped", dropped);
-        }
+        let metrics = if self.level == TraceLevel::Off {
+            MetricsRegistry::new()
+        } else {
+            self.books.close(dropped)
+        };
         let log = FlightLog {
             events,
             dropped,
-            emitted: self.emitted,
-            metrics: self.metrics,
+            metrics,
         };
         (log, self.sink)
     }
@@ -179,15 +140,14 @@ impl Tracer {
 
 /// Everything a traced run recorded: the event stream, shed count,
 /// and the metrics registry. Self-contained input for the consumers.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct FlightLog {
     /// All retained records, in emission (= simulated time) order.
     pub events: Vec<TraceRecord>,
     /// Records the sink shed ([`TraceSink::dropped`]).
     pub dropped: u64,
-    /// Records the recorder took (>= `events.len()`).
-    pub emitted: u64,
-    /// The run's metrics registry.
+    /// The run's metrics registry; its `trace.emitted` counter is the
+    /// number of records the recorder took (>= `events.len()`).
     pub metrics: MetricsRegistry,
 }
 
@@ -246,12 +206,8 @@ mod tests {
         let mut tr = Tracer::off();
         assert!(!tr.active(TraceLevel::Full));
         tr.emit(SimTime::ZERO, visit_start(0));
-        tr.count("c", 1);
-        tr.observe("h", 5);
-        assert_eq!(tr.emitted(), 0);
         let log = tr.finish();
         assert!(log.events.is_empty());
-        assert_eq!(log.emitted, 0);
         assert!(log.metrics.is_empty());
     }
 
@@ -261,7 +217,7 @@ mod tests {
         tr.emit(SimTime::ZERO, visit_start(0));
         tr.emit(SimTime::from_micros(1), visit_start(1));
         let log = tr.finish();
-        assert_eq!(log.emitted, 2);
+        assert_eq!(log.metrics.counter("trace.emitted"), 2);
         assert_eq!(log.events.len(), 1);
         assert_eq!(log.dropped, 1);
     }

@@ -52,16 +52,6 @@ impl MemorySink {
     pub fn new() -> MemorySink {
         MemorySink::default()
     }
-
-    /// How many records are currently retained.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
 impl TraceSink for MemorySink {
@@ -107,7 +97,7 @@ mod tests {
         let drained = sink.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].t, SimTime::from_micros(1));
-        assert!(sink.is_empty());
+        assert!(sink.drain().is_empty());
         assert_eq!(sink.dropped(), 0);
     }
 
