@@ -279,6 +279,37 @@ fn counter_assertions_read_what_the_run_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `counter.<name>` must name a counter the recorder publishes: a typo
+/// is a config error (exit 3, one line naming it, nothing written), not
+/// an assertion that reads 0 and passes.
+#[test]
+fn a_counter_the_recorder_does_not_publish_is_refused() {
+    let dir = std::env::temp_dir().join(format!("spdyier_cli_typo_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("probe.json");
+    let out = dir.join("out");
+    let text = r#"{"schema_version":1,"name":"probe","network":{"kind":"wifi"},
+        "protocols":["http","spdy"],
+        "assertions":["counter.tcp.rto_fired <= 0","counter.tcp.retransmision <= 0"]}"#;
+    std::fs::write(&manifest, text).expect("manifest written");
+    let child = experiments(&[
+        "run",
+        manifest.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert_eq!(child.status.code(), Some(3), "{child:?}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("tcp.rto_fired"), "{stderr}");
+    assert!(
+        stderr.contains("tcp.rto_fires"),
+        "the line lists the names: {stderr}"
+    );
+    assert!(!out.exists(), "nothing is written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An output location that cannot be created is a config error naming
 /// the path — exit 3 before the figure or any cell is simulated, never
 /// a panic or a whole run's work after it.

@@ -5,12 +5,13 @@
 //! like `spdy` / `spdy:20:late`, matrix variant names, or `seed<N>`)
 //! followed by a metric name; the filters select which cells' samples
 //! are pooled before the metric is computed. `counter.<name>` reaches
-//! through to the trace metrics registry. Examples:
+//! through to the trace metrics registry and must name one of the
+//! counters it publishes ([`spdyier_trace::COUNTERS`]). Examples:
 //!
 //! ```text
 //! spdy.rto_stall_ms > http.rto_stall_ms on 3g
 //! plt_p50_ms < 9000
-//! http.counter.tcp.rto_fired >= 1
+//! http.counter.tcp.rto_fires >= 1
 //! ```
 //!
 //! Parsing is strict and happens at manifest decode time, so a typo'd
@@ -21,6 +22,7 @@
 
 use crate::metrics::{required_trace, COUNTER, METRICS};
 use spdyier_core::{NetworkKind, TraceLevel};
+use spdyier_trace::COUNTERS;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,12 +99,19 @@ impl MetricRef {
             return Err(format!("malformed metric reference {token:?}"));
         }
         // `counter.<name>` may itself contain dots (registry names like
-        // `tcp.rto_fired`), so everything from the `counter` segment on
+        // `tcp.rto_fires`), so everything from the `counter` segment on
         // is the metric; filters are the segments before it.
         if let Some(pos) = segments.iter().position(|&s| s == COUNTER) {
             if pos + 1 == segments.len() {
                 return Err(format!(
                     "metric reference {token:?} is missing a counter name"
+                ));
+            }
+            let name = segments[pos + 1..].join(".");
+            if !COUNTERS.contains(&name.as_str()) {
+                return Err(format!(
+                    "unknown counter {name:?} (expected one of: {})",
+                    COUNTERS.join(", ")
                 ));
             }
             return Ok(MetricRef {
@@ -235,11 +244,11 @@ mod tests {
         let a = Assertion::parse("plt_p50_ms < 9000").unwrap();
         assert_eq!(a.rhs, Operand::Number(9000.0));
 
-        let a = Assertion::parse("http.counter.tcp.rto_fired >= 1").unwrap();
+        let a = Assertion::parse("http.counter.tcp.rto_fires >= 1").unwrap();
         assert_eq!(a.required_trace(), TraceLevel::Full);
         let lhs = a.lhs.metric().unwrap();
         assert_eq!(lhs.filters, ["http"]);
-        assert_eq!(lhs.metric, "counter.tcp.rto_fired");
+        assert_eq!(lhs.metric, "counter.tcp.rto_fires");
     }
 
     #[test]
@@ -260,6 +269,14 @@ mod tests {
             ("plt_p50_ms < 9000 on 4g", "unknown network"),
             ("spdy..plt_p50_ms < 9000", "malformed metric reference"),
             ("http.counter < 1", "missing a counter name"),
+            (
+                "counter.tcp.rto_fired <= 0",
+                "unknown counter \"tcp.rto_fired\"",
+            ),
+            (
+                "spdy.counter.tcp.retransmision <= 0",
+                "tcp.retransmissions, tcp.rto_fires",
+            ),
             ("plt_p50_ms < 1e400", "not finite"),
             ("plt_p50_ms > -nan", "not finite"),
             ("plt_p50_ms < +inf", "not finite"),

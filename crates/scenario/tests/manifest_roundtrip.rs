@@ -42,7 +42,7 @@ const ASSERTION_POOL: [&str; 6] = [
     "spdy.rto_stall_ms > http.rto_stall_ms on 3g",
     "plt_p50_ms < 9000",
     "completion_rate >= 0.9",
-    "http.counter.tcp.rto_fired >= 0",
+    "http.counter.tcp.rto_fires >= 0",
     "plt_p90_ms <= 60000 on lte",
     "spdy.retransmissions >= 0",
 ];

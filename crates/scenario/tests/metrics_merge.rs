@@ -27,7 +27,7 @@ fn build_cell(samples: &[Sample]) -> CellMetrics {
         m.retransmissions += counter % 3;
         m.timeouts += counter % 2;
         m.total_bytes += stall_us;
-        *m.counters.entry("tcp.rto_fired".into()).or_insert(0) += counter;
+        *m.counters.entry("tcp.rto_fires".into()).or_insert(0) += counter;
     }
     m
 }

@@ -1,9 +1,9 @@
-//! DESIGN.md's knob and metric tables are rendered from the code's
-//! tables: this fails, printing the text to paste, when the "Scenario
-//! protocol" section no longer carries them verbatim.
+//! DESIGN.md's knob and metric tables and its list of registry counters
+//! are rendered from the code's tables: this fails, printing the text to
+//! paste, when DESIGN.md no longer carries them verbatim.
 
 use spdyier_scenario::{KNOBS, METRICS};
-use spdyier_trace::TraceLevel;
+use spdyier_trace::{TraceLevel, COUNTERS};
 
 fn knob_table() -> String {
     let mut table = String::from("| knob | takes | section |\n|---|---|---|\n");
@@ -24,6 +24,12 @@ fn metric_table() -> String {
     table
 }
 
+/// The flight recorder's counters, as DESIGN.md lists them.
+fn counter_list() -> String {
+    let names: Vec<String> = COUNTERS.iter().map(|name| format!("`{name}`")).collect();
+    format!("Counters: {}.", names.join(", "))
+}
+
 #[test]
 fn design_md_carries_the_rendered_knob_and_metric_tables() {
     let design = include_str!("../../../DESIGN.md");
@@ -33,4 +39,10 @@ fn design_md_carries_the_rendered_knob_and_metric_tables() {
             "DESIGN.md \"Scenario protocol\" is stale; paste:\n\n{table}"
         );
     }
+    let prose = design.split_whitespace().collect::<Vec<_>>().join(" ");
+    let counters = counter_list();
+    assert!(
+        prose.contains(&counters),
+        "DESIGN.md \"Flight recorder\" lists other counters; paste:\n\n{counters}"
+    );
 }
