@@ -32,10 +32,3 @@ pub use jitter::JitterModel;
 pub use link::{Link, LinkConfig, LinkStats, LinkVerdict};
 pub use loss::{LossModel, LossState};
 pub use path::{presets, Direction, DuplexPath};
-
-/// Ethernet-ish maximum segment size used on wired paths.
-pub const WIRED_MSS: u64 = 1460;
-/// Typical cellular maximum segment size (smaller MTU over GTP tunnels).
-pub const CELLULAR_MSS: u64 = 1380;
-/// Bytes of TCP/IP header overhead carried per segment on the wire.
-pub const HEADER_OVERHEAD: u64 = 40;
