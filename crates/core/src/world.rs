@@ -570,7 +570,8 @@ impl World {
     /// last drain into the run's outputs by their rules (DESIGN.md,
     /// "Counting retransmissions"): R1, a retransmission on the access
     /// path that is not a pure FIN; R2, an RTO firing on the access path;
-    /// R4, when traced, an RTO firing on any pipe.
+    /// R4, when traced, an RTO firing on any pipe; R5, an R2 firing that
+    /// is not a pure FIN.
     pub fn drain_census(&mut self, idx: usize, b_side: bool, result: &mut RunResult) {
         let traced = self.tracer.active(TraceLevel::Full);
         let pipe = &mut self.pipes[idx];
@@ -583,6 +584,9 @@ impl World {
             if record.is_timeout() {
                 if over_access {
                     result.total_timeouts += 1;
+                    if record.kind != SegKind::PureFin {
+                        result.total_non_fin_timeouts += 1;
+                    }
                 }
                 if traced {
                     self.tracer.emit(

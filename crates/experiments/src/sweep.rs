@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Schema version stamped into the checkpoint store header.
-pub const SWEEP_STORE_SCHEMA_VERSION: u32 = 1;
+pub const SWEEP_STORE_SCHEMA_VERSION: u32 = 2;
 
 /// The checkpoint store's file name inside the sweep output directory.
 pub const SWEEP_STORE_NAME: &str = "sweep_store.jsonl";

@@ -4,7 +4,7 @@
 //! byte-identical `result.json`.
 
 use spdyier_experiments::sweep::{
-    replay_store, run_sweep_on, SweepOptions, SWEEP_HEARTBEAT_NAME, SWEEP_STORE_NAME,
+    crc32, replay_store, run_sweep_on, SweepOptions, SWEEP_HEARTBEAT_NAME, SWEEP_STORE_NAME,
 };
 use spdyier_experiments::{Executor, SweepOutcome};
 use spdyier_scenario::{Manifest, Seeds};
@@ -275,5 +275,22 @@ fn sweep_refuses_bulk_artifact_manifests_and_foreign_stores() {
     let err = run_sweep_on(&Executor::new(1), &other, &dir, SweepOptions::default())
         .expect_err("foreign store refuses to resume");
     assert!(err.to_string().contains("different manifest"), "{err}");
+
+    // A store an older build wrote is refused at its header, not at its
+    // first cell line's unknown key.
+    let store = dir.join(SWEEP_STORE_NAME);
+    let text = std::fs::read_to_string(&store).expect("store exists");
+    let (header, cells) = text.split_once('\n').expect("store has a header line");
+    let (_, json) = header.split_once(' ').expect("header has a CRC");
+    let json = json.replace("\"schema_version\":2", "\"schema_version\":1");
+    let header = format!("{:08x} {json}", crc32(json.as_bytes()));
+    std::fs::write(&store, format!("{header}\n{cells}")).expect("store rewritten");
+    let err = run_sweep_on(&Executor::new(1), &m, &dir, SweepOptions::default())
+        .expect_err("a v1 store refuses to resume")
+        .to_string();
+    assert!(
+        err.contains("store is schema v1, this build speaks v2") && !err.contains('\n'),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

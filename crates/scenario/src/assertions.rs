@@ -300,6 +300,7 @@ mod tests {
             critical_sums_us: [1, 2, 3, 4, 5, 6, 7, 8, 9],
             critical_visits: 2,
             timeouts: 1,
+            non_fin_timeouts: 1,
             ..CellMetrics::default()
         };
         populated.plt.record(120.0);

@@ -66,6 +66,8 @@ pub struct CellMetrics {
     pub retransmissions: u64,
     /// Aggregate RTO firings.
     pub timeouts: u64,
+    /// The RTO firings whose segment is not a pure FIN.
+    pub non_fin_timeouts: u64,
     /// Aggregate idle restarts.
     pub idle_restarts: u64,
     /// Client↔proxy connections opened.
@@ -192,6 +194,7 @@ impl CellMetrics {
             seed: cell.seed,
             retransmissions: result.total_retransmissions,
             timeouts: result.total_timeouts,
+            non_fin_timeouts: result.total_non_fin_timeouts,
             idle_restarts: result.total_idle_restarts,
             connections_opened: result.connections_opened,
             promotions: result.promotions.len() as u64,
@@ -263,6 +266,7 @@ impl CellMetrics {
         self.critical_visits += other.critical_visits;
         self.retransmissions += other.retransmissions;
         self.timeouts += other.timeouts;
+        self.non_fin_timeouts += other.non_fin_timeouts;
         self.idle_restarts += other.idle_restarts;
         self.connections_opened += other.connections_opened;
         self.promotions += other.promotions;
@@ -291,15 +295,17 @@ impl CellMetrics {
     /// The paper's headline normalization: RTO recovery (entry 3 of either
     /// attribution's sums) per RTO firing instead of per visit. One RTO on
     /// SPDY's single connection stalls the whole page; HTTP's pool hides
-    /// most of its (more numerous) firings behind parallel transfers.
+    /// most of its (more numerous) firings behind parallel transfers. The
+    /// divisor leaves out pure-FIN firings: a teardown FIN cannot stall a
+    /// page.
     fn per_rto_firing(&self, sum_us: u64, visits: u64, no_samples: &str) -> Result<f64, String> {
         if visits == 0 {
             return Err(no_samples.into());
         }
-        if self.timeouts == 0 {
-            return Err("no RTO firings in the selected cells".into());
+        if self.non_fin_timeouts == 0 {
+            return Err("no non-FIN RTO firings in the selected cells".into());
         }
-        Ok(sum_us as f64 / 1_000.0 / self.timeouts as f64)
+        Ok(sum_us as f64 / 1_000.0 / self.non_fin_timeouts as f64)
     }
 
     fn counter(&self, name: &str) -> f64 {

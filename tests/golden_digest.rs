@@ -39,7 +39,7 @@ use spdyier::experiments::{run_cell, run_manifest_on, Executor};
 use spdyier_scenario::Manifest;
 use std::path::Path;
 
-const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x44f5_4200_bbf4_5ce5;
+const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x301d_2162_1a10_e092;
 const QUICK_WIFI_RESULT_JSON: u64 = 0x0031_f90b_a9a0_46c4;
 const BULK_LTE_SMALL_RESULT_JSON: u64 = 0x609e_cdde_8a79_48dc;
 const TRACE_SPDY_3G_STALLS_DAT: u64 = 0x3020_680f_f0aa_78ed;
@@ -48,10 +48,10 @@ const TRACE_SPDY_3G_WATERFALL_HAR: u64 = 0x1b78_cfdd_b1e7_eee3;
 const TRACE_SPDY_3G_TRACE_JSONL: u64 = 0x6dbf_9e14_23ad_df40;
 const TRACE_SPDY_3G_METRICS_JSON: u64 = 0x9a5a_33b2_32d8_b428;
 const TRACE_SPDY_3G_STALLS_MANIFEST: u64 = 0xd87f_1838_0273_ee50;
-const PAIRED_3G_DUMP_META: u64 = 0xa214_e554_e84f_7165;
+const PAIRED_3G_DUMP_META: u64 = 0xb0ac_f340_548c_7d5a;
 const EXPORT_SPDY_3G_DOWNLINK_DAT: u64 = 0x9187_0206_2182_a22e;
 const EXPORT_SPDY_3G_INFLIGHT_DAT: u64 = 0x4e2b_d6cf_eb56_ccb5;
-const PAIRED_LTE_ONE_SEED_DUMP: u64 = 0x4641_c31c_bdeb_b3a5;
+const PAIRED_LTE_ONE_SEED_DUMP: u64 = 0x1cc6_4eb1_9542_503c;
 const PAIRED_3G_HTTP_METRICS_JSON: u64 = 0xe24b_e878_6001_8f61;
 const PAIRED_3G_SPDY_METRICS_JSON: u64 = 0x9a5a_33b2_32d8_b428;
 const BULK_LTE_SMALL_HTTP_METRICS_JSON: u64 = 0x68a4_9f38_88b8_3c22;

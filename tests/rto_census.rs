@@ -6,8 +6,8 @@
 //! `scenarios/mitigation_matrix_3g.json` asserts the headline: one RTO
 //! on SPDY's single connection stalls a page longer than one on HTTP's
 //! pool. Each side of that assertion is a stall sum divided by the
-//! cell's `timeouts`, so the pins below hold both the divisor and the
-//! quotient, for every variant × protocol cell.
+//! cell's RTO firings that are not pure FINs, so the pins below hold
+//! both the divisor and the quotient, for every variant × protocol cell.
 //!
 //! Every count is a fold over the TCP senders' retransmission census, so
 //! the census itself is pinned too, by side, segment kind and trigger,
@@ -27,19 +27,19 @@ fn scenario(name: &str) -> Manifest {
     Manifest::from_file(&path).expect("committed scenario decodes")
 }
 
-/// `(protocol, variant, retransmissions, timeouts,
+/// `(protocol, variant, retransmissions, timeouts, non_fin_timeouts,
 /// rto_stall_per_event_ms, critical_rto_per_event_ms)` per cell of
 /// `mitigation_matrix_3g.json`, in cell order.
 #[rustfmt::skip]
-const MITIGATION_MATRIX_3G: [(&str, &str, u64, u64, f64, f64); 8] = [
-    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=true", 144, 510, 50.95401568627451, 44.682968627450975),
-    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=true", 136, 132, 152.5488787878788, 152.5488787878788),
-    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=false", 139, 503, 51.62348310139165, 46.43239761431411),
-    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=false", 111, 104, 209.59960576923078, 209.59960576923078),
-    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=true", 139, 405, 62.16818518518519, 57.42309135802469),
-    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=true", 1, 1, 1000.0, 1000.0),
-    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=false", 141, 444, 54.52117342342343, 51.912527027027025),
-    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=false", 1, 1, 1000.0, 1000.0),
+const MITIGATION_MATRIX_3G: [(&str, &str, u64, u64, u64, f64, f64); 8] = [
+    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=true", 144, 510, 144, 180.4621388888889, 158.25218055555555),
+    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=true", 136, 132, 132, 152.5488787878788, 152.5488787878788),
+    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=false", 139, 503, 139, 186.8101582733813, 168.0251510791367),
+    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=false", 111, 104, 104, 209.59960576923078, 209.59960576923078),
+    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=true", 139, 405, 139, 181.1375179856115, 167.3118848920863),
+    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=true", 1, 1, 1, 1000.0, 1000.0),
+    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=false", 141, 444, 141, 171.683695035461, 163.46923404255318),
+    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=false", 1, 1, 1, 1000.0, 1000.0),
 ];
 
 #[test]
@@ -57,6 +57,7 @@ fn mitigation_matrix_3g_rto_counts_are_pinned() {
                 m.variant.clone(),
                 m.retransmissions,
                 m.timeouts,
+                m.non_fin_timeouts,
                 metric("rto_stall_per_event_ms"),
                 metric("critical_rto_per_event_ms"),
             )
@@ -64,7 +65,7 @@ fn mitigation_matrix_3g_rto_counts_are_pinned() {
         .collect();
     let pinned: Vec<_> = MITIGATION_MATRIX_3G
         .iter()
-        .map(|&(p, v, r, t, s, c)| (p.to_string(), v.to_string(), r, t, s, c))
+        .map(|&(p, v, r, t, n, s, c)| (p.to_string(), v.to_string(), r, t, n, s, c))
         .collect();
     assert_eq!(measured, pinned);
 }
@@ -109,15 +110,23 @@ fn http_3g_census_is_pinned_by_side_kind_and_trigger() {
         .collect();
     assert_eq!(counts, HTTP_3G_SEED_0);
 
-    // The run's two counts are folds over the census by their rules:
-    // R1 counts retransmissions that are not pure FINs, R2 every RTO.
+    // The run's three counts are folds over the census by their rules:
+    // R1 counts retransmissions that are not pure FINs, R2 every RTO,
+    // R5 the RTOs that are not pure FINs (1 + 60 + 59 + 24).
     let rtx = census.iter().filter(|(_, r)| r.sent.is_some());
     let r1 = rtx.filter(|(_, r)| r.kind != SegKind::PureFin).count();
-    let r2 = census.iter().filter(|(_, r)| r.is_timeout()).count();
+    let rtos = census.iter().filter(|(_, r)| r.is_timeout());
+    let r2 = rtos.clone().count();
+    let r5 = rtos.filter(|(_, r)| r.kind != SegKind::PureFin).count();
     assert_eq!(
-        (r1 as u64, r2 as u64),
-        (result.total_retransmissions, result.total_timeouts)
+        (r1 as u64, r2 as u64, r5 as u64),
+        (
+            result.total_retransmissions,
+            result.total_timeouts,
+            result.total_non_fin_timeouts
+        )
     );
+    assert_eq!(r5, 144);
 
     // Whether R2's teardown RTOs can stall a page: 27 of the 366
     // pure-FIN RTOs fire inside a visit's [start, onload], all of them
