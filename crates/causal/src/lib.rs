@@ -5,20 +5,17 @@
 //! builds the [`EventModel`] of each page load (HTML parse → fetch issue →
 //! connection grant → TCP send → link serialization → RRC promotion wait
 //! → RTO recovery → response → dependent fetch), and one boundary
-//! [`sweep`] projects it two ways — the per-visit **stall table**
-//! ([`stall_sums_us`]: how much wall time each layer consumed) and exact
-//! per-visit **critical-path extraction** (which of it gated the load) —
-//! both conserving the PLT by construction. A **diff engine** aligns two
-//! runs of the same workload and attributes their PLT delta edge by
-//! edge.
+//! [`sweep`] projects it into an exact per-visit **critical path**
+//! (which of the wall time gated the load), conserving the PLT by
+//! construction. A **diff engine** aligns two runs of the same workload
+//! and attributes their PLT delta edge by edge.
 //!
 //! The paper's headline — SPDY's single connection magnifies TCP RTO
 //! stalls under 3G RRC transitions — is a critical-path statement: a
 //! stall only hurts PLT when it sits on the load's dependency chain.
-//! The stall table decomposes wall time into layer buckets; the critical
-//! path answers the sharper question of *which* stalls gated the load,
-//! and, across two cells (HTTP vs SPDY, mitigation on vs off), *which
-//! edges the PLT delta came from*.
+//! The critical path names *which* stalls gated the load, and, across
+//! two cells (HTTP vs SPDY, mitigation on vs off), *which edges the PLT
+//! delta came from*.
 //!
 //! ```
 //! use spdyier_causal::{critical_paths_from_records, diff_paths};

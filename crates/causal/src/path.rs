@@ -844,4 +844,46 @@ mod tests {
             assert_eq!(explain_json(label, paths), expected);
         }
     }
+
+    #[test]
+    fn a_stream_cut_mid_visit_has_no_critical_path_for_the_open_visit() {
+        // Visit 0 finishes; the stream ends inside visit 1, whose window
+        // the model holds open and zero-length. One row per path:
+        // `explain` must not count, nor `diff` align on, a zero-PLT
+        // visit.
+        let records = records(vec![
+            (0, TraceEvent::VisitStart { visit: 0, site: 1 }),
+            (
+                600,
+                TraceEvent::TcpRto {
+                    conn: 0,
+                    b_side: false,
+                    silent_since: t(200),
+                },
+            ),
+            (
+                1_000,
+                TraceEvent::VisitEnd {
+                    visit: 0,
+                    completed: true,
+                    plt_us: 1_000,
+                },
+            ),
+            (5_000, TraceEvent::VisitStart { visit: 1, site: 2 }),
+            (
+                5_100,
+                TraceEvent::RrcPromotion {
+                    kind: "IdleToDch".into(),
+                    start: t(5_100),
+                    done: t(7_100),
+                },
+            ),
+        ]);
+        let model = EventModel::from_records(&records);
+        assert_eq!(model.windows.len(), 2, "the model keeps the open window");
+        let paths = critical_paths(&model);
+        let visits: Vec<usize> = paths.iter().map(|p| p.visit).collect();
+        assert_eq!(visits, [0]);
+        assert_eq!(paths[0].plt_us(), 1_000);
+    }
 }

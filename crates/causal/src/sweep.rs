@@ -1,4 +1,4 @@
-//! The one boundary sweep, and the stall table it projects.
+//! The one boundary sweep.
 //!
 //! Every attribution is the same operation: tile a window `[a, b)`
 //! against the model's typed intervals, give each stretch to the
@@ -40,11 +40,12 @@
 //! *starts*. `tests/sweep_oracle.rs` keeps the endpoint sweep as the
 //! reference.
 //!
-//! Two projections read the model through `sweep`: the **stall table**
-//! ([`stall_sums_us`]: one whole-window sweep per visit, every
-//! connection admitted — where did the wall time go?) and the **critical
-//! path** ([`crate::path`]: one sweep per spine segment, the fetch's own
-//! connection only — which of it gated the load?).
+//! The **critical path** ([`crate::path`]) reads the model through
+//! `sweep`: one sweep per spine segment, the fetch's own connection only
+//! — which of the wall time gated the load? [`stall_sums_us`] is the
+//! whole-window sweep (every connection admitted) that the benchmark
+//! harness still times through `spdyier_core::attribute_stalls`, and
+//! that `tests/sweep_oracle.rs` checks against the endpoint sweep.
 
 use crate::model::{EventModel, IntervalIndex, Run, Runs, VisitWindow};
 use crate::path::EdgeKind;

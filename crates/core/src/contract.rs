@@ -14,10 +14,10 @@
 //! | 2 | a limit was exceeded (event budget, total-event cap) |
 //! | 3 | configuration error (malformed manifest, bad CLI value) |
 //!
-//! Machine-readable side outputs that predate the contract (the
-//! paired-sweep JSONL dump, the `stalls_*.dat` table) keep their exact
-//! bytes for golden compatibility and gain schema-versioned *sidecar*
-//! manifests instead, built here. Every document is a typed value
+//! The machine-readable side output that predates the contract, the
+//! paired-sweep JSONL dump, keeps its exact bytes for golden
+//! compatibility and gains a schema-versioned *sidecar* manifest
+//! instead, built here. Every document is a typed value
 //! deriving `Serialize`: the key order is the field order, and
 //! `serde::Writer` prints it.
 
@@ -31,9 +31,6 @@ pub const RESULT_SCHEMA_VERSION: u32 = 1;
 
 /// Schema version of the paired-sweep JSONL dump sidecar.
 pub const PAIRED_DUMP_SCHEMA_VERSION: u32 = 1;
-
-/// Schema version of the `stalls_*.dat` sidecar manifest.
-pub const STALL_TABLE_SCHEMA_VERSION: u32 = 1;
 
 /// Standardized scenario exit codes (LabWired-style).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -167,32 +164,6 @@ pub fn junit_xml(scenario: &str, verdicts: &[AssertionVerdict]) -> String {
     s
 }
 
-/// The `stalls_<label>.manifest.json` document.
-#[derive(Serialize)]
-struct StallManifest<'a> {
-    schema_version: u32,
-    kind: &'static str,
-    file: &'a str,
-    columns: Vec<&'a str>,
-    rows: usize,
-}
-
-/// Sidecar manifest for a `stalls_<label>.dat` table: schema version,
-/// column names (lifted from the table's own `#` header), and row count.
-/// The `.dat` bytes themselves stay exactly as they always were.
-pub fn stall_manifest_file(stalls: &DataFile) -> DataFile {
-    let header = stalls.contents.lines().next().unwrap_or_default();
-    let doc = StallManifest {
-        schema_version: STALL_TABLE_SCHEMA_VERSION,
-        kind: "stall_table",
-        file: &stalls.name,
-        columns: header.trim_start_matches('#').split_whitespace().collect(),
-        rows: stalls.contents.lines().count().saturating_sub(1),
-    };
-    let name = format!("{}.manifest.json", stalls.name.trim_end_matches(".dat"));
-    DataFile::pretty(name, &doc)
-}
-
 /// The `<dump>.meta.json` document.
 #[derive(Serialize)]
 struct PairedMeta<'a> {
@@ -236,7 +207,7 @@ mod tests {
     fn verdicts() -> Vec<AssertionVerdict> {
         vec![
             AssertionVerdict {
-                expr: "spdy.rto_stall_ms > http.rto_stall_ms on 3g".into(),
+                expr: "spdy.critical_rto_stall_ms > http.critical_rto_stall_ms on 3g".into(),
                 status: VerdictStatus::Pass,
                 lhs: Some(100.0),
                 rhs: Some(50.0),
@@ -273,7 +244,7 @@ mod tests {
         assert!(xml.starts_with("<?xml version=\"1.0\""));
         assert!(xml.contains("tests=\"3\" failures=\"1\" skipped=\"1\""));
         assert!(xml.contains("name=\"matrix&lt;3g&gt;\""));
-        assert!(xml.contains("spdy.rto_stall_ms &gt; http.rto_stall_ms"));
+        assert!(xml.contains("spdy.critical_rto_stall_ms &gt; http.critical_rto_stall_ms"));
         assert!(xml.contains("<failure message=\"9500.0 &lt; 9000.0 is false\"/>"));
         assert!(xml.contains("<skipped message="));
     }
@@ -285,21 +256,6 @@ mod tests {
         let v = serde_json::to_string(&verdicts()[2]).unwrap();
         assert!(v.contains("\"status\":\"skipped\""), "{v}");
         assert!(v.contains("\"lhs\":null"), "{v}");
-    }
-
-    #[test]
-    fn stall_sidecar_pins_columns_and_rows() {
-        let stalls = DataFile {
-            name: "stalls_spdy.dat".into(),
-            contents: "# visit site plt_ms\n1 9 100.0\n2 4 200.0\n".into(),
-        };
-        let side = stall_manifest_file(&stalls);
-        assert_eq!(side.name, "stalls_spdy.manifest.json");
-        let v = serde_json::from_str(&side.contents).unwrap();
-        assert_eq!(v["schema_version"].as_u64(), Some(1));
-        assert_eq!(v["rows"].as_u64(), Some(2));
-        assert_eq!(v["columns"][0].as_str(), Some("visit"));
-        assert_eq!(v["columns"][2].as_str(), Some("plt_ms"));
     }
 
     #[test]

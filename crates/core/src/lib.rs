@@ -38,11 +38,11 @@ mod visits;
 pub mod waterfall;
 mod world;
 
-pub use attribution::{attribute_stalls, stall_file, stall_table, StallBreakdown};
+pub use attribution::attribute_stalls;
 pub use config::{ExperimentConfig, NetworkKind, ProtocolMode, NETWORK_NAMES};
 pub use contract::{
-    junit_xml, paired_meta_file, stall_manifest_file, AssertionVerdict, ScenarioExit,
-    VerdictStatus, PAIRED_DUMP_SCHEMA_VERSION, RESULT_SCHEMA_VERSION, STALL_TABLE_SCHEMA_VERSION,
+    junit_xml, paired_meta_file, AssertionVerdict, ScenarioExit, VerdictStatus,
+    PAIRED_DUMP_SCHEMA_VERSION, RESULT_SCHEMA_VERSION,
 };
 pub use driver::{RunError, Testbed};
 pub use export::{export_run, metrics_file, write_to_dir, DataFile, METRICS_SCHEMA_VERSION};

@@ -1,8 +1,9 @@
 //! Flight-recorder acceptance tests: tracing must be invisible to the
 //! simulation (byte-identical results with the recorder off or on),
-//! and the stall attributor must conserve PLT and reproduce the
+//! and the whole-window stall sums must conserve PLT and reproduce the
 //! paper's SPDY-suffers-more-RTOs story on 3G.
 
+use spdyier_causal::EventModel;
 use spdyier_core::{
     attribute_stalls, ExperimentConfig, FlightLog, NetworkKind, ProtocolMode, RunResult, Testbed,
     TraceLevel,
@@ -56,18 +57,22 @@ fn tracing_is_invisible_to_the_simulation() {
 fn stall_attribution_conserves_plt_exactly() {
     let (_, log) = run_traced(paired_3g_cfg(ProtocolMode::spdy(), TraceLevel::Full));
     let stalls = attribute_stalls(&log);
+    let model = EventModel::from_records(&log.events);
+    let windows: Vec<_> = model.windows.iter().filter(|w| w.closed).collect();
     assert!(!stalls.is_empty(), "traced run produced visits");
-    for b in &stalls {
+    assert_eq!(stalls.len(), windows.len());
+    for (sums, w) in stalls.iter().zip(windows) {
         assert_eq!(
-            b.attributed_us(),
-            b.plt_us(),
+            sums.iter().sum::<u64>(),
+            w.end_us - w.start_us,
             "visit {}: categories must sum to PLT exactly",
-            b.visit
+            w.visit
         );
+        let [_, promotion, serialization, queueing, ..] = *sums;
         assert!(
-            b.promotion_us + b.serialization_us + b.queueing_us > 0,
+            promotion + serialization + queueing > 0,
             "visit {}: a 3G load spends time on the radio and the link",
-            b.visit
+            w.visit
         );
     }
 }
@@ -77,7 +82,7 @@ fn spdy_attributes_more_rto_stall_than_http_on_3g() {
     let (_, spdy_log) = run_traced(paired_3g_cfg(ProtocolMode::spdy(), TraceLevel::Full));
     let (_, http_log) = run_traced(paired_3g_cfg(ProtocolMode::Http, TraceLevel::Full));
     let rto_total =
-        |log: &FlightLog| -> u64 { attribute_stalls(log).iter().map(|b| b.rto_stall_us).sum() };
+        |log: &FlightLog| -> u64 { attribute_stalls(log).iter().map(|sums| sums[0]).sum() };
     let spdy_rto = rto_total(&spdy_log);
     let http_rto = rto_total(&http_log);
     assert!(

@@ -40,9 +40,8 @@ use crate::exec::Executor;
 use serde::Serialize;
 use spdyier_causal::{EventModel, ModelBuilder};
 use spdyier_core::{
-    export_run, junit_xml, metrics_file, paired_meta_file, stall_file, stall_manifest_file,
-    stall_table, waterfall_json, AssertionVerdict, DataFile, FlightLog, RunError, RunResult,
-    ScenarioExit, StallBreakdown, Testbed, TraceLevel, VerdictStatus,
+    export_run, junit_xml, metrics_file, paired_meta_file, waterfall_json, AssertionVerdict,
+    DataFile, FlightLog, RunError, RunResult, ScenarioExit, Testbed, TraceLevel, VerdictStatus,
 };
 use spdyier_scenario::{evaluate, Cell, CellMetrics, Manifest, Seeds, Summary};
 use std::borrow::Borrow;
@@ -125,17 +124,16 @@ pub(crate) fn limit_diagnostic(cell: &Cell, e: &RunError) -> String {
 /// Reduce one executed cell to its [`FoldedCell`] under `manifest`'s
 /// output options. The runner and the sweep runner both reduce through
 /// this, so what lands in the artifacts cannot depend on which ran it.
-/// A traced cell's model is swept into one stall table here; the metrics
-/// fold and every trace artifact read those.
+/// The metrics fold and every trace artifact read a traced cell's one
+/// event model.
 pub fn fold_cell(
     manifest: &Manifest,
     cell: &Cell,
     result: &RunResult,
     traced: Option<&TracedCell>,
 ) -> FoldedCell {
-    let stalls = traced.map(|t| stall_table(&t.model)).unwrap_or_default();
     let traced = traced.map(|t| (&t.log, &t.model));
-    let metrics = CellMetrics::from_model(cell, result, traced, &stalls);
+    let metrics = CellMetrics::from_model(cell, result, traced);
     let dump_line = manifest
         .outputs
         .paired_dump
@@ -143,7 +141,7 @@ pub fn fold_cell(
     let mut files = match traced {
         Some((log, model)) if manifest.outputs.trace_artifacts => {
             let label = cell.artifact_label(manifest);
-            cell_trace_files(&label, result, log, model, &stalls)
+            cell_trace_files(&label, result, log, model)
         }
         _ => Vec::new(),
     };
@@ -206,16 +204,14 @@ fn write_result_file(path: &Path, doc: &ResultDoc) -> std::io::Result<()> {
     file.flush()
 }
 
-/// One cell's trace artifacts: the JSONL event stream, the waterfall,
-/// the stall table with its schema sidecar, and the metrics registry.
+/// One cell's trace artifacts: the JSONL event stream, the waterfall
+/// and the metrics registry.
 fn cell_trace_files(
     label: &str,
     result: &RunResult,
     log: &FlightLog,
     model: &EventModel,
-    stalls: &[StallBreakdown],
 ) -> Vec<DataFile> {
-    let stalls = stall_file(label, stalls);
     vec![
         DataFile {
             name: format!("trace_{label}.jsonl"),
@@ -225,8 +221,6 @@ fn cell_trace_files(
             name: format!("waterfall_{label}.har.json"),
             contents: waterfall_json(result, Some(model)),
         },
-        stall_manifest_file(&stalls),
-        stalls,
         metrics_file(label, &log.metrics),
     ]
 }

@@ -2,14 +2,13 @@
 //! end-to-end runs: conservation (edge durations sum to PLT by
 //! construction), RTO coverage (the recorder's RTO-stall intervals and
 //! the path's `rto_recovery` edges agree region by region under the
-//! engine's causal filtering rules), agreement between the model's two
-//! projections (stall table vs critical path), and byte-identical
-//! diff/explain output at any executor width.
+//! engine's causal filtering rules), and byte-identical diff/explain
+//! output at any executor width.
 
 use spdyier_causal::{
     critical_paths, diff_paths, explain_json, CriticalPath, EdgeKind, EventModel, Interval,
 };
-use spdyier_core::{stall_table, NetworkKind, ProtocolMode, RunResult};
+use spdyier_core::{NetworkKind, ProtocolMode, RunResult};
 use spdyier_experiments::{run_cell, Executor};
 use spdyier_scenario::{Manifest, ProtocolSpec, Workload};
 use spdyier_trace::TraceLevel;
@@ -148,34 +147,6 @@ fn check_invariants(model: &EventModel, paths: &[CriticalPath], what: &str) {
     }
 }
 
-/// The invariant tying the model's two projections together: RTO
-/// silence outranks everything in the whole-window sweep, so a visit's
-/// `rto_stall_us` is the measure of every connection's RTO silences
-/// inside the window — and the critical path, which only counts the
-/// silences that sat on the load's dependency chain, can never exceed it.
-fn check_stall_table_against_paths(model: &EventModel, paths: &[CriticalPath], what: &str) {
-    let stalls = stall_table(model);
-    assert_eq!(stalls.len(), paths.len(), "{what}: one stall row per path");
-    for (b, p) in stalls.iter().zip(paths) {
-        assert_eq!((b.visit, b.plt_us()), (p.visit, p.plt_us()), "{what}");
-        assert_eq!(b.attributed_us(), b.plt_us(), "{what}: stall sums != PLT");
-        assert_eq!(
-            b.rto_stall_us,
-            union_us(&model.rto, p.start_us, p.end_us, None),
-            "{what}: visit {} stall-table RTO time != union of RTO silences",
-            b.visit
-        );
-        let critical_rto = p.sums_us()[EdgeKind::RtoRecovery.index()];
-        assert!(
-            critical_rto <= b.rto_stall_us,
-            "{what}: visit {} has {critical_rto} us of rto_recovery on its critical path \
-             but only {} us of RTO silence in its window",
-            b.visit,
-            b.rto_stall_us
-        );
-    }
-}
-
 #[test]
 fn conservation_and_rto_coverage_hold_across_the_sweep() {
     let networks = [NetworkKind::Umts3G, NetworkKind::Lte, NetworkKind::Wifi];
@@ -187,7 +158,6 @@ fn conservation_and_rto_coverage_hold_across_the_sweep() {
                 let paths = critical_paths(&model);
                 let what = format!("{network:?}/{protocol:?}/seed{seed}");
                 check_invariants(&model, &paths, &what);
-                check_stall_table_against_paths(&model, &paths, &what);
             }
         }
     }
@@ -202,7 +172,6 @@ fn conservation_holds_on_the_full_3g_schedule() {
         let paths = critical_paths(&model);
         assert_eq!(paths.len(), result.visits.len());
         check_invariants(&model, &paths, &format!("table1/{protocol:?}"));
-        check_stall_table_against_paths(&model, &paths, &format!("table1/{protocol:?}"));
         // The extractor's window is the recorder's PLT verbatim.
         for (p, v) in paths.iter().zip(&result.visits) {
             assert_eq!(p.site, v.site as usize);

@@ -184,19 +184,18 @@ fn a_trace_passed_as_a_manifest_is_refused() {
 }
 
 /// `result.json` carries an attribution key only when the run recorded
-/// the events the key is built from: no `*_stall_ms` or `critical_*_ms`
-/// key at `off`, all six stall shares and the nine critical-path edges at
-/// `full`. A zero printed for an untraced run would be indistinguishable
+/// the events the key is built from: no `critical_*_ms` key at `off`,
+/// the nine critical-path edges at `full`, and no other stall key at
+/// either. A zero printed for an untraced run would be indistinguishable
 /// from a measured zero. The retired level names and digits are config
 /// errors: exit 3 and one line naming the two levels.
 #[test]
 fn result_json_carries_attribution_keys_only_at_their_trace_level() {
     let dir = std::env::temp_dir().join(format!("spdyier_cli_levels_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let full = "promotion_stall_ms serialization_stall_ms queueing_stall_ms rto_stall_ms \
-                think_stall_ms other_stall_ms critical_parse_ms critical_conn_setup_ms \
-                critical_promotion_ms critical_rto_stall_ms critical_serialization_ms \
-                critical_queueing_ms critical_think_ms critical_wait_ms critical_receive_ms";
+    let full = "critical_parse_ms critical_conn_setup_ms critical_promotion_ms \
+                critical_rto_stall_ms critical_serialization_ms critical_queueing_ms \
+                critical_think_ms critical_wait_ms critical_receive_ms";
     let cases = [
         ("off", Some("")),
         ("full", Some(full)),
@@ -235,7 +234,7 @@ fn result_json_carries_attribution_keys_only_at_their_trace_level() {
         let attribution: Vec<&str> = cell
             .iter()
             .map(|(key, _)| key.as_str())
-            .filter(|key| key.ends_with("_stall_ms") || key.starts_with("critical_"))
+            .filter(|key| key.contains("stall") || key.starts_with("critical_"))
             .collect();
         assert_eq!(attribution.join(" "), expected, "trace level {level}");
     }

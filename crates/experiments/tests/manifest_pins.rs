@@ -16,7 +16,7 @@ use std::path::Path;
 const PINS: [(&str, u64, &str); 9] = [
     ("bulk_lte_small.json", 0x00f5e6d11bda6ff3, "b7152277"),
     ("export_spdy_3g.json", 0x25534d8a0399968e, "44c79dbd"),
-    ("mitigation_matrix_3g.json", 0xe0755d63d5423660, "ee27b529"),
+    ("mitigation_matrix_3g.json", 0x35a4191f0ad1aa70, "9597a736"),
     ("paired_3g.json", 0x4746cb6524270b54, "b417e28c"),
     ("paired_lte.json", 0xebc53f50f51d4b96, "bd54dd6e"),
     ("population_wifi.json", 0xf50fa6ee63666c38, "42abcd0a"),

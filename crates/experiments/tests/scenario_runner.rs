@@ -35,8 +35,8 @@ fn quick_manifest(name: &str) -> Manifest {
 
 /// `run_cell` + `fold_cell` are the one path behind `run` and `sweep`. A traced cell keeps its flight log only when the manifest
 /// asks for the JSONL dump, and then — with every consumer switched on
-/// (both attribution folds, the stall table, the bound waterfall) —
-/// scans it into an event model exactly once; otherwise the model was
+/// (the critical-path fold, the bound waterfall) — scans it into an
+/// event model exactly once; otherwise the model was
 /// the recorder's sink, there is no log, and nothing is scanned.
 #[cfg(debug_assertions)]
 #[test]
@@ -45,7 +45,7 @@ fn a_traced_cell_scans_its_flight_log_once_if_it_keeps_one_and_never_otherwise()
     use spdyier_experiments::{fold_cell, run_cell};
     let mut m = quick_manifest("one_scan");
     m.trace = spdyier_core::TraceLevel::Full;
-    for (artifacts, scans_expected, files) in [(true, 1, 5), (false, 0, 0)] {
+    for (artifacts, scans_expected, files) in [(true, 1, 3), (false, 0, 0)] {
         m.outputs.trace_artifacts = artifacts;
         let cell = &m.cells()[1];
         let scans = || SCANS.with(std::cell::Cell::get);
@@ -56,22 +56,17 @@ fn a_traced_cell_scans_its_flight_log_once_if_it_keeps_one_and_never_otherwise()
         let log = traced.expect("traced").log;
         assert_eq!(log.events.is_empty(), !artifacts);
         assert!(log.metrics.counter("trace.emitted") > 0 && log.dropped == 0);
-        assert_eq!(
-            folded.files.len(),
-            files,
-            "trace, waterfall, stalls x2, metrics"
-        );
-        assert_eq!(folded.metrics.stall_visits, 1);
+        assert_eq!(folded.files.len(), files, "trace, waterfall, metrics");
         assert_eq!(folded.metrics.critical_visits, 1);
     }
 }
 
 /// Attribution costs what the cell's trace holds, not that times its
-/// windows: over both projections of one Table-1 3G cell (20 visit
+/// windows: over the critical paths of one Table-1 3G cell (20 visit
 /// windows, some hundreds of spine segments) the sweep's cursors read
-/// about as many runs as the model has intervals plus the segments it
-/// emits — 87,397 for 102,842 intervals and 21,668 segments when
-/// committed. The endpoint sweep this one replaced passed over every
+/// at most about as many runs as the model has intervals plus the
+/// segments it emits — 16,728 for 102,842 intervals and 4,077 segments
+/// as committed. The endpoint sweep this one replaced passed over every
 /// interval of the run once per window: 281,456,133 reads for this cell.
 #[cfg(debug_assertions)]
 #[test]
@@ -322,8 +317,6 @@ fn trace_manifest_writes_the_legacy_artifact_set_plus_contract() {
         "junit.xml",
         "trace_spdy.jsonl",
         "waterfall_spdy.har.json",
-        "stalls_spdy.dat",
-        "stalls_spdy.manifest.json",
         "metrics_spdy.json",
     ] {
         assert!(dir.join(name).is_file(), "missing artifact {name}");

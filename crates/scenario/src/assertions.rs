@@ -9,7 +9,7 @@
 //! counters it publishes ([`spdyier_trace::COUNTERS`]). Examples:
 //!
 //! ```text
-//! spdy.rto_stall_ms > http.rto_stall_ms on 3g
+//! spdy.critical_rto_stall_ms > http.critical_rto_stall_ms on 3g
 //! plt_p50_ms < 9000
 //! http.counter.tcp.rto_fires >= 1
 //! ```
@@ -231,12 +231,13 @@ mod tests {
 
     #[test]
     fn parses_the_paper_headline() {
-        let a = Assertion::parse("spdy.rto_stall_ms > http.rto_stall_ms on 3g").unwrap();
+        let a = Assertion::parse("spdy.critical_rto_stall_ms > http.critical_rto_stall_ms on 3g")
+            .unwrap();
         assert_eq!(a.op, CmpOp::Gt);
         assert_eq!(a.on, Some(NetworkKind::Umts3G));
         let lhs = a.lhs.metric().unwrap();
         assert_eq!(lhs.filters, ["spdy"]);
-        assert_eq!(lhs.metric, "rto_stall_ms");
+        assert_eq!(lhs.metric, "critical_rto_stall_ms");
     }
 
     #[test]
@@ -265,6 +266,10 @@ mod tests {
             ("plt_p50_ms < ", "malformed assertion"),
             ("plt_p50_ms ~ 9", "unknown operator"),
             ("plt_p50 < 9000", "unknown metric"),
+            (
+                "spdy.rto_stall_per_event_ms > http.rto_stall_per_event_ms on 3g",
+                "unknown metric",
+            ),
             ("1 < 2", "two literals"),
             ("plt_p50_ms < 9000 on 4g", "unknown network"),
             ("spdy..plt_p50_ms < 9000", "malformed metric reference"),
@@ -295,8 +300,6 @@ mod tests {
         let mut populated = CellMetrics {
             visits: 3,
             completed: 2,
-            stall_sums_us: [1, 2, 3, 4, 5, 6],
-            stall_visits: 2,
             critical_sums_us: [1, 2, 3, 4, 5, 6, 7, 8, 9],
             critical_visits: 2,
             timeouts: 1,

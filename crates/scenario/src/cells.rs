@@ -305,13 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn assertions_raise_trace_level_for_stall_metrics() {
+    fn assertions_raise_the_cells_trace_level() {
         let text = r#"{
             "schema_version": 1,
-            "name": "stalls",
+            "name": "headline",
             "network": { "kind": "3g" },
             "protocols": ["http", "spdy"],
-            "assertions": ["spdy.rto_stall_ms > http.rto_stall_ms on 3g"]
+            "assertions": ["spdy.critical_rto_per_event_ms > http.critical_rto_per_event_ms on 3g"]
         }"#;
         let m = Manifest::from_json(text).unwrap();
         assert_eq!(m.trace, TraceLevel::Off);

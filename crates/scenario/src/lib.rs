@@ -21,7 +21,7 @@
 //!     "name": "headline",
 //!     "network": { "kind": "3g" },
 //!     "protocols": ["http", "spdy"],
-//!     "assertions": ["spdy.rto_stall_ms > http.rto_stall_ms on 3g"]
+//!     "assertions": ["spdy.critical_rto_stall_ms > http.critical_rto_stall_ms on 3g"]
 //! }"#).unwrap();
 //! assert_eq!(m.cells().len(), 2);
 //! ```

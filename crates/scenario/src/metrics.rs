@@ -1,11 +1,11 @@
 //! Per-cell metric extraction and pooled assertion evaluation.
 //!
 //! Each run cell reduces to a [`CellMetrics`] accumulator (a PLT
-//! quantile sketch, stall-category sums, trace counters, aggregate
+//! quantile sketch, critical-path edge sums, trace counters, aggregate
 //! TCP/radio counters). Assertion references select cells by filter,
 //! merge the accumulators, and compute the named metric over the pool —
-//! so `spdy.rto_stall_ms` with three seeds is the mean over every SPDY
-//! visit of all three runs, not a mean of means.
+//! so `spdy.critical_rto_stall_ms` with three seeds is the mean over
+//! every SPDY visit of all three runs, not a mean of means.
 //!
 //! The accumulator is a *fold*: [`CellMetrics::fold_visit`] ingests one
 //! visit at a time and [`CellMetrics::merge`] combines two accumulators
@@ -21,8 +21,7 @@ use crate::manifest::Manifest;
 use serde::{Deserialize, Serialize, Value, Writer};
 use spdyier_causal::{critical_paths, EventModel};
 use spdyier_core::{
-    stall_table, AssertionVerdict, FlightLog, RunResult, StallBreakdown, TraceLevel, VerdictStatus,
-    VisitResult,
+    AssertionVerdict, FlightLog, RunResult, TraceLevel, VerdictStatus, VisitResult,
 };
 use spdyier_sim::stats::{MergeError, QuantileSketch};
 use std::borrow::Borrow;
@@ -49,11 +48,6 @@ pub struct CellMetrics {
     pub visits: u64,
     /// Completed visits.
     pub completed: u64,
-    /// Stall-category sums in µs over attributed visits, in
-    /// [promotion, serialization, queueing, rto, think, other] order.
-    pub stall_sums_us: [u64; 6],
-    /// Visits with a stall attribution (0 when the cell was untraced).
-    pub stall_visits: u64,
     /// Critical-path edge sums in µs over extracted visits, in the
     /// causal engine's canonical [`spdyier_causal::EDGE_KINDS`] order:
     /// [parse, conn_setup, promotion, rto, serialization, queueing,
@@ -90,8 +84,6 @@ pub type Metric = (
     fn(&CellMetrics) -> Result<f64, String>,
 );
 
-const NO_STALL_SAMPLES: &str =
-    "no stall-attribution samples (stall metrics need full-level tracing)";
 const NO_CRITICAL_SAMPLES: &str =
     "no critical-path samples (critical metrics need full-level tracing)";
 
@@ -112,15 +104,6 @@ pub const METRICS: &[Metric] = {
             |m| Ok(if m.visits == 0 { 0.0 } else { m.completed as f64 / m.visits as f64 })),
         ("visits", Off, |m| Ok(m.visits as f64)),
         ("completed_visits", Off, |m| Ok(m.completed as f64)),
-        // STALL_ROWS: the six stall categories, in `stall_sums_us` order.
-        ("promotion_stall_ms", Full, |m| m.stall_mean_ms(0)),
-        ("serialization_stall_ms", Full, |m| m.stall_mean_ms(1)),
-        ("queueing_stall_ms", Full, |m| m.stall_mean_ms(2)),
-        ("rto_stall_ms", Full, |m| m.stall_mean_ms(3)),
-        ("think_stall_ms", Full, |m| m.stall_mean_ms(4)),
-        ("other_stall_ms", Full, |m| m.stall_mean_ms(5)),
-        ("rto_stall_per_event_ms", Full,
-            |m| m.per_rto_firing(m.stall_sums_us[3], m.stall_visits, NO_STALL_SAMPLES)),
         ("retransmissions", Off, |m| Ok(m.retransmissions as f64)),
         ("timeouts", Off, |m| Ok(m.timeouts as f64)),
         ("idle_restarts", Off, |m| Ok(m.idle_restarts as f64)),
@@ -140,8 +123,7 @@ pub const METRICS: &[Metric] = {
         ("critical_think_ms", Full, |m| m.critical_mean_ms(6)),
         ("critical_wait_ms", Full, |m| m.critical_mean_ms(7)),
         ("critical_receive_ms", Full, |m| m.critical_mean_ms(8)),
-        ("critical_rto_per_event_ms", Full,
-            |m| m.per_rto_firing(m.critical_sums_us[3], m.critical_visits, NO_CRITICAL_SAMPLES)),
+        ("critical_rto_per_event_ms", Full, |m| m.critical_rto_per_firing_ms()),
         // Trace-sink losses: any drop voids conservation guarantees, so
         // scenarios can pin this to zero.
         ("trace_dropped", Full, |m| Ok(m.counter("trace.sink_dropped"))),
@@ -149,8 +131,7 @@ pub const METRICS: &[Metric] = {
 };
 
 /// The rows [`Summary`] prints by position.
-const STALL_ROWS: std::ops::Range<usize> = 9..15;
-const CRITICAL_ROWS: std::ops::Range<usize> = 23..32;
+const CRITICAL_ROWS: std::ops::Range<usize> = 16..25;
 
 /// The segment that turns the rest of a reference into a registry
 /// counter name: `counter.tcp.rto_fires`.
@@ -174,19 +155,17 @@ impl CellMetrics {
     /// Reduce one cell's run (and its flight log, when recorded).
     pub fn from_run(cell: &Cell, result: &RunResult, log: Option<&FlightLog>) -> CellMetrics {
         let model = log.map(|l| EventModel::from_records(&l.events));
-        let stalls = model.as_ref().map(stall_table).unwrap_or_default();
-        Self::from_model(cell, result, log.zip(model.as_ref()), &stalls)
+        Self::from_model(cell, result, log.zip(model.as_ref()))
     }
 
     /// [`Self::from_run`] for a caller that already holds the log's event
-    /// model and its stall table — the runner renders the cell's trace
-    /// artifacts from the same two, so a traced cell is scanned once and
-    /// swept once. A traced cell folds both tables.
+    /// model — the runner renders the cell's trace artifacts from the
+    /// same model, so a traced cell is scanned once. A traced cell folds
+    /// its critical paths and its registry counters.
     pub fn from_model(
         cell: &Cell,
         result: &RunResult,
         traced: Option<(&FlightLog, &EventModel)>,
-        stalls: &[StallBreakdown],
     ) -> CellMetrics {
         let mut m = CellMetrics {
             protocol: cell.protocol.compact(),
@@ -205,15 +184,6 @@ impl CellMetrics {
             m.fold_visit(v);
         }
         if let Some((log, model)) = traced {
-            for b in stalls {
-                m.stall_sums_us[0] += b.promotion_us;
-                m.stall_sums_us[1] += b.serialization_us;
-                m.stall_sums_us[2] += b.queueing_us;
-                m.stall_sums_us[3] += b.rto_stall_us;
-                m.stall_sums_us[4] += b.server_think_us;
-                m.stall_sums_us[5] += b.other_us;
-                m.stall_visits += 1;
-            }
             for p in critical_paths(model) {
                 for (sum, add) in m.critical_sums_us.iter_mut().zip(p.sums_us()) {
                     *sum += add;
@@ -256,10 +226,6 @@ impl CellMetrics {
         self.plt.merge(&other.plt)?;
         self.visits += other.visits;
         self.completed += other.completed;
-        for (sum, add) in self.stall_sums_us.iter_mut().zip(other.stall_sums_us) {
-            *sum += add;
-        }
-        self.stall_visits += other.stall_visits;
         for (sum, add) in self.critical_sums_us.iter_mut().zip(other.critical_sums_us) {
             *sum += add;
         }
@@ -278,13 +244,6 @@ impl CellMetrics {
         Ok(())
     }
 
-    fn stall_mean_ms(&self, category: usize) -> Result<f64, String> {
-        if self.stall_visits == 0 {
-            return Err(NO_STALL_SAMPLES.into());
-        }
-        Ok(self.stall_sums_us[category] as f64 / 1_000.0 / self.stall_visits as f64)
-    }
-
     fn critical_mean_ms(&self, edge: usize) -> Result<f64, String> {
         if self.critical_visits == 0 {
             return Err(NO_CRITICAL_SAMPLES.into());
@@ -292,20 +251,19 @@ impl CellMetrics {
         Ok(self.critical_sums_us[edge] as f64 / 1_000.0 / self.critical_visits as f64)
     }
 
-    /// The paper's headline normalization: RTO recovery (entry 3 of either
-    /// attribution's sums) per RTO firing instead of per visit. One RTO on
-    /// SPDY's single connection stalls the whole page; HTTP's pool hides
-    /// most of its (more numerous) firings behind parallel transfers. The
-    /// divisor leaves out pure-FIN firings: a teardown FIN cannot stall a
-    /// page.
-    fn per_rto_firing(&self, sum_us: u64, visits: u64, no_samples: &str) -> Result<f64, String> {
-        if visits == 0 {
-            return Err(no_samples.into());
+    /// The paper's headline normalization: critical-path RTO recovery
+    /// per RTO firing instead of per visit. One RTO on SPDY's single
+    /// connection stalls the whole page; HTTP's pool hides most of its
+    /// (more numerous) firings behind parallel transfers. The divisor
+    /// leaves out pure-FIN firings: a teardown FIN cannot stall a page.
+    fn critical_rto_per_firing_ms(&self) -> Result<f64, String> {
+        if self.critical_visits == 0 {
+            return Err(NO_CRITICAL_SAMPLES.into());
         }
         if self.non_fin_timeouts == 0 {
             return Err("no non-FIN RTO firings in the selected cells".into());
         }
-        Ok(sum_us as f64 / 1_000.0 / self.non_fin_timeouts as f64)
+        Ok(self.critical_sums_us[3] as f64 / 1_000.0 / self.non_fin_timeouts as f64)
     }
 
     fn counter(&self, name: &str) -> f64 {
@@ -355,7 +313,7 @@ impl Serialize for Summary<'_> {
         w.field("promotions", &m.promotions);
         w.field("total_bytes", &m.total_bytes);
         w.field("energy_mj", &m.energy_mj);
-        for (name, _, eval) in METRICS[STALL_ROWS].iter().chain(&METRICS[CRITICAL_ROWS]) {
+        for (name, _, eval) in &METRICS[CRITICAL_ROWS] {
             // Absent without samples, so an untraced run keeps the
             // legacy schema.
             if let Ok(value) = eval(m) {
@@ -486,8 +444,8 @@ mod tests {
             plt: sketch_of(plts),
             visits: plts.len() as u64 + 1,
             completed: plts.len() as u64,
-            stall_sums_us: [0, 0, 0, rto_us, 0, 0],
-            stall_visits: plts.len() as u64,
+            critical_sums_us: [0, 0, 0, rto_us, 0, 0, 0, 0, 0],
+            critical_visits: plts.len() as u64,
             retransmissions: 4,
             counters: BTreeMap::from([("tcp.rto_fires".to_string(), 3u64)]),
             ..CellMetrics::default()
@@ -525,9 +483,10 @@ mod tests {
             .unwrap(),
             350.0
         );
-        // rto_stall_ms pools sums and visit counts: (1000+3000)/1000/4 = 1.0.
+        // critical_rto_stall_ms pools sums and visit counts:
+        // (1000+3000)/1000/4 = 1.0.
         assert_eq!(
-            eval_metric(&cells, &["http".to_string()], "rto_stall_ms").unwrap(),
+            eval_metric(&cells, &["http".to_string()], "critical_rto_stall_ms").unwrap(),
             1.0
         );
         // counters sum across cells.
@@ -552,7 +511,7 @@ mod tests {
             cell("spdy", 0, &[200.0], 5_000),
         ];
         let m = manifest_with(&[
-            "spdy.rto_stall_ms > http.rto_stall_ms on 3g",
+            "spdy.critical_rto_stall_ms > http.critical_rto_stall_ms on 3g",
             "plt_p50_ms < 90",
             "plt_p50_ms < 1 on lte",
         ]);
@@ -571,10 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn missing_stall_samples_fail_with_reason() {
+    fn missing_critical_samples_fail_the_verdict_with_reason() {
         let mut c = cell("http", 0, &[100.0], 0);
-        c.stall_visits = 0;
-        let m = manifest_with(&["http.rto_stall_ms < 10"]);
+        c.critical_visits = 0;
+        let m = manifest_with(&["http.critical_rto_stall_ms < 10"]);
         let verdicts = evaluate(&m, &[c]);
         assert_eq!(verdicts[0].status, VerdictStatus::Fail);
         assert!(
@@ -610,12 +569,6 @@ mod tests {
                 "promotions",
                 "total_bytes",
                 "energy_mj",
-                "promotion_stall_ms",
-                "serialization_stall_ms",
-                "queueing_stall_ms",
-                "rto_stall_ms",
-                "think_stall_ms",
-                "other_stall_ms",
                 "critical_parse_ms",
                 "critical_conn_setup_ms",
                 "critical_promotion_ms",
@@ -628,7 +581,7 @@ mod tests {
             ]
         );
         // Without critical-path samples the critical_* keys stay absent.
-        let c = cell("http", 0, &[100.0], 2_000);
+        c.critical_visits = 0;
         let Value::Object(entries) = Summary(&c).to_value() else {
             panic!("summary is an object");
         };
@@ -636,23 +589,9 @@ mod tests {
     }
 
     #[test]
-    fn critical_metrics_pool_like_stall_metrics() {
-        let mut a = cell("spdy", 0, &[100.0], 0);
-        a.critical_sums_us[3] = 4_000;
-        a.critical_visits = 1;
-        let mut b = cell("spdy", 1, &[200.0], 0);
-        b.critical_sums_us[3] = 2_000;
-        b.critical_visits = 2;
-        // Pooled mean over 3 visits: (4000+2000)/1000/3 = 2.0 ms.
-        assert_eq!(
-            eval_metric(&[a, b], &["spdy".to_string()], "critical_rto_stall_ms").unwrap(),
-            2.0
-        );
-    }
-
-    #[test]
     fn critical_metrics_without_samples_fail_with_reason() {
-        let c = cell("http", 0, &[100.0], 0);
+        let mut c = cell("http", 0, &[100.0], 0);
+        c.critical_visits = 0;
         let e = c.metric("critical_parse_ms").unwrap_err();
         assert!(e.contains("full-level tracing"), "{e}");
     }

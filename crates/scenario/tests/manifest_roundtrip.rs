@@ -39,7 +39,7 @@ const PROTOCOL_POOL: [&str; 6] = [
 ];
 
 const ASSERTION_POOL: [&str; 6] = [
-    "spdy.rto_stall_ms > http.rto_stall_ms on 3g",
+    "spdy.critical_rto_stall_ms > http.critical_rto_stall_ms on 3g",
     "plt_p50_ms < 9000",
     "completion_rate >= 0.9",
     "http.counter.tcp.rto_fires >= 0",

@@ -20,9 +20,7 @@ fn build_cell(samples: &[Sample]) -> CellMetrics {
         m.plt.record(plt_ms);
         m.visits += 1;
         m.completed += 1;
-        m.stall_sums_us[3] += stall_us;
-        m.stall_visits += 1;
-        m.critical_sums_us[3] += stall_us / 2;
+        m.critical_sums_us[3] += stall_us;
         m.critical_visits += 1;
         m.retransmissions += counter % 3;
         m.timeouts += counter % 2;

@@ -6,15 +6,13 @@
 //! of `scenarios/quick_wifi.json` (the pooled-metrics contract), and the
 //! `result.json` of `scenarios/bulk_lte_small.json` (the data plane: 16
 //! one-MiB objects per protocol, where per-segment delivery, timer
-//! re-arm and reassembly order decide every tie). Three more stand for
-//! everything read back out of a flight log, all from the fully-traced
-//! `scenarios/trace_spdy_3g.json`: the per-visit stall table
-//! (`stalls_spdy.dat`), the `result.json` whose cell carries the six
-//! `*_stall_ms` and nine `critical_*_ms` keys, and the HAR waterfall with
-//! its conn/stream bindings. Four more pin what the JSON printer writes
-//! and no other digest covers: that scenario's trace JSONL, metrics
-//! registry and stall-table sidecar, and the paired dump's sidecar (its
-//! `run_result_keys`). Three more pin the two per-segment series, the
+//! re-arm and reassembly order decide every tie). Two more stand for
+//! everything read back out of a flight log, both from the fully-traced
+//! `scenarios/trace_spdy_3g.json`: the `result.json` whose cell carries
+//! the nine `critical_*_ms` keys, and the HAR waterfall with its
+//! conn/stream bindings. Three more pin what the JSON printer writes and
+//! no other digest covers: that scenario's trace JSONL and metrics
+//! registry, and the paired dump's sidecar (its `run_result_keys`). Three more pin the two per-segment series, the
 //! only outputs that read them: `scenarios/export_spdy_3g.json`'s
 //! per-second downlink and bytes-in-flight plot files, and the paired
 //! dump of `scenarios/paired_lte.json`. Their FNV-1a digests are pinned
@@ -42,12 +40,10 @@ use std::path::Path;
 const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x301d_2162_1a10_e092;
 const QUICK_WIFI_RESULT_JSON: u64 = 0x0031_f90b_a9a0_46c4;
 const BULK_LTE_SMALL_RESULT_JSON: u64 = 0x609e_cdde_8a79_48dc;
-const TRACE_SPDY_3G_STALLS_DAT: u64 = 0x3020_680f_f0aa_78ed;
-const TRACE_SPDY_3G_RESULT_JSON: u64 = 0x7f2c_936c_59ad_81cb;
+const TRACE_SPDY_3G_RESULT_JSON: u64 = 0xd847_dabd_ba6c_d2c8;
 const TRACE_SPDY_3G_WATERFALL_HAR: u64 = 0x1b78_cfdd_b1e7_eee3;
 const TRACE_SPDY_3G_TRACE_JSONL: u64 = 0x6dbf_9e14_23ad_df40;
 const TRACE_SPDY_3G_METRICS_JSON: u64 = 0x9a5a_33b2_32d8_b428;
-const TRACE_SPDY_3G_STALLS_MANIFEST: u64 = 0xd87f_1838_0273_ee50;
 const PAIRED_3G_DUMP_META: u64 = 0xb0ac_f340_548c_7d5a;
 const EXPORT_SPDY_3G_DOWNLINK_DAT: u64 = 0x9187_0206_2182_a22e;
 const EXPORT_SPDY_3G_INFLIGHT_DAT: u64 = 0x4e2b_d6cf_eb56_ccb5;
@@ -121,33 +117,27 @@ fn golden_artifact_digests_are_pinned() {
 
 #[test]
 fn golden_traced_artifact_digests_are_pinned() {
-    let [stalls, result, waterfall, jsonl, metrics, sidecar] = artifact_digests(
+    let [result, waterfall, jsonl, metrics] = artifact_digests(
         "trace_spdy_3g.json",
         [
-            "stalls_spdy.dat",
             "result.json",
             "waterfall_spdy.har.json",
             "trace_spdy.jsonl",
             "metrics_spdy.json",
-            "stalls_spdy.manifest.json",
         ],
     );
     assert_eq!(
-        (stalls, result, waterfall, jsonl, metrics, sidecar),
+        (result, waterfall, jsonl, metrics),
         (
-            TRACE_SPDY_3G_STALLS_DAT,
             TRACE_SPDY_3G_RESULT_JSON,
             TRACE_SPDY_3G_WATERFALL_HAR,
             TRACE_SPDY_3G_TRACE_JSONL,
-            TRACE_SPDY_3G_METRICS_JSON,
-            TRACE_SPDY_3G_STALLS_MANIFEST
+            TRACE_SPDY_3G_METRICS_JSON
         ),
-        "trace reader output changed: stalls_spdy.dat {stalls:#018x}, \
-         trace_spdy_3g result.json {result:#018x}, \
+        "trace reader output changed: trace_spdy_3g result.json {result:#018x}, \
          waterfall_spdy.har.json {waterfall:#018x}, \
          trace_spdy.jsonl {jsonl:#018x}, \
-         metrics_spdy.json {metrics:#018x}, \
-         stalls_spdy.manifest.json {sidecar:#018x}"
+         metrics_spdy.json {metrics:#018x}"
     );
 }
 

@@ -5,9 +5,10 @@
 //!
 //! `scenarios/mitigation_matrix_3g.json` asserts the headline: one RTO
 //! on SPDY's single connection stalls a page longer than one on HTTP's
-//! pool. Each side of that assertion is a stall sum divided by the
-//! cell's RTO firings that are not pure FINs, so the pins below hold
-//! both the divisor and the quotient, for every variant × protocol cell.
+//! pool. Each side of that assertion is a critical-path RTO sum divided
+//! by the cell's RTO firings that are not pure FINs, so the pins below
+//! hold both the divisor and the quotient, for every variant × protocol
+//! cell.
 //!
 //! Every count is a fold over the TCP senders' retransmission census, so
 //! the census itself is pinned too, by side, segment kind and trigger,
@@ -28,18 +29,18 @@ fn scenario(name: &str) -> Manifest {
 }
 
 /// `(protocol, variant, retransmissions, timeouts, non_fin_timeouts,
-/// rto_stall_per_event_ms, critical_rto_per_event_ms)` per cell of
-/// `mitigation_matrix_3g.json`, in cell order.
+/// critical_rto_per_event_ms)` per cell of `mitigation_matrix_3g.json`,
+/// in cell order.
 #[rustfmt::skip]
-const MITIGATION_MATRIX_3G: [(&str, &str, u64, u64, u64, f64, f64); 8] = [
-    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=true", 144, 510, 144, 180.4621388888889, 158.25218055555555),
-    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=true", 136, 132, 132, 152.5488787878788, 152.5488787878788),
-    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=false", 139, 503, 139, 186.8101582733813, 168.0251510791367),
-    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=false", 111, 104, 104, 209.59960576923078, 209.59960576923078),
-    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=true", 139, 405, 139, 181.1375179856115, 167.3118848920863),
-    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=true", 1, 1, 1, 1000.0, 1000.0),
-    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=false", 141, 444, 141, 171.683695035461, 163.46923404255318),
-    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=false", 1, 1, 1, 1000.0, 1000.0),
+const MITIGATION_MATRIX_3G: [(&str, &str, u64, u64, u64, f64); 8] = [
+    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=true", 144, 510, 144, 158.25218055555555),
+    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=true", 136, 132, 132, 152.5488787878788),
+    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=false", 139, 503, 139, 168.0251510791367),
+    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=false", 111, 104, 104, 209.59960576923078),
+    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=true", 139, 405, 139, 167.3118848920863),
+    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=true", 1, 1, 1, 1000.0),
+    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=false", 141, 444, 141, 163.46923404255318),
+    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=false", 1, 1, 1, 1000.0),
 ];
 
 #[test]
@@ -51,21 +52,20 @@ fn mitigation_matrix_3g_rto_counts_are_pinned() {
         .map(|cell| {
             let (result, traced) = run_cell(&manifest, cell).expect("within budget");
             let m = fold_cell(&manifest, cell, &result, traced.as_ref()).metrics;
-            let metric = |name| m.metric(name).expect("the cell is traced");
             (
                 m.protocol.clone(),
                 m.variant.clone(),
                 m.retransmissions,
                 m.timeouts,
                 m.non_fin_timeouts,
-                metric("rto_stall_per_event_ms"),
-                metric("critical_rto_per_event_ms"),
+                m.metric("critical_rto_per_event_ms")
+                    .expect("the cell is traced"),
             )
         })
         .collect();
     let pinned: Vec<_> = MITIGATION_MATRIX_3G
         .iter()
-        .map(|&(p, v, r, t, n, s, c)| (p.to_string(), v.to_string(), r, t, n, s, c))
+        .map(|&(p, v, r, t, n, c)| (p.to_string(), v.to_string(), r, t, n, c))
         .collect();
     assert_eq!(measured, pinned);
 }
