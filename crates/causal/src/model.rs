@@ -1,7 +1,6 @@
 //! The event model: one linear pass over a trace's records into the
-//! typed lookup tables every reader of a trace works from — the stall
-//! table, the critical-path extractor, and the waterfall's conn/stream
-//! binding. [`ModelBuilder::observe`] is the only place a record's event
+//! typed lookup tables every reader of a trace works from — the
+//! critical-path extractor and the waterfall's conn/stream binding. [`ModelBuilder::observe`] is the only place a record's event
 //! is interpreted; it is driven over a retained log's slice or, as the
 //! recorder's sink, by the run itself, record by record.
 //!

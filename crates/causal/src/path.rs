@@ -3,8 +3,8 @@
 //! The extractor walks one visit's dependency spine backwards from the
 //! last-completing object — each spine step is "this fetch could not
 //! have been issued before its predecessor finished" — then carves every
-//! spine segment into typed edges with [`crate::sweep`], the function
-//! the stall table is swept with. The edges tile the
+//! spine segment into typed edges with [`crate::sweep`], the overlap
+//! sweep [`crate::stall_sums_us`] runs over a whole window. The edges tile the
 //! `[VisitStart, VisitStart + plt]` window with no gaps and no overlaps,
 //! so their durations sum to the PLT *exactly*: conservation is by
 //! construction.

@@ -100,7 +100,7 @@ proptest! {
         let online = builder.finish();
         prop_assert_eq!(&online, &EventModel::from_records(&log.events));
 
-        // A window the cut left open yields no path (nor a stall row).
+        // A window the cut left open yields no path.
         let closed = online.windows.iter().filter(|w| w.closed).count();
         prop_assert_eq!(critical_paths(&online).len(), closed);
 

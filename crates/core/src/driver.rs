@@ -18,13 +18,12 @@ use crate::config::{ExperimentConfig, ProtocolMode};
 use crate::results::RunResult;
 use crate::session::{PipeRole, SessionAction, SessionCtx, Side};
 use crate::visits::Visits;
-use crate::world::{Event, World};
+use crate::world::{Census, Event, World};
 use spdyier_bytes::Payload;
 use spdyier_net::Direction;
 use spdyier_origin::{OriginConfig, OriginServers};
 use spdyier_proxy::{ClientConnId, FetchId};
 use spdyier_sim::{SimDuration, SimTime};
-use spdyier_tcp::RtxRecord;
 use spdyier_trace::{FlightLog, TraceEvent, TraceLevel, TraceSink, Tracer};
 use spdyier_workload::ObjectId;
 
@@ -152,15 +151,16 @@ impl Testbed {
         Ok(self.world.queue.fifo_fallbacks())
     }
 
-    /// Execute the run and return, beside its results, the access path's
+    /// [`Testbed::try_run_traced`] that also returns the access path's
     /// retransmission census in drain order: each loss detection and
     /// retransmission, with whether the proxy (else the device) sent it.
     #[doc(hidden)]
-    pub fn run_census(mut self) -> Result<(RunResult, Vec<(bool, RtxRecord)>), RunError> {
+    pub fn run_census(mut self) -> Result<(RunResult, FlightLog, Census), RunError> {
         self.world.census_log = Some(Vec::new());
         self.run_events()?;
         let census = self.world.census_log.take().unwrap_or_default();
-        Ok((self.finalize().0, census))
+        let (result, tracer) = self.finalize();
+        Ok((result, tracer.finish(), census))
     }
 
     /// Dispatch events until the run ends or the budget runs out.

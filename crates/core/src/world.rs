@@ -274,10 +274,14 @@ pub(crate) struct World {
     cache_metrics: bool,
     /// Radio promotions already forwarded to the flight recorder.
     promos_emitted: usize,
-    /// The access path's drained census records, each with whether the
-    /// proxy sent it; kept only for [`crate::Testbed::run_census`].
-    pub census_log: Option<Vec<(bool, RtxRecord)>>,
+    /// The access path's drained census records; kept only for
+    /// [`crate::Testbed::run_census`].
+    pub census_log: Option<Census>,
 }
+
+/// Retransmission census records in drain order, each with whether the
+/// proxy (else the device) sent it.
+pub(crate) type Census = Vec<(bool, RtxRecord)>;
 
 impl World {
     /// Build the world for `cfg`: RNG hierarchy forked from the root seed,

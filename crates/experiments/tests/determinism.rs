@@ -10,7 +10,7 @@ use spdyier_scenario::Manifest;
 /// The manifest runner and the flight recorder carry that guarantee
 /// end to end: a paired 3G manifest with every bulk artifact on — the
 /// paired dump and the per-cell trace bundle (JSONL event stream,
-/// waterfall, stall table, metrics registry) — writes byte-identical
+/// waterfall, metrics registry) — writes byte-identical
 /// files whether it ran on one worker (`SPDYIER_JOBS=1`) or four.
 #[test]
 fn parallel_traced_sweep_has_byte_identical_jsonl() {

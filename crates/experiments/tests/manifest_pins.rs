@@ -22,7 +22,7 @@ const PINS: [(&str, u64, &str); 9] = [
     ("population_wifi.json", 0xf50fa6ee63666c38, "42abcd0a"),
     ("quick_wifi.json", 0xfe066c84f8448cf5, "2452bd25"),
     ("synthetic_50obj.json", 0x867f40975b244aa2, "130d09e7"),
-    ("trace_spdy_3g.json", 0xdc4bf79653db8c7f, "88ef487c"),
+    ("trace_spdy_3g.json", 0xaed64cdca7fd199d, "5877a877"),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

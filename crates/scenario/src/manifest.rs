@@ -357,7 +357,7 @@ pub struct Outputs {
     /// plus its schema-versioned `.meta.json` sidecar).
     pub paired_dump: bool,
     /// Write per-cell trace artifacts (`trace_*.jsonl`, waterfall,
-    /// stall table + sidecar, metrics registry).
+    /// metrics registry).
     pub trace_artifacts: bool,
     /// Write each cell's gnuplot-ready `.dat` set (PLTs, per-second
     /// downlink, bytes in flight, retransmissions, promotions, proxy
@@ -446,8 +446,8 @@ impl Manifest {
 
     /// The trace level the runner actually uses: the declared level,
     /// raised to `Full` when an assertion names a metric the recorder
-    /// feeds — stall attribution, critical-path metrics, `trace_dropped`
-    /// or a counter passthrough (the flight recorder is passive, so
+    /// feeds — critical-path metrics, `trace_dropped` or a counter
+    /// passthrough (the flight recorder is passive, so
     /// raising it never perturbs the simulation — the determinism suite
     /// pins that).
     pub fn effective_trace(&self) -> TraceLevel {

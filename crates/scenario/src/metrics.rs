@@ -589,6 +589,21 @@ mod tests {
     }
 
     #[test]
+    fn critical_metrics_pool_over_visits() {
+        let mut a = cell("spdy", 0, &[100.0], 0);
+        a.critical_sums_us[3] = 4_000;
+        a.critical_visits = 1;
+        let mut b = cell("spdy", 1, &[200.0], 0);
+        b.critical_sums_us[3] = 2_000;
+        b.critical_visits = 2;
+        // Pooled mean over 3 visits: (4000+2000)/1000/3 = 2.0 ms.
+        assert_eq!(
+            eval_metric(&[a, b], &["spdy".to_string()], "critical_rto_stall_ms").unwrap(),
+            2.0
+        );
+    }
+
+    #[test]
     fn critical_metrics_without_samples_fail_with_reason() {
         let mut c = cell("http", 0, &[100.0], 0);
         c.critical_visits = 0;

@@ -17,8 +17,8 @@
 //!   deterministically ordered, folded from the events the recorder
 //!   takes.
 //! - [`Tracer`] / [`FlightLog`] — the recorder the `World` carries and
-//!   the artifact a finished run hands to consumers (stall attribution,
-//!   waterfall export, JSONL dump) in `spdyier-core`.
+//!   the artifact a finished run hands to consumers (the causal event
+//!   model, waterfall export, JSONL dump).
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 

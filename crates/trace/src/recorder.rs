@@ -7,7 +7,7 @@
 //! `Off` no event — and none of its `String` fields — is ever
 //! constructed. When a run finishes, [`Tracer::finish`] folds
 //! everything into a [`FlightLog`], the self-contained artifact the
-//! consumers (stall attributor, waterfall exporter, JSONL dump) read.
+//! consumers (causal event model, waterfall exporter, JSONL dump) read.
 
 use std::any::Any;
 

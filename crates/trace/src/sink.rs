@@ -4,7 +4,7 @@
 //! recorder. Two built-ins: [`NullSink`] discards everything (the
 //! zero-cost default — the recorder never even constructs events when
 //! the level is `Off`) and [`MemorySink`] keeps everything for
-//! in-process consumers like the stall attributor. The third sink a run
+//! in-process consumers like the JSONL dump. The third sink a run
 //! is ever lent, `spdyier_causal::ModelBuilder`, folds records into the
 //! causal event model instead of retaining them.
 

@@ -107,7 +107,7 @@ fn genuine_loss_produces_genuine_retransmissions() {
 fn bernoulli_loss_retransmits_by_every_trigger() {
     let loss = Some(LossModel::Bernoulli { p: 0.05 });
     let testbed = lossy(ProtocolMode::Http, loss, vec![5, 12]);
-    let (r, census) = testbed.run_census().expect("within budget");
+    let (r, _, census) = testbed.run_census().expect("within budget");
     let rtx: Vec<_> = census
         .iter()
         .filter(|(_, rec)| rec.sent.is_some())

@@ -40,7 +40,7 @@ use std::path::Path;
 const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x301d_2162_1a10_e092;
 const QUICK_WIFI_RESULT_JSON: u64 = 0x0031_f90b_a9a0_46c4;
 const BULK_LTE_SMALL_RESULT_JSON: u64 = 0x609e_cdde_8a79_48dc;
-const TRACE_SPDY_3G_RESULT_JSON: u64 = 0xd847_dabd_ba6c_d2c8;
+const TRACE_SPDY_3G_RESULT_JSON: u64 = 0x10f8_8456_eeba_336a;
 const TRACE_SPDY_3G_WATERFALL_HAR: u64 = 0x1b78_cfdd_b1e7_eee3;
 const TRACE_SPDY_3G_TRACE_JSONL: u64 = 0x6dbf_9e14_23ad_df40;
 const TRACE_SPDY_3G_METRICS_JSON: u64 = 0x9a5a_33b2_32d8_b428;

@@ -13,12 +13,19 @@
 //! Every count is a fold over the TCP senders' retransmission census, so
 //! the census itself is pinned too, by side, segment kind and trigger,
 //! for the paper's HTTP run on 3G.
+//!
+//! The divisor leaves pure-FIN firings out; the numerator is whatever
+//! RTO silence the critical paths charge. A path's browser-held gaps
+//! charge any connection's silence, so the pins also hold how much of
+//! each numerator is pure-FIN silence.
 
-use spdyier::core::{ProtocolMode, Testbed};
-use spdyier::experiments::{fold_cell, run_cell};
+use spdyier::causal::{critical_paths, EventModel};
+use spdyier::core::{FlightLog, ProtocolMode, Testbed, TraceLevel};
+use spdyier::experiments::{fold_cell, TracedCell};
 use spdyier::scenario::Manifest;
-use spdyier::tcp::{RtxTrigger, SegKind};
-use std::collections::BTreeMap;
+use spdyier::tcp::{RtxRecord, RtxTrigger, SegKind};
+use spdyier::trace::{TraceEvent, TraceRecord};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 fn scenario(name: &str) -> Manifest {
@@ -28,19 +35,40 @@ fn scenario(name: &str) -> Manifest {
     Manifest::from_file(&path).expect("committed scenario decodes")
 }
 
+/// The µs of critical-path RTO recovery that pure-FIN silences hold: how
+/// far the paths' RTO sum falls when the `TcpRto` records of the
+/// census's pure-FIN firings leave the log. A firing is matched to its
+/// record by instant and side, and no other firing may share the match.
+fn fin_rto_us(log: &FlightLog, census: &[(bool, RtxRecord)]) -> u64 {
+    let fin_rtos = census
+        .iter()
+        .filter(|(_, r)| r.is_timeout() && r.kind == SegKind::PureFin);
+    let fins: BTreeSet<_> = fin_rtos.clone().map(|(proxy, r)| (r.at, *proxy)).collect();
+    let is_fin = |rec: &&TraceRecord| matches!(rec.event, TraceEvent::TcpRto { b_side, .. } if fins.contains(&(rec.t, b_side)));
+    let kept: Vec<TraceRecord> = log.events.iter().filter(|r| !is_fin(r)).cloned().collect();
+    assert_eq!(log.events.len() - kept.len(), fin_rtos.count());
+    let rto_us = |records: &[TraceRecord]| -> u64 {
+        let model = EventModel::from_records(records);
+        critical_paths(&model).iter().map(|p| p.sums_us()[3]).sum()
+    };
+    rto_us(&log.events) - rto_us(&kept)
+}
+
 /// `(protocol, variant, retransmissions, timeouts, non_fin_timeouts,
-/// critical_rto_per_event_ms)` per cell of `mitigation_matrix_3g.json`,
-/// in cell order.
+/// critical_rto_per_event_ms, fin_rto_us)` per cell of
+/// `mitigation_matrix_3g.json`, in cell order. Of the numerators, only
+/// one HTTP cell's holds pure-FIN silence: two gaps, 8.6 ms and 57.8 ms,
+/// that would otherwise be parse time.
 #[rustfmt::skip]
-const MITIGATION_MATRIX_3G: [(&str, &str, u64, u64, u64, f64); 8] = [
-    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=true", 144, 510, 144, 158.25218055555555),
-    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=true", 136, 132, 132, 152.5488787878788),
-    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=false", 139, 503, 139, 168.0251510791367),
-    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=false", 111, 104, 104, 209.59960576923078),
-    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=true", 139, 405, 139, 167.3118848920863),
-    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=true", 1, 1, 1, 1000.0),
-    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=false", 141, 444, 141, 163.46923404255318),
-    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=false", 1, 1, 1, 1000.0),
+const MITIGATION_MATRIX_3G: [(&str, &str, u64, u64, u64, f64, u64); 8] = [
+    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=true", 144, 510, 144, 158.25218055555555, 0),
+    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=true", 136, 132, 132, 152.5488787878788, 0),
+    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=false", 139, 503, 139, 168.0251510791367, 0),
+    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=false", 111, 104, 104, 209.59960576923078, 0),
+    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=true", 139, 405, 139, 167.3118848920863, 66_416),
+    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=true", 1, 1, 1, 1000.0, 0),
+    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=false", 141, 444, 141, 163.46923404255318, 0),
+    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=false", 1, 1, 1, 1000.0, 0),
 ];
 
 #[test]
@@ -50,8 +78,12 @@ fn mitigation_matrix_3g_rto_counts_are_pinned() {
         .cells()
         .iter()
         .map(|cell| {
-            let (result, traced) = run_cell(&manifest, cell).expect("within budget");
-            let m = fold_cell(&manifest, cell, &result, traced.as_ref()).metrics;
+            let testbed = Testbed::new(cell.build_config(&manifest));
+            let (result, log, census) = testbed.run_census().expect("within budget");
+            let fin_us = fin_rto_us(&log, &census);
+            let model = EventModel::from_records(&log.events);
+            let traced = TracedCell { log, model };
+            let m = fold_cell(&manifest, cell, &result, Some(&traced)).metrics;
             (
                 m.protocol.clone(),
                 m.variant.clone(),
@@ -60,12 +92,13 @@ fn mitigation_matrix_3g_rto_counts_are_pinned() {
                 m.non_fin_timeouts,
                 m.metric("critical_rto_per_event_ms")
                     .expect("the cell is traced"),
+                fin_us,
             )
         })
         .collect();
     let pinned: Vec<_> = MITIGATION_MATRIX_3G
         .iter()
-        .map(|&(p, v, r, t, n, c)| (p.to_string(), v.to_string(), r, t, n, c))
+        .map(|&(p, v, r, t, n, c, f)| (p.to_string(), v.to_string(), r, t, n, c, f))
         .collect();
     assert_eq!(measured, pinned);
 }
@@ -95,8 +128,9 @@ fn http_3g_census_is_pinned_by_side_kind_and_trigger() {
     manifest.protocols.truncate(1);
     let cell = &manifest.cells()[0];
     assert_eq!(cell.protocol.mode, ProtocolMode::Http);
-    let testbed = Testbed::new(cell.build_config(&manifest));
-    let (result, census) = testbed.run_census().expect("within budget");
+    let mut cfg = cell.build_config(&manifest);
+    cfg.trace_level = TraceLevel::Full;
+    let (result, log, census) = Testbed::new(cfg).run_census().expect("within budget");
 
     let mut counts: BTreeMap<_, u64> = BTreeMap::new();
     for (proxy, r) in &census {
@@ -150,4 +184,7 @@ fn http_3g_census_is_pinned_by_side_kind_and_trigger() {
         (inside.len(), inside.iter().all(|&proxy| proxy)),
         (27, true)
     );
+    // None of them holds a page: the critical paths' RTO recovery is the
+    // same without them.
+    assert_eq!(fin_rto_us(&log, &census), 0);
 }
