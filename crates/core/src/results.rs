@@ -77,11 +77,9 @@ pub struct RunResult {
     /// How many instants `retransmissions` holds.
     pub total_retransmissions: u64,
     /// RTO firings of both sides of every access-path connection, pure
-    /// FINs included.
+    /// FINs left out: the ones that can stall a page (the headline's
+    /// divisor).
     pub total_timeouts: u64,
-    /// The RTO firings of `total_timeouts` whose segment is not a pure
-    /// FIN: the ones that can stall a page (the headline's divisor).
-    pub total_non_fin_timeouts: u64,
     /// Aggregate idle restarts.
     pub total_idle_restarts: u64,
 }

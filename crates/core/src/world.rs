@@ -571,27 +571,29 @@ impl World {
     }
 
     /// Fold the census records one side of pipe `idx` wrote since the
-    /// last drain into the run's outputs by their rules (DESIGN.md,
-    /// "Counting retransmissions"): R1, a retransmission on the access
-    /// path that is not a pure FIN; R2, an RTO firing on the access path;
-    /// R4, when traced, an RTO firing on any pipe; R5, an R2 firing that
-    /// is not a pure FIN.
+    /// last drain into the run's outputs (DESIGN.md, "Counting
+    /// retransmissions"). One filter decides what counts: a record on the
+    /// access path whose segment is not a pure FIN. Every count and trace
+    /// event below it reads only what passes: R1, a retransmission; R2,
+    /// an RTO firing.
     pub fn drain_census(&mut self, idx: usize, b_side: bool, result: &mut RunResult) {
         let traced = self.tracer.active(TraceLevel::Full);
         let pipe = &mut self.pipes[idx];
         let (over_access, silent_since) = (pipe.over_access, pipe.last_activity);
         let conn = if b_side { &mut pipe.b } else { &mut pipe.a };
         for record in conn.drain_census() {
-            if let (true, Some(log)) = (over_access, &mut self.census_log) {
+            if !over_access {
+                continue;
+            }
+            if let Some(log) = &mut self.census_log {
                 log.push((b_side, record));
             }
+            // Idle-socket teardown cannot stall a page.
+            if record.kind == SegKind::PureFin {
+                continue;
+            }
             if record.is_timeout() {
-                if over_access {
-                    result.total_timeouts += 1;
-                    if record.kind != SegKind::PureFin {
-                        result.total_non_fin_timeouts += 1;
-                    }
-                }
+                result.total_timeouts += 1;
                 if traced {
                     self.tracer.emit(
                         record.at,
@@ -602,9 +604,8 @@ impl World {
                         },
                     );
                 }
-            } else if record.sent.is_some() && over_access && record.kind != SegKind::PureFin {
-                // The paper's tcpdump series; idle-socket teardown is left
-                // out of it.
+            } else if record.sent.is_some() {
+                // The paper's tcpdump series.
                 result.retransmissions.mark(record.at);
                 result.total_retransmissions += 1;
                 if traced {

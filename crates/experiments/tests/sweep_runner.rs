@@ -282,14 +282,14 @@ fn sweep_refuses_bulk_artifact_manifests_and_foreign_stores() {
     let text = std::fs::read_to_string(&store).expect("store exists");
     let (header, cells) = text.split_once('\n').expect("store has a header line");
     let (_, json) = header.split_once(' ').expect("header has a CRC");
-    let json = json.replace("\"schema_version\":2", "\"schema_version\":1");
+    let json = json.replace("\"schema_version\":3", "\"schema_version\":2");
     let header = format!("{:08x} {json}", crc32(json.as_bytes()));
     std::fs::write(&store, format!("{header}\n{cells}")).expect("store rewritten");
     let err = run_sweep_on(&Executor::new(1), &m, &dir, SweepOptions::default())
-        .expect_err("a v1 store refuses to resume")
+        .expect_err("a v2 store refuses to resume")
         .to_string();
     assert!(
-        err.contains("store is schema v1, this build speaks v2") && !err.contains('\n'),
+        err.contains("store is schema v2, this build speaks v3") && !err.contains('\n'),
         "{err}"
     );
     let _ = std::fs::remove_dir_all(&dir);

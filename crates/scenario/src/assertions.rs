@@ -279,6 +279,10 @@ mod tests {
                 "unknown counter \"tcp.rto_fired\"",
             ),
             (
+                "counter.tcp.timeouts_total >= 0",
+                "unknown counter \"tcp.timeouts_total\"",
+            ),
+            (
                 "spdy.counter.tcp.retransmision <= 0",
                 "tcp.retransmissions, tcp.rto_fires",
             ),
@@ -303,7 +307,6 @@ mod tests {
             critical_sums_us: [1, 2, 3, 4, 5, 6, 7, 8, 9],
             critical_visits: 2,
             timeouts: 1,
-            non_fin_timeouts: 1,
             ..CellMetrics::default()
         };
         populated.plt.record(120.0);

@@ -58,10 +58,8 @@ pub struct CellMetrics {
     pub critical_visits: u64,
     /// Aggregate TCP retransmissions.
     pub retransmissions: u64,
-    /// Aggregate RTO firings.
+    /// Aggregate RTO firings, pure FINs left out.
     pub timeouts: u64,
-    /// The RTO firings whose segment is not a pure FIN.
-    pub non_fin_timeouts: u64,
     /// Aggregate idle restarts.
     pub idle_restarts: u64,
     /// Client↔proxy connections opened.
@@ -173,7 +171,6 @@ impl CellMetrics {
             seed: cell.seed,
             retransmissions: result.total_retransmissions,
             timeouts: result.total_timeouts,
-            non_fin_timeouts: result.total_non_fin_timeouts,
             idle_restarts: result.total_idle_restarts,
             connections_opened: result.connections_opened,
             promotions: result.promotions.len() as u64,
@@ -232,7 +229,6 @@ impl CellMetrics {
         self.critical_visits += other.critical_visits;
         self.retransmissions += other.retransmissions;
         self.timeouts += other.timeouts;
-        self.non_fin_timeouts += other.non_fin_timeouts;
         self.idle_restarts += other.idle_restarts;
         self.connections_opened += other.connections_opened;
         self.promotions += other.promotions;
@@ -254,16 +250,15 @@ impl CellMetrics {
     /// The paper's headline normalization: critical-path RTO recovery
     /// per RTO firing instead of per visit. One RTO on SPDY's single
     /// connection stalls the whole page; HTTP's pool hides most of its
-    /// (more numerous) firings behind parallel transfers. The divisor
-    /// leaves out pure-FIN firings: a teardown FIN cannot stall a page.
+    /// (more numerous) firings behind parallel transfers.
     fn critical_rto_per_firing_ms(&self) -> Result<f64, String> {
         if self.critical_visits == 0 {
             return Err(NO_CRITICAL_SAMPLES.into());
         }
-        if self.non_fin_timeouts == 0 {
-            return Err("no non-FIN RTO firings in the selected cells".into());
+        if self.timeouts == 0 {
+            return Err("no RTO firings in the selected cells".into());
         }
-        Ok(self.critical_sums_us[3] as f64 / 1_000.0 / self.non_fin_timeouts as f64)
+        Ok(self.critical_sums_us[3] as f64 / 1_000.0 / self.timeouts as f64)
     }
 
     fn counter(&self, name: &str) -> f64 {

@@ -24,7 +24,6 @@ fn build_cell(samples: &[Sample]) -> CellMetrics {
         m.critical_visits += 1;
         m.retransmissions += counter % 3;
         m.timeouts += counter % 2;
-        m.non_fin_timeouts += counter % 2;
         m.total_bytes += stall_us;
         *m.counters.entry("tcp.rto_fires".into()).or_insert(0) += counter;
     }

@@ -3,7 +3,7 @@
 //! one, and it reads each event the recorder takes before the sink
 //! does. Storage is `BTreeMap`-keyed: iteration and serialization order
 //! is the sorted key order, which keeps traced runs byte-identical. A
-//! counter appears with its first event; the four [`Books::close`]
+//! counter appears with its first event; the three [`Books::close`]
 //! publishes appear even at 0.
 //!
 //! A histogram is the sweep's [`QuantileSketch`]: exact count, min, max
@@ -18,7 +18,7 @@ use crate::event::TraceEvent;
 
 /// Every counter the fold publishes, sorted: the names a `counter.<name>`
 /// assertion may read.
-pub const COUNTERS: [&str; 14] = [
+pub const COUNTERS: [&str; 13] = [
     "conn.opened",
     "http.requests",
     "link.access.drops",
@@ -30,7 +30,6 @@ pub const COUNTERS: [&str; 14] = [
     "tcp.idle_restarts",
     "tcp.retransmissions",
     "tcp.rto_fires",
-    "tcp.timeouts_total",
     "trace.emitted",
     "trace.sink_dropped",
 ];
@@ -95,8 +94,6 @@ pub(crate) struct Books {
     metrics: MetricsRegistry,
     /// Events folded so far (`trace.emitted`).
     emitted: u64,
-    /// Per connection, whether its `ConnOpened` said `over_access`.
-    over_access: Vec<bool>,
 }
 
 impl Books {
@@ -105,15 +102,7 @@ impl Books {
         self.emitted += 1;
         let m = &mut self.metrics;
         match *event {
-            TraceEvent::ConnOpened {
-                conn, over_access, ..
-            } => {
-                if self.over_access.len() <= conn {
-                    self.over_access.resize(conn + 1, false);
-                }
-                self.over_access[conn] = over_access;
-                m.count("conn.opened", 1);
-            }
+            TraceEvent::ConnOpened { .. } => m.count("conn.opened", 1),
             // Every access-path send ends in exactly one of the two.
             TraceEvent::SegmentSent { .. } => m.count("link.access.segments", 1),
             TraceEvent::LinkDrop { .. } => {
@@ -125,18 +114,12 @@ impl Books {
             TraceEvent::ProxyFetchDispatch { .. } => m.count("proxy.fetches", 1),
             TraceEvent::HttpRequestSent { .. } => m.count("http.requests", 1),
             TraceEvent::SpdyStreamOpen { .. } => m.count("spdy.streams_opened", 1),
-            TraceEvent::TcpRto {
-                conn, silent_since, ..
-            } => {
+            TraceEvent::TcpRto { silent_since, .. } => {
                 m.count("tcp.rto_fires", 1);
                 m.observe(
                     "tcp.rto_silence_us",
                     t.saturating_since(silent_since).as_micros(),
                 );
-                // Rule R2: the run's timeouts are the access path's.
-                if self.over_access.get(conn) == Some(&true) {
-                    m.count("tcp.timeouts_total", 1);
-                }
             }
             TraceEvent::RrcPromotion { start, done, .. } => {
                 m.count("rrc.promotions", 1);
@@ -160,7 +143,6 @@ impl Books {
         m.count("trace.emitted", self.emitted);
         m.count("trace.sink_dropped", dropped);
         m.count("run.visits", 0);
-        m.count("tcp.timeouts_total", 0);
         self.metrics
     }
 }
@@ -215,17 +197,9 @@ mod tests {
         SimTime::from_micros(t)
     }
 
-    fn opened(conn: usize, over_access: bool) -> TraceEvent {
-        TraceEvent::ConnOpened {
-            conn,
-            over_access,
-            label: String::new(),
-        }
-    }
-
-    fn rto(conn: usize) -> TraceEvent {
+    fn rto() -> TraceEvent {
         TraceEvent::TcpRto {
-            conn,
+            conn: 0,
             b_side: true,
             silent_since: us(1_000),
         }
@@ -235,8 +209,12 @@ mod tests {
     fn one_event_of_every_kind_publishes_exactly_the_exported_counters() {
         let mut books = Books::default();
         let events = [
-            opened(0, true),
-            rto(0),
+            TraceEvent::ConnOpened {
+                conn: 0,
+                over_access: true,
+                label: String::new(),
+            },
+            rto(),
             TraceEvent::SegmentSent {
                 conn: 0,
                 down: true,
@@ -311,7 +289,6 @@ mod tests {
             counters,
             [
                 ("run.visits", 0),
-                ("tcp.timeouts_total", 0),
                 ("trace.emitted", 0),
                 ("trace.sink_dropped", 0)
             ]
@@ -320,24 +297,9 @@ mod tests {
     }
 
     #[test]
-    fn timeouts_total_counts_rtos_on_access_connections_only() {
-        let mut books = Books::default();
-        books.fold(us(0), &opened(0, true));
-        books.fold(us(0), &opened(1, false));
-        books.fold(us(4_000), &rto(0));
-        books.fold(us(5_000), &rto(1));
-        books.fold(us(9_000), &rto(0));
-        let m = books.close(0);
-        assert_eq!(m.counter("conn.opened"), 2);
-        assert_eq!(m.counter("tcp.rto_fires"), 3);
-        assert_eq!(m.counter("tcp.timeouts_total"), 2);
-        let silence = m.histogram("tcp.rto_silence_us").unwrap();
-        assert_eq!((silence.min(), silence.max()), (3_000.0, 8_000.0));
-    }
-
-    #[test]
     fn histograms_read_intervals_off_the_events() {
         let mut books = Books::default();
+        books.fold(us(4_000), &rto());
         books.fold(
             us(2_000),
             &TraceEvent::RrcPromotion {
@@ -365,6 +327,7 @@ mod tests {
         assert_eq!(m.counter("rrc.promotions"), 1);
         assert_eq!(m.counter("run.visits"), 1);
         let h = |name| m.histogram(name).unwrap().max();
+        assert_eq!(h("tcp.rto_silence_us"), 3_000.0);
         assert_eq!(h("rrc.promotion_us"), 1_998_000.0);
         assert_eq!(h("origin.think_us"), 60_000.0);
         assert_eq!(h("visit.plt_ms"), 4_321.0);

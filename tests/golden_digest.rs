@@ -37,23 +37,23 @@ use spdyier::experiments::{run_cell, run_manifest_on, Executor};
 use spdyier_scenario::Manifest;
 use std::path::Path;
 
-const PAIRED_3G_ONE_SEED_DUMP: u64 = 0x301d_2162_1a10_e092;
+const PAIRED_3G_ONE_SEED_DUMP: u64 = 0xc8b5_51e2_0655_a1ca;
 const QUICK_WIFI_RESULT_JSON: u64 = 0x0031_f90b_a9a0_46c4;
 const BULK_LTE_SMALL_RESULT_JSON: u64 = 0x609e_cdde_8a79_48dc;
 const TRACE_SPDY_3G_RESULT_JSON: u64 = 0x10f8_8456_eeba_336a;
 const TRACE_SPDY_3G_WATERFALL_HAR: u64 = 0x1b78_cfdd_b1e7_eee3;
 const TRACE_SPDY_3G_TRACE_JSONL: u64 = 0x6dbf_9e14_23ad_df40;
-const TRACE_SPDY_3G_METRICS_JSON: u64 = 0x9a5a_33b2_32d8_b428;
-const PAIRED_3G_DUMP_META: u64 = 0xb0ac_f340_548c_7d5a;
+const TRACE_SPDY_3G_METRICS_JSON: u64 = 0x2a9d_8055_e094_4926;
+const PAIRED_3G_DUMP_META: u64 = 0xa214_e554_e84f_7165;
 const EXPORT_SPDY_3G_DOWNLINK_DAT: u64 = 0x9187_0206_2182_a22e;
 const EXPORT_SPDY_3G_INFLIGHT_DAT: u64 = 0x4e2b_d6cf_eb56_ccb5;
-const PAIRED_LTE_ONE_SEED_DUMP: u64 = 0x1cc6_4eb1_9542_503c;
-const PAIRED_3G_HTTP_METRICS_JSON: u64 = 0xe24b_e878_6001_8f61;
-const PAIRED_3G_SPDY_METRICS_JSON: u64 = 0x9a5a_33b2_32d8_b428;
-const BULK_LTE_SMALL_HTTP_METRICS_JSON: u64 = 0x68a4_9f38_88b8_3c22;
-const BULK_LTE_SMALL_SPDY_METRICS_JSON: u64 = 0x2b04_a4b6_92c2_6cc6;
-const QUICK_WIFI_HTTP_METRICS_JSON: u64 = 0x7df8_a568_cbad_ccbb;
-const QUICK_WIFI_SPDY_METRICS_JSON: u64 = 0x8971_230f_ac38_2112;
+const PAIRED_LTE_ONE_SEED_DUMP: u64 = 0x3252_b51c_506e_7b8a;
+const PAIRED_3G_HTTP_METRICS_JSON: u64 = 0x8f5a_c82e_907f_fe45;
+const PAIRED_3G_SPDY_METRICS_JSON: u64 = 0x2a9d_8055_e094_4926;
+const BULK_LTE_SMALL_HTTP_METRICS_JSON: u64 = 0x1c86_fc7f_79f5_a97e;
+const BULK_LTE_SMALL_SPDY_METRICS_JSON: u64 = 0xbf86_0883_6d46_8710;
+const QUICK_WIFI_HTTP_METRICS_JSON: u64 = 0x2f86_175a_e36d_0581;
+const QUICK_WIFI_SPDY_METRICS_JSON: u64 = 0x619d_2b9c_2816_ebec;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {

@@ -6,26 +6,25 @@
 //! `scenarios/mitigation_matrix_3g.json` asserts the headline: one RTO
 //! on SPDY's single connection stalls a page longer than one on HTTP's
 //! pool. Each side of that assertion is a critical-path RTO sum divided
-//! by the cell's RTO firings that are not pure FINs, so the pins below
-//! hold both the divisor and the quotient, for every variant × protocol
-//! cell.
+//! by the cell's RTO firings, so the pins below hold both the divisor and
+//! the quotient, for every variant × protocol cell.
 //!
 //! Every count is a fold over the TCP senders' retransmission census, so
 //! the census itself is pinned too, by side, segment kind and trigger,
 //! for the paper's HTTP run on 3G.
 //!
-//! The divisor leaves pure-FIN firings out; the numerator is whatever
-//! RTO silence the critical paths charge. A path's browser-held gaps
-//! charge any connection's silence, so the pins also hold how much of
-//! each numerator is pure-FIN silence.
+//! One filter decides what a count counts: a record on the access path
+//! whose segment is not a pure FIN. The numerator reads the `TcpRto`
+//! events, so the tests also check that those are exactly the firings the
+//! divisor counts.
 
-use spdyier::causal::{critical_paths, EventModel};
-use spdyier::core::{FlightLog, ProtocolMode, Testbed, TraceLevel};
+use spdyier::causal::EventModel;
+use spdyier::core::{FlightLog, ProtocolMode, RunResult, Testbed, TraceLevel};
 use spdyier::experiments::{fold_cell, TracedCell};
 use spdyier::scenario::Manifest;
 use spdyier::tcp::{RtxRecord, RtxTrigger, SegKind};
-use spdyier::trace::{TraceEvent, TraceRecord};
-use std::collections::{BTreeMap, BTreeSet};
+use spdyier::trace::TraceEvent;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 fn scenario(name: &str) -> Manifest {
@@ -35,40 +34,47 @@ fn scenario(name: &str) -> Manifest {
     Manifest::from_file(&path).expect("committed scenario decodes")
 }
 
-/// The µs of critical-path RTO recovery that pure-FIN silences hold: how
-/// far the paths' RTO sum falls when the `TcpRto` records of the
-/// census's pure-FIN firings leave the log. A firing is matched to its
-/// record by instant and side, and no other firing may share the match.
-fn fin_rto_us(log: &FlightLog, census: &[(bool, RtxRecord)]) -> u64 {
-    let fin_rtos = census
+/// Every `TcpRto` event matches, by instant and side, exactly one RTO
+/// firing of the access path's census whose segment is not a pure FIN,
+/// and their count is the run's `total_timeouts`: the critical paths'
+/// RTO sum and the per-RTO divisor count the same firings.
+fn assert_rto_events_are_the_counted_firings(
+    result: &RunResult,
+    log: &FlightLog,
+    census: &[(bool, RtxRecord)],
+) {
+    let mut counted: Vec<_> = census
         .iter()
-        .filter(|(_, r)| r.is_timeout() && r.kind == SegKind::PureFin);
-    let fins: BTreeSet<_> = fin_rtos.clone().map(|(proxy, r)| (r.at, *proxy)).collect();
-    let is_fin = |rec: &&TraceRecord| matches!(rec.event, TraceEvent::TcpRto { b_side, .. } if fins.contains(&(rec.t, b_side)));
-    let kept: Vec<TraceRecord> = log.events.iter().filter(|r| !is_fin(r)).cloned().collect();
-    assert_eq!(log.events.len() - kept.len(), fin_rtos.count());
-    let rto_us = |records: &[TraceRecord]| -> u64 {
-        let model = EventModel::from_records(records);
-        critical_paths(&model).iter().map(|p| p.sums_us()[3]).sum()
-    };
-    rto_us(&log.events) - rto_us(&kept)
+        .filter(|(_, r)| r.is_timeout() && r.kind != SegKind::PureFin)
+        .map(|(proxy, r)| (r.at, *proxy))
+        .collect();
+    let mut events: Vec<_> = log
+        .events
+        .iter()
+        .filter_map(|rec| match rec.event {
+            TraceEvent::TcpRto { b_side, .. } => Some((rec.t, b_side)),
+            _ => None,
+        })
+        .collect();
+    counted.sort();
+    events.sort();
+    assert_eq!(events, counted);
+    assert_eq!(events.len() as u64, result.total_timeouts);
 }
 
-/// `(protocol, variant, retransmissions, timeouts, non_fin_timeouts,
-/// critical_rto_per_event_ms, fin_rto_us)` per cell of
-/// `mitigation_matrix_3g.json`, in cell order. Of the numerators, only
-/// one HTTP cell's holds pure-FIN silence: two gaps, 8.6 ms and 57.8 ms,
-/// that would otherwise be parse time.
+/// `(protocol, variant, retransmissions, timeouts,
+/// critical_rto_per_event_ms)` per cell of `mitigation_matrix_3g.json`,
+/// in cell order.
 #[rustfmt::skip]
-const MITIGATION_MATRIX_3G: [(&str, &str, u64, u64, u64, f64, u64); 8] = [
-    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=true", 144, 510, 144, 158.25218055555555, 0),
-    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=true", 136, 132, 132, 152.5488787878788, 0),
-    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=false", 139, 503, 139, 168.0251510791367, 0),
-    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=false", 111, 104, 104, 209.59960576923078, 0),
-    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=true", 139, 405, 139, 167.3118848920863, 66_416),
-    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=true", 1, 1, 1, 1000.0, 0),
-    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=false", 141, 444, 141, 163.46923404255318, 0),
-    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=false", 1, 1, 1, 1000.0, 0),
+const MITIGATION_MATRIX_3G: [(&str, &str, u64, u64, f64); 8] = [
+    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=true", 144, 144, 158.25218055555555),
+    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=true", 136, 132, 152.5488787878788),
+    ("http", "rtt_reset_after_idle=false+slow_start_after_idle=false", 139, 139, 168.0251510791367),
+    ("spdy", "rtt_reset_after_idle=false+slow_start_after_idle=false", 111, 104, 209.59960576923078),
+    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=true", 139, 139, 166.83407194244606),
+    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=true", 1, 1, 1000.0),
+    ("http", "rtt_reset_after_idle=true+slow_start_after_idle=false", 141, 141, 163.46923404255318),
+    ("spdy", "rtt_reset_after_idle=true+slow_start_after_idle=false", 1, 1, 1000.0),
 ];
 
 #[test]
@@ -80,7 +86,7 @@ fn mitigation_matrix_3g_rto_counts_are_pinned() {
         .map(|cell| {
             let testbed = Testbed::new(cell.build_config(&manifest));
             let (result, log, census) = testbed.run_census().expect("within budget");
-            let fin_us = fin_rto_us(&log, &census);
+            assert_rto_events_are_the_counted_firings(&result, &log, &census);
             let model = EventModel::from_records(&log.events);
             let traced = TracedCell { log, model };
             let m = fold_cell(&manifest, cell, &result, Some(&traced)).metrics;
@@ -89,16 +95,14 @@ fn mitigation_matrix_3g_rto_counts_are_pinned() {
                 m.variant.clone(),
                 m.retransmissions,
                 m.timeouts,
-                m.non_fin_timeouts,
                 m.metric("critical_rto_per_event_ms")
                     .expect("the cell is traced"),
-                fin_us,
             )
         })
         .collect();
     let pinned: Vec<_> = MITIGATION_MATRIX_3G
         .iter()
-        .map(|&(p, v, r, t, n, c, f)| (p.to_string(), v.to_string(), r, t, n, c, f))
+        .map(|&(p, v, r, t, c)| (p.to_string(), v.to_string(), r, t, c))
         .collect();
     assert_eq!(measured, pinned);
 }
@@ -144,27 +148,21 @@ fn http_3g_census_is_pinned_by_side_kind_and_trigger() {
         .collect();
     assert_eq!(counts, HTTP_3G_SEED_0);
 
-    // The run's three counts are folds over the census by their rules:
-    // R1 counts retransmissions that are not pure FINs, R2 every RTO,
-    // R5 the RTOs that are not pure FINs (1 + 60 + 59 + 24).
-    let rtx = census.iter().filter(|(_, r)| r.sent.is_some());
-    let r1 = rtx.filter(|(_, r)| r.kind != SegKind::PureFin).count();
-    let rtos = census.iter().filter(|(_, r)| r.is_timeout());
-    let r2 = rtos.clone().count();
-    let r5 = rtos.filter(|(_, r)| r.kind != SegKind::PureFin).count();
+    // The run's two counts are folds over the census under the one
+    // filter: R1 counts its retransmissions, R2 its RTO firings
+    // (1 + 60 + 59 + 24).
+    let counted = census.iter().filter(|(_, r)| r.kind != SegKind::PureFin);
+    let r1 = counted.clone().filter(|(_, r)| r.sent.is_some()).count();
+    let r2 = counted.filter(|(_, r)| r.is_timeout()).count();
     assert_eq!(
-        (r1 as u64, r2 as u64, r5 as u64),
-        (
-            result.total_retransmissions,
-            result.total_timeouts,
-            result.total_non_fin_timeouts
-        )
+        (r1 as u64, r2 as u64),
+        (result.total_retransmissions, result.total_timeouts)
     );
-    assert_eq!(r5, 144);
+    assert_eq!(r2, 144);
+    assert_rto_events_are_the_counted_firings(&result, &log, &census);
 
-    // Whether R2's teardown RTOs can stall a page: 27 of the 366
-    // pure-FIN RTOs fire inside a visit's [start, onload], all of them
-    // the proxy's.
+    // The teardown the filter leaves out: 27 of the 366 pure-FIN RTOs
+    // fire inside a visit's [start, onload], all of them the proxy's.
     assert!(result.visits.iter().all(|v| v.completed));
     let in_a_visit = |at| {
         let mut windows = result
@@ -184,7 +182,4 @@ fn http_3g_census_is_pinned_by_side_kind_and_trigger() {
         (inside.len(), inside.iter().all(|&proxy| proxy)),
         (27, true)
     );
-    // None of them holds a page: the critical paths' RTO recovery is the
-    // same without them.
-    assert_eq!(fin_rto_us(&log, &census), 0);
 }
