@@ -130,8 +130,8 @@ impl PageLoad {
     }
 
     /// The driver issued the request for `id` at `now` (after any pool
-    /// wait / handshake). Also records the send completion at the same
-    /// instant unless [`PageLoad::note_sent`] refines it.
+    /// wait / handshake). The request counts as fully written at the same
+    /// instant: nothing records a later send completion.
     pub fn note_requested(&mut self, id: ObjectId, now: SimTime) {
         let i = id.0 as usize;
         debug_assert_eq!(
@@ -143,11 +143,6 @@ impl PageLoad {
         self.ready.retain(|&r| r != id);
         self.timings[i].requested = Some(now);
         self.timings[i].sent = Some(now);
-    }
-
-    /// Refine the instant the request was fully written to the transport.
-    pub fn note_sent(&mut self, id: ObjectId, now: SimTime) {
-        self.timings[id.0 as usize].sent = Some(now);
     }
 
     /// First response byte for `id` arrived.

@@ -89,11 +89,6 @@ impl BoxStats {
             n: sorted.len(),
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Mean and a 95% normal-approximation confidence interval half-width,
@@ -506,7 +501,6 @@ mod tests {
         assert_eq!(b.n, 5);
         assert_eq!(b.q1, 3.0);
         assert_eq!(b.q3, 7.0);
-        assert_eq!(b.iqr(), 4.0);
         assert!(BoxStats::from_samples(&[]).is_none());
     }
 

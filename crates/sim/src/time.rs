@@ -129,11 +129,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
 
-    /// Scale by a float factor (used e.g. for RTO backoff clamps).
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * k)
-    }
-
     /// Integer division.
     #[allow(clippy::should_implement_trait)] // domain-specific saturating div
     pub fn div(self, k: u64) -> SimDuration {
@@ -261,7 +256,6 @@ mod tests {
         assert_eq!(d.saturating_mul(3), SimDuration::from_millis(600));
         assert_eq!(d.div(4), SimDuration::from_millis(50));
         assert_eq!(d.div(0), d, "div by zero clamps divisor to 1");
-        assert_eq!(d.mul_f64(1.5), SimDuration::from_millis(300));
     }
 
     #[test]

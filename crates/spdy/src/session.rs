@@ -129,9 +129,9 @@ pub struct SpdySession {
     cfg: SpdyConfig,
     role: Role,
     next_stream_id: u32,
-    /// Open streams by id. Iterated only by `pending_bytes` (a sum) and
-    /// `has_queued_data` (an `any`), so the hasher's iteration order
-    /// cannot reach any output.
+    /// Open streams by id. Iterated only by `pending_bytes`, whose sum
+    /// does not depend on order, so the hasher's iteration order cannot
+    /// reach any output.
     streams: U32Map<StreamState>,
     comp: Compressor,
     decomp: Decompressor,
@@ -284,13 +284,6 @@ impl SpdySession {
         let control: u64 = self.control_out.iter().map(|b| b.len()).sum();
         let data: u64 = self.streams.values().map(|s| s.send_queue.len()).sum();
         control + data
-    }
-
-    /// Does any stream hold queued data (even if flow-blocked)?
-    pub fn has_queued_data(&self) -> bool {
-        self.streams
-            .values()
-            .any(|s| !s.send_queue.is_empty() || s.fin_pending)
     }
 
     /// Produce the next wire bytes to write, if any. Control frames drain
