@@ -2,7 +2,6 @@
 
 use crate::jitter::JitterModel;
 use crate::link::{Link, LinkConfig, LinkVerdict};
-use crate::loss::LossModel;
 use serde::Serialize;
 use spdyier_sim::{DetRng, SimDuration, SimTime};
 
@@ -104,14 +103,6 @@ pub mod presets {
             LinkConfig::from_mbps(1000.0, one_way_ms).with_queue_limit(16 * 1024 * 1024),
         )
     }
-
-    /// A lossy variant of the WiFi path for fault-injection tests.
-    pub fn lossy_wifi(p: f64) -> DuplexPath {
-        DuplexPath::new(
-            LinkConfig::from_mbps(15.0, 20).with_loss(LossModel::Bernoulli { p }),
-            LinkConfig::from_mbps(2.0, 20).with_loss(LossModel::Bernoulli { p }),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -145,20 +136,5 @@ mod tests {
                 > p.link(Direction::Up).config().rate_bytes_per_sec
         );
         assert_eq!(p.base_rtt(), SimDuration::from_millis(40));
-    }
-
-    #[test]
-    fn lossy_preset_drops_sometimes() {
-        let mut p = presets::lossy_wifi(0.5);
-        let mut rng = DetRng::new(2);
-        let drops = (0..200)
-            .filter(|_| {
-                matches!(
-                    p.send(Direction::Down, SimTime::from_secs(1000), 100, &mut rng),
-                    LinkVerdict::Drop
-                )
-            })
-            .count();
-        assert!(drops > 50 && drops < 150, "drops {drops}");
     }
 }

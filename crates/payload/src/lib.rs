@@ -369,19 +369,6 @@ impl Payload {
         std::mem::take(self)
     }
 
-    /// Iterate the semantic byte string (synthetic runs yield zeros).
-    pub fn iter_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.chunks().flat_map(|c| {
-            let (real, zeros) = match c {
-                Chunk::Real(b) => (Some(b.iter().copied()), 0u64),
-                Chunk::Synthetic(n) => (None, *n),
-            };
-            real.into_iter()
-                .flatten()
-                .chain(std::iter::repeat_n(0u8, zeros as usize))
-        })
-    }
-
     /// Copy `dst.len()` bytes starting at `offset` into `dst` (synthetic
     /// regions read as zeros). Panics when the range exceeds the rope.
     pub fn copy_out(&self, offset: u64, dst: &mut [u8]) {
@@ -614,15 +601,6 @@ mod tests {
         let mut all = [9u8; 6];
         p.copy_out(0, &mut all);
         assert_eq!(all, [1, 2, 0, 0, 0, 7]);
-    }
-
-    #[test]
-    fn iter_bytes_matches_to_vec() {
-        let mut p = Payload::new();
-        p.push_synthetic(2);
-        p.push_bytes(Bytes::from(vec![5, 6]));
-        let collected: Vec<u8> = p.iter_bytes().collect();
-        assert_eq!(collected, p.to_vec());
     }
 
     #[test]

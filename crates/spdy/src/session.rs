@@ -169,11 +169,6 @@ impl SpdySession {
         self.stats
     }
 
-    /// Header-compression byte counters `(plaintext, wire)`.
-    pub fn compression_counters(&self) -> (u64, u64) {
-        self.comp.ratio_counters()
-    }
-
     /// Open a new stream with `headers` at `priority` (0 = highest).
     /// `fin` half-closes immediately (a bodyless request).
     pub fn open_stream(&mut self, headers: impl Into<Headers>, priority: u8, fin: bool) -> u32 {
@@ -709,20 +704,6 @@ mod tests {
             .filter(|e| matches!(e, SpdyEvent::Data { fin: true, .. }))
             .count();
         assert_eq!(done, 100);
-    }
-
-    #[test]
-    fn header_compression_counters_improve() {
-        let (mut c, mut s) = pair();
-        for i in 0..20 {
-            c.open_stream(req_headers(&format!("/asset/{i}.png")), 1, true);
-        }
-        pump(&mut c, &mut s);
-        let (plain, wire) = c.compression_counters();
-        assert!(
-            wire < plain / 2,
-            "20 similar requests compress well: {wire}/{plain}"
-        );
     }
 
     #[test]
