@@ -72,7 +72,8 @@ pub struct RunResult {
     pub downlink_drops: (u64, u64),
     /// Radio energy over the run, mJ.
     pub energy_mj: f64,
-    /// Client↔proxy connections opened over the run.
+    /// Client↔proxy connections opened over the run. Proxy↔origin pipes
+    /// are not counted: the registry's `conn.opened` counts every pipe.
     pub connections_opened: u64,
     /// How many instants `retransmissions` holds.
     pub total_retransmissions: u64,

@@ -17,7 +17,9 @@ use spdyier_sim::{QuantileSketch, SimTime};
 use crate::event::TraceEvent;
 
 /// Every counter the fold publishes, sorted: the names a `counter.<name>`
-/// assertion may read.
+/// assertion may read. `conn.opened` counts every pipe, proxy↔origin
+/// included (1,000 in `trace_spdy_3g`); the `connections_opened` metric
+/// counts client↔proxy connections only (1 there).
 pub const COUNTERS: [&str; 13] = [
     "conn.opened",
     "http.requests",
