@@ -19,7 +19,7 @@
 //! writes both files on the worker that ran it, handing back only their
 //! paths and a visit count. The bytes written depend on the cell alone
 //! and the paths are listed in cell order, so the output is identical
-//! at any `SPDYIER_JOBS` width.
+//! at any width of the caller's executor.
 //!
 //! Lossy traces are refused outright: if the recorder's sink dropped
 //! events (`trace.sink_dropped > 0`), the causal engine's conservation
@@ -158,8 +158,10 @@ fn write_explained(
 
 /// `experiments explain <MANIFEST> [--cell FILTER]`: per-visit
 /// critical-path extraction, one `explain_<label>.json` (+ `.txt`
-/// rendering) per selected cell, written under `out_dir`.
+/// rendering) per selected cell, written under `out_dir`; the cells run
+/// on `exec`.
 pub fn explain(
+    exec: &Executor,
     manifest_path: &Path,
     cell_filter: Option<&str>,
     out_dir: &Path,
@@ -167,7 +169,7 @@ pub fn explain(
     let manifest = load_manifest(manifest_path)?;
     let cells = select_cells(&manifest, cell_filter)?;
     probe_out_dir(out_dir)?;
-    let cells = reduce_paths_on(&Executor::from_env(), &manifest, &cells, |label, paths| {
+    let cells = reduce_paths_on(exec, &manifest, &cells, |label, paths| {
         write_explained(out_dir, &label, &paths).map(|written| (written, paths.len()))
     })?;
     let visits: usize = cells.iter().map(|(_, visits)| visits).sum();
@@ -198,8 +200,10 @@ fn select_one_cell(manifest: &Manifest, filter: &str) -> Result<Cell, String> {
 
 /// `experiments diff <MANIFEST> --a FILTER --b FILTER`: align two runs
 /// of the same workload by visit identity and attribute the PLT delta
-/// edge-by-edge into `diff.json` + `diff.txt` under `out_dir`.
+/// edge-by-edge into `diff.json` + `diff.txt` under `out_dir`; the two
+/// cells run on `exec`.
 pub fn diff(
+    exec: &Executor,
     manifest_path: &Path,
     a_filter: &str,
     b_filter: &str,
@@ -211,10 +215,9 @@ pub fn diff(
         select_one_cell(&manifest, b_filter)?,
     ];
     probe_out_dir(out_dir)?;
-    let [(a_label, a_paths), (b_label, b_paths)] =
-        critical_paths_on(&Executor::from_env(), &manifest, &pair)?
-            .try_into()
-            .expect("two cells in, two out");
+    let [(a_label, a_paths), (b_label, b_paths)] = critical_paths_on(exec, &manifest, &pair)?
+        .try_into()
+        .expect("two cells in, two out");
     let report = diff_paths(&a_label, &a_paths, &b_label, &b_paths);
     let summary = format!(
         "diff {} -> {}: {} aligned visit(s), total delta {:+.1} ms, dominant edge {}",
@@ -257,19 +260,19 @@ mod tests {
     fn filters_are_resolved_before_anything_runs() {
         let path = one_event_manifest("select");
         let out = path.with_extension("out");
-        let e = explain(&path, Some("nosuch"), &out).unwrap_err();
+        let e = explain(&Executor::new(1), &path, Some("nosuch"), &out).unwrap_err();
         assert!(
             e.starts_with("no cells match filter \"nosuch\" (cells: http_s0, spdy_s0,"),
             "{e}"
         );
-        let e = diff(&path, "spdy.seed1", "http", &out).unwrap_err();
+        let e = diff(&Executor::new(1), &path, "spdy.seed1", "http", &out).unwrap_err();
         assert!(
             e.starts_with("filter \"http\" matches 2 cells (http_s0, http_s1)"),
             "{e}"
         );
         assert!(!out.exists(), "a rejected filter creates no output");
         // A selection that resolves does run, and only then hits the limit.
-        let e = explain(&path, Some("spdy.seed1"), &out).unwrap_err();
+        let e = explain(&Executor::new(1), &path, Some("spdy.seed1"), &out).unwrap_err();
         assert!(e.starts_with("cell 3 (spdy seed 1): event budget"), "{e}");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir_all(&out);
@@ -298,9 +301,9 @@ mod tests {
         };
         for out in [&taken, &under_read_only] {
             let named = format!("--out {out:?}: ");
-            let e = explain(&path, None, out).unwrap_err();
+            let e = explain(&Executor::new(1), &path, None, out).unwrap_err();
             assert!(e.starts_with(&named), "{e}");
-            let e = diff(&path, "http.seed0", "spdy.seed0", out).unwrap_err();
+            let e = diff(&Executor::new(1), &path, "http.seed0", "spdy.seed0", out).unwrap_err();
             assert!(e.starts_with(&named), "{e}");
         }
         #[allow(clippy::permissions_set_readonly_false)]

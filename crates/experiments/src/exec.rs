@@ -11,8 +11,10 @@
 //! what, or when. Combined with the testbed's determinism this makes the
 //! parallel sweep's output **byte-identical** to the serial sweep's.
 //!
-//! The pool width comes from the `SPDYIER_JOBS` environment variable when
-//! set (a positive integer; `1` forces the serial path), otherwise from
+//! Every library entry point that fans cells out takes the executor as
+//! an argument, so the caller picks the width. The `experiments` binary
+//! is the one caller of [`Executor::from_env`]: `SPDYIER_JOBS` when set
+//! (a positive integer; `1` forces the serial path), otherwise
 //! [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};

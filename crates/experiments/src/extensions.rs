@@ -24,7 +24,7 @@ pub fn pipelining(opts: ExpOpts) -> Report {
         manifest.protocols = protocols(&["http"]);
         let values = depths.map(|d| Number(d as f64)).to_vec();
         manifest.matrix = vec![("http_pipelining".into(), values)];
-        let all = run_cells(&manifest);
+        let all = run_cells(&opts.exec, &manifest);
         for depth in depths {
             let runs = runs_where(&all, |c| c.settings.http_pipelining == depth);
             let plt = mean_plt(&runs);
@@ -69,7 +69,7 @@ pub fn promo_sweep(opts: ExpOpts) -> Report {
     let mut manifest = baseline("promosweep", NetworkKind::Umts3G, opts.seeds);
     let values = promotions.map(|ms| Number(ms as f64)).to_vec();
     manifest.matrix = vec![("rrc_promotion_ms".into(), values)];
-    let all = run_cells(&manifest);
+    let all = run_cells(&opts.exec, &manifest);
     for promo_ms in promotions {
         let side = |http: bool| {
             runs_where(&all, |c| {
@@ -114,7 +114,7 @@ pub fn energy(opts: ExpOpts) -> Report {
     let mut manifest = baseline("energy", NetworkKind::Umts3G, opts.seeds);
     manifest.protocols = protocols(&["spdy"]);
     manifest.matrix = vec![("keepalive_ping_s".into(), vec![Null, Number(3.0)])];
-    let all = run_cells(&manifest);
+    let all = run_cells(&opts.exec, &manifest);
     for (label, ping) in [("3G baseline", false), ("3G + pinning ping", true)] {
         let runs = runs_where(&all, |c| c.settings.keepalive_ping_s.is_some() == ping);
         let plt = mean_plt(&runs);

@@ -30,9 +30,9 @@ use spdyier_scenario::{Cell, Manifest, ProtocolSpec};
 pub use causal_cli::{diff as causal_diff, explain as causal_explain, CausalOutcome};
 pub use exec::Executor;
 pub use scenario_run::{
-    fold_cell, run_cell, run_manifest, run_manifest_on, FoldedCell, ScenarioOutcome, TracedCell,
+    fold_cell, run_cell, run_manifest_on, FoldedCell, ScenarioOutcome, TracedCell,
 };
-pub use sweep::{run_sweep, run_sweep_on, SweepOptions, SweepOutcome};
+pub use sweep::{run_sweep_on, SweepOptions, SweepOutcome};
 
 /// A rendered experiment result.
 #[derive(Debug)]
@@ -59,23 +59,33 @@ impl Report {
     }
 }
 
-/// How many independent runs (seeds) an experiment uses.
+/// How many independent runs (seeds) an experiment uses, and the pool
+/// its cells run on.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpOpts {
     /// Number of seeds.
     pub seeds: u64,
+    /// The pool [`run_cells`] fans the figure's cells across.
+    pub exec: Executor,
 }
 
 impl Default for ExpOpts {
+    /// Three seeds, serially.
     fn default() -> Self {
-        ExpOpts { seeds: 3 }
+        ExpOpts {
+            seeds: 3,
+            exec: Executor::new(1),
+        }
     }
 }
 
 impl ExpOpts {
-    /// A fast single-seed configuration (CI / smoke).
+    /// A fast single-seed configuration (CI / smoke), serially.
     pub fn quick() -> ExpOpts {
-        ExpOpts { seeds: 1 }
+        ExpOpts {
+            seeds: 1,
+            ..ExpOpts::default()
+        }
     }
 }
 
@@ -96,14 +106,13 @@ pub(crate) fn protocols(specs: &[&str]) -> Vec<ProtocolSpec> {
     specs.iter().map(parse).collect()
 }
 
-/// Run every cell of `manifest` through [`run_cell`] on the
-/// `SPDYIER_JOBS`-sized [`Executor`] and return the runs in cell order
-/// (variant, then seed, then protocol), so what a figure renders is
-/// byte-identical at any pool width. A cell that exceeds a limit panics
-/// naming the cell.
-pub fn run_cells(manifest: &Manifest) -> Vec<(Cell, RunResult)> {
+/// Run every cell of `manifest` through [`run_cell`] on `exec` and
+/// return the runs in cell order (variant, then seed, then protocol), so
+/// what a figure renders is byte-identical at any pool width. A cell
+/// that exceeds a limit panics naming the cell.
+pub fn run_cells(exec: &Executor, manifest: &Manifest) -> Vec<(Cell, RunResult)> {
     let cells = manifest.cells();
-    let runs = Executor::from_env().run(cells.len(), |i, _worker| {
+    let runs = exec.run(cells.len(), |i, _worker| {
         match run_cell(manifest, &cells[i]) {
             Ok((result, _log)) => result,
             Err(e) => panic!("{}", scenario_run::limit_diagnostic(&cells[i], &e)),

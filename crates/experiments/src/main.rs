@@ -24,7 +24,7 @@
 //! never an input: a `.jsonl` path is refused like any non-manifest.
 
 use spdyier_core::ScenarioExit;
-use spdyier_experiments::{run_by_id, ExpOpts, EXPERIMENTS};
+use spdyier_experiments::{run_by_id, Executor, ExpOpts, EXPERIMENTS};
 use spdyier_scenario::Manifest;
 use std::path::{Path, PathBuf};
 
@@ -144,19 +144,19 @@ fn finish_causal(cmd: &str, result: Result<spdyier_experiments::CausalOutcome, S
 }
 
 /// `experiments explain <MANIFEST.json> [--cell FILTER] [--out DIR]`.
-fn run_explain(args: &[String]) -> ! {
+fn run_explain(exec: &Executor, args: &[String]) -> ! {
     let [manifest] = positional_args(args, &["--cell", "--out"])[..] else {
         usage_error(Some("explain"));
     };
     let cell = parse_flag_str(args, "--cell");
     let out = parse_flag_str(args, "--out").unwrap_or_else(|| "results/explain".into());
-    let result =
-        spdyier_experiments::causal_explain(Path::new(manifest), cell.as_deref(), Path::new(&out));
+    let (manifest, out) = (Path::new(manifest), Path::new(&out));
+    let result = spdyier_experiments::causal_explain(exec, manifest, cell.as_deref(), out);
     finish_causal("explain", result)
 }
 
 /// `experiments diff <MANIFEST.json> --a FILTER --b FILTER [--out DIR]`.
-fn run_diff(args: &[String]) -> ! {
+fn run_diff(exec: &Executor, args: &[String]) -> ! {
     let positional = positional_args(args, &["--a", "--b", "--out"]);
     let a_filter = parse_flag_str(args, "--a");
     let b_filter = parse_flag_str(args, "--b");
@@ -164,7 +164,7 @@ fn run_diff(args: &[String]) -> ! {
     let ([manifest], Some(a), Some(b)) = (&positional[..], &a_filter, &b_filter) else {
         usage_error(Some("diff"));
     };
-    let result = spdyier_experiments::causal_diff(Path::new(manifest), a, b, Path::new(&out));
+    let result = spdyier_experiments::causal_diff(exec, Path::new(manifest), a, b, Path::new(&out));
     finish_causal("diff", result)
 }
 
@@ -190,14 +190,14 @@ fn exit_with_outcome(outcome: &spdyier_experiments::ScenarioOutcome) -> ! {
 
 /// `experiments run <MANIFEST> [--out DIR] [--seeds N]`: the scenario
 /// runner front-end.
-fn run_scenario(args: &[String]) -> ! {
+fn run_scenario(exec: &Executor, args: &[String]) -> ! {
     let [manifest_path] = positional_args(args, &["--out", "--seeds"])[..] else {
         usage_error(Some("run"));
     };
     let manifest = load_manifest(manifest_path, args);
     let out_dir =
         parse_flag_str(args, "--out").unwrap_or_else(|| format!("results/{}", manifest.name));
-    match spdyier_experiments::run_manifest(&manifest, Path::new(&out_dir)) {
+    match spdyier_experiments::run_manifest_on(exec, &manifest, Path::new(&out_dir)) {
         Ok(outcome) => exit_with_outcome(&outcome),
         Err(e) => config_error(&format!("experiments run: --out {out_dir:?}: {e}")),
     }
@@ -207,7 +207,7 @@ fn run_scenario(args: &[String]) -> ! {
 /// the checkpointing, resumable population-scale runner. Re-running the
 /// same command against the same `--out` directory resumes from the
 /// checkpoint store.
-fn run_sweep_cmd(args: &[String]) -> ! {
+fn run_sweep_cmd(exec: &Executor, args: &[String]) -> ! {
     let [manifest_path] = positional_args(args, &["--out", "--seeds", "--stop-after"])[..] else {
         usage_error(Some("sweep"));
     };
@@ -219,7 +219,7 @@ fn run_sweep_cmd(args: &[String]) -> ! {
     let opts = spdyier_experiments::SweepOptions {
         stop_after: parse_flag_u64(args, "--stop-after").map(|k| k as usize),
     };
-    match spdyier_experiments::run_sweep(&manifest, Path::new(&out_dir), opts) {
+    match spdyier_experiments::run_sweep_on(exec, &manifest, Path::new(&out_dir), opts) {
         Ok(spdyier_experiments::SweepOutcome::Completed(outcome)) => exit_with_outcome(&outcome),
         Ok(spdyier_experiments::SweepOutcome::Interrupted {
             checkpointed,
@@ -238,9 +238,10 @@ fn run_sweep_cmd(args: &[String]) -> ! {
 
 /// `experiments <id|all> [--seeds N] [--json DIR]`: the per-figure
 /// runners.
-fn run_figures(args: &[String]) {
+fn run_figures(exec: Executor, args: &[String]) {
     let opts = ExpOpts {
         seeds: parse_seeds(args).unwrap_or(ExpOpts::default().seeds),
+        exec,
     };
     let json_dir = parse_flag_str(args, "--json").map(PathBuf::from);
     let mut ids = positional_args(args, &["--seeds", "--json"]);
@@ -287,11 +288,14 @@ fn main() {
     let Some(cmd) = args.first() else {
         usage_error(None);
     };
+    // The one place the pool width is read: every library entry point
+    // takes the executor as an argument.
+    let exec = Executor::from_env();
     match cmd.as_str() {
-        "run" => run_scenario(&args[1..]),
-        "sweep" => run_sweep_cmd(&args[1..]),
-        "explain" => run_explain(&args[1..]),
-        "diff" => run_diff(&args[1..]),
-        _ => run_figures(&args),
+        "run" => run_scenario(&exec, &args[1..]),
+        "sweep" => run_sweep_cmd(&exec, &args[1..]),
+        "explain" => run_explain(&exec, &args[1..]),
+        "diff" => run_diff(&exec, &args[1..]),
+        _ => run_figures(exec, &args),
     }
 }

@@ -30,7 +30,7 @@ pub fn fig14(opts: ExpOpts) -> Report {
     let mut rtx_ping = [0.0f64; 2];
     let mut manifest = baseline("fig14", NetworkKind::Umts3G, opts.seeds);
     manifest.matrix = vec![("keepalive_ping_s".into(), vec![Null, Number(3.0)])];
-    let all = run_cells(&manifest);
+    let all = run_cells(&opts.exec, &manifest);
     for (pi, protocol) in [ProtocolMode::Http, ProtocolMode::spdy()]
         .into_iter()
         .enumerate()
@@ -95,7 +95,7 @@ pub fn fig15(opts: ExpOpts) -> Report {
         "slow_start_after_idle".into(),
         vec![Bool(true), Bool(false)],
     )];
-    let all = run_cells(&manifest);
+    let all = run_cells(&opts.exec, &manifest);
     for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
         let with = |idle_restart: bool| {
             runs_where(&all, |c| {
@@ -144,7 +144,7 @@ pub fn table2(opts: ExpOpts) -> Report {
     let mut manifest = baseline("table2", NetworkKind::Umts3G, opts.seeds);
     manifest.matrix = vec![("cc".into(), vec![Str("reno".into()), Str("cubic".into())])];
     manifest.tcp_traces = true;
-    let all = run_cells(&manifest);
+    let all = run_cells(&opts.exec, &manifest);
     for cc in [CcAlgorithm::Reno, CcAlgorithm::Cubic] {
         for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
             let runs = runs_where(&all, |c| c.protocol.mode == protocol && c.settings.cc == cc);
@@ -231,7 +231,7 @@ pub fn multiconn(opts: ExpOpts) -> Report {
     ];
     let mut manifest = baseline("multiconn", NetworkKind::Umts3G, opts.seeds);
     manifest.protocols = protocols(&variants.map(|(_, spec)| spec));
-    let all = run_cells(&manifest);
+    let all = run_cells(&opts.exec, &manifest);
     let mut text = String::from("variant         mean PLT (ms)   rtx/run   completed\n");
     let mut rows = Vec::new();
     for (name, spec) in variants {
@@ -273,7 +273,7 @@ pub fn rttreset(opts: ExpOpts) -> Report {
     let mut rows = Vec::new();
     let mut manifest = baseline("rttreset", NetworkKind::Umts3G, opts.seeds);
     manifest.matrix = vec![("rtt_reset_after_idle".into(), vec![Bool(false), Bool(true)])];
-    let all = run_cells(&manifest);
+    let all = run_cells(&opts.exec, &manifest);
     for protocol in [ProtocolMode::Http, ProtocolMode::spdy()] {
         for reset in [false, true] {
             let runs = runs_where(&all, |c| {
@@ -323,7 +323,7 @@ pub fn metricscache(opts: ExpOpts) -> Report {
     let mut medians = [[0.0f64; 2]; 2];
     let mut manifest = baseline("metricscache", NetworkKind::Umts3G, opts.seeds);
     manifest.matrix = vec![("metrics_cache".into(), vec![Bool(true), Bool(false)])];
-    let all = run_cells(&manifest);
+    let all = run_cells(&opts.exec, &manifest);
     for (pi, protocol) in [ProtocolMode::Http, ProtocolMode::spdy()]
         .into_iter()
         .enumerate()

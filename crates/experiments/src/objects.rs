@@ -16,7 +16,8 @@ fn visits_for_site<'a>(runs: &[&'a RunResult], site: u32) -> Vec<&'a VisitResult
 
 /// Fig. 5: average object download time split into init/send/wait/receive.
 pub fn fig5(opts: ExpOpts) -> Report {
-    let runs = run_cells(&baseline("fig5", NetworkKind::Umts3G, opts.seeds));
+    let manifest = baseline("fig5", NetworkKind::Umts3G, opts.seeds);
+    let runs = run_cells(&opts.exec, &manifest);
     let (http, spdy) = by_protocol(&runs);
     let mut text =
         String::from("site   HTTP init/send/wait/recv (ms)      SPDY init/send/wait/recv (ms)\n");
@@ -73,8 +74,7 @@ pub fn fig5(opts: ExpOpts) -> Report {
 /// Fig. 6: object request patterns for four sites (two news-heavy, two
 /// photo-heavy), as cumulative requests over time since visit start.
 pub fn fig6(opts: ExpOpts) -> Report {
-    let _ = opts;
-    let runs = run_cells(&baseline("fig6", NetworkKind::Umts3G, 1));
+    let runs = run_cells(&opts.exec, &baseline("fig6", NetworkKind::Umts3G, 1));
     let (http, spdy) = by_protocol(&runs);
     let (http, spdy) = (http[0], spdy[0]);
     let sites = [7u32, 15, 12, 18];
@@ -136,7 +136,7 @@ pub fn fig7(opts: ExpOpts) -> Report {
             visits: 1,
             interval_s: 60,
         };
-        let runs = run_cells(&manifest);
+        let runs = run_cells(&opts.exec, &manifest);
         let (http, spdy) = by_protocol(&runs);
         for (label, runs) in [("HTTP", http), ("SPDY", spdy)] {
             let mut plts = Vec::new();

@@ -32,7 +32,8 @@ fn boxplot_text(
 
 /// Fig. 3: page load times over 3G, HTTP vs SPDY.
 pub fn fig3(opts: ExpOpts) -> Report {
-    let runs = run_cells(&baseline("fig3", NetworkKind::Umts3G, opts.seeds));
+    let manifest = baseline("fig3", NetworkKind::Umts3G, opts.seeds);
+    let runs = run_cells(&opts.exec, &manifest);
     let (http, spdy) = by_protocol(&runs);
     let hs = plts_by_site(&http);
     let ss = plts_by_site(&spdy);
@@ -81,7 +82,7 @@ pub fn fig3(opts: ExpOpts) -> Report {
 
 /// Fig. 4: page load times over 802.11g/broadband — SPDY wins everywhere.
 pub fn fig4(opts: ExpOpts) -> Report {
-    let runs = run_cells(&baseline("fig4", NetworkKind::Wifi, opts.seeds));
+    let runs = run_cells(&opts.exec, &baseline("fig4", NetworkKind::Wifi, opts.seeds));
     let (http, spdy) = by_protocol(&runs);
     let hs = plts_by_site(&http);
     let ss = plts_by_site(&spdy);
@@ -121,7 +122,7 @@ pub fn fig4(opts: ExpOpts) -> Report {
 
 /// Fig. 16: page load times over LTE.
 pub fn fig16(opts: ExpOpts) -> Report {
-    let runs = run_cells(&baseline("fig16", NetworkKind::Lte, opts.seeds));
+    let runs = run_cells(&opts.exec, &baseline("fig16", NetworkKind::Lte, opts.seeds));
     let (http, spdy) = by_protocol(&runs);
     let hs = plts_by_site(&http);
     let ss = plts_by_site(&spdy);

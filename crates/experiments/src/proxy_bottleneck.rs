@@ -9,10 +9,9 @@ use spdyier_sim::{SimDuration, SimTime};
 /// Fig. 8: the sequence of steps at the proxy for a SPDY run — origin wait
 /// (black), origin download (cyan), transfer to client (red).
 pub fn fig8(opts: ExpOpts) -> Report {
-    let _ = opts;
     let mut manifest = baseline("fig8", NetworkKind::Umts3G, 1);
     manifest.protocols = protocols(&["spdy"]);
-    let run = &run_cells(&manifest)[0].1;
+    let run = &run_cells(&opts.exec, &manifest)[0].1;
     let mut waits = Vec::new();
     let mut downloads = Vec::new();
     let mut transfers = Vec::new();
@@ -66,7 +65,7 @@ pub fn fig8(opts: ExpOpts) -> Report {
 pub fn fig9(opts: ExpOpts) -> Report {
     let mut manifest = baseline("fig9", NetworkKind::Umts3G, opts.seeds);
     manifest.tcp_traces = true;
-    let runs = run_cells(&manifest);
+    let runs = run_cells(&opts.exec, &manifest);
     let (http, spdy) = by_protocol(&runs);
     let horizon = SimTime::from_secs(20 * 60);
     let bin = SimDuration::from_secs(1);
@@ -129,10 +128,9 @@ pub fn fig9(opts: ExpOpts) -> Report {
 /// Fig. 10: unacknowledged bytes in flight over one run, plus per-visit
 /// zooms showing that whoever holds more bytes in flight loads faster.
 pub fn fig10(opts: ExpOpts) -> Report {
-    let _ = opts;
     let mut manifest = baseline("fig10", NetworkKind::Umts3G, 1);
     manifest.tcp_traces = true;
-    let runs = run_cells(&manifest);
+    let runs = run_cells(&opts.exec, &manifest);
     let (http, spdy) = by_protocol(&runs);
     let (http, spdy) = (http[0], spdy[0]);
     let horizon = SimTime::from_secs(20 * 60);

@@ -1,7 +1,7 @@
 //! The manifest-driven scenario runner.
 //!
-//! [`run_manifest`] takes a decoded [`Manifest`], fans its cells across
-//! the deterministic parallel [`Executor`] (outputs land in cell order,
+//! [`run_manifest_on`] takes a decoded [`Manifest`], fans its cells across
+//! the caller's deterministic parallel [`Executor`] (outputs land in cell order,
 //! so every artifact is byte-identical at any pool width), evaluates the
 //! manifest's assertions over the pooled cell metrics, and writes the
 //! versioned results contract: `result.json`, `junit.xml`, and what the
@@ -225,14 +225,8 @@ fn cell_trace_files(
     ]
 }
 
-/// Run a manifest end to end on the default executor and write its
-/// artifacts to `out_dir`.
-pub fn run_manifest(manifest: &Manifest, out_dir: &Path) -> std::io::Result<ScenarioOutcome> {
-    run_manifest_on(&Executor::from_env(), manifest, out_dir)
-}
-
-/// [`run_manifest`] on an explicit executor (tests pin the pool width).
-/// `out_dir` is created before the first cell runs, so an unwritable one
+/// Run a manifest end to end on `exec` and write its artifacts to
+/// `out_dir`. `out_dir` is created before the first cell runs, so an unwritable one
 /// costs nothing. Each cell is folded on the worker that ran it, and the
 /// outputs land in cell order, so artifacts stay byte-identical at any
 /// pool width. Then [`finish`] gets the first cell over a limit, the

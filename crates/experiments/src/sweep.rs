@@ -520,15 +520,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`run_sweep_on`] with the environment-sized executor.
-pub fn run_sweep(
-    manifest: &Manifest,
-    out_dir: &Path,
-    opts: SweepOptions,
-) -> Result<SweepOutcome, SweepError> {
-    run_sweep_on(&Executor::from_env(), manifest, out_dir, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,18 +2,19 @@
 //! (the 40–190 s zoom), Fig. 13 (retransmission bursts per connection),
 //! Fig. 17 (LTE cwnd trace).
 
-use crate::{baseline, protocols, run_cells, ExpOpts, Report};
+use crate::{baseline, protocols, run_cells, Executor, ExpOpts, Report};
 use serde_json::json;
 use spdyier_core::{NetworkKind, RunResult};
 use spdyier_sim::{SimDuration, SimTime};
 
 /// Seed 0's full schedule for one `protocol` on `network`, with
-/// per-connection TCP traces recorded.
+/// per-connection TCP traces recorded: one cell, which runs on the
+/// calling thread at any pool width.
 fn traced_run(id: &str, protocol: &str, network: NetworkKind) -> RunResult {
     let mut manifest = baseline(id, network, 1);
     manifest.protocols = protocols(&[protocol]);
     manifest.tcp_traces = true;
-    run_cells(&manifest).remove(0).1
+    run_cells(&Executor::new(1), &manifest).remove(0).1
 }
 
 fn spdy_trace_report(

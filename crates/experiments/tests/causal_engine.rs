@@ -2,16 +2,18 @@
 //! end-to-end runs: conservation (edge durations sum to PLT by
 //! construction), RTO coverage (the recorder's RTO-stall intervals and
 //! the path's `rto_recovery` edges agree region by region under the
-//! engine's causal filtering rules), and byte-identical diff/explain
-//! output at any executor width.
+//! engine's causal filtering rules), the diff's conservation of the PLT
+//! delta, and the edge the RTT-reset mitigation's diff lands on. That
+//! `explain` and `diff` write the same bytes at any pool width is a
+//! property of the pin table (`tests/pins.rs`).
 
-use spdyier_causal::{
-    critical_paths, diff_paths, explain_json, CriticalPath, EdgeKind, EventModel, Interval,
-};
+use spdyier_causal::{critical_paths, diff_paths, CriticalPath, EdgeKind, EventModel, Interval};
 use spdyier_core::{NetworkKind, ProtocolMode, RunResult};
-use spdyier_experiments::{run_cell, Executor};
+use spdyier_experiments::causal_cli::critical_paths_on;
+use spdyier_experiments::{causal_diff, run_cell, Executor};
 use spdyier_scenario::{Manifest, ProtocolSpec, Workload};
 use spdyier_trace::TraceLevel;
+use std::path::Path;
 
 /// The paper baseline on `network` for `mode` alone at `seed`, traced at
 /// `Full`.
@@ -179,42 +181,51 @@ fn conservation_holds_on_the_full_3g_schedule() {
     }
 }
 
-/// The paired-3G scenario through the real executor: diff and explain
-/// artifacts are byte-identical serial vs 4-way parallel, and the diff
-/// conserves the PLT delta exactly.
+/// The paired-3G cells through the per-cell fold `explain` and `diff`
+/// run on: the diff's edge deltas conserve the PLT delta exactly.
 #[test]
-fn diff_and_explain_are_byte_identical_at_any_pool_width() {
+fn diff_edge_deltas_conserve_the_plt_delta() {
     // Paired HTTP/SPDY at the paper's 3G operating point, full traces.
     let mut manifest = Manifest::paper_baseline("causal_identity");
     manifest.trace = TraceLevel::Full;
-
-    let artifacts = |exec: &Executor| {
-        // The per-cell fold `explain`/`diff` run on: a limit or a lossy
-        // trace would be its error.
-        let per_cell =
-            spdyier_experiments::causal_cli::critical_paths_on(exec, &manifest, &manifest.cells())
-                .expect("every cell completes losslessly");
-        let [(a_label, a), (b_label, b)] = &per_cell[..] else {
-            panic!("paired baseline expands to two cells");
-        };
-        let report = diff_paths(a_label, a, b_label, b);
-        let explains: Vec<String> = per_cell
-            .iter()
-            .map(|(label, paths)| explain_json(label, paths))
-            .collect();
-        (report.to_json(), report.to_text(), explains, {
-            let deltas: i64 = report.edge_deltas_us().iter().sum();
-            (report.plt_delta_us(), deltas)
-        })
+    // A limit or a lossy trace would be its error.
+    let per_cell = critical_paths_on(&Executor::new(2), &manifest, &manifest.cells())
+        .expect("every cell completes losslessly");
+    let [(a_label, a), (b_label, b)] = &per_cell[..] else {
+        panic!("paired baseline expands to two cells");
     };
-
-    let (json1, text1, explains1, (plt_delta, edge_delta)) = artifacts(&Executor::new(1));
-    let (json4, text4, explains4, _) = artifacts(&Executor::new(4));
-    assert_eq!(json1, json4, "diff.json must not depend on pool width");
-    assert_eq!(text1, text4);
-    assert_eq!(explains1, explains4);
+    let report = diff_paths(a_label, a, b_label, b);
+    let edge_delta: i64 = report.edge_deltas_us().iter().sum();
     assert_eq!(
-        plt_delta, edge_delta,
+        report.plt_delta_us(),
+        edge_delta,
         "diff edge deltas conserve the PLT delta"
+    );
+}
+
+/// The paper's RTT-reset mitigation (section 6.2.1) isolated on SPDY,
+/// slow start after idle off in both cells: `experiments diff` files
+/// most of the PLT it saves under RTO recovery.
+#[test]
+fn the_rtt_reset_diff_is_dominated_by_rto_recovery() {
+    let scenario = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/mitigation_matrix_3g.json"
+    );
+    let out = std::env::temp_dir().join(format!("spdyier_rtt_reset_{}", std::process::id()));
+    let outcome = causal_diff(
+        &Executor::new(2),
+        Path::new(scenario),
+        "spdy.rtt_reset_after_idle=false+slow_start_after_idle=false",
+        "spdy.rtt_reset_after_idle=true+slow_start_after_idle=false",
+        &out,
+    )
+    .expect("diff runs");
+    let json = std::fs::read_to_string(out.join("diff.json")).expect("diff.json reads back");
+    let _ = std::fs::remove_dir_all(&out);
+    assert!(
+        json.contains(r#""dominant_edge": "rto_recovery""#),
+        "{}",
+        outcome.summary
     );
 }

@@ -431,6 +431,41 @@ fn sweep_heartbeats_report_allocations() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
+/// Simulated bodies are synthetic ropes unless
+/// `SPDYIER_MATERIALIZE_BODIES=1` fills them with real bytes. The
+/// variable is read once per process, so each form runs in a child of
+/// its own: the paired dump must not tell the two apart.
+#[test]
+fn materialized_bodies_write_the_same_paired_dump_as_ropes() {
+    let paired = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/paired_3g.json"
+    );
+    let dump = |materialize: bool| {
+        let out = std::env::temp_dir().join(format!(
+            "spdyier_bodies_{}_{materialize}",
+            std::process::id()
+        ));
+        let mut command = Command::new(env!("CARGO_BIN_EXE_experiments"));
+        command.args(["run", paired, "--out"]).arg(&out);
+        command.env_remove("SPDYIER_MATERIALIZE_BODIES");
+        if materialize {
+            command.env("SPDYIER_MATERIALIZE_BODIES", "1");
+        }
+        let child = command.output().expect("experiments spawns");
+        assert_eq!(child.status.code(), Some(0), "{child:?}");
+        let dump = std::fs::read(out.join("paired_3g.jsonl")).expect("paired dump written");
+        let _ = std::fs::remove_dir_all(&out);
+        dump
+    };
+    let (ropes, materialized) = (dump(false), dump(true));
+    assert!(!ropes.is_empty(), "the paired dump has lines");
+    assert!(
+        ropes == materialized,
+        "the paired dump differs between rope and materialized bodies"
+    );
+}
+
 /// Every figure id is resolved before the first one runs: a typo after
 /// `fig3` costs nothing and prints nothing on stdout.
 #[test]

@@ -18,8 +18,8 @@
 //! indistinguishable from `n` zero bytes. Every reading API (iteration,
 //! [`Payload::to_vec`], [`Payload::copy_out`], equality) honours that,
 //! so a materialized run and a synthetic run of a simulation produce
-//! byte-identical outputs — which is what the CI byte-identity guard
-//! checks (`SPDYIER_MATERIALIZE_BODIES=1` vs default).
+//! byte-identical outputs — which `crates/experiments/tests/cli.rs`
+//! checks on a paired dump (`SPDYIER_MATERIALIZE_BODIES=1` vs default).
 //!
 //! Header blocks have one form too: [`Headers`], the SPDY/3 name/value
 //! block in one shared buffer (see [`headers`]).
@@ -148,8 +148,8 @@ impl Payload {
     /// A simulated body of `len` zero bytes: synthetic by default, real
     /// zero-filled memory when `SPDYIER_MATERIALIZE_BODIES=1`. The two
     /// modes are byte-for-byte equivalent; the materialized one exists so
-    /// the bench harness and CI can verify that equivalence (and measure
-    /// what the zero-copy path saves).
+    /// the bench harness and a workspace test can verify that equivalence
+    /// (and measure what the zero-copy path saves).
     pub fn body(len: u64) -> Payload {
         if materialize_bodies() {
             Payload::real(Bytes::from(vec![0u8; len as usize]))

@@ -6,7 +6,7 @@
 //! ```
 
 use spdyier::core::NetworkKind;
-use spdyier::experiments::run_cells;
+use spdyier::experiments::{run_cells, Executor};
 use spdyier::scenario::{Manifest, ProtocolSpec};
 use spdyier::tcp::CcAlgorithm;
 
@@ -63,12 +63,14 @@ fn main() {
 
     let baseline = Manifest::from_json(BASELINE).expect("the example manifest decodes");
     let seeds = baseline.seeds.count as f64;
+    // One worker per core: the table is the same at any pool width.
+    let exec = Executor::new(std::thread::available_parallelism().map_or(1, |n| n.get()));
     println!("Mitigation sweep over the 20 Table 1 sites, 3 seeds, SPDY on 3G:\n");
     let mut results = Vec::new();
     for (name, tweak) in &variants {
         let mut manifest = baseline.clone();
         tweak(&mut manifest);
-        let runs = run_cells(&manifest);
+        let runs = run_cells(&exec, &manifest);
         let plts: Vec<f64> = runs
             .iter()
             .flat_map(|(_, r)| r.visits.iter().map(|v| v.plt_ms))

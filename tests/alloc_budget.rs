@@ -26,7 +26,7 @@
 //! One test function, alone in its binary: the deltas are read from the
 //! process-wide counters, which only this thread moves while it runs.
 
-use spdyier::experiments::{causal_explain, run_cell};
+use spdyier::experiments::{causal_explain, run_cell, Executor};
 use spdyier::prof::{global_counts, CountingAlloc};
 use spdyier_scenario::Manifest;
 use std::path::Path;
@@ -108,11 +108,17 @@ fn scenario_path(scenario: &str) -> std::path::PathBuf {
 }
 
 /// Bytes requested per visit by explaining `scenario`'s one `protocol`
-/// cell, from decoding the manifest to the second file written.
+/// cell, from decoding the manifest to the second file written. One
+/// cell runs serially at any pool width, so the pool has one worker.
 fn explain_bytes_per_visit(scenario: &str, protocol: &str) -> u64 {
     let out = std::env::temp_dir().join(format!("spdyier_alloc_budget_{}", std::process::id()));
     let before = global_counts();
-    let outcome = causal_explain(&scenario_path(scenario), Some(protocol), &out);
+    let outcome = causal_explain(
+        &Executor::new(1),
+        &scenario_path(scenario),
+        Some(protocol),
+        &out,
+    );
     let bytes = global_counts().since(before).bytes;
     let written = outcome.expect("explain runs").written;
     let text = std::fs::read_to_string(&written[1]).expect("explain_*.txt reads back");
