@@ -169,12 +169,15 @@ pub struct ExperimentConfig {
     /// Abandon a visit (censored PLT) at this deadline.
     pub visit_timeout: SimDuration,
     /// Record the two per-segment series, [`RunResult::client_downlink_bytes`]
-    /// and [`RunResult::inflight_bytes`] (Figs. 9–10). On by default; a
+    /// and [`RunResult::inflight_bytes`] (Figs. 9–10), and the proxy's
+    /// per-fetch [`RunResult::proxy_records`] (Fig. 8). On by default; a
     /// manifest's cell turns it off unless one of its outputs reads them
-    /// (`spdyier_scenario::Cell::build_config`).
+    /// (`spdyier_scenario::Cell::build_config`). Off, all three stay
+    /// empty and nothing else a run computes changes.
     ///
     /// [`RunResult::client_downlink_bytes`]: crate::RunResult::client_downlink_bytes
     /// [`RunResult::inflight_bytes`]: crate::RunResult::inflight_bytes
+    /// [`RunResult::proxy_records`]: crate::RunResult::proxy_records
     pub record_series: bool,
     /// Flight-recorder level for the cross-layer event stream
     /// ([`TraceLevel::Off`] costs nothing; see `spdyier-trace`).

@@ -663,7 +663,7 @@ impl Testbed {
         let down = access.link(Direction::Down).stats();
         self.result.downlink_drops = (down.queue_drops, down.loss_drops);
         self.result.energy_mj = access.radio_mut().energy_mj(self.world.now);
-        self.result.proxy_records = self.side.proxy_records();
+        self.result.proxy_records = self.side.take_proxy_records();
         (self.result, self.world.tracer)
     }
 }

@@ -66,7 +66,8 @@ pub struct RunResult {
     pub conn_traces: Vec<ConnTraceResult>,
     /// RRC promotions taken by the device radio.
     pub promotions: Vec<PromotionEvent>,
-    /// Proxy-side object records (Fig. 8).
+    /// Proxy-side object records (Fig. 8); empty unless
+    /// [`crate::ExperimentConfig::record_series`].
     pub proxy_records: Vec<ProxyObjectRecord>,
     /// Downlink drops `(queue, loss)` on the access path.
     pub downlink_drops: (u64, u64),

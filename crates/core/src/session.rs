@@ -186,11 +186,12 @@ struct Sweep {
 }
 
 impl HttpSide {
-    /// Fresh side with default pool limits.
-    pub fn new() -> HttpSide {
+    /// Fresh side with default pool limits; its proxy keeps a record per
+    /// fetch when `keep_records`.
+    pub fn new(keep_records: bool) -> HttpSide {
         HttpSide {
             pool: ConnectionPool::new(PoolConfig::default()),
-            proxy: HttpProxyCore::new(),
+            proxy: HttpProxyCore::new().keep_records(keep_records),
             memo_key: Vec::new(),
             memo_burned: 0,
             key_buf: Vec::new(),
@@ -714,12 +715,16 @@ pub(crate) struct SpdySide {
     pub rr: usize,
     /// Sessions whose proxy scheduler needs a wire pump, in touch order.
     pending_pump: Vec<usize>,
+    /// Whether each session's proxy core keeps a record per fetch.
+    keep_records: bool,
 }
 
 impl SpdySide {
-    /// Fresh side with no sessions yet.
-    pub fn new() -> SpdySide {
+    /// Fresh side with no sessions yet; its proxies keep a record per
+    /// fetch when `keep_records`.
+    pub fn new(keep_records: bool) -> SpdySide {
         SpdySide {
+            keep_records,
             clients: Vec::new(),
             proxies: Vec::new(),
             fetch_owner: HashMap::new(),
@@ -748,10 +753,10 @@ impl SpdySide {
             ssl_scheduled: false,
         });
         // Distinct fetch-id spaces per session (shared owner map).
-        self.proxies.push(SpdyProxyCore::with_fetch_offset(
-            SpdyConfig::default(),
-            sidx as u64 * 1_000_000,
-        ));
+        self.proxies.push(
+            SpdyProxyCore::with_fetch_offset(SpdyConfig::default(), sidx as u64 * 1_000_000)
+                .keep_records(self.keep_records),
+        );
         ctx.world.mark_dirty(pipe);
     }
 
@@ -1139,8 +1144,8 @@ impl Side {
     /// Build the side matching the configured protocol.
     pub fn for_cfg(cfg: &ExperimentConfig) -> Side {
         match cfg.protocol {
-            ProtocolMode::Http => Side::Http(HttpSide::new()),
-            ProtocolMode::Spdy { .. } => Side::Spdy(SpdySide::new()),
+            ProtocolMode::Http => Side::Http(HttpSide::new(cfg.record_series)),
+            ProtocolMode::Spdy { .. } => Side::Spdy(SpdySide::new(cfg.record_series)),
         }
     }
 
@@ -1229,19 +1234,16 @@ impl Side {
         }
     }
 
-    /// All per-object proxy records accumulated this run.
-    pub fn proxy_records(&self) -> Vec<ProxyObjectRecord> {
+    /// Move out every per-object proxy record accumulated this run
+    /// (none unless the run keeps them, [`ExperimentConfig::record_series`]).
+    pub fn take_proxy_records(&mut self) -> Vec<ProxyObjectRecord> {
         match self {
-            Side::Http(h) => h.proxy.records().into_iter().cloned().collect(),
-            Side::Spdy(s) => {
-                let mut records = Vec::new();
-                for p in &s.proxies {
-                    for r in p.records() {
-                        records.push(r.clone());
-                    }
-                }
-                records
-            }
+            Side::Http(h) => h.proxy.take_records(),
+            Side::Spdy(s) => s
+                .proxies
+                .iter_mut()
+                .flat_map(|p| p.take_records())
+                .collect(),
         }
     }
 }

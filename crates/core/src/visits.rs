@@ -286,7 +286,8 @@ impl Visits {
     }
 
     /// Close out the in-progress visit (completed or abandoned), record
-    /// its [`VisitResult`], and arm the first inter-visit beacon.
+    /// its [`VisitResult`], arm the first inter-visit beacon, and trim
+    /// the origin pipes that sat idle through the whole visit.
     pub fn finish_visit(
         &mut self,
         world: &mut World,
@@ -337,6 +338,7 @@ impl Visits {
         // `objects[0]` is the root document.
         self.beacon_domain = self.object_domains.first().copied();
         self.spare_load = Some(load);
+        world.release_idle_origin_pipes(start);
         world
             .queue
             .schedule(world.now + BEACON_INTERVAL, Event::Beacon);

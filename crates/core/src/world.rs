@@ -121,6 +121,26 @@ pub(crate) struct Pipe {
     pub last_cwnd_sample: Option<(u64, u64, u64)>,
 }
 
+impl Pipe {
+    /// Give back the capacity of whichever staging queues, pending-fetch
+    /// queue and TCP buffers are empty (see
+    /// [`World::release_idle_origin_pipes`]).
+    fn release_spare_capacity(&mut self) {
+        for queue in [&mut self.out_a, &mut self.out_b] {
+            if queue.is_empty() {
+                queue.shrink_to_fit();
+            }
+        }
+        if let PipeRole::Origin { pending, .. } = &mut self.role {
+            if pending.is_empty() {
+                pending.shrink_to_fit();
+            }
+        }
+        self.a.release_spare_capacity();
+        self.b.release_spare_capacity();
+    }
+}
+
 /// What [`crate::Testbed`]'s finalize reads of an access pipe: all of
 /// it that outlives the harvest.
 pub(crate) struct AccessReport {
@@ -259,7 +279,8 @@ pub(crate) struct World {
     pub domains: DomainTable,
     /// Proxy↔origin pipes by [`DomainId::index`], each list ascending.
     /// Origin pipes are never closed, so a run accumulates hundreds of
-    /// them; fetch dispatch walks only its own domain's handful.
+    /// them (fetch dispatch walks only its own domain's handful), and
+    /// [`World::release_idle_origin_pipes`] trims the idle ones.
     origin_pipes: Vec<Vec<usize>>,
     /// Pipes with pending service work, in discovery order.
     pub dirty: VecDeque<usize>,
@@ -735,6 +756,24 @@ impl World {
             }
         }
         self.pipes.close(idx);
+    }
+
+    /// Give back the spare buffer capacity of every open origin pipe that
+    /// carried nothing since `since` (no segment left or arrived): the
+    /// persistent-connection proxy keeps them all open, and most serve a
+    /// site that is not being loaded. A pipe busy during that time keeps
+    /// its buffers, since it is likely to be used again and would only
+    /// regrow them. Nothing observable changes.
+    pub fn release_idle_origin_pipes(&mut self, since: SimTime) {
+        for &idx in self.origin_pipes.iter().flatten() {
+            if self.pipes.is_closed(idx) {
+                continue;
+            }
+            let pipe = &mut self.pipes[idx];
+            if pipe.last_activity < since {
+                pipe.release_spare_capacity();
+            }
+        }
     }
 
     /// Total unacknowledged proxy→device bytes across open access pipes.

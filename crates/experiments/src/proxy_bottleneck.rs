@@ -11,6 +11,8 @@ use spdyier_sim::{SimDuration, SimTime};
 pub fn fig8(opts: ExpOpts) -> Report {
     let mut manifest = baseline("fig8", NetworkKind::Umts3G, 1);
     manifest.protocols = protocols(&["spdy"]);
+    // The proxy records are kept only for a run that asks for its series.
+    manifest.tcp_traces = true;
     let run = &run_cells(&opts.exec, &manifest)[0].1;
     let mut waits = Vec::new();
     let mut downloads = Vec::new();

@@ -65,9 +65,13 @@ fn a_traced_cell_scans_its_flight_log_once_if_it_keeps_one_and_never_otherwise()
 /// windows: over the critical paths of one Table-1 3G cell (20 visit
 /// windows, some hundreds of spine segments) the sweep's cursors read
 /// at most about as many runs as the model has intervals plus the
-/// segments it emits — 16,728 for 102,842 intervals and 4,077 segments
-/// as committed. The endpoint sweep this one replaced passed over every
-/// interval of the run once per window: 281,456,133 reads for this cell.
+/// segments it emits — 16,728 for 35,089 intervals and 4,077 segments
+/// as committed (102,476 intervals before the model coalesced them as
+/// it folds). The endpoint sweep this one replaced passed over every
+/// interval of the run once per window: 281,456,133 reads for this
+/// cell. That the trace is full is read from its 49,854 `SegmentSent`
+/// records, which coalescing does not change: at two intervals each
+/// they were the 100,000 intervals this guard asked for before.
 #[cfg(debug_assertions)]
 #[test]
 fn a_traced_cells_sweeps_read_its_intervals_once_not_once_per_window() {
@@ -92,7 +96,14 @@ fn a_traced_cells_sweeps_read_its_intervals_once_not_once_per_window() {
     let (read, emitted) = SWEEP_WORK.with(std::cell::Cell::get);
     let (read, emitted) = (read - read_before, emitted - emitted_before);
     assert_eq!(folded.metrics.critical_visits, 20);
-    assert!(intervals > 100_000, "a full trace: {intervals} intervals");
+    let segments = traced
+        .as_ref()
+        .expect("traced")
+        .log
+        .metrics
+        .counter("link.access.segments");
+    println!("{read} runs read for {intervals} intervals and {emitted} segments");
+    assert!(segments > 48_000, "a full trace: {segments} segments sent");
     assert!(
         read <= 2 * (intervals + emitted),
         "{read} runs read for {intervals} intervals and {emitted} segments"

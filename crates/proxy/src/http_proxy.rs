@@ -54,14 +54,23 @@ pub struct HttpProxyCore {
     clients: HashMap<ClientConnId, ClientState>,
     fetches: HashMap<FetchId, FetchState>,
     records: HashMap<FetchId, ProxyObjectRecord>,
+    /// A fetch gets no record (see [`Self::keep_records`]).
+    skip_records: bool,
     outputs: VecDeque<HttpProxyOutput>,
     next_fetch: u64,
 }
 
 impl HttpProxyCore {
-    /// An empty proxy.
+    /// An empty proxy that keeps a record per fetch.
     pub fn new() -> HttpProxyCore {
         HttpProxyCore::default()
+    }
+
+    /// Keep a [`ProxyObjectRecord`] per fetch only when `keep`: a run
+    /// nothing reads them from skips their two strings per fetch.
+    pub fn keep_records(mut self, keep: bool) -> HttpProxyCore {
+        self.skip_records = !keep;
+        self
     }
 
     /// A client connection was accepted.
@@ -101,10 +110,12 @@ impl HttpProxyCore {
                     response: None,
                 },
             );
-            self.records.insert(
-                fetch,
-                ProxyObjectRecord::new(fetch, req.host.clone(), req.path.clone(), now),
-            );
+            if !self.skip_records {
+                self.records.insert(
+                    fetch,
+                    ProxyObjectRecord::new(fetch, req.host.clone(), req.path.clone(), now),
+                );
+            }
             self.outputs.push_back(HttpProxyOutput::Fetch {
                 fetch,
                 request: req,
@@ -150,9 +161,9 @@ impl HttpProxyCore {
         self.outputs.pop_front()
     }
 
-    /// All object records (request order).
-    pub fn records(&self) -> Vec<&ProxyObjectRecord> {
-        let mut v: Vec<&ProxyObjectRecord> = self.records.values().collect();
+    /// Move every object record out, in request order.
+    pub fn take_records(&mut self) -> Vec<ProxyObjectRecord> {
+        let mut v: Vec<ProxyObjectRecord> = self.records.drain().map(|(_, r)| r).collect();
         v.sort_by_key(|r| r.fetch);
         v
     }
@@ -224,7 +235,7 @@ mod tests {
             }
             other => panic!("expected ToClient, got {other:?}"),
         }
-        let records = p.records();
+        let records = p.take_records();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].origin_wait().unwrap().as_millis(), 14);
         assert_eq!(records[0].origin_download().unwrap().as_millis(), 4);
@@ -300,7 +311,24 @@ mod tests {
         p.on_fetch_complete(f, Response::ok(Payload::synthetic(10)), t(5));
         let _ = p.poll_output();
         p.on_client_received(f, t(900));
-        let rec = p.records()[0];
+        let rec = &p.take_records()[0];
         assert_eq!(rec.client_transfer().unwrap().as_millis(), 895);
+    }
+
+    #[test]
+    fn a_proxy_that_keeps_no_records_still_proxies() {
+        let mut p = HttpProxyCore::new().keep_records(false);
+        let conn = ClientConnId(1);
+        p.on_client_connected(conn);
+        p.on_client_bytes(conn, Request::get("a", "/1").encode(), t(0));
+        let (f, _) = fetch_of(p.poll_output());
+        p.on_fetch_first_byte(f, t(2));
+        p.on_fetch_complete(f, Response::ok(Payload::synthetic(10)), t(5));
+        assert!(matches!(
+            p.poll_output(),
+            Some(HttpProxyOutput::ToClient { fetch, .. }) if fetch == f
+        ));
+        p.on_client_received(f, t(9));
+        assert!(p.take_records().is_empty());
     }
 }

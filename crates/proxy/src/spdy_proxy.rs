@@ -32,6 +32,8 @@ pub struct SpdyProxyCore {
     session: SpdySession,
     stream_of: HashMap<FetchId, u32>,
     records: HashMap<FetchId, ProxyObjectRecord>,
+    /// A fetch gets no record (see [`Self::keep_records`]).
+    skip_records: bool,
     outputs: VecDeque<SpdyProxyOutput>,
     next_fetch: u64,
     /// Ping ids seen (for the Fig. 14 keepalive experiment).
@@ -45,6 +47,7 @@ impl SpdyProxyCore {
             session: SpdySession::new(Role::Server, cfg),
             stream_of: HashMap::new(),
             records: HashMap::new(),
+            skip_records: false,
             outputs: VecDeque::new(),
             next_fetch: 0,
             pings_seen: 0,
@@ -57,6 +60,13 @@ impl SpdyProxyCore {
         let mut p = Self::new(cfg);
         p.next_fetch = offset;
         p
+    }
+
+    /// Keep a [`ProxyObjectRecord`] per fetch only when `keep`: a run
+    /// nothing reads them from skips their two strings per fetch.
+    pub fn keep_records(mut self, keep: bool) -> SpdyProxyCore {
+        self.skip_records = !keep;
+        self
     }
 
     /// The underlying session (stats, compression counters).
@@ -89,10 +99,12 @@ impl SpdyProxyCore {
                     let fetch = FetchId(self.next_fetch);
                     self.next_fetch += 1;
                     self.stream_of.insert(fetch, stream_id);
-                    self.records.insert(
-                        fetch,
-                        ProxyObjectRecord::new(fetch, host.clone(), path.clone(), now),
-                    );
+                    if !self.skip_records {
+                        self.records.insert(
+                            fetch,
+                            ProxyObjectRecord::new(fetch, host.clone(), path.clone(), now),
+                        );
+                    }
                     self.outputs.push_back(SpdyProxyOutput::Fetch {
                         fetch,
                         request: Request::get(host, path),
@@ -208,9 +220,9 @@ impl SpdyProxyCore {
             .map(|(&f, _)| f)
     }
 
-    /// All object records in fetch order.
-    pub fn records(&self) -> Vec<&ProxyObjectRecord> {
-        let mut v: Vec<&ProxyObjectRecord> = self.records.values().collect();
+    /// Move every object record out, in fetch order.
+    pub fn take_records(&mut self) -> Vec<ProxyObjectRecord> {
+        let mut v: Vec<ProxyObjectRecord> = self.records.drain().map(|(_, r)| r).collect();
         v.sort_by_key(|r| r.fetch);
         v
     }
@@ -286,7 +298,7 @@ mod tests {
         }
         assert!(replied);
         assert_eq!(body, 9_000);
-        let rec = proxy.records()[0];
+        let rec = &proxy.take_records()[0];
         assert_eq!(rec.origin_wait().unwrap().as_millis(), 14);
     }
 
@@ -438,9 +450,27 @@ mod tests {
         };
         proxy.stamp_complete(fetch, t(25));
         assert!(proxy.poll_wire().is_none(), "stamping sends nothing");
-        let rec = proxy.records()[0];
+        let rec = &proxy.take_records()[0];
         assert_eq!(rec.origin_done, Some(t(25)));
         assert_eq!(rec.queued_to_client, Some(t(25)));
+    }
+
+    #[test]
+    fn a_proxy_that_keeps_no_records_still_fetches() {
+        let mut client = SpdySession::new(Role::Client, SpdyConfig::default());
+        let mut proxy = SpdyProxyCore::new(SpdyConfig::default()).keep_records(false);
+        open_request(&mut client, &mut proxy, "o", "/x", 1);
+        let fetch = match proxy.poll_output() {
+            Some(SpdyProxyOutput::Fetch { fetch, request }) => {
+                assert_eq!((request.host.as_str(), request.path.as_str()), ("o", "/x"));
+                fetch
+            }
+            other => panic!("{other:?}"),
+        };
+        proxy.on_fetch_complete(fetch, Response::ok(Payload::synthetic(10)), t(5));
+        proxy.on_client_received(fetch, t(9));
+        assert!(proxy.poll_wire().is_some(), "the response still goes out");
+        assert!(proxy.take_records().is_empty());
     }
 
     #[test]
@@ -488,6 +518,7 @@ mod tests {
             fetches.push(fetch);
         }
         assert_eq!(fetches.len(), 50);
-        assert_eq!(proxy.records().len(), 50);
+        assert_eq!(proxy.take_records().len(), 50);
+        assert!(proxy.take_records().is_empty(), "taken once");
     }
 }

@@ -139,8 +139,9 @@ impl Cell {
         cfg.trace_level = manifest.effective_trace();
         cfg.tcp.trace = manifest.tcp_traces;
         // The per-segment series cost more memory than the rest of a run
-        // together; only the paired dump, the plot files and a figure
-        // that asks for TCP traces read them.
+        // together, and the proxy records hold two strings per fetch;
+        // only the paired dump, the plot files and a figure that asks for
+        // TCP traces read them.
         let outputs = &manifest.outputs;
         cfg.record_series = manifest.tcp_traces || outputs.paired_dump || outputs.plot_data;
         cfg.event_budget = manifest.limits.event_budget;

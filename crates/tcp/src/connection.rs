@@ -163,6 +163,14 @@ impl TcpConnection {
         self.tx.census.drain(..)
     }
 
+    /// Give back the spare capacity of buffers that are empty now (the
+    /// retransmission queue, the undrained census). Nothing observable
+    /// changes; a connection used again regrows them. For an owner that
+    /// holds many idle connections open.
+    pub fn release_spare_capacity(&mut self) {
+        self.tx.release_spare_capacity();
+    }
+
     /// The trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&TcpTrace> {
         self.tx.trace.as_deref()

@@ -162,6 +162,17 @@ impl Sender {
         }
     }
 
+    /// Give back the capacity of the retransmission queue and the census
+    /// when they are empty; a non-empty one keeps what it holds.
+    pub fn release_spare_capacity(&mut self) {
+        if self.rtx_queue.is_empty() {
+            self.rtx_queue.shrink_to_fit();
+        }
+        if self.census.is_empty() {
+            self.census.shrink_to_fit();
+        }
+    }
+
     /// The handshake completed: apply a cached RTT seed, unless the
     /// handshake itself produced a better sample.
     pub fn established(&mut self) {

@@ -154,7 +154,15 @@ fn different_seeds_vary() {
 
 #[test]
 fn proxy_records_cover_every_object() {
-    let r = run(ProtocolMode::spdy(), NetworkKind::Wifi, 5, 5);
+    let mut m = manifest(ProtocolMode::spdy(), NetworkKind::Wifi, 5);
+    m.workload = Workload::Site {
+        site: 5,
+        visits: 1,
+        interval_s: 60,
+    };
+    // A run keeps its proxy records only when it records its series.
+    m.tcp_traces = true;
+    let r = run_manifest(&m);
     // Every page object produced a proxy-side fetch record.
     assert!(r.proxy_records.len() >= r.visits[0].object_count);
     for rec in &r.proxy_records {

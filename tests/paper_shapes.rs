@@ -192,7 +192,11 @@ fn lte_has_far_fewer_retransmissions_than_3g() {
 fn proxy_transfer_leg_dominates_for_spdy() {
     // Paper Fig. 8: origin wait ~14 ms and download ~4 ms; the transfer to
     // the client dominates by an order of magnitude.
-    let (_, spdy) = pair(&baseline(NetworkKind::Umts3G, 6));
+    let mut m = baseline(NetworkKind::Umts3G, 6);
+    // A run keeps its proxy records only when it records its series.
+    m.tcp_traces = true;
+    let (_, spdy) = pair(&m);
+    assert!(!spdy.proxy_records.is_empty());
     let mut origin_ms = Vec::new();
     let mut transfer_ms = Vec::new();
     for rec in &spdy.proxy_records {

@@ -1,11 +1,13 @@
-//! The per-segment series are recorded only when something reads them,
-//! and skipping them changes nothing else a run computes.
+//! The per-segment series and the proxy's per-fetch records are kept
+//! only when something reads them, and skipping them changes nothing
+//! else a run computes.
 //!
 //! Every cell of three committed manifests (the 3G control plane, the
 //! LTE data plane and the WiFi pooled-metrics cell) runs twice, with
-//! `ExperimentConfig::record_series` on and off. Off, both series are
-//! empty. With the series cleared from the on-run, the two `RunResult`s
-//! print to the same JSON: the recording sites have no other effect.
+//! `ExperimentConfig::record_series` on and off. Off, both series and
+//! the proxy records are empty. With the three cleared from the on-run,
+//! the two `RunResult`s print to the same JSON: the recording sites have
+//! no other effect.
 
 use spdyier::core::{RunResult, Testbed};
 use spdyier::sim::TimeSeries;
@@ -34,17 +36,20 @@ fn skipping_the_series_changes_nothing_else() {
                 "{label}: on-run records"
             );
             assert!(!on.inflight_bytes.is_empty(), "{label}: on-run records");
+            assert!(!on.proxy_records.is_empty(), "{label}: on-run records");
             assert!(
                 off.client_downlink_bytes.is_empty(),
                 "{label}: downlink off"
             );
             assert!(off.inflight_bytes.is_empty(), "{label}: in-flight off");
+            assert!(off.proxy_records.is_empty(), "{label}: proxy records off");
             on.client_downlink_bytes = TimeSeries::default();
             on.inflight_bytes = TimeSeries::default();
+            on.proxy_records.clear();
             assert_eq!(
                 serde_json::to_string(&on).unwrap(),
                 serde_json::to_string(&off).unwrap(),
-                "{label}: the series were the only difference"
+                "{label}: the series and records were the only difference"
             );
         }
     }
